@@ -7,20 +7,6 @@
 //	comtainer-bench -all
 //	comtainer-bench -table 3
 //	comtainer-bench -figure 9
-//
-// Two helper subcommands serve scripts/bench.sh:
-//
-//	comtainer-bench time <cmd> [args...]
-//
-// runs the command with stdout discarded and prints the elapsed wall
-// clock as fractional seconds — a portable replacement for
-// `date +%s.%N`, which busybox/BSD date does not support.
-//
-//	comtainer-bench diff <old.json> <new.json>
-//
-// compares two bench.sh JSON snapshots and exits non-zero when a gated
-// metric (warm-rebuild time, pull throughput, vet replay ratio)
-// regressed by more than 10%.
 package main
 
 import (
@@ -32,14 +18,6 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "time":
-			os.Exit(timeMain(os.Args[2:]))
-		case "diff":
-			os.Exit(diffMain(os.Args[2:]))
-		}
-	}
 	table := flag.Int("table", 0, "regenerate a table (1, 2 or 3)")
 	figure := flag.Int("figure", 0, "regenerate a figure (3, 9, 10 or 11)")
 	all := flag.Bool("all", false, "regenerate everything")

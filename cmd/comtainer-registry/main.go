@@ -21,7 +21,8 @@
 // quarantine, dangling-ref sweep) runs on every -data open regardless.
 //
 // -upload-ttl expires upload sessions idle longer than the given
-// duration, reclaiming their spool files (0 disables expiry).
+// duration, reclaiming their spool files (0 disables expiry); with
+// -proxy it bounds the sessions the proxy spools in memory.
 //
 // -exec additionally mounts the remote-execution farm scheduler under
 // /farm/v1 on the same listener, turning the registry into the farm's
@@ -108,7 +109,7 @@ func main() {
 	flag.Parse()
 
 	if *proxyMode {
-		runProxy(*addr, shards, *proxyCache, *proxyCacheCap, *redirectReads, *farm, *heartbeat)
+		runProxy(*addr, shards, *proxyCache, *proxyCacheCap, *redirectReads, *farm, *heartbeat, *uploadTTL)
 		return
 	}
 
@@ -172,7 +173,7 @@ func main() {
 }
 
 // runProxy assembles and serves the fleet front-end.
-func runProxy(addr string, shards []string, cacheDir string, cacheCap int64, redirectReads bool, farm string, heartbeat time.Duration) {
+func runProxy(addr string, shards []string, cacheDir string, cacheCap int64, redirectReads bool, farm string, heartbeat, uploadTTL time.Duration) {
 	if len(shards) == 0 {
 		log.Fatal("comtainer-registry: -proxy requires at least one -shard")
 	}
@@ -194,6 +195,7 @@ func runProxy(addr string, shards []string, cacheDir string, cacheCap int64, red
 	}
 	p.RedirectReads = redirectReads
 	p.FarmBackend = farm
+	p.Uploads().TTL = uploadTTL
 	if cacheDir != "" {
 		store, err := distrib.NewDiskStore(cacheDir)
 		if err != nil {

@@ -540,8 +540,15 @@ func (c *Client) PushImage(ctx context.Context, src BlobSource, desc oci.Descrip
 			mediaType = oci.MediaTypeIndex
 		}
 	}
+	return c.PushManifest(ctx, name, tag, mediaType, raw)
+}
+
+// PushManifest PUTs the manifest document body at name:ref (tag or
+// digest), retrying transient failures. The blobs it references must
+// already be on the registry.
+func (c *Client) PushManifest(ctx context.Context, name, ref, mediaType string, body []byte) error {
 	return c.withRetry(ctx, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.url(name, "manifests", tag), bytes.NewReader(raw))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.url(name, "manifests", ref), bytes.NewReader(body))
 		if err != nil {
 			return err
 		}

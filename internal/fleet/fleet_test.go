@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"comtainer/internal/actioncache"
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
 	"comtainer/internal/fleet"
@@ -192,6 +193,52 @@ func TestFleetPushPullSharded(t *testing.T) {
 	}
 	if got.Digest != desc.Digest {
 		t.Fatalf("pulled digest %s, want %s", got.Digest, desc.Digest)
+	}
+}
+
+// TestFleetUnknownManifestIs404 asks the proxy for a manifest no shard
+// holds: the shard's 404 is the fleet's answer, and it is no reason to
+// move any group's leadership — a write racing a spurious promotion
+// would land on a follower.
+func TestFleetUnknownManifestIs404(t *testing.T) {
+	_, ts, shards := startFleet(t, 2, 3)
+	var leaders []string
+	for _, sh := range shards {
+		leaders = append(leaders, sh.group.Leader())
+	}
+	for _, method := range []string{http.MethodGet, http.MethodHead} {
+		req, err := http.NewRequest(method, ts.URL+"/v2/app/manifests/never-pushed", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s unknown manifest: %s, want 404", method, resp.Status)
+		}
+	}
+	for i, sh := range shards {
+		if got := sh.group.Leader(); got != leaders[i] {
+			t.Errorf("group of %d replicas: a 404 moved leadership from %s to %s", len(sh.replicas), leaders[i], got)
+		}
+	}
+}
+
+// TestFleetRemoteCacheMiss reads a key nobody stored from an action
+// cache kept behind the proxy: a clean miss, not an error that feeds
+// the cache's circuit breaker.
+func TestFleetRemoteCacheMiss(t *testing.T) {
+	_, ts, _ := startFleet(t, 2, 2)
+	cache := actioncache.NewRemoteCacheClient(fastClient(ts.URL), "")
+	val, ok, err := cache.Get(digest.FromString("an action nobody has run"))
+	if val != nil || ok || err != nil {
+		t.Errorf("remote cache miss through the proxy = (%q, %v, %v), want (nil, false, nil)", val, ok, err)
+	}
+	if st := cache.Stats(); st.RemoteMisses != 1 || st.Errors != 0 {
+		t.Errorf("remote cache counted %d misses and %d errors, want 1 and 0", st.RemoteMisses, st.Errors)
 	}
 }
 

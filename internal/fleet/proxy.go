@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,12 +21,6 @@ import (
 
 // TablePath is where the proxy serves its routing table.
 const TablePath = "/fleet/v1/table"
-
-// maxManifestSize bounds manifest documents on the fan-out path.
-const maxManifestSize = 16 << 20
-
-// maxBlobSize bounds a single proxied blob upload.
-const maxBlobSize = int64(1) << 30
 
 // DefaultHeartbeatMisses is how many consecutive failed leader pings
 // Watch tolerates before promoting a follower.
@@ -264,11 +257,12 @@ func (p *Proxy) withGroup(g *ShardGroup, fn func(base string) error) error {
 }
 
 // Handler returns the proxy's HTTP surface: the /v2/ distribution
-// API, the routing table, and (when configured) the forwarded farm
-// control plane.
+// API (the registry's front-end over this proxy as its Backend, so
+// existing clients work unchanged), the routing table, and (when
+// configured) the forwarded farm control plane.
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v2/", p.route)
+	mux.Handle("/v2/", registry.NewFrontend(p, p.uploads))
 	mux.HandleFunc(TablePath, p.serveTable)
 	if p.FarmBackend != "" {
 		mux.HandleFunc("/farm/", p.forwardFarm)
@@ -276,89 +270,105 @@ func (p *Proxy) Handler() http.Handler {
 	return mux
 }
 
-// route dispatches /v2/<name>/(manifests|blobs|blobs/uploads)/<ref>,
-// mirroring the registry's router so existing clients work unchanged.
-func (p *Proxy) route(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v2/")
-	if rest == "" {
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	if strings.HasSuffix(rest, "/tags/list") && r.Method == http.MethodGet {
-		p.listTags(w, r, strings.TrimSuffix(rest, "/tags/list"))
-		return
-	}
-	var name, kind, ref string
-	for _, k := range []string{"/manifests/", "/blobs/"} {
-		if i := strings.LastIndex(rest, k); i >= 0 {
-			name, kind, ref = rest[:i], strings.Trim(k, "/"), rest[i+len(k):]
-			break
+// Uploads exposes the manager holding the proxy's upload sessions; its
+// TTL bounds how long an abandoned one stays spooled in memory.
+func (p *Proxy) Uploads() *distrib.UploadManager { return p.uploads }
+
+// relay forwards a bodyless read (r's method and path, Range and
+// Accept headers) to the groups in order, failing over inside each,
+// and streams the first answer below 500 back verbatim: a shard's 404
+// is the fleet's answer, not a reason to promote.
+func (p *Proxy) relay(w http.ResponseWriter, r *http.Request, groups ...*ShardGroup) {
+	var err error
+	for _, g := range groups {
+		err = p.withGroup(g, func(base string) error {
+			req, err := http.NewRequestWithContext(r.Context(), r.Method, base+r.URL.Path, nil)
+			if err != nil {
+				return err
+			}
+			for _, h := range []string{"Range", "Accept"} {
+				if v := r.Header.Get(h); v != "" {
+					req.Header.Set(h, v)
+				}
+			}
+			resp, err := p.httpClient().Do(req)
+			if err != nil {
+				return err
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode >= 500 {
+				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+				return fmt.Errorf("fleet: %s %s: status %s: %s", r.Method, req.URL, resp.Status, strings.TrimSpace(string(msg)))
+			}
+			for _, h := range []string{
+				"Content-Type", "Content-Length", "Content-Range",
+				"Docker-Content-Digest", "Accept-Ranges",
+			} {
+				if v := resp.Header.Get(h); v != "" {
+					w.Header().Set(h, v)
+				}
+			}
+			w.WriteHeader(resp.StatusCode)
+			_, _ = io.Copy(w, resp.Body)
+			return nil
+		})
+		if err == nil {
+			return
 		}
 	}
-	if name == "" || (ref == "" && !strings.HasSuffix(rest, "/blobs/uploads/")) {
-		http.Error(w, "not found", http.StatusNotFound)
-		return
-	}
-	if kind == "manifests" {
-		switch r.Method {
-		case http.MethodGet, http.MethodHead:
-			p.getManifest(w, r, name, ref)
-		case http.MethodPut:
-			p.putManifest(w, r, name, ref)
-		default:
-			http.Error(w, "unsupported operation", http.StatusMethodNotAllowed)
-		}
-		return
-	}
-	if id, ok := strings.CutPrefix(ref, "uploads"); ok {
-		id = strings.TrimPrefix(id, "/")
-		p.routeUpload(w, r, name, id)
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		p.getBlob(w, r, name, ref)
-	case http.MethodHead:
-		p.headBlob(w, r, name, ref)
-	default:
-		http.Error(w, "unsupported operation", http.StatusMethodNotAllowed)
-	}
+	http.Error(w, err.Error(), shardStatus(err))
 }
 
-// --- blob reads ---
+// shardStatus maps a routed-request failure onto the client's status:
+// a definitive 404 from the shard passes through, everything else is
+// a 502 the client's retry logic treats as transient.
+func shardStatus(err error) int {
+	if distrib.IsNotFound(err) {
+		return http.StatusNotFound
+	}
+	return http.StatusBadGateway
+}
 
-func (p *Proxy) getBlob(w http.ResponseWriter, r *http.Request, name, ref string) {
-	d, err := digest.Parse(ref)
-	if err != nil {
-		http.Error(w, "invalid digest", http.StatusBadRequest)
-		return
+// shardError marks a routed-write failure with its shardStatus.
+func shardError(err error) error {
+	if err == nil {
+		return nil
 	}
-	g := p.groupFor(d)
-	if p.cacheHas(d) {
+	return registry.WithStatus(shardStatus(err), err)
+}
+
+// --- blobs ---
+
+// ServeBlob implements registry.Backend: from the cache when it holds
+// d, else from the owning group — redirected, pulled through the
+// cache, or relayed.
+func (p *Proxy) ServeBlob(w http.ResponseWriter, r *http.Request, name string, d digest.Digest) {
+	get, hit := r.Method == http.MethodGet, p.cacheHas(d)
+	if get && hit {
 		p.cacheHits.Add(1)
-		registry.ServeBlob(w, r, p.cacheStore(), d)
-		return
+	} else if get {
+		p.cacheMisses.Add(1)
 	}
-	p.cacheMisses.Add(1)
-	if p.RedirectReads {
-		http.Redirect(w, r, g.Leader()+"/v2/"+name+"/blobs/"+string(d), http.StatusTemporaryRedirect)
-		return
-	}
-	if p.cacheStore() != nil {
+	g, cache := p.groupFor(d), p.cacheStore()
+	switch {
+	case hit:
+		registry.ServeBlob(w, r, cache, d)
+	case get && p.RedirectReads:
+		http.Redirect(w, r, g.Leader()+r.URL.Path, http.StatusTemporaryRedirect)
+	case get && cache != nil:
 		// Pull-through: fetch into the cache (verified), serve from it.
-		staging := p.cacheStore()
 		err := p.withGroup(g, func(base string) error {
-			return p.clientFor(base).FetchBlob(r.Context(), staging, name, d)
+			return p.clientFor(base).FetchBlob(r.Context(), cache, name, d)
 		})
 		if err != nil {
-			p.proxyError(w, err)
+			http.Error(w, err.Error(), shardStatus(err))
 			return
 		}
 		p.noteFetched(d)
-		registry.ServeBlob(w, r, staging, d)
-		return
+		registry.ServeBlob(w, r, cache, d)
+	default:
+		p.relay(w, r, g)
 	}
-	p.forwardBlob(w, r, g, "/v2/"+name+"/blobs/"+string(d))
 }
 
 // cacheStore returns the mounted cache store (nil when none).
@@ -396,208 +406,20 @@ func (p *Proxy) noteFetched(d digest.Digest) {
 	p.evictLocked()
 }
 
-func (p *Proxy) headBlob(w http.ResponseWriter, r *http.Request, name, ref string) {
-	d, err := digest.Parse(ref)
-	if err != nil {
-		http.Error(w, "invalid digest", http.StatusBadRequest)
-		return
-	}
-	if p.cacheHas(d) {
-		store := p.cacheStore()
-		rc, size, err := store.Open(d)
-		if err == nil {
-			rc.Close()
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("Docker-Content-Digest", string(d))
-			w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-	}
-	p.forwardBlob(w, r, p.groupFor(d), "/v2/"+name+"/blobs/"+string(d))
-}
-
-// forwardBlob relays a blob GET/HEAD to the owning group with
-// failover, streaming the response through.
-func (p *Proxy) forwardBlob(w http.ResponseWriter, r *http.Request, g *ShardGroup, path string) {
-	err := p.withGroup(g, func(base string) error {
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, base+path, nil)
-		if err != nil {
-			return err
-		}
-		if rng := r.Header.Get("Range"); rng != "" {
-			req.Header.Set("Range", rng)
-		}
-		resp, err := p.httpClient().Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode >= 500 {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			return fmt.Errorf("fleet: %s %s: status %s: %s", r.Method, base+path, resp.Status, strings.TrimSpace(string(msg)))
-		}
-		relayResponse(w, resp)
-		return nil
-	})
-	if err != nil {
-		p.proxyError(w, err)
-	}
-}
-
-// relayResponse copies a shard response (status, distribution
-// headers, body) to the client verbatim.
-func relayResponse(w http.ResponseWriter, resp *http.Response) {
-	for _, h := range []string{
-		"Content-Type", "Content-Length", "Content-Range",
-		"Docker-Content-Digest", "Accept-Ranges", "Location",
-		"Docker-Upload-UUID", "Range",
-	} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-}
-
-// proxyError maps a routed-request failure onto the client response:
-// a definitive 404 from the shard passes through, everything else is
-// a 502 the client's retry logic treats as transient.
-func (p *Proxy) proxyError(w http.ResponseWriter, err error) {
-	if distrib.IsNotFound(err) {
-		http.Error(w, "not found", http.StatusNotFound)
-		return
-	}
-	http.Error(w, err.Error(), http.StatusBadGateway)
-}
-
-// --- blob uploads ---
-
-// routeUpload implements the upload-session protocol proxy-side: the
-// session accumulates locally, and the finalizing PUT pushes the
-// complete verified blob to the owning shard — the client's 201 is
-// issued only after the shard leader (and, through its replication
-// hook, every follower) has acknowledged durably.
-func (p *Proxy) routeUpload(w http.ResponseWriter, r *http.Request, name, id string) {
-	if id == "" {
-		switch {
-		case r.Method == http.MethodPost && r.URL.Query().Get("digest") == "":
-			u, err := p.uploads.Start(name)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Location", "/v2/"+name+"/blobs/uploads/"+u.ID)
-			w.Header().Set("Docker-Upload-UUID", u.ID)
-			w.Header().Set("Range", "0-0")
-			w.WriteHeader(http.StatusAccepted)
-		case r.URL.Query().Get("digest") != "":
-			p.putBlobMonolithic(w, r, name)
-		default:
-			http.Error(w, "unsupported operation", http.StatusMethodNotAllowed)
-		}
-		return
-	}
-	u, ok := p.uploads.Get(id)
-	if !ok {
-		http.Error(w, "upload unknown", http.StatusNotFound)
-		return
-	}
-	switch r.Method {
-	case http.MethodPatch:
-		expectStart := int64(-1)
-		if cr := r.Header.Get("Content-Range"); cr != "" {
-			start, _, ok := strings.Cut(strings.TrimPrefix(cr, "bytes "), "-")
-			n, err := strconv.ParseInt(start, 10, 64)
-			if !ok || err != nil || n < 0 {
-				http.Error(w, "malformed Content-Range", http.StatusBadRequest)
-				return
-			}
-			expectStart = n
-		}
-		size, err := u.Append(r.Body, expectStart)
-		w.Header().Set("Docker-Upload-UUID", u.ID)
-		w.Header().Set("Range", uploadRange(size))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-		w.WriteHeader(http.StatusAccepted)
-	case http.MethodPut:
-		if r.ContentLength != 0 {
-			if _, err := u.Append(r.Body, -1); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		want, err := digest.Parse(r.URL.Query().Get("digest"))
-		if err != nil {
-			http.Error(w, "invalid digest", http.StatusBadRequest)
-			return
-		}
-		staging := oci.NewStore()
-		d, _, err := p.uploads.Commit(u, staging, want)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := p.pushToShard(r.Context(), staging, name, d); err != nil {
-			p.proxyError(w, err)
-			return
-		}
-		w.Header().Set("Location", "/v2/"+name+"/blobs/"+string(d))
-		w.Header().Set("Docker-Content-Digest", string(d))
-		w.WriteHeader(http.StatusCreated)
-	case http.MethodGet:
-		w.Header().Set("Docker-Upload-UUID", u.ID)
-		w.Header().Set("Range", uploadRange(u.Size()))
-		w.WriteHeader(http.StatusNoContent)
-	case http.MethodDelete:
-		p.uploads.Cancel(u)
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		http.Error(w, "unsupported operation", http.StatusMethodNotAllowed)
-	}
-}
-
-// uploadRange renders the session Range header ("0-0" when empty).
-func uploadRange(size int64) string {
-	if size <= 0 {
-		return "0-0"
-	}
-	return fmt.Sprintf("0-%d", size-1)
-}
-
-func (p *Proxy) putBlobMonolithic(w http.ResponseWriter, r *http.Request, name string) {
-	want, err := digest.Parse(r.URL.Query().Get("digest"))
-	if err != nil {
-		http.Error(w, "invalid digest", http.StatusBadRequest)
-		return
-	}
+// CommitBlob implements registry.Backend: the verified blob is staged
+// in memory, pushed to its owning shard group (with failover) — whose
+// leader acknowledges only after every follower holds it — and warms
+// the pull-through cache.
+func (p *Proxy) CommitBlob(r *http.Request, name string, d digest.Digest, ingest func(distrib.BlobSink) error) error {
 	staging := oci.NewStore()
-	d, _, err := staging.Ingest(io.LimitReader(r.Body, maxBlobSize), want)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	if err := ingest(staging); err != nil {
+		return err
 	}
-	if err := p.pushToShard(r.Context(), staging, name, d); err != nil {
-		p.proxyError(w, err)
-		return
-	}
-	w.Header().Set("Docker-Content-Digest", string(d))
-	w.WriteHeader(http.StatusCreated)
-}
-
-// pushToShard pushes a staged blob to its owning shard group (with
-// failover) and warms the pull-through cache with it.
-func (p *Proxy) pushToShard(ctx context.Context, staging distrib.BlobSource, name string, d digest.Digest) error {
-	g := p.groupFor(d)
-	err := p.withGroup(g, func(base string) error {
-		return p.clientFor(base).PushBlob(ctx, name, staging, d)
+	err := p.withGroup(p.groupFor(d), func(base string) error {
+		return p.clientFor(base).PushBlob(r.Context(), name, staging, d)
 	})
 	if err != nil {
-		return err
+		return shardError(err)
 	}
 	p.cacheAdd(staging, d)
 	return nil
@@ -605,170 +427,48 @@ func (p *Proxy) pushToShard(ctx context.Context, staging distrib.BlobSource, nam
 
 // --- manifests and tags ---
 
-// blobExists answers the fleet-wide referential check: the cache or
-// the owning shard group holds d.
-func (p *Proxy) blobExists(ctx context.Context, d digest.Digest) (bool, error) {
+// HasBlob implements registry.Backend with the fleet-wide referential
+// check: the cache or the owning shard group holds d.
+func (p *Proxy) HasBlob(ctx context.Context, d digest.Digest) (bool, error) {
 	if p.cacheHas(d) {
 		return true, nil
 	}
-	g := p.groupFor(d)
 	var found bool
-	err := p.withGroup(g, func(base string) error {
+	err := p.withGroup(p.groupFor(d), func(base string) error {
 		ok, err := p.clientFor(base).HasBlob(ctx, "fleet", d)
-		if err != nil {
-			return err
-		}
 		found = ok
-		return nil
+		return err
 	})
-	return found, err
+	return found, shardError(err)
 }
 
-// putManifest performs the fleet-wide referential check and fans the
-// manifest out to every shard group, so any shard can resolve tags
-// and anchor its own GC roots. Acknowledged only once every group
-// holds it.
-func (p *Proxy) putManifest(w http.ResponseWriter, r *http.Request, name, ref string) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxManifestSize))
-	if err != nil {
-		http.Error(w, "read error", http.StatusBadRequest)
-		return
-	}
-	var refs struct {
-		Config    *oci.Descriptor  `json:"config"`
-		Layers    []oci.Descriptor `json:"layers"`
-		Manifests []oci.Descriptor `json:"manifests"`
-	}
-	if err := json.Unmarshal(body, &refs); err != nil {
-		http.Error(w, "manifest is not valid JSON: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	var referenced []oci.Descriptor
-	if refs.Config != nil && refs.Config.Digest != "" {
-		referenced = append(referenced, *refs.Config)
-	}
-	referenced = append(referenced, refs.Layers...)
-	referenced = append(referenced, refs.Manifests...)
-	for _, rd := range referenced {
-		ok, err := p.blobExists(r.Context(), rd.Digest)
-		if err != nil {
-			p.proxyError(w, err)
-			return
-		}
-		if !ok {
-			http.Error(w, fmt.Sprintf("manifest references missing blob %s", rd.Digest), http.StatusBadRequest)
-			return
-		}
-	}
-	d := digest.FromBytes(body)
-	if want, err := digest.Parse(ref); err == nil && want != d {
-		http.Error(w, fmt.Sprintf("manifest digest mismatch: content is %s, ref is %s", d, want), http.StatusBadRequest)
-		return
-	}
-	mediaType := r.Header.Get("Content-Type")
-	if mediaType == "" {
-		mediaType = oci.MediaTypeManifest
-		if len(refs.Manifests) > 0 {
-			mediaType = oci.MediaTypeIndex
-		}
-	}
-	for _, name2 := range p.order {
-		g := p.groups[name2]
-		err := p.withGroup(g, func(base string) error {
-			return putManifestTo(r.Context(), p.httpClient(), base, name, ref, mediaType, body)
+// CommitManifest implements registry.Backend: the manifest fans out to
+// every shard group, so any shard can resolve tags and anchor its own
+// GC roots. Acknowledged only once every group holds it.
+func (p *Proxy) CommitManifest(r *http.Request, name, ref, mediaType string, _ digest.Digest, body []byte) error {
+	for _, group := range p.order {
+		err := p.withGroup(p.groups[group], func(base string) error {
+			return p.clientFor(base).PushManifest(r.Context(), name, ref, mediaType, body)
 		})
 		if err != nil {
-			p.proxyError(w, err)
-			return
+			return shardError(err)
 		}
 	}
-	w.Header().Set("Location", "/v2/"+name+"/manifests/"+string(d))
-	w.Header().Set("Docker-Content-Digest", string(d))
-	w.WriteHeader(http.StatusCreated)
+	return nil
 }
 
-// getManifest serves manifest GET/HEAD. Manifests are fanned out to
-// every shard, so the owner of "name:ref" is just the deterministic
-// first stop; any healthy group can answer.
-func (p *Proxy) getManifest(w http.ResponseWriter, r *http.Request, name, ref string) {
-	var lastErr error
-	for _, g := range p.groupsFrom(name + ":" + ref) {
-		err := p.withGroup(g, func(base string) error {
-			req, err := http.NewRequestWithContext(r.Context(), r.Method, base+"/v2/"+name+"/manifests/"+ref, nil)
-			if err != nil {
-				return err
-			}
-			if acc := r.Header.Get("Accept"); acc != "" {
-				req.Header.Set("Accept", acc)
-			}
-			resp, err := p.httpClient().Do(req)
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				if resp.StatusCode == http.StatusNotFound {
-					return notFoundErr(base, strings.TrimSpace(string(msg)))
-				}
-				return fmt.Errorf("fleet: GET %s: status %s: %s", base, resp.Status, strings.TrimSpace(string(msg)))
-			}
-			relayResponse(w, resp)
-			return nil
-		})
-		if err == nil {
-			return
-		}
-		lastErr = err
-		if distrib.IsNotFound(err) {
-			// Every shard holds every manifest: the owner's definitive
-			// 404 is the fleet's answer.
-			break
-		}
-	}
-	p.proxyError(w, lastErr)
+// ServeManifest implements registry.Backend. Manifests are fanned out
+// to every shard, so the owner of "name:ref" is just the deterministic
+// first stop; any healthy group can answer, and the first one's 404 is
+// definitive.
+func (p *Proxy) ServeManifest(w http.ResponseWriter, r *http.Request, name, ref string) {
+	p.relay(w, r, p.groupsFrom(name+":"+ref)...)
 }
 
-// listTags relays the tags/list endpoint; refs are fanned out, so the
+// ServeTags implements registry.Backend; refs are fanned out, so the
 // first healthy group answers for the fleet.
-func (p *Proxy) listTags(w http.ResponseWriter, r *http.Request, name string) {
-	var lastErr error
-	for _, g := range p.groupsFrom(name) {
-		err := p.withGroup(g, func(base string) error {
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, base+"/v2/"+name+"/tags/list", nil)
-			if err != nil {
-				return err
-			}
-			resp, err := p.httpClient().Do(req)
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				return fmt.Errorf("fleet: GET tags %s: status %s: %s", base, resp.Status, strings.TrimSpace(string(msg)))
-			}
-			relayResponse(w, resp)
-			return nil
-		})
-		if err == nil {
-			return
-		}
-		lastErr = err
-	}
-	p.proxyError(w, lastErr)
-}
-
-// notFoundErr fabricates a distrib-recognizable 404 so failover and
-// pass-through logic can classify it.
-func notFoundErr(url, msg string) error {
-	return &notFoundError{url: url, msg: msg}
-}
-
-type notFoundError struct{ url, msg string }
-
-func (e *notFoundError) Error() string {
-	return fmt.Sprintf("fleet: %s: not found: %s", e.url, e.msg)
+func (p *Proxy) ServeTags(w http.ResponseWriter, r *http.Request, name string) {
+	p.relay(w, r, p.groupsFrom(name)...)
 }
 
 // --- farm forwarding ---

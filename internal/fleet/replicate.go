@@ -1,12 +1,9 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"sync"
 
 	"comtainer/internal/digest"
@@ -143,19 +140,12 @@ func (r *Replicator) ManifestCommitted(ctx context.Context, name, ref, mediaType
 	if _, err := r.log.Append(entry); err != nil {
 		return err
 	}
-	hc := replicationClient(r.httpClient())
 	for _, f := range r.Followers() {
-		if err := putManifestTo(ctx, hc, f, name, ref, mediaType, body); err != nil {
+		if err := r.clientFor(f).PushManifest(ctx, name, ref, mediaType, body); err != nil {
 			return fmt.Errorf("fleet: replicating manifest %s:%s to %s: %w", name, ref, f, err)
 		}
 	}
 	return nil
-}
-
-func (r *Replicator) httpClient() *http.Client {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.http
 }
 
 // Sync replays the whole write log to addr — catching a follower up
@@ -165,7 +155,6 @@ func (r *Replicator) httpClient() *http.Client {
 // entry or no longer acknowledged state.
 func (r *Replicator) Sync(ctx context.Context, addr string) error {
 	c := r.clientFor(addr)
-	hc := replicationClient(r.httpClient())
 	for _, e := range r.log.Entries(0) {
 		if !r.src.Has(e.Digest) {
 			continue
@@ -180,35 +169,10 @@ func (r *Replicator) Sync(ctx context.Context, addr string) error {
 			if err != nil {
 				return fmt.Errorf("fleet: sync reading manifest %s: %w", e.Digest.Short(), err)
 			}
-			if err := putManifestTo(ctx, hc, addr, e.Name, e.Ref, e.MediaType, body); err != nil {
+			if err := c.PushManifest(ctx, e.Name, e.Ref, e.MediaType, body); err != nil {
 				return fmt.Errorf("fleet: sync manifest %s:%s to %s: %w", e.Name, e.Ref, addr, err)
 			}
 		}
-	}
-	return nil
-}
-
-// putManifestTo issues one manifest PUT against base — shared by
-// replication (marker header set by the caller's client) and the
-// proxy's fan-out (plain client).
-func putManifestTo(ctx context.Context, hc *http.Client, base, name, ref, mediaType string, body []byte) error {
-	url := strings.TrimRight(base, "/") + "/v2/" + name + "/manifests/" + ref
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", mediaType)
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("fleet: PUT %s: status %s: %s", url, resp.Status, strings.TrimSpace(string(msg)))
 	}
 	return nil
 }

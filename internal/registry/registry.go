@@ -9,15 +9,14 @@
 package registry
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -25,10 +24,6 @@ import (
 	"comtainer/internal/distrib"
 	"comtainer/internal/oci"
 )
-
-// maxManifestSize bounds manifest documents; blobs are unbounded
-// (streamed to the store, never buffered whole).
-const maxManifestSize = 16 << 20
 
 // DefaultGCGrace is how long a freshly committed blob is protected
 // from GC even while unreferenced — long enough for the push that
@@ -187,6 +182,9 @@ func (s *Server) recentlyCommitted(d digest.Digest) bool {
 // file) survives; zero disables expiry. See distrib.UploadManager.
 func (s *Server) SetUploadTTL(d time.Duration) { s.uploads.TTL = d }
 
+// Uploads exposes the manager holding in-progress upload sessions.
+func (s *Server) Uploads() *distrib.UploadManager { return s.uploads }
+
 // Fsck checks the mounted blob store's integrity (it must be
 // disk-backed). With repair false the scan is read-only; with repair
 // true corrupt blobs are quarantined, orphaned temp spools removed,
@@ -236,340 +234,54 @@ func (s *Server) GC() (int, error) {
 	return distrib.GCProtected(s.blobs, roots, s.recentlyCommitted)
 }
 
-// Handler returns the HTTP handler implementing the distribution API.
+// Handler returns the HTTP handler implementing the distribution API:
+// the shared front-end over this server as its Backend.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v2/", s.route)
+	mux.Handle("/v2/", NewFrontend(s, s.uploads))
 	return mux
 }
 
-// route dispatches /v2/<name>/(manifests|blobs|blobs/uploads)/<ref>.
-func (s *Server) route(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v2/")
-	if rest == "" {
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	// Tag enumeration: GET /v2/<name>/tags/list.
-	if strings.HasSuffix(rest, "/tags/list") && r.Method == http.MethodGet {
-		s.listTags(w, strings.TrimSuffix(rest, "/tags/list"))
-		return
-	}
-	// Find the resource kind separator from the right so names may
-	// contain slashes.
-	var name, kind, ref string
-	for _, k := range []string{"/manifests/", "/blobs/"} {
-		if i := strings.LastIndex(rest, k); i >= 0 {
-			name, kind, ref = rest[:i], strings.Trim(k, "/"), rest[i+len(k):]
-			break
-		}
-	}
-	if name == "" || (ref == "" && !strings.HasSuffix(rest, "/blobs/uploads/")) {
-		http.Error(w, "not found", http.StatusNotFound)
-		return
-	}
-	if kind == "manifests" {
-		switch r.Method {
-		case http.MethodGet:
-			s.getManifest(w, name, ref, false)
-		case http.MethodHead:
-			s.getManifest(w, name, ref, true)
-		case http.MethodPut:
-			s.putManifest(w, r, name, ref)
-		default:
-			http.Error(w, "unsupported operation", http.StatusMethodNotAllowed)
-		}
-		return
-	}
-	// Blob routes. Upload sessions live under blobs/uploads/.
-	if id, ok := strings.CutPrefix(ref, "uploads"); ok {
-		id = strings.TrimPrefix(id, "/")
-		s.routeUpload(w, r, name, id)
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		s.getBlob(w, r, ref)
-	case http.MethodHead:
-		s.headBlob(w, ref)
-	default:
-		http.Error(w, "unsupported operation", http.StatusMethodNotAllowed)
-	}
-}
-
-// routeUpload dispatches the upload-session protocol:
-//
-//	POST   /v2/<name>/blobs/uploads/           start a session (202, Location)
-//	PATCH  /v2/<name>/blobs/uploads/<id>       append a chunk (Content-Range checked)
-//	PUT    /v2/<name>/blobs/uploads/<id>?digest=  finalize (verifies digest)
-//	GET    /v2/<name>/blobs/uploads/<id>       committed offset (204, Range)
-//	DELETE /v2/<name>/blobs/uploads/<id>       cancel
-//	PUT    /v2/<name>/blobs/uploads?digest=    legacy monolithic upload
-func (s *Server) routeUpload(w http.ResponseWriter, r *http.Request, name, id string) {
-	if id == "" {
-		switch {
-		case r.Method == http.MethodPost:
-			s.startUpload(w, r, name)
-		case r.Method == http.MethodPut && r.URL.Query().Get("digest") != "":
-			// Back-compat: the old single-request PUT ?digest= upload.
-			s.putBlobMonolithic(w, r)
-		default:
-			http.Error(w, "unsupported operation", http.StatusMethodNotAllowed)
-		}
-		return
-	}
-	u, ok := s.uploads.Get(id)
-	if !ok {
-		http.Error(w, "upload unknown", http.StatusNotFound)
-		return
-	}
-	switch r.Method {
-	case http.MethodPatch:
-		s.patchUpload(w, r, u)
-	case http.MethodPut:
-		s.putUpload(w, r, name, u)
-	case http.MethodGet:
-		w.Header().Set("Docker-Upload-UUID", u.ID)
-		w.Header().Set("Range", uploadRange(u.Size()))
-		w.WriteHeader(http.StatusNoContent)
-	case http.MethodDelete:
-		s.uploads.Cancel(u)
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		http.Error(w, "unsupported operation", http.StatusMethodNotAllowed)
-	}
-}
-
-// contextReader fails reads once ctx is done, so a handler streaming a
-// request body into the store stops promptly when the client has gone
-// away instead of spooling bytes nobody will finalize.
-type contextReader struct {
-	ctx context.Context
-	r   io.Reader
-}
-
-func (c contextReader) Read(p []byte) (int, error) {
-	if err := c.ctx.Err(); err != nil {
-		return 0, err
-	}
-	return c.r.Read(p)
-}
-
-// uploadRange renders the session Range header ("0-0" when empty, per
-// the docker convention).
-func uploadRange(size int64) string {
-	if size <= 0 {
-		return "0-0"
-	}
-	return fmt.Sprintf("0-%d", size-1)
-}
-
-func (s *Server) startUpload(w http.ResponseWriter, r *http.Request, name string) {
-	// Single-POST monolithic upload when a digest is supplied.
-	if want := r.URL.Query().Get("digest"); want != "" {
-		s.putBlobMonolithic(w, r)
-		return
-	}
-	u, err := s.uploads.Start(name)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Location", "/v2/"+name+"/blobs/uploads/"+u.ID)
-	w.Header().Set("Docker-Upload-UUID", u.ID)
-	w.Header().Set("Range", "0-0")
-	w.WriteHeader(http.StatusAccepted)
-}
-
-func (s *Server) patchUpload(w http.ResponseWriter, r *http.Request, u *distrib.Upload) {
-	expectStart := int64(-1)
-	if cr := r.Header.Get("Content-Range"); cr != "" {
-		start, _, ok := strings.Cut(strings.TrimPrefix(cr, "bytes "), "-")
-		n, err := strconv.ParseInt(start, 10, 64)
-		if !ok || err != nil || n < 0 {
-			http.Error(w, "malformed Content-Range", http.StatusBadRequest)
-			return
-		}
-		expectStart = n
-	}
-	size, err := u.Append(contextReader{r.Context(), r.Body}, expectStart)
-	if err != nil {
-		// A mis-aligned chunk gets 416 plus the committed range so the
-		// client can resume from the recorded offset.
-		w.Header().Set("Docker-Upload-UUID", u.ID)
-		w.Header().Set("Range", uploadRange(size))
-		http.Error(w, err.Error(), http.StatusRequestedRangeNotSatisfiable)
-		return
-	}
-	w.Header().Set("Docker-Upload-UUID", u.ID)
-	w.Header().Set("Range", uploadRange(size))
-	w.WriteHeader(http.StatusAccepted)
-}
-
-func (s *Server) putUpload(w http.ResponseWriter, r *http.Request, name string, u *distrib.Upload) {
-	// An optional trailing chunk may ride on the finalizing PUT.
-	if r.ContentLength != 0 {
-		if _, err := u.Append(contextReader{r.Context(), r.Body}, -1); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	want, err := digest.Parse(r.URL.Query().Get("digest"))
-	if err != nil {
-		http.Error(w, "invalid digest", http.StatusBadRequest)
-		return
-	}
-	had := s.blobs.Has(want)
-	d, _, err := s.uploads.Commit(u, s.blobs, want)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !s.afterBlobCommit(w, r, d, had) {
-		return
-	}
-	w.Header().Set("Location", "/v2/"+name+"/blobs/"+string(d))
-	w.Header().Set("Docker-Content-Digest", string(d))
-	w.WriteHeader(http.StatusCreated)
-}
-
-// afterBlobCommit runs the post-commit bookkeeping shared by both
-// upload paths: pin the blob against GC and replicate it through the
-// commit hook. On hook failure the response is a 503 and, when this
-// request introduced the blob, the local copy is rolled back — so a
-// retried push re-uploads and re-replicates instead of short-
-// circuiting on the HEAD dedup probe. Returns false when the response
-// has been written.
-func (s *Server) afterBlobCommit(w http.ResponseWriter, r *http.Request, d digest.Digest, had bool) bool {
-	s.noteCommit(d)
-	hook := s.commitHook()
-	if hook == nil || replicated(r) {
-		return true
-	}
-	if err := hook.BlobCommitted(r.Context(), d); err != nil {
-		msg := "replication failed: " + err.Error()
-		if !had {
-			if derr := s.blobs.Delete(d); derr != nil {
-				msg += " (rollback failed: " + derr.Error() + ")"
-			}
-		}
-		http.Error(w, msg, http.StatusServiceUnavailable)
-		return false
-	}
-	return true
-}
-
-// putBlobMonolithic is the legacy single-request upload: the whole
-// blob in one PUT (or POST) with ?digest=.
-func (s *Server) putBlobMonolithic(w http.ResponseWriter, r *http.Request) {
-	want, err := digest.Parse(r.URL.Query().Get("digest"))
-	if err != nil {
-		http.Error(w, "invalid digest", http.StatusBadRequest)
-		return
-	}
-	had := s.blobs.Has(want)
-	d, _, err := s.blobs.Ingest(io.LimitReader(contextReader{r.Context(), r.Body}, 1<<30), want)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !s.afterBlobCommit(w, r, d, had) {
-		return
-	}
-	w.Header().Set("Docker-Content-Digest", string(d))
-	w.WriteHeader(http.StatusCreated)
-}
-
-// getBlob streams a blob, honoring single-range HTTP Range requests
-// ("bytes=a-b" / "bytes=a-") with 206 responses.
-func (s *Server) getBlob(w http.ResponseWriter, r *http.Request, ref string) {
-	d, err := digest.Parse(ref)
-	if err != nil {
-		http.Error(w, "invalid digest", http.StatusBadRequest)
-		return
-	}
+// ServeBlob implements Backend from the mounted store.
+func (s *Server) ServeBlob(w http.ResponseWriter, r *http.Request, _ string, d digest.Digest) {
 	ServeBlob(w, r, s.blobs, d)
 }
 
-// ServeBlob streams blob d from src with distribution-API headers,
-// honoring single-range HTTP Range requests ("bytes=a-b" /
-// "bytes=a-") with 206 responses. Shared by the registry's blob GET
-// and the fleet proxy's cache-hit path.
-func ServeBlob(w http.ResponseWriter, r *http.Request, src distrib.BlobSource, d digest.Digest) {
-	body, size, err := src.Open(d)
-	if err != nil {
-		http.Error(w, "blob unknown", http.StatusNotFound)
-		return
-	}
-	defer body.Close()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Docker-Content-Digest", string(d))
-	w.Header().Set("Accept-Ranges", "bytes")
-	if rng := r.Header.Get("Range"); rng != "" {
-		start, end, ok := parseByteRange(rng, size)
-		if !ok {
-			w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", size))
-			http.Error(w, "unsatisfiable range", http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-		if _, err := io.CopyN(io.Discard, body, start); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, end, size))
-		w.Header().Set("Content-Length", strconv.FormatInt(end-start+1, 10))
-		w.WriteHeader(http.StatusPartialContent)
-		_, _ = io.CopyN(w, body, end-start+1)
-		return
-	}
-	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-	_, _ = io.Copy(w, body)
+// HasBlob implements Backend. A fleet shard trusts every reference:
+// the check belongs to the proxy (see TrustReferences).
+func (s *Server) HasBlob(_ context.Context, d digest.Digest) (bool, error) {
+	return s.TrustReferences || s.blobs.Has(d), nil
 }
 
-// parseByteRange parses a single "bytes=a-b" or "bytes=a-" range
-// against a blob of the given size, returning the inclusive bounds.
-func parseByteRange(rng string, size int64) (start, end int64, ok bool) {
-	spec, found := strings.CutPrefix(rng, "bytes=")
-	if !found || strings.Contains(spec, ",") {
-		return 0, 0, false
+// CommitBlob implements Backend: the content goes straight into the
+// mounted store, is pinned against GC, and is replicated through the
+// commit hook before the nil that lets the front-end answer 201.
+func (s *Server) CommitBlob(r *http.Request, _ string, d digest.Digest, ingest func(distrib.BlobSink) error) error {
+	had := s.blobs.Has(d)
+	if err := ingest(s.blobs); err != nil {
+		return err
 	}
-	from, to, found := strings.Cut(spec, "-")
-	if !found {
-		return 0, 0, false
+	s.noteCommit(d)
+	if hook := s.commitHook(); hook != nil && !replicated(r) {
+		if err := hook.BlobCommitted(r.Context(), d); err != nil {
+			return s.replicationFailed(err, d, had)
+		}
 	}
-	start, err := strconv.ParseInt(from, 10, 64)
-	if err != nil || start < 0 || start >= size {
-		return 0, 0, false
-	}
-	if to == "" {
-		return start, size - 1, true
-	}
-	end, err = strconv.ParseInt(to, 10, 64)
-	if err != nil || end < start {
-		return 0, 0, false
-	}
-	if end >= size {
-		end = size - 1
-	}
-	return start, end, true
+	return nil
 }
 
-func (s *Server) headBlob(w http.ResponseWriter, ref string) {
-	d, err := digest.Parse(ref)
-	if err != nil || !s.blobs.Has(d) {
-		w.WriteHeader(http.StatusNotFound)
-		return
+// replicationFailed turns a commit-hook error into the 503 the client
+// retries on and, when this request introduced blob d, rolls the local
+// copy back — so a retried push re-uploads and re-replicates instead
+// of short-circuiting on the HEAD dedup probe.
+func (s *Server) replicationFailed(err error, d digest.Digest, had bool) error {
+	err = fmt.Errorf("replication failed: %w", err)
+	if !had {
+		if derr := s.blobs.Delete(d); derr != nil {
+			err = fmt.Errorf("%w (rollback failed: %v)", err, derr)
+		}
 	}
-	body, size, err := s.blobs.Open(d)
-	if err != nil {
-		w.WriteHeader(http.StatusNotFound)
-		return
-	}
-	body.Close()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Docker-Content-Digest", string(d))
-	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-	w.WriteHeader(http.StatusOK)
+	return WithStatus(http.StatusServiceUnavailable, err)
 }
 
 // resolveManifest turns a tag or digest reference into a descriptor.
@@ -583,10 +295,9 @@ func (s *Server) resolveManifest(name, ref string) (oci.Descriptor, bool) {
 	return oci.Descriptor{}, false
 }
 
-// getManifest serves GET and HEAD for manifests; HEAD returns the same
-// headers (Docker-Content-Digest, Content-Type, Content-Length) with
-// no body.
-func (s *Server) getManifest(w http.ResponseWriter, name, ref string, headOnly bool) {
+// ServeManifest implements Backend; HEAD returns the same headers
+// (Docker-Content-Digest, Content-Type, Content-Length) with no body.
+func (s *Server) ServeManifest(w http.ResponseWriter, r *http.Request, name, ref string) {
 	desc, ok := s.resolveManifest(name, ref)
 	if !ok {
 		http.Error(w, "manifest unknown", http.StatusNotFound)
@@ -604,102 +315,42 @@ func (s *Server) getManifest(w http.ResponseWriter, name, ref string, headOnly b
 	w.Header().Set("Content-Type", mediaType)
 	w.Header().Set("Docker-Content-Digest", string(desc.Digest))
 	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	if headOnly {
+	if r.Method == http.MethodHead {
 		w.WriteHeader(http.StatusOK)
 		return
 	}
 	_, _ = w.Write(b)
 }
 
-// putManifest stores a manifest or manifest list pushed by tag or by
-// digest. Per distribution-spec semantics it rejects (400, naming the
-// digest) any manifest whose referenced config/layers — or, for a
-// list, member manifests — are not yet present, so clients must upload
-// blobs first.
-func (s *Server) putManifest(w http.ResponseWriter, r *http.Request, name, ref string) {
-	body, err := io.ReadAll(io.LimitReader(contextReader{r.Context(), r.Body}, maxManifestSize))
-	if err != nil {
-		http.Error(w, "read error", http.StatusBadRequest)
-		return
-	}
-	var refs struct {
-		Config    *oci.Descriptor  `json:"config"`
-		Layers    []oci.Descriptor `json:"layers"`
-		Manifests []oci.Descriptor `json:"manifests"`
-	}
-	if err := json.Unmarshal(body, &refs); err != nil {
-		http.Error(w, "manifest is not valid JSON: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !s.TrustReferences {
-		var referenced []oci.Descriptor
-		if refs.Config != nil && refs.Config.Digest != "" {
-			referenced = append(referenced, *refs.Config)
-		}
-		referenced = append(referenced, refs.Layers...)
-		referenced = append(referenced, refs.Manifests...)
-		for _, rd := range referenced {
-			if !s.blobs.Has(rd.Digest) {
-				http.Error(w, fmt.Sprintf("manifest references missing blob %s", rd.Digest), http.StatusBadRequest)
-				return
-			}
-		}
-	}
-	d := digest.FromBytes(body)
-	if want, err := digest.Parse(ref); err == nil {
-		// Push by digest: content must match the reference.
-		if want != d {
-			http.Error(w, fmt.Sprintf("manifest digest mismatch: content is %s, ref is %s", d, want), http.StatusBadRequest)
-			return
-		}
-	}
+// CommitManifest implements Backend: store the document, replicate
+// it, then register the tag.
+func (s *Server) CommitManifest(r *http.Request, name, ref, mediaType string, d digest.Digest, body []byte) error {
 	had := s.blobs.Has(d)
-	if _, _, err := s.blobs.Ingest(strings.NewReader(string(body)), d); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	if _, _, err := s.blobs.Ingest(bytes.NewReader(body), d); err != nil {
+		return WithStatus(http.StatusInternalServerError, err)
 	}
 	s.noteCommit(d)
-	mediaType := r.Header.Get("Content-Type")
-	if mediaType == "" {
-		mediaType = oci.MediaTypeManifest
-		if len(refs.Manifests) > 0 {
-			mediaType = oci.MediaTypeIndex
-		}
-	}
 	// Replicate before registering the tag locally: an acknowledged
 	// manifest must exist on the followers, and a follower promoted
 	// after a mid-PUT leader crash may hold a ref the dead leader never
 	// recorded — safe, since only acknowledged state must survive.
 	if hook := s.commitHook(); hook != nil && !replicated(r) {
 		if err := hook.ManifestCommitted(r.Context(), name, ref, mediaType, body); err != nil {
-			msg := "replication failed: " + err.Error()
-			if !had {
-				if derr := s.blobs.Delete(d); derr != nil {
-					msg += " (rollback failed: " + derr.Error() + ")"
-				}
-			}
-			http.Error(w, msg, http.StatusServiceUnavailable)
-			return
+			return s.replicationFailed(err, d, had)
 		}
 	}
 	if _, err := digest.Parse(ref); err != nil {
 		// Tag reference: record it.
-		if err := s.refs.Set(name, ref, oci.Descriptor{
-			MediaType: mediaType,
-			Digest:    d,
-			Size:      int64(len(body)),
-		}); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+		err := s.refs.Set(name, ref, oci.Descriptor{MediaType: mediaType, Digest: d, Size: int64(len(body))})
+		if err != nil {
+			return WithStatus(http.StatusInternalServerError, err)
 		}
 	}
-	w.Header().Set("Location", "/v2/"+name+"/manifests/"+string(d))
-	w.Header().Set("Docker-Content-Digest", string(d))
-	w.WriteHeader(http.StatusCreated)
+	return nil
 }
 
-// listTags serves the distribution tags/list endpoint.
-func (s *Server) listTags(w http.ResponseWriter, name string) {
+// ServeTags implements Backend: the distribution tags/list endpoint.
+func (s *Server) ServeTags(w http.ResponseWriter, _ *http.Request, name string) {
 	tags := s.refs.Tags(name)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(struct {

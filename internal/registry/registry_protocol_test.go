@@ -1,4 +1,10 @@
-package registry
+// The distribution wire protocol as one black-box suite, a test per
+// clause of the protocol, each run against every front-end the repo
+// ships: registry.Server over its own store, and fleet.Proxy over one
+// shard group of two replicas. Both mount registry.NewFrontend, so a
+// clause that holds for one and not the other means a backend leaked
+// into the protocol.
+package registry_test
 
 import (
 	"bytes"
@@ -10,298 +16,429 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"comtainer/internal/digest"
+	"comtainer/internal/distrib"
+	"comtainer/internal/fleet"
 	"comtainer/internal/oci"
+	"comtainer/internal/registry"
 )
 
-// TestHeadManifestHeadersNoBody: HEAD /v2/<name>/manifests/<ref> must
-// return the digest, type and length headers with an empty body.
-func TestHeadManifestHeadersNoBody(t *testing.T) {
-	srv := NewServer()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	src, tag := testImageRepo(t)
-	client := NewClient(ts.URL)
-	if err := client.Push(context.Background(), src, tag, "demo", "v1"); err != nil {
+// front is one started front-end under test.
+type front struct {
+	handler http.Handler
+	url     string
+	uploads *distrib.UploadManager
+}
+
+// targets build a fresh, empty front-end each.
+var targets = []struct {
+	name  string
+	start func(t *testing.T) (http.Handler, *distrib.UploadManager)
+}{
+	{"server", func(t *testing.T) (http.Handler, *distrib.UploadManager) {
+		srv := registry.NewServer()
+		return srv.Handler(), srv.Uploads()
+	}},
+	{"proxy", func(t *testing.T) (http.Handler, *distrib.UploadManager) {
+		// Leader and follower replicate to each other, as the shards
+		// of comtainer-registry -fleet-member -follower do.
+		var srvs []*registry.Server
+		var urls []string
+		for i := 0; i < 2; i++ {
+			srv := registry.NewServer()
+			srv.TrustReferences = true
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(ts.Close)
+			srvs, urls = append(srvs, srv), append(urls, ts.URL)
+		}
+		srvs[0].SetCommitHook(fleet.NewReplicator(srvs[0].Blobs(), nil, urls[1]))
+		srvs[1].SetCommitHook(fleet.NewReplicator(srvs[1].Blobs(), nil, urls[0]))
+		g, err := fleet.NewShardGroup("shard", urls...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := fleet.NewProxy([]*fleet.ShardGroup{g}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Handler(), p.Uploads()
+	}},
+}
+
+// eachFront runs fn once per target against a freshly served front-end.
+func eachFront(t *testing.T, fn func(t *testing.T, f front)) {
+	for _, tg := range targets {
+		t.Run(tg.name, func(t *testing.T) {
+			h, uploads := tg.start(t)
+			ts := httptest.NewServer(h)
+			defer ts.Close()
+			fn(t, front{handler: h, url: ts.URL, uploads: uploads})
+		})
+	}
+}
+
+// do issues one request and returns the response with its body read.
+func do(t *testing.T, method, url string, body io.Reader, header ...string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	desc, _ := src.Resolve(tag)
-	manifestBytes, _ := src.Store.Get(desc.Digest)
-
-	req, _ := http.NewRequest(http.MethodHead, ts.URL+"/v2/demo/manifests/v1", nil)
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HEAD manifest: %s", resp.Status)
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := resp.Header.Get("Docker-Content-Digest"); got != string(desc.Digest) {
-		t.Errorf("Docker-Content-Digest = %q, want %q", got, desc.Digest)
+	return resp, b
+}
+
+// putBlob seeds content with one monolithic upload.
+func putBlob(t *testing.T, f front, content []byte) digest.Digest {
+	t.Helper()
+	d := digest.FromBytes(content)
+	resp, body := do(t, http.MethodPut, f.url+"/v2/x/blobs/uploads/?digest="+string(d), bytes.NewReader(content))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("seeding blob: %s: %s", resp.Status, body)
 	}
-	if got := resp.Header.Get("Content-Type"); got != oci.MediaTypeManifest {
-		t.Errorf("Content-Type = %q", got)
-	}
-	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(manifestBytes)) {
-		t.Errorf("Content-Length = %q, want %d", got, len(manifestBytes))
-	}
-	body, _ := io.ReadAll(resp.Body)
-	if len(body) != 0 {
-		t.Errorf("HEAD returned %d body bytes", len(body))
-	}
+	return d
+}
+
+// TestHeadManifestHeadersNoBody: HEAD /v2/<name>/manifests/<ref> must
+// return the digest, type and length headers with an empty body.
+func TestHeadManifestHeadersNoBody(t *testing.T) {
+	eachFront(t, func(t *testing.T, f front) {
+		src, tag := testImageRepo(t)
+		if err := registry.NewClient(f.url).Push(context.Background(), src, tag, "demo", "v1"); err != nil {
+			t.Fatal(err)
+		}
+		desc, _ := src.Resolve(tag)
+		manifestBytes, _ := src.Store.Get(desc.Digest)
+
+		resp, body := do(t, http.MethodHead, f.url+"/v2/demo/manifests/v1", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("HEAD manifest: %s", resp.Status)
+		}
+		if got := resp.Header.Get("Docker-Content-Digest"); got != string(desc.Digest) {
+			t.Errorf("Docker-Content-Digest = %q, want %q", got, desc.Digest)
+		}
+		if got := resp.Header.Get("Content-Type"); got != oci.MediaTypeManifest {
+			t.Errorf("Content-Type = %q", got)
+		}
+		if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(manifestBytes)) {
+			t.Errorf("Content-Length = %q, want %d", got, len(manifestBytes))
+		}
+		if len(body) != 0 {
+			t.Errorf("HEAD returned %d body bytes", len(body))
+		}
+	})
 }
 
 // TestHeadBlobHeaders: HEAD blobs must carry digest and length so
 // clients can preallocate.
 func TestHeadBlobHeaders(t *testing.T) {
-	srv := NewServer()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	content := []byte("blob with a knowable size")
-	d, err := distribIngest(srv, content)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, _ := http.NewRequest(http.MethodHead, ts.URL+"/v2/x/blobs/"+string(d), nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HEAD blob: %s", resp.Status)
-	}
-	if got := resp.Header.Get("Docker-Content-Digest"); got != string(d) {
-		t.Errorf("Docker-Content-Digest = %q", got)
-	}
-	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(content)) {
-		t.Errorf("Content-Length = %q, want %d", got, len(content))
-	}
-}
-
-func distribIngest(srv *Server, content []byte) (digest.Digest, error) {
-	d, _, err := srv.Blobs().Ingest(bytes.NewReader(content), "")
-	return d, err
+	eachFront(t, func(t *testing.T, f front) {
+		content := []byte("blob with a knowable size")
+		d := putBlob(t, f, content)
+		resp, body := do(t, http.MethodHead, f.url+"/v2/x/blobs/"+string(d), nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("HEAD blob: %s", resp.Status)
+		}
+		if got := resp.Header.Get("Docker-Content-Digest"); got != string(d) {
+			t.Errorf("Docker-Content-Digest = %q", got)
+		}
+		if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(content)) {
+			t.Errorf("Content-Length = %q, want %d", got, len(content))
+		}
+		if len(body) != 0 {
+			t.Errorf("HEAD returned %d body bytes", len(body))
+		}
+	})
 }
 
 // TestGetBlobContentLengthAndRange covers explicit Content-Length on
 // full GETs and 206 partial responses for Range requests.
 func TestGetBlobContentLengthAndRange(t *testing.T) {
-	srv := NewServer()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	content := []byte("0123456789abcdefghij")
-	d, err := distribIngest(srv, content)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full GET.
-	resp, err := http.Get(ts.URL + "/v2/x/blobs/" + string(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(content)) {
-		t.Errorf("Content-Length = %q, want %d", got, len(content))
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !bytes.Equal(body, content) {
-		t.Error("full GET content mismatch")
-	}
-	// Range GETs.
-	for _, tc := range []struct {
-		rng, want, contentRange string
-	}{
-		{"bytes=5-9", "56789", "bytes 5-9/20"},
-		{"bytes=15-", "fghij", "bytes 15-19/20"},
-		{"bytes=10-99", "abcdefghij", "bytes 10-19/20"},
-	} {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v2/x/blobs/"+string(d), nil)
-		req.Header.Set("Range", tc.rng)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
+	eachFront(t, func(t *testing.T, f front) {
+		content := []byte("0123456789abcdefghij")
+		blobURL := f.url + "/v2/x/blobs/" + string(putBlob(t, f, content))
+		resp, body := do(t, http.MethodGet, blobURL, nil)
+		if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(content)) {
+			t.Errorf("Content-Length = %q, want %d", got, len(content))
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusPartialContent {
-			t.Errorf("Range %q: status %s", tc.rng, resp.Status)
+		if !bytes.Equal(body, content) {
+			t.Error("full GET content mismatch")
 		}
-		if string(body) != tc.want {
-			t.Errorf("Range %q: body %q, want %q", tc.rng, body, tc.want)
+		for _, tc := range []struct {
+			rng, want, contentRange string
+		}{
+			{"bytes=5-9", "56789", "bytes 5-9/20"},
+			{"bytes=15-", "fghij", "bytes 15-19/20"},
+			{"bytes=10-99", "abcdefghij", "bytes 10-19/20"},
+		} {
+			resp, body := do(t, http.MethodGet, blobURL, nil, "Range", tc.rng)
+			if resp.StatusCode != http.StatusPartialContent {
+				t.Errorf("Range %q: status %s", tc.rng, resp.Status)
+			}
+			if string(body) != tc.want {
+				t.Errorf("Range %q: body %q, want %q", tc.rng, body, tc.want)
+			}
+			if got := resp.Header.Get("Content-Range"); got != tc.contentRange {
+				t.Errorf("Range %q: Content-Range %q, want %q", tc.rng, got, tc.contentRange)
+			}
 		}
-		if got := resp.Header.Get("Content-Range"); got != tc.contentRange {
-			t.Errorf("Range %q: Content-Range %q, want %q", tc.rng, got, tc.contentRange)
+		resp, _ = do(t, http.MethodGet, blobURL, nil, "Range", "bytes=99-")
+		if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
+			t.Errorf("out-of-bounds range: status %s", resp.Status)
 		}
-	}
-	// Unsatisfiable range.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v2/x/blobs/"+string(d), nil)
-	req.Header.Set("Range", "bytes=99-")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
-		t.Errorf("out-of-bounds range: status %s", resp.Status)
-	}
+	})
 }
 
 // TestPutManifestRejectsMissingBlobs: a manifest referencing absent
 // blobs must be rejected with 400 naming the missing digest.
 func TestPutManifestRejectsMissingBlobs(t *testing.T) {
-	srv := NewServer()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	missing := digest.FromString("never uploaded")
-	manifest := fmt.Sprintf(`{"schemaVersion":2,"mediaType":%q,"config":{"mediaType":%q,"digest":%q,"size":5},"layers":[]}`,
-		oci.MediaTypeManifest, oci.MediaTypeConfig, missing)
-	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v2/app/manifests/v1", strings.NewReader(manifest))
-	req.Header.Set("Content-Type", oci.MediaTypeManifest)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("dangling manifest accepted: %s", resp.Status)
-	}
-	if !strings.Contains(string(body), string(missing)) {
-		t.Errorf("400 body %q does not name the missing digest", body)
-	}
-	if len(srv.Tags()) != 0 {
-		t.Error("rejected manifest was tagged")
-	}
+	eachFront(t, func(t *testing.T, f front) {
+		missing := digest.FromString("never uploaded")
+		manifest := fmt.Sprintf(`{"schemaVersion":2,"mediaType":%q,"config":{"mediaType":%q,"digest":%q,"size":5},"layers":[]}`,
+			oci.MediaTypeManifest, oci.MediaTypeConfig, missing)
+		resp, body := do(t, http.MethodPut, f.url+"/v2/app/manifests/v1", strings.NewReader(manifest), "Content-Type", oci.MediaTypeManifest)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("dangling manifest accepted: %s", resp.Status)
+		}
+		if !strings.Contains(string(body), string(missing)) {
+			t.Errorf("400 body %q does not name the missing digest", body)
+		}
+		if tags, err := registry.NewClient(f.url).ListTags(context.Background(), "app"); err != nil || len(tags) != 0 {
+			t.Errorf("rejected manifest was tagged: %v, %v", tags, err)
+		}
+	})
 }
 
 // TestResumableUpload drives the session protocol over raw HTTP: a
 // chunk lands, a mis-aligned chunk is refused with 416 plus the
 // committed range, the client re-queries the offset and completes.
 func TestResumableUpload(t *testing.T) {
-	srv := NewServer()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	eachFront(t, func(t *testing.T, f front) {
+		content := []byte("the quick brown fox jumps over the lazy dog")
+		d := digest.FromBytes(content)
 
-	content := []byte("the quick brown fox jumps over the lazy dog")
-	d := digest.FromBytes(content)
+		resp, _ := do(t, http.MethodPost, f.url+"/v2/app/blobs/uploads/", nil)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST upload: %s", resp.Status)
+		}
+		loc := f.url + resp.Header.Get("Location")
 
-	// Start a session.
-	resp, err := http.Post(ts.URL+"/v2/app/blobs/uploads/", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST upload: %s", resp.Status)
-	}
-	loc := ts.URL + resp.Header.Get("Location")
+		resp, _ = do(t, http.MethodPatch, loc, bytes.NewReader(content[:16]), "Content-Range", "0-15")
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("PATCH chunk 1: %s", resp.Status)
+		}
+		if got := resp.Header.Get("Range"); got != "0-15" {
+			t.Errorf("Range after chunk 1 = %q, want 0-15", got)
+		}
 
-	// First chunk.
-	chunk1 := content[:16]
-	req, _ := http.NewRequest(http.MethodPatch, loc, bytes.NewReader(chunk1))
-	req.Header.Set("Content-Range", "0-15")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("PATCH chunk 1: %s", resp.Status)
-	}
-	if got := resp.Header.Get("Range"); got != "0-15" {
-		t.Errorf("Range after chunk 1 = %q, want 0-15", got)
-	}
+		// Simulate an interrupted transfer: the client re-sends from the
+		// wrong offset and must get 416 with the committed range.
+		resp, _ = do(t, http.MethodPatch, loc, bytes.NewReader(content[20:]), "Content-Range", fmt.Sprintf("20-%d", len(content)-1))
+		if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
+			t.Fatalf("mis-aligned PATCH: %s, want 416", resp.Status)
+		}
+		if got := resp.Header.Get("Range"); got != "0-15" {
+			t.Errorf("416 Range = %q, want 0-15", got)
+		}
+		resp, _ = do(t, http.MethodPatch, loc, bytes.NewReader(content[16:]), "Content-Range", "bytes sixteen-")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("malformed Content-Range: %s, want 400", resp.Status)
+		}
 
-	// Simulate an interrupted transfer: the client re-sends from the
-	// wrong offset and must get 416 with the committed range.
-	req, _ = http.NewRequest(http.MethodPatch, loc, bytes.NewReader(content[20:]))
-	req.Header.Set("Content-Range", fmt.Sprintf("20-%d", len(content)-1))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
-		t.Fatalf("mis-aligned PATCH: %s, want 416", resp.Status)
-	}
-	if got := resp.Header.Get("Range"); got != "0-15" {
-		t.Errorf("416 Range = %q, want 0-15", got)
-	}
+		// Recover the offset via GET, resume from it.
+		resp, _ = do(t, http.MethodGet, loc, nil)
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("GET session: %s", resp.Status)
+		}
+		rng := resp.Header.Get("Range")
+		var end int
+		if _, err := fmt.Sscanf(rng, "0-%d", &end); err != nil {
+			t.Fatalf("unparseable session range %q", rng)
+		}
+		offset := end + 1
+		resp, _ = do(t, http.MethodPatch, loc, bytes.NewReader(content[offset:]), "Content-Range", fmt.Sprintf("%d-%d", offset, len(content)-1))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("resumed PATCH: %s", resp.Status)
+		}
 
-	// Recover the offset via GET, resume from it.
-	resp, err = http.Get(loc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("GET session: %s", resp.Status)
-	}
-	rng := resp.Header.Get("Range")
-	var end int
-	if _, err := fmt.Sscanf(rng, "0-%d", &end); err != nil {
-		t.Fatalf("unparseable session range %q", rng)
-	}
-	offset := end + 1
-	req, _ = http.NewRequest(http.MethodPatch, loc, bytes.NewReader(content[offset:]))
-	req.Header.Set("Content-Range", fmt.Sprintf("%d-%d", offset, len(content)-1))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("resumed PATCH: %s", resp.Status)
-	}
-
-	// Finalize and verify.
-	req, _ = http.NewRequest(http.MethodPut, loc+"?digest="+string(d), nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("PUT finalize: %s", resp.Status)
-	}
-	if got := resp.Header.Get("Docker-Content-Digest"); got != string(d) {
-		t.Errorf("finalize digest = %q", got)
-	}
-	if !srv.Blobs().Has(d) {
-		t.Error("blob absent after resumable upload")
-	}
+		resp, _ = do(t, http.MethodPut, loc+"?digest="+string(d), nil)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("PUT finalize: %s", resp.Status)
+		}
+		if got := resp.Header.Get("Docker-Content-Digest"); got != string(d) {
+			t.Errorf("finalize digest = %q", got)
+		}
+		if resp, body := do(t, http.MethodGet, f.url+"/v2/app/blobs/"+string(d), nil); resp.StatusCode != http.StatusOK || !bytes.Equal(body, content) {
+			t.Errorf("blob after resumable upload: %s, %q", resp.Status, body)
+		}
+		if resp, _ := do(t, http.MethodGet, loc, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("finalized session still answers: %s", resp.Status)
+		}
+	})
 }
 
 // TestUploadFinalizeRejectsBadDigest: a session whose content does not
 // hash to the declared digest must fail the PUT.
 func TestUploadFinalizeRejectsBadDigest(t *testing.T) {
-	ts := httptest.NewServer(NewServer().Handler())
-	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v2/app/blobs/uploads/", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	loc := ts.URL + resp.Header.Get("Location")
-	req, _ := http.NewRequest(http.MethodPatch, loc, strings.NewReader("actual bytes"))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	req, _ = http.NewRequest(http.MethodPut, loc+"?digest="+string(digest.FromString("other bytes")), nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("mismatched finalize: %s, want 400", resp.Status)
-	}
+	eachFront(t, func(t *testing.T, f front) {
+		resp, _ := do(t, http.MethodPost, f.url+"/v2/app/blobs/uploads/", nil)
+		loc := f.url + resp.Header.Get("Location")
+		do(t, http.MethodPatch, loc, strings.NewReader("actual bytes"))
+		resp, _ = do(t, http.MethodPut, loc+"?digest="+string(digest.FromString("other bytes")), nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("mismatched finalize: %s, want 400", resp.Status)
+		}
+	})
+}
+
+// TestBlobUploadRejectsBadDigest: the same for a monolithic upload.
+func TestBlobUploadRejectsBadDigest(t *testing.T) {
+	eachFront(t, func(t *testing.T, f front) {
+		resp, _ := do(t, http.MethodPut, f.url+"/v2/x/blobs/uploads?digest=sha256:"+strings.Repeat("0", 64),
+			strings.NewReader("content that does not match"))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("mismatched digest: %s, want 400", resp.Status)
+		}
+	})
+}
+
+// TestUploadSessionExpires: a session idle past the upload TTL is
+// swept when the next one starts — whichever front-end spools it.
+func TestUploadSessionExpires(t *testing.T) {
+	eachFront(t, func(t *testing.T, f front) {
+		var idle atomic.Int64 // the clock, as nanoseconds past an arbitrary start
+		f.uploads.Now = func() time.Time { return time.Unix(1_700_000_000, idle.Load()) }
+		f.uploads.TTL = time.Hour
+
+		resp, _ := do(t, http.MethodPost, f.url+"/v2/app/blobs/uploads/", nil)
+		abandoned := f.url + resp.Header.Get("Location")
+		do(t, http.MethodPatch, abandoned, strings.NewReader("bytes nobody will finalize"))
+
+		idle.Add(int64(59 * time.Minute))
+		do(t, http.MethodPost, f.url+"/v2/app/blobs/uploads/", nil)
+		if resp, _ := do(t, http.MethodGet, abandoned, nil); resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("session inside its TTL: %s, want 204", resp.Status)
+		}
+		// That GET refreshed the idle timer; an hour on, both sessions
+		// so far are stale and the next start sweeps them.
+		idle.Add(int64(61 * time.Minute))
+		do(t, http.MethodPost, f.url+"/v2/app/blobs/uploads/", nil)
+		if resp, _ := do(t, http.MethodGet, abandoned, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("session idle past its TTL: %s, want 404", resp.Status)
+		}
+		if n := f.uploads.Len(); n != 1 {
+			t.Errorf("%d live sessions, want only the one just started", n)
+		}
+	})
+}
+
+// TestUploadStopsWhenClientGone: once the request context is done the
+// front-end stops reading the body instead of spooling it.
+func TestUploadStopsWhenClientGone(t *testing.T) {
+	eachFront(t, func(t *testing.T, f front) {
+		resp, _ := do(t, http.MethodPost, f.url+"/v2/app/blobs/uploads/", nil)
+		loc := resp.Header.Get("Location")
+
+		gone, cancel := context.WithCancel(context.Background())
+		cancel()
+		req := httptest.NewRequest(http.MethodPatch, loc, strings.NewReader("bytes from a client that left")).WithContext(gone)
+		f.handler.ServeHTTP(httptest.NewRecorder(), req)
+
+		resp, _ = do(t, http.MethodGet, f.url+loc, nil)
+		if got := resp.Header.Get("Range"); got != "0-0" {
+			t.Errorf("session Range = %q after a cancelled PATCH, want 0-0", got)
+		}
+	})
+}
+
+func TestManifestByDigest(t *testing.T) {
+	eachFront(t, func(t *testing.T, f front) {
+		src, tag := testImageRepo(t)
+		if err := registry.NewClient(f.url).Push(context.Background(), src, tag, "demo", "latest"); err != nil {
+			t.Fatal(err)
+		}
+		desc, _ := src.Resolve(tag)
+		resp, _ := do(t, http.MethodGet, f.url+"/v2/demo/manifests/"+string(desc.Digest), nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET by digest: %s", resp.Status)
+		}
+	})
+}
+
+// TestBadRoutes: what is not in the path grammar, not stored, or not a
+// method of the resource is refused with the status that says which.
+func TestBadRoutes(t *testing.T) {
+	eachFront(t, func(t *testing.T, f front) {
+		content := []byte("sent with the wrong method")
+		d := string(digest.FromBytes(content))
+		for _, tc := range []struct {
+			method, path string
+			want         int
+		}{
+			{http.MethodGet, "/v2/onlyname", http.StatusNotFound},
+			{http.MethodGet, "/v2/x/blobs/not-a-digest", http.StatusBadRequest},
+			{http.MethodGet, "/v2/x/blobs/" + d, http.StatusNotFound},
+			{http.MethodHead, "/v2/x/blobs/" + d, http.StatusNotFound},
+			{http.MethodGet, "/v2/x/manifests/ghost", http.StatusNotFound},
+			{http.MethodHead, "/v2/x/manifests/ghost", http.StatusNotFound},
+			{http.MethodDelete, "/v2/x/manifests/ghost", http.StatusMethodNotAllowed},
+			{http.MethodGet, "/v2/x/blobs/uploads/no-such-session", http.StatusNotFound},
+			{http.MethodGet, "/v2/x/blobs/uploads/", http.StatusMethodNotAllowed},
+			// ?digest= makes a monolithic upload of POST and PUT only.
+			{http.MethodPatch, "/v2/x/blobs/uploads/?digest=" + d, http.StatusMethodNotAllowed},
+			{http.MethodDelete, "/v2/x/blobs/uploads/?digest=" + d, http.StatusMethodNotAllowed},
+		} {
+			resp, _ := do(t, tc.method, f.url+tc.path, bytes.NewReader(content))
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s %s: %s, want %d", tc.method, tc.path, resp.Status, tc.want)
+			}
+		}
+		if resp, _ := do(t, http.MethodHead, f.url+"/v2/x/blobs/"+d, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("a refused upload stored its body: HEAD %s", resp.Status)
+		}
+	})
+}
+
+func TestListTags(t *testing.T) {
+	eachFront(t, func(t *testing.T, f front) {
+		client := registry.NewClient(f.url)
+		src, tag := testImageRepo(t)
+		for _, v := range []string{"v1", "v2", "latest"} {
+			if err := client.Push(context.Background(), src, tag, "team/app", v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := client.Push(context.Background(), src, tag, "other/thing", "v9"); err != nil {
+			t.Fatal(err)
+		}
+		tags, err := client.ListTags(context.Background(), "team/app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"latest", "v1", "v2"}
+		if len(tags) != 3 || tags[0] != want[0] || tags[1] != want[1] || tags[2] != want[2] {
+			t.Errorf("tags = %v, want %v", tags, want)
+		}
+		empty, err := client.ListTags(context.Background(), "nobody/nothing")
+		if err != nil || len(empty) != 0 {
+			t.Errorf("empty repo tags = %v, %v", empty, err)
+		}
+	})
 }
 
 // TestRestartPersistence: push to a disk-backed registry, tear the
@@ -309,18 +446,18 @@ func TestUploadFinalizeRejectsBadDigest(t *testing.T) {
 // path for `comtainer-registry -data`.
 func TestRestartPersistence(t *testing.T) {
 	dir := t.TempDir()
-	srv1, err := NewServerAt(dir)
+	srv1, err := registry.NewServerAt(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(srv1.Handler())
 	src, tag := testImageRepo(t)
-	if err := NewClient(ts1.URL).Push(context.Background(), src, tag, "user/demo", "v1"); err != nil {
+	if err := registry.NewClient(ts1.URL).Push(context.Background(), src, tag, "user/demo", "v1"); err != nil {
 		t.Fatal(err)
 	}
 	ts1.Close() // registry process dies
 
-	srv2, err := NewServerAt(dir)
+	srv2, err := registry.NewServerAt(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +467,7 @@ func TestRestartPersistence(t *testing.T) {
 		t.Fatalf("tags after restart = %v", got)
 	}
 	dst := oci.NewRepository()
-	if err := NewClient(ts2.URL).Pull(context.Background(), dst, "user/demo", "v1", "demo.pulled"); err != nil {
+	if err := registry.NewClient(ts2.URL).Pull(context.Background(), dst, "user/demo", "v1", "demo.pulled"); err != nil {
 		t.Fatal(err)
 	}
 	srcDesc, _ := src.Resolve(tag)
@@ -351,7 +488,7 @@ func TestRestartPersistence(t *testing.T) {
 // with parallel pushes and pulls of the same image (run under -race
 // via scripts/check.sh).
 func TestConcurrentPushPullSharedImage(t *testing.T) {
-	srv, err := NewServerAt(t.TempDir())
+	srv, err := registry.NewServerAt(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +502,7 @@ func TestConcurrentPushPullSharedImage(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := NewClient(ts.URL)
+			c := registry.NewClient(ts.URL)
 			c.Workers = 3
 			// Everyone pushes the same image under the same name…
 			if err := c.Push(context.Background(), src, tag, "shared/app", "v1"); err != nil {
@@ -395,15 +532,15 @@ func TestConcurrentPushPullSharedImage(t *testing.T) {
 // TestServerGC: unreachable blobs are dropped, tagged images survive
 // and remain pullable.
 func TestServerGC(t *testing.T) {
-	srv := NewServer()
+	srv := registry.NewServer()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	src, tag := testImageRepo(t)
-	client := NewClient(ts.URL)
+	client := registry.NewClient(ts.URL)
 	if err := client.Push(context.Background(), src, tag, "keep/app", "v1"); err != nil {
 		t.Fatal(err)
 	}
-	orphan, err := distribIngest(srv, []byte("orphaned blob"))
+	orphan, _, err := srv.Blobs().Ingest(strings.NewReader("orphaned blob"), "")
 	if err != nil {
 		t.Fatal(err)
 	}

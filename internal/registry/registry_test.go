@@ -1,16 +1,18 @@
-package registry
+// External test package: the protocol suite in
+// registry_protocol_test.go runs against fleet.Proxy too, and fleet
+// imports registry.
+package registry_test
 
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 
 	"comtainer/internal/fsim"
 	"comtainer/internal/oci"
+	"comtainer/internal/registry"
 )
 
 func testImageRepo(t *testing.T) (*oci.Repository, string) {
@@ -32,10 +34,10 @@ func testImageRepo(t *testing.T) (*oci.Repository, string) {
 }
 
 func TestPushPullRoundTrip(t *testing.T) {
-	srv := NewServer()
+	srv := registry.NewServer()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	client := NewClient(ts.URL)
+	client := registry.NewClient(ts.URL)
 	if err := client.Ping(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -73,95 +75,16 @@ func TestPushPullRoundTrip(t *testing.T) {
 }
 
 func TestPullUnknown(t *testing.T) {
-	ts := httptest.NewServer(NewServer().Handler())
+	ts := httptest.NewServer(registry.NewServer().Handler())
 	defer ts.Close()
-	client := NewClient(ts.URL)
+	client := registry.NewClient(ts.URL)
 	if err := client.Pull(context.Background(), oci.NewRepository(), "ghost", "v1", "x"); err == nil {
 		t.Error("pulled a nonexistent image")
 	}
 }
 
-func TestManifestByDigest(t *testing.T) {
-	srv := NewServer()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := NewClient(ts.URL)
-	src, tag := testImageRepo(t)
-	if err := client.Push(context.Background(), src, tag, "demo", "latest"); err != nil {
-		t.Fatal(err)
-	}
-	desc, _ := src.Resolve(tag)
-	resp, err := http.Get(ts.URL + "/v2/demo/manifests/" + string(desc.Digest))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("GET by digest: %s", resp.Status)
-	}
-}
-
-func TestBlobUploadRejectsBadDigest(t *testing.T) {
-	ts := httptest.NewServer(NewServer().Handler())
-	defer ts.Close()
-	req, _ := http.NewRequest(http.MethodPut,
-		ts.URL+"/v2/x/blobs/uploads?digest=sha256:"+strings.Repeat("0", 64),
-		strings.NewReader("content that does not match"))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusCreated {
-		t.Error("mismatched digest accepted")
-	}
-}
-
-func TestBadRoutes(t *testing.T) {
-	ts := httptest.NewServer(NewServer().Handler())
-	defer ts.Close()
-	for _, p := range []string{"/v2/onlyname", "/v2/x/blobs/not-a-digest"} {
-		resp, err := http.Get(ts.URL + p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			t.Errorf("GET %s succeeded", p)
-		}
-	}
-}
-
-func TestListTags(t *testing.T) {
-	srv := NewServer()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := NewClient(ts.URL)
-	src, tag := testImageRepo(t)
-	for _, v := range []string{"v1", "v2", "latest"} {
-		if err := client.Push(context.Background(), src, tag, "team/app", v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := client.Push(context.Background(), src, tag, "other/thing", "v9"); err != nil {
-		t.Fatal(err)
-	}
-	tags, err := client.ListTags(context.Background(), "team/app")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"latest", "v1", "v2"}
-	if len(tags) != 3 || tags[0] != want[0] || tags[1] != want[1] || tags[2] != want[2] {
-		t.Errorf("tags = %v, want %v", tags, want)
-	}
-	empty, err := client.ListTags(context.Background(), "nobody/nothing")
-	if err != nil || len(empty) != 0 {
-		t.Errorf("empty repo tags = %v, %v", empty, err)
-	}
-}
-
 func TestConcurrentPushPull(t *testing.T) {
-	srv := NewServer()
+	srv := registry.NewServer()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	src, tag := testImageRepo(t)
@@ -171,7 +94,7 @@ func TestConcurrentPushPull(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := NewClient(ts.URL)
+			c := registry.NewClient(ts.URL)
 			name := fmt.Sprintf("user%d/app", i)
 			if err := c.Push(context.Background(), src, tag, name, "v1"); err != nil {
 				errs <- err

@@ -78,12 +78,4 @@ go test -race -short -count=1 \
 echo "== go test -race =="
 go test -race ./...
 
-if [ "${BENCH_GATE:-0}" = "1" ]; then
-    echo "== bench gate (BENCH_GATE=1) =="
-    # Opt-in performance gate: run the benchmark harness and fail on a
-    # >10% regression against the latest committed BENCH_*.json
-    # snapshot (warm-rebuild time, pull throughput, vet replay ratio).
-    BENCH_GATE=1 scripts/bench.sh
-fi
-
 echo "All checks passed."
