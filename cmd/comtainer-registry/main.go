@@ -57,8 +57,8 @@
 // owning shard by consistent hashing, fans manifests and tags out to
 // every shard, pull-through caches blobs in a bounded local store,
 // promotes a follower when a leader stops answering (per-request and
-// via -heartbeat pings), publishes its routing table at
-// /fleet/v1/table for fleet-aware clients, and with -farm forwards
+// via -heartbeat pings), shows its routing table at /fleet/v1/table
+// (ring membership and current leaders), and with -farm forwards
 // /farm/v1 to a scheduler so farm workers need only the proxy URL.
 package main
 

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"comtainer/internal/cachekit"
 	"comtainer/internal/digest"
 	"comtainer/internal/faultinject"
 )
@@ -30,17 +31,10 @@ type DiskCache struct {
 	maxBytes int64 // 0 = unbounded
 	fs       faultinject.FS
 
-	mu      sync.Mutex
-	entries map[digest.Digest]*diskEntry
-	size    int64
-	clock   int64 // logical LRU clock; larger = more recent
+	mu  sync.Mutex
+	lru cachekit.LRU[digest.Digest] // entry file sizes, in recency order
 
 	hits, misses, evictions, evictedBytes, errors atomic.Int64
-}
-
-type diskEntry struct {
-	size    int64
-	lastUse int64
 }
 
 // entryMagic precedes every entry: "COMT-AC1 <payload digest>\n".
@@ -60,7 +54,6 @@ func NewDiskCacheFS(dir string, maxBytes int64, fsys faultinject.FS) (*DiskCache
 		root:     dir,
 		maxBytes: maxBytes,
 		fs:       fsys,
-		entries:  make(map[digest.Digest]*diskEntry),
 	}
 	for _, d := range []string{filepath.Join(dir, "entries", "sha256"), c.tmpDir()} {
 		if err := fsys.MkdirAll(d, 0o755); err != nil {
@@ -118,15 +111,12 @@ func (c *DiskCache) index() error {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].mod.Before(all[j].mod) })
 	// index only runs from the constructor, but taking the lock keeps
-	// the entries/size/clock invariant uniform: every mutation of the
-	// index holds c.mu, with no constructor-phase carve-out to reason
-	// about.
+	// the invariant uniform: every mutation of the index holds c.mu,
+	// with no constructor-phase carve-out to reason about.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, f := range all {
-		c.clock++
-		c.entries[f.key] = &diskEntry{size: f.size, lastUse: c.clock}
-		c.size += f.size
+		c.lru.Add(f.key, f.size)
 	}
 	return nil
 }
@@ -135,15 +125,12 @@ func (c *DiskCache) index() error {
 // digest. A corrupt entry is deleted and reported as a miss.
 func (c *DiskCache) Get(key digest.Digest) ([]byte, bool, error) {
 	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		c.mu.Unlock()
+	known := c.lru.Touch(key)
+	c.mu.Unlock()
+	if !known {
 		c.misses.Add(1)
 		return nil, false, nil
 	}
-	c.clock++
-	e.lastUse = c.clock
-	c.mu.Unlock()
 
 	p := c.entryPath(key)
 	raw, err := c.readEntry(p)
@@ -212,54 +199,20 @@ func (c *DiskCache) Put(key digest.Digest, val []byte) error {
 		return fmt.Errorf("actioncache: committing entry: %w", err)
 	}
 
+	// Evict never takes the most recently used entry, so the one just
+	// written stays even when it alone exceeds the cap. Victims leave
+	// the index here and the disk after the lock is released.
 	c.mu.Lock()
-	if old, ok := c.entries[key]; ok {
-		c.size -= old.size
-	}
-	c.clock++
-	c.entries[key] = &diskEntry{size: int64(len(data)), lastUse: c.clock}
-	c.size += int64(len(data))
-	victims := c.pickVictimsLocked(key)
+	c.lru.Add(key, int64(len(data)))
+	victims, freed := c.lru.Evict(c.maxBytes)
 	c.mu.Unlock()
 
+	c.evictions.Add(int64(len(victims)))
+	c.evictedBytes.Add(freed)
 	for _, v := range victims {
 		c.fs.Remove(c.entryPath(v))
 	}
 	return nil
-}
-
-// pickVictimsLocked removes least-recently-used entries from the
-// index until the cache fits its cap, sparing keep (the entry just
-// written), and returns their keys for file deletion outside the
-// lock.
-//
-//comtainer:allow guardedby -- caller holds c.mu; the Locked suffix is the contract, and lockset analysis is intraprocedural
-func (c *DiskCache) pickVictimsLocked(keep digest.Digest) []digest.Digest {
-	if c.maxBytes <= 0 {
-		return nil
-	}
-	var victims []digest.Digest
-	for c.size > c.maxBytes && len(c.entries) > 1 {
-		var lru digest.Digest
-		var lruEntry *diskEntry
-		for k, e := range c.entries {
-			if k == keep {
-				continue
-			}
-			if lruEntry == nil || e.lastUse < lruEntry.lastUse {
-				lru, lruEntry = k, e
-			}
-		}
-		if lruEntry == nil {
-			break
-		}
-		delete(c.entries, lru)
-		c.size -= lruEntry.size
-		c.evictions.Add(1)
-		c.evictedBytes.Add(lruEntry.size)
-		victims = append(victims, lru)
-	}
-	return victims
 }
 
 // drop removes key from the index (the file is already gone or about
@@ -267,24 +220,21 @@ func (c *DiskCache) pickVictimsLocked(keep digest.Digest) []digest.Digest {
 func (c *DiskCache) drop(key digest.Digest) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		delete(c.entries, key)
-		c.size -= e.size
-	}
+	c.lru.Remove(key)
 }
 
 // Len returns the number of indexed entries.
 func (c *DiskCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.lru.Len()
 }
 
 // Size returns the total indexed entry bytes.
 func (c *DiskCache) Size() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.size
+	return c.lru.Size()
 }
 
 // Stats reports the disk tier's counters.

@@ -1,9 +1,9 @@
 package actioncache
 
 import (
-	"sync"
 	"sync/atomic"
 
+	"comtainer/internal/cachekit"
 	"comtainer/internal/digest"
 )
 
@@ -16,10 +16,8 @@ import (
 // A nil *Memoizer is valid and simply executes every action, so
 // callers thread it through unconditionally.
 type Memoizer struct {
-	cache Cache
-
-	mu      sync.Mutex
-	flights map[digest.Digest]*flight
+	cache   Cache
+	flights cachekit.Flight[digest.Digest, *Result]
 
 	hits    atomic.Int64
 	misses  atomic.Int64
@@ -27,16 +25,10 @@ type Memoizer struct {
 	errors  atomic.Int64
 }
 
-type flight struct {
-	done chan struct{}
-	res  *Result
-	err  error
-}
-
 // NewMemoizer wraps cache. A nil cache yields a memoizer that only
 // deduplicates concurrent identical actions.
 func NewMemoizer(cache Cache) *Memoizer {
-	return &Memoizer{cache: cache, flights: make(map[digest.Digest]*flight)}
+	return &Memoizer{cache: cache}
 }
 
 // Cache returns the underlying tier stack (may be nil).
@@ -81,27 +73,15 @@ func (m *Memoizer) Do(id digest.Digest, st InputState, exec func(*Recorder) erro
 		return nil, false, err
 	}
 
-	m.mu.Lock()
-	if f, ok := m.flights[id]; ok {
-		m.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, false, f.err
-		}
+	res, shared, err := m.flights.Do(id, func() (r *Result, err error) {
+		r, replay, err = m.run(id, st, exec)
+		return r, err
+	})
+	if shared && err == nil {
 		m.deduped.Add(1)
-		return f.res, true, nil
+		replay = true
 	}
-	f := &flight{done: make(chan struct{})}
-	m.flights[id] = f
-	m.mu.Unlock()
-
-	f.res, replay, f.err = m.run(id, st, exec)
-
-	m.mu.Lock()
-	delete(m.flights, id)
-	m.mu.Unlock()
-	close(f.done)
-	return f.res, replay, f.err
+	return res, replay, err
 }
 
 func (m *Memoizer) run(id digest.Digest, st InputState, exec func(*Recorder) error) (*Result, bool, error) {

@@ -665,17 +665,29 @@ func TestCrossISAMultiArchPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Each cluster resolves its own platform and runs the result.
+	shared.Tag("comd", list)
+
+	// Each cluster pulls the fat tag — the list, both member images and
+	// all their blobs — resolves its own platform locally and runs the
+	// result.
 	ref := refFor(t, "comd")
 	for _, tc := range []struct {
 		sys  *sysprofile.System
 		arch string
 	}{{x86Sys, "amd64"}, {armSys, "arm64"}} {
-		desc, err := oci.ResolvePlatform(shared.Store, list, tc.arch)
+		side, err := NewSystemSide(tc.sys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		img, err := oci.LoadImage(shared.Store, desc)
+		if err := side.Pull(shared, "comd"); err != nil {
+			t.Fatalf("%s: pulling the manifest-list tag: %v", tc.arch, err)
+		}
+		pulled := mustResolve(t, side.Repo, "comd")
+		desc, err := oci.ResolvePlatform(side.Repo.Store, pulled, tc.arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := oci.LoadImage(side.Repo.Store, desc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 	"syscall"
 	"time"
 
+	"comtainer/internal/cachekit"
 	"comtainer/internal/core/ctxutil"
 	"comtainer/internal/digest"
 	"comtainer/internal/oci"
@@ -34,15 +35,6 @@ import (
 type Client struct {
 	// Base is the registry root, e.g. "http://127.0.0.1:5000".
 	Base string
-	// Resolver, when set, maps a blob digest to the base URL of the
-	// endpoint owning it — fleet-aware endpoint resolution. Blob
-	// operations (HEAD probe, chunked upload, fetch) go straight to the
-	// resolved endpoint; manifest and tag operations stay on Base (the
-	// front-end proxy, which fans them out). A digest the resolver
-	// declines (ok false) falls back to Base. Blob GETs answered with a
-	// 307/308 redirect (a routing proxy deferring to the owning shard)
-	// are followed transparently by the underlying http.Client.
-	Resolver func(d digest.Digest) (base string, ok bool)
 	// HTTP is the transport; defaults to http.DefaultClient.
 	HTTP *http.Client
 	// Workers bounds parallel blob transfers per image (default 4).
@@ -59,7 +51,7 @@ type Client struct {
 	// per-attempt deadline.
 	OpTimeout time.Duration
 
-	flights flightGroup
+	flights cachekit.Flight[digest.Digest, struct{}]
 }
 
 // NewClient returns a client for the registry at base with default
@@ -105,21 +97,6 @@ func (c *Client) backoff() time.Duration {
 
 func (c *Client) url(parts ...string) string {
 	return c.Base + "/v2/" + strings.Join(parts, "/")
-}
-
-// baseFor resolves the endpoint owning blob d, falling back to Base.
-func (c *Client) baseFor(d digest.Digest) string {
-	if c.Resolver != nil {
-		if b, ok := c.Resolver(d); ok && b != "" {
-			return strings.TrimRight(b, "/")
-		}
-	}
-	return c.Base
-}
-
-// blobURL builds a blob-scoped URL against the endpoint owning d.
-func (c *Client) blobURL(d digest.Digest, parts ...string) string {
-	return c.baseFor(d) + "/v2/" + strings.Join(parts, "/")
 }
 
 // httpStatusError is a non-2xx response; its code drives the
@@ -306,7 +283,7 @@ func (c *Client) ListTags(ctx context.Context, name string) ([]string, error) {
 // HasBlob asks the registry (HEAD) whether it already holds blob d —
 // the cross-image dedup probe.
 func (c *Client) HasBlob(ctx context.Context, name string, d digest.Digest) (bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, c.blobURL(d, name, "blobs", string(d)), nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodHead, c.url(name, "blobs", string(d)), nil)
 	if err != nil {
 		return false, err
 	}
@@ -327,11 +304,10 @@ func (c *Client) HasBlob(ctx context.Context, name string, d digest.Digest) (boo
 
 // --- push side ---
 
-// startUpload opens an upload session for blob d on the endpoint that
-// owns it and returns the session's absolute URL.
-func (c *Client) startUpload(ctx context.Context, name string, d digest.Digest) (string, error) {
-	base := c.baseFor(d)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v2/"+name+"/blobs/uploads/", nil)
+// startUpload opens an upload session in repository name and returns
+// the session's absolute URL.
+func (c *Client) startUpload(ctx context.Context, name string) (string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(name, "blobs", "uploads")+"/", nil)
 	if err != nil {
 		return "", err
 	}
@@ -348,7 +324,7 @@ func (c *Client) startUpload(ctx context.Context, name string, d digest.Digest) 
 		return "", fmt.Errorf("distrib: upload session has no Location")
 	}
 	if strings.HasPrefix(loc, "/") {
-		loc = base + loc
+		loc = c.Base + loc
 	}
 	return loc, nil
 }
@@ -458,7 +434,7 @@ func (c *Client) PushBlob(ctx context.Context, name string, src BlobSource, d di
 		return nil
 	}
 	return c.withRetry(ctx, func(ctx context.Context) error {
-		loc, err := c.startUpload(ctx, name, d)
+		loc, err := c.startUpload(ctx, name)
 		if err != nil {
 			return err
 		}
@@ -492,55 +468,48 @@ func (c *Client) PushBlob(ctx context.Context, name string, src BlobSource, d di
 }
 
 // PushImage uploads the image (or manifest list) named by desc from
-// src as name:tag: every referenced blob first — in parallel — then
-// the manifest, so the registry never sees a manifest with dangling
-// references.
+// src as name:tag: every referenced blob first — in parallel — and
+// every member image by digest, then the manifest, so the registry
+// never sees a manifest with dangling references.
 func (c *Client) PushImage(ctx context.Context, src BlobSource, desc oci.Descriptor, name, tag string) error {
 	raw, err := ReadBlob(src, desc.Digest)
 	if err != nil {
 		return fmt.Errorf("distrib: loading manifest %s: %w", desc.Digest.Short(), err)
 	}
-	var refs manifestRefs
-	if err := json.Unmarshal(raw, &refs); err != nil {
-		return fmt.Errorf("distrib: decoding manifest %s: %w", desc.Digest.Short(), err)
+	blobs, children, err := oci.References(raw)
+	if err != nil {
+		return fmt.Errorf("distrib: manifest %s: %w", desc.Digest.Short(), err)
 	}
-	if len(refs.Manifests) > 0 {
-		// Manifest list: push each platform image by digest first.
-		for _, child := range refs.Manifests {
-			if err := c.PushImage(ctx, src, child, name, string(child.Digest)); err != nil {
-				return err
-			}
-		}
-	} else {
-		var blobs []oci.Descriptor
-		if refs.Config != nil && refs.Config.Digest != "" {
-			blobs = append(blobs, *refs.Config)
-		}
-		blobs = append(blobs, refs.Layers...)
-		// Fail fast if the source is missing a referenced blob: the
-		// registry would reject the manifest anyway.
-		for _, bd := range blobs {
-			if !src.Has(bd.Digest) {
-				return fmt.Errorf("distrib: source is missing referenced blob %s", bd.Digest)
-			}
-		}
-		tasks := make([]func() error, len(blobs))
-		for i, bd := range blobs {
-			bd := bd
-			tasks[i] = func() error { return c.PushBlob(ctx, name, src, bd.Digest) }
-		}
-		if err := c.runPool(tasks); err != nil {
+	for _, child := range children {
+		if err := c.PushImage(ctx, src, child, name, string(child.Digest)); err != nil {
 			return err
 		}
 	}
-	mediaType := desc.MediaType
-	if mediaType == "" {
-		mediaType = oci.MediaTypeManifest
-		if len(refs.Manifests) > 0 {
-			mediaType = oci.MediaTypeIndex
+	tasks := make([]func() error, len(blobs))
+	for i, bd := range blobs {
+		// Fail fast if the source is missing a referenced blob: the
+		// registry would reject the manifest anyway.
+		if !src.Has(bd.Digest) {
+			return fmt.Errorf("distrib: source is missing referenced blob %s", bd.Digest)
 		}
+		tasks[i] = func() error { return c.PushBlob(ctx, name, src, bd.Digest) }
 	}
-	return c.PushManifest(ctx, name, tag, mediaType, raw)
+	if err := c.runPool(tasks); err != nil {
+		return err
+	}
+	return c.PushManifest(ctx, name, tag, manifestMediaType(desc.MediaType, children), raw)
+}
+
+// manifestMediaType returns declared, or when a document travelled
+// without one, the type its shape implies: an index has children.
+func manifestMediaType(declared string, children []oci.Descriptor) string {
+	switch {
+	case declared != "":
+		return declared
+	case len(children) > 0:
+		return oci.MediaTypeIndex
+	}
+	return oci.MediaTypeManifest
 }
 
 // PushManifest PUTs the manifest document body at name:ref (tag or
@@ -615,26 +584,20 @@ func (c *Client) FetchManifest(ctx context.Context, name, ref string) ([]byte, d
 }
 
 // FetchBlob downloads blob d from repository name into dst, verifying
-// the digest as it streams. Concurrent fetches of the same digest
-// collapse into one transfer.
+// the digest. The bytes received so far survive across retries: a
+// transfer cut mid-stream resumes with a Range request from the
+// committed offset, and only a digest mismatch (the accumulated bytes
+// are wrong, not merely incomplete) restarts from scratch. Concurrent
+// fetches of the same digest collapse into one transfer; waiters honor
+// their context.
 func (c *Client) FetchBlob(ctx context.Context, dst Store, name string, d digest.Digest) error {
-	return c.fetchBlob(ctx, dst, name, d)
-}
-
-// fetchBlob downloads blob d from repository name into dst. The bytes
-// received so far survive across retries: a transfer cut mid-stream
-// resumes with a Range request from the committed offset, and only a
-// digest mismatch (the accumulated bytes are wrong, not merely
-// incomplete) restarts from scratch. Concurrent fetches of the same
-// digest collapse into one transfer; waiters honor their context.
-func (c *Client) fetchBlob(ctx context.Context, dst Store, name string, d digest.Digest) error {
-	return c.flights.do(ctx, d, func() error {
+	_, shared, err := c.flights.DoContext(ctx, d, func() (_ struct{}, err error) {
 		if dst.Has(d) {
-			return nil
+			return
 		}
 		var buf bytes.Buffer // bytes verified-received across attempts
-		return c.withRetry(ctx, func(ctx context.Context) error {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.blobURL(d, name, "blobs", string(d)), nil)
+		return struct{}{}, c.withRetry(ctx, func(ctx context.Context) error {
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(name, "blobs", string(d)), nil)
 			if err != nil {
 				return err
 			}
@@ -674,6 +637,11 @@ func (c *Client) fetchBlob(ctx context.Context, dst Store, name string, d digest
 			return nil
 		})
 	})
+	if shared && err == nil && !dst.Has(d) {
+		// The transfer joined was filling another caller's store.
+		return c.FetchBlob(ctx, dst, name, d)
+	}
+	return err
 }
 
 // PullImage downloads name:ref (tag or digest; image or manifest
@@ -684,42 +652,27 @@ func (c *Client) PullImage(ctx context.Context, dst Store, name, ref string) (oc
 	if err != nil {
 		return oci.Descriptor{}, err
 	}
-	var refs manifestRefs
-	if err := json.Unmarshal(body, &refs); err != nil {
-		return oci.Descriptor{}, fmt.Errorf("distrib: decoding manifest %s: %w", d.Short(), err)
+	blobs, children, err := oci.References(body)
+	if err != nil {
+		return oci.Descriptor{}, fmt.Errorf("distrib: manifest %s: %w", d.Short(), err)
 	}
-	if len(refs.Manifests) > 0 {
-		for _, child := range refs.Manifests {
-			if _, err := c.PullImage(ctx, dst, name, string(child.Digest)); err != nil {
-				return oci.Descriptor{}, err
-			}
-		}
-	} else {
-		var blobs []oci.Descriptor
-		if refs.Config != nil && refs.Config.Digest != "" {
-			blobs = append(blobs, *refs.Config)
-		}
-		blobs = append(blobs, refs.Layers...)
-		tasks := make([]func() error, 0, len(blobs))
-		for _, bd := range blobs {
-			if dst.Has(bd.Digest) {
-				continue // cross-image layer dedup: already local
-			}
-			bd := bd
-			tasks = append(tasks, func() error { return c.fetchBlob(ctx, dst, name, bd.Digest) })
-		}
-		if err := c.runPool(tasks); err != nil {
+	for _, child := range children {
+		if _, err := c.PullImage(ctx, dst, name, string(child.Digest)); err != nil {
 			return oci.Descriptor{}, err
 		}
+	}
+	tasks := make([]func() error, 0, len(blobs))
+	for _, bd := range blobs {
+		if dst.Has(bd.Digest) {
+			continue // cross-image layer dedup: already local
+		}
+		tasks = append(tasks, func() error { return c.FetchBlob(ctx, dst, name, bd.Digest) })
+	}
+	if err := c.runPool(tasks); err != nil {
+		return oci.Descriptor{}, err
 	}
 	if _, _, err := dst.Ingest(bytes.NewReader(body), d); err != nil {
 		return oci.Descriptor{}, fmt.Errorf("distrib: storing manifest: %w", err)
 	}
-	if mediaType == "" {
-		mediaType = oci.MediaTypeManifest
-		if len(refs.Manifests) > 0 {
-			mediaType = oci.MediaTypeIndex
-		}
-	}
-	return oci.Descriptor{MediaType: mediaType, Digest: d, Size: int64(len(body))}, nil
+	return oci.Descriptor{MediaType: manifestMediaType(mediaType, children), Digest: d, Size: int64(len(body))}, nil
 }

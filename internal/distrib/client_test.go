@@ -203,6 +203,51 @@ func TestConcurrentPullSingleflight(t *testing.T) {
 	}
 }
 
+// TestConcurrentFetchIntoSeparateStores: in-flight dedup is keyed by
+// digest, so callers fetching the same blob into different stores may
+// share one transfer — but each must come back with the blob in its own
+// store, not with a nil error and nothing to show for it. (The farm
+// worker materializes every snapshot in a store of its own, and
+// snapshots of related images share most of their file blobs.)
+func TestConcurrentFetchIntoSeparateStores(t *testing.T) {
+	srv := registry.NewServer()
+	const callers = 8
+	var launched sync.WaitGroup
+	launched.Add(callers)
+	// Hold every blob GET until all callers are under way, plus a beat
+	// for the stragglers to join the first one's transfer.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.Contains(r.URL.Path, "/blobs/") {
+			launched.Wait()
+			time.Sleep(20 * time.Millisecond)
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	src := oci.NewStore()
+	d := src.Put([]byte("one blob, many destinations"))
+	c := fastClient(ts.URL)
+	if err := c.PushBlob(context.Background(), "app", src, d); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := oci.NewStore()
+			launched.Done()
+			if err := c.FetchBlob(context.Background(), dst, "app", d); err != nil {
+				t.Error(err)
+			} else if !dst.Has(d) {
+				t.Error("FetchBlob returned nil but the caller's store does not hold the blob")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // flakyHandler injects transient failures: the first failN blob GETs
 // return 503, and the next shortN responses truncate mid-body.
 type flakyHandler struct {

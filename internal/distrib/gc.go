@@ -1,21 +1,11 @@
 package distrib
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"comtainer/internal/digest"
 	"comtainer/internal/oci"
 )
-
-// manifestRefs is the union shape of an image manifest and an image
-// index: whichever fields are present name the blobs the document
-// keeps alive.
-type manifestRefs struct {
-	Config    *oci.Descriptor  `json:"config"`
-	Layers    []oci.Descriptor `json:"layers"`
-	Manifests []oci.Descriptor `json:"manifests"`
-}
 
 // GC deletes every blob not reachable from roots — the tagged
 // manifests and manifest lists of a registry. Reachability follows
@@ -46,17 +36,14 @@ func GCProtected(s Store, roots []oci.Descriptor, protect func(digest.Digest) bo
 		if err != nil {
 			return fmt.Errorf("distrib: gc: reading manifest %s: %w", d.Short(), err)
 		}
-		var refs manifestRefs
-		if err := json.Unmarshal(b, &refs); err != nil {
-			return fmt.Errorf("distrib: gc: decoding manifest %s: %w", d.Short(), err)
+		blobs, children, err := oci.References(b)
+		if err != nil {
+			return fmt.Errorf("distrib: gc: manifest %s: %w", d.Short(), err)
 		}
-		if refs.Config != nil && refs.Config.Digest != "" {
-			reachable[refs.Config.Digest] = true
+		for _, bd := range blobs {
+			reachable[bd.Digest] = true
 		}
-		for _, l := range refs.Layers {
-			reachable[l.Digest] = true
-		}
-		for _, m := range refs.Manifests {
+		for _, m := range children {
 			if err := walk(m.Digest); err != nil {
 				return err
 			}

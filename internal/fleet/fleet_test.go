@@ -1,6 +1,6 @@
 // Functional tests of the registry fleet: sharded push/pull through
 // the proxy, synchronous replication, the pull-through cache, read
-// redirects, the fleet-aware client resolver, and GC racing pushes.
+// redirects, the routing-table endpoint, and GC racing pushes.
 // External test package so the fleet is driven through the same
 // distrib client the CLI uses.
 package fleet_test
@@ -8,9 +8,12 @@ package fleet_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -367,6 +370,85 @@ func TestFleetCacheBounded(t *testing.T) {
 	}
 }
 
+// probedStore runs probe inside every distrib.Store method.
+type probedStore struct {
+	distrib.Store
+	probe func()
+}
+
+func (s probedStore) Has(d digest.Digest) bool { s.probe(); return s.Store.Has(d) }
+func (s probedStore) Open(d digest.Digest) (io.ReadCloser, int64, error) {
+	s.probe()
+	return s.Store.Open(d)
+}
+func (s probedStore) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int64, error) {
+	s.probe()
+	return s.Store.Ingest(r, want)
+}
+func (s probedStore) Delete(d digest.Digest) error { s.probe(); return s.Store.Delete(d) }
+func (s probedStore) Digests() []digest.Digest     { s.probe(); return s.Store.Digests() }
+
+// TestFleetCacheStoreCalledUnlocked: the proxy never calls into its
+// cache store — disk I/O in production — while holding the lock that
+// guards the cache index. Every store method here re-enters the proxy
+// through a path that takes that lock (HasBlob of an uncached digest is
+// an index lookup, then a shard HEAD); were the lock held around the
+// store call, the re-entry would never return. Adoption, push warming,
+// eviction, pull-through and cache hits all pass through.
+func TestFleetCacheStoreCalledUnlocked(t *testing.T) {
+	p, ts, _ := startFleet(t, 1)
+	absent := digest.FromBytes([]byte("never pushed"))
+	var probes atomic.Int64
+	probe := func() {
+		probes.Add(1)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_, _ = p.HasBlob(context.Background(), absent)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Error("cache store called with the cache lock held: re-entering the proxy blocked")
+		}
+	}
+	// Six 1 KiB blobs on the fleet; the cache adopts two and has room
+	// for three, so pushes evict and fetches pull through and evict.
+	src, seeded := oci.NewStore(), oci.NewStore()
+	c := fastClient(ts.URL)
+	var digests []digest.Digest
+	for i := 0; i < 6; i++ {
+		payload := bytes.Repeat([]byte{byte(i)}, 1024)
+		d := src.Put(payload)
+		digests = append(digests, d)
+		if i < 2 {
+			if err := c.PushBlob(context.Background(), "app", src, d); err != nil {
+				t.Fatal(err)
+			}
+			seeded.Put(payload)
+		}
+	}
+	if err := p.SetCache(probedStore{seeded, probe}, 3*1024); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range digests[2:] {
+		if err := c.PushBlob(context.Background(), "app", src, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, d := range append(digests, digests...) {
+		if err := c.FetchBlob(context.Background(), oci.NewStore(), "app", d); err != nil {
+			t.Fatalf("fetching %s: %v", d.Short(), err)
+		}
+	}
+	if probes.Load() == 0 {
+		t.Fatal("the cache store was never called")
+	}
+	if got := seeded.TotalSize(); got > 3*1024 {
+		t.Fatalf("cache holds %d bytes, capacity %d", got, 3*1024)
+	}
+}
+
 // TestFleetRedirectReads checks -redirect-reads: an uncached blob GET
 // answers with a 307 pointing at the owning shard's leader, and a
 // redirect-following client still gets the bytes.
@@ -407,66 +489,59 @@ func TestFleetRedirectReads(t *testing.T) {
 	}
 }
 
-// TestFleetTableResolver fetches the routing table and runs a
-// fleet-aware client against it: blob traffic goes straight to the
-// owning shards while only manifest and tag operations touch the
-// proxy.
-func TestFleetTableResolver(t *testing.T) {
-	p, ts, shards := startFleet(t, 1, 1, 1)
-	table, err := fleet.FetchTable(context.Background(), nil, ts.URL)
+// TestFleetTableEndpoint: GET /fleet/v1/table is the operator's view of
+// the routing state — ring membership plus every group's current
+// leader, which moves when a follower is promoted.
+func TestFleetTableEndpoint(t *testing.T) {
+	p, ts, shards := startFleet(t, 2, 1)
+	fetch := func() fleet.Table {
+		t.Helper()
+		resp, err := http.Get(ts.URL + fleet.TablePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var table fleet.Table
+		if err := json.NewDecoder(resp.Body).Decode(&table); resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("GET %s: status %s, decode error %v", fleet.TablePath, resp.Status, err)
+		}
+		return table
+	}
+	check := func(table fleet.Table) {
+		t.Helper()
+		if table.Vnodes != p.Ring().Vnodes() || !reflect.DeepEqual(table.Shards, p.Ring().Shards()) {
+			t.Fatalf("table ring = %d vnodes over %v, proxy routes with %d over %v",
+				table.Vnodes, table.Shards, p.Ring().Vnodes(), p.Ring().Shards())
+		}
+		for _, sh := range shards {
+			if got, want := table.Leaders[sh.group.Name()], sh.group.Leader(); got != want {
+				t.Fatalf("table leader of %s = %q, want %q", sh.group.Name(), got, want)
+			}
+		}
+	}
+	check(fetch())
+
+	// Kill the two-replica group's leader; two missed heartbeats later
+	// the table names the promoted follower.
+	old := shards[0].group.Leader()
+	shards[0].replicas[0].ts.Close()
+	for i := 0; i < fleet.DefaultHeartbeatMisses; i++ {
+		p.CheckLeaders(context.Background(), time.Second)
+	}
+	after := fetch()
+	check(after)
+	if after.Leaders[shards[0].group.Name()] == old {
+		t.Fatalf("table still names dead leader %s", old)
+	}
+
+	resp, err := http.Post(ts.URL+fleet.TablePath, "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolve, err := table.Resolver()
-	if err != nil {
-		t.Fatal(err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST %s: status %s, want 405", fleet.TablePath, resp.Status)
 	}
-	byName := make(map[string]*testShard)
-	for _, sh := range shards {
-		byName[sh.group.Name()] = sh
-	}
-
-	proxyBlobs := &blobTrafficCounter{}
-	ts.Config.Handler = proxyBlobs.wrap(p.Handler())
-
-	c := fastClient(ts.URL)
-	c.Resolver = resolve
-	src := oci.NewStore()
-	desc := buildTestImage(t, src, manyPayloads(5)...)
-	if err := c.PushImage(context.Background(), src, desc, "app", "v1"); err != nil {
-		t.Fatal(err)
-	}
-	dst := oci.NewStore()
-	got, err := c.PullImage(context.Background(), dst, "app", "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Digest != desc.Digest {
-		t.Fatalf("resolver pull digest %s, want %s", got.Digest, desc.Digest)
-	}
-	for _, d := range src.Digests() {
-		base, ok := resolve(d)
-		if !ok {
-			t.Fatalf("resolver has no endpoint for %s", d.Short())
-		}
-		if want := byName[p.Ring().Owner(d)].group.Leader(); base != want {
-			t.Fatalf("resolver sends %s to %s, ring owner's leader is %s", d.Short(), base, want)
-		}
-	}
-	if n := proxyBlobs.ops.Load(); n != 0 {
-		t.Fatalf("fleet-aware client still sent %d blob operations through the proxy", n)
-	}
-}
-
-type blobTrafficCounter struct{ ops atomic.Int64 }
-
-func (c *blobTrafficCounter) wrap(inner http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.Contains(r.URL.Path, "/blobs/") {
-			c.ops.Add(1)
-		}
-		inner.ServeHTTP(w, r)
-	})
 }
 
 // TestGCRacesConcurrentPushThroughProxy hammers every shard with GC

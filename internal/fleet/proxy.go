@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"comtainer/internal/cachekit"
 	"comtainer/internal/core/ctxutil"
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
@@ -55,12 +56,12 @@ type Proxy struct {
 	order   []string // sorted group names
 	uploads *distrib.UploadManager
 
-	cacheMu    sync.Mutex
-	cache      distrib.Store
-	cacheCap   int64
-	cacheTotal int64
-	cacheOrder []digest.Digest // LRU: oldest first
-	cacheSize  map[digest.Digest]int64
+	// cacheMu guards which store is mounted and the index of what it
+	// holds; the store itself is only ever called with cacheMu released.
+	cacheMu  sync.Mutex
+	cache    distrib.Store
+	cacheCap int64
+	cacheLRU cachekit.LRU[digest.Digest]
 
 	clientMu sync.Mutex
 	clients  map[string]*distrib.Client
@@ -103,32 +104,16 @@ func (p *Proxy) Ring() *Ring { return p.ring }
 // adopted into the accounting, so a disk-backed cache survives proxy
 // restarts.
 func (p *Proxy) SetCache(store distrib.Store, capBytes int64) error {
-	// Size the existing contents before taking the lock: adoption is
-	// disk I/O and must not run inside the critical section.
-	var order []digest.Digest
-	sizes := make(map[digest.Digest]int64)
-	var total int64
-	if store != nil {
-		for _, d := range store.Digests() {
-			rc, size, err := store.Open(d)
-			if err != nil {
-				return fmt.Errorf("fleet: adopting cache blob %s: %w", d.Short(), err)
-			}
-			rc.Close()
-			order = append(order, d)
-			sizes[d] = size
-			total += size
-		}
-	}
 	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	p.cache = store
-	p.cacheCap = capBytes
-	p.cacheTotal = total
-	p.cacheOrder = order
-	p.cacheSize = sizes
-	if store != nil {
-		p.evictLocked()
+	p.cache, p.cacheCap, p.cacheLRU = store, capBytes, cachekit.LRU[digest.Digest]{}
+	p.cacheMu.Unlock()
+	if store == nil {
+		return nil
+	}
+	for _, d := range store.Digests() {
+		if err := p.noteFetched(store, d); err != nil {
+			return fmt.Errorf("fleet: adopting cache blob %s: %w", d.Short(), err)
+		}
 	}
 	return nil
 }
@@ -138,27 +123,34 @@ func (p *Proxy) CacheStats() (hits, misses int64) {
 	return p.cacheHits.Load(), p.cacheMisses.Load()
 }
 
-// cacheHas reports (and LRU-touches) a cached blob.
-func (p *Proxy) cacheHas(d digest.Digest) bool {
+// cacheStore returns the mounted cache store (nil when none).
+func (p *Proxy) cacheStore() distrib.Store {
 	p.cacheMu.Lock()
 	defer p.cacheMu.Unlock()
-	if p.cache == nil || !p.cache.Has(d) {
-		return false
-	}
-	for i, o := range p.cacheOrder {
-		if o == d {
-			p.cacheOrder = append(append(p.cacheOrder[:i:i], p.cacheOrder[i+1:]...), d)
-			break
-		}
-	}
-	return true
+	return p.cache
 }
 
-// cacheAdd copies blob d from src into the cache, evicting LRU
-// entries beyond capacity. Best-effort: a cache failure never fails
-// the request that triggered it. The copy runs outside the lock —
-// ingestion is content-addressed, so a concurrent add of the same
-// digest is harmless and noteFetched deduplicates the accounting.
+// cacheHas reports (and LRU-touches) a cached blob: one index lookup
+// under the lock, then a presence probe of the store outside it. An
+// indexed blob the store has lost — evicted just before a concurrent
+// fetch re-indexed it — is forgotten and reported absent.
+func (p *Proxy) cacheHas(d digest.Digest) bool {
+	p.cacheMu.Lock()
+	store, known := p.cache, p.cacheLRU.Touch(d)
+	p.cacheMu.Unlock()
+	if !known || store.Has(d) {
+		return known
+	}
+	p.cacheMu.Lock()
+	p.cacheLRU.Remove(d)
+	p.cacheMu.Unlock()
+	return false
+}
+
+// cacheAdd copies blob d from src into the cache. Best-effort: a cache
+// failure never fails the request that triggered it. Ingestion is
+// content-addressed, so a concurrent add of the same digest is
+// harmless, and indexing it twice only refreshes its recency.
 func (p *Proxy) cacheAdd(src distrib.BlobSource, d digest.Digest) {
 	store := p.cacheStore()
 	if store == nil || store.Has(d) {
@@ -170,27 +162,34 @@ func (p *Proxy) cacheAdd(src distrib.BlobSource, d digest.Digest) {
 	}
 	_, _, err = store.Ingest(rc, d)
 	rc.Close()
-	if err != nil {
-		return
+	if err == nil {
+		_ = p.noteFetched(store, d) // best-effort, as above
 	}
-	p.noteFetched(d)
 }
 
-// evictLocked drops least-recently-used entries until the cache fits
-// its capacity. Callers hold cacheMu.
-func (p *Proxy) evictLocked() {
-	if p.cacheCap <= 0 {
-		return
+// noteFetched indexes blob d, which the cache store now holds, and
+// evicts beyond capacity. Sizing the blob and deleting the victims are
+// store I/O and happen on either side of the critical section; victims
+// a failed delete leaves behind go uncounted until the next mount
+// adopts them.
+func (p *Proxy) noteFetched(store distrib.Store, d digest.Digest) error {
+	rc, size, err := store.Open(d)
+	if err != nil {
+		return err
 	}
-	for p.cacheTotal > p.cacheCap && len(p.cacheOrder) > 0 {
-		victim := p.cacheOrder[0]
-		p.cacheOrder = p.cacheOrder[1:]
-		if err := p.cache.Delete(victim); err != nil {
-			return
+	rc.Close()
+	p.cacheMu.Lock()
+	if p.cache != nil {
+		p.cacheLRU.Add(d, size)
+	}
+	victims, _ := p.cacheLRU.Evict(p.cacheCap)
+	p.cacheMu.Unlock()
+	for _, v := range victims {
+		if err := store.Delete(v); err != nil {
+			return fmt.Errorf("fleet: evicting cache blob %s: %w", v.Short(), err)
 		}
-		p.cacheTotal -= p.cacheSize[victim]
-		delete(p.cacheSize, victim)
 	}
+	return nil
 }
 
 // groupFor returns the shard group owning blob d.
@@ -364,46 +363,11 @@ func (p *Proxy) ServeBlob(w http.ResponseWriter, r *http.Request, name string, d
 			http.Error(w, err.Error(), shardStatus(err))
 			return
 		}
-		p.noteFetched(d)
+		_ = p.noteFetched(cache, d) // unindexed at worst; ServeBlob answers either way
 		registry.ServeBlob(w, r, cache, d)
 	default:
 		p.relay(w, r, g)
 	}
-}
-
-// cacheStore returns the mounted cache store (nil when none).
-func (p *Proxy) cacheStore() distrib.Store {
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	return p.cache
-}
-
-// noteFetched records a blob ingested directly into the cache store
-// (by FetchBlob or cacheAdd), folding it into the LRU accounting. The
-// size probe happens before the lock; a blob another goroutine already
-// accounted for (or evicted meanwhile) is skipped by the known-check.
-func (p *Proxy) noteFetched(d digest.Digest) {
-	store := p.cacheStore()
-	if store == nil {
-		return
-	}
-	rc, size, err := store.Open(d)
-	if err != nil {
-		return
-	}
-	rc.Close()
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	if p.cache == nil {
-		return
-	}
-	if _, known := p.cacheSize[d]; known {
-		return
-	}
-	p.cacheOrder = append(p.cacheOrder, d)
-	p.cacheSize[d] = size
-	p.cacheTotal += size
-	p.evictLocked()
 }
 
 // CommitBlob implements registry.Backend: the verified blob is staged
@@ -504,30 +468,12 @@ func (p *Proxy) forwardFarm(w http.ResponseWriter, r *http.Request) {
 
 // --- routing table ---
 
-// Table is the proxy's shareable routing view: the ring membership
-// (stable encoding) plus each shard's current leader. A fleet-aware
-// distrib.Client resolves blob endpoints from it and talks to shards
-// directly, leaving only manifest fan-out on the proxy.
+// Table is the operator's view of the proxy's routing state: the ring
+// membership (stable encoding) plus each shard's current leader.
 type Table struct {
 	Vnodes  int               `json:"vnodes"`
 	Shards  []string          `json:"shards"`
 	Leaders map[string]string `json:"leaders"`
-}
-
-// Resolver compiles the table into a distrib.Client Resolver.
-func (t Table) Resolver() (func(digest.Digest) (string, bool), error) {
-	ring, err := NewRing(t.Shards, t.Vnodes)
-	if err != nil {
-		return nil, err
-	}
-	leaders := make(map[string]string, len(t.Leaders))
-	for k, v := range t.Leaders {
-		leaders[k] = v
-	}
-	return func(d digest.Digest) (string, bool) {
-		addr, ok := leaders[ring.Owner(d)]
-		return addr, ok
-	}, nil
 }
 
 // Table snapshots the proxy's current routing table.
@@ -546,30 +492,6 @@ func (p *Proxy) serveTable(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(p.Table())
-}
-
-// FetchTable retrieves the routing table from a proxy at base.
-func FetchTable(ctx context.Context, hc *http.Client, base string) (Table, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(base, "/")+TablePath, nil)
-	if err != nil {
-		return Table{}, err
-	}
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return Table{}, fmt.Errorf("fleet: fetching table: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Table{}, fmt.Errorf("fleet: fetching table: status %s", resp.Status)
-	}
-	var t Table
-	if err := json.NewDecoder(resp.Body).Decode(&t); err != nil {
-		return Table{}, fmt.Errorf("fleet: decoding table: %w", err)
-	}
-	return t, nil
 }
 
 // --- heartbeat watch ---

@@ -76,35 +76,3 @@ func TestManifestListValidation(t *testing.T) {
 		t.Error("dangling manifest accepted")
 	}
 }
-
-func TestStoreGC(t *testing.T) {
-	s := NewStore()
-	keep := archImage(t, s, "amd64")
-	// Orphan blobs: a stale manifest and loose content.
-	stale := archImage(t, s, "arm64")
-	s.Put([]byte("loose garbage"))
-	before := s.Len()
-	dropped, err := s.GC([]Descriptor{keep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped == 0 || s.Len() >= before {
-		t.Errorf("GC dropped %d, store %d -> %d", dropped, before, s.Len())
-	}
-	// The kept image still fully loads.
-	img, err := LoadImage(s, keep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := img.Flatten(); err != nil {
-		t.Fatal(err)
-	}
-	// The stale manifest is gone.
-	if s.Has(stale.Digest) {
-		t.Error("stale manifest survived GC")
-	}
-	// GC with a dangling root errors.
-	if _, err := s.GC([]Descriptor{stale}); err == nil {
-		t.Error("GC with missing root succeeded")
-	}
-}

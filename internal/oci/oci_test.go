@@ -282,37 +282,50 @@ func TestLoadLayoutRejectsCorruptBlob(t *testing.T) {
 }
 
 func TestLayerDiffIDMismatchDetected(t *testing.T) {
-	s := NewStore()
-	desc, err := WriteImage(s, testConfig(), []*fsim.FS{baseLayer()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := LoadImage(s, desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Swap the layer reference to different (valid) tar content while
-	// keeping the config's diffID: the verification must catch it.
 	other := fsim.New()
 	other.WriteFile("/evil", []byte("swap"), 0o644)
-	raw, err := tarfsMarshal(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := s.Put(raw)
-	m := *img.Manifest
-	m.Layers = append([]Descriptor(nil), m.Layers...)
-	m.Layers[0] = Descriptor{MediaType: MediaTypeLayer, Digest: d, Size: int64(len(raw))}
-	tamperedDesc, err := PutJSON(s, m, MediaTypeManifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered, err := LoadImage(s, tamperedDesc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tampered.Layer(0); err == nil {
-		t.Error("diffID mismatch not detected")
+	for _, tc := range []struct {
+		name      string
+		mediaType string
+		encode    func(*fsim.FS) ([]byte, error)
+		content   *fsim.FS // what the layer blob holds; the diffID stays baseLayer's
+		wantErr   bool
+	}{
+		{"tar", MediaTypeLayer, tarfs.Marshal, other, true},
+		{"gzip", MediaTypeLayerGzip, tarfs.MarshalGzip, other, true},
+		{"gzip intact", MediaTypeLayerGzip, tarfs.MarshalGzip, baseLayer(), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStore()
+			desc, err := WriteImage(s, testConfig(), []*fsim.FS{baseLayer()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := LoadImage(s, desc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Swap the layer reference to different (valid) content
+			// while keeping the config's diffID: the verification must
+			// catch it, whatever the layer's encoding.
+			raw, err := tc.encode(tc.content)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := *img.Manifest
+			m.Layers = []Descriptor{{MediaType: tc.mediaType, Digest: s.Put(raw), Size: int64(len(raw))}}
+			tamperedDesc, err := PutJSON(s, m, MediaTypeManifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tampered, err := LoadImage(s, tamperedDesc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tampered.Layer(0); (err != nil) != tc.wantErr {
+				t.Errorf("Layer(0) error = %v, want error: %v", err, tc.wantErr)
+			}
+		})
 	}
 }
 
@@ -338,6 +351,39 @@ func TestCopyImage(t *testing.T) {
 	}
 	if _, err := img.Flatten(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCopyImageManifestList: copying a manifest list brings the index,
+// every member manifest and all of their blobs — what Repository
+// .PushImage (and so SystemSide.Pull) does with a multi-arch tag.
+func TestCopyImageManifestList(t *testing.T) {
+	src := NewStore()
+	list, err := WriteManifestList(src, []Descriptor{archImage(t, src, "amd64"), archImage(t, src, "arm64")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Put([]byte("unrelated blob"))
+	repo := NewRepository()
+	if err := repo.PushImage(src, list, "fat"); err != nil {
+		t.Fatal(err)
+	}
+	// index + 2 x (manifest, config, layer); the unrelated blob stays behind.
+	if got := repo.Store.Len(); got != 7 {
+		t.Errorf("copied %d blobs, want 7", got)
+	}
+	for _, arch := range []string{"amd64", "arm64"} {
+		desc, err := ResolvePlatform(repo.Store, list, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := LoadImage(repo.Store, desc)
+		if err != nil {
+			t.Fatalf("%s: %v", arch, err)
+		}
+		if _, err := img.Flatten(); err != nil {
+			t.Fatalf("%s: %v", arch, err)
+		}
 	}
 }
 
@@ -392,7 +438,3 @@ func TestPropertyChainIDPrefixStability(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// tarfsMarshal avoids an import cycle workaround in tests: oci tests may
-// use tarfs directly.
-func tarfsMarshal(f *fsim.FS) ([]byte, error) { return tarfs.Marshal(f) }

@@ -99,6 +99,27 @@ type Index struct {
 	Manifests     []Descriptor `json:"manifests"`
 }
 
+// References decodes an image manifest or an image index and returns
+// what the document keeps alive: blobs are a manifest's config and
+// layers, children an index's member manifests, each of which has
+// references of its own. Every walk over an image — push, pull, copy,
+// GC, a registry's referential check — goes through it, so all of them
+// agree on what an image is.
+func References(doc []byte) (blobs, children []Descriptor, err error) {
+	var refs struct {
+		Config    *Descriptor  `json:"config"`
+		Layers    []Descriptor `json:"layers"`
+		Manifests []Descriptor `json:"manifests"`
+	}
+	if err := json.Unmarshal(doc, &refs); err != nil {
+		return nil, nil, fmt.Errorf("oci: decoding manifest references: %w", err)
+	}
+	if refs.Config != nil && refs.Config.Digest != "" {
+		blobs = append(blobs, *refs.Config)
+	}
+	return append(blobs, refs.Layers...), refs.Manifests, nil
+}
+
 // canonicalJSON marshals v with sorted keys and no trailing newline so that
 // document digests are deterministic. encoding/json already sorts map keys;
 // struct fields marshal in declaration order, which is fixed.

@@ -2,6 +2,7 @@ package oci
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -133,64 +134,32 @@ func (s *Store) TotalSize() int64 {
 	return n
 }
 
-// CopyBlob copies blob d from src into s.
-func (s *Store) CopyBlob(src *Store, d digest.Digest) error {
-	b, err := src.Get(d)
-	if err != nil {
-		return err
-	}
-	s.Put(b)
-	return nil
-}
-
-// CopyImage copies the manifest named by desc and all blobs it references
-// (config + layers) from src into s.
+// CopyImage copies the image named by desc from src into s: the
+// manifest, every blob it references and, for a manifest list, every
+// member image in turn.
 func (s *Store) CopyImage(src *Store, desc Descriptor) error {
-	m, err := LoadManifest(src, desc.Digest)
+	doc, err := src.Get(desc.Digest)
+	if err != nil {
+		return fmt.Errorf("oci: copying manifest: %w", err)
+	}
+	blobs, children, err := References(doc)
 	if err != nil {
 		return err
 	}
-	if err := s.CopyBlob(src, desc.Digest); err != nil {
-		return err
-	}
-	if err := s.CopyBlob(src, m.Config.Digest); err != nil {
-		return fmt.Errorf("oci: copying config: %w", err)
-	}
-	for _, l := range m.Layers {
-		if err := s.CopyBlob(src, l.Digest); err != nil {
-			return fmt.Errorf("oci: copying layer: %w", err)
-		}
-	}
-	return nil
-}
-
-// GC removes every blob not reachable from the given manifest
-// descriptors (via their configs and layers), returning the number of
-// blobs dropped. Registries and layout saves use it to prune superseded
-// intermediates.
-func (s *Store) GC(roots []Descriptor) (int, error) {
-	reachable := map[digest.Digest]bool{}
-	for _, root := range roots {
-		reachable[root.Digest] = true
-		m, err := LoadManifest(s, root.Digest)
+	for _, b := range blobs {
+		content, err := src.Get(b.Digest)
 		if err != nil {
-			return 0, fmt.Errorf("oci: gc root %s: %w", root.Digest.Short(), err)
+			return fmt.Errorf("oci: copying blob of %s: %w", desc.Digest.Short(), err)
 		}
-		reachable[m.Config.Digest] = true
-		for _, l := range m.Layers {
-			reachable[l.Digest] = true
+		s.Put(content)
+	}
+	for _, child := range children {
+		if err := s.CopyImage(src, child); err != nil {
+			return err
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dropped := 0
-	for d := range s.blobs {
-		if !reachable[d] {
-			delete(s.blobs, d)
-			dropped++
-		}
-	}
-	return dropped, nil
+	s.Put(doc)
+	return nil
 }
 
 // PutJSON marshals v canonically, stores it, and returns a descriptor with
@@ -260,38 +229,44 @@ func LoadImage(s *Store, desc Descriptor) (*Image, error) {
 	return &Image{Store: s, Desc: desc, Manifest: m, Config: c}, nil
 }
 
-// Layer decodes layer index i into a file system.
+// Layer decodes layer index i into a file system, after checking that
+// the uncompressed tar stream it decodes hashes to the config's diffID
+// for that layer.
 func (img *Image) Layer(i int) (*fsim.FS, error) {
 	if i < 0 || i >= len(img.Manifest.Layers) {
 		return nil, fmt.Errorf("oci: layer index %d out of range [0,%d)", i, len(img.Manifest.Layers))
 	}
 	desc := img.Manifest.Layers[i]
-	raw, err := img.Store.Get(desc.Digest)
+	tarBytes, err := img.Store.Get(desc.Digest)
 	if err != nil {
 		return nil, err
 	}
-	var fs *fsim.FS
 	switch desc.MediaType {
 	case MediaTypeLayer:
-		fs, err = tarfs.Unmarshal(raw)
 	case MediaTypeLayerGzip:
-		fs, err = tarfs.UnmarshalGzip(raw)
+		if tarBytes, err = gunzip(tarBytes); err != nil {
+			return nil, fmt.Errorf("oci: decompressing layer %d: %w", i, err)
+		}
 	default:
 		return nil, fmt.Errorf("oci: unsupported layer media type %q", desc.MediaType)
 	}
+	if got, want := digest.FromBytes(tarBytes), img.Config.RootFS.DiffIDs[i]; got != want {
+		return nil, fmt.Errorf("oci: layer %d diffID mismatch: got %s, want %s", i, got.Short(), want.Short())
+	}
+	fs, err := tarfs.Unmarshal(tarBytes)
 	if err != nil {
 		return nil, fmt.Errorf("oci: decoding layer %d: %w", i, err)
 	}
-	// Verify diffID (digest of the uncompressed tar).
-	want := img.Config.RootFS.DiffIDs[i]
-	uncompressed, err := tarfs.Marshal(fs)
+	return fs, nil
+}
+
+func gunzip(data []byte) ([]byte, error) {
+	gz, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
-	if got := digest.FromBytes(uncompressed); desc.MediaType == MediaTypeLayer && got != want {
-		return nil, fmt.Errorf("oci: layer %d diffID mismatch: got %s, want %s", i, got.Short(), want.Short())
-	}
-	return fs, nil
+	defer gz.Close()
+	return io.ReadAll(gz)
 }
 
 // Layers decodes every layer in order.

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -294,22 +293,12 @@ func (f *frontend) putManifest(w http.ResponseWriter, r *http.Request, name, ref
 		http.Error(w, "read error", http.StatusBadRequest)
 		return
 	}
-	var refs struct {
-		Config    *oci.Descriptor  `json:"config"`
-		Layers    []oci.Descriptor `json:"layers"`
-		Manifests []oci.Descriptor `json:"manifests"`
-	}
-	if err := json.Unmarshal(body, &refs); err != nil {
+	blobs, children, err := oci.References(body)
+	if err != nil {
 		http.Error(w, "manifest is not valid JSON: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	var referenced []oci.Descriptor
-	if refs.Config != nil && refs.Config.Digest != "" {
-		referenced = append(referenced, *refs.Config)
-	}
-	referenced = append(referenced, refs.Layers...)
-	referenced = append(referenced, refs.Manifests...)
-	for _, rd := range referenced {
+	for _, rd := range append(blobs, children...) {
 		ok, err := f.backend.HasBlob(r.Context(), rd.Digest)
 		if err != nil {
 			fail(w, err)
@@ -329,7 +318,7 @@ func (f *frontend) putManifest(w http.ResponseWriter, r *http.Request, name, ref
 	mediaType := r.Header.Get("Content-Type")
 	if mediaType == "" {
 		mediaType = oci.MediaTypeManifest
-		if len(refs.Manifests) > 0 {
+		if len(children) > 0 {
 			mediaType = oci.MediaTypeIndex
 		}
 	}

@@ -120,26 +120,11 @@ type LeasedTask struct {
 	Spec TaskSpec `json:"spec"`
 }
 
-// LeaseResponse answers a worker's lease poll. Tasks carries the
-// batch granted against the poll's ?max= budget (oldest first); Task
-// duplicates the first entry so pre-batch workers keep functioning
-// against a new scheduler. Both empty means the poll timed out with
-// nothing assignable.
+// LeaseResponse answers a worker's lease poll: the batch granted
+// against the poll's ?max= budget (default 1), oldest first. Empty means
+// the poll timed out with nothing assignable.
 type LeaseResponse struct {
-	Task  *LeasedTask   `json:"task,omitempty"`
 	Tasks []*LeasedTask `json:"tasks,omitempty"`
-}
-
-// Leased returns the granted batch, normalizing a single-task
-// (pre-batch scheduler) response into a one-element slice.
-func (r LeaseResponse) Leased() []*LeasedTask {
-	if len(r.Tasks) > 0 {
-		return r.Tasks
-	}
-	if r.Task != nil {
-		return []*LeasedTask{r.Task}
-	}
-	return nil
 }
 
 // ResultReport is a worker reporting a finished task. A successful

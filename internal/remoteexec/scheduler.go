@@ -356,12 +356,8 @@ func (s *Scheduler) handleLease(w http.ResponseWriter, r *http.Request) {
 		s.expireLocked(now)
 		leased := s.assignLocked(wk, max)
 		s.mu.Unlock()
-		if len(leased) > 0 {
-			writeJSON(w, LeaseResponse{Task: leased[0], Tasks: leased})
-			return
-		}
-		if time.Now().After(deadline) {
-			writeJSON(w, LeaseResponse{})
+		if len(leased) > 0 || time.Now().After(deadline) {
+			writeJSON(w, LeaseResponse{Tasks: leased})
 			return
 		}
 		if err := ctxutil.Sleep(ctx, pollTick); err != nil {

@@ -70,7 +70,13 @@ func (f *farm) lease(worker string, wait time.Duration) *LeasedTask {
 	f.t.Helper()
 	var resp LeaseResponse
 	f.must(http.MethodPost, "/lease?worker="+worker+"&wait="+itoa(wait), nil, &resp)
-	return resp.Task
+	if len(resp.Tasks) > 1 {
+		f.t.Fatalf("lease without ?max= granted %d tasks, want at most 1", len(resp.Tasks))
+	}
+	if len(resp.Tasks) == 0 {
+		return nil
+	}
+	return resp.Tasks[0]
 }
 
 func (f *farm) taskStatus(id string, wait time.Duration) TaskStatus {
@@ -283,10 +289,7 @@ func (f *farm) leaseBatch(worker string, max int, wait time.Duration) []*LeasedT
 	f.t.Helper()
 	var resp LeaseResponse
 	f.must(http.MethodPost, "/lease?worker="+worker+"&max="+strconv.Itoa(max)+"&wait="+itoa(wait), nil, &resp)
-	if resp.Task != nil && (len(resp.Tasks) == 0 || resp.Tasks[0].ID != resp.Task.ID) {
-		f.t.Fatalf("lease response Task %v does not mirror Tasks[0] of %v", resp.Task, resp.Tasks)
-	}
-	return resp.Leased()
+	return resp.Tasks
 }
 
 // TestLeaseBatchFillsSlotsPlusLookahead: a lone worker's batched poll
@@ -331,19 +334,5 @@ func TestLeaseBatchLeavesWorkForIdlePeer(t *testing.T) {
 	// remaining task as lookahead.
 	if got := f.leaseBatch(w2, 4, 0); len(got) != 2 {
 		t.Fatalf("w2 granted %d tasks, want 1 slot + 1 lookahead", len(got))
-	}
-}
-
-// TestLeaseSingleTaskCompat: a poll without ?max= behaves exactly as
-// before batching — one task, mirrored in both response fields.
-func TestLeaseSingleTaskCompat(t *testing.T) {
-	f := newFarm(t, NewScheduler())
-	w := f.register("legacy", 4)
-	f.submit()
-	f.submit()
-	var resp LeaseResponse
-	f.must(http.MethodPost, "/lease?worker="+w+"&wait=0", nil, &resp)
-	if resp.Task == nil || len(resp.Tasks) != 1 || resp.Tasks[0].ID != resp.Task.ID {
-		t.Fatalf("single lease response = %+v, want one task mirrored in Task and Tasks", resp)
 	}
 }

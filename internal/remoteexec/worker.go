@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"comtainer/internal/actioncache"
+	"comtainer/internal/cachekit"
 	"comtainer/internal/core/ctxutil"
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
@@ -59,8 +60,8 @@ type Worker struct {
 	// scaling benchmark turns to make wall-clock speedup observable.
 	ExecDelay time.Duration
 
-	treeMu sync.Mutex
-	trees  map[digest.Digest]*fsim.FS
+	trees       sync.Map // digest.Digest -> *fsim.FS: session snapshots, kept once fetched
+	treeFetches cachekit.Flight[digest.Digest, *fsim.FS]
 
 	overlayMu sync.Mutex
 	overlays  map[digest.Digest]Payload // prefetched, consumed on use
@@ -177,7 +178,7 @@ func (w *Worker) slotLoop(ctx context.Context, id string) error {
 				}
 				continue
 			}
-			pending = lr.Leased()
+			pending = lr.Tasks
 			continue
 		}
 		t := pending[0]
@@ -219,9 +220,7 @@ func (w *Worker) prefetchTask(ctx context.Context, t *LeasedTask) {
 	if repo == "" {
 		repo = DefaultRepo
 	}
-	if fsys, err := w.baseFS(ctx, repo, t.Spec.BaseTree); err == nil {
-		_ = fsys // memoized under treeMu; the clone is discarded
-	}
+	_, _ = w.baseFS(ctx, repo, t.Spec.BaseTree) // memoized for executeTask
 	if t.Spec.Overlay == "" {
 		return
 	}
@@ -276,23 +275,22 @@ func (w *Worker) report(ctx context.Context, taskID string, rep ResultReport) er
 	return last
 }
 
-// baseFS materializes (and memoizes) the session snapshot td; callers
-// receive a private clone to mutate.
+// baseFS materializes (and memoizes) the session snapshot td. The
+// result is shared: callers Clone it before mutating. No lock is held
+// while fetching: one tree downloads once however many slots ask for
+// it, and different trees download concurrently.
 func (w *Worker) baseFS(ctx context.Context, repo string, td digest.Digest) (*fsim.FS, error) {
-	w.treeMu.Lock()
-	defer w.treeMu.Unlock()
-	if cached, ok := w.trees[td]; ok {
-		return cached.Clone(), nil
-	}
-	fsys, err := FetchTree(ctx, w.Client, repo, td)
-	if err != nil {
-		return nil, err
-	}
-	if w.trees == nil {
-		w.trees = make(map[digest.Digest]*fsim.FS)
-	}
-	w.trees[td] = fsys
-	return fsys.Clone(), nil
+	fsys, _, err := w.treeFetches.DoContext(ctx, td, func() (*fsim.FS, error) {
+		if cached, ok := w.trees.Load(td); ok {
+			return cached.(*fsim.FS), nil
+		}
+		fsys, err := FetchTree(ctx, w.Client, repo, td)
+		if err == nil {
+			w.trees.Store(td, fsys)
+		}
+		return fsys, err
+	})
+	return fsys, err
 }
 
 // executeTask runs one leased action and publishes its payload blob,
@@ -302,10 +300,11 @@ func (w *Worker) executeTask(ctx context.Context, t *LeasedTask) (digest.Digest,
 	if repo == "" {
 		repo = DefaultRepo
 	}
-	fsys, err := w.baseFS(ctx, repo, t.Spec.BaseTree)
+	base, err := w.baseFS(ctx, repo, t.Spec.BaseTree)
 	if err != nil {
 		return "", err
 	}
+	fsys := base.Clone()
 	if t.Spec.Overlay != "" {
 		ov, err := w.fetchOverlay(ctx, repo, t.Spec.Overlay)
 		if err != nil {
