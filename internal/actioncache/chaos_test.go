@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -226,7 +225,7 @@ func benchTieredGets(b *testing.B, c Cache) {
 // TestDiskCacheCrashRestartVerify is the action-cache sibling of the
 // blob-store chaos loop: drive Puts through a faulty filesystem until
 // the power cut, reopen over the real one, and verify every Put that
-// reported success is served back intact and the temp spool is clean.
+// reported success is served back intact and no temp file is left.
 func TestDiskCacheCrashRestartVerify(t *testing.T) {
 	cycles := int64(100)
 	if testing.Short() {
@@ -270,12 +269,13 @@ func TestDiskCacheCrashRestartVerify(t *testing.T) {
 					t.Fatalf("committed entry %s content changed after crash", k.Short())
 				}
 			}
-			temps, err := os.ReadDir(filepath.Join(dir, "tmp"))
+			// Temp files sit beside their entries; none may outlive the reopen.
+			temps, err := filepath.Glob(filepath.Join(dir, "entries", "sha256", "*", tempPrefix+"*"))
 			if err != nil {
-				t.Fatalf("reading tmp dir: %v", err)
+				t.Fatalf("listing temp files: %v", err)
 			}
 			if len(temps) != 0 {
-				t.Fatalf("%d orphan temp files survived reopen", len(temps))
+				t.Fatalf("%d orphan temp files survived reopen: %v", len(temps), temps)
 			}
 		})
 	}

@@ -23,6 +23,12 @@ import (
 // against an embedded payload digest on every read, and evicted
 // least-recently-used when a byte cap is set.
 //
+// The temp file of a Put lives in the entry's own shard directory, not
+// in one spool shared by the whole cache: concurrent Puts (the rebuild
+// runs one per worker) then create and rename under 256 directory
+// locks instead of queueing on one, and the rename never crosses
+// directories.
+//
 // Recency survives restarts through file mtimes: Get touches the
 // entry, and reopening a cache seeds its LRU order from the mtimes on
 // disk. Safe for concurrent use.
@@ -55,19 +61,8 @@ func NewDiskCacheFS(dir string, maxBytes int64, fsys faultinject.FS) (*DiskCache
 		maxBytes: maxBytes,
 		fs:       fsys,
 	}
-	for _, d := range []string{filepath.Join(dir, "entries", "sha256"), c.tmpDir()} {
-		if err := fsys.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("actioncache: creating %s: %w", d, err)
-		}
-	}
-	// A temp file left behind is an interrupted write from a dead
-	// process; it can never be completed.
-	if names, err := os.ReadDir(c.tmpDir()); err == nil {
-		for _, n := range names {
-			if err := fsys.Remove(filepath.Join(c.tmpDir(), n.Name())); err != nil {
-				return nil, fmt.Errorf("actioncache: sweeping temp %s: %w", n.Name(), err)
-			}
-		}
+	if err := fsys.MkdirAll(c.entriesDir(), 0o755); err != nil {
+		return nil, fmt.Errorf("actioncache: creating %s: %w", c.entriesDir(), err)
 	}
 	if err := c.index(); err != nil {
 		return nil, err
@@ -75,14 +70,20 @@ func NewDiskCacheFS(dir string, maxBytes int64, fsys faultinject.FS) (*DiskCache
 	return c, nil
 }
 
-func (c *DiskCache) tmpDir() string { return filepath.Join(c.root, "tmp") }
+func (c *DiskCache) entriesDir() string { return filepath.Join(c.root, "entries", "sha256") }
 
 func (c *DiskCache) entryPath(key digest.Digest) string {
 	hex := key.Hex()
-	return filepath.Join(c.root, "entries", "sha256", hex[:2], hex)
+	return filepath.Join(c.entriesDir(), hex[:2], hex)
 }
 
-// index scans the entry tree and seeds the LRU order from mtimes.
+// tempPrefix starts the name of a Put's temp file, which sits beside
+// its entry.
+const tempPrefix = "put-"
+
+// index scans the entry tree, seeds the LRU order from mtimes and
+// removes the temp files it meets: one left behind is an interrupted
+// write from a dead process and can never be completed.
 func (c *DiskCache) index() error {
 	type found struct {
 		key  digest.Digest
@@ -90,10 +91,16 @@ func (c *DiskCache) index() error {
 		mod  time.Time
 	}
 	var all []found
-	base := filepath.Join(c.root, "entries", "sha256")
+	base := c.entriesDir()
 	err := filepath.WalkDir(base, func(p string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
+		}
+		if strings.HasPrefix(d.Name(), tempPrefix) {
+			if err := c.fs.Remove(p); err != nil {
+				return fmt.Errorf("sweeping temp %s: %w", d.Name(), err)
+			}
+			return nil
 		}
 		key, perr := digest.Parse("sha256:" + d.Name())
 		if perr != nil {
@@ -177,7 +184,7 @@ func (c *DiskCache) Put(key digest.Digest, val []byte) error {
 		c.errors.Add(1)
 		return fmt.Errorf("actioncache: creating shard dir: %w", err)
 	}
-	tmp, err := c.fs.CreateTemp(c.tmpDir(), "put-*")
+	tmp, err := c.fs.CreateTemp(filepath.Dir(p), tempPrefix+"*")
 	if err != nil {
 		c.errors.Add(1)
 		return fmt.Errorf("actioncache: creating temp entry: %w", err)

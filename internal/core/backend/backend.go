@@ -311,8 +311,7 @@ func Redirect(repo *oci.Repository, distTag string, opts RedirectOptions) (oci.D
 	// Platform-independent data carried verbatim from the dist image.
 	for _, p := range pl.DataFiles {
 		if f, err := flat.Stat(p); err == nil {
-			c := f.Clone()
-			redirectFS.Add(c)
+			redirectFS.Add(f)
 		}
 	}
 
@@ -355,7 +354,7 @@ func carryPackage(distFlat, redirectFS *fsim.FS, im *model.ImageModel, name stri
 		if err != nil {
 			continue
 		}
-		redirectFS.Add(f.Clone())
+		redirectFS.Add(f)
 		copied++
 	}
 	if copied == 0 {

@@ -39,7 +39,8 @@ type Client struct {
 	HTTP *http.Client
 	// Workers bounds parallel blob transfers per image (default 4).
 	Workers int
-	// ChunkSize is the PATCH chunk size for uploads (default 1 MiB).
+	// ChunkSize is the PATCH chunk size for uploads (default 1 MiB). A
+	// blob that fits one chunk is pushed in a single request instead.
 	ChunkSize int64
 	// Retries is how many times a transient failure is retried (default 3).
 	Retries int
@@ -372,7 +373,7 @@ func (c *Client) sendChunks(ctx context.Context, loc string, src BlobSource, d d
 			return fmt.Errorf("distrib: seeking to resume offset %d: %w", offset, err)
 		}
 	}
-	buf := make([]byte, c.chunkSize())
+	buf := make([]byte, min(c.chunkSize(), size-offset))
 	for offset < size {
 		n, err := io.ReadFull(r, buf)
 		if err == io.ErrUnexpectedEOF || err == io.EOF {
@@ -425,15 +426,50 @@ func (c *Client) finalizeUpload(ctx context.Context, loc string, d digest.Digest
 	return nil
 }
 
-// PushBlob uploads blob d from src into repository name using the
-// chunked upload protocol. Blobs the registry already holds are
-// skipped. A transfer interrupted mid-PATCH resumes from the offset
-// the server reports rather than restarting.
+// pushMonolithic sends blob d, all size bytes of r, in the protocol's
+// single-request form: POST …/blobs/uploads/?digest=. No session is
+// opened, so a failure leaves nothing to resume; the caller starts over.
+func (c *Client) pushMonolithic(ctx context.Context, name string, r io.Reader, size int64, d digest.Digest) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(name, "blobs", "uploads")+"/?digest="+string(d), r)
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	req.ContentLength = size
+	if size == 0 {
+		req.Body = http.NoBody
+	}
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return fmt.Errorf("distrib: uploading %s: %w", d.Short(), err)
+	}
+	if resp.StatusCode != http.StatusCreated {
+		return statusError(resp)
+	}
+	resp.Body.Close()
+	return nil
+}
+
+// PushBlob uploads blob d from src into repository name. Blobs the
+// registry already holds are skipped. A blob that fits one chunk goes
+// up in one request; a larger one uses the chunked upload protocol,
+// where a transfer interrupted mid-PATCH resumes from the offset the
+// server reports rather than restarting.
 func (c *Client) PushBlob(ctx context.Context, name string, src BlobSource, d digest.Digest) error {
 	if ok, err := c.HasBlob(ctx, name, d); err == nil && ok {
 		return nil
 	}
 	return c.withRetry(ctx, func(ctx context.Context) error {
+		r, size, err := src.Open(d)
+		if err != nil {
+			return err
+		}
+		defer r.Close()
+		if size <= c.chunkSize() {
+			return c.pushMonolithic(ctx, name, r, size, d)
+		}
+		// Only the size was needed: sendChunks opens its own reader, per
+		// attempt and resume offset.
 		loc, err := c.startUpload(ctx, name)
 		if err != nil {
 			return err

@@ -12,7 +12,10 @@
 // An FS is safe for concurrent use: the parallel rebuild executor compiles
 // independent build-graph nodes against one shared container file system.
 // File values are immutable once inserted — mutators always install fresh
-// entries — so pointers returned by Stat/Walk remain race-free snapshots.
+// entries, never write through an existing *File or into its Data — so
+// pointers returned by Stat/Walk remain race-free snapshots, and Clone,
+// Apply, ApplyAll, Diff and Squash share entries between file systems
+// instead of copying them: a snapshot costs O(entries), not O(bytes).
 package fsim
 
 import (
@@ -51,8 +54,10 @@ func (t FileType) String() string {
 
 // File is a single file system entry. Data is nil for directories; Target
 // is empty except for symlinks. Mode holds only permission bits — the type
-// is carried by Type. Treat a File as immutable once it has been added to
-// an FS.
+// is carried by Type. A File is immutable once it has been added to an FS,
+// bytes of Data included: any number of file systems may hold the same
+// *File. To change an entry, build a new File (Clone gives a private
+// struct to edit) and Add it.
 type File struct {
 	Path   string
 	Type   FileType
@@ -61,12 +66,10 @@ type File struct {
 	Target string
 }
 
-// Clone returns a deep copy of f.
+// Clone returns a copy of f whose fields the caller may set before
+// adding it to an FS. The copy shares Data, which stays immutable.
 func (f *File) Clone() *File {
 	c := *f
-	if f.Data != nil {
-		c.Data = append([]byte(nil), f.Data...)
-	}
 	return &c
 }
 
@@ -210,11 +213,16 @@ func (f *FS) Symlink(target, p string) {
 	f.files[p] = &File{Path: p, Type: TypeSymlink, Mode: 0o777, Target: target}
 }
 
-// Add inserts a pre-built File, creating parents. The file's Path is
-// cleaned in place; the FS takes ownership of the File, which must not be
-// modified afterwards.
+// Add inserts a pre-built File, creating parents. The FS takes ownership
+// of the File, which must not be modified afterwards. A File whose Path
+// is already clean is inserted as is — it may be an entry other file
+// systems share, so not even its own value is written back to it; one
+// with an unclean Path is inserted as a copy under the clean path.
 func (f *FS) Add(file *File) {
-	file.Path = Clean(file.Path)
+	if p := Clean(file.Path); p != file.Path {
+		file = file.Clone()
+		file.Path = p
+	}
 	if file.Path == "/" {
 		return
 	}
@@ -340,13 +348,16 @@ func (f *FS) Glob(pattern string) []string {
 	return out
 }
 
-// Clone returns a deep copy of the file system.
+// Clone returns an independent file system with the same entries. The
+// entries themselves are shared (File is immutable), so the cost is one
+// map of len(f) pointers whatever the files hold; mutating either side
+// afterwards never shows on the other.
 func (f *FS) Clone() *FS {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	c := &FS{files: make(map[string]*File, len(f.files))}
 	for p, file := range f.files {
-		c.files[p] = file.Clone()
+		c.files[p] = file
 	}
 	return c
 }
@@ -436,9 +447,16 @@ func isWhiteout(base string) (whiteout, opaque bool) {
 // Apply layers `layer` on top of base and returns the combined state,
 // honouring OCI whiteout semantics: an entry named ".wh.x" deletes x from
 // the lower state; ".wh..wh..opq" in a directory hides all lower entries of
-// that directory. Neither input is modified.
+// that directory. Neither input is modified; the result shares their
+// entries.
 func Apply(base, layer *FS) *FS {
 	out := base.Clone()
+	out.applyLayer(layer)
+	return out
+}
+
+// applyLayer folds layer into f in place, with Apply's semantics.
+func (f *FS) applyLayer(layer *FS) {
 	// Opaque markers first: they clear lower content before this layer's
 	// own entries for the directory are added.
 	var adds []*File
@@ -452,45 +470,45 @@ func Apply(base, layer *FS) *FS {
 		switch {
 		case opaque:
 			dir := path.Dir(p)
-			if d, err := out.Stat(dir); err == nil && d.Type == TypeDir {
+			if d, err := f.Stat(dir); err == nil && d.Type == TypeDir {
 				prefix := dir + "/"
 				if dir == "/" {
 					prefix = "/"
 				}
-				out.mu.Lock()
-				for q := range out.files {
+				f.mu.Lock()
+				for q := range f.files {
 					if q != dir && strings.HasPrefix(q, prefix) {
-						delete(out.files, q)
+						delete(f.files, q)
 					}
 				}
-				out.mu.Unlock()
+				f.mu.Unlock()
 			}
 		case wh:
 			target := path.Join(path.Dir(p), strings.TrimPrefix(baseName, WhiteoutPrefix))
 			// Whiteout of a missing path is a no-op by the OCI spec, and
 			// Remove on an in-memory FS has no other failure mode here.
 			//comtainer:allow errpropagate -- whiteout of a missing path is a spec-mandated no-op
-			_ = out.Remove(target)
+			_ = f.Remove(target)
 		default:
 			adds = append(adds, file)
 		}
 	}
 	for _, file := range adds {
 		// Replacing a directory with a non-directory removes the subtree.
-		if existing, err := out.Stat(file.Path); err == nil && existing.Type == TypeDir && file.Type != TypeDir {
+		if existing, err := f.Stat(file.Path); err == nil && existing.Type == TypeDir && file.Type != TypeDir {
 			//comtainer:allow errpropagate -- Stat just proved the path exists; Remove cannot fail
-			_ = out.Remove(file.Path)
+			_ = f.Remove(file.Path)
 		}
-		out.Add(file.Clone())
+		f.Add(file)
 	}
-	return out
 }
 
-// ApplyAll applies layers in order on top of an empty file system.
+// ApplyAll applies layers in order on top of an empty file system: the
+// left fold of Apply, computed in one accumulator.
 func ApplyAll(layers []*FS) *FS {
 	state := New()
 	for _, l := range layers {
-		state = Apply(state, l)
+		state.applyLayer(l)
 	}
 	return state
 }
@@ -498,7 +516,8 @@ func ApplyAll(layers []*FS) *FS {
 // Diff computes a layer that, applied to base, reproduces derived:
 // Apply(base, Diff(base, derived)).Equal(derived) holds for states whose
 // paths do not themselves use the whiteout naming convention. Deletions
-// become whiteout entries.
+// become whiteout entries; added and changed entries are derived's own,
+// shared.
 func Diff(base, derived *FS) *FS {
 	unlock := lockPair(base, derived)
 	layer := New()
@@ -510,11 +529,13 @@ func Diff(base, derived *FS) *FS {
 			continue
 		}
 		b, ok := base.files[p]
-		if ok && b.Type == d.Type && b.Mode == d.Mode && b.Target == d.Target &&
-			string(b.Data) == string(d.Data) {
+		// b == d is the common case after a Clone: the entry was never
+		// replaced, so its bytes need no comparing.
+		if ok && (b == d || b.Type == d.Type && b.Mode == d.Mode && b.Target == d.Target &&
+			string(b.Data) == string(d.Data)) {
 			continue
 		}
-		adds = append(adds, d.Clone())
+		adds = append(adds, d)
 	}
 	// Deletions: entries in base absent from derived. Skip entries whose
 	// ancestor directory is itself deleted (a single whiteout suffices).
@@ -555,7 +576,7 @@ func Diff(base, derived *FS) *FS {
 // Apply(Apply(base, a), b) == Apply(base, Squash(a, b)).
 func Squash(a, b *FS) *FS {
 	empty := New()
-	combined := Apply(Apply(empty, a), b)
+	combined := ApplyAll([]*FS{a, b})
 	// Diff against empty gives adds; deletions crossing a/b boundaries
 	// must be preserved as whiteouts from both layers.
 	out := Diff(empty, combined)
@@ -570,12 +591,8 @@ func Squash(a, b *FS) *FS {
 				continue
 			}
 			target := path.Join(path.Dir(p), strings.TrimPrefix(path.Base(p), WhiteoutPrefix))
-			if path.Base(p) == OpaqueWhiteout {
-				out.Add(file.Clone())
-				continue
-			}
-			if !combined.Exists(target) {
-				out.Add(file.Clone())
+			if path.Base(p) == OpaqueWhiteout || !combined.Exists(target) {
+				out.Add(file)
 			}
 		}
 	}

@@ -32,6 +32,59 @@ type front struct {
 	handler http.Handler
 	url     string
 	uploads *distrib.UploadManager
+	wire    *wireLog
+}
+
+// wireLog records what a front-end was asked over HTTP, one "METHOD
+// kind" entry per request, and can refuse requests before they reach
+// it.
+type wireLog struct {
+	mu   sync.Mutex
+	reqs []string
+	// refuse, when set, is asked about every request; true answers it
+	// 503 without the front-end seeing it.
+	refuse func(r *http.Request) bool
+}
+
+// refuseIf installs (nil: removes) the refusal rule.
+func (l *wireLog) refuseIf(fn func(r *http.Request) bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.refuse = fn
+}
+
+// take returns the requests recorded since the last call.
+func (l *wireLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.reqs
+	l.reqs = nil
+	return out
+}
+
+func (l *wireLog) wrap(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		kind := "other"
+		switch p := r.URL.Path; {
+		case strings.HasSuffix(p, "/blobs/uploads/") && r.URL.Query().Get("digest") != "":
+			kind = "monolithic"
+		case strings.HasSuffix(p, "/blobs/uploads/"):
+			kind = "start"
+		case strings.Contains(p, "/blobs/uploads/"):
+			kind = "session"
+		case strings.Contains(p, "/blobs/"):
+			kind = "blob"
+		}
+		l.mu.Lock()
+		l.reqs = append(l.reqs, r.Method+" "+kind)
+		refuse := l.refuse != nil && l.refuse(r)
+		l.mu.Unlock()
+		if refuse {
+			http.Error(w, "injected outage", http.StatusServiceUnavailable)
+			return
+		}
+		next.ServeHTTP(w, r)
+	})
 }
 
 // targets build a fresh, empty front-end each.
@@ -74,9 +127,10 @@ func eachFront(t *testing.T, fn func(t *testing.T, f front)) {
 	for _, tg := range targets {
 		t.Run(tg.name, func(t *testing.T) {
 			h, uploads := tg.start(t)
-			ts := httptest.NewServer(h)
+			wire := &wireLog{}
+			ts := httptest.NewServer(wire.wrap(h))
 			defer ts.Close()
-			fn(t, front{handler: h, url: ts.URL, uploads: uploads})
+			fn(t, front{handler: h, url: ts.URL, uploads: uploads, wire: wire})
 		})
 	}
 }
@@ -313,6 +367,87 @@ func TestBlobUploadRejectsBadDigest(t *testing.T) {
 			strings.NewReader("content that does not match"))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("mismatched digest: %s, want 400", resp.Status)
+		}
+	})
+}
+
+// lyingSource serves the bytes of one blob under every digest asked.
+type lyingSource struct {
+	*oci.Store
+	serves digest.Digest
+}
+
+func (s lyingSource) Open(digest.Digest) (io.ReadCloser, int64, error) { return s.Store.Open(s.serves) }
+
+// TestPushBlobRequests: what distrib.Client.PushBlob puts on the wire.
+// A blob that fits one chunk costs the existence probe and a single
+// monolithic POST; a larger one goes through a resumable session, one
+// PATCH per chunk. Either way the registry ends up with the bytes.
+func TestPushBlobRequests(t *testing.T) {
+	eachFront(t, func(t *testing.T, f front) {
+		ctx := context.Background()
+		c := distrib.NewClient(f.url)
+		c.ChunkSize = 16
+		c.RetryBackoff = time.Millisecond
+		src := oci.NewStore()
+		push := func(content string) ([]string, error) {
+			t.Helper()
+			d := src.Put([]byte(content))
+			f.wire.take()
+			err := c.PushBlob(ctx, "app", src, d)
+			reqs := f.wire.take()
+			if err == nil {
+				if resp, body := do(t, http.MethodGet, f.url+"/v2/app/blobs/"+string(d), nil); resp.StatusCode != http.StatusOK || string(body) != content {
+					t.Errorf("blob %q after push: %s, %q", content, resp.Status, body)
+				}
+			}
+			return reqs, err
+		}
+		oneRequest := "HEAD blob, POST monolithic"
+		for _, tc := range []struct{ name, content, want string }{
+			{"empty", "", oneRequest},
+			{"under a chunk", "fits one chunk", oneRequest},
+			{"exactly a chunk", "sixteen bytes ..", oneRequest},
+			{"a chunk and a byte", "seventeen bytes .", "HEAD blob, POST start, PATCH session, PATCH session, PUT session"},
+			{"two and a half chunks", "forty bytes make two and a half chunks ..", "HEAD blob, POST start, PATCH session, PATCH session, PATCH session, PUT session"},
+		} {
+			reqs, err := push(tc.content)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if got := strings.Join(reqs, ", "); got != tc.want {
+				t.Errorf("%s (%d bytes): requests %q, want %q", tc.name, len(tc.content), got, tc.want)
+			}
+		}
+
+		// A 5xx on the monolithic POST is a transient failure: retried,
+		// as a whole, since there is no session to resume.
+		refused := false
+		f.wire.refuseIf(func(r *http.Request) bool {
+			first := r.Method == http.MethodPost && !refused
+			refused = refused || first
+			return first
+		})
+		reqs, err := push("through outage")
+		if got := strings.Join(reqs, ", "); err != nil || got != "HEAD blob, POST monolithic, POST monolithic" {
+			t.Errorf("outage on the monolithic POST: %v, requests %q, want one retry", err, got)
+		}
+		f.wire.refuseIf(nil)
+
+		// Bytes that do not hash to the digest in the URL are the
+		// server's 400, which no retry will cure.
+		honest := src.Put([]byte("bytes named"))
+		other := src.Put([]byte("bytes served"))
+		f.wire.take()
+		err = c.PushBlob(ctx, "app", lyingSource{src, other}, honest)
+		if err == nil || !strings.Contains(err.Error(), "400") {
+			t.Errorf("push of mismatching bytes: %v, want the server's 400", err)
+		}
+		if got := strings.Join(f.wire.take(), ", "); got != oneRequest {
+			t.Errorf("push of mismatching bytes: requests %q, want %q (no retry)", got, oneRequest)
+		}
+		if resp, _ := do(t, http.MethodHead, f.url+"/v2/app/blobs/"+string(honest), nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("mismatching bytes were stored: HEAD %s", resp.Status)
 		}
 	})
 }

@@ -29,8 +29,9 @@
 //     against its own file system before recording the result — the
 //     local action cache stays executor-authoritative.
 //
-// Failure model: workers that miss heartbeats are expired lazily by
-// the scheduler's long-poll loops and their in-flight tasks requeued
+// Failure model: workers that miss heartbeats are expired by the
+// scheduler's parked long polls (each sets a timer for the next expiry
+// due; there is no tick) and their in-flight tasks requeued
 // (bounded attempts); a farm with no compatible worker declines at
 // submit time; every farm error degrades to local execution, so a
 // rebuild never fails because the farm did.
@@ -201,11 +202,11 @@ func EncodePayload(p Payload) []byte {
 // DecodePayload parses bytes produced by EncodePayload.
 func DecodePayload(b []byte) (Payload, error) {
 	var p Payload
-	rest, ok := strings.CutPrefix(string(b), payloadMagic)
+	rest, ok := bytes.CutPrefix(b, []byte(payloadMagic))
 	if !ok {
 		return p, fmt.Errorf("remoteexec: missing %q magic", strings.TrimSpace(payloadMagic))
 	}
-	if err := json.Unmarshal([]byte(rest), &p); err != nil {
+	if err := json.Unmarshal(rest, &p); err != nil {
 		return p, fmt.Errorf("remoteexec: decoding payload: %w", err)
 	}
 	return p, nil

@@ -1,6 +1,7 @@
 package remoteexec
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,8 +10,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"comtainer/internal/core/ctxutil"
 )
 
 // Scheduler default tuning.
@@ -23,12 +22,6 @@ const (
 	// maxPollWait caps the long-poll duration of the lease and status
 	// endpoints; clients poll again for longer waits.
 	maxPollWait = 10 * time.Second
-	// pollTick is the re-check interval inside a long poll. Expiry of
-	// dead workers rides on this tick, so the scheduler needs no
-	// background goroutine of its own: as long as anyone is polling
-	// (and an executor with pending tasks always is), failed workers
-	// are detected within one tick.
-	pollTick = 10 * time.Millisecond
 )
 
 // schedWorker is the scheduler's view of one registered worker.
@@ -39,6 +32,10 @@ type schedWorker struct {
 	platform Platform
 	lastBeat time.Time
 	inflight map[string]bool // task IDs leased to this worker
+	// parked counts the worker's lease polls waiting in the scheduler.
+	// An open lease poll is a standing sign of life: the worker is not
+	// expired while it has one, and lastBeat is set when it ends.
+	parked int
 }
 
 // schedTask is one submitted task and its lifecycle state.
@@ -49,6 +46,9 @@ type schedTask struct {
 	attempts int
 	worker   string // current assignee while running
 	payload  ResultReport
+	// done is closed when state turns terminal (done or failed): what
+	// a parked status poll waits for.
+	done chan struct{}
 }
 
 func (t *schedTask) status() TaskStatus {
@@ -64,6 +64,14 @@ func (t *schedTask) status() TaskStatus {
 // Scheduler is the farm's control plane. All state is in memory and
 // guarded by one mutex; the HTTP surface (Handler) is the only API.
 // Safe for concurrent use.
+//
+// It starts no goroutine and has no polling interval. A long poll that
+// finds nothing parks on the event it waits for — leaseWake for a lease,
+// the task's done channel for a status — and on one timer set to the
+// earlier of its ?wait= deadline and the next instant a silent worker
+// falls due for expiry (wakeTimeLocked). So dead workers are detected
+// on time for as long as anyone is polling, and an executor with
+// pending tasks always is.
 type Scheduler struct {
 	// HeartbeatTimeout expires workers silent for longer than this
 	// (DefaultHeartbeatTimeout when zero).
@@ -77,13 +85,17 @@ type Scheduler struct {
 	tasks   map[string]*schedTask
 	queue   []string // queued task IDs, FIFO
 	nextID  int
+	// leaseWake is closed and replaced (wakeLeasesLocked) whenever a
+	// parked lease poll might now be granted something.
+	leaseWake chan struct{}
 }
 
 // NewScheduler returns an empty farm scheduler.
 func NewScheduler() *Scheduler {
 	return &Scheduler{
-		workers: make(map[string]*schedWorker),
-		tasks:   make(map[string]*schedTask),
+		workers:   make(map[string]*schedWorker),
+		tasks:     make(map[string]*schedTask),
+		leaseWake: make(chan struct{}),
 	}
 }
 
@@ -109,10 +121,12 @@ func (s *Scheduler) maxAttempts() int {
 func (s *Scheduler) expireLocked(now time.Time) {
 	cutoff := now.Add(-s.heartbeatTimeout())
 	for id, w := range s.workers {
-		if w.lastBeat.After(cutoff) {
+		if w.parked > 0 || w.lastBeat.After(cutoff) {
 			continue
 		}
 		delete(s.workers, id)
+		// A peer's lookahead may have been held back for this worker.
+		s.wakeLeasesLocked()
 		for tid := range w.inflight {
 			t, ok := s.tasks[tid]
 			if !ok || t.state != StateRunning || t.worker != id {
@@ -132,6 +146,41 @@ func (s *Scheduler) expireLocked(now time.Time) {
 	}
 }
 
+// wakeTimeLocked returns when a poll parking now must look again even
+// if nothing wakes it: at deadline, or earlier if a worker falls due
+// for expiry before that. Callers hold s.mu.
+func (s *Scheduler) wakeTimeLocked(deadline time.Time) time.Time {
+	for _, w := range s.workers {
+		if due := w.lastBeat.Add(s.heartbeatTimeout()); w.parked == 0 && due.Before(deadline) {
+			deadline = due
+		}
+	}
+	return deadline
+}
+
+// wakeLeasesLocked releases every parked lease poll to try assignment
+// again. Callers hold s.mu and call it after any transition that can
+// turn an empty grant into a non-empty one: a task entering the queue,
+// a slot freeing up, a worker leaving.
+func (s *Scheduler) wakeLeasesLocked() {
+	close(s.leaseWake)
+	s.leaseWake = make(chan struct{})
+}
+
+// park blocks a long poll until wake is closed or the time until
+// arrives; a client that went away ends it with ctx's error.
+func park(ctx context.Context, wake <-chan struct{}, until time.Time) error {
+	t := time.NewTimer(time.Until(until))
+	defer t.Stop()
+	select {
+	case <-wake:
+	case <-t.C:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return nil
+}
+
 // requeueLocked returns a running task to the queue, or fails it when
 // its attempt budget is spent.
 func (s *Scheduler) requeueLocked(t *schedTask, why string) {
@@ -142,6 +191,7 @@ func (s *Scheduler) requeueLocked(t *schedTask, why string) {
 	}
 	t.state = StateQueued
 	s.queue = append(s.queue, t.id)
+	s.wakeLeasesLocked()
 }
 
 // failLocked moves a task to its terminal failed state (removing it
@@ -150,6 +200,7 @@ func (s *Scheduler) failLocked(t *schedTask, why string) {
 	t.state = StateFailed
 	t.worker = ""
 	t.payload.Error = why
+	close(t.done)
 	for i, id := range s.queue {
 		if id == t.id {
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
@@ -310,9 +361,10 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.nextID++
-	t := &schedTask{id: fmt.Sprintf("t%d", s.nextID), spec: spec, state: StateQueued}
+	t := &schedTask{id: fmt.Sprintf("t%d", s.nextID), spec: spec, state: StateQueued, done: make(chan struct{})}
 	s.tasks[t.id] = t
 	s.queue = append(s.queue, t.id)
+	s.wakeLeasesLocked()
 	s.mu.Unlock()
 	writeJSON(w, SubmitResponse{TaskID: t.id})
 }
@@ -335,14 +387,13 @@ func leaseMax(r *http.Request) int {
 
 // handleLease hands the polling worker up to ?max= of the oldest
 // queued tasks its platform can run, long-polling up to ?wait= for
-// one to appear. The lease also counts as a heartbeat. As soon as
-// anything is assignable the poll returns — a partial batch beats a
-// parked worker.
+// one to appear. The lease also counts as a heartbeat, for as long as
+// it stays open. As soon as anything is assignable the poll returns —
+// a partial batch beats a parked worker.
 func (s *Scheduler) handleLease(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("worker")
 	max := leaseMax(r)
 	deadline := time.Now().Add(pollWait(r))
-	ctx := r.Context()
 	for {
 		s.mu.Lock()
 		now := time.Now()
@@ -355,12 +406,22 @@ func (s *Scheduler) handleLease(w http.ResponseWriter, r *http.Request) {
 		wk.lastBeat = now
 		s.expireLocked(now)
 		leased := s.assignLocked(wk, max)
-		s.mu.Unlock()
-		if len(leased) > 0 || time.Now().After(deadline) {
+		if len(leased) > 0 || !now.Before(deadline) {
+			s.mu.Unlock()
 			writeJSON(w, LeaseResponse{Tasks: leased})
 			return
 		}
-		if err := ctxutil.Sleep(ctx, pollTick); err != nil {
+		wk.parked++
+		wake, until := s.leaseWake, s.wakeTimeLocked(deadline)
+		s.mu.Unlock()
+
+		err := park(r.Context(), wake, until)
+
+		s.mu.Lock()
+		wk.parked--
+		wk.lastBeat = time.Now()
+		s.mu.Unlock()
+		if err != nil {
 			return
 		}
 	}
@@ -396,6 +457,11 @@ func (s *Scheduler) assignLocked(wk *schedWorker, max int) []*LeasedTask {
 		wk.inflight[t.id] = true
 		out = append(out, &LeasedTask{ID: t.id, Spec: t.spec})
 	}
+	if len(out) > 0 && len(s.queue) > 0 {
+		// wk just filled up: what it left queued for an idle peer may
+		// now be another worker's lookahead.
+		s.wakeLeasesLocked()
+	}
 	return out
 }
 
@@ -430,6 +496,7 @@ func (s *Scheduler) handleResult(w http.ResponseWriter, r *http.Request, tid str
 	if wk, live := s.workers[rep.WorkerID]; live {
 		wk.lastBeat = time.Now()
 		delete(wk.inflight, tid)
+		s.wakeLeasesLocked() // a slot is free
 	}
 	switch {
 	case t.state == StateDone || t.state == StateFailed:
@@ -441,6 +508,7 @@ func (s *Scheduler) handleResult(w http.ResponseWriter, r *http.Request, tid str
 		t.state = StateDone
 		t.worker = ""
 		t.payload = rep
+		close(t.done)
 	}
 	st := t.status()
 	s.mu.Unlock()
@@ -452,7 +520,6 @@ func (s *Scheduler) handleResult(w http.ResponseWriter, r *http.Request, tid str
 // task stuck on a dead worker sees the requeue/failure promptly.
 func (s *Scheduler) handleTaskStatus(w http.ResponseWriter, r *http.Request, tid string) {
 	deadline := time.Now().Add(pollWait(r))
-	ctx := r.Context()
 	for {
 		s.mu.Lock()
 		t, ok := s.tasks[tid]
@@ -461,14 +528,16 @@ func (s *Scheduler) handleTaskStatus(w http.ResponseWriter, r *http.Request, tid
 			http.Error(w, "unknown task", http.StatusNotFound)
 			return
 		}
-		s.expireLocked(time.Now())
+		now := time.Now()
+		s.expireLocked(now)
 		st := t.status()
+		until := s.wakeTimeLocked(deadline)
 		s.mu.Unlock()
-		if st.State == StateDone || st.State == StateFailed || time.Now().After(deadline) {
+		if st.State == StateDone || st.State == StateFailed || !now.Before(deadline) {
 			writeJSON(w, st)
 			return
 		}
-		if err := ctxutil.Sleep(ctx, pollTick); err != nil {
+		if park(r.Context(), t.done, until) != nil {
 			return
 		}
 	}

@@ -1,6 +1,7 @@
 package remoteexec
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -53,11 +54,11 @@ func EncodeTree(t Tree) []byte {
 // DecodeTree parses bytes produced by EncodeTree.
 func DecodeTree(b []byte) (Tree, error) {
 	var t Tree
-	rest, ok := strings.CutPrefix(string(b), treeMagic)
+	rest, ok := bytes.CutPrefix(b, []byte(treeMagic))
 	if !ok {
 		return t, fmt.Errorf("remoteexec: missing %q magic", strings.TrimSpace(treeMagic))
 	}
-	if err := json.Unmarshal([]byte(rest), &t); err != nil {
+	if err := json.Unmarshal(rest, &t); err != nil {
 		return t, fmt.Errorf("remoteexec: decoding tree: %w", err)
 	}
 	return t, nil

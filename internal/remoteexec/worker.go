@@ -23,6 +23,11 @@ import (
 // scheduler before coming back empty.
 const leaseWaitMillis = 1000
 
+// maxIdleTreeBytes bounds the session snapshots a worker keeps for
+// sessions it is running no task of at the moment, by fsim.FS.TotalSize.
+// Snapshots a running task holds are never dropped and do not count.
+const maxIdleTreeBytes = 1 << 30
+
 // reportAttempts bounds result-report retries. The report is the
 // acknowledgement handshake: a worker keeps resubmitting until the
 // scheduler confirms, so an acknowledged result is never lost, and an
@@ -60,7 +65,9 @@ type Worker struct {
 	// scaling benchmark turns to make wall-clock speedup observable.
 	ExecDelay time.Duration
 
-	trees       sync.Map // digest.Digest -> *fsim.FS: session snapshots, kept once fetched
+	treeMu      sync.Mutex
+	trees       map[digest.Digest]*keptTree // session snapshots, fetched once
+	idleTrees   cachekit.LRU[digest.Digest] // the kept trees no task holds, by recency
 	treeFetches cachekit.Flight[digest.Digest, *fsim.FS]
 
 	overlayMu sync.Mutex
@@ -220,7 +227,9 @@ func (w *Worker) prefetchTask(ctx context.Context, t *LeasedTask) {
 	if repo == "" {
 		repo = DefaultRepo
 	}
-	_, _ = w.baseFS(ctx, repo, t.Spec.BaseTree) // memoized for executeTask
+	if _, err := w.baseFS(ctx, repo, t.Spec.BaseTree); err == nil {
+		w.unpinTree(t.Spec.BaseTree) // kept for executeTask
+	}
 	if t.Spec.Overlay == "" {
 		return
 	}
@@ -275,22 +284,75 @@ func (w *Worker) report(ctx context.Context, taskID string, rep ResultReport) er
 	return last
 }
 
-// baseFS materializes (and memoizes) the session snapshot td. The
-// result is shared: callers Clone it before mutating. No lock is held
-// while fetching: one tree downloads once however many slots ask for
-// it, and different trees download concurrently.
+// keptTree is one memoized session snapshot.
+type keptTree struct {
+	fs    *fsim.FS
+	size  int64 // fs.TotalSize() when kept
+	holds int   // running tasks using it
+}
+
+// pinTree counts the caller as a task holding the memoized snapshot td
+// until it calls unpinTree, and returns the snapshot — nil if there is
+// none, unless fetched is given to be kept as td.
+func (w *Worker) pinTree(td digest.Digest, fetched *fsim.FS) *fsim.FS {
+	w.treeMu.Lock()
+	defer w.treeMu.Unlock()
+	k := w.trees[td]
+	if k == nil {
+		if fetched == nil {
+			return nil
+		}
+		k = &keptTree{fs: fetched, size: fetched.TotalSize()}
+		if w.trees == nil {
+			w.trees = make(map[digest.Digest]*keptTree)
+		}
+		w.trees[td] = k
+	}
+	k.holds++
+	w.idleTrees.Remove(td)
+	return k.fs
+}
+
+// unpinTree ends one task's hold on snapshot td. A snapshot no task
+// holds is filed as the most recently used idle one, and the least
+// recently used idle ones beyond maxIdleTreeBytes are dropped.
+func (w *Worker) unpinTree(td digest.Digest) {
+	w.treeMu.Lock()
+	defer w.treeMu.Unlock()
+	k := w.trees[td]
+	if k.holds--; k.holds > 0 {
+		return
+	}
+	w.idleTrees.Add(td, k.size)
+	victims, _ := w.idleTrees.Evict(maxIdleTreeBytes)
+	for _, v := range victims {
+		delete(w.trees, v)
+	}
+}
+
+// baseFS materializes (and memoizes) the session snapshot td and pins
+// it: the caller calls unpinTree(td) when its task is over. The result
+// is shared: callers Clone it before mutating. No lock is held while
+// fetching: one tree downloads once however many slots ask for it, and
+// different trees download concurrently.
 func (w *Worker) baseFS(ctx context.Context, repo string, td digest.Digest) (*fsim.FS, error) {
 	fsys, _, err := w.treeFetches.DoContext(ctx, td, func() (*fsim.FS, error) {
-		if cached, ok := w.trees.Load(td); ok {
-			return cached.(*fsim.FS), nil
+		fsys := w.pinTree(td, nil)
+		if fsys == nil {
+			fetched, err := FetchTree(ctx, w.Client, repo, td)
+			if err != nil {
+				return nil, err
+			}
+			fsys = w.pinTree(td, fetched)
 		}
-		fsys, err := FetchTree(ctx, w.Client, repo, td)
-		if err == nil {
-			w.trees.Store(td, fsys)
-		}
-		return fsys, err
+		w.unpinTree(td) // kept; every caller of the flight takes its own pin
+		return fsys, nil
 	})
-	return fsys, err
+	if err != nil {
+		return nil, err
+	}
+	// Keeps fsys again should eviction have dropped td since the flight.
+	return w.pinTree(td, fsys), nil
 }
 
 // executeTask runs one leased action and publishes its payload blob,
@@ -304,6 +366,9 @@ func (w *Worker) executeTask(ctx context.Context, t *LeasedTask) (digest.Digest,
 	if err != nil {
 		return "", err
 	}
+	defer w.unpinTree(t.Spec.BaseTree)
+	// A structural share: the task's writes land in its own map, the
+	// session's files are never copied.
 	fsys := base.Clone()
 	if t.Spec.Overlay != "" {
 		ov, err := w.fetchOverlay(ctx, repo, t.Spec.Overlay)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -129,5 +130,69 @@ func TestBaseFSFetchDiscipline(t *testing.T) {
 	defer g.mu.Unlock()
 	if g.gets[treeC] != 1 || served.Load() != slots {
 		t.Fatalf("tree C document fetched %d times for %d callers (%d served), want once", g.gets[treeC], slots, served.Load())
+	}
+}
+
+// TestIdleTreesAreBounded: a worker serving session after session keeps
+// the snapshots of the most recent ones only, by size — but never drops
+// one a running task still holds.
+func TestIdleTreesAreBounded(t *testing.T) {
+	// Three snapshots of 0.4 × the cap each: two fit, three do not. The
+	// files of one snapshot share a buffer, so the test allocates 1 MiB.
+	buf := make([]byte, 1<<20)
+	session := func(name string) (digest.Digest, *fsim.FS) {
+		fsys := fsim.New()
+		for i := 0; i < maxIdleTreeBytes*2/5/len(buf); i++ {
+			fsys.Add(&fsim.File{Path: "/" + name + "/f" + strconv.Itoa(i), Type: fsim.TypeRegular, Mode: 0o644, Data: buf})
+		}
+		return digest.FromString(name), fsys
+	}
+	// run is what executeTask does with a snapshot the worker already
+	// fetched: pin, use, unpin.
+	w := &Worker{}
+	kept := func(td digest.Digest) bool {
+		w.treeMu.Lock()
+		defer w.treeMu.Unlock()
+		return w.trees[td] != nil
+	}
+	run := func(td digest.Digest, fsys *fsim.FS) {
+		if got := w.pinTree(td, fsys); got.TotalSize() != fsys.TotalSize() {
+			t.Fatalf("pinned a snapshot of %d bytes, want %d", got.TotalSize(), fsys.TotalSize())
+		}
+		w.unpinTree(td)
+	}
+	a, aFS := session("a")
+	b, bFS := session("b")
+	c, cFS := session("c")
+	d, dFS := session("d")
+
+	run(a, aFS)
+	run(b, bFS)
+	if !kept(a) || !kept(b) {
+		t.Fatal("two sessions' snapshots fit the cap, both must be kept")
+	}
+	run(a, aFS) // a is now the more recent of the two
+	run(c, cFS)
+	if kept(b) || !kept(a) || !kept(c) {
+		t.Fatalf("after a third session: kept a=%v b=%v c=%v, want the least recent (b) dropped", kept(a), kept(b), kept(c))
+	}
+
+	// A task holds a while three more sessions pass: a stays, and does
+	// not count against the idle ones.
+	if w.pinTree(a, nil) == nil {
+		t.Fatal("a was kept and must pin")
+	}
+	run(b, bFS)
+	run(c, cFS)
+	run(d, dFS)
+	if !kept(a) || kept(b) || !kept(c) || !kept(d) {
+		t.Fatalf("with a held: kept a=%v b=%v c=%v d=%v, want a, c, d", kept(a), kept(b), kept(c), kept(d))
+	}
+	w.unpinTree(a)
+	if !kept(a) || kept(c) || !kept(d) {
+		t.Fatalf("after a's release: kept a=%v c=%v d=%v, want the least recent idle one (c) dropped", kept(a), kept(c), kept(d))
+	}
+	if len(w.trees) != w.idleTrees.Len() || w.idleTrees.Size() > maxIdleTreeBytes {
+		t.Errorf("%d snapshots kept, %d idle weighing %d bytes, cap %d", len(w.trees), w.idleTrees.Len(), w.idleTrees.Size(), maxIdleTreeBytes)
 	}
 }

@@ -75,6 +75,14 @@ go test -race -short -count=1 \
     -run 'Chaos|CrashRestartVerify|SaveLayoutCrashConsistency|Resume|CancelAborts|Breaker|TieredDegrades' \
     ./internal/distrib ./internal/actioncache ./internal/oci ./internal/remoteexec ./internal/fleet
 
+echo "== shared state (-race -count=10) =="
+# State this repo lets several goroutines reach at once is exercised
+# from several at once, ten times over: the *File entries fsim.Clone
+# shares between file systems, and the scheduler's parked long polls
+# (woken by events and by the expiry timer, never by a tick).
+go test -race -count=10 -run 'CloneShar|SchedulerWake|SchedulerExpiryTimer' \
+    ./internal/fsim ./internal/remoteexec
+
 echo "== go test -race =="
 go test -race ./...
 
