@@ -2,15 +2,16 @@
 // registers with a comtainer-registry running the farm scheduler
 // (-exec), leases rebuild actions matching its system's ISA and
 // toolchain fingerprint, executes them against the executor's shipped
-// file-system snapshot, and publishes the results — warming the
-// registry's shared action cache with every execution.
+// file-system snapshot, and publishes each action's record (what it
+// read and wrote) — warming the registry's shared action cache with
+// every execution.
 //
 // Usage:
 //
 //	comtainer-worker -scheduler http://127.0.0.1:5000 -system x86-64 -toolchain sysenv -slots 4
 //
 // The scheduler URL also serves the blob traffic (snapshots, overlays,
-// payloads) and the shared action cache; point it at a registry
+// action records) and the shared action cache; point it at a registry
 // started with -exec. -toolchain selects which registry the worker
 // executes under: sysenv (the system's vendor toolchain), generic
 // (stock base-image toolchain) or llvm (redistributable Sysenv).

@@ -32,6 +32,7 @@
 package actioncache
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io/fs"
@@ -187,13 +188,21 @@ type Output struct {
 	Data []byte `json:"data"` // base64 in JSON
 }
 
-// Manifest lists an action's inputs, sorted by (path, op).
+// Manifest is the stored document listing an action's inputs, sorted
+// by (path, op).
 type Manifest struct {
 	Inputs []Input `json:"inputs"`
 }
 
-// Result holds an action's outputs, sorted by path.
+// Result is the record of one action: the input edges it observed,
+// sorted by (path, op), and the files it wrote, sorted by path. It is
+// what a Recorder produces, what Memoizer.Do returns on every path and
+// what the build farm puts on the wire (a dependency overlay is a
+// Result with no inputs). The stored result document is a Result with
+// no inputs too: those live in the manifest document, under a key of
+// their own.
 type Result struct {
+	Inputs  []Input  `json:"inputs,omitempty"`
 	Outputs []Output `json:"outputs"`
 }
 
@@ -231,11 +240,11 @@ func encodeDoc(magic string, v any) []byte {
 }
 
 func decodeDoc(magic string, b []byte, v any) error {
-	rest, ok := strings.CutPrefix(string(b), magic)
+	rest, ok := bytes.CutPrefix(b, []byte(magic))
 	if !ok {
 		return fmt.Errorf("actioncache: missing %q magic", strings.TrimSpace(magic))
 	}
-	if err := json.Unmarshal([]byte(rest), v); err != nil {
+	if err := json.Unmarshal(rest, v); err != nil {
 		return fmt.Errorf("actioncache: decoding document: %w", err)
 	}
 	return nil
@@ -287,9 +296,10 @@ func (r *Recorder) NoteOutput(path string, data []byte, mode fs.FileMode) {
 	r.outputs[path] = Output{Path: path, Mode: uint32(mode.Perm()), Data: append([]byte(nil), data...)}
 }
 
-// Manifest returns the recorded inputs and their observed states,
-// canonically ordered.
-func (r *Recorder) Manifest() (Manifest, []string) {
+// Result returns the record of the action — inputs and outputs,
+// canonically ordered — and the state observed for each input,
+// paired positionally.
+func (r *Recorder) Result() (*Result, []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	inputs := make([]Input, 0, len(r.inputs))
@@ -306,19 +316,12 @@ func (r *Recorder) Manifest() (Manifest, []string) {
 	for i, in := range inputs {
 		states[i] = r.inputs[in]
 	}
-	return Manifest{Inputs: inputs}, states
-}
-
-// Result returns the recorded outputs, canonically ordered.
-func (r *Recorder) Result() *Result {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	outputs := make([]Output, 0, len(r.outputs))
 	for _, out := range r.outputs {
 		outputs = append(outputs, out)
 	}
 	sort.Slice(outputs, func(i, j int) bool { return outputs[i].Path < outputs[j].Path })
-	return &Result{Outputs: outputs}
+	return &Result{Inputs: inputs, Outputs: outputs}, states
 }
 
 // InputState re-observes inputs at lookup time; the Memoizer uses it

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -61,9 +62,9 @@ func TestRecorderSelfOutputNotInput(t *testing.T) {
 	rec.NoteInput(OpRead, "/w/app", "old-digest")
 	rec.NoteOutput("/w/app", []byte("new"), 0o755)
 	rec.NoteInput(OpRead, "/w/app", "new-digest") // re-read of own output: dropped
-	man, states := rec.Manifest()
-	if len(man.Inputs) != 1 || states[0] != "old-digest" {
-		t.Fatalf("want only the pre-write read, got %+v %v", man.Inputs, states)
+	res, states := rec.Result()
+	if len(res.Inputs) != 1 || states[0] != "old-digest" {
+		t.Fatalf("want only the pre-write read, got %+v %v", res.Inputs, states)
 	}
 }
 
@@ -324,5 +325,96 @@ func TestNilMemoizerExecutes(t *testing.T) {
 	ran := false
 	if _, replay, err := m.Do(key("x"), nil, func(*Recorder) error { ran = true; return nil }); err != nil || replay || !ran {
 		t.Fatalf("nil memoizer: ran=%v replay=%v err=%v", ran, replay, err)
+	}
+}
+
+// mapCache is an in-memory tier.
+type mapCache map[digest.Digest][]byte
+
+func (c mapCache) Get(k digest.Digest) ([]byte, bool, error) { v, ok := c[k]; return v, ok, nil }
+func (c mapCache) Put(k digest.Digest, v []byte) error       { c[k] = append([]byte(nil), v...); return nil }
+func (c mapCache) Stats() Stats                              { return Stats{} }
+
+// TestStoredDocumentsGolden pins what one fixed action leaves in a
+// cache: the two keys and the bytes under them, as the commit that
+// introduced the formats wrote them. While it passes, a cache filled
+// by any earlier build of this package is a full hit for this one.
+func TestStoredDocumentsGolden(t *testing.T) {
+	const (
+		manifestKey = "sha256:a440abd2768eb91449f1c7490234a29abb40e8a063ff41a4b9791cacf6929b08"
+		manifestDoc = "#!COMT-ACTION-MANIFEST\n" + `{"inputs":[{"op":"read","path":"/src/main.c"},{"op":"exists","path":"/src/main.h"},{"op":"resolve","path":"/usr/lib/libc.so"}]}`
+		resultKey   = "sha256:65353509ebdf921405f140b84a29a233c0a3354a63aa8734030d8c1b3b914070"
+		resultDoc   = "#!COMT-ACTION-RESULT\n" + `{"outputs":[{"path":"/src/main.d","mode":384,"data":"bWFpbi5vOiBtYWluLmMK"},{"path":"/src/main.o","mode":420,"data":"b2JqAAH/"}]}`
+	)
+	spec := ActionSpec{
+		Argv: []string{"gcc", "-O2", "-c", "main.c", "-o", "main.o"}, Cwd: "/src",
+		Toolchain: "sha256:tc", TargetISA: "x86", March: "x86-64", OptLevel: "2",
+	}
+	src := []byte("int main(){return 0;}\n")
+	exec := func(rec *Recorder) error {
+		rec.NoteInput(OpResolve, "/usr/lib/libc.so", ResolveState("/usr/lib/libc.so.6", nil))
+		rec.NoteInput(OpRead, "/src/main.c", ReadState(src, nil))
+		rec.NoteInput(OpExists, "/src/main.h", ExistsState(false))
+		rec.NoteOutput("/src/main.o", []byte("obj\x00\x01\xff"), 0o644)
+		rec.NoteOutput("/src/main.d", []byte("main.o: main.c\n"), 0o600)
+		return nil
+	}
+	stored := mapCache{}
+	executed, replay, err := NewMemoizer(stored).Do(spec.ID(), nil, exec)
+	if err != nil || replay {
+		t.Fatalf("cold Do: replay=%v err=%v", replay, err)
+	}
+	if len(stored) != 2 || string(stored[manifestKey]) != manifestDoc || string(stored[resultKey]) != resultDoc {
+		t.Fatalf("stored entries moved:\n%q", stored)
+	}
+	if got := ManifestKey(spec.ID()); got != manifestKey {
+		t.Errorf("ManifestKey = %s, want %s", got, manifestKey)
+	}
+
+	// The other direction: a cache holding exactly those bytes answers,
+	// and the replayed record is the executed one, inputs included.
+	filled := mapCache{manifestKey: []byte(manifestDoc), resultKey: []byte(resultDoc)}
+	state := mapState{
+		{OpRead, "/src/main.c"}:         ReadState(src, nil),
+		{OpExists, "/src/main.h"}:       ExistsState(false),
+		{OpResolve, "/usr/lib/libc.so"}: ResolveState("/usr/lib/libc.so.6", nil),
+	}
+	replayed, replay, err := NewMemoizer(filled).Do(spec.ID(), state, func(*Recorder) error {
+		t.Error("executed an action the cache holds")
+		return nil
+	})
+	if err != nil || !replay {
+		t.Fatalf("warm Do: replay=%v err=%v", replay, err)
+	}
+	if !reflect.DeepEqual(replayed, executed) || len(replayed.Inputs) != 3 {
+		t.Errorf("replayed record %+v, executed %+v", replayed, executed)
+	}
+	// On the farm's wire the same encoder carries the inputs along.
+	wire, err := DecodeResult(EncodeResult(*executed))
+	if err != nil || !reflect.DeepEqual(&wire, executed) {
+		t.Errorf("record did not survive the wire: %+v (%v)", wire, err)
+	}
+}
+
+// TestNilCacheDoEncodesNothing: a memoizer without a tier (the
+// farm-mode executor's, a worker's without a shared cache) must not
+// marshal documents nobody stores. One copy of the outputs is the
+// Recorder's; everything else Do allocates stays below their size,
+// where a JSON+base64 encoding is 4/3 of it before buffer growth.
+func TestNilCacheDoEncodesNothing(t *testing.T) {
+	out := bytes.Repeat([]byte("o"), 4<<20)
+	m := NewMemoizer(nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, _, err := m.Do(key("big-output"), nil, func(rec *Recorder) error {
+		rec.NoteOutput("/out", out, 0o644)
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil || len(res.Outputs) != 1 {
+		t.Fatalf("Do: %+v, %v", res, err)
+	}
+	if extra := int64(after.TotalAlloc-before.TotalAlloc) - int64(len(out)); extra >= int64(len(out)) {
+		t.Fatalf("nil-cache Do allocated %d bytes beyond the recorder's copy of a %d-byte output", extra, len(out))
 	}
 }

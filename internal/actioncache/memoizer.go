@@ -65,8 +65,10 @@ func (m *Memoizer) Stats() Stats {
 // to its file system itself (cache hit, or a deduped flight — the
 // executing flight wrote only to its own FS). When replay is false
 // the action ran via exec and its effects are already in place; res
-// is the recorded result either way. Errors from exec are returned
-// verbatim and never cached. Cache-tier failures degrade to misses.
+// is the action's record either way, a replayed one carrying the
+// inputs of the manifest that selected it. Errors from exec are
+// returned verbatim and never cached. Cache-tier failures degrade to
+// misses.
 func (m *Memoizer) Do(id digest.Digest, st InputState, exec func(*Recorder) error) (res *Result, replay bool, err error) {
 	if m == nil {
 		err = exec(nil)
@@ -95,10 +97,11 @@ func (m *Memoizer) run(id digest.Digest, st InputState, exec func(*Recorder) err
 	if err := exec(rec); err != nil {
 		return nil, false, err
 	}
-	man, states := rec.Manifest()
-	res := rec.Result()
-	m.store(ManifestKey(id), EncodeManifest(man))
-	m.store(ResultKey(id, man.Inputs, states), EncodeResult(*res))
+	res, states := rec.Result()
+	if m.cache != nil {
+		m.store(ManifestKey(id), EncodeManifest(Manifest{Inputs: res.Inputs}))
+		m.store(ResultKey(id, res.Inputs, states), EncodeResult(Result{Outputs: res.Outputs}))
+	}
 	return res, false, nil
 }
 
@@ -131,6 +134,7 @@ func (m *Memoizer) lookup(id digest.Digest, st InputState) *Result {
 		m.errors.Add(1)
 		return nil
 	}
+	res.Inputs = man.Inputs
 	return &res
 }
 
@@ -145,9 +149,6 @@ func (m *Memoizer) get(key digest.Digest) ([]byte, bool) {
 
 // store writes one entry; a failing tier must not fail the build.
 func (m *Memoizer) store(key digest.Digest, val []byte) {
-	if m.cache == nil {
-		return
-	}
 	if err := m.cache.Put(key, val); err != nil {
 		m.errors.Add(1)
 	}

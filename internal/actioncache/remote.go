@@ -30,28 +30,17 @@ type RemoteCache struct {
 	client *distrib.Client
 	repo   string
 
-	// Timeout bounds each Get/Put when the caller supplies no deadline
-	// of its own, so a wedged registry can never hang a rebuild
-	// indefinitely. Defaults to 30s; set negative to disable.
-	Timeout time.Duration
-
 	hits, misses, errors atomic.Int64
 }
 
-// defaultRemoteTimeout is the per-operation deadline applied when
-// RemoteCache.Timeout is zero.
+// defaultRemoteTimeout bounds each Get and Put, so a wedged registry
+// can never hang a rebuild indefinitely.
 const defaultRemoteTimeout = 30 * time.Second
 
-// opCtx derives the per-operation context from ctx and c.Timeout.
-func (c *RemoteCache) opCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	d := c.Timeout
-	if d == 0 {
-		d = defaultRemoteTimeout
-	}
-	if d < 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, d)
+// opCtx is the context of one Get or Put.
+func opCtx() (context.Context, context.CancelFunc) {
+	//comtainer:allow ctxflow -- Get and Put implement the ctx-free Cache interface; the root minted here is bounded by defaultRemoteTimeout
+	return context.WithTimeout(context.Background(), defaultRemoteTimeout)
 }
 
 // NewRemoteCache returns a remote tier talking to the registry at
@@ -75,18 +64,11 @@ func NewRemoteCacheClient(client *distrib.Client, repo string) *RemoteCache {
 
 func (c *RemoteCache) tag(key digest.Digest) string { return "ac-" + key.Hex() }
 
-// Get fetches the entry tagged for key under the default per-op
-// deadline. A 404 on the manifest is a clean miss; any other failure
-// is a tier error.
+// Get fetches the entry tagged for key under the per-op deadline. A
+// 404 on the manifest is a clean miss; any other failure is a tier
+// error.
 func (c *RemoteCache) Get(key digest.Digest) ([]byte, bool, error) {
-	//comtainer:allow ctxflow -- Get implements the ctx-free Cache interface; the root here is bounded by the per-op Timeout opCtx applies, and ctx-aware callers use GetContext
-	return c.GetContext(context.Background(), key)
-}
-
-// GetContext is Get honoring ctx: cancelling it aborts the transfer
-// and any retry backoff. The per-op Timeout still applies on top.
-func (c *RemoteCache) GetContext(ctx context.Context, key digest.Digest) ([]byte, bool, error) {
-	ctx, cancel := c.opCtx(ctx)
+	ctx, cancel := opCtx()
 	defer cancel()
 	body, _, _, err := c.client.FetchManifest(ctx, c.repo, c.tag(key))
 	if err != nil {
@@ -117,17 +99,10 @@ func (c *RemoteCache) GetContext(ctx context.Context, key digest.Digest) ([]byte
 }
 
 // Put publishes val as a blob plus a tagged one-layer manifest under
-// the default per-op deadline. The blob is pushed before the manifest
-// so the registry's referential check always passes.
+// the per-op deadline. The blob is pushed before the manifest so the
+// registry's referential check always passes.
 func (c *RemoteCache) Put(key digest.Digest, val []byte) error {
-	//comtainer:allow ctxflow -- Put implements the ctx-free Cache interface; the root here is bounded by the per-op Timeout opCtx applies, and ctx-aware callers use PutContext
-	return c.PutContext(context.Background(), key, val)
-}
-
-// PutContext is Put honoring ctx: cancelling it aborts the transfer
-// and any retry backoff. The per-op Timeout still applies on top.
-func (c *RemoteCache) PutContext(ctx context.Context, key digest.Digest, val []byte) error {
-	ctx, cancel := c.opCtx(ctx)
+	ctx, cancel := opCtx()
 	defer cancel()
 	mem := oci.NewStore()
 	vd := mem.Put(val)

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -139,11 +140,13 @@ func executeGraph(g *model.BuildGraph, fs *fsim.FS, reg *toolchain.Registry, opt
 	// up front. A failed push disables the farm for this rebuild —
 	// never the rebuild itself.
 	var depClosure map[int][]int
+	//comtainer:allow ctxflow -- Rebuild is a ctx-free API, so the farm's one root context is minted here; the executor bounds every use of it by DefaultExecTimeout
+	ctx := context.Background()
 	if opts.remote != nil {
 		if opts.memo == nil {
 			opts.memo = actioncache.NewMemoizer(nil)
 		}
-		if err := opts.remote.Prepare(fs); err != nil {
+		if err := opts.remote.PrepareContext(ctx, fs); err != nil {
 			opts.remote = nil
 		} else {
 			depClosure = closures(cmds)
@@ -195,8 +198,8 @@ func executeGraph(g *model.BuildGraph, fs *fsim.FS, reg *toolchain.Registry, opt
 				overlay = append(overlay, outs[dep]...)
 			}
 			mu.Unlock()
-			runner.Remote = func(argv []string, cwd string) (*toolchain.RemoteResult, error) {
-				return opts.remote.Execute(argv, cwd, overlay)
+			runner.Remote = func(argv []string, cwd string) (*actioncache.Result, error) {
+				return opts.remote.ExecuteContext(ctx, argv, cwd, overlay)
 			}
 		}
 		if err := fs.MkdirAll(c.cwd, 0o755); err != nil {

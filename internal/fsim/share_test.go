@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -83,7 +84,16 @@ func whiteoutLayer(f *FS) *FS {
 	layer := New()
 	layer.WriteFile("/usr/"+OpaqueWhiteout, nil, 0)
 	layer.WriteFile("/usr/after-opaque", []byte("kept"), 0o644)
-	if files := regularPaths(f); len(files) > 0 {
+	// The whited-out file lies outside /usr: a whiteout inside brings
+	// its parent directories along in the layer, and /usr would not
+	// come out of the opaque marker holding after-opaque alone.
+	var files []string
+	for _, p := range regularPaths(f) {
+		if !strings.HasPrefix(p, "/usr/") {
+			files = append(files, p)
+		}
+	}
+	if len(files) > 0 {
 		victim := files[len(files)/2]
 		layer.WriteFile(path.Join(path.Dir(victim), WhiteoutPrefix+path.Base(victim)), nil, 0)
 	}

@@ -16,10 +16,10 @@ import (
 	"comtainer/internal/toolchain"
 )
 
-// DefaultExecTimeout bounds one action's full farm round trip
-// (overlay push, submit, completion wait, payload fetch) when the
-// executor has no explicit Timeout. On expiry the action falls back
-// to local execution; the rebuild never blocks on a wedged farm.
+// DefaultExecTimeout bounds the base-tree push and each action's full
+// farm round trip (overlay push, submit, completion wait, record
+// fetch). On expiry the action falls back to local execution; the
+// rebuild never blocks on a wedged farm.
 const DefaultExecTimeout = 2 * time.Minute
 
 // statusWaitMillis is the long-poll window of one completion check.
@@ -42,24 +42,19 @@ func (s ExecStats) String() string {
 }
 
 // Executor is the client side of the farm, wired into the rebuild
-// scheduler through toolchain.Runner's Remote hook. Prepare ships the
-// rebuild file system once as a content-addressed tree; Execute ships
-// one ready action (with an overlay of its transitive dependencies'
-// outputs) and returns the worker-observed result, or (nil, nil) to
-// signal "run it locally". Safe for concurrent use.
+// scheduler through toolchain.Runner's Remote hook. PrepareContext
+// ships the rebuild file system once as a content-addressed tree;
+// ExecuteContext ships one ready action (with an overlay of its
+// transitive dependencies' outputs) and returns the worker's record
+// of it, or (nil, nil) to signal "run it locally". Safe for
+// concurrent use.
 type Executor struct {
 	// Scheduler is the farm base URL (also serving /v2/ blob traffic).
 	Scheduler string
-	// Client moves the snapshot, overlays and payloads.
+	// Client moves the snapshot, overlays and action records.
 	Client *distrib.Client
-	// Repo is the registry repository for execution blobs
-	// (DefaultRepo when empty).
-	Repo string
 	// Platform every shipped task demands.
 	Platform Platform
-	// Timeout bounds each action's farm round trip
-	// (DefaultExecTimeout when zero; negative disables).
-	Timeout time.Duration
 
 	mu       sync.Mutex
 	prepared bool
@@ -78,13 +73,6 @@ func NewExecutor(scheduler string, sys *sysprofile.System, reg *toolchain.Regist
 	}
 }
 
-func (e *Executor) repo() string {
-	if e.Repo != "" {
-		return e.Repo
-	}
-	return DefaultRepo
-}
-
 func (e *Executor) httpClient() *http.Client {
 	if e.Client != nil && e.Client.HTTP != nil {
 		return e.Client.HTTP
@@ -92,35 +80,18 @@ func (e *Executor) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-func (e *Executor) opCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	d := e.Timeout
-	if d == 0 {
-		d = DefaultExecTimeout
-	}
-	if d < 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, d)
-}
-
 // Stats snapshots the executor's routing counters.
 func (e *Executor) Stats() ExecStats {
 	return ExecStats{Remote: e.remote.Load(), Local: e.local.Load(), Errors: e.errs.Load()}
 }
 
-// Prepare publishes fsys as the session's base tree under the default
-// per-op deadline. Until it succeeds every Execute declines, so a
-// failed Prepare degrades the whole rebuild to local execution.
-func (e *Executor) Prepare(fsys *fsim.FS) error {
-	//comtainer:allow ctxflow -- Prepare is called from the ctx-free rebuild path; the root is bounded by the per-op Timeout opCtx applies, and ctx-aware callers use PrepareContext
-	return e.PrepareContext(context.Background(), fsys)
-}
-
-// PrepareContext is Prepare honoring ctx.
+// PrepareContext publishes fsys as the session's base tree, within
+// DefaultExecTimeout. Until it succeeds every ExecuteContext declines,
+// so a failed one degrades the whole rebuild to local execution.
 func (e *Executor) PrepareContext(ctx context.Context, fsys *fsim.FS) error {
-	ctx, cancel := e.opCtx(ctx)
+	ctx, cancel := context.WithTimeout(ctx, DefaultExecTimeout)
 	defer cancel()
-	td, err := PushTree(ctx, e.Client, e.repo(), fsys)
+	td, err := PushTree(ctx, e.Client, fsys)
 	if err != nil {
 		return err
 	}
@@ -131,19 +102,13 @@ func (e *Executor) PrepareContext(ctx context.Context, fsys *fsim.FS) error {
 	return nil
 }
 
-// Execute offers one cache-missed command to the farm under the
-// default per-op deadline. overlay is the outputs of the command's
+// ExecuteContext offers one cache-missed command to the farm, within
+// DefaultExecTimeout. overlay is the outputs of the command's
 // transitive dependencies, applied over the base tree on the worker.
 // Any farm-side problem — no compatible worker, exhausted attempts,
 // timeouts, transport failures — returns (nil, nil): the caller runs
 // the command locally and the rebuild proceeds.
-func (e *Executor) Execute(argv []string, cwd string, overlay []actioncache.Output) (*toolchain.RemoteResult, error) {
-	//comtainer:allow ctxflow -- Execute implements toolchain.RemoteExec, a ctx-free hook invoked from the rebuild DAG workers; the root is bounded by the per-op Timeout opCtx applies, and ctx-aware callers use ExecuteContext
-	return e.ExecuteContext(context.Background(), argv, cwd, overlay)
-}
-
-// ExecuteContext is Execute honoring ctx.
-func (e *Executor) ExecuteContext(ctx context.Context, argv []string, cwd string, overlay []actioncache.Output) (*toolchain.RemoteResult, error) {
+func (e *Executor) ExecuteContext(ctx context.Context, argv []string, cwd string, overlay []actioncache.Output) (*actioncache.Result, error) {
 	e.mu.Lock()
 	prepared, base := e.prepared, e.baseTree
 	e.mu.Unlock()
@@ -151,7 +116,7 @@ func (e *Executor) ExecuteContext(ctx context.Context, argv []string, cwd string
 		e.local.Add(1)
 		return nil, nil
 	}
-	ctx, cancel := e.opCtx(ctx)
+	ctx, cancel := context.WithTimeout(ctx, DefaultExecTimeout)
 	defer cancel()
 	rr, err := e.tryFarm(ctx, argv, cwd, overlay, base)
 	if err != nil || rr == nil {
@@ -167,16 +132,15 @@ func (e *Executor) ExecuteContext(ctx context.Context, argv []string, cwd string
 
 // tryFarm performs one full farm round trip. A nil, nil return means
 // the farm declined cleanly (no compatible worker).
-func (e *Executor) tryFarm(ctx context.Context, argv []string, cwd string, overlay []actioncache.Output, base digest.Digest) (*toolchain.RemoteResult, error) {
+func (e *Executor) tryFarm(ctx context.Context, argv []string, cwd string, overlay []actioncache.Output, base digest.Digest) (*actioncache.Result, error) {
 	spec := TaskSpec{
 		Argv:     argv,
 		Cwd:      cwd,
 		Platform: e.Platform,
-		Repo:     e.repo(),
 		BaseTree: base,
 	}
 	if len(overlay) > 0 {
-		od, err := PushPayload(ctx, e.Client, e.repo(), Payload{Outputs: overlay})
+		od, err := pushResult(ctx, e.Client, actioncache.Result{Outputs: overlay})
 		if err != nil {
 			return nil, err
 		}
@@ -197,14 +161,11 @@ func (e *Executor) tryFarm(ctx context.Context, argv []string, cwd string, overl
 		}
 		switch st.State {
 		case StateDone:
-			p, err := FetchPayload(ctx, e.Client, e.repo(), st.Payload)
+			res, err := fetchResult(ctx, e.Client, st.Payload)
 			if err != nil {
 				return nil, err
 			}
-			if !p.Cacheable {
-				return nil, fmt.Errorf("remoteexec: task %s returned a non-cacheable payload", st.ID)
-			}
-			return &toolchain.RemoteResult{Inputs: p.Inputs, Outputs: p.Outputs}, nil
+			return &res, nil
 		case StateFailed:
 			return nil, fmt.Errorf("remoteexec: task %s failed on the farm: %s", st.ID, st.Error)
 		}

@@ -6,8 +6,11 @@ package remoteexec_test
 
 import (
 	"context"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -112,12 +115,20 @@ func buildApp(t *testing.T, sys *sysprofile.System, name string) (*core.UserSide
 // the given executor (nil = all-local), and returns the +coMre digest.
 func rebuild(t *testing.T, sys *sysprofile.System, user *core.UserSide, res core.BuildResult, farm *remoteexec.Executor) oci.Descriptor {
 	t.Helper()
+	return rebuildInto(t, sys, user, res, farm, nil)
+}
+
+// rebuildInto is rebuild with the system side's action cache set to
+// memo (nil = none).
+func rebuildInto(t *testing.T, sys *sysprofile.System, user *core.UserSide, res core.BuildResult, farm *remoteexec.Executor, memo *actioncache.Memoizer) oci.Descriptor {
+	t.Helper()
 	system, err := core.NewSystemSide(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	system.RebuildWorkers = 4
 	system.RemoteExec = farm
+	system.ActionMemo = memo
 	if err := system.Pull(user.Repo, res.ExtendedTag); err != nil {
 		t.Fatal(err)
 	}
@@ -128,27 +139,75 @@ func rebuild(t *testing.T, sys *sysprofile.System, user *core.UserSide, res core
 	return desc
 }
 
+// diskMemo is a memoizer over a fresh on-disk action cache, and the
+// directory it lives in.
+func diskMemo(t *testing.T) (*actioncache.Memoizer, string) {
+	t.Helper()
+	dir := t.TempDir()
+	disk, err := actioncache.NewDiskCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return actioncache.NewMemoizer(disk), dir
+}
+
+// cacheFiles reads every entry file of the on-disk action cache in dir,
+// by path relative to it (the path is the entry's key).
+func cacheFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(p)
+		files[strings.TrimPrefix(p, dir)] = string(raw)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 // TestFarmRebuildEndToEnd routes an uncached rebuild entirely through
 // farm workers and checks the result is byte-identical to a local
-// rebuild, with every cacheable action executed remotely and its
-// cache documents written through to the registry exactly once.
+// rebuild — the image and the action cache it leaves behind — with
+// every cacheable action executed remotely and its cache documents
+// written through to the registry exactly once.
 func TestFarmRebuildEndToEnd(t *testing.T) {
 	sys := sysprofile.X86Cluster()
 	user, res := buildApp(t, sys, "hpccg")
-	local := rebuild(t, sys, user, res, nil)
+	localMemo, localDir := diskMemo(t)
+	local := rebuildInto(t, sys, user, res, nil, localMemo)
 
 	f := startFarm(t, remoteexec.NewScheduler())
 	f.startWorker(sys, nil)
 	f.startWorker(sys, nil)
 
 	exec := remoteexec.NewExecutor(f.ts.URL, sys, sys.Toolchains)
-	remote := rebuild(t, sys, user, res, exec)
+	remoteMemo, remoteDir := diskMemo(t)
+	remote := rebuildInto(t, sys, user, res, exec, remoteMemo)
 	if remote.Digest != local.Digest {
 		t.Fatalf("remote rebuild digest %s differs from local %s", remote.Digest, local.Digest)
 	}
 	st := exec.Stats()
 	if st.Remote == 0 || st.Local != 0 || st.Errors != 0 {
 		t.Fatalf("executor stats %s: want every action remote", st)
+	}
+	// The executor re-observes what a worker reports, so the cache it
+	// fills is the one a local rebuild fills: same keys, same documents.
+	want, got := cacheFiles(t, localDir), cacheFiles(t, remoteDir)
+	if len(want) != int(2*st.Remote) {
+		t.Fatalf("local rebuild left %d cache entries for %d actions, want 2 per action", len(want), st.Remote)
+	}
+	if len(got) != len(want) {
+		t.Errorf("farm rebuild left %d cache entries, local rebuild %d", len(got), len(want))
+	}
+	for key, doc := range want {
+		if got[key] != doc {
+			t.Errorf("cache entry %s differs between the local and the farm rebuild (%d vs %d bytes)", key, len(doc), len(got[key]))
+		}
 	}
 	tags := f.actionTags()
 	// Each remotely executed action writes exactly one manifest and one

@@ -16,10 +16,11 @@
 //   - Worker: registers with its slot count and platform, leases
 //     tasks, materializes the executor's file-system snapshot from
 //     registry blobs (moved through the distrib client), runs the
-//     command through toolchain.Runner, publishes the observed
-//     inputs/outputs as a payload blob, and writes the action-cache
-//     entries through to the shared actioncache.RemoteCache so every
-//     farm execution warms the fleet cache.
+//     command through toolchain.Runner, publishes the runner's record
+//     of it (an actioncache.Result) as a blob, and writes the
+//     action-cache entries through to the shared
+//     actioncache.RemoteCache so every farm execution warms the fleet
+//     cache.
 //
 //   - Executor: the client side wired into backend.executeGraph via
 //     toolchain.Runner's Remote hook. It pushes the rebuild
@@ -47,7 +48,6 @@ import (
 	"net/http"
 	"strings"
 
-	"comtainer/internal/actioncache"
 	"comtainer/internal/digest"
 )
 
@@ -56,7 +56,7 @@ import (
 const APIPrefix = "/farm/v1"
 
 // DefaultRepo is the registry repository holding execution blobs
-// (tree snapshots, overlays, result payloads).
+// (tree snapshots, overlays, action records).
 const DefaultRepo = "comtainer-exec"
 
 // Platform is the execution compatibility contract between a task and
@@ -96,14 +96,12 @@ type TaskSpec struct {
 	Cwd  string   `json:"cwd"`
 	// Platform the command must execute under.
 	Platform Platform `json:"platform"`
-	// Repo is the registry repository holding BaseTree and Overlay.
-	Repo string `json:"repo"`
 	// BaseTree is the digest of the session's file-system snapshot
 	// (see tree.go), pushed once per rebuild.
 	BaseTree digest.Digest `json:"baseTree"`
-	// Overlay, when non-empty, is the digest of a payload blob whose
-	// outputs (the transitive dependencies' products) are applied on
-	// top of the base tree before execution.
+	// Overlay, when non-empty, is the digest of an action-record blob
+	// whose outputs (the transitive dependencies' products) are
+	// applied on top of the base tree before execution.
 	Overlay digest.Digest `json:"overlay,omitempty"`
 }
 
@@ -121,16 +119,15 @@ type LeasedTask struct {
 	Spec TaskSpec `json:"spec"`
 }
 
-// LeaseResponse answers a worker's lease poll: the batch granted
-// against the poll's ?max= budget (default 1), oldest first. Empty means
-// the poll timed out with nothing assignable.
+// LeaseResponse answers a worker's lease poll: the one task granted,
+// or none when the poll timed out with nothing assignable.
 type LeaseResponse struct {
 	Tasks []*LeasedTask `json:"tasks,omitempty"`
 }
 
 // ResultReport is a worker reporting a finished task. A successful
-// execution carries the digest of the payload blob (pushed to the
-// task's Repo before reporting); a failed one carries Error.
+// execution carries the digest of the action-record blob (pushed to
+// DefaultRepo before reporting); a failed one carries Error.
 type ResultReport struct {
 	WorkerID string        `json:"workerId"`
 	Payload  digest.Digest `json:"payload,omitempty"`
@@ -173,43 +170,6 @@ type FarmStatus struct {
 	Running int            `json:"running"`
 	Done    int            `json:"done"`
 	Failed  int            `json:"failed"`
-}
-
-// Payload is the input/output record of one executed action (and,
-// with Inputs empty, the overlay format for dependency outputs). The
-// worker observes Inputs on its materialized snapshot; the executor
-// re-observes them against its own file system before caching, so a
-// worker can never poison the executor's cache with stale states.
-type Payload struct {
-	Inputs  []actioncache.Input  `json:"inputs,omitempty"`
-	Outputs []actioncache.Output `json:"outputs,omitempty"`
-	// Cacheable marks payloads produced through the action-cache
-	// protocol (manifest+result observed); overlays leave it false.
-	Cacheable bool `json:"cacheable,omitempty"`
-}
-
-const payloadMagic = "#!COMT-EXEC-PAYLOAD\n"
-
-// EncodePayload serializes p with a magic prefix.
-func EncodePayload(p Payload) []byte {
-	b, err := json.Marshal(p)
-	if err != nil {
-		panic("remoteexec: marshaling payload: " + err.Error())
-	}
-	return append([]byte(payloadMagic), b...)
-}
-
-// DecodePayload parses bytes produced by EncodePayload.
-func DecodePayload(b []byte) (Payload, error) {
-	var p Payload
-	rest, ok := bytes.CutPrefix(b, []byte(payloadMagic))
-	if !ok {
-		return p, fmt.Errorf("remoteexec: missing %q magic", strings.TrimSpace(payloadMagic))
-	}
-	if err := json.Unmarshal(rest, &p); err != nil {
-		return p, fmt.Errorf("remoteexec: decoding payload: %w", err)
-	}
-	return p, nil
 }
 
 // --- small HTTP/JSON plumbing shared by worker and executor ---

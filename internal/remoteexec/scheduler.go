@@ -22,6 +22,11 @@ const (
 	// maxPollWait caps the long-poll duration of the lease and status
 	// endpoints; clients poll again for longer waits.
 	maxPollWait = 10 * time.Second
+	// keptTerminalTasks is how many of the most recently finished tasks
+	// the scheduler still answers for: a late status poll, a retried or
+	// reassigned-away worker's report. Older ones are forgotten, and a
+	// report for one gets the 404 a worker treats as final.
+	keptTerminalTasks = 1024
 )
 
 // schedWorker is the scheduler's view of one registered worker.
@@ -82,9 +87,13 @@ type Scheduler struct {
 
 	mu      sync.Mutex
 	workers map[string]*schedWorker
-	tasks   map[string]*schedTask
-	queue   []string // queued task IDs, FIFO
-	nextID  int
+	// tasks holds every live task and the last keptTerminalTasks
+	// terminal ones, whose IDs terminal lists oldest first.
+	tasks        map[string]*schedTask
+	terminal     []string
+	done, failed int      // tasks ever finished in each terminal state
+	queue        []string // queued task IDs, FIFO
+	nextID       int
 	// leaseWake is closed and replaced (wakeLeasesLocked) whenever a
 	// parked lease poll might now be granted something.
 	leaseWake chan struct{}
@@ -125,8 +134,6 @@ func (s *Scheduler) expireLocked(now time.Time) {
 			continue
 		}
 		delete(s.workers, id)
-		// A peer's lookahead may have been held back for this worker.
-		s.wakeLeasesLocked()
 		for tid := range w.inflight {
 			t, ok := s.tasks[tid]
 			if !ok || t.state != StateRunning || t.worker != id {
@@ -136,11 +143,7 @@ func (s *Scheduler) expireLocked(now time.Time) {
 		}
 	}
 	for _, tid := range append([]string(nil), s.queue...) {
-		t := s.tasks[tid]
-		if t == nil || t.state != StateQueued {
-			continue
-		}
-		if !s.hasCompatibleLocked(t.spec.Platform) {
+		if t := s.tasks[tid]; !s.hasCompatibleLocked(t.spec.Platform) {
 			s.failLocked(t, "no compatible worker remaining")
 		}
 	}
@@ -161,7 +164,7 @@ func (s *Scheduler) wakeTimeLocked(deadline time.Time) time.Time {
 // wakeLeasesLocked releases every parked lease poll to try assignment
 // again. Callers hold s.mu and call it after any transition that can
 // turn an empty grant into a non-empty one: a task entering the queue,
-// a slot freeing up, a worker leaving.
+// a slot freeing up.
 func (s *Scheduler) wakeLeasesLocked() {
 	close(s.leaseWake)
 	s.leaseWake = make(chan struct{})
@@ -194,18 +197,31 @@ func (s *Scheduler) requeueLocked(t *schedTask, why string) {
 	s.wakeLeasesLocked()
 }
 
-// failLocked moves a task to its terminal failed state (removing it
-// from the queue if present).
+// failLocked moves a task to its terminal failed state.
 func (s *Scheduler) failLocked(t *schedTask, why string) {
-	t.state = StateFailed
+	s.failed++
+	s.finishLocked(t, StateFailed, ResultReport{Error: why})
+}
+
+// finishLocked makes t terminal with the given outcome: it leaves the
+// queue (where a task requeued from the worker now reporting it still
+// sits), the status polls parked on it are released, and the oldest
+// terminal task beyond keptTerminalTasks is forgotten.
+func (s *Scheduler) finishLocked(t *schedTask, state string, outcome ResultReport) {
+	t.state = state
 	t.worker = ""
-	t.payload.Error = why
+	t.payload = outcome
 	close(t.done)
 	for i, id := range s.queue {
 		if id == t.id {
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
 			break
 		}
+	}
+	s.terminal = append(s.terminal, t.id)
+	if len(s.terminal) > keptTerminalTasks {
+		delete(s.tasks, s.terminal[0])
+		s.terminal = s.terminal[1:]
 	}
 }
 
@@ -231,18 +247,10 @@ func (s *Scheduler) Status() FarmStatus {
 		})
 	}
 	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].ID < st.Workers[j].ID })
-	for _, t := range s.tasks {
-		switch t.state {
-		case StateQueued:
-			st.Queued++
-		case StateRunning:
-			st.Running++
-		case StateDone:
-			st.Done++
-		case StateFailed:
-			st.Failed++
-		}
-	}
+	// A task in s.tasks is in the queue, in s.terminal, or running.
+	st.Queued = len(s.queue)
+	st.Running = len(s.tasks) - len(s.queue) - len(s.terminal)
+	st.Done, st.Failed = s.done, s.failed
 	return st
 }
 
@@ -369,30 +377,12 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, SubmitResponse{TaskID: t.id})
 }
 
-// maxLeaseBatch caps how many tasks one lease poll may request.
-const maxLeaseBatch = 16
-
-// leaseMax parses the ?max= batch budget of a lease poll, clamped to
-// [1, maxLeaseBatch].
-func leaseMax(r *http.Request) int {
-	n, err := strconv.Atoi(r.URL.Query().Get("max"))
-	if err != nil || n < 1 {
-		return 1
-	}
-	if n > maxLeaseBatch {
-		return maxLeaseBatch
-	}
-	return n
-}
-
-// handleLease hands the polling worker up to ?max= of the oldest
-// queued tasks its platform can run, long-polling up to ?wait= for
-// one to appear. The lease also counts as a heartbeat, for as long as
-// it stays open. As soon as anything is assignable the poll returns —
-// a partial batch beats a parked worker.
+// handleLease hands the polling worker the oldest queued task its
+// platform can run, if it has a free slot, long-polling up to ?wait=
+// for one to appear. The lease also counts as a heartbeat, for as long
+// as it stays open.
 func (s *Scheduler) handleLease(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("worker")
-	max := leaseMax(r)
 	deadline := time.Now().Add(pollWait(r))
 	for {
 		s.mu.Lock()
@@ -405,8 +395,8 @@ func (s *Scheduler) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		wk.lastBeat = now
 		s.expireLocked(now)
-		leased := s.assignLocked(wk, max)
-		if len(leased) > 0 || !now.Before(deadline) {
+		leased := s.assignLocked(wk)
+		if leased != nil || !now.Before(deadline) {
 			s.mu.Unlock()
 			writeJSON(w, LeaseResponse{Tasks: leased})
 			return
@@ -427,53 +417,27 @@ func (s *Scheduler) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// assignLocked moves up to max queued tasks compatible with wk into
-// its in-flight set, FIFO. Assignment stays capacity-aware: tasks are
-// granted against free slots, plus at most ONE task beyond capacity
-// (the prefetch lookahead the worker pipelines its next snapshot
-// with) — and only for work no other live worker could start right
-// now, so lookahead never starves an idle peer. Callers hold s.mu.
-func (s *Scheduler) assignLocked(wk *schedWorker, max int) []*LeasedTask {
-	var out []*LeasedTask
-	i := 0
-	for i < len(s.queue) && len(out) < max {
-		t := s.tasks[s.queue[i]]
-		if t == nil || t.state != StateQueued || !wk.platform.Compatible(t.spec.Platform) {
-			i++
+// assignLocked moves the oldest queued task compatible with wk into
+// its in-flight set and returns it as the lease's grant, or returns
+// nil: assignment is capacity-aware, a worker never holds more tasks
+// than it has slots. Callers hold s.mu.
+func (s *Scheduler) assignLocked(wk *schedWorker) []*LeasedTask {
+	if len(wk.inflight) >= wk.slots {
+		return nil
+	}
+	for i, tid := range s.queue {
+		t := s.tasks[tid]
+		if !wk.platform.Compatible(t.spec.Platform) {
 			continue
-		}
-		if len(wk.inflight) >= wk.slots {
-			if len(wk.inflight) > wk.slots {
-				break // lookahead already granted
-			}
-			if s.otherFreeCompatibleLocked(wk.id, t.spec.Platform) {
-				break // an idle peer should take this instead
-			}
 		}
 		s.queue = append(s.queue[:i], s.queue[i+1:]...)
 		t.state = StateRunning
 		t.worker = wk.id
 		t.attempts++
 		wk.inflight[t.id] = true
-		out = append(out, &LeasedTask{ID: t.id, Spec: t.spec})
+		return []*LeasedTask{{ID: t.id, Spec: t.spec}}
 	}
-	if len(out) > 0 && len(s.queue) > 0 {
-		// wk just filled up: what it left queued for an idle peer may
-		// now be another worker's lookahead.
-		s.wakeLeasesLocked()
-	}
-	return out
-}
-
-// otherFreeCompatibleLocked reports whether a live worker other than
-// self has a free slot for platform p. Callers hold s.mu.
-func (s *Scheduler) otherFreeCompatibleLocked(self string, p Platform) bool {
-	for id, w := range s.workers {
-		if id != self && len(w.inflight) < w.slots && w.platform.Compatible(p) {
-			return true
-		}
-	}
-	return false
+	return nil
 }
 
 // handleResult records a worker's report. Reports are idempotent:
@@ -501,14 +465,14 @@ func (s *Scheduler) handleResult(w http.ResponseWriter, r *http.Request, tid str
 	switch {
 	case t.state == StateDone || t.state == StateFailed:
 		// Idempotent: already terminal.
-	case rep.Error != "":
-		t.payload = ResultReport{}
+	case rep.Error == "":
+		s.done++
+		s.finishLocked(t, StateDone, rep)
+	case t.worker == rep.WorkerID:
 		s.requeueLocked(t, rep.Error)
 	default:
-		t.state = StateDone
-		t.worker = ""
-		t.payload = rep
-		close(t.done)
+		// A failure from a worker the task was taken from: it is
+		// queued or running elsewhere already.
 	}
 	st := t.status()
 	s.mu.Unlock()
@@ -520,14 +484,15 @@ func (s *Scheduler) handleResult(w http.ResponseWriter, r *http.Request, tid str
 // task stuck on a dead worker sees the requeue/failure promptly.
 func (s *Scheduler) handleTaskStatus(w http.ResponseWriter, r *http.Request, tid string) {
 	deadline := time.Now().Add(pollWait(r))
+	s.mu.Lock()
+	t, ok := s.tasks[tid]
+	s.mu.Unlock()
+	if !ok {
+		http.Error(w, "unknown task", http.StatusNotFound)
+		return
+	}
 	for {
 		s.mu.Lock()
-		t, ok := s.tasks[tid]
-		if !ok {
-			s.mu.Unlock()
-			http.Error(w, "unknown task", http.StatusNotFound)
-			return
-		}
 		now := time.Now()
 		s.expireLocked(now)
 		st := t.status()

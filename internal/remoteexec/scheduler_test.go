@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"testing"
 	"time"
 
@@ -18,7 +17,6 @@ func testSpec() TaskSpec {
 		Argv:     []string{"cc", "-c", "main.c"},
 		Cwd:      "/src",
 		Platform: testPlatform,
-		Repo:     DefaultRepo,
 	}
 }
 
@@ -71,7 +69,7 @@ func (f *farm) lease(worker string, wait time.Duration) *LeasedTask {
 	var resp LeaseResponse
 	f.must(http.MethodPost, "/lease?worker="+worker+"&wait="+itoa(wait), nil, &resp)
 	if len(resp.Tasks) > 1 {
-		f.t.Fatalf("lease without ?max= granted %d tasks, want at most 1", len(resp.Tasks))
+		f.t.Fatalf("lease granted %d tasks, want at most 1", len(resp.Tasks))
 	}
 	if len(resp.Tasks) == 0 {
 		return nil
@@ -123,7 +121,8 @@ func TestSubmitZeroWorkerFarm(t *testing.T) {
 // TestWorkerRegistersMidFlight covers a worker joining while the
 // executor is mid-DAG: submits that declined with NoWorker start
 // succeeding as soon as a compatible worker registers, and the new
-// worker drains the queue.
+// worker drains the queue — one task per lease, never more than it has
+// free slots, the next one going to an idle peer.
 func TestWorkerRegistersMidFlight(t *testing.T) {
 	f := newFarm(t, NewScheduler())
 	var resp SubmitResponse
@@ -133,16 +132,28 @@ func TestWorkerRegistersMidFlight(t *testing.T) {
 	}
 
 	wid := f.register("late-joiner", 2)
-	tid := f.submit()
-	lt := f.lease(wid, 0)
-	if lt == nil || lt.ID != tid {
-		t.Fatalf("lease after mid-flight registration: got %+v, want task %s", lt, tid)
+	tids := []string{f.submit(), f.submit(), f.submit(), f.submit()}
+	for _, tid := range tids[:2] {
+		if lt := f.lease(wid, 0); lt == nil || lt.ID != tid {
+			t.Fatalf("lease after mid-flight registration: got %+v, want task %s", lt, tid)
+		}
+	}
+	if lt := f.lease(wid, 0); lt != nil {
+		t.Fatalf("worker with both slots taken was granted %+v", lt)
+	}
+	peer := f.register("idle-peer", 1)
+	if lt := f.lease(peer, 0); lt == nil || lt.ID != tids[2] {
+		t.Fatalf("idle peer's lease: got %+v, want task %s", lt, tids[2])
 	}
 	var st TaskStatus
-	f.must(http.MethodPost, "/tasks/"+tid+"/result",
+	f.must(http.MethodPost, "/tasks/"+tids[0]+"/result",
 		ResultReport{WorkerID: wid, Payload: digest.FromBytes([]byte("r1"))}, &st)
 	if st.State != StateDone {
 		t.Fatalf("task state %q after result, want %q", st.State, StateDone)
+	}
+	// The report freed a slot; the queue drains further.
+	if lt := f.lease(wid, 0); lt == nil || lt.ID != tids[3] {
+		t.Fatalf("lease after a report: got %+v, want task %s", lt, tids[3])
 	}
 }
 
@@ -207,7 +218,16 @@ func TestHeartbeatMissReassigns(t *testing.T) {
 	if st := f.taskStatus(tid, 0); st.State != StateRunning || st.Attempts != 2 {
 		t.Fatalf("reassigned task: state %q attempts %d, want running/2", st.State, st.Attempts)
 	}
+	// The silent worker's failure report arrives after all: the task is
+	// no longer its to fail, and stays where it is.
 	var st TaskStatus
+	f.must(http.MethodPost, "/tasks/"+tid+"/result", ResultReport{WorkerID: dead, Error: "late failure"}, &st)
+	if st.State != StateRunning || st.Attempts != 2 {
+		t.Fatalf("after the expired worker's late failure: state %q attempts %d, want running/2", st.State, st.Attempts)
+	}
+	if farm := sched.Status(); farm.Queued != 0 || farm.Running != 1 {
+		t.Fatalf("after the expired worker's late failure: %+v, want the task running once", farm)
+	}
 	f.must(http.MethodPost, "/tasks/"+tid+"/result",
 		ResultReport{WorkerID: alive, Payload: digest.FromBytes([]byte("ok"))}, &st)
 	if st.State != StateDone {
@@ -285,54 +305,41 @@ func TestQueuedTasksFailWhenFarmEmpties(t *testing.T) {
 	}
 }
 
-func (f *farm) leaseBatch(worker string, max int, wait time.Duration) []*LeasedTask {
-	f.t.Helper()
-	var resp LeaseResponse
-	f.must(http.MethodPost, "/lease?worker="+worker+"&max="+strconv.Itoa(max)+"&wait="+itoa(wait), nil, &resp)
-	return resp.Tasks
-}
-
-// TestLeaseBatchFillsSlotsPlusLookahead: a lone worker's batched poll
-// is granted its free slots plus exactly one lookahead task — and no
-// more, however large the queue or the requested budget.
-func TestLeaseBatchFillsSlotsPlusLookahead(t *testing.T) {
-	f := newFarm(t, NewScheduler())
-	w := f.register("solo", 2)
-	for i := 0; i < 5; i++ {
-		f.submit()
+// TestTerminalTasksAreBounded: a scheduler serving rebuild after
+// rebuild keeps only the most recent terminal tasks — the map does not
+// grow with the number ever finished — while the farm status still
+// counts every one, a recent task still answers, and a report for a
+// forgotten one gets the 404 a worker treats as final.
+func TestTerminalTasksAreBounded(t *testing.T) {
+	sched := NewScheduler()
+	f := newFarm(t, sched)
+	wid := f.register("w", 1)
+	const n = 3 * keptTerminalTasks
+	done := ResultReport{WorkerID: wid, Payload: digest.FromBytes([]byte("r"))}
+	var first, last string
+	for i := 0; i < n; i++ {
+		last = f.submit()
+		if i == 0 {
+			first = last
+		}
+		if lt := f.lease(wid, 0); lt == nil || lt.ID != last {
+			t.Fatalf("lease %d: got %+v, want task %s", i, lt, last)
+		}
+		f.must(http.MethodPost, "/tasks/"+last+"/result", done, nil)
 	}
-	got := f.leaseBatch(w, 4, 0)
-	if len(got) != 3 {
-		t.Fatalf("batch lease granted %d tasks, want 2 slots + 1 lookahead = 3", len(got))
+	sched.mu.Lock()
+	kept, listed := len(sched.tasks), len(sched.terminal)
+	sched.mu.Unlock()
+	if kept != keptTerminalTasks || listed != keptTerminalTasks {
+		t.Errorf("%d tasks kept (%d listed terminal) after %d finished, want %d", kept, listed, n, keptTerminalTasks)
 	}
-	// The lookahead is already out: the next poll gets nothing until
-	// something is reported back.
-	if again := f.leaseBatch(w, 4, 0); len(again) != 0 {
-		t.Fatalf("second batch lease granted %d tasks while over capacity", len(again))
+	if st := sched.Status(); st.Done != n || st.Failed != 0 || st.Queued != 0 || st.Running != 0 {
+		t.Errorf("status %+v, want %d done and nothing else", st, n)
 	}
-	// Reporting one task frees a slot; the queue drains further.
-	f.must(http.MethodPost, "/tasks/"+got[0].ID+"/result", ResultReport{WorkerID: w, Payload: digest.FromBytes([]byte("r"))}, nil)
-	if next := f.leaseBatch(w, 4, 0); len(next) != 1 {
-		t.Fatalf("post-report batch lease granted %d tasks, want 1", len(next))
+	if st := f.taskStatus(last, 0); st.State != StateDone || st.Payload != done.Payload {
+		t.Errorf("most recent task: %+v, want done with its result", st)
 	}
-}
-
-// TestLeaseBatchLeavesWorkForIdlePeer: lookahead must never starve an
-// idle compatible worker — the batch stops at capacity while a peer
-// has a free slot.
-func TestLeaseBatchLeavesWorkForIdlePeer(t *testing.T) {
-	f := newFarm(t, NewScheduler())
-	w1 := f.register("first", 1)
-	w2 := f.register("second", 1)
-	for i := 0; i < 3; i++ {
-		f.submit()
-	}
-	if got := f.leaseBatch(w1, 4, 0); len(got) != 1 {
-		t.Fatalf("w1 granted %d tasks with an idle peer, want exactly its 1 slot", len(got))
-	}
-	// With w1 now saturated, w2 fills its slot and may take the
-	// remaining task as lookahead.
-	if got := f.leaseBatch(w2, 4, 0); len(got) != 2 {
-		t.Fatalf("w2 granted %d tasks, want 1 slot + 1 lookahead", len(got))
+	if err := f.do(http.MethodPost, "/tasks/"+first+"/result", done, nil); !isStatus(err, http.StatusNotFound) {
+		t.Errorf("late report for a forgotten task: %v, want 404", err)
 	}
 }

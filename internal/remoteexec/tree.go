@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"comtainer/internal/actioncache"
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
 	"comtainer/internal/fsim"
@@ -95,10 +96,10 @@ func SnapshotTree(fsys *fsim.FS) (Tree, map[digest.Digest][]byte, error) {
 	return t, blobs, nil
 }
 
-// PushTree snapshots fsys and publishes it to repo through client:
-// every distinct content blob, then the tree document itself. Returns
-// the tree blob's digest — the handle a TaskSpec carries.
-func PushTree(ctx context.Context, client *distrib.Client, repo string, fsys *fsim.FS) (digest.Digest, error) {
+// PushTree snapshots fsys and publishes it to DefaultRepo through
+// client: every distinct content blob, then the tree document itself.
+// Returns the tree blob's digest — the handle a TaskSpec carries.
+func PushTree(ctx context.Context, client *distrib.Client, fsys *fsim.FS) (digest.Digest, error) {
 	t, blobs, err := SnapshotTree(fsys)
 	if err != nil {
 		return "", fmt.Errorf("remoteexec: snapshotting tree: %w", err)
@@ -110,21 +111,21 @@ func PushTree(ctx context.Context, client *distrib.Client, repo string, fsys *fs
 	enc := EncodeTree(t)
 	td := src.Put(enc)
 	for d := range blobs {
-		if err := client.PushBlob(ctx, repo, src, d); err != nil {
+		if err := client.PushBlob(ctx, DefaultRepo, src, d); err != nil {
 			return "", fmt.Errorf("remoteexec: pushing tree blob %s: %w", d.Short(), err)
 		}
 	}
-	if err := client.PushBlob(ctx, repo, src, td); err != nil {
+	if err := client.PushBlob(ctx, DefaultRepo, src, td); err != nil {
 		return "", fmt.Errorf("remoteexec: pushing tree document: %w", err)
 	}
 	return td, nil
 }
 
-// FetchTree retrieves the snapshot td from repo and materializes it
-// as a fresh FS.
-func FetchTree(ctx context.Context, client *distrib.Client, repo string, td digest.Digest) (*fsim.FS, error) {
+// FetchTree retrieves the snapshot td from DefaultRepo and
+// materializes it as a fresh FS.
+func FetchTree(ctx context.Context, client *distrib.Client, td digest.Digest) (*fsim.FS, error) {
 	mem := oci.NewStore()
-	if err := client.FetchBlob(ctx, mem, repo, td); err != nil {
+	if err := client.FetchBlob(ctx, mem, DefaultRepo, td); err != nil {
 		return nil, fmt.Errorf("remoteexec: fetching tree document %s: %w", td.Short(), err)
 	}
 	raw, err := mem.Get(td)
@@ -140,7 +141,7 @@ func FetchTree(ctx context.Context, client *distrib.Client, repo string, td dige
 		switch e.Type {
 		case "f":
 			if !mem.Has(e.Data) {
-				if err := client.FetchBlob(ctx, mem, repo, e.Data); err != nil {
+				if err := client.FetchBlob(ctx, mem, DefaultRepo, e.Data); err != nil {
 					return nil, fmt.Errorf("remoteexec: fetching content %s for %s: %w", e.Data.Short(), e.Path, err)
 				}
 			}
@@ -162,27 +163,27 @@ func FetchTree(ctx context.Context, client *distrib.Client, repo string, td dige
 	return out, nil
 }
 
-// PushPayload publishes p as a content blob in repo, returning its
-// digest.
-func PushPayload(ctx context.Context, client *distrib.Client, repo string, p Payload) (digest.Digest, error) {
+// pushResult publishes the action record res (a worker's result, or an
+// executor's overlay: outputs only) as a content blob in DefaultRepo,
+// returning its digest.
+func pushResult(ctx context.Context, client *distrib.Client, res actioncache.Result) (digest.Digest, error) {
 	src := oci.NewStore()
-	enc := EncodePayload(p)
-	d := src.Put(enc)
-	if err := client.PushBlob(ctx, repo, src, d); err != nil {
-		return "", fmt.Errorf("remoteexec: pushing payload %s: %w", d.Short(), err)
+	d := src.Put(actioncache.EncodeResult(res))
+	if err := client.PushBlob(ctx, DefaultRepo, src, d); err != nil {
+		return "", fmt.Errorf("remoteexec: pushing action record %s: %w", d.Short(), err)
 	}
 	return d, nil
 }
 
-// FetchPayload retrieves and decodes the payload blob d from repo.
-func FetchPayload(ctx context.Context, client *distrib.Client, repo string, d digest.Digest) (Payload, error) {
+// fetchResult retrieves and decodes the action-record blob d.
+func fetchResult(ctx context.Context, client *distrib.Client, d digest.Digest) (actioncache.Result, error) {
 	mem := oci.NewStore()
-	if err := client.FetchBlob(ctx, mem, repo, d); err != nil {
-		return Payload{}, fmt.Errorf("remoteexec: fetching payload %s: %w", d.Short(), err)
+	if err := client.FetchBlob(ctx, mem, DefaultRepo, d); err != nil {
+		return actioncache.Result{}, fmt.Errorf("remoteexec: fetching action record %s: %w", d.Short(), err)
 	}
 	raw, err := mem.Get(d)
 	if err != nil {
-		return Payload{}, err
+		return actioncache.Result{}, err
 	}
-	return DecodePayload(raw)
+	return actioncache.DecodeResult(raw)
 }

@@ -31,15 +31,15 @@ const maxIdleTreeBytes = 1 << 30
 // reportAttempts bounds result-report retries. The report is the
 // acknowledgement handshake: a worker keeps resubmitting until the
 // scheduler confirms, so an acknowledged result is never lost, and an
-// unacknowledged one is re-executed (same content-addressed payload)
+// unacknowledged one is re-executed (same content-addressed record)
 // after heartbeat expiry.
 const reportAttempts = 5
 
 // Worker executes farm tasks: it registers with the scheduler,
 // heartbeats, leases ready actions, runs them on a materialized
-// snapshot of the executor's file system, and publishes the results
-// as payload blobs — writing the action-cache entries through to the
-// shared remote cache along the way.
+// snapshot of the executor's file system, and publishes each runner's
+// record of its action as a blob — writing the action-cache entries
+// through to the shared remote cache along the way.
 type Worker struct {
 	// Scheduler is the farm base URL (the host also serving /farm/v1).
 	Scheduler string
@@ -69,9 +69,6 @@ type Worker struct {
 	trees       map[digest.Digest]*keptTree // session snapshots, fetched once
 	idleTrees   cachekit.LRU[digest.Digest] // the kept trees no task holds, by recency
 	treeFetches cachekit.Flight[digest.Digest, *fsim.FS]
-
-	overlayMu sync.Mutex
-	overlays  map[digest.Digest]Payload // prefetched, consumed on use
 }
 
 // NewWorker returns a worker for the farm at scheduler, executing
@@ -161,104 +158,42 @@ func (w *Worker) heartbeatLoop(ctx context.Context, id string, interval time.Dur
 	}
 }
 
-// slotLoop is one execution slot: lease a small batch, execute each
-// task while prefetching the next one's inputs, report, repeat. The
-// batch (?max=2: the running task plus one lookahead) pipelines the
-// network — snapshot and overlay of task N+1 download while task N
-// computes — without hoarding: the scheduler only grants lookahead no
-// idle peer could take.
+// slotLoop is one execution slot: lease a task, execute it, report,
+// repeat.
 func (w *Worker) slotLoop(ctx context.Context, id string) error {
-	leaseURL := fmt.Sprintf("%s%s/lease?worker=%s&wait=%d&max=2", w.Scheduler, APIPrefix, id, leaseWaitMillis)
-	var pending []*LeasedTask
+	leaseURL := fmt.Sprintf("%s%s/lease?worker=%s&wait=%d", w.Scheduler, APIPrefix, id, leaseWaitMillis)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if len(pending) == 0 {
-			var lr LeaseResponse
-			if err := doJSON(ctx, w.httpClient(), http.MethodPost, leaseURL, nil, &lr); err != nil {
-				if isStatus(err, http.StatusGone) {
-					return fmt.Errorf("remoteexec: worker %s expired by scheduler: %w", id, err)
-				}
-				if err := ctxutil.Sleep(ctx, 50*time.Millisecond); err != nil {
-					return err
-				}
-				continue
+		var lr LeaseResponse
+		if err := doJSON(ctx, w.httpClient(), http.MethodPost, leaseURL, nil, &lr); err != nil {
+			if isStatus(err, http.StatusGone) {
+				return fmt.Errorf("remoteexec: worker %s expired by scheduler: %w", id, err)
 			}
-			pending = lr.Tasks
+			if err := ctxutil.Sleep(ctx, 50*time.Millisecond); err != nil {
+				return err
+			}
 			continue
 		}
-		t := pending[0]
-		pending = pending[1:]
-		var pf sync.WaitGroup
-		if len(pending) > 0 {
-			next := pending[0]
-			pf.Add(1)
-			go func() {
-				defer pf.Done()
-				w.prefetchTask(ctx, next)
-			}()
-		}
-		rep := ResultReport{WorkerID: id}
-		payload, err := w.executeTask(ctx, t)
-		pf.Wait()
-		if err != nil {
-			if ctx.Err() != nil {
-				// Killed mid-action: report nothing; heartbeat expiry
-				// requeues the task on a surviving worker.
+		for _, t := range lr.Tasks {
+			rep := ResultReport{WorkerID: id}
+			record, err := w.executeTask(ctx, t)
+			if err != nil {
+				if ctx.Err() != nil {
+					// Killed mid-action: report nothing; heartbeat expiry
+					// requeues the task on a surviving worker.
+					return ctx.Err()
+				}
+				rep.Error = err.Error()
+			} else {
+				rep.Payload = record
+			}
+			if err := w.report(ctx, t.ID, rep); err != nil && ctx.Err() != nil {
 				return ctx.Err()
 			}
-			rep.Error = err.Error()
-		} else {
-			rep.Payload = payload
-		}
-		if err := w.report(ctx, t.ID, rep); err != nil && ctx.Err() != nil {
-			return ctx.Err()
 		}
 	}
-}
-
-// prefetchTask warms the inputs of an upcoming task — the memoized
-// base snapshot and the overlay payload — so execution starts without
-// waiting on the wire. Best-effort: a failed prefetch just means
-// executeTask fetches for real.
-func (w *Worker) prefetchTask(ctx context.Context, t *LeasedTask) {
-	repo := t.Spec.Repo
-	if repo == "" {
-		repo = DefaultRepo
-	}
-	if _, err := w.baseFS(ctx, repo, t.Spec.BaseTree); err == nil {
-		w.unpinTree(t.Spec.BaseTree) // kept for executeTask
-	}
-	if t.Spec.Overlay == "" {
-		return
-	}
-	p, err := FetchPayload(ctx, w.Client, repo, t.Spec.Overlay)
-	if err != nil {
-		return
-	}
-	w.overlayMu.Lock()
-	if w.overlays == nil {
-		w.overlays = make(map[digest.Digest]Payload)
-	}
-	w.overlays[t.Spec.Overlay] = p
-	w.overlayMu.Unlock()
-}
-
-// fetchOverlay returns (and consumes) a prefetched overlay payload,
-// falling back to the registry. Single use keeps the stash bounded by
-// the lookahead depth.
-func (w *Worker) fetchOverlay(ctx context.Context, repo string, d digest.Digest) (Payload, error) {
-	w.overlayMu.Lock()
-	p, ok := w.overlays[d]
-	if ok {
-		delete(w.overlays, d)
-	}
-	w.overlayMu.Unlock()
-	if ok {
-		return p, nil
-	}
-	return FetchPayload(ctx, w.Client, repo, d)
 }
 
 // report resubmits until the scheduler acknowledges (idempotent on
@@ -335,11 +270,11 @@ func (w *Worker) unpinTree(td digest.Digest) {
 // is shared: callers Clone it before mutating. No lock is held while
 // fetching: one tree downloads once however many slots ask for it, and
 // different trees download concurrently.
-func (w *Worker) baseFS(ctx context.Context, repo string, td digest.Digest) (*fsim.FS, error) {
+func (w *Worker) baseFS(ctx context.Context, td digest.Digest) (*fsim.FS, error) {
 	fsys, _, err := w.treeFetches.DoContext(ctx, td, func() (*fsim.FS, error) {
 		fsys := w.pinTree(td, nil)
 		if fsys == nil {
-			fetched, err := FetchTree(ctx, w.Client, repo, td)
+			fetched, err := FetchTree(ctx, w.Client, td)
 			if err != nil {
 				return nil, err
 			}
@@ -355,14 +290,10 @@ func (w *Worker) baseFS(ctx context.Context, repo string, td digest.Digest) (*fs
 	return w.pinTree(td, fsys), nil
 }
 
-// executeTask runs one leased action and publishes its payload blob,
-// returning the blob digest the result report carries.
+// executeTask runs one leased action and publishes the runner's
+// record of it, returning the blob digest the result report carries.
 func (w *Worker) executeTask(ctx context.Context, t *LeasedTask) (digest.Digest, error) {
-	repo := t.Spec.Repo
-	if repo == "" {
-		repo = DefaultRepo
-	}
-	base, err := w.baseFS(ctx, repo, t.Spec.BaseTree)
+	base, err := w.baseFS(ctx, t.Spec.BaseTree)
 	if err != nil {
 		return "", err
 	}
@@ -371,7 +302,7 @@ func (w *Worker) executeTask(ctx context.Context, t *LeasedTask) (digest.Digest,
 	// session's files are never copied.
 	fsys := base.Clone()
 	if t.Spec.Overlay != "" {
-		ov, err := w.fetchOverlay(ctx, repo, t.Spec.Overlay)
+		ov, err := fetchResult(ctx, w.Client, t.Spec.Overlay)
 		if err != nil {
 			return "", err
 		}
@@ -385,9 +316,10 @@ func (w *Worker) executeTask(ctx context.Context, t *LeasedTask) (digest.Digest,
 		}
 	}
 
-	capture := &captureCache{next: w.Cache}
+	// Through the shared cache: an action already there is answered
+	// without executing, and one executed here is written through.
 	runner := toolchain.NewRunner(fsys, w.Registry)
-	runner.Memo = actioncache.NewMemoizer(capture)
+	runner.Memo = actioncache.NewMemoizer(w.Cache)
 	if err := fsys.MkdirAll(t.Spec.Cwd, 0o755); err != nil {
 		return "", fmt.Errorf("remoteexec: creating cwd %s: %w", t.Spec.Cwd, err)
 	}
@@ -395,80 +327,8 @@ func (w *Worker) executeTask(ctx context.Context, t *LeasedTask) (digest.Digest,
 	if err := runner.Run(t.Spec.Argv); err != nil {
 		return "", fmt.Errorf("remoteexec: executing task %s: %w", t.ID, err)
 	}
-	p, err := capture.payload()
-	if err != nil {
-		return "", fmt.Errorf("remoteexec: task %s: %w", t.ID, err)
+	if runner.LastResult == nil {
+		return "", fmt.Errorf("remoteexec: task %s: command went through no action cache (not cacheable?)", t.ID)
 	}
-	return PushPayload(ctx, w.Client, repo, p)
-}
-
-// captureCache sits under the worker's per-task memoizer: it records
-// the manifest and result documents flowing through (in either
-// direction — a shared-cache hit Gets them, a fresh execution Puts
-// them) and forwards writes to the shared remote tier so the farm
-// warms the fleet cache. One instance serves exactly one action.
-type captureCache struct {
-	next actioncache.Cache
-
-	mu       sync.Mutex
-	manifest []byte
-	result   []byte
-}
-
-func (c *captureCache) Get(key digest.Digest) ([]byte, bool, error) {
-	if c.next == nil {
-		return nil, false, nil
-	}
-	val, ok, err := c.next.Get(key)
-	if ok && err == nil {
-		c.note(val)
-	}
-	return val, ok, err
-}
-
-func (c *captureCache) Put(key digest.Digest, val []byte) error {
-	c.note(val)
-	if c.next == nil {
-		return nil
-	}
-	return c.next.Put(key, val)
-}
-
-func (c *captureCache) Stats() actioncache.Stats {
-	if c.next == nil {
-		return actioncache.Stats{}
-	}
-	return c.next.Stats()
-}
-
-// note files val under manifest or result by its magic prefix.
-func (c *captureCache) note(val []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := actioncache.DecodeManifest(val); err == nil {
-		c.manifest = append([]byte(nil), val...)
-		return
-	}
-	if _, err := actioncache.DecodeResult(val); err == nil {
-		c.result = append([]byte(nil), val...)
-	}
-}
-
-// payload assembles the task's wire result from the captured cache
-// documents.
-func (c *captureCache) payload() (Payload, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.manifest == nil || c.result == nil {
-		return Payload{}, fmt.Errorf("command produced no action-cache documents (not cacheable?)")
-	}
-	man, err := actioncache.DecodeManifest(c.manifest)
-	if err != nil {
-		return Payload{}, err
-	}
-	res, err := actioncache.DecodeResult(c.result)
-	if err != nil {
-		return Payload{}, err
-	}
-	return Payload{Inputs: man.Inputs, Outputs: res.Outputs, Cacheable: true}, nil
+	return pushResult(ctx, w.Client, *runner.LastResult)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,10 +12,12 @@ import (
 	"testing"
 	"time"
 
+	"comtainer/internal/actioncache"
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
 	"comtainer/internal/fsim"
 	"comtainer/internal/registry"
+	"comtainer/internal/toolchain"
 )
 
 // gatedRegistry serves a registry whose blob GETs can be counted and,
@@ -67,7 +70,7 @@ func TestBaseFSFetchDiscipline(t *testing.T) {
 		fsys := fsim.New()
 		fsys.WriteFile("/common/libc.so", []byte("shared by every snapshot"), 0o644)
 		fsys.WriteFile("/src/"+name, []byte("only in "+name), 0o644)
-		td, err := PushTree(ctx, client, DefaultRepo, fsys)
+		td, err := PushTree(ctx, client, fsys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,11 +91,11 @@ func TestBaseFSFetchDiscipline(t *testing.T) {
 	})
 	aDone := make(chan error, 1)
 	go func() {
-		_, err := w.baseFS(ctx, DefaultRepo, treeA)
+		_, err := w.baseFS(ctx, treeA)
 		aDone <- err
 	}()
 	<-aStarted
-	_, err := w.baseFS(ctx, DefaultRepo, treeB)
+	_, err := w.baseFS(ctx, treeB)
 	close(bDone)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +121,7 @@ func TestBaseFSFetchDiscipline(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			launched.Done()
-			if _, err := w.baseFS(ctx, DefaultRepo, treeC); err != nil {
+			if _, err := w.baseFS(ctx, treeC); err != nil {
 				t.Error(err)
 				return
 			}
@@ -194,5 +197,78 @@ func TestIdleTreesAreBounded(t *testing.T) {
 	}
 	if len(w.trees) != w.idleTrees.Len() || w.idleTrees.Size() > maxIdleTreeBytes {
 		t.Errorf("%d snapshots kept, %d idle weighing %d bytes, cap %d", len(w.trees), w.idleTrees.Len(), w.idleTrees.Size(), maxIdleTreeBytes)
+	}
+}
+
+// recordingCache keeps the documents Put into a tier, in order. For
+// one goroutine.
+type recordingCache struct {
+	actioncache.Cache
+	puts [][]byte
+}
+
+func (c *recordingCache) Put(k digest.Digest, v []byte) error {
+	c.puts = append(c.puts, v)
+	return c.Cache.Put(k, v)
+}
+
+// TestWorkerAnswersFromSharedCache: a worker whose shared cache already
+// holds a leased action publishes its record without executing it, and
+// the record carries the inputs of the stored manifest — what the
+// executor re-observes before it caches anything itself.
+func TestWorkerAnswersFromSharedCache(t *testing.T) {
+	ts := httptest.NewServer(registry.NewServer().Handler())
+	defer ts.Close()
+	client := distrib.NewClient(ts.URL)
+	ctx := context.Background()
+
+	fsys := fsim.New()
+	fsys.WriteFile("/src/main.c", []byte("int main(){return 0;}\n"), 0o644)
+	td, err := PushTree(ctx, client, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := &LeasedTask{ID: "t1", Spec: TaskSpec{
+		Argv: []string{"gcc", "-O2", "-c", "main.c", "-o", "main.o"}, Cwd: "/src", BaseTree: td,
+	}}
+	disk, err := actioncache.NewDiskCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := &recordingCache{Cache: disk}
+	worker := func() *Worker {
+		return &Worker{Client: client, Registry: toolchain.GenericRegistry(toolchain.ISAx86), Cache: shared}
+	}
+
+	executed, err := worker().executeTask(ctx, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shared.puts) != 2 {
+		t.Fatalf("executing wrote %d documents through to the shared cache, want manifest and result", len(shared.puts))
+	}
+	replayed, err := worker().executeTask(ctx, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shared.puts) != 2 {
+		t.Errorf("a worker executed (%d cache writes) an action the shared cache holds", len(shared.puts))
+	}
+	if replayed != executed {
+		t.Errorf("replayed record %s differs from the executed one %s", replayed, executed)
+	}
+	rec, err := fetchResult(ctx, client, replayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := actioncache.DecodeManifest(shared.puts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Inputs) == 0 || !reflect.DeepEqual(rec.Inputs, man.Inputs) {
+		t.Errorf("published inputs %+v, stored manifest %+v", rec.Inputs, man.Inputs)
+	}
+	if len(rec.Outputs) != 1 || rec.Outputs[0].Path != "/src/main.o" {
+		t.Errorf("published outputs %+v, want /src/main.o", rec.Outputs)
 	}
 }

@@ -69,7 +69,7 @@ func (r *Runner) applyResult(res *actioncache.Result) {
 // first: NoteInput drops self-reads of paths already recorded as
 // outputs, and that filter must see the inputs before the outputs
 // land.
-func (r *Runner) applyRemote(rr *RemoteResult) {
+func (r *Runner) applyRemote(rr *actioncache.Result) {
 	for _, in := range rr.Inputs {
 		switch in.Op {
 		case actioncache.OpRead:

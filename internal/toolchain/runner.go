@@ -48,17 +48,17 @@ type Runner struct {
 
 	// Remote, when set alongside Memo, is offered every cacheable
 	// command that missed the cache before it is executed locally.
-	// Returning a non-nil RemoteResult means a farm worker ran the
-	// command: its inputs are re-observed against this runner's FS and
-	// its outputs written through the recorder, so the local cache
-	// entry stays authoritative. Returning (nil, nil) declines and the
+	// Returning a non-nil record means a farm worker ran the command:
+	// its inputs are re-observed against this runner's FS and its
+	// outputs written through the recorder, so the local cache entry
+	// stays authoritative. Returning (nil, nil) declines and the
 	// command dispatches locally as usual.
 	Remote RemoteExec
 
-	// LastResult is the input/output record of the most recent Run
-	// that went through the action cache (executed, replayed, or
-	// remote), nil for uncacheable commands. The rebuild scheduler
-	// reads it to assemble dependency overlays for remote execution.
+	// LastResult is the record of the most recent Run that went
+	// through the action cache (executed, replayed, or remote), nil
+	// for uncacheable commands. The rebuild scheduler assembles
+	// dependency overlays from it and a farm worker publishes it.
 	LastResult *actioncache.Result
 
 	// rec is the recorder of the action currently executing, nil when
@@ -67,16 +67,9 @@ type Runner struct {
 }
 
 // RemoteExec delegates one expanded command (argv, to run in cwd) to
-// a remote executor. See Runner.Remote for the contract.
-type RemoteExec func(argv []string, cwd string) (*RemoteResult, error)
-
-// RemoteResult is what a remote execution hands back: the input edges
-// the worker observed while running the command and the output files
-// it produced.
-type RemoteResult struct {
-	Inputs  []actioncache.Input
-	Outputs []actioncache.Output
-}
+// a remote executor and returns the worker's record of it. See
+// Runner.Remote for the contract.
+type RemoteExec func(argv []string, cwd string) (*actioncache.Result, error)
 
 // NewRunner returns a Runner rooted at / on fsys.
 func NewRunner(fsys *fsim.FS, reg *Registry) *Runner {
