@@ -5,8 +5,8 @@
 //	digestcmp     typed digest construction and comparison
 //	digestflow    compared digests trace to sanctioned constructors
 //	atomicwrite   temp+rename writes under store roots
-//	lockio        no file/network I/O while a shard mutex is held
 //	lockorder     no cycles in the global lock-acquisition order
+//	lockio        no file/network I/O while a mutex is held (lockset)
 //	guardedby     a field's inferred guard lock is held on every access (lockset)
 //	atomicmix     no mixing of sync/atomic and plain access to one field
 //	safejoin      sanitized joins for tar entry names and fsim paths
@@ -23,16 +23,16 @@
 //
 //	go run ./cmd/comtainer-vet ./...
 //	go run ./cmd/comtainer-vet -only lockio,safejoin ./internal/distrib
-//	go run ./cmd/comtainer-vet -cache -json ./...
-//	go run ./cmd/comtainer-vet -cache -stats ./...
 //	go run ./cmd/comtainer-vet -sarif ./... > vet.sarif
+//	go run ./cmd/comtainer-vet -list
 //
-// With -cache, per-package results and facts are keyed by analyzer
-// versions, toolchain, source bytes, and dependency keys, and replayed
-// from $COMTAINER_VET_CACHE (or the user cache dir) on later runs; a
-// warm run re-analyzes only what changed. Exit status is non-zero when
-// any diagnostic survives the //comtainer:allow suppression filter.
-// The loader is self-contained (stdlib + the go command); it is not a
+// There is one way to run: every matched package is loaded from source
+// and analyzed, about a second for this repository. Findings print as
+// path:line:col: [analyzer] message; -sarif writes the same findings,
+// plus the ones a //comtainer:allow comment suppresses (marked as
+// such), as a SARIF 2.1.0 log. Exit status is 1 when any diagnostic
+// survives the suppression filter, 2 on an operational error. The
+// loader is self-contained (stdlib + the go command); it is not a
 // `go vet -vettool` unitchecker because this module deliberately
 // carries no golang.org/x/tools dependency.
 package main
@@ -42,9 +42,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"strings"
-	"time"
 
 	"comtainer/internal/analysis"
 	"comtainer/internal/analysis/passes"
@@ -52,18 +50,13 @@ import (
 
 func main() {
 	var (
-		list       = flag.Bool("list", false, "list analyzers and exit")
-		only       = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-		dir        = flag.String("C", ".", "directory to resolve package patterns in")
-		useCache   = flag.Bool("cache", false, "replay unchanged packages from the incremental cache")
-		cacheDir   = flag.String("cache-dir", "", "cache location (default: $COMTAINER_VET_CACHE or the user cache dir)")
-		jsonOut    = flag.Bool("json", false, "emit findings as JSON (including suppressed ones, flagged)")
-		sarifOut   = flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 (for GitHub code scanning upload)")
-		stats      = flag.Bool("stats", false, "print per-analyzer wall time and cache replay counts to stderr")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		list     = flag.Bool("list", false, "list analyzers and exit")
+		only     = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
+		dir      = flag.String("C", ".", "directory to resolve package patterns in")
+		sarifOut = flag.Bool("sarif", false, "emit findings as SARIF 2.1.0, suppressed ones included (for GitHub code scanning upload)")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: comtainer-vet [-list] [-only a,b] [-C dir] [-cache] [-cache-dir dir] [-json] [-sarif] [-stats] [-cpuprofile out] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: comtainer-vet [-list] [-only a,b] [-C dir] [-sarif] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -84,114 +77,42 @@ func main() {
 		}
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comtainer-vet: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "comtainer-vet: %v\n", err)
-			os.Exit(2)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "comtainer-vet: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
-	os.Exit(run(suite, *dir, flag.Args(), *useCache, *cacheDir, *jsonOut, *sarifOut, *stats))
-}
-
-// run executes the suite and returns the process exit code (0 clean,
-// 1 findings, 2 operational error). It is separate from main so the
-// pprof defers above fire before exit.
-func run(suite analysis.Suite, dir string, patterns []string, useCache bool, cacheDir string, jsonOut, sarifOut, stats bool) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	targets, err := analysis.Resolve(dir, patterns...)
+	pkgs, err := analysis.Load(*dir, flag.Args()...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "comtainer-vet: %v\n", err)
-		return 2
+		fail(err)
 	}
-
-	opts := &analysis.Options{}
-	if useCache {
-		if cacheDir == "" {
-			cacheDir = analysis.DefaultCacheDir()
-		}
-		cache, err := analysis.OpenCache(cacheDir)
-		if err != nil {
-			// A broken cache directory degrades to a cold run.
-			fmt.Fprintf(os.Stderr, "comtainer-vet: %v (running uncached)\n", err)
-		} else {
-			opts.Cache = cache
-		}
-	}
-
-	res, err := analysis.Run(targets, suite, opts)
+	diags, err := analysis.CheckPackages(pkgs, suite)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "comtainer-vet: %v\n", err)
-		return 2
+		fail(err)
 	}
-	if opts.Cache != nil {
-		fmt.Fprintf(os.Stderr, "comtainer-vet: %d/%d packages cached\n", res.Cached, res.Total)
-	}
-	if stats {
-		printStats(res)
-	}
-
-	findings := res.Findings()
-	switch {
-	case jsonOut:
-		out, err := analysis.EncodeFindings(analysis.FindingsOf(res.Diags))
+	if *sarifOut {
+		root, err := filepath.Abs(*dir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "comtainer-vet: %v\n", err)
-			return 2
+			root = *dir
+		}
+		out, err := analysis.EncodeSARIF(diags, suite, root)
+		if err != nil {
+			fail(err)
 		}
 		os.Stdout.Write(out)
-	case sarifOut:
-		root, err := filepath.Abs(dir)
-		if err != nil {
-			root = dir
+	}
+	findings := 0
+	for _, d := range diags {
+		if d.Suppressed {
+			continue
 		}
-		out, err := analysis.EncodeSARIF(analysis.FindingsOf(res.Diags), suite, root)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comtainer-vet: %v\n", err)
-			return 2
-		}
-		os.Stdout.Write(out)
-	default:
-		for _, d := range findings {
+		findings++
+		if !*sarifOut {
 			fmt.Println(d)
 		}
 	}
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "comtainer-vet: %d diagnostic(s)\n", len(findings))
-		return 1
+	if findings > 0 {
+		fmt.Fprintf(os.Stderr, "comtainer-vet: %d diagnostic(s)\n", findings)
+		os.Exit(1)
 	}
-	return 0
 }
 
-// printStats writes the per-analyzer cost table to stderr: wall time
-// in Run over fresh packages, Finish time, and how many packages each
-// analyzer actually saw (replayed packages cost nothing and appear in
-// the cached count above instead).
-func printStats(res *analysis.Result) {
-	fresh := res.Total - res.Cached
-	fmt.Fprintf(os.Stderr, "comtainer-vet: stats: %d fresh, %d replayed of %d packages\n",
-		fresh, res.Cached, res.Total)
-	fmt.Fprintf(os.Stderr, "  %-14s %10s %10s %6s\n", "analyzer", "run", "finish", "pkgs")
-	var totalRun, totalFinish time.Duration
-	for _, st := range res.Stats {
-		fmt.Fprintf(os.Stderr, "  %-14s %10s %10s %6d\n",
-			st.Name, st.RunTime.Round(time.Microsecond), st.FinishTime.Round(time.Microsecond), st.Packages)
-		totalRun += st.RunTime
-		totalFinish += st.FinishTime
-	}
-	fmt.Fprintf(os.Stderr, "  %-14s %10s %10s\n", "total",
-		totalRun.Round(time.Microsecond), totalFinish.Round(time.Microsecond))
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "comtainer-vet: %v\n", err)
+	os.Exit(2)
 }

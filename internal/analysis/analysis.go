@@ -21,6 +21,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
+	"strings"
 )
 
 // Analyzer describes one invariant check.
@@ -33,18 +35,6 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of the enforced invariant.
 	Doc string
 
-	// Version participates in the incremental-cache key: bump it
-	// whenever the analyzer's logic changes so stale cached results
-	// are invalidated. Zero is treated as 1.
-	Version int
-
-	// FactType, when non-nil, is a pointer to the zero value of the
-	// package-level fact this analyzer exports (its concrete type is
-	// what ExportPackageFact accepts and PackageFact returns). Facts
-	// must round-trip through encoding/json: cached packages
-	// contribute their facts from disk instead of being re-analyzed.
-	FactType Fact
-
 	// Run applies the analyzer to one package. Packages are analyzed
 	// in dependency order, so facts exported by a package's imports
 	// are available through Pass.PackageFact.
@@ -56,9 +46,12 @@ type Analyzer struct {
 	Finish func(*FinishPass) error
 }
 
-// Fact is a serializable, package-level statement an analyzer exports
-// for downstream packages — the stdlib-only analogue of go/analysis
-// facts. Implementations are plain structs with exported fields.
+// Fact is a package-level statement an analyzer exports for downstream
+// packages and for its own Finish step — the stdlib-only analogue of
+// go/analysis facts. Facts live in memory for one run; they carry
+// resolved token.Positions and string identities (FuncID, LockClass),
+// never AST or types objects, so the whole-program steps read them
+// without reaching back into a package.
 type Fact interface{ AFact() }
 
 // Pass carries everything an analyzer may inspect about one package.
@@ -72,9 +65,8 @@ type Pass struct {
 	// Report records one diagnostic.
 	Report func(Diagnostic)
 
-	// ExportPackageFact publishes fact (of the analyzer's FactType)
-	// for the package under analysis. The fact must not be mutated
-	// after export. Nil when the analyzer declares no FactType.
+	// ExportPackageFact publishes fact for the package under
+	// analysis. The fact must not be mutated after export.
 	ExportPackageFact func(fact Fact)
 
 	// PackageFact returns the fact this analyzer exported for the
@@ -95,17 +87,15 @@ type Pass struct {
 
 // FinishPass is the whole-program view handed to Analyzer.Finish after
 // the per-package runs: every package fact this analyzer exported,
-// keyed by import path, including facts replayed from the incremental
-// cache.
+// keyed by import path.
 type FinishPass struct {
 	Analyzer *Analyzer
 
 	// Facts maps package import path → the fact exported for it.
 	Facts map[string]Fact
 
-	// Report records one diagnostic. Positions must be resolved
-	// token.Positions carried inside facts — the FileSet of cached
-	// packages is not available here.
+	// Report records one diagnostic, located by a resolved
+	// token.Position carried inside a fact.
 	Report func(Diagnostic)
 
 	// AnalyzerFacts returns every package fact the named analyzer
@@ -130,16 +120,9 @@ type Diagnostic struct {
 	Message  string
 	Analyzer string
 
-	// Pkg is the import path of the package whose analysis produced
-	// the diagnostic; "" for whole-program Finish findings, which
-	// belong to no single package. It exists so report encoders can
-	// order findings deterministically by (package, file, line,
-	// analyzer) regardless of map-iteration order.
-	Pkg string
-
 	// Suppressed marks a diagnostic covered by a //comtainer:allow
 	// comment. The checker keeps suppressed findings (flagged) so the
-	// -json report can expose them; plain output drops them.
+	// -sarif report can expose them; plain output drops them.
 	Suppressed bool
 }
 
@@ -247,4 +230,69 @@ func InspectShallow(n ast.Node, fn func(ast.Node) bool) {
 		}
 		return fn(m)
 	})
+}
+
+// FirstSegment returns the leading path segment of an import path or
+// FuncID — this repository's stand-in for "the module": two packages
+// are in the same module when their first segments agree. Passes use
+// it to ignore foreign code, which can neither take this module's
+// locks nor touch its fields.
+func FirstSegment(path string) string {
+	if i := strings.IndexByte(path, '/'); i >= 0 {
+		return path[:i]
+	}
+	return path
+}
+
+// WriteTargets collects the selector expressions n writes through:
+// assignment left-hand sides, ++/-- operands, and address-taken
+// operands (a pointer to the field may be written by anyone).
+func WriteTargets(n ast.Node) map[*ast.SelectorExpr]bool {
+	writes := make(map[*ast.SelectorExpr]bool)
+	mark := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel] = true
+		}
+	}
+	ast.Inspect(n, func(m ast.Node) bool {
+		switch v := m.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range v.Lhs {
+				mark(lhs)
+			}
+		case *ast.IncDecStmt:
+			mark(v.X)
+		case *ast.UnaryExpr:
+			if v.Op == token.AND {
+				mark(v.X)
+			}
+		}
+		return true
+	})
+	return writes
+}
+
+// SortedKeys returns m's keys in ascending order, nil when m is empty.
+func SortedKeys[V any](m map[string]V) []string {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// PosBefore orders resolved positions by file, line, then column —
+// the order facts and diagnostics are sorted in.
+func PosBefore(a, b token.Position) bool {
+	if a.Filename != b.Filename {
+		return a.Filename < b.Filename
+	}
+	if a.Line != b.Line {
+		return a.Line < b.Line
+	}
+	return a.Column < b.Column
 }

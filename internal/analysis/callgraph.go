@@ -8,13 +8,14 @@ import (
 
 // This file is the call-graph substrate the interprocedural passes
 // share. There is deliberately no materialized whole-program graph
-// object: with the incremental cache, most packages are replayed from
-// serialized facts and have no AST or type information in memory. Each
-// pass therefore records, per function, its outgoing call edges as
-// stable string identifiers (FuncID) while the package is live, and
-// the whole-program step links them — class-hierarchy analysis (CHA):
+// object: each pass records, per function, its outgoing call edges as
+// stable string identifiers (FuncID) in its package fact, and the
+// whole-program step links them — class-hierarchy analysis (CHA):
 // static calls resolve to their one callee, interface-method calls
-// resolve to every visible implementation (Implementations).
+// resolve to every visible implementation (Implementations). It also
+// holds the identities the lock and field passes agree on: LockClass,
+// FieldClass, and SyncLockCall, the one classifier of sync mutex
+// calls.
 
 // FuncID returns the stable package-qualified identifier of fn:
 // "path.Name" for a package function, "path.(Type).Name" for a method
@@ -175,36 +176,67 @@ func LockClass(info *types.Info, recv ast.Expr) string {
 		}
 		return ""
 	case *ast.SelectorExpr:
-		sel, ok := info.Selections[v]
-		if !ok {
-			// Qualified identifier pkg.Mu: a package-level var of the
-			// imported package (no Selections entry exists for these).
-			if x, xok := ast.Unparen(v.X).(*ast.Ident); xok {
-				if _, isPkg := info.Uses[x].(*types.PkgName); isPkg {
-					if obj, vok := info.Uses[v.Sel].(*types.Var); vok && obj.Pkg() != nil {
-						return obj.Pkg().Path() + "." + obj.Name()
-					}
+		if _, ok := info.Selections[v]; ok {
+			class, _ := FieldClass(info, v)
+			return class
+		}
+		// Qualified identifier pkg.Mu: a package-level var of the
+		// imported package (no Selections entry exists for these).
+		if x, ok := ast.Unparen(v.X).(*ast.Ident); ok {
+			if _, isPkg := info.Uses[x].(*types.PkgName); isPkg {
+				if obj, ok := info.Uses[v.Sel].(*types.Var); ok && obj.Pkg() != nil {
+					return obj.Pkg().Path() + "." + obj.Name()
 				}
 			}
-			return ""
 		}
-		if sel.Kind() != types.FieldVal {
-			return ""
-		}
-		field, ok := sel.Obj().(*types.Var)
-		if !ok {
-			return ""
-		}
-		rpath, rname := NamedTypePath(sel.Recv())
-		if rname == "" {
-			// Unnamed receiver (e.g. a slice element of an anonymous
-			// struct); fall back to the field's own package.
-			return ""
-		}
-		if rpath == "" && field.Pkg() != nil {
-			rpath = field.Pkg().Path()
-		}
-		return rpath + "." + rname + "." + field.Name()
 	}
 	return ""
+}
+
+// FieldClass resolves a selector to its field-class identity
+// ("pkgpath.Owner.field", where Owner is the named type the selection
+// goes through) and the field object; "" when the selector is not a
+// struct-field access on a named type.
+func FieldClass(info *types.Info, sel *ast.SelectorExpr) (string, *types.Var) {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return "", nil
+	}
+	field, ok := s.Obj().(*types.Var)
+	if !ok {
+		return "", nil
+	}
+	rpath, rname := NamedTypePath(s.Recv())
+	if rname == "" {
+		return "", nil // anonymous struct: no declaration to name
+	}
+	if rpath == "" && field.Pkg() != nil {
+		rpath = field.Pkg().Path()
+	}
+	return rpath + "." + rname + "." + field.Name(), field
+}
+
+// SyncLockCall classifies call as a sync.Mutex/RWMutex (or
+// sync.Locker) method call: recv is the mutex expression (the x in
+// x.Lock(), to be resolved with LockClass), acquire is true for
+// Lock/RLock and false for Unlock/RUnlock. TryLock/TryRLock are not
+// classified: their success is conditional, so they never add to a
+// must-hold set. Every pass that reasons about held locks goes
+// through here (by way of lockorder.LockOps).
+func SyncLockCall(info *types.Info, call *ast.CallExpr) (recv ast.Expr, acquire, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return nil, false, false
+	}
+	fn := Callee(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return nil, false, false
+	}
+	switch fn.Name() {
+	case "Lock", "RLock":
+		return sel.X, true, true
+	case "Unlock", "RUnlock":
+		return sel.X, false, true
+	}
+	return nil, false, false
 }

@@ -9,8 +9,8 @@ import (
 
 // This file is the lockset layer: a forward "must-hold" dataflow over
 // the CFG computing, at every node, the set of lock classes that are
-// definitely held when the node executes — the substrate the static
-// race passes (guardedby, atomicmix) stand on.
+// definitely held when the node executes — the one answer to "which
+// locks are held here" that lockio, lockorder and guardedby all read.
 //
 // The lattice is the powerset of lock classes ordered by ⊇: the top
 // element is "all classes held" (the optimistic value of unvisited
@@ -154,6 +154,28 @@ func (ls *LockSets) Held(blk *Block, i int) []string {
 		applyOps(cur, ls.ops[blk][j])
 	}
 	return sortedKeys(cur)
+}
+
+// Walk calls fn for every node the function can execute, in block
+// order, with the sorted set of classes definitely held just before
+// it. Statically dead blocks are skipped, and so are DeferStmt
+// registrations: a deferred call is visited where it runs, in the exit
+// block, under the locks held at return (minus what later-registered
+// defers already released).
+func (ls *LockSets) Walk(fn func(n ast.Node, held []string)) {
+	for _, blk := range ls.g.Blocks {
+		in, live := ls.in[blk]
+		if !live {
+			continue
+		}
+		cur := copySet(in)
+		for i, n := range blk.Nodes {
+			if _, isDefer := n.(*ast.DeferStmt); !isDefer {
+				fn(n, sortedKeys(cur))
+			}
+			applyOps(cur, ls.ops[blk][i])
+		}
+	}
 }
 
 // Holds reports whether class is definitely held just before node i of

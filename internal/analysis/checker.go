@@ -1,328 +1,66 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"path/filepath"
-	"reflect"
 	"sort"
 	"strings"
-	"time"
-
-	"comtainer/internal/digest"
 )
 
-// Options configures a checker run.
-type Options struct {
-	// Cache, when non-nil, replays per-package results and facts for
-	// packages whose key (analyzer versions, source hashes, dependency
-	// keys) is unchanged, skipping parse, type-check, and analysis.
-	Cache *Cache
-}
-
-// Result is the outcome of one checker run.
-type Result struct {
-	// Diags holds every diagnostic, including suppressed ones
-	// (flagged), sorted by position.
-	Diags []Diagnostic
-	// Total and Cached count analyzed packages and how many of them
-	// were replayed from the incremental cache.
-	Total, Cached int
-	// Pkgs are the packages that were actually loaded from source
-	// this run (cache misses); cached packages do not appear.
-	Pkgs []*Package
-	// Stats holds per-analyzer cost over the run, in suite order.
-	// Replayed packages contribute nothing: their results came from
-	// the cache, which is the point.
-	Stats []AnalyzerStat
-}
-
-// AnalyzerStat aggregates one analyzer's cost over a checker run.
-type AnalyzerStat struct {
-	// Name is the analyzer name.
-	Name string
-	// RunTime is the wall time spent in Run across fresh packages.
-	RunTime time.Duration
-	// FinishTime is the wall time of the whole-program Finish step.
-	FinishTime time.Duration
-	// Packages counts the fresh packages the analyzer ran over.
-	Packages int
-}
-
-// Findings returns the diagnostics that survived suppression.
-func (r *Result) Findings() []Diagnostic {
-	var out []Diagnostic
-	for _, d := range r.Diags {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Run analyzes targets with suite in dependency order, so facts
-// exported by a package are visible to its dependents, then executes
-// each analyzer's Finish step over the union of facts. With a cache
-// configured, unchanged packages are replayed instead of re-analyzed.
-func Run(targets []*Target, suite Suite, opts *Options) (*Result, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	ck := newChecker(suite)
-	res := &Result{Total: len(targets)}
-	// Seed the filename→package map from target metadata so Finish
-	// diagnostics attribute positions in replayed packages (whose
-	// sources are never loaded) exactly like cold ones.
-	for _, t := range targets {
-		for _, f := range t.GoFiles {
-			ck.fileToPkg[filepath.Join(t.Dir, f)] = t.Path
-		}
-	}
-
-	keys := make(map[string]keyState, len(targets))
-	for _, t := range sortTargets(targets) {
-		var entry *cacheEntry
-		if opts.Cache != nil {
-			key, err := opts.Cache.key(t, suite, keys)
-			if err == nil {
-				keys[t.Path] = keyState{key: key, ok: true}
-				entry = opts.Cache.get(key)
-			} else {
-				keys[t.Path] = keyState{}
-			}
-		}
-		if entry != nil {
-			if err := ck.replay(t.Path, entry); err == nil {
-				res.Cached++
-				continue
-			}
-			// A corrupt or stale-schema entry falls through to a
-			// fresh analysis below.
-			ck.forget(t.Path)
-		}
-		pkg, err := t.Load()
-		if err != nil {
-			return nil, err
-		}
-		res.Pkgs = append(res.Pkgs, pkg)
-		fresh, err := ck.analyze(pkg)
-		if err != nil {
-			return nil, err
-		}
-		if ks := keys[t.Path]; ks.ok && opts.Cache != nil {
-			opts.Cache.put(ks.key, fresh)
-		}
-	}
-	diags, err := ck.finish()
-	if err != nil {
-		return nil, err
-	}
-	res.Diags = diags
-	res.Stats = ck.statsList()
-	return res, nil
-}
-
-// keyState records a target's cache key, or that keying failed and
-// the package must not be cached this run.
-type keyState struct {
-	key digest.Digest
-	ok  bool
-}
-
-// CheckPackages runs suite over already-loaded packages, in the order
-// given, with an in-memory fact store and the Finish step; no caching.
-// It returns every diagnostic with its Suppressed flag set.
+// CheckPackages runs suite over pkgs and returns every diagnostic,
+// suppressed ones included (flagged), sorted by position. Packages are
+// analyzed in the order given, which must be dependency-first — the
+// order Load returns — so the facts a package exports are visible to
+// its dependents; each analyzer's Finish step then runs over the union
+// of its facts. This is the one way the suite runs: comtainer-vet, the
+// analysistest harness and the end-to-end test all come through here.
 func CheckPackages(pkgs []*Package, suite []*Analyzer) ([]Diagnostic, error) {
-	ck := newChecker(suite)
+	ck := &checker{suite: suite, facts: make(map[string]map[string]Fact)}
 	for _, pkg := range pkgs {
-		if _, err := ck.analyze(pkg); err != nil {
+		if err := ck.analyze(pkg); err != nil {
 			return nil, err
 		}
 	}
 	return ck.finish()
 }
 
-// Check runs every analyzer over every package and returns the
-// surviving diagnostics sorted by position — the historical entry
-// point, kept for callers that do not need caching or the suppressed
-// view.
-func Check(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, err := CheckPackages(pkgs, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	var out []Diagnostic
-	for _, d := range diags {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
-	return out, nil
-}
-
-// sortTargets orders targets dependency-first (imports before
-// importers). go list -deps already emits this order; the explicit
-// sort keeps the facts pipeline correct for any caller-built slice.
-func sortTargets(targets []*Target) []*Target {
-	byPath := make(map[string]*Target, len(targets))
-	for _, t := range targets {
-		byPath[t.Path] = t
-	}
-	var out []*Target
-	state := make(map[string]int, len(targets)) // 0 new, 1 visiting, 2 done
-	var visit func(t *Target)
-	visit = func(t *Target) {
-		if state[t.Path] != 0 {
-			return // visiting (import cycle: impossible in Go) or done
-		}
-		state[t.Path] = 1
-		for _, imp := range t.Imports {
-			if dep, ok := byPath[imp]; ok {
-				visit(dep)
-			}
-		}
-		state[t.Path] = 2
-		out = append(out, t)
-	}
-	for _, t := range targets {
-		visit(t)
-	}
-	return out
-}
-
-// checker accumulates per-package diagnostics, allow sites, and facts
-// across one run, whether packages were analyzed fresh or replayed.
+// checker accumulates diagnostics, allow sites, and facts across the
+// packages of one run.
 type checker struct {
 	suite []*Analyzer
 	diags []Diagnostic
 	sites []allowSite
 	facts map[string]map[string]Fact // analyzer → package path → fact
-	stats map[string]*AnalyzerStat   // analyzer → accumulated cost
-
-	// perPkg remembers what each package contributed, so a replay
-	// that later proves corrupt can be forgotten cleanly.
-	perPkg map[string]*cacheEntry
-
-	// fileToPkg maps absolute source filenames to import paths, so
-	// whole-program Finish diagnostics (whose positions may land in
-	// any analyzed package, including ones replayed without loading)
-	// can be attributed to a package for report sorting.
-	fileToPkg map[string]string
 }
 
-func newChecker(suite []*Analyzer) *checker {
-	return &checker{
-		suite:     suite,
-		facts:     make(map[string]map[string]Fact),
-		stats:     make(map[string]*AnalyzerStat),
-		perPkg:    make(map[string]*cacheEntry),
-		fileToPkg: make(map[string]string),
-	}
-}
-
-// analyze loads allow sites, runs every analyzer over pkg, installs
-// exported facts, and returns the package's serializable contribution
-// for the cache.
-func (ck *checker) analyze(pkg *Package) (*cacheEntry, error) {
-	entry := &cacheEntry{Facts: make(map[string]json.RawMessage)}
-	for _, f := range pkg.Files {
-		if p := pkg.Fset.Position(f.Pos()); p.Filename != "" {
-			ck.fileToPkg[p.Filename] = pkg.Path
-		}
-	}
+// analyze indexes pkg's allow sites and runs every analyzer over it.
+func (ck *checker) analyze(pkg *Package) error {
 	sites, reasonDiags := scanAllows(pkg)
-	entry.Allows = sites
-	entry.Diags = append(entry.Diags, reasonDiags...)
+	ck.sites = append(ck.sites, sites...)
+	ck.diags = append(ck.diags, reasonDiags...)
 
 	for _, a := range ck.suite {
-		a := a
-		var diags []Diagnostic
+		byPkg := ck.facts[a.Name]
+		if byPkg == nil {
+			byPkg = make(map[string]Fact)
+			ck.facts[a.Name] = byPkg
+		}
 		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Report: func(d Diagnostic) {
-				d.Pkg = pkg.Path
-				diags = append(diags, d)
-			},
-			PackageFact: func(path string) Fact {
-				return ck.facts[a.Name][path]
-			},
-			AnalyzerFact: func(analyzer, path string) Fact {
-				return ck.facts[analyzer][path]
-			},
+			Analyzer:          a,
+			Fset:              pkg.Fset,
+			Files:             pkg.Files,
+			Pkg:               pkg.Types,
+			TypesInfo:         pkg.Info,
+			Report:            func(d Diagnostic) { ck.diags = append(ck.diags, d) },
+			ExportPackageFact: func(f Fact) { byPkg[pkg.Path] = f },
+			PackageFact:       func(path string) Fact { return byPkg[path] },
+			AnalyzerFact:      func(analyzer, path string) Fact { return ck.facts[analyzer][path] },
 		}
-		if a.FactType != nil {
-			pass.ExportPackageFact = func(f Fact) {
-				ck.installFact(a.Name, pkg.Path, f)
-				raw, err := json.Marshal(f)
-				if err == nil {
-					entry.Facts[a.Name] = raw
-				}
-			}
-		}
-		start := time.Now()
 		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("analysis: running %s on %s: %w", a.Name, pkg.Path, err)
+			return fmt.Errorf("analysis: running %s on %s: %w", a.Name, pkg.Path, err)
 		}
-		st := ck.statsFor(a.Name)
-		st.RunTime += time.Since(start)
-		st.Packages++
-		entry.Diags = append(entry.Diags, diags...)
 	}
-	ck.adopt(pkg.Path, entry)
-	return entry, nil
-}
-
-// replay installs a cached package contribution: its diagnostics,
-// allow sites, and decoded facts.
-func (ck *checker) replay(path string, entry *cacheEntry) error {
-	for name, raw := range entry.Facts {
-		a := findAnalyzer(ck.suite, name)
-		if a == nil || a.FactType == nil {
-			continue
-		}
-		f, err := decodeFact(a.FactType, raw)
-		if err != nil {
-			return fmt.Errorf("analysis: cached fact %s/%s: %w", name, path, err)
-		}
-		ck.installFact(name, path, f)
-	}
-	ck.adopt(path, entry)
 	return nil
-}
-
-// adopt records entry's diagnostics and allow sites under path.
-func (ck *checker) adopt(path string, entry *cacheEntry) {
-	ck.perPkg[path] = entry
-	ck.diags = append(ck.diags, entry.Diags...)
-	ck.sites = append(ck.sites, entry.Allows...)
-}
-
-// forget removes everything a (failed) replay installed for path.
-func (ck *checker) forget(path string) {
-	entry := ck.perPkg[path]
-	if entry == nil {
-		return
-	}
-	delete(ck.perPkg, path)
-	ck.diags = ck.diags[:len(ck.diags)-len(entry.Diags)]
-	ck.sites = ck.sites[:len(ck.sites)-len(entry.Allows)]
-	for _, byPkg := range ck.facts {
-		delete(byPkg, path)
-	}
-}
-
-func (ck *checker) installFact(analyzer, path string, f Fact) {
-	byPkg := ck.facts[analyzer]
-	if byPkg == nil {
-		byPkg = make(map[string]Fact)
-		ck.facts[analyzer] = byPkg
-	}
-	byPkg[path] = f
 }
 
 // finish runs the whole-program steps, applies suppression, and
@@ -332,26 +70,15 @@ func (ck *checker) finish() ([]Diagnostic, error) {
 		if a.Finish == nil {
 			continue
 		}
-		facts := ck.facts[a.Name]
-		if facts == nil {
-			facts = make(map[string]Fact)
-		}
 		fp := &FinishPass{
-			Analyzer: a,
-			Facts:    facts,
-			Report: func(d Diagnostic) {
-				if d.Pkg == "" {
-					d.Pkg = ck.fileToPkg[d.Pos.Filename]
-				}
-				ck.diags = append(ck.diags, d)
-			},
+			Analyzer:      a,
+			Facts:         ck.facts[a.Name],
+			Report:        func(d Diagnostic) { ck.diags = append(ck.diags, d) },
 			AnalyzerFacts: func(analyzer string) map[string]Fact { return ck.facts[analyzer] },
 		}
-		start := time.Now()
 		if err := a.Finish(fp); err != nil {
 			return nil, fmt.Errorf("analysis: finishing %s: %w", a.Name, err)
 		}
-		ck.statsFor(a.Name).FinishTime += time.Since(start)
 	}
 
 	ix := buildAllowIndex(ck.sites)
@@ -367,11 +94,8 @@ func (ck *checker) finish() ([]Diagnostic, error) {
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
+		if a.Pos != b.Pos {
+			return PosBefore(a.Pos, b.Pos)
 		}
 		if a.Analyzer != b.Analyzer {
 			return a.Analyzer < b.Analyzer
@@ -379,52 +103,6 @@ func (ck *checker) finish() ([]Diagnostic, error) {
 		return a.Message < b.Message
 	})
 	return out, nil
-}
-
-// statsFor returns (creating on first use) the accumulator for name.
-func (ck *checker) statsFor(name string) *AnalyzerStat {
-	st := ck.stats[name]
-	if st == nil {
-		st = &AnalyzerStat{Name: name}
-		ck.stats[name] = st
-	}
-	return st
-}
-
-// statsList flattens the accumulators into suite order.
-func (ck *checker) statsList() []AnalyzerStat {
-	out := make([]AnalyzerStat, 0, len(ck.suite))
-	for _, a := range ck.suite {
-		if st := ck.stats[a.Name]; st != nil {
-			out = append(out, *st)
-		} else {
-			out = append(out, AnalyzerStat{Name: a.Name})
-		}
-	}
-	return out
-}
-
-func findAnalyzer(suite []*Analyzer, name string) *Analyzer {
-	for _, a := range suite {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
-// decodeFact unmarshals raw into a fresh value of proto's concrete
-// type (proto must be a non-nil pointer, per Analyzer.FactType).
-func decodeFact(proto Fact, raw []byte) (Fact, error) {
-	t := reflect.TypeOf(proto)
-	if t == nil || t.Kind() != reflect.Pointer {
-		return nil, fmt.Errorf("fact prototype %T is not a pointer", proto)
-	}
-	v := reflect.New(t.Elem()).Interface().(Fact)
-	if err := json.Unmarshal(raw, v); err != nil {
-		return nil, err
-	}
-	return v, nil
 }
 
 // AllowAnalyzerName tags the diagnostics the suppression scanner
@@ -435,10 +113,10 @@ const AllowAnalyzerName = "allow"
 // Line..EndLine (plus the line after EndLine, matching the historical
 // "comment above the flagged line" behavior).
 type allowSite struct {
-	File    string   `json:"file"`
-	Line    int      `json:"line"`
-	EndLine int      `json:"endLine"`
-	Names   []string `json:"names"`
+	File    string
+	Line    int
+	EndLine int
+	Names   []string
 }
 
 // allowIndex answers suppression queries over a set of sites.
@@ -551,19 +229,4 @@ func parseAllow(text string) (names []string, hasReason bool) {
 		return nil, false
 	}
 	return names, hasReason
-}
-
-// FilterSuppressed applies the //comtainer:allow filtering to an
-// externally produced diagnostic list — the hook the analysistest
-// harness uses so testdata can exercise the suppression syntax.
-func FilterSuppressed(pkg *Package, diags []Diagnostic) []Diagnostic {
-	sites, _ := scanAllows(pkg)
-	ix := buildAllowIndex(sites)
-	var out []Diagnostic
-	for _, d := range diags {
-		if !ix.suppressed(d) {
-			out = append(out, d)
-		}
-	}
-	return out
 }

@@ -69,11 +69,7 @@ func a() {
 	_ = 1
 }
 `)
-	ck := newChecker(nil)
-	if _, err := ck.analyze(mustTypeCheck(t, pkg)); err != nil {
-		t.Fatal(err)
-	}
-	diags, err := ck.finish()
+	diags, err := CheckPackages([]*Package{mustTypeCheck(t, pkg)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,30 +25,6 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Target is one package matched by the load patterns, resolved but not
-// yet parsed or type-checked. The split lets the incremental checker
-// compute cache keys from Target metadata and skip Load entirely for
-// packages whose cached results are still valid.
-type Target struct {
-	// Path is the package import path.
-	Path string
-	// Dir is the package's source directory (absolute).
-	Dir string
-	// GoFiles are the package's source file base names, in build
-	// order, relative to Dir.
-	GoFiles []string
-	// Imports are the direct import paths (including stdlib).
-	Imports []string
-
-	fset    *token.FileSet
-	exports map[string]string
-	imp     types.Importer
-}
-
-// ExportFile returns the compiler export-data file recorded for the
-// import path, or "" when go list produced none.
-func (t *Target) ExportFile(path string) string { return t.exports[path] }
-
 // listedPkg is the subset of `go list -json` output the loader needs.
 type listedPkg struct {
 	ImportPath string
@@ -56,21 +32,21 @@ type listedPkg struct {
 	Export     string
 	GoFiles    []string
 	CgoFiles   []string
-	Imports    []string
 	Standard   bool
 	DepOnly    bool
 	Error      *struct{ Err string }
 }
 
-// Resolve expands patterns (e.g. "./...") relative to dir with the go
-// command and returns one Target per matched package, in go list's
-// dependency-first order. Imports — including sibling packages in the
-// same module and vendored dependencies — will be satisfied from
-// compiler export data produced by `go list -export`, so targets can
-// be loaded in any order and see exactly the types the compiler saw.
-// Test files are not loaded: the invariants the analyzers enforce
-// apply to library and binary code.
-func Resolve(dir string, patterns ...string) ([]*Target, error) {
+// Load expands patterns (e.g. "./...") relative to dir with the go
+// command and parses and type-checks every matched package from
+// source, in go list's dependency-first order. Imports — including
+// sibling packages in the same module and vendored dependencies — are
+// satisfied from compiler export data produced by `go list -export`,
+// so analyzers see exactly the types the compiler saw. All packages
+// share one FileSet and one caching importer. Test files are not
+// loaded: the invariants the analyzers enforce apply to library and
+// binary code.
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -79,7 +55,7 @@ func Resolve(dir string, patterns ...string) ([]*Target, error) {
 		return nil, err
 	}
 	exports := make(map[string]string, len(listed))
-	var targets []*Target
+	var targets []listedPkg
 	for _, p := range listed {
 		if p.Error != nil {
 			return nil, fmt.Errorf("analysis: %s: %s", p.ImportPath, p.Error.Err)
@@ -93,40 +69,16 @@ func Resolve(dir string, patterns ...string) ([]*Target, error) {
 		if len(p.CgoFiles) > 0 {
 			return nil, fmt.Errorf("analysis: %s uses cgo, which the loader does not support", p.ImportPath)
 		}
-		targets = append(targets, &Target{
-			Path:    p.ImportPath,
-			Dir:     p.Dir,
-			GoFiles: p.GoFiles,
-			Imports: p.Imports,
-		})
+		targets = append(targets, p)
 	}
 	fset := token.NewFileSet()
 	imp := ExportImporter(fset, func(path string) (string, bool) {
 		f, ok := exports[path]
 		return f, ok
 	})
-	for _, t := range targets {
-		t.fset, t.exports, t.imp = fset, exports, imp
-	}
-	return targets, nil
-}
-
-// Load parses and type-checks the target. Calls share one FileSet and
-// one caching importer across all targets of a Resolve.
-func (t *Target) Load() (*Package, error) {
-	return typeCheckDir(t.fset, t.imp, t.Path, t.Dir, t.GoFiles)
-}
-
-// Load resolves patterns relative to dir and type-checks every matched
-// package from source — Resolve plus Target.Load over each result.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	targets, err := Resolve(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]*Package, 0, len(targets))
 	for _, t := range targets {
-		pkg, err := t.Load()
+		pkg, err := typeCheckDir(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +92,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 func goList(dir string, patterns []string) ([]listedPkg, error) {
 	args := append([]string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,Imports,Standard,DepOnly,Error",
+		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,Standard,DepOnly,Error",
 		"--",
 	}, patterns...)
 	cmd := exec.Command("go", args...)

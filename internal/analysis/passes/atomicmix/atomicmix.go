@@ -39,48 +39,42 @@ var Analyzer = &analysis.Analyzer{
 	Name: "atomicmix",
 	Doc: "a field updated through sync/atomic must be accessed atomically everywhere; " +
 		"mixing atomic and plain access to the same word is a data race",
-	Version:  1,
-	FactType: (*Fact)(nil),
-	Run:      run,
-	Finish:   finish,
+	Run:    run,
+	Finish: finish,
 }
 
 // Fact is the per-package access record atomicmix exports.
 type Fact struct {
 	// Fields maps field class ("pkg.Type.Field") → its access sites in
 	// this package.
-	Fields map[string]*Mix `json:"fields,omitempty"`
+	Fields map[string]*Mix
 }
 
-// AFact marks Fact as a serializable analysis fact.
+// AFact marks Fact as an analysis fact.
 func (*Fact) AFact() {}
 
 // Mix separates one field's atomic and plain access sites.
 type Mix struct {
-	Atomic []Site `json:"atomic,omitempty"`
-	Plain  []Site `json:"plain,omitempty"`
+	Atomic []Site
+	Plain  []Site
 }
 
 // Site is one access.
 type Site struct {
-	Write bool           `json:"write,omitempty"`
-	Pos   token.Position `json:"pos"`
+	Write bool
+	Pos   token.Position
 }
 
 func run(pass *analysis.Pass) error {
 	c := &collector{
 		pass: pass,
-		seg:  firstSegment(pass.Pkg.Path()),
+		seg:  analysis.FirstSegment(pass.Pkg.Path()),
 		fact: &Fact{Fields: make(map[string]*Mix)},
 	}
 	for _, file := range pass.Files {
 		c.file(file)
 	}
 	if len(c.fact.Fields) > 0 {
-		for _, mix := range c.fact.Fields {
-			sortSites(mix.Atomic)
-			sortSites(mix.Plain)
-		}
 		pass.ExportPackageFact(c.fact)
 	}
 	return nil
@@ -93,7 +87,7 @@ type collector struct {
 }
 
 func (c *collector) file(file *ast.File) {
-	writes := writeTargets(file)
+	writes := analysis.WriteTargets(file)
 	// consumed marks selectors already accounted for as atomic
 	// operands (or silently accepted &atomicField uses); pre-order
 	// traversal guarantees the consuming parent is visited first.
@@ -182,25 +176,13 @@ func (c *collector) record(class string, atomic bool, site Site) {
 }
 
 // fieldClass resolves a selector to an in-module field's class
-// identity, mirroring guardedby and analysis.LockClass.
+// identity; "" for foreign fields.
 func (c *collector) fieldClass(sel *ast.SelectorExpr) (string, *types.Var) {
-	info := c.pass.TypesInfo
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
+	class, field := analysis.FieldClass(c.pass.TypesInfo, sel)
+	if class == "" || field.Pkg() == nil || analysis.FirstSegment(field.Pkg().Path()) != c.seg {
 		return "", nil
 	}
-	field, ok := s.Obj().(*types.Var)
-	if !ok || field.Pkg() == nil || firstSegment(field.Pkg().Path()) != c.seg {
-		return "", nil
-	}
-	rpath, rname := analysis.NamedTypePath(s.Recv())
-	if rname == "" {
-		return "", nil
-	}
-	if rpath == "" {
-		rpath = field.Pkg().Path()
-	}
-	return rpath + "." + rname + "." + field.Name(), field
+	return class, field
 }
 
 // --- whole-program step ---
@@ -208,11 +190,7 @@ func (c *collector) fieldClass(sel *ast.SelectorExpr) (string, *types.Var) {
 func finish(fp *analysis.FinishPass) error {
 	merged := make(map[string]*Mix)
 	for _, f := range fp.Facts {
-		fact, ok := f.(*Fact)
-		if !ok {
-			continue
-		}
-		for class, mix := range fact.Fields {
+		for class, mix := range f.(*Fact).Fields {
 			m := merged[class]
 			if m == nil {
 				m = &Mix{}
@@ -222,17 +200,12 @@ func finish(fp *analysis.FinishPass) error {
 			m.Plain = append(m.Plain, mix.Plain...)
 		}
 	}
-	classes := make([]string, 0, len(merged))
-	for class := range merged {
-		classes = append(classes, class)
-	}
-	sort.Strings(classes)
-	for _, class := range classes {
+	for _, class := range analysis.SortedKeys(merged) {
 		mix := merged[class]
 		if len(mix.Atomic) == 0 || len(mix.Plain) == 0 {
 			continue
 		}
-		sortSites(mix.Plain)
+		sort.Slice(mix.Plain, func(i, j int) bool { return analysis.PosBefore(mix.Plain[i].Pos, mix.Plain[j].Pos) })
 		for _, site := range mix.Plain {
 			kind := "read"
 			if site.Write {
@@ -280,52 +253,4 @@ func isAtomicType(t types.Type) bool {
 // the pure loads mutates.
 func atomicWrites(name string) bool {
 	return !strings.HasPrefix(name, "Load")
-}
-
-// writeTargets collects the selectors the file writes through:
-// assignment left-hand sides, ++/--, and address-taken operands
-// (integer fields only reach here; &atomicField is consumed earlier).
-func writeTargets(file *ast.File) map[*ast.SelectorExpr]bool {
-	writes := make(map[*ast.SelectorExpr]bool)
-	mark := func(e ast.Expr) {
-		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-			writes[sel] = true
-		}
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range v.Lhs {
-				mark(lhs)
-			}
-		case *ast.IncDecStmt:
-			mark(v.X)
-		case *ast.UnaryExpr:
-			if v.Op == token.AND {
-				mark(v.X)
-			}
-		}
-		return true
-	})
-	return writes
-}
-
-func firstSegment(path string) string {
-	if i := strings.IndexByte(path, '/'); i >= 0 {
-		return path[:i]
-	}
-	return path
-}
-
-func sortSites(sites []Site) {
-	sort.Slice(sites, func(i, j int) bool {
-		a, b := sites[i].Pos, sites[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
 }

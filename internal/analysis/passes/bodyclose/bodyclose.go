@@ -27,47 +27,25 @@ var Analyzer = &analysis.Analyzer{
 	Name: "bodyclose",
 	Doc: "every *http.Response acquired (directly or via in-module helpers) " +
 		"must have its Body closed on every path to the function exit",
-	Version:  1,
-	FactType: (*Fact)(nil),
-	Run:      run,
+	Run: run,
 }
 
-// Fact records which declared functions close a *http.Response
-// parameter on every path, keyed by FuncID; values are flat parameter
-// indices.
-type Fact struct {
-	Closers map[string][]int `json:"closers,omitempty"`
+var spec = &lifecycle.Spec{
+	IsResource: isResponse,
+	IsRelease:  isBodyClose,
+	Aliases:    hasCloser,
+	LeakMessage: func(obj types.Object) string {
+		return fmt.Sprintf("%s.Body is not closed on every path to return", obj.Name())
+	},
+	DiscardMessage: func(types.Type) string {
+		return "*http.Response result is discarded; its Body must be closed"
+	},
 }
-
-// AFact marks Fact as a serializable analysis fact.
-func (*Fact) AFact() {}
 
 func run(pass *analysis.Pass) error {
-	if pass.Pkg.Path() == "net/http" {
-		return nil
+	if pass.Pkg.Path() != "net/http" {
+		lifecycle.Run(pass, spec)
 	}
-	spec := &lifecycle.Spec{
-		IsResource: isResponse,
-		IsRelease:  isBodyClose,
-		Aliases:    hasCloser,
-		DepClosers: func(path string) map[string][]int {
-			if f, ok := pass.PackageFact(path).(*Fact); ok && f != nil {
-				return f.Closers
-			}
-			return nil
-		},
-		LeakMessage: func(obj types.Object) string {
-			return fmt.Sprintf("%s.Body is not closed on every path to return", obj.Name())
-		},
-		DiscardMessage: func(types.Type) string {
-			return "*http.Response result is discarded; its Body must be closed"
-		},
-	}
-	closers := lifecycle.Closers(pass, spec)
-	if len(closers) > 0 {
-		pass.ExportPackageFact(&Fact{Closers: closers})
-	}
-	lifecycle.Check(pass, spec, closers)
 	return nil
 }
 

@@ -29,45 +29,22 @@ var Analyzer = &analysis.Analyzer{
 	Name: "closeleak",
 	Doc: "a *os.File or io.Closer acquired from a call must be closed or escape " +
 		"(returned, stored, handed off) on every path to the function exit",
-	Version:  1,
-	FactType: (*Fact)(nil),
-	Run:      run,
+	Run: func(pass *analysis.Pass) error {
+		lifecycle.Run(pass, spec)
+		return nil
+	},
 }
 
-// Fact records which declared functions close a closer-typed
-// parameter on every path, keyed by FuncID; values are flat parameter
-// indices.
-type Fact struct {
-	Closers map[string][]int `json:"closers,omitempty"`
-}
-
-// AFact marks Fact as a serializable analysis fact.
-func (*Fact) AFact() {}
-
-func run(pass *analysis.Pass) error {
-	spec := &lifecycle.Spec{
-		IsResource: isCloser,
-		IsRelease: func(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
-			return lifecycle.MethodOn(info, call, obj, "Close")
-		},
-		Aliases:       isCloser,
-		ConsumesKnown: consumesKnown,
-		DepClosers: func(path string) map[string][]int {
-			if f, ok := pass.PackageFact(path).(*Fact); ok && f != nil {
-				return f.Closers
-			}
-			return nil
-		},
-		LeakMessage: func(obj types.Object) string {
-			return fmt.Sprintf("%s (%s) is not closed on every path to return", obj.Name(), obj.Type())
-		},
-	}
-	closers := lifecycle.Closers(pass, spec)
-	if len(closers) > 0 {
-		pass.ExportPackageFact(&Fact{Closers: closers})
-	}
-	lifecycle.Check(pass, spec, closers)
-	return nil
+var spec = &lifecycle.Spec{
+	IsResource: isCloser,
+	IsRelease: func(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
+		return lifecycle.MethodOn(info, call, obj, "Close")
+	},
+	Aliases:       isCloser,
+	ConsumesKnown: consumesKnown,
+	LeakMessage: func(obj types.Object) string {
+		return fmt.Sprintf("%s (%s) is not closed on every path to return", obj.Name(), obj.Type())
+	},
 }
 
 // isCloser reports types whose method set includes Close() error:

@@ -30,28 +30,26 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "a received context.Context must be passed on: no context.Background()/TODO() " +
 		"where a ctx is in scope or in library packages, no plain F when FContext exists, " +
 		"and no transitively-blocking in-module callee that cannot receive the ctx",
-	Version:  1,
-	FactType: (*Fact)(nil),
-	Run:      run,
+	Run: run,
 }
 
 // Fact summarizes the ctx behavior of every function in a package.
 type Fact struct {
-	Funcs map[string]*FuncCtx `json:"funcs,omitempty"`
+	Funcs map[string]*FuncCtx
 }
 
-// AFact marks Fact as a serializable analysis fact.
+// AFact marks Fact as an analysis fact.
 func (*Fact) AFact() {}
 
 // FuncCtx is one function's ctx summary.
 type FuncCtx struct {
 	// HasCtx reports a context.Context parameter.
-	HasCtx bool `json:"hasCtx,omitempty"`
+	HasCtx bool
 	// Blocking reports that the function can block, directly or
 	// through a static callee chain.
-	Blocking bool `json:"blocking,omitempty"`
+	Blocking bool
 	// PassesCtx reports that some call site receives a ctx argument.
-	PassesCtx bool `json:"passesCtx,omitempty"`
+	PassesCtx bool
 }
 
 func run(pass *analysis.Pass) error {

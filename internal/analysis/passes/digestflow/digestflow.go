@@ -35,19 +35,17 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "digest values reaching ==/!= comparisons or Verify/Validate must trace to " +
 		"sanctioned constructors (digest.FromBytes/FromString/FromHash/FromReader, digest.Parse) " +
 		"across assignments and call edges, never to raw digest.Digest(...) conversions",
-	Version:  1,
-	FactType: (*Fact)(nil),
-	Run:      run,
+	Run: run,
 }
 
 // Fact lists the functions in a package with at least one return path
 // yielding an unsanctioned digest. Functions absent from the map are
 // sanctioned.
 type Fact struct {
-	Dirty map[string]bool `json:"dirty,omitempty"`
+	Dirty map[string]bool
 }
 
-// AFact marks Fact as a serializable analysis fact.
+// AFact marks Fact as an analysis fact.
 func (*Fact) AFact() {}
 
 func run(pass *analysis.Pass) error {

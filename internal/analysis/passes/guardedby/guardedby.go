@@ -4,16 +4,19 @@
 // is provably not held, the RacerD-style static data-race check.
 //
 // Per package, every function scope is lowered to its CFG and run
-// through the must-hold lockset dataflow (cfg.ComputeLockSets): sync
-// (R)Lock/(R)Unlock calls acquire and release lock classes
-// (analysis.LockClass identities), `defer mu.Unlock()` keeps the class
-// held to the synthetic exit, and calls into in-module functions apply
-// the acquire/release summaries lockorder exported as facts (a
-// `lock()` helper leaves its class held; an `unlock()` helper removes
-// it). Each field access is recorded with the classes definitely held
-// at its CFG node, whether it is a read or a write, and whether it
-// runs on a spawned goroutine. The whole-program Finish step merges
-// the access records of every package, computes the set of functions
+// through the must-hold lockset dataflow (cfg.ComputeLockSets with
+// lockorder.LockOps): sync (R)Lock/(R)Unlock calls acquire and release
+// lock classes (analysis.LockClass identities), `defer mu.Unlock()`
+// keeps the class held to the synthetic exit, and calls into in-module
+// functions apply the acquire/release summaries lockorder exported as
+// facts (a `lock()` helper leaves its class held; an `unlock()` helper
+// removes it). Each field access is recorded with the classes
+// definitely held at its CFG node, whether it is a read or a write,
+// and whether it runs on a spawned goroutine. The whole-program Finish
+// step merges the access records of every package, adds to each access
+// the locks its function is always entered with (entryLocks: what
+// every caller of an unexported `fooLocked` helper holds at every
+// call, from lockorder's call sites), computes the set of functions
 // reachable from a goroutine spawn site through the CHA call graph
 // (interface calls fanned out via lockorder's Impls facts), and for
 // each field with at least one concurrent access takes the vote: if
@@ -24,11 +27,12 @@
 // Accepted unsoundness, documented for a linter backed by audited
 // //comtainer:allow comments: lock classes collapse all instances of a
 // type, aliasing through pointers copied into other structures is
-// invisible, reflection and unsafe bypass the AST entirely, and
-// RLock counts as holding the class (a write under RLock still
-// satisfies the vote). Accesses through locals the function itself
-// allocated (`p := &Proxy{...}; p.table = ...`) are skipped as owned —
-// unpublished values cannot race.
+// invisible, reflection and unsafe bypass the AST entirely, a helper
+// reached through a function or method value is entered with locks no
+// call site vouches for, and RLock counts as holding the class (a
+// write under RLock still satisfies the vote). Accesses through locals
+// the function itself allocated (`p := &Proxy{...}; p.table = ...`)
+// are skipped as owned — unpublished values cannot race.
 package guardedby
 
 import (
@@ -36,6 +40,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -50,10 +55,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "guardedby",
 	Doc: "a struct field protected by a lock on most accesses must hold that lock on " +
 		"every access reachable from a goroutine; an unguarded access is a data race",
-	Version:  1,
-	FactType: (*Fact)(nil),
-	Run:      run,
-	Finish:   finish,
+	Run:    run,
+	Finish: finish,
 }
 
 // Fact is the per-package summary guardedby exports: every field
@@ -62,46 +65,49 @@ var Analyzer = &analysis.Analyzer{
 type Fact struct {
 	// Fields maps field class ("pkg.Type.Field") → accesses observed
 	// in this package.
-	Fields map[string][]Access `json:"fields,omitempty"`
+	Fields map[string][]Access
 	// Funcs maps analysis.FuncID → the function's outgoing edges.
-	Funcs map[string]*FuncConc `json:"funcs,omitempty"`
+	Funcs map[string]*FuncConc
 }
 
-// AFact marks Fact as a serializable analysis fact.
+// AFact marks Fact as an analysis fact.
 func (*Fact) AFact() {}
 
 // Access is one read or write of a shared struct field.
 type Access struct {
 	// Fn is the FuncID of the enclosing declared function ("" for
 	// file-level initializers).
-	Fn string `json:"fn,omitempty"`
+	Fn string
 	// Write marks assignments, ++/--, and address-taken uses.
-	Write bool `json:"write,omitempty"`
+	Write bool
+	// Lit marks accesses inside a function literal: the literal may
+	// run anywhere, so Fn's entry locks say nothing about it.
+	Lit bool
 	// Go marks accesses lexically inside a go-statement's function
 	// literal: directly concurrent regardless of reachability.
-	Go bool `json:"go,omitempty"`
+	Go bool
 	// Held are the lock classes definitely held at the access.
-	Held []string `json:"held,omitempty"`
+	Held []string
 	// Pos locates the access for reporting.
-	Pos token.Position `json:"pos"`
+	Pos token.Position
 }
 
 // FuncConc is one function's outgoing edges for the reachability walk.
 type FuncConc struct {
 	// Calls are in-module callees invoked synchronously (static
 	// FuncIDs and interface-method IDs, resolved via Impls at Finish).
-	Calls []string `json:"calls,omitempty"`
+	Calls []string
 	// Spawns are callees invoked on a new goroutine: `go f()` targets
 	// and every call made inside a go-statement's literal body.
-	Spawns []string `json:"spawns,omitempty"`
+	Spawns []string
 }
 
 func run(pass *analysis.Pass) error {
 	w := &walker{
-		pass:  pass,
-		seg:   firstSegment(pass.Pkg.Path()),
-		fact:  &Fact{Fields: make(map[string][]Access), Funcs: make(map[string]*FuncConc)},
-		cache: make(map[string]*lockorder.Fact),
+		pass: pass,
+		seg:  analysis.FirstSegment(pass.Pkg.Path()),
+		ops:  lockorder.LockOps(pass, nil),
+		fact: &Fact{Fields: make(map[string][]Access), Funcs: make(map[string]*FuncConc)},
 	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -110,13 +116,10 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			w.scope(fd.Name.Name, analysis.FuncID(fn), fd.Body, false)
+			w.scope(fd.Name.Name, analysis.FuncID(fn), fd.Body, false, false)
 		}
 	}
 	if len(w.fact.Fields) > 0 || len(w.fact.Funcs) > 0 {
-		for class := range w.fact.Fields {
-			sortAccesses(w.fact.Fields[class])
-		}
 		pass.ExportPackageFact(w.fact)
 	}
 	return nil
@@ -125,30 +128,22 @@ func run(pass *analysis.Pass) error {
 // walker accumulates one package's fact while descending through
 // function scopes.
 type walker struct {
-	pass  *analysis.Pass
-	seg   string
-	fact  *Fact
-	cache map[string]*lockorder.Fact
+	pass *analysis.Pass
+	seg  string
+	ops  func(ast.Node) []cfg.LockOp
+	fact *Fact
 }
 
 // scope analyzes one function body: lockset dataflow, field accesses,
 // call/spawn edges, then recurses into nested literals. fnID
-// attributes everything to the enclosing declared function; inGo marks
-// bodies that execute on a spawned goroutine.
-func (w *walker) scope(name, fnID string, body *ast.BlockStmt, inGo bool) {
-	g := cfg.New(name, body)
-	ls := cfg.ComputeLockSets(g, w.lockOps)
+// attributes everything to the enclosing declared function; lit marks
+// a literal's body and inGo one that executes on a spawned goroutine.
+func (w *walker) scope(name, fnID string, body *ast.BlockStmt, lit, inGo bool) {
 	owned := ownedLocals(w.pass.TypesInfo, body)
-	for _, blk := range g.Blocks {
-		for i, n := range blk.Nodes {
-			if _, isDefer := n.(*ast.DeferStmt); isDefer && blk != g.Exit {
-				continue // its call is interpreted in the exit block
-			}
-			held := ls.Held(blk, i)
-			w.accesses(n, fnID, inGo, held, owned)
-			w.edges(n, fnID, inGo)
-		}
-	}
+	cfg.ComputeLockSets(cfg.New(name, body), w.ops).Walk(func(n ast.Node, held []string) {
+		w.accesses(n, Access{Fn: fnID, Lit: lit, Go: inGo, Held: held}, owned)
+		w.edges(n, fnID, inGo)
+	})
 	// Nested literals are their own scopes with empty entry locksets —
 	// a callback or goroutine body does not inherit the spawner's
 	// locks. A literal that is the operand of `go lit()` is concurrent;
@@ -162,103 +157,41 @@ func (w *walker) scope(name, fnID string, body *ast.BlockStmt, inGo bool) {
 				spawned[lit] = true
 			}
 		case *ast.FuncLit:
-			w.scope(name+".func", fnID, v.Body, inGo || spawned[v])
+			w.scope(name+".func", fnID, v.Body, true, inGo || spawned[v])
 			return false
 		}
 		return true
 	})
 }
 
-// lockOps classifies one CFG node's lock-state effects: sync mutex
-// calls directly, in-module calls through lockorder's Leaves/Releases
-// summaries.
-func (w *walker) lockOps(n ast.Node) []cfg.LockOp {
-	info := w.pass.TypesInfo
-	var ops []cfg.LockOp
-	analysis.InspectShallow(n, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if class, acquire, ok := syncLockCall(info, call); ok {
-			if class != "" {
-				ops = append(ops, cfg.LockOp{Class: class, Acquire: acquire})
-			}
-			return true
-		}
-		fn := analysis.Callee(info, call)
-		if fn == nil || fn.Pkg() == nil || firstSegment(fn.Pkg().Path()) != w.seg {
-			return true
-		}
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-			return true // dynamic dispatch: no single summary applies
-		}
-		if fl := w.lockSummary(fn.Pkg().Path(), analysis.FuncID(fn)); fl != nil {
-			for _, c := range fl.Releases {
-				ops = append(ops, cfg.LockOp{Class: c})
-			}
-			for _, c := range fl.Leaves {
-				ops = append(ops, cfg.LockOp{Class: c, Acquire: true})
-			}
-		}
-		return true
-	})
-	return ops
-}
-
-// lockSummary fetches the lockorder summary of one in-module function
-// (the current package's own facts included: lockorder runs earlier in
-// the suite). Nil when lockorder was filtered out or the function has
-// no summary — the dataflow then treats the call as lock-neutral.
-func (w *walker) lockSummary(pkgPath, id string) *lockorder.FuncLocks {
-	if id == "" {
-		return nil
-	}
-	f, ok := w.cache[pkgPath]
-	if !ok {
-		f, _ = w.pass.AnalyzerFact(lockorder.Analyzer.Name, pkgPath).(*lockorder.Fact)
-		w.cache[pkgPath] = f
-	}
-	if f == nil {
-		return nil
-	}
-	return f.Funcs[id]
-}
-
 // accesses records every shared-field read and write inside one CFG
-// node (not descending into literals, which are separate scopes).
-func (w *walker) accesses(n ast.Node, fnID string, inGo bool, held []string, owned map[types.Object]bool) {
+// node (not descending into literals, which are separate scopes); at
+// carries what every access in the node has in common.
+func (w *walker) accesses(n ast.Node, at Access, owned map[types.Object]bool) {
 	info := w.pass.TypesInfo
-	writes := writeTargets(n)
-	var visit func(m ast.Node) bool
-	visit = func(m ast.Node) bool {
+	writes := analysis.WriteTargets(n)
+	ast.Inspect(n, func(m ast.Node) bool {
 		switch v := m.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if analysis.IsPkgFunc(info, v, "sync/atomic") || isAtomicMethod(info, v) {
+			if isAtomicMethod(info, v) {
 				return false // atomicmix's domain, not a plain access
 			}
 		case *ast.SelectorExpr:
-			class, field := fieldClass(info, v)
-			if class == "" || field.Pkg() == nil || firstSegment(field.Pkg().Path()) != w.seg ||
+			class, field := analysis.FieldClass(info, v)
+			if class == "" || field.Pkg() == nil || analysis.FirstSegment(field.Pkg().Path()) != w.seg ||
 				excludedFieldType(field.Type()) {
 				break
 			}
 			if obj := rootObj(info, v); obj != nil && owned[obj] {
 				break
 			}
-			w.fact.Fields[class] = append(w.fact.Fields[class], Access{
-				Fn:    fnID,
-				Write: writes[v],
-				Go:    inGo,
-				Held:  held,
-				Pos:   w.pass.Fset.Position(v.Sel.Pos()),
-			})
+			at.Write, at.Pos = writes[v], w.pass.Fset.Position(v.Sel.Pos())
+			w.fact.Fields[class] = append(w.fact.Fields[class], at)
 		}
 		return true
-	}
-	ast.Inspect(n, visit)
+	})
 }
 
 // edges records call and spawn edges out of one CFG node.
@@ -274,7 +207,7 @@ func (w *walker) edges(n ast.Node, fnID string, inGo bool) {
 			goCalls[v.Call] = true // visited before its child call
 		case *ast.CallExpr:
 			fn := analysis.Callee(info, v)
-			if fn == nil || fn.Pkg() == nil || firstSegment(fn.Pkg().Path()) != w.seg {
+			if fn == nil || fn.Pkg() == nil || analysis.FirstSegment(fn.Pkg().Path()) != w.seg {
 				return true
 			}
 			id, _, ok := analysis.CallTarget(info, v)
@@ -282,10 +215,12 @@ func (w *walker) edges(n ast.Node, fnID string, inGo bool) {
 				return true
 			}
 			c := w.conc(fnID)
+			list := &c.Calls
 			if inGo || goCalls[v] {
-				c.Spawns = appendUnique(c.Spawns, id)
-			} else {
-				c.Calls = appendUnique(c.Calls, id)
+				list = &c.Spawns
+			}
+			if !slices.Contains(*list, id) {
+				*list = append(*list, id)
 			}
 		}
 		return true
@@ -307,10 +242,7 @@ func finish(fp *analysis.FinishPass) error {
 	fields := make(map[string][]Access)
 	funcs := make(map[string]*FuncConc)
 	for _, f := range fp.Facts {
-		fact, ok := f.(*Fact)
-		if !ok {
-			continue
-		}
+		fact := f.(*Fact)
 		for class, accs := range fact.Fields {
 			fields[class] = append(fields[class], accs...)
 		}
@@ -319,29 +251,108 @@ func finish(fp *analysis.FinishPass) error {
 		}
 	}
 
-	// CHA bindings come from lockorder's facts: guardedby piggybacks
-	// on the same interface→implementation view rather than exporting
-	// a second copy.
+	// Lock summaries and CHA bindings come from lockorder's facts:
+	// guardedby piggybacks on the same call sites and the same
+	// interface→implementation view rather than exporting a second
+	// copy.
+	locks := make(map[string]*lockorder.FuncLocks)
 	impls := make(map[string][]string)
 	for _, f := range fp.AnalyzerFacts(lockorder.Analyzer.Name) {
-		if lf, ok := f.(*lockorder.Fact); ok {
-			analysis.MergeImplementations(impls, lf.Impls)
+		lf := f.(*lockorder.Fact)
+		for id, fl := range lf.Funcs {
+			locks[id] = fl
 		}
+		analysis.MergeImplementations(impls, lf.Impls)
 	}
 
+	entry := entryLocks(locks, impls)
 	reachable := goroutineReachable(funcs, impls)
 
-	classes := make([]string, 0, len(fields))
-	for class := range fields {
-		classes = append(classes, class)
-	}
-	sort.Strings(classes)
-	for _, class := range classes {
+	for _, class := range analysis.SortedKeys(fields) {
 		accs := fields[class]
-		sortAccesses(accs)
+		for i, a := range accs {
+			if a.Lit {
+				continue
+			}
+			for h := range entry[a.Fn] {
+				if held := accs[i].Held; !slices.Contains(held, h) {
+					// One Held slice serves every access of a CFG
+					// node: cap the slice so append copies.
+					accs[i].Held = append(held[:len(held):len(held)], h)
+				}
+			}
+		}
+		sort.Slice(accs, func(i, j int) bool { return analysis.PosBefore(accs[i].Pos, accs[j].Pos) })
 		voteAndReport(fp, class, accs, reachable)
 	}
 	return nil
+}
+
+// entryLocks computes the locks each unexported function is always
+// entered with: the intersection, over every call site of it, of the
+// locks held at the site and the caller's own entry locks — the
+// greatest fixpoint, so a chain of fooLocked helpers inherits from the
+// exported method that took the lock. This is what makes the Locked
+// suffix checkable: statLocked's accesses count as guarded because
+// every caller holds f.mu, and stop counting the day one does not.
+//
+// Only unexported functions get an answer: their callers are all in
+// one package, so "every call site" is every site lockorder saw —
+// declared functions and literals alike, `go f()` sites holding
+// nothing, interface calls fanned out to their implementations.
+func entryLocks(locks map[string]*lockorder.FuncLocks, impls map[string][]string) map[string]map[string]bool {
+	type site struct {
+		caller string
+		held   []string
+	}
+	sites := make(map[string][]site)
+	for caller, fl := range locks {
+		for _, c := range fl.Calls {
+			for _, callee := range c.Targets(impls) {
+				if !token.IsExported(callee[strings.LastIndexByte(callee, '.')+1:]) {
+					sites[callee] = append(sites[callee], site{caller, c.Held})
+				}
+			}
+		}
+	}
+	// A function with sites starts at "every lock" (absent from
+	// entry) and only loses classes; one without sites, or called
+	// only by callers still at "every lock" when the iteration
+	// settles (unreachable recursion), is entered with none.
+	entry := make(map[string]map[string]bool)
+	for changed := true; changed; {
+		changed = false
+		for callee, ss := range sites {
+			var meet map[string]bool
+			for _, s := range ss {
+				callerEntry, settled := entry[s.caller]
+				if _, called := sites[s.caller]; called && !settled {
+					continue // caller still at "every lock": no constraint yet
+				}
+				at := make(map[string]bool, len(s.held)+len(callerEntry))
+				for _, h := range s.held {
+					at[h] = true
+				}
+				for h := range callerEntry {
+					at[h] = true
+				}
+				if meet == nil {
+					meet = at
+					continue
+				}
+				for h := range meet {
+					if !at[h] {
+						delete(meet, h)
+					}
+				}
+			}
+			if meet != nil && (entry[callee] == nil || len(meet) != len(entry[callee])) {
+				entry[callee] = meet
+				changed = true
+			}
+		}
+	}
+	return entry
 }
 
 // goroutineReachable computes the FuncIDs reachable from any spawn
@@ -409,7 +420,7 @@ func voteAndReport(fp *analysis.FinishPass, class string, accs []Access, reachab
 		}
 	}
 	guard, n := "", 0
-	for _, h := range sortedKeys(count) {
+	for _, h := range analysis.SortedKeys(count) {
 		if count[h] > n {
 			guard, n = h, count[h]
 		}
@@ -418,7 +429,7 @@ func voteAndReport(fp *analysis.FinishPass, class string, accs []Access, reachab
 		return // no inferable invariant, or too weak a majority
 	}
 	for _, a := range accs {
-		if hasClass(a.Held, guard) {
+		if slices.Contains(a.Held, guard) {
 			continue
 		}
 		kind := "read"
@@ -435,51 +446,6 @@ func voteAndReport(fp *analysis.FinishPass, class string, accs []Access, reachab
 }
 
 // --- helpers ---
-
-// syncLockCall classifies sync.Mutex/RWMutex method calls: the
-// resolved lock class ("" for local mutexes) and whether the call
-// acquires. TryLock/TryRLock are ignored: their success is
-// conditional, so they never add to the must-hold set.
-func syncLockCall(info *types.Info, call *ast.CallExpr) (class string, acquire, ok bool) {
-	sel, okSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !okSel {
-		return "", false, false
-	}
-	fn := analysis.Callee(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", false, false
-	}
-	switch fn.Name() {
-	case "Lock", "RLock":
-		return analysis.LockClass(info, sel.X), true, true
-	case "Unlock", "RUnlock":
-		return analysis.LockClass(info, sel.X), false, true
-	}
-	return "", false, false
-}
-
-// fieldClass resolves a selector to its field-class identity
-// ("pkgpath.Owner.field", mirroring analysis.LockClass) and the field
-// object; "" when the selector is not a struct-field access on a
-// named type.
-func fieldClass(info *types.Info, sel *ast.SelectorExpr) (string, *types.Var) {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return "", nil
-	}
-	field, ok := s.Obj().(*types.Var)
-	if !ok {
-		return "", nil
-	}
-	rpath, rname := analysis.NamedTypePath(s.Recv())
-	if rname == "" {
-		return "", nil
-	}
-	if rpath == "" && field.Pkg() != nil {
-		rpath = field.Pkg().Path()
-	}
-	return rpath + "." + rname + "." + field.Name(), field
-}
 
 // excludedFieldType reports fields that are synchronization primitives
 // themselves (mutexes, wait groups, atomics — their access discipline
@@ -501,36 +467,6 @@ func isAtomicMethod(info *types.Info, call *ast.CallExpr) bool {
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	return ok && sig.Recv() != nil && fn.Pkg().Path() == "sync/atomic"
-}
-
-// writeTargets collects the selector expressions n writes through:
-// assignment left-hand sides, ++/-- operands, and address-taken
-// operands (a pointer to the field may be written by anyone).
-func writeTargets(n ast.Node) map[*ast.SelectorExpr]bool {
-	writes := make(map[*ast.SelectorExpr]bool)
-	mark := func(e ast.Expr) {
-		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-			writes[sel] = true
-		}
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch v := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.AssignStmt:
-			for _, lhs := range v.Lhs {
-				mark(lhs)
-			}
-		case *ast.IncDecStmt:
-			mark(v.X)
-		case *ast.UnaryExpr:
-			if v.Op == token.AND {
-				mark(v.X)
-			}
-		}
-		return true
-	})
-	return writes
 }
 
 // rootObj unwraps a selector/index chain to its base identifier's
@@ -607,51 +543,4 @@ func allocExpr(info *types.Info, e ast.Expr) bool {
 		}
 	}
 	return false
-}
-
-func firstSegment(path string) string {
-	if i := strings.IndexByte(path, '/'); i >= 0 {
-		return path[:i]
-	}
-	return path
-}
-
-func hasClass(held []string, class string) bool {
-	for _, h := range held {
-		if h == class {
-			return true
-		}
-	}
-	return false
-}
-
-func appendUnique(list []string, id string) []string {
-	for _, have := range list {
-		if have == id {
-			return list
-		}
-	}
-	return append(list, id)
-}
-
-func sortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortAccesses(accs []Access) {
-	sort.Slice(accs, func(i, j int) bool {
-		a, b := accs[i].Pos, accs[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
 }

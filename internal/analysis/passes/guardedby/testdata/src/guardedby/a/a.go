@@ -140,3 +140,76 @@ func (u *Unshared) A() {
 func (u *Unshared) B() {
 	u.n--
 }
+
+// Index keeps its map behind mu and does the work in *Locked helpers.
+// A helper's accesses are guarded by the locks every one of its call
+// sites holds (entry locks), so the Locked suffix is checked, not
+// trusted.
+type Index struct {
+	mu sync.Mutex
+	m  map[string]int
+}
+
+// Put and Drop hold mu at their call into a helper.
+func (x *Index) Put(k string) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.putLocked(k)
+}
+
+func (x *Index) Drop(k string) {
+	x.mu.Lock()
+	x.dropLocked(k)
+	x.mu.Unlock()
+}
+
+// Len reads under the guard directly.
+func (x *Index) Len() int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return len(x.m)
+}
+
+// putLocked is entered with mu from its only caller; bumpLocked
+// inherits it one call further down.
+func (x *Index) putLocked(k string) {
+	x.m[k] = 0
+	x.bumpLocked(k)
+}
+
+func (x *Index) bumpLocked(k string) {
+	x.m[k]++
+}
+
+// dropLocked has one caller that holds mu (Drop) and one that does not
+// (Sloppy): the intersection is empty and its access is reported.
+func (x *Index) dropLocked(k string) {
+	delete(x.m, k) // want `field .*a\.Index\.m is guarded by .*a\.Index\.mu on 3/5 accesses; unguarded read`
+}
+
+func (x *Index) Sloppy(k string) {
+	x.dropLocked(k)
+}
+
+// Later calls a helper from a literal. The literal runs whenever its
+// caller pleases, so it vouches for no lock even though Later holds
+// mu while building it: resetLocked's access is reported.
+func (x *Index) Later() func() {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return func() { x.resetLocked() }
+}
+
+func (x *Index) resetLocked() {
+	x.m = nil // want `field .*a\.Index\.m is guarded by .*a\.Index\.mu on 3/5 accesses; unguarded write`
+}
+
+// RunIndex makes Index goroutine-reachable.
+func RunIndex(x *Index) {
+	done := make(chan struct{})
+	go func() {
+		x.Put("k")
+		close(done)
+	}()
+	<-done
+}

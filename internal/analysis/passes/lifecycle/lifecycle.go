@@ -1,23 +1,25 @@
 // Package lifecycle is the shared engine behind the path-sensitive
-// resource passes (bodyclose, closeleak, timerstop). Each pass
-// supplies a Spec describing its resource family — what types are
-// tracked, what call releases one, which callees take ownership — and
-// lifecycle does the rest: it finds acquisition sites (call results
-// bound to locals) in every function scope, builds the scope's CFG,
-// and asks cfg.Tracked whether any path reaches the function exit with
-// the resource neither released nor escaped.
+// resource passes (bodyclose, closeleak, timerstop). Each pass is a
+// Spec describing its resource family — what types are tracked, what
+// call releases one, which callees take ownership — and Run does the
+// rest: it finds acquisition sites (call results bound to locals) in
+// every function scope, builds the scope's CFG, and asks cfg.Tracked
+// whether any path reaches the function exit with the resource neither
+// released nor escaped.
 //
-// It also provides the interprocedural classifier: Closers computes,
-// per declared function, the parameter indices of resource type that
-// the function releases on every path (a local fixpoint over
-// helper-calls-helper chains, seeded with dependency facts), so
-// `statusError(resp)` — which drains and closes resp.Body — counts as
-// a release at its call sites.
+// Run is interprocedural through one fact type: it computes, per
+// declared function, the parameter indices of resource type that the
+// function releases on every path (a local fixpoint over
+// helper-calls-helper chains, seeded with dependency facts) and
+// exports them as the pass's Fact, so `statusError(resp)` — which
+// drains and closes resp.Body — counts as a release at its call sites,
+// in this package and in its dependents.
 package lifecycle
 
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 
 	"comtainer/internal/analysis"
 	"comtainer/internal/analysis/cfg"
@@ -39,10 +41,6 @@ type Spec struct {
 	// Unknown and dynamic callees always consume. Nil means no known
 	// callee consumes.
 	ConsumesKnown func(fn *types.Func) bool
-	// DepClosers returns the closer fact of a dependency package:
-	// FuncID → flat parameter indices released on every path. Nil
-	// means no interprocedural facts.
-	DepClosers func(pkgPath string) map[string][]int
 	// LeakMessage renders the diagnostic for obj leaking.
 	LeakMessage func(obj types.Object) string
 	// DiscardMessage, when non-nil, enables reporting resource
@@ -51,10 +49,25 @@ type Spec struct {
 	DiscardMessage func(t types.Type) string
 }
 
-// Check runs the leak analysis over every function scope of the
-// package and reports findings through pass. closers is the local
-// classification from Closers (may be nil).
-func Check(pass *analysis.Pass, spec *Spec, closers map[string][]int) {
+// Fact records which declared functions release a resource-typed
+// parameter on every path, keyed by FuncID; values are flat parameter
+// indices. Every lifecycle pass exports this one type (facts are kept
+// per analyzer, so the families do not mix).
+type Fact struct {
+	Closers map[string][]int
+}
+
+// AFact marks Fact as an analysis fact.
+func (*Fact) AFact() {}
+
+// Run is a lifecycle pass's whole Analyzer.Run: it classifies the
+// package's closer helpers, exports them for dependents, and reports
+// every resource of spec's family that leaks in any function scope.
+func Run(pass *analysis.Pass, spec *Spec) {
+	closers := closersOf(pass, spec)
+	if len(closers) > 0 {
+		pass.ExportPackageFact(&Fact{Closers: closers})
+	}
 	for _, file := range pass.Files {
 		analysis.FuncScopes(file, func(body *ast.BlockStmt, decl *ast.FuncDecl) {
 			name := "func literal"
@@ -208,7 +221,7 @@ func releasePredicate(pass *analysis.Pass, spec *Spec, closers map[string][]int,
 		}
 		for i, arg := range call.Args {
 			if id, ok := ast.Unparen(arg).(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-				if calleeReleasesArg(pass, spec, closers, fn, i) {
+				if calleeReleasesArg(pass, closers, fn, i) {
 					return true
 				}
 			}
@@ -219,23 +232,18 @@ func releasePredicate(pass *analysis.Pass, spec *Spec, closers map[string][]int,
 
 // calleeReleasesArg consults the local closer classification and
 // dependency facts.
-func calleeReleasesArg(pass *analysis.Pass, spec *Spec, closers map[string][]int, fn *types.Func, i int) bool {
+func calleeReleasesArg(pass *analysis.Pass, closers map[string][]int, fn *types.Func, i int) bool {
 	id := analysis.FuncID(fn)
-	if id == "" {
+	if id == "" || fn.Pkg() == nil {
 		return false
 	}
 	var idxs []int
 	if fn.Pkg() == pass.Pkg {
 		idxs = closers[id]
-	} else if spec.DepClosers != nil && fn.Pkg() != nil {
-		idxs = spec.DepClosers(fn.Pkg().Path())[id]
+	} else if f, ok := pass.PackageFact(fn.Pkg().Path()).(*Fact); ok {
+		idxs = f.Closers[id]
 	}
-	for _, j := range idxs {
-		if j == i {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(idxs, i)
 }
 
 // consumePredicate builds the Tracked.Consumes hook.
@@ -249,12 +257,12 @@ func consumePredicate(pass *analysis.Pass, spec *Spec) func(*ast.CallExpr) bool 
 	}
 }
 
-// Closers classifies every function declared in the package: for each
-// resource-typed parameter, does every path to the function exit
+// closersOf classifies every function declared in the package: for
+// each resource-typed parameter, does every path to the function exit
 // release it? Escapes do not count — a helper that stores or returns
 // the resource leaves closing to someone else. Helper-calls-helper
 // chains converge by fixpoint; dependency facts are final.
-func Closers(pass *analysis.Pass, spec *Spec) map[string][]int {
+func closersOf(pass *analysis.Pass, spec *Spec) map[string][]int {
 	type candidate struct {
 		id     string
 		g      *cfg.CFG
@@ -287,7 +295,7 @@ func Closers(pass *analysis.Pass, spec *Spec) map[string][]int {
 		changed = false
 		for _, c := range cands {
 			for _, p := range c.params {
-				if hasIndex(closers[c.id], p.index) {
+				if slices.Contains(closers[c.id], p.index) {
 					continue
 				}
 				tracked := &cfg.Tracked{
@@ -331,15 +339,6 @@ func resourceParams(pass *analysis.Pass, spec *Spec, fd *ast.FuncDecl) []paramSi
 		}
 	}
 	return out
-}
-
-func hasIndex(idxs []int, i int) bool {
-	for _, j := range idxs {
-		if j == i {
-			return true
-		}
-	}
-	return false
 }
 
 // MethodOn reports whether call is a niladic-or-any method named

@@ -5,21 +5,29 @@
 // exact regression the DiskCache Get/Put split (stat, read, and write
 // outside the lock; index bookkeeping inside) exists to prevent.
 //
-// The check is lexical, per function: a section opens at mu.Lock() /
-// mu.RLock() and closes at the next matching unlock of the same
-// receiver expression, or at the end of the function when the unlock
-// is deferred. Calls into package os, io, net, or net/http inside a
-// section are flagged. Nested function literals are independent
-// scopes. Deliberate holds (e.g. serializing commit-time renames
-// against deletes) carry a //comtainer:allow lockio comment.
+// The check is path-sensitive, per function scope: the scope's CFG is
+// run through the must-hold lockset dataflow (cfg.ComputeLockSets with
+// lockorder.LockOps, the classifier guardedby and lockorder use too),
+// and a call into package os, io, net, or net/http at a node where any
+// lock is definitely held is flagged. So an unlock in an early-return
+// branch does not end the section on the path that falls through, a
+// `defer mu.Unlock()` keeps it open to the return, and a lock()/
+// unlock() helper opens or closes it through its lockorder summary.
+// Must-hold also means a lock taken on one branch only is not held
+// after the merge: the pass never blames I/O for a lock some path did
+// not take. Nested function literals are independent scopes.
+// Deliberate holds (e.g. serializing commit-time renames against
+// deletes) carry a //comtainer:allow lockio comment.
 package lockio
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"strings"
 
 	"comtainer/internal/analysis"
+	"comtainer/internal/analysis/cfg"
+	"comtainer/internal/analysis/passes/lockorder"
 )
 
 // ioPkgs are packages whose calls count as I/O.
@@ -48,113 +56,54 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// event is one lock-relevant occurrence inside a function body, in
-// source order.
-type event struct {
-	pos  token.Pos
-	kind string // "lock", "unlock", "defer-unlock", "io"
-	key  string // lock receiver expression + lock flavor
-	desc string // io call description
-}
-
 func run(pass *analysis.Pass) error {
+	// A local mutex is as good a convoy as a shared one, so mutexes
+	// LockClass cannot name keep their receiver text as the class.
+	ops := lockorder.LockOps(pass, types.ExprString)
 	for _, file := range pass.Files {
 		analysis.FuncScopes(file, func(body *ast.BlockStmt, decl *ast.FuncDecl) {
-			checkBody(pass, body)
+			checkBody(pass, ops, body)
 		})
 	}
 	return nil
 }
 
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	var events []event
+func checkBody(pass *analysis.Pass, ops func(ast.Node) []cfg.LockOp, body *ast.BlockStmt) {
+	// written maps a lock class to the receiver expression this body
+	// first locks it through, so the message says "s.mu", not the
+	// class; a class a helper acquired is shown without its directory.
+	written := make(map[string]string)
 	analysis.InspectShallow(body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.DeferStmt:
-			if key, kind, ok := lockCall(pass.TypesInfo, v.Call); ok && (kind == "Unlock" || kind == "RUnlock") {
-				events = append(events, event{pos: v.Pos(), kind: "defer-unlock", key: key + flavor(kind)})
-			}
-			return true
-		case *ast.CallExpr:
-			if key, kind, ok := lockCall(pass.TypesInfo, v); ok {
-				switch kind {
-				case "Lock", "RLock":
-					events = append(events, event{pos: v.Pos(), kind: "lock", key: key + flavor(kind)})
-				case "Unlock", "RUnlock":
-					events = append(events, event{pos: v.Pos(), kind: "unlock", key: key + flavor(kind)})
+		if call, ok := n.(*ast.CallExpr); ok {
+			if recv, _, ok := analysis.SyncLockCall(pass.TypesInfo, call); ok {
+				class, text := analysis.LockClass(pass.TypesInfo, recv), types.ExprString(recv)
+				if class == "" {
+					class = text
 				}
-				return true
-			}
-			if desc, ok := ioCall(pass.TypesInfo, v); ok {
-				events = append(events, event{pos: v.Pos(), kind: "io", desc: desc})
+				if written[class] == "" {
+					written[class] = text
+				}
 			}
 		}
 		return true
 	})
-
-	reported := map[token.Pos]bool{}
-	for _, lock := range events {
-		if lock.kind != "lock" {
-			continue
+	cfg.ComputeLockSets(cfg.New("", body), ops).Walk(func(n ast.Node, held []string) {
+		if len(held) == 0 {
+			return
 		}
-		end := body.End()
-		// The section closes at the first explicit matching unlock
-		// after the lock, unless a deferred unlock intervenes — then
-		// it runs to the end of the function.
-		var explicit token.Pos
-		for _, e := range events {
-			if e.kind == "unlock" && e.key == lock.key && e.pos > lock.pos {
-				explicit = e.pos
-				break
+		lock := written[held[0]]
+		if lock == "" {
+			lock = held[0][strings.LastIndexByte(held[0], '/')+1:]
+		}
+		analysis.InspectShallow(n, func(m ast.Node) bool {
+			if call, ok := m.(*ast.CallExpr); ok {
+				if desc, ok := ioCall(pass.TypesInfo, call); ok {
+					pass.Reportf(call.Pos(), "%s called while %s is held; move I/O outside the critical section", desc, lock)
+				}
 			}
-		}
-		deferred := false
-		for _, e := range events {
-			if e.kind == "defer-unlock" && e.key == lock.key && e.pos > lock.pos &&
-				(explicit == token.NoPos || e.pos < explicit) {
-				deferred = true
-				break
-			}
-		}
-		if !deferred && explicit != token.NoPos {
-			end = explicit
-		}
-		for _, e := range events {
-			if e.kind == "io" && e.pos > lock.pos && e.pos < end && !reported[e.pos] {
-				reported[e.pos] = true
-				pass.Reportf(e.pos, "%s called while %s is held; move I/O outside the critical section",
-					e.desc, lock.key[:len(lock.key)-2])
-			}
-		}
-	}
-}
-
-// flavor collapses Lock/Unlock and RLock/RUnlock into a matching key
-// suffix so write sections pair with Unlock and read sections with
-// RUnlock.
-func flavor(kind string) string {
-	if kind == "RLock" || kind == "RUnlock" {
-		return "/r"
-	}
-	return "/w"
-}
-
-// lockCall reports whether call is a sync.Mutex/RWMutex (un)lock and
-// returns the receiver expression string and method name.
-func lockCall(info *types.Info, call *ast.CallExpr) (key, kind string, ok bool) {
-	sel, okSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !okSel {
-		return "", "", false
-	}
-	fn := analysis.Callee(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	switch fn.Name() {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-		return types.ExprString(sel.X), fn.Name(), true
-	}
-	return "", "", false
+			return true
+		})
+	})
 }
 
 // ioCall reports whether call enters one of the I/O packages and

@@ -1,26 +1,41 @@
 // Package lockorder builds the repository-wide lock-acquisition order
-// graph and reports any cycle in it as a potential deadlock.
+// graph and reports any cycle in it as a potential deadlock. It is
+// also where the suite's answer to "which locks are held here" is put
+// together: LockOps is the classifier lockio, guardedby and this
+// package's own summaries all hand to cfg.ComputeLockSets.
 //
-// Per package, the analyzer summarizes every declared function: the
-// mutex classes it acquires (a class is the declaring package/type/
-// field of the sync.Mutex or RWMutex, e.g. distrib.DiskStore.mu — all
-// instances of a type share a class), the classes lexically held at
-// each acquisition, and its outgoing call sites with the classes held
-// there. The summaries, plus the package's visible interface→
-// implementation bindings (class-hierarchy analysis), are exported as
-// facts. The whole-program Finish step links call sites to callees —
-// static calls directly, interface calls to every known
-// implementation — computes each function's transitive acquisition
-// set, and adds an edge A→B whenever B is acquired (directly or via a
-// callee chain) while A is held. A cycle in that graph means two
-// executions can acquire the same locks in opposite orders.
+// Per package, the analyzer summarizes every function scope — each
+// declared function, and each function literal under its own name —
+// over its CFG with the must-hold lockset dataflow: the mutex classes
+// it acquires (a class is the declaring package/type/field of the
+// sync.Mutex or RWMutex, e.g. distrib.DiskStore.mu — all instances of
+// a type share a class), the classes definitely held at each
+// acquisition, its outgoing call sites with the classes held there,
+// and its net effect for callers (Leaves, Releases). The summaries,
+// plus the package's visible interface→implementation bindings
+// (class-hierarchy analysis), are exported as facts. The whole-program
+// Finish step links call sites to callees — static calls directly,
+// interface calls to every known implementation — computes each
+// function's transitive acquisition set, and adds an edge A→B whenever
+// B is acquired (directly or via a callee chain) while A is held. A
+// cycle in that graph means two executions can acquire the same locks
+// in opposite orders.
+//
+// "Held" is must-hold: a lock taken on only one branch is not held
+// after the merge, so `if c { a.Lock() }; b.Lock()` contributes no
+// a→b edge, and the deadlock its c==true path can take part in goes
+// unreported. In exchange an unlock in an early-return branch is not
+// mistaken for the end of the section on the path that falls through.
+// It is the same choice lockio and guardedby make — one lockset, one
+// semantics.
 //
 // Known approximations, accepted for a linter backed by suppression
-// comments: function literals are not summarized (goroutine bodies
-// run without the spawner's locks anyway), calls through plain
-// function values are invisible, classes collapse all instances of a
-// type (two distinct stores of the same type look like one lock), and
-// RLock is ordered like Lock (conservative for writer interleavings).
+// comments: a literal's acquisitions are not attributed to the
+// function that merely defines it (it may run anywhere), calls through
+// plain function values are invisible, classes collapse all instances
+// of a type (two distinct stores of the same type look like one
+// lock), and RLock is ordered like Lock (conservative for writer
+// interleavings).
 package lockorder
 
 import (
@@ -28,10 +43,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
 	"comtainer/internal/analysis"
+	"comtainer/internal/analysis/cfg"
 )
 
 // Analyzer reports cycles in the global lock-acquisition order graph.
@@ -39,73 +56,97 @@ var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc: "no cycles in the repository-wide lock acquisition order; a cycle " +
 		"means two call paths can take the same mutexes in opposite orders and deadlock",
-	Version:  2,
-	FactType: (*Fact)(nil),
-	Run:      run,
-	Finish:   finish,
+	Run:    run,
+	Finish: finish,
 }
 
 // Fact is the per-package summary lockorder exports.
 type Fact struct {
 	// Funcs maps analysis.FuncID → lock summary for every function
-	// declared in the package that acquires or calls.
-	Funcs map[string]*FuncLocks `json:"funcs,omitempty"`
+	// declared in the package that acquires or calls. The n-th
+	// function literal inside F is summarized as "F$n": nothing calls
+	// it by that name, so it adds its own ordering evidence and call
+	// sites without changing what F is seen to acquire.
+	Funcs map[string]*FuncLocks
 	// Impls maps interface-method FuncIDs to the in-module methods
 	// implementing them, as visible from this package.
-	Impls map[string][]string `json:"impls,omitempty"`
+	Impls map[string][]string
 }
 
-// AFact marks Fact as a serializable analysis fact.
+// AFact marks Fact as an analysis fact.
 func (*Fact) AFact() {}
 
 // FuncLocks summarizes one function.
 type FuncLocks struct {
-	Acquires []Acquire  `json:"acquires,omitempty"`
-	Calls    []CallSite `json:"calls,omitempty"`
+	Acquires []Acquire
+	Calls    []CallSite
 
-	// Leaves are the lock classes still held when the function
-	// returns — acquired with neither a later explicit unlock nor a
-	// deferred unlock. A lock() helper leaves its class held; callers'
-	// lockset dataflow (cfg.ComputeLockSets) adds these on the call.
-	Leaves []string `json:"leaves,omitempty"`
-	// Releases are the classes the function unlocks without having
-	// acquired them itself — an unlock() helper running with the
-	// caller's lock held. Callers' lockset dataflow removes these.
-	Releases []string `json:"releases,omitempty"`
+	// Leaves are the lock classes held on every path to the function's
+	// return (LockSets.AtExit). A lock() helper leaves its class held;
+	// LockOps adds these at a call to it.
+	Leaves []string
+	// Releases are the classes the function unlocks at a point where
+	// it does not itself hold them — an unlock() helper running with
+	// the caller's lock held. LockOps removes these at a call to it.
+	Releases []string
 }
 
-// Acquire is one mutex acquisition with the classes lexically held at
-// that point.
+// Acquire is one mutex acquisition with the classes definitely held
+// at that point.
 type Acquire struct {
-	Class string         `json:"class"`
-	Held  []string       `json:"held,omitempty"`
-	Pos   token.Position `json:"pos"`
+	Class string
+	Held  []string
+	Pos   token.Position
 }
 
-// CallSite is one outgoing call with the classes held at the call.
+// CallSite is one outgoing call with the classes definitely held at
+// the call. A `go f()` site holds nothing: the new goroutine does not
+// inherit the spawner's locks.
 type CallSite struct {
-	Callee string         `json:"callee"`
-	Iface  bool           `json:"iface,omitempty"`
-	Held   []string       `json:"held,omitempty"`
-	Pos    token.Position `json:"pos"`
+	Callee string
+	Iface  bool
+	Held   []string
+	Pos    token.Position
 }
 
 func run(pass *analysis.Pass) error {
 	fact := &Fact{Funcs: make(map[string]*FuncLocks)}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			id := analysis.FuncID(fn)
-			if id == "" {
-				continue
-			}
-			if fl := summarize(pass, fd.Body); fl != nil {
+	// A helper's Leaves/Releases change what its same-package callers
+	// hold, so summarize twice when any exist: the second round sees
+	// the first round's summaries (one level of helper nesting; facts
+	// of dependency packages are final either way).
+	ops := lockOps(pass, nil, func(pkgPath string) *Fact {
+		if pkgPath == pass.Pkg.Path() {
+			return fact
+		}
+		f, _ := pass.PackageFact(pkgPath).(*Fact)
+		return f
+	})
+	for round, helpers := 0, true; round < 2 && helpers; round++ {
+		helpers = false
+		for _, file := range pass.Files {
+			lits := make(map[string]int)
+			analysis.FuncScopes(file, func(body *ast.BlockStmt, decl *ast.FuncDecl) {
+				if decl == nil {
+					return // file-level initializer: runs before anything can contend
+				}
+				fn, _ := pass.TypesInfo.Defs[decl.Name].(*types.Func)
+				id := analysis.FuncID(fn)
+				if id == "" {
+					return
+				}
+				if body != decl.Body {
+					lits[id]++
+					id = fmt.Sprintf("%s$%d", id, lits[id])
+				}
+				fl := summarize(pass, ops, id, body)
+				if fl == nil {
+					delete(fact.Funcs, id)
+					return
+				}
 				fact.Funcs[id] = fl
-			}
+				helpers = helpers || len(fl.Leaves) > 0 || len(fl.Releases) > 0
+			})
 		}
 	}
 	fact.Impls = moduleImpls(pass.Pkg)
@@ -119,11 +160,11 @@ func run(pass *analysis.Pass) error {
 // the current module (same leading path segment as the package):
 // foreign code cannot acquire this repository's lock classes.
 func moduleImpls(pkg *types.Package) map[string][]string {
-	seg := firstSegment(pkg.Path())
+	seg := analysis.FirstSegment(pkg.Path())
 	out := make(map[string][]string)
 	for iface, impls := range analysis.Implementations(pkg) {
 		for _, impl := range impls {
-			if firstSegment(impl) == seg {
+			if analysis.FirstSegment(impl) == seg {
 				out[iface] = append(out[iface], impl)
 			}
 		}
@@ -137,85 +178,113 @@ func moduleImpls(pkg *types.Package) map[string][]string {
 	return out
 }
 
-func firstSegment(path string) string {
-	if i := strings.IndexByte(path, '/'); i >= 0 {
-		return path[:i]
-	}
-	return path
+// LockOps returns the classifier cfg.ComputeLockSets runs over the
+// function scopes of pass's package: a sync (R)Lock/(R)Unlock call
+// acquires or releases its analysis.LockClass, and a static call to an
+// in-module function applies the Leaves/Releases summary lockorder
+// exported for it (so lockorder must run earlier in the suite; without
+// it such calls are lock-neutral). Calls through interfaces have no
+// single summary and change nothing.
+//
+// unresolved names the class of a mutex LockClass cannot attribute to
+// a declaration (a function-local mutex, a field of an anonymous
+// struct). Such a name means something only inside one function, so
+// passes that compare classes across functions pass nil and those
+// mutexes are ignored.
+func LockOps(pass *analysis.Pass, unresolved func(recv ast.Expr) string) func(ast.Node) []cfg.LockOp {
+	return lockOps(pass, unresolved, func(pkgPath string) *Fact {
+		f, _ := pass.AnalyzerFact(Analyzer.Name, pkgPath).(*Fact)
+		return f
+	})
 }
 
-// event is one lock-relevant occurrence inside a function body, in
-// source order.
-type event struct {
-	pos   token.Pos
-	kind  string // "lock", "unlock", "defer-unlock", "call"
-	key   string // receiver expression + flavor, for pairing
-	class string // resolved lock class ("" = local/unresolvable)
-
-	callee string // for "call"
-	iface  bool
-}
-
-// summarize scans one function body (shallow: nested function
-// literals are independent and skipped) and produces its summary, or
-// nil when the function neither locks nor calls anything relevant.
-func summarize(pass *analysis.Pass, body *ast.BlockStmt) *FuncLocks {
-	seg := firstSegment(pass.Pkg.Path())
-	var events []event
-	analysis.InspectShallow(body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.DeferStmt:
-			if key, class, kind, ok := lockCall(pass.TypesInfo, v.Call); ok && (kind == "Unlock" || kind == "RUnlock") {
-				events = append(events, event{pos: v.Pos(), kind: "defer-unlock", key: key, class: class})
+func lockOps(pass *analysis.Pass, unresolved func(ast.Expr) string, factOf func(pkgPath string) *Fact) func(ast.Node) []cfg.LockOp {
+	info := pass.TypesInfo
+	seg := analysis.FirstSegment(pass.Pkg.Path())
+	return func(n ast.Node) []cfg.LockOp {
+		var ops []cfg.LockOp
+		analysis.InspectShallow(n, func(m ast.Node) bool {
+			call, ok := m.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-			return true
-		case *ast.CallExpr:
-			if key, class, kind, ok := lockCall(pass.TypesInfo, v); ok {
-				switch kind {
-				case "Lock", "RLock":
-					events = append(events, event{pos: v.Pos(), kind: "lock", key: key, class: class})
-				case "Unlock", "RUnlock":
-					events = append(events, event{pos: v.Pos(), kind: "unlock", key: key, class: class})
+			if recv, acquire, ok := analysis.SyncLockCall(info, call); ok {
+				class := analysis.LockClass(info, recv)
+				if class == "" && unresolved != nil {
+					class = unresolved(recv)
+				}
+				if class != "" {
+					ops = append(ops, cfg.LockOp{Class: class, Acquire: acquire})
 				}
 				return true
 			}
-			if id, iface, ok := analysis.CallTarget(pass.TypesInfo, v); ok {
-				// Only in-module callees can acquire in-module lock
-				// classes; foreign calls are omitted to keep facts
-				// small. (Interface methods are kept regardless: the
-				// implementation may be local even when the interface
-				// is foreign.)
-				if iface || firstSegment(id) == seg {
-					events = append(events, event{pos: v.Pos(), kind: "call", callee: id, iface: iface})
-				}
+			id, iface, ok := analysis.CallTarget(info, call)
+			if !ok || iface || analysis.FirstSegment(id) != seg {
+				return true
 			}
-		}
-		return true
-	})
-
-	heldAt := heldSets(events, body.End())
-	out := &FuncLocks{}
-	for i, e := range events {
-		switch e.kind {
-		case "lock":
-			if e.class == "" {
-				continue
+			f := factOf(analysis.Callee(info, call).Pkg().Path())
+			if f == nil || f.Funcs[id] == nil {
+				return true
 			}
-			out.Acquires = append(out.Acquires, Acquire{
-				Class: e.class,
-				Held:  heldAt[i],
-				Pos:   pass.Fset.Position(e.pos),
-			})
-		case "call":
-			out.Calls = append(out.Calls, CallSite{
-				Callee: e.callee,
-				Iface:  e.iface,
-				Held:   heldAt[i],
-				Pos:    pass.Fset.Position(e.pos),
-			})
-		}
+			fl := f.Funcs[id]
+			for _, c := range fl.Releases {
+				ops = append(ops, cfg.LockOp{Class: c})
+			}
+			for _, c := range fl.Leaves {
+				ops = append(ops, cfg.LockOp{Class: c, Acquire: true})
+			}
+			return true
+		})
+		return ops
 	}
-	out.Leaves, out.Releases = netEffect(events)
+}
+
+// summarize runs the lockset dataflow over one function scope (nested
+// literals are their own scopes) and produces its summary, or nil when
+// the function neither locks nor calls anything relevant.
+func summarize(pass *analysis.Pass, ops func(ast.Node) []cfg.LockOp, name string, body *ast.BlockStmt) *FuncLocks {
+	info := pass.TypesInfo
+	seg := analysis.FirstSegment(pass.Pkg.Path())
+	ls := cfg.ComputeLockSets(cfg.New(name, body), ops)
+	out := &FuncLocks{Leaves: ls.AtExit()}
+	releases := make(map[string]bool)
+	ls.Walk(func(n ast.Node, held []string) {
+		spawned := make(map[*ast.CallExpr]bool)
+		analysis.InspectShallow(n, func(m ast.Node) bool {
+			if g, ok := m.(*ast.GoStmt); ok {
+				spawned[g.Call] = true // visited before its child call
+			}
+			call, ok := m.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if recv, acquire, ok := analysis.SyncLockCall(info, call); ok {
+				class := analysis.LockClass(info, recv)
+				switch {
+				case class == "":
+				case acquire:
+					out.Acquires = append(out.Acquires, Acquire{Class: class, Held: held, Pos: pass.Fset.Position(call.Pos())})
+				case !slices.Contains(held, class):
+					releases[class] = true
+				}
+				return true
+			}
+			// Only in-module callees can acquire in-module lock
+			// classes; foreign calls are omitted to keep facts small.
+			// (Interface methods are kept regardless: the
+			// implementation may be local even when the interface is
+			// foreign.)
+			if id, iface, ok := analysis.CallTarget(info, call); ok && (iface || analysis.FirstSegment(id) == seg) {
+				site := CallSite{Callee: id, Iface: iface, Held: held, Pos: pass.Fset.Position(call.Pos())}
+				if spawned[call] {
+					site.Held = nil
+				}
+				out.Calls = append(out.Calls, site)
+			}
+			return true
+		})
+	})
+	out.Releases = analysis.SortedKeys(releases)
 	if len(out.Acquires) == 0 && len(out.Calls) == 0 &&
 		len(out.Leaves) == 0 && len(out.Releases) == 0 {
 		return nil
@@ -223,152 +292,13 @@ func summarize(pass *analysis.Pass, body *ast.BlockStmt) *FuncLocks {
 	return out
 }
 
-// netEffect derives the function's lock summary for callers: the
-// classes still held at return (leaves) and the classes unlocked
-// without a prior acquisition (releases). Lexical, matching heldSets:
-// an acquisition is released by a later explicit unlock of the same
-// receiver, or by a deferred unlock anywhere (defers run at return
-// regardless of registration order relative to the Lock).
-func netEffect(events []event) (leaves, releases []string) {
-	leave := map[string]bool{}
-	release := map[string]bool{}
-	for _, l := range events {
-		if l.kind != "lock" || l.class == "" {
-			continue
-		}
-		settled := false
-		for _, e := range events {
-			if e.key != l.key {
-				continue
-			}
-			if (e.kind == "unlock" && e.pos > l.pos) || e.kind == "defer-unlock" {
-				settled = true
-				break
-			}
-		}
-		if !settled {
-			leave[l.class] = true
-		}
-	}
-	for _, u := range events {
-		if u.kind != "unlock" || u.class == "" {
-			continue
-		}
-		acquired := false
-		for _, e := range events {
-			if e.kind == "lock" && e.key == u.key && e.pos < u.pos {
-				acquired = true
-				break
-			}
-		}
-		if !acquired {
-			release[u.class] = true
-		}
-	}
-	return setToSorted(leave), setToSorted(release)
-}
-
-func setToSorted(s map[string]bool) []string {
-	if len(s) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(s))
-	for c := range s {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// heldSets computes, for each event index, the sorted set of lock
-// classes lexically held at that event: a lock is held from its
-// acquisition to the first later explicit unlock of the same receiver
-// expression, or to the end of the function when a deferred unlock
-// intervenes first.
-func heldSets(events []event, funcEnd token.Pos) [][]string {
-	type section struct {
-		class      string
-		start, end token.Pos
-	}
-	var sections []section
-	for _, l := range events {
-		if l.kind != "lock" || l.class == "" {
-			continue
-		}
-		end := funcEnd
-		var explicit token.Pos
-		for _, e := range events {
-			if e.kind == "unlock" && e.key == l.key && e.pos > l.pos {
-				explicit = e.pos
-				break
-			}
-		}
-		deferred := false
-		for _, e := range events {
-			if e.kind == "defer-unlock" && e.key == l.key && e.pos > l.pos &&
-				(explicit == token.NoPos || e.pos < explicit) {
-				deferred = true
-				break
-			}
-		}
-		if !deferred && explicit != token.NoPos {
-			end = explicit
-		}
-		sections = append(sections, section{class: l.class, start: l.pos, end: end})
-	}
-
-	out := make([][]string, len(events))
-	for i, e := range events {
-		seen := map[string]bool{}
-		for _, s := range sections {
-			if s.start < e.pos && e.pos < s.end && !seen[s.class] {
-				seen[s.class] = true
-				out[i] = append(out[i], s.class)
-			}
-		}
-		sort.Strings(out[i])
-	}
-	return out
-}
-
-// lockCall reports whether call is a sync.Mutex/RWMutex (un)lock,
-// returning the pairing key (receiver expression + flavor), the
-// resolved lock class, and the method name.
-func lockCall(info *types.Info, call *ast.CallExpr) (key, class, kind string, ok bool) {
-	sel, okSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !okSel {
-		return "", "", "", false
-	}
-	fn := analysis.Callee(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", "", false
-	}
-	switch fn.Name() {
-	case "Lock", "Unlock":
-		return types.ExprString(sel.X) + "/w", analysis.LockClass(info, sel.X), fn.Name(), true
-	case "RLock", "RUnlock":
-		return types.ExprString(sel.X) + "/r", analysis.LockClass(info, sel.X), fn.Name(), true
-	}
-	return "", "", "", false
-}
-
 // --- whole-program step ---
-
-// edge is one ordered pair in the acquisition graph with its first
-// (position-wise) witness.
-type edge struct {
-	from, to string
-	pos      token.Position
-}
 
 func finish(fp *analysis.FinishPass) error {
 	funcs := make(map[string]*FuncLocks)
 	impls := make(map[string][]string)
 	for _, f := range fp.Facts {
-		fact, ok := f.(*Fact)
-		if !ok {
-			continue
-		}
+		fact := f.(*Fact)
 		for id, fl := range fact.Funcs {
 			funcs[id] = fl
 		}
@@ -386,7 +316,7 @@ func finish(fp *analysis.FinishPass) error {
 			return
 		}
 		k := [2]string{from, to}
-		if old, ok := edges[k]; !ok || before(pos, old) {
+		if old, ok := edges[k]; !ok || analysis.PosBefore(pos, old) {
 			edges[k] = pos
 		}
 	}
@@ -400,7 +330,7 @@ func finish(fp *analysis.FinishPass) error {
 			if len(c.Held) == 0 {
 				continue
 			}
-			for _, callee := range resolve(c, impls) {
+			for _, callee := range c.Targets(impls) {
 				for cls := range trans[callee] {
 					for _, h := range c.Held {
 						addEdge(h, cls, c.Pos)
@@ -414,8 +344,9 @@ func finish(fp *analysis.FinishPass) error {
 	return nil
 }
 
-// resolve expands a call site to its possible callees.
-func resolve(c CallSite, impls map[string][]string) []string {
+// Targets expands the call site to its possible callees: the static
+// callee, or for an interface call every implementation in impls.
+func (c CallSite) Targets(impls map[string][]string) []string {
 	if !c.Iface {
 		return []string{c.Callee}
 	}
@@ -439,7 +370,7 @@ func transitiveAcquires(funcs map[string]*FuncLocks, impls map[string][]string) 
 		for id, fl := range funcs {
 			set := out[id]
 			for _, c := range fl.Calls {
-				for _, callee := range resolve(c, impls) {
+				for _, callee := range c.Targets(impls) {
 					for cls := range out[callee] {
 						if !set[cls] {
 							set[cls] = true
@@ -580,15 +511,4 @@ func tarjan(nodes map[string]bool, adj map[string][]string) [][]string {
 		}
 	}
 	return sccs
-}
-
-// before orders positions for deterministic witness selection.
-func before(a, b token.Position) bool {
-	if a.Filename != b.Filename {
-		return a.Filename < b.Filename
-	}
-	if a.Line != b.Line {
-		return a.Line < b.Line
-	}
-	return a.Column < b.Column
 }

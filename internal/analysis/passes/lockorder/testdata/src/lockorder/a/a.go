@@ -97,3 +97,36 @@ func twoShards(s1, s2 *shard) {
 	s2.mu.Lock()
 	s2.mu.Unlock()
 }
+
+// MuP is taken before MuQ on one branch of condOuter only, and
+// condReverse takes them the other way round.
+var (
+	MuP sync.Mutex
+	MuQ sync.Mutex
+)
+
+// condOuter pins what must-hold means for the order graph: at
+// MuQ.Lock() the lockset is the intersection over both branches, MuP
+// is not in it, and no MuP→MuQ edge is recorded — so condReverse
+// closes no cycle and nothing is reported here, although the c==true
+// path can deadlock against it. A source-order scan would report it;
+// it would also report locks an early-return branch had released. The
+// suite keeps one lockset for lockio, guardedby and lockorder, and
+// that one only ever claims what holds on every path.
+func condOuter(c bool) {
+	if c {
+		MuP.Lock()
+	}
+	MuQ.Lock()
+	MuQ.Unlock()
+	if c {
+		MuP.Unlock()
+	}
+}
+
+func condReverse() {
+	MuQ.Lock()
+	defer MuQ.Unlock()
+	MuP.Lock()
+	MuP.Unlock()
+}

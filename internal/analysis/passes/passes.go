@@ -22,16 +22,17 @@ import (
 )
 
 // All returns every analyzer in the comtainer-vet suite, in the order
-// diagnostics should be grouped. Order is also a dependency statement:
-// guardedby consumes the lock summaries and CHA bindings lockorder
-// exports, so lockorder must run first.
+// rules are listed. Order is also a dependency statement: lockio and
+// guardedby read held locks through lockorder.LockOps, which applies
+// the lock-helper summaries lockorder exports, and guardedby uses its
+// call sites and CHA bindings too, so lockorder must run first.
 func All() analysis.Suite {
 	return analysis.Suite{
 		digestcmp.Analyzer,
 		digestflow.Analyzer,
 		atomicwrite.Analyzer,
-		lockio.Analyzer,
 		lockorder.Analyzer,
+		lockio.Analyzer,
 		guardedby.Analyzer,
 		atomicmix.Analyzer,
 		safejoin.Analyzer,

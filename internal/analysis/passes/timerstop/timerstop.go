@@ -28,48 +28,27 @@ var Analyzer = &analysis.Analyzer{
 	Name: "timerstop",
 	Doc: "time.Timer/time.Ticker must be stopped on every path to the function exit; " +
 		"no time.Tick in library code, no time.After in loops",
-	Version:  1,
-	FactType: (*Fact)(nil),
-	Run:      run,
+	Run: run,
 }
 
-// Fact records which declared functions stop a timer/ticker parameter
-// on every path, keyed by FuncID; values are flat parameter indices.
-type Fact struct {
-	Stoppers map[string][]int `json:"stoppers,omitempty"`
+var spec = &lifecycle.Spec{
+	IsResource: isTimer,
+	IsRelease: func(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
+		return lifecycle.MethodOn(info, call, obj, "Stop")
+	},
+	LeakMessage: func(obj types.Object) string {
+		return fmt.Sprintf("%s (%s) is not stopped on every path to return", obj.Name(), obj.Type())
+	},
+	DiscardMessage: func(t types.Type) string {
+		return fmt.Sprintf("%s result is discarded; it can never be stopped", t)
+	},
 }
-
-// AFact marks Fact as a serializable analysis fact.
-func (*Fact) AFact() {}
 
 func run(pass *analysis.Pass) error {
-	if pass.Pkg.Path() == "time" {
-		return nil
+	if pass.Pkg.Path() != "time" {
+		lifecycle.Run(pass, spec)
+		checkUnstoppable(pass)
 	}
-	spec := &lifecycle.Spec{
-		IsResource: isTimer,
-		IsRelease: func(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
-			return lifecycle.MethodOn(info, call, obj, "Stop")
-		},
-		DepClosers: func(path string) map[string][]int {
-			if f, ok := pass.PackageFact(path).(*Fact); ok && f != nil {
-				return f.Stoppers
-			}
-			return nil
-		},
-		LeakMessage: func(obj types.Object) string {
-			return fmt.Sprintf("%s (%s) is not stopped on every path to return", obj.Name(), obj.Type())
-		},
-		DiscardMessage: func(t types.Type) string {
-			return fmt.Sprintf("%s result is discarded; it can never be stopped", t)
-		},
-	}
-	stoppers := lifecycle.Closers(pass, spec)
-	if len(stoppers) > 0 {
-		pass.ExportPackageFact(&Fact{Stoppers: stoppers})
-	}
-	lifecycle.Check(pass, spec, stoppers)
-	checkUnstoppable(pass)
 	return nil
 }
 

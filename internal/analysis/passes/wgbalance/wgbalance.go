@@ -17,6 +17,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"comtainer/internal/analysis"
 	"comtainer/internal/analysis/cfg"
@@ -27,19 +28,17 @@ var Analyzer = &analysis.Analyzer{
 	Name: "wgbalance",
 	Doc: "every sync.WaitGroup.Add must reach a Done provider on all paths to return, " +
 		"and Add must not run inside the goroutine a Wait is waiting on",
-	Version:  1,
-	FactType: (*Fact)(nil),
-	Run:      run,
+	Run: run,
 }
 
 // Fact records which declared functions call Done on a WaitGroup
 // parameter on every path, keyed by FuncID; values are flat parameter
 // indices.
 type Fact struct {
-	Finishers map[string][]int `json:"finishers,omitempty"`
+	Finishers map[string][]int
 }
 
-// AFact marks Fact as a serializable analysis fact.
+// AFact marks Fact as an analysis fact.
 func (*Fact) AFact() {}
 
 func run(pass *analysis.Pass) error {
@@ -292,7 +291,7 @@ func classifyFinishers(pass *analysis.Pass) map[string][]int {
 		changed = false
 		for _, c := range cands {
 			for _, p := range c.params {
-				if hasIndex(finishers[c.id], p.index) {
+				if slices.Contains(finishers[c.id], p.index) {
 					continue
 				}
 				stop := providerStop(pass, finishers, p.obj, false)
@@ -331,15 +330,6 @@ func groupParams(pass *analysis.Pass, fd *ast.FuncDecl) []paramSite {
 		}
 	}
 	return out
-}
-
-func hasIndex(idxs []int, i int) bool {
-	for _, j := range idxs {
-		if j == i {
-			return true
-		}
-	}
-	return false
 }
 
 // checkAddInGoroutine flags Add calls made inside a go-statement's

@@ -81,15 +81,14 @@ type sarifSuppression struct {
 	Justification string `json:"justification,omitempty"`
 }
 
-// EncodeSARIF renders findings as a SARIF 2.1.0 log. The rule table
-// comes from suite (every analyzer appears, found something or not, so
-// code scanning can close previously-open alerts for clean rules).
-// root anchors the artifact URIs: absolute finding paths are rewritten
-// relative to it, with forward slashes, as %SRCROOT%-based URIs.
-// Findings are emitted in SortFindings order.
-func EncodeSARIF(findings []Finding, suite Suite, root string) ([]byte, error) {
-	SortFindings(findings)
-
+// EncodeSARIF renders diags — CheckPackages output, suppressed
+// findings included — as a SARIF 2.1.0 log, in the order given. The
+// rule table comes from suite (every analyzer appears, found something
+// or not, so code scanning can close previously-open alerts for clean
+// rules). root anchors the artifact URIs: absolute finding paths are
+// rewritten relative to it, with forward slashes, as %SRCROOT%-based
+// URIs.
+func EncodeSARIF(diags []Diagnostic, suite Suite, root string) ([]byte, error) {
 	rules := make([]sarifRule, len(suite))
 	index := make(map[string]int, len(suite))
 	for i, a := range suite {
@@ -101,32 +100,32 @@ func EncodeSARIF(findings []Finding, suite Suite, root string) ([]byte, error) {
 		index[a.Name] = i
 	}
 
-	results := make([]sarifResult, 0, len(findings))
-	for _, f := range findings {
-		idx, known := index[f.Pass]
+	results := make([]sarifResult, 0, len(diags))
+	for _, d := range diags {
+		idx, known := index[d.Analyzer]
 		if !known {
-			continue // finding from an analyzer outside the suite
+			continue // the checker's own "allow" diagnostics have no rule
 		}
-		line := f.Line
+		line := d.Pos.Line
 		if line < 1 {
 			line = 1 // SARIF regions are 1-based; Finish diags may lack positions
 		}
 		r := sarifResult{
-			RuleID:    f.Pass,
+			RuleID:    d.Analyzer,
 			RuleIndex: idx,
 			Level:     "error",
-			Message:   sarifText{Text: f.Message},
+			Message:   sarifText{Text: d.Message},
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: sarifURI(root, f.File), URIBaseID: "%SRCROOT%"},
-					Region:           sarifRegion{StartLine: line, StartColumn: f.Col},
+					ArtifactLocation: sarifArtifact{URI: sarifURI(root, d.Pos.Filename), URIBaseID: "%SRCROOT%"},
+					Region:           sarifRegion{StartLine: line, StartColumn: d.Pos.Column},
 				},
 			}},
 		}
-		if f.Suppressed {
+		if d.Suppressed {
 			r.Suppressions = []sarifSuppression{{
 				Kind:          "inSource",
-				Justification: "//comtainer:allow " + f.Pass,
+				Justification: "//comtainer:allow " + d.Analyzer,
 			}}
 		}
 		results = append(results, r)

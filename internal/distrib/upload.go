@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"comtainer/internal/digest"
@@ -67,25 +68,26 @@ type Upload struct {
 	// Name is the repository the upload was opened against.
 	Name string
 
-	mu      sync.Mutex
-	size    int64
-	file    *os.File // spool file, nil when buffering in memory
-	buf     bytes.Buffer
-	closed  bool
-	touched time.Time
+	// touched is the idle timer, in Unix nanoseconds. It is an atomic
+	// outside mu on purpose: mu serializes the spool and is held for
+	// as long as a chunk takes to arrive, while the sweep reads every
+	// session's timer under the manager's lock — a sweep waiting on mu
+	// would park Start, Get and Len behind one slow client.
+	touched atomic.Int64
+
+	mu     sync.Mutex
+	size   int64
+	file   *os.File // spool file, nil when buffering in memory
+	buf    bytes.Buffer
+	closed bool
+	// committing marks a Commit reading the spool outside mu; like
+	// closed it refuses writers, but a failed commit clears it.
+	committing bool
 }
 
-func (u *Upload) touch(t time.Time) {
-	u.mu.Lock()
-	u.touched = t
-	u.mu.Unlock()
-}
+func (u *Upload) touch(t time.Time) { u.touched.Store(t.UnixNano()) }
 
-func (u *Upload) touchedAt() time.Time {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.touched
-}
+func (u *Upload) touchedAt() time.Time { return time.Unix(0, u.touched.Load()) }
 
 // Start opens a new upload session for repository name, first sweeping
 // any sessions whose TTL has lapsed.
@@ -95,7 +97,8 @@ func (m *UploadManager) Start(name string) (*Upload, error) {
 	if _, err := rand.Read(idBytes); err != nil {
 		return nil, fmt.Errorf("distrib: generating upload id: %w", err)
 	}
-	u := &Upload{ID: hex.EncodeToString(idBytes), Name: name, touched: m.clock()}
+	u := &Upload{ID: hex.EncodeToString(idBytes), Name: name}
+	u.touch(m.clock())
 	if m.spoolDir != "" {
 		if err := os.MkdirAll(m.spoolDir, 0o755); err != nil {
 			return nil, fmt.Errorf("distrib: creating spool dir: %w", err)
@@ -187,7 +190,7 @@ func (u *Upload) Size() int64 {
 func (u *Upload) Append(r io.Reader, expectStart int64) (int64, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if u.closed {
+	if u.closed || u.committing {
 		return u.size, ErrUploadClosed
 	}
 	if expectStart >= 0 && expectStart != u.size {
@@ -209,32 +212,42 @@ func (u *Upload) Append(r io.Reader, expectStart int64) (int64, error) {
 // must be non-empty). On success the session ends; a failed commit
 // leaves the session open so a client can inspect the offset, correct
 // and retry.
+//
+// The sink reads the spool outside the session mutex — ingesting a
+// whole blob is the longest thing a session does, and Size and Cancel
+// should not wait for it. While it runs the session is sealed instead:
+// Append and a second Commit get ErrUploadClosed, so the bytes the
+// sink sees are the bytes that were there when Commit was called. The
+// spool file is read through its own offset-free section reader, which
+// leaves the append position where it was for the retry.
 func (m *UploadManager) Commit(u *Upload, sink BlobSink, want digest.Digest) (digest.Digest, int64, error) {
 	if err := want.Validate(); err != nil {
 		return "", 0, err
 	}
 	u.mu.Lock()
-	if u.closed {
+	if u.closed || u.committing {
 		u.mu.Unlock()
 		return "", 0, ErrUploadClosed
 	}
-	var content io.Reader
-	if u.file != nil {
-		if _, err := u.file.Seek(0, io.SeekStart); err != nil {
-			u.mu.Unlock()
-			return "", 0, fmt.Errorf("distrib: rewinding spool: %w", err)
-		}
-		content = u.file
-	} else {
-		content = bytes.NewReader(u.buf.Bytes())
+	u.committing = true
+	file, size, buffered := u.file, u.size, u.buf.Bytes()
+	u.mu.Unlock()
+	var content io.Reader = bytes.NewReader(buffered)
+	if file != nil {
+		content = io.NewSectionReader(file, 0, size)
 	}
+
 	d, n, err := sink.Ingest(content, want)
+
+	u.mu.Lock()
+	u.committing = false
+	if err == nil {
+		u.closed = true
+	}
+	u.mu.Unlock()
 	if err != nil {
-		u.mu.Unlock()
 		return "", 0, err
 	}
-	u.closed = true
-	u.mu.Unlock()
 	m.drop(u)
 	return d, n, nil
 }

@@ -132,7 +132,7 @@ func (f *FS) Stat(p string) (*File, error) {
 	return f.statLocked(p)
 }
 
-//comtainer:allow guardedby -- caller holds f.mu; the Locked suffix is the contract, and lockset analysis is intraprocedural
+// statLocked is Stat for callers that hold f.mu.
 func (f *FS) statLocked(p string) (*File, error) {
 	file, ok := f.files[Clean(p)]
 	if !ok {
@@ -155,8 +155,6 @@ func (f *FS) ReadFile(p string) ([]byte, error) {
 }
 
 // mkParentsLocked creates any missing parent directories of p with mode 0755.
-//
-//comtainer:allow guardedby -- caller holds f.mu; the Locked suffix is the contract, and lockset analysis is intraprocedural
 func (f *FS) mkParentsLocked(p string) {
 	dir := path.Dir(p)
 	for dir != "/" {
@@ -240,7 +238,7 @@ func (f *FS) Remove(p string) error {
 	return f.removeLocked(p)
 }
 
-//comtainer:allow guardedby -- caller holds f.mu; the Locked suffix is the contract, and lockset analysis is intraprocedural
+// removeLocked is Remove for callers that hold f.mu.
 func (f *FS) removeLocked(p string) error {
 	p = Clean(p)
 	if p == "/" {
@@ -300,7 +298,7 @@ func (f *FS) Paths() []string {
 	return f.pathsLocked()
 }
 
-//comtainer:allow guardedby -- caller holds f.mu; the Locked suffix is the contract, and lockset analysis is intraprocedural
+// pathsLocked is Paths for callers that hold f.mu.
 func (f *FS) pathsLocked() []string {
 	out := make([]string, 0, len(f.files)-1)
 	for p := range f.files {
