@@ -8,29 +8,18 @@
 package comtainer
 
 import (
-	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"comtainer/internal/actioncache"
 	"comtainer/internal/cclang"
 	"comtainer/internal/core"
 	"comtainer/internal/core/adapter"
-	"comtainer/internal/digest"
 	"comtainer/internal/dpkg"
 	"comtainer/internal/experiments"
-	"comtainer/internal/fleet"
 	"comtainer/internal/fsim"
 	"comtainer/internal/oci"
 	"comtainer/internal/perfmodel"
-	"comtainer/internal/registry"
-	"comtainer/internal/remoteexec"
 	"comtainer/internal/sysprofile"
 	"comtainer/internal/tarfs"
 	"comtainer/internal/toolchain"
@@ -465,445 +454,3 @@ func BenchmarkPerfModelEstimate(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkBuildCacheSpeedup measures the instruction-layer build cache:
-// the second build of the same app reuses every layer (and replays the
-// hijacker log), mirroring Docker's cache behavior.
-func BenchmarkBuildCacheSpeedup(b *testing.B) {
-	app, err := workloads.Find("lulesh")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var coldNS, warmNS int64
-	for i := 0; i < b.N; i++ {
-		user, err := core.NewUserSide(toolchain.ISAx86)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t0 := nowNano()
-		if _, err := user.BuildExtended(app); err != nil {
-			b.Fatal(err)
-		}
-		t1 := nowNano()
-		if _, err := user.BuildExtended(app); err != nil {
-			b.Fatal(err)
-		}
-		t2 := nowNano()
-		coldNS, warmNS = t1-t0, t2-t1
-		hits, _ := user.BuildCache.Stats()
-		if hits == 0 {
-			b.Fatal("second build took no cache hits")
-		}
-	}
-	b.ReportMetric(float64(coldNS)/1e6, "cold-ms")
-	b.ReportMetric(float64(warmNS)/1e6, "warm-ms")
-	if warmNS > 0 {
-		b.ReportMetric(float64(coldNS)/float64(warmNS), "speedup-x")
-	}
-}
-
-// BenchmarkRebuildColdVsWarm measures the action cache over the
-// Table-2 workload set: every app's extended image is rebuilt twice on
-// fresh system sides sharing one on-disk action cache. The cold pass
-// populates the cache; the warm pass must replay at least 90% of the
-// toolchain invocations (reported via cache Stats) and produce
-// byte-identical +coMre images.
-func BenchmarkRebuildColdVsWarm(b *testing.B) {
-	sys := sysprofile.X86Cluster()
-	user, err := core.NewUserSide(sys.ISA)
-	if err != nil {
-		b.Fatal(err)
-	}
-	type built struct {
-		name    string
-		extTag  string
-		distTag string
-	}
-	var apps []built
-	for _, app := range workloads.Apps() {
-		res, err := user.BuildExtended(app)
-		if err != nil {
-			b.Fatal(err)
-		}
-		apps = append(apps, built{app.Name, res.ExtendedTag, res.DistTag})
-	}
-
-	// rebuildAll pulls and rebuilds every app on a fresh system side
-	// wired to memo, returning the +coMre digests and the wall time.
-	rebuildAll := func(memo *actioncache.Memoizer) (map[string]digest.Digest, int64) {
-		digests := map[string]digest.Digest{}
-		t0 := nowNano()
-		for _, a := range apps {
-			system, err := core.NewSystemSide(sys)
-			if err != nil {
-				b.Fatal(err)
-			}
-			system.ActionMemo = memo
-			if err := system.Pull(user.Repo, a.extTag); err != nil {
-				b.Fatal(err)
-			}
-			desc, _, err := system.Rebuild(a.distTag, adapter.DefaultAdapted(), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			digests[a.name] = desc.Digest
-		}
-		return digests, nowNano() - t0
-	}
-
-	var coldStats, warmStats actioncache.Stats
-	var coldNS, warmNS int64
-	for i := 0; i < b.N; i++ {
-		disk, err := actioncache.NewDiskCache(b.TempDir(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		coldMemo := actioncache.NewMemoizer(disk)
-		cold, cns := rebuildAll(coldMemo)
-		warmMemo := actioncache.NewMemoizer(disk)
-		warm, wns := rebuildAll(warmMemo)
-		coldStats, warmStats = coldMemo.Stats(), warmMemo.Stats()
-		coldNS, warmNS = cns, wns
-		for name, d := range cold {
-			if warm[name] != d {
-				b.Fatalf("%s: warm rebuild digest %s differs from cold %s", name, warm[name], d)
-			}
-		}
-		if warmStats.Misses > coldStats.Misses/10 {
-			b.Fatalf("warm rebuild executed %d of %d actions, want <= 10%%",
-				warmStats.Misses, coldStats.Misses)
-		}
-	}
-	b.ReportMetric(float64(len(apps)), "images")
-	b.ReportMetric(float64(coldStats.Misses), "cold-execs")
-	b.ReportMetric(float64(warmStats.Misses), "warm-execs")
-	if coldStats.Misses > 0 {
-		b.ReportMetric(100*(1-float64(warmStats.Misses)/float64(coldStats.Misses)), "exec-cut-%")
-	}
-	b.ReportMetric(float64(coldNS)/1e6, "cold-ms")
-	b.ReportMetric(float64(warmNS)/1e6, "warm-ms")
-	if warmNS > 0 {
-		b.ReportMetric(float64(coldNS)/float64(warmNS), "speedup-x")
-	}
-}
-
-func BenchmarkFullUserBuild(b *testing.B) {
-	app, err := workloads.Find("hpccg")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		user, err := core.NewUserSide(toolchain.ISAx86)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := user.BuildExtended(app); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSystemRebuildRedirect(b *testing.B) {
-	sys := sysprofile.X86Cluster()
-	user, err := core.NewUserSide(sys.ISA)
-	if err != nil {
-		b.Fatal(err)
-	}
-	app, err := workloads.Find("hpccg")
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := user.BuildExtended(app)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		system, err := core.NewSystemSide(sys)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := system.Pull(user.Repo, res.ExtendedTag); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := system.Adapt(res.DistTag, adapter.DefaultAdapted()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkParallelPull measures the distribution subsystem over the
-// Table-3 image set: every app's extended image is pushed to an
-// in-process registry whose blob endpoints carry injected network
-// latency, then the whole set is pulled serially (Workers=1) and
-// concurrently (Workers=8) into fresh stores. Cross-image dedup means
-// shared base layers transfer once per pull pass; the concurrent pass
-// must be at least 2x faster than the serial one.
-func BenchmarkParallelPull(b *testing.B) {
-	srv := registry.NewServer()
-	inner := srv.Handler()
-	const blobLatency = 2 * time.Millisecond
-	var blobGets int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && strings.Contains(r.URL.Path, "/blobs/") {
-			atomic.AddInt64(&blobGets, 1)
-			time.Sleep(blobLatency)
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-
-	user, err := core.NewUserSide(toolchain.ISAx86)
-	if err != nil {
-		b.Fatal(err)
-	}
-	push := registry.NewClient(ts.URL)
-	push.Workers = 8
-	var names []string
-	for _, app := range workloads.Apps() {
-		res, err := user.BuildExtended(app)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := push.Push(context.Background(), user.Repo, res.ExtendedTag, app.Name, "v1"); err != nil {
-			b.Fatal(err)
-		}
-		names = append(names, app.Name)
-	}
-
-	pull := func(workers int) (time.Duration, int64) {
-		dst := oci.NewRepository()
-		c := registry.NewClient(ts.URL)
-		c.Workers = workers
-		before := atomic.LoadInt64(&blobGets)
-		t0 := time.Now()
-		for _, name := range names {
-			if err := c.Pull(context.Background(), dst, name, "v1", name); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return time.Since(t0), atomic.LoadInt64(&blobGets) - before
-	}
-
-	var serial, parallel time.Duration
-	var transfers int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		serial, transfers = pull(1)
-		parallel, _ = pull(8)
-	}
-	speedup := float64(serial) / float64(parallel)
-	b.ReportMetric(float64(serial)/1e6, "serial-ms")
-	b.ReportMetric(float64(parallel)/1e6, "parallel-ms")
-	b.ReportMetric(speedup, "speedup-x")
-	b.ReportMetric(float64(transfers), "blob-transfers")
-	b.ReportMetric(float64(len(names)), "images")
-	if speedup < 2 {
-		b.Errorf("parallel pull speedup %.2fx, want >= 2x", speedup)
-	}
-}
-
-// BenchmarkFleetPullThroughput measures the registry fleet's horizontal
-// read scaling: the Table-2 image set is pushed through a routing proxy
-// backed first by one and then by three single-replica shards whose blob
-// reads serialize behind a per-shard 2ms latency (modeling one registry
-// node's service capacity), then pulled concurrently (Workers=8) through
-// the proxy into a fresh store. With one shard every read queues behind
-// that node's lock; with three the hash ring spreads the digests so
-// reads proceed on three nodes at once. The proxy runs without a
-// pull-through cache so every read pays the shard round-trip. The
-// 3-shard pull must be measurably faster.
-func BenchmarkFleetPullThroughput(b *testing.B) {
-	const blobLatency = 2 * time.Millisecond
-
-	user, err := core.NewUserSide(toolchain.ISAx86)
-	if err != nil {
-		b.Fatal(err)
-	}
-	type img struct{ name, localTag string }
-	var images []img
-	for _, app := range workloads.Apps() {
-		res, err := user.BuildExtended(app)
-		if err != nil {
-			b.Fatal(err)
-		}
-		images = append(images, img{app.Name, res.ExtendedTag})
-	}
-
-	run := func(shardCount int) time.Duration {
-		var groups []*fleet.ShardGroup
-		var closers []func()
-		defer func() {
-			for _, c := range closers {
-				c()
-			}
-		}()
-		for i := 0; i < shardCount; i++ {
-			srv := registry.NewServer()
-			srv.TrustReferences = true
-			inner := srv.Handler()
-			mu := new(sync.Mutex) // one node: its reads serialize
-			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.Method == http.MethodGet && strings.Contains(r.URL.Path, "/blobs/") {
-					mu.Lock()
-					time.Sleep(blobLatency)
-					mu.Unlock()
-				}
-				inner.ServeHTTP(w, r)
-			}))
-			closers = append(closers, ts.Close)
-			g, err := fleet.NewShardGroup(fmt.Sprintf("shard%d", i+1), ts.URL)
-			if err != nil {
-				b.Fatal(err)
-			}
-			groups = append(groups, g)
-		}
-		p, err := fleet.NewProxy(groups, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pts := httptest.NewServer(p.Handler())
-		defer pts.Close()
-
-		push := registry.NewClient(pts.URL)
-		push.Workers = 8
-		for _, im := range images {
-			if err := push.Push(context.Background(), user.Repo, im.localTag, im.name, "v1"); err != nil {
-				b.Fatal(err)
-			}
-		}
-
-		var wg sync.WaitGroup
-		errs := make(chan error, len(images))
-		t0 := time.Now()
-		for _, im := range images {
-			wg.Add(1)
-			go func(im img) {
-				defer wg.Done()
-				c := registry.NewClient(pts.URL)
-				c.Workers = 8
-				errs <- c.Pull(context.Background(), oci.NewRepository(), im.name, "v1", im.name)
-			}(im)
-		}
-		wg.Wait()
-		elapsed := time.Since(t0)
-		close(errs)
-		for err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		return elapsed
-	}
-
-	var one, three time.Duration
-	for i := 0; i < b.N; i++ {
-		one = run(1)
-		three = run(3)
-	}
-	b.ReportMetric(float64(one)/1e6, "shards1-ms")
-	b.ReportMetric(float64(three)/1e6, "shards3-ms")
-	speedup := float64(one) / float64(three)
-	b.ReportMetric(speedup, "shards3-vs-1-x")
-	if speedup < 1.2 {
-		b.Errorf("3-shard pull speedup %.2fx over 1 shard, want >= 1.2x", speedup)
-	}
-}
-
-// BenchmarkRemoteExecScaling measures the build farm's workers-vs-wall-
-// clock curve: the hpl rebuild (six independent compiles plus a link) is
-// executed entirely remotely against farms of 1, 2, 4 and 8 single-slot
-// workers whose per-action delay simulates real compile cost. Each farm
-// is fresh — new scheduler, registry and workers, no shared action
-// cache — so every point measures uncached remote execution. The 1->4
-// speedup must be measurable (> 1.2x).
-func BenchmarkRemoteExecScaling(b *testing.B) {
-	sys := sysprofile.X86Cluster()
-	user, err := core.NewUserSide(sys.ISA)
-	if err != nil {
-		b.Fatal(err)
-	}
-	app, err := workloads.Find("hpl")
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := user.BuildExtended(app)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	const execDelay = 40 * time.Millisecond
-	run := func(workers int) time.Duration {
-		sched := remoteexec.NewScheduler()
-		reg := registry.NewServer()
-		mux := http.NewServeMux()
-		mux.Handle(remoteexec.APIPrefix+"/", sched.Handler())
-		mux.Handle("/", reg.Handler())
-		ts := httptest.NewServer(mux)
-		defer ts.Close()
-
-		ctx, cancel := context.WithCancel(context.Background())
-		var wg sync.WaitGroup
-		defer func() {
-			cancel()
-			wg.Wait()
-		}()
-		for i := 0; i < workers; i++ {
-			w := remoteexec.NewWorker(ts.URL, sys, sys.Toolchains)
-			w.Slots = 1
-			w.ExecDelay = execDelay
-			w.Name = fmt.Sprintf("bench-%d", i)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_ = w.Run(ctx)
-			}()
-		}
-		for len(sched.Status().Workers) < workers {
-			time.Sleep(time.Millisecond)
-		}
-
-		system, err := core.NewSystemSide(sys)
-		if err != nil {
-			b.Fatal(err)
-		}
-		system.RebuildWorkers = 8
-		farm := remoteexec.NewExecutor(ts.URL, sys, sys.Toolchains)
-		system.RemoteExec = farm
-		if err := system.Pull(user.Repo, res.ExtendedTag); err != nil {
-			b.Fatal(err)
-		}
-		t0 := time.Now()
-		if _, _, err := system.Rebuild(res.DistTag, adapter.DefaultAdapted(), nil); err != nil {
-			b.Fatal(err)
-		}
-		elapsed := time.Since(t0)
-		st := farm.Stats()
-		if st.Remote == 0 {
-			b.Fatalf("%d workers: no action executed remotely (%s)", workers, st)
-		}
-		if st.Errors > 0 {
-			b.Fatalf("%d workers: %d farm errors (%s)", workers, st.Errors, st)
-		}
-		return elapsed
-	}
-
-	counts := []int{1, 2, 4, 8}
-	wall := map[int]time.Duration{}
-	for i := 0; i < b.N; i++ {
-		for _, n := range counts {
-			wall[n] = run(n)
-		}
-	}
-	for _, n := range counts {
-		b.ReportMetric(float64(wall[n])/1e6, fmt.Sprintf("w%d-ms", n))
-	}
-	speedup := float64(wall[1]) / float64(wall[4])
-	b.ReportMetric(speedup, "speedup-1to4-x")
-	if speedup < 1.2 {
-		b.Errorf("1->4 worker speedup %.2fx, want > 1.2x", speedup)
-	}
-}
-
-// nowNano reads the monotonic clock for intra-benchmark phase timing.
-func nowNano() int64 { return time.Now().UnixNano() }

@@ -184,26 +184,9 @@ func (c *DiskCache) Put(key digest.Digest, val []byte) error {
 		c.errors.Add(1)
 		return fmt.Errorf("actioncache: creating shard dir: %w", err)
 	}
-	tmp, err := c.fs.CreateTemp(filepath.Dir(p), tempPrefix+"*")
-	if err != nil {
-		c.errors.Add(1)
-		return fmt.Errorf("actioncache: creating temp entry: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		c.fs.Remove(tmp.Name())
+	if err := faultinject.Commit(c.fs, p, tempPrefix, data, 0); err != nil {
 		c.errors.Add(1)
 		return fmt.Errorf("actioncache: writing entry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		c.fs.Remove(tmp.Name())
-		c.errors.Add(1)
-		return fmt.Errorf("actioncache: closing entry: %w", err)
-	}
-	if err := c.fs.Rename(tmp.Name(), p); err != nil {
-		c.fs.Remove(tmp.Name())
-		c.errors.Add(1)
-		return fmt.Errorf("actioncache: committing entry: %w", err)
 	}
 
 	// Evict never takes the most recently used entry, so the one just

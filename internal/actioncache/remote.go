@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -72,7 +73,7 @@ func (c *RemoteCache) Get(key digest.Digest) ([]byte, bool, error) {
 	defer cancel()
 	body, _, _, err := c.client.FetchManifest(ctx, c.repo, c.tag(key))
 	if err != nil {
-		if distrib.IsNotFound(err) {
+		if distrib.StatusCode(err) == http.StatusNotFound {
 			c.misses.Add(1)
 			return nil, false, nil
 		}
@@ -84,15 +85,10 @@ func (c *RemoteCache) Get(key digest.Digest) ([]byte, bool, error) {
 		c.errors.Add(1)
 		return nil, false, fmt.Errorf("actioncache: remote entry %s has malformed manifest", key.Short())
 	}
-	mem := oci.NewStore()
-	if err := c.client.FetchBlob(ctx, mem, c.repo, m.Layers[0].Digest); err != nil {
-		c.errors.Add(1)
-		return nil, false, fmt.Errorf("actioncache: fetching remote entry %s: %w", key.Short(), err)
-	}
-	val, err := mem.Get(m.Layers[0].Digest)
+	val, err := c.client.FetchBytes(ctx, c.repo, m.Layers[0].Digest)
 	if err != nil {
 		c.errors.Add(1)
-		return nil, false, err
+		return nil, false, fmt.Errorf("actioncache: fetching remote entry %s: %w", key.Short(), err)
 	}
 	c.hits.Add(1)
 	return val, true, nil
@@ -104,9 +100,12 @@ func (c *RemoteCache) Get(key digest.Digest) ([]byte, bool, error) {
 func (c *RemoteCache) Put(key digest.Digest, val []byte) error {
 	ctx, cancel := opCtx()
 	defer cancel()
-	mem := oci.NewStore()
-	vd := mem.Put(val)
-	manifest := oci.Manifest{
+	vd, err := c.client.PushBytes(ctx, c.repo, val)
+	if err != nil {
+		c.errors.Add(1)
+		return fmt.Errorf("actioncache: pushing remote entry %s: %w", key.Short(), err)
+	}
+	mb, err := json.Marshal(oci.Manifest{
 		SchemaVersion: 2,
 		MediaType:     oci.MediaTypeManifest,
 		Layers: []oci.Descriptor{{
@@ -115,16 +114,13 @@ func (c *RemoteCache) Put(key digest.Digest, val []byte) error {
 			Size:      int64(len(val)),
 		}},
 		Annotations: map[string]string{"vnd.comtainer.action-cache.key": string(key)},
-	}
-	mb, err := json.Marshal(manifest)
+	})
 	if err != nil {
 		return fmt.Errorf("actioncache: marshaling remote manifest: %w", err)
 	}
-	md := mem.Put(mb)
-	desc := oci.Descriptor{MediaType: oci.MediaTypeManifest, Digest: md, Size: int64(len(mb))}
-	if err := c.client.PushImage(ctx, mem, desc, c.repo, c.tag(key)); err != nil {
+	if err := c.client.PushManifest(ctx, c.repo, c.tag(key), oci.MediaTypeManifest, mb); err != nil {
 		c.errors.Add(1)
-		return fmt.Errorf("actioncache: pushing remote entry %s: %w", key.Short(), err)
+		return fmt.Errorf("actioncache: tagging remote entry %s: %w", key.Short(), err)
 	}
 	return nil
 }

@@ -325,18 +325,6 @@ func (c *Command) Shared() bool { return c.HasFlag("-shared") }
 // OpenMP reports whether -fopenmp was given.
 func (c *Command) OpenMP() bool { return c.HasFlag("-fopenmp") }
 
-// IncludeDirs returns -I/-isystem/-iquote directories in order.
-func (c *Command) IncludeDirs() []string {
-	var out []string
-	for _, t := range c.Tokens {
-		switch t.Opt {
-		case "-I", "-isystem", "-iquote", "-idirafter":
-			out = append(out, t.Value)
-		}
-	}
-	return out
-}
-
 // LibDirs returns -L directories in order.
 func (c *Command) LibDirs() []string {
 	var out []string
@@ -388,15 +376,6 @@ func (c *Command) Language() string {
 
 // --- Rewriting API (used by system adapters) ---
 
-// SetTool replaces the tool (argv[0]).
-func (c *Command) SetTool(tool string) { c.Tool = tool }
-
-// SetOptLevel removes existing -O options and appends -O<level>.
-func (c *Command) SetOptLevel(level string) {
-	c.RemoveOpt("-O")
-	c.Tokens = append(c.Tokens, Token{Opt: "-O", Value: level, Style: StyleJoined, Category: CatOptimization})
-}
-
 // SetMarch removes existing -march= options and appends -march=<arch>.
 func (c *Command) SetMarch(arch string) {
 	c.removeMachineValue("arch=")
@@ -431,18 +410,6 @@ func (c *Command) AddFlag(spelling string) error {
 	return nil
 }
 
-// RemoveOpt deletes every token whose option name is opt.
-func (c *Command) RemoveOpt(opt string) {
-	kept := c.Tokens[:0]
-	for _, t := range c.Tokens {
-		if t.Opt == opt {
-			continue
-		}
-		kept = append(kept, t)
-	}
-	c.Tokens = kept
-}
-
 // RemoveFlag deletes every token whose full spelling (Opt+Value) is s.
 func (c *Command) RemoveFlag(s string) {
 	kept := c.Tokens[:0]
@@ -453,21 +420,6 @@ func (c *Command) RemoveFlag(s string) {
 		kept = append(kept, t)
 	}
 	c.Tokens = kept
-}
-
-// SetOutput replaces (or adds) the -o option.
-func (c *Command) SetOutput(p string) {
-	c.RemoveOpt("-o")
-	c.Tokens = append(c.Tokens, Token{Opt: "-o", Value: p, Style: StyleJoinedOrSeparate, SepValue: true, Category: CatOutput})
-}
-
-// ReplaceInput substitutes old with new among the non-option arguments.
-func (c *Command) ReplaceInput(old, new string) {
-	for i, t := range c.Tokens {
-		if t.Opt == "" && t.Input == old {
-			c.Tokens[i].Input = new
-		}
-	}
 }
 
 // IsSourceFile reports whether p looks like a compilable source file.

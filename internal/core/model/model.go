@@ -373,19 +373,3 @@ func Unmarshal(data []byte) (*Models, error) {
 	}
 	return &m, nil
 }
-
-// KindForPath infers a node kind from a file path.
-func KindForPath(p string) NodeKind {
-	switch {
-	case cclang.IsSourceFile(p):
-		return KindSource
-	case cclang.IsObjectFile(p):
-		return KindObject
-	case cclang.IsArchiveFile(p):
-		return KindArchive
-	case cclang.IsSharedObject(p):
-		return KindSharedObj
-	default:
-		return KindExecutable
-	}
-}

@@ -229,19 +229,6 @@ func TestImageModelHelpers(t *testing.T) {
 	}
 }
 
-func TestKindForPath(t *testing.T) {
-	cases := map[string]NodeKind{
-		"/x.c": KindSource, "/y.f90": KindSource,
-		"/x.o": KindObject, "/lib.a": KindArchive,
-		"/lib.so": KindSharedObj, "/app": KindExecutable,
-	}
-	for p, want := range cases {
-		if got := KindForPath(p); got != want {
-			t.Errorf("KindForPath(%s) = %s, want %s", p, got, want)
-		}
-	}
-}
-
 func TestPropertyTopoIsLinearExtension(t *testing.T) {
 	// For a chain graph of random length, Topo must respect every edge.
 	f := func(nRaw uint8) bool {

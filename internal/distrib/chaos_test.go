@@ -104,6 +104,59 @@ func TestChaosCrashRestartVerify(t *testing.T) {
 	}
 }
 
+// TestDiskTagsCrashRestartVerify is the tag store's turn in the same
+// loop: drive Sets through a faulty filesystem until the power cut —
+// which, falling between a Set's write and its rename, freezes a temp
+// file in refs/ — reopen over the real one, and verify every tag whose
+// Set reported success resolves to what it set and no temp file is
+// left. Half the repositories are named like a temp file, which the
+// sweep must not mistake for one.
+func TestDiskTagsCrashRestartVerify(t *testing.T) {
+	for seed := int64(1); seed <= chaosCycles(); seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			plan := faultinject.NewPlan(seed).
+				Rate(faultinject.EIO, 0.02).
+				Rate(faultinject.ShortWrite, 0.03).
+				Rate(faultinject.PowerCut, 0.02)
+			ffs := faultinject.NewFS(faultinject.OS(), plan)
+
+			acked := make(map[[2]string]oci.Descriptor)
+			tags, err := distrib.NewDiskTagsFS(dir, ffs)
+			if err == nil {
+				for i := 0; i < 20 && !ffs.Dead(); i++ {
+					name, tag := []string{"team/app", "ref-images/app"}[i%2], fmt.Sprintf("v%d", i%7)
+					desc := oci.Descriptor{MediaType: oci.MediaTypeManifest, Digest: digest.FromString(fmt.Sprint(seed, i)), Size: int64(i)}
+					if err := tags.Set(name, tag, desc); err == nil {
+						acked[[2]string{name, tag}] = desc
+					}
+				}
+			}
+
+			reopened, err := distrib.NewDiskTags(dir)
+			if err != nil {
+				t.Fatalf("reopening tags after crash: %v", err)
+			}
+			for ref, want := range acked {
+				if got, ok := reopened.Resolve(ref[0], ref[1]); !ok || got.Digest != want.Digest || got.Size != want.Size {
+					t.Fatalf("acknowledged tag %s:%s resolves to %v (found=%v) after crash, want %v", ref[0], ref[1], got, ok, want)
+				}
+			}
+			files, err := os.ReadDir(filepath.Join(dir, "refs"))
+			if err != nil {
+				t.Fatalf("reading refs dir: %v", err)
+			}
+			for _, f := range files {
+				if !strings.HasSuffix(f.Name(), ".json") {
+					t.Fatalf("orphan temp file %s survived reopen", f.Name())
+				}
+			}
+		})
+	}
+}
+
 // TestFsckQuarantinesCorruptBlob verifies the fsck invariants on a
 // directly corrupted store: Fsck reports the damage without touching
 // it, Repair moves the damaged file to quarantine (never deletes), and
@@ -319,6 +372,58 @@ func TestPullResumesMidStreamDisconnect(t *testing.T) {
 	}
 	if events := plan.Events(); len(events) != 3 {
 		t.Fatalf("expected 3 injected truncations, got %v", events)
+	}
+}
+
+// TestFetchKeepsBytesAcrossTransportErrors pins which failures cost a
+// download its progress. A connection refused or reset between attempts
+// says nothing about the bytes already received: the next attempt asks
+// for the rest (Range: bytes=N-). A status other than the one asked for
+// does: the buffer is cleared and the next attempt starts over.
+func TestFetchKeepsBytesAcrossTransportErrors(t *testing.T) {
+	srv := registry.NewServer()
+	inner := srv.Handler()
+	var ranges []string // Range header of each blob GET that reached the server
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.Contains(r.URL.Path, "/blobs/") {
+			ranges = append(ranges, r.Header.Get("Range"))
+			if len(ranges) == 2 {
+				http.Error(w, "briefly sick", http.StatusServiceUnavailable)
+				return
+			}
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	payload := bytes.Repeat([]byte("bytes worth keeping "), 512)
+	src := oci.NewStore()
+	d := src.Put(payload)
+	if err := fastClient(ts.URL).PushBlob(context.Background(), "app", src, d); err != nil {
+		t.Fatal(err)
+	}
+
+	// GET 1 is cut mid-body, GET 2 never leaves the client, GET 3 is
+	// answered 503 by the server, GET 4 is served.
+	plan := faultinject.NewPlan(5).At(1, faultinject.Truncate).At(2, faultinject.Drop)
+	c := fastClient(ts.URL)
+	c.HTTP = &http.Client{Transport: faultinject.NewTransport(nil, plan)}
+	dst := oci.NewStore()
+	if err := c.FetchBlob(context.Background(), dst, "app", d); err != nil {
+		t.Fatalf("fetch across truncation, drop and 503: %v", err)
+	}
+	if got, err := dst.Get(d); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("fetched blob not byte-identical (err=%v)", err)
+	}
+	if len(ranges) != 3 || ranges[0] != "" || ranges[2] != "" {
+		t.Fatalf("server saw Range headers %q, want a fresh GET, a resume, and a fresh GET after the 503", ranges)
+	}
+	var from int
+	if _, err := fmt.Sscanf(ranges[1], "bytes=%d-", &from); err != nil || from <= 0 || from >= len(payload) {
+		t.Fatalf("attempt after the dropped connection sent Range %q, want bytes=N- for the prefix already received", ranges[1])
+	}
+	if events := plan.Events(); len(events) != 2 {
+		t.Fatalf("expected the truncation and the drop, got %v", events)
 	}
 }
 

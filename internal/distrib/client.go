@@ -7,12 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"comtainer/internal/cachekit"
@@ -27,11 +26,17 @@ import (
 // skipped, and transient failures (5xx, network errors, short reads)
 // retry with exponential backoff.
 //
+// There is one place a request is built and sent (Do) and one loop
+// that retries (Retry). Every operation that retries — a blob push or
+// fetch, a manifest, a farm result report — spends one budget of
+// Retries+1 attempts on it; nothing nests a second loop inside. What an
+// interrupted transfer already moved survives between attempts: a
+// download resumes with an HTTP Range request from the bytes received,
+// a chunked upload from the offset its session reports.
+//
 // Every method takes a context: cancelling it aborts in-flight
 // requests and any retry/backoff wait within one timer tick — there is
-// no uncancellable sleep anywhere on the retry path. Interrupted blob
-// downloads resume with HTTP Range requests from the bytes already
-// received instead of restarting.
+// no uncancellable sleep anywhere on the retry path.
 type Client struct {
 	// Base is the registry root, e.g. "http://127.0.0.1:5000".
 	Base string
@@ -42,7 +47,8 @@ type Client struct {
 	// ChunkSize is the PATCH chunk size for uploads (default 1 MiB). A
 	// blob that fits one chunk is pushed in a single request instead.
 	ChunkSize int64
-	// Retries is how many times a transient failure is retried (default 3).
+	// Retries is how many times one operation retries a transient
+	// failure, whichever of its requests failed (default 3).
 	Retries int
 	// RetryBackoff is the initial backoff, doubled per retry (default 25ms).
 	RetryBackoff time.Duration
@@ -59,13 +65,6 @@ type Client struct {
 // concurrency and retry settings.
 func NewClient(base string) *Client {
 	return &Client{Base: strings.TrimRight(base, "/"), HTTP: http.DefaultClient}
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }
 
 func (c *Client) workers() int {
@@ -100,8 +99,9 @@ func (c *Client) url(parts ...string) string {
 	return c.Base + "/v2/" + strings.Join(parts, "/")
 }
 
-// httpStatusError is a non-2xx response; its code drives the
-// transient-vs-permanent retry decision.
+// httpStatusError is a response whose status the request's sender did
+// not list as acceptable — the one error type an HTTP status travels
+// in; its code drives the transient-vs-permanent retry decision.
 type httpStatusError struct {
 	Code   int
 	Status string
@@ -117,96 +117,108 @@ func (e *httpStatusError) Error() string {
 	return msg
 }
 
-// statusError drains and closes resp and returns an httpStatusError.
-func statusError(resp *http.Response) error {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-	resp.Body.Close()
-	return &httpStatusError{
-		Code:   resp.StatusCode,
-		Status: resp.Status,
-		URL:    resp.Request.URL.String(),
-		Body:   string(body),
+// StatusCode returns the HTTP status err reports, or 0 when err is not
+// a response at all (nil, a transport failure, a decode error). A 404
+// is the definitive "does not exist" callers tell from "broken".
+func StatusCode(err error) int {
+	var he *httpStatusError
+	if errors.As(err, &he) {
+		return he.Code
 	}
+	return 0
 }
 
-// IsNotFound reports whether err is a definitive 404 from the
-// registry — the reference does not exist, as opposed to a transport
-// or server failure. Callers use it to tell "cache miss" from "cache
-// broken".
-func IsNotFound(err error) bool {
-	var he *httpStatusError
-	return errors.As(err, &he) && he.Code == http.StatusNotFound
+// sizedBody is a request body of known length whose type does not
+// reveal it to net/http the way a bytes.Reader does.
+type sizedBody struct {
+	io.Reader
+	size int64
+}
+
+// Do is the one place a request is built and sent. It returns the
+// response, body open for the caller to close, only when its status is
+// one of accept. Any other response is drained, closed and returned as
+// an error StatusCode reads; a transport failure is an error without a
+// status.
+func (c *Client) Do(ctx context.Context, method, url string, header http.Header, body io.Reader, accept ...int) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return nil, err
+	}
+	if sb, ok := body.(sizedBody); ok {
+		req.ContentLength = sb.size
+		if sb.size == 0 {
+			req.Body = http.NoBody
+		}
+	}
+	for k, v := range header {
+		req.Header[k] = v
+	}
+	hc := c.HTTP
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("distrib: %w", err)
+	}
+	if slices.Contains(accept, resp.StatusCode) {
+		return resp, nil
+	}
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	resp.Body.Close()
+	return nil, &httpStatusError{Code: resp.StatusCode, Status: resp.Status, URL: method + " " + url, Body: string(msg)}
 }
 
 // transient reports whether err is worth retrying.
 //
-// Retryable: server-side statuses (5xx, 429, 408, and 416 — the
-// resume-offset handshake restarts from scratch), truncated bodies
-// (io.ErrUnexpectedEOF), connection resets/refusals and other
-// transport-level failures, and per-attempt deadline expiry.
+// Permanent: context cancellation — a caller that cancelled must never
+// be held for another attempt — and every status but the server-side
+// ones (5xx, 429, 408, and 416: the resume-offset handshake restarts
+// from scratch).
 //
-// Permanent: other 4xx client errors, and context cancellation — a
-// caller that cancelled must never be held for another attempt.
+// Retryable: everything else — truncated bodies, connection resets and
+// refusals, per-attempt deadline expiry, and failures of no known kind
+// (a digest mismatch from a corrupted body, say): the retry budget
+// bounds the damage.
 func transient(err error) bool {
-	if err == nil {
+	if err == nil || errors.Is(err, context.Canceled) {
 		return false
 	}
-	if errors.Is(err, context.Canceled) {
-		return false
+	if code := StatusCode(err); code != 0 {
+		return code >= 500 ||
+			code == http.StatusTooManyRequests ||
+			code == http.StatusRequestTimeout ||
+			code == http.StatusRequestedRangeNotSatisfiable
 	}
-	var he *httpStatusError
-	if errors.As(err, &he) {
-		return he.Code >= 500 ||
-			he.Code == http.StatusTooManyRequests ||
-			he.Code == http.StatusRequestTimeout ||
-			he.Code == http.StatusRequestedRangeNotSatisfiable
-	}
-	switch {
-	case errors.Is(err, io.ErrUnexpectedEOF),
-		errors.Is(err, io.ErrClosedPipe),
-		errors.Is(err, syscall.ECONNRESET),
-		errors.Is(err, syscall.ECONNREFUSED),
-		errors.Is(err, syscall.EPIPE),
-		errors.Is(err, context.DeadlineExceeded):
-		return true
-	}
-	var ne net.Error
-	if errors.As(err, &ne) {
-		return true
-	}
-	// Unknown failure (e.g. a digest mismatch from a corrupted body):
-	// assume transient; the retry budget bounds the damage.
 	return true
 }
 
-// attempt runs fn once under the per-attempt deadline, if configured.
-func (c *Client) attempt(ctx context.Context, fn func(context.Context) error) error {
-	if c.OpTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.OpTimeout)
+// Retry is the one retry loop: it runs fn, under the per-attempt
+// deadline if OpTimeout sets one, until it succeeds, fails permanently
+// (see transient) or has failed Retries+1 times, waiting RetryBackoff
+// doubled per retry in between. Cancelling ctx aborts both the
+// in-flight attempt and any backoff wait. State fn keeps outside
+// itself — bytes received, an upload session — carries a transfer from
+// one attempt to the next.
+func (c *Client) Retry(ctx context.Context, fn func(context.Context) error) error {
+	attempt := func() error {
+		if c.OpTimeout <= 0 {
+			return fn(ctx)
+		}
+		actx, cancel := context.WithTimeout(ctx, c.OpTimeout)
 		defer cancel()
+		return fn(actx)
 	}
-	return fn(ctx)
-}
-
-// withRetry runs fn, retrying transient failures with exponential
-// backoff up to c.Retries times. Cancelling ctx aborts both the
-// in-flight attempt and any backoff wait.
-func (c *Client) withRetry(ctx context.Context, fn func(context.Context) error) error {
 	backoff := c.backoff()
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = c.attempt(ctx, fn)
-		if err == nil || !transient(err) || attempt >= c.retries() {
+	for n := 0; ; n++ {
+		err := attempt()
+		if err == nil || !transient(err) || n >= c.retries() {
 			return err
 		}
-		if ctx.Err() != nil {
-			// The parent was cancelled (fn may have surfaced it as a
-			// wrapped transport error): stop retrying immediately and
-			// report the cancellation, keeping the last failure for
-			// the log line.
-			return fmt.Errorf("%w (last attempt: %v)", ctx.Err(), err)
-		}
+		// A cancelled parent (fn may have surfaced it as a wrapped
+		// transport error) stops the retrying at once, with or without a
+		// sleep in progress; the last failure is kept for the log line.
 		if serr := ctxutil.Sleep(ctx, backoff); serr != nil {
 			return fmt.Errorf("%w (last attempt: %v)", serr, err)
 		}
@@ -240,36 +252,20 @@ func (c *Client) runPool(tasks []func() error) error {
 	return first
 }
 
-// get issues a GET with the context attached.
-func (c *Client) get(ctx context.Context, url string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	return c.httpClient().Do(req)
-}
-
 // Ping checks the registry is alive.
 func (c *Client) Ping(ctx context.Context) error {
-	resp, err := c.get(ctx, c.Base+"/v2/")
+	resp, err := c.Do(ctx, http.MethodGet, c.Base+"/v2/", nil, nil, http.StatusOK)
 	if err != nil {
 		return fmt.Errorf("distrib: ping: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("distrib: ping: status %s", resp.Status)
-	}
-	return nil
+	return resp.Body.Close()
 }
 
 // ListTags returns the sorted tags of repository name.
 func (c *Client) ListTags(ctx context.Context, name string) ([]string, error) {
-	resp, err := c.get(ctx, c.url(name, "tags", "list"))
+	resp, err := c.Do(ctx, http.MethodGet, c.url(name, "tags", "list"), nil, nil, http.StatusOK)
 	if err != nil {
 		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp)
 	}
 	defer resp.Body.Close()
 	var out struct {
@@ -284,23 +280,12 @@ func (c *Client) ListTags(ctx context.Context, name string) ([]string, error) {
 // HasBlob asks the registry (HEAD) whether it already holds blob d —
 // the cross-image dedup probe.
 func (c *Client) HasBlob(ctx context.Context, name string, d digest.Digest) (bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, c.url(name, "blobs", string(d)), nil)
+	resp, err := c.Do(ctx, http.MethodHead, c.url(name, "blobs", string(d)), nil, nil, http.StatusOK, http.StatusNotFound)
 	if err != nil {
 		return false, err
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, nil
-	case http.StatusNotFound:
-		return false, nil
-	default:
-		return false, fmt.Errorf("distrib: HEAD blob %s: status %s", d.Short(), resp.Status)
-	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK, nil
 }
 
 // --- push side ---
@@ -308,18 +293,11 @@ func (c *Client) HasBlob(ctx context.Context, name string, d digest.Digest) (boo
 // startUpload opens an upload session in repository name and returns
 // the session's absolute URL.
 func (c *Client) startUpload(ctx context.Context, name string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(name, "blobs", "uploads")+"/", nil)
+	resp, err := c.Do(ctx, http.MethodPost, c.url(name, "blobs", "uploads")+"/", nil, nil, http.StatusAccepted)
 	if err != nil {
 		return "", err
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", fmt.Errorf("distrib: starting upload: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return "", statusError(resp)
-	}
+	resp.Body.Close()
 	loc := resp.Header.Get("Location")
 	if loc == "" {
 		return "", fmt.Errorf("distrib: upload session has no Location")
@@ -332,14 +310,11 @@ func (c *Client) startUpload(ctx context.Context, name string) (string, error) {
 
 // uploadOffset queries a session for its committed offset.
 func (c *Client) uploadOffset(ctx context.Context, loc string) (int64, error) {
-	resp, err := c.get(ctx, loc)
+	resp, err := c.Do(ctx, http.MethodGet, loc, nil, nil, http.StatusNoContent, http.StatusOK)
 	if err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return 0, statusError(resp)
-	}
+	resp.Body.Close()
 	return parseUploadRange(resp.Header.Get("Range"))
 }
 
@@ -361,17 +336,11 @@ func parseUploadRange(rng string) (int64, error) {
 	return n + 1, nil
 }
 
-// sendChunks PATCHes the remainder of blob d starting at offset.
-func (c *Client) sendChunks(ctx context.Context, loc string, src BlobSource, d digest.Digest, offset int64) error {
-	r, size, err := src.Open(d)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	if offset > 0 {
-		if _, err := io.CopyN(io.Discard, r, offset); err != nil {
-			return fmt.Errorf("distrib: seeking to resume offset %d: %w", offset, err)
-		}
+// sendChunks PATCHes blob d to session loc from offset on, reading the
+// blob's size bytes from r, and PUTs the digest to close the session.
+func (c *Client) sendChunks(ctx context.Context, loc string, r io.Reader, size int64, d digest.Digest, offset int64) error {
+	if _, err := io.CopyN(io.Discard, r, offset); err != nil {
+		return fmt.Errorf("distrib: seeking to resume offset %d: %w", offset, err)
 	}
 	buf := make([]byte, min(c.chunkSize(), size-offset))
 	for offset < size {
@@ -385,69 +354,26 @@ func (c *Client) sendChunks(ctx context.Context, loc string, src BlobSource, d d
 		if n == 0 {
 			break
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPatch, loc, bytes.NewReader(buf[:n]))
-		if err != nil {
-			return err
+		header := http.Header{
+			"Content-Type":  {"application/octet-stream"},
+			"Content-Range": {fmt.Sprintf("%d-%d", offset, offset+int64(n)-1)},
 		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		req.Header.Set("Content-Range", fmt.Sprintf("%d-%d", offset, offset+int64(n)-1))
-		req.ContentLength = int64(n)
-		resp, err := c.httpClient().Do(req)
+		resp, err := c.Do(ctx, http.MethodPatch, loc, header, bytes.NewReader(buf[:n]), http.StatusAccepted)
 		if err != nil {
 			return fmt.Errorf("distrib: uploading chunk of %s: %w", d.Short(), err)
-		}
-		if resp.StatusCode != http.StatusAccepted {
-			return statusError(resp)
 		}
 		resp.Body.Close()
 		offset += int64(n)
 	}
-	return nil
-}
-
-// finalizeUpload PUTs the digest to close the session.
-func (c *Client) finalizeUpload(ctx context.Context, loc string, d digest.Digest) error {
 	sep := "?"
 	if strings.Contains(loc, "?") {
 		sep = "&"
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, loc+sep+"digest="+string(d), nil)
+	resp, err := c.Do(ctx, http.MethodPut, loc+sep+"digest="+string(d), nil, nil, http.StatusCreated)
 	if err != nil {
 		return err
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("distrib: finalizing upload of %s: %w", d.Short(), err)
-	}
-	if resp.StatusCode != http.StatusCreated {
-		return statusError(resp)
-	}
-	resp.Body.Close()
-	return nil
-}
-
-// pushMonolithic sends blob d, all size bytes of r, in the protocol's
-// single-request form: POST …/blobs/uploads/?digest=. No session is
-// opened, so a failure leaves nothing to resume; the caller starts over.
-func (c *Client) pushMonolithic(ctx context.Context, name string, r io.Reader, size int64, d digest.Digest) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(name, "blobs", "uploads")+"/?digest="+string(d), r)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.ContentLength = size
-	if size == 0 {
-		req.Body = http.NoBody
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("distrib: uploading %s: %w", d.Short(), err)
-	}
-	if resp.StatusCode != http.StatusCreated {
-		return statusError(resp)
-	}
-	resp.Body.Close()
-	return nil
+	return resp.Body.Close()
 }
 
 // PushBlob uploads blob d from src into repository name. Blobs the
@@ -456,50 +382,56 @@ func (c *Client) pushMonolithic(ctx context.Context, name string, r io.Reader, s
 // where a transfer interrupted mid-PATCH resumes from the offset the
 // server reports rather than restarting.
 func (c *Client) PushBlob(ctx context.Context, name string, src BlobSource, d digest.Digest) error {
+	return c.push(ctx, name, d, func() (io.ReadCloser, int64, error) { return src.Open(d) })
+}
+
+// PushBytes is PushBlob for content already in memory: it uploads data
+// as a blob of repository name and returns its digest.
+func (c *Client) PushBytes(ctx context.Context, name string, data []byte) (digest.Digest, error) {
+	d := digest.FromBytes(data)
+	return d, c.push(ctx, name, d, func() (io.ReadCloser, int64, error) {
+		return io.NopCloser(bytes.NewReader(data)), int64(len(data)), nil
+	})
+}
+
+// push uploads blob d, whose content open yields afresh per attempt.
+func (c *Client) push(ctx context.Context, name string, d digest.Digest, open func() (io.ReadCloser, int64, error)) error {
 	if ok, err := c.HasBlob(ctx, name, d); err == nil && ok {
 		return nil
 	}
-	return c.withRetry(ctx, func(ctx context.Context) error {
-		r, size, err := src.Open(d)
+	var loc string // the chunked upload's session, kept across attempts
+	return c.Retry(ctx, func(ctx context.Context) error {
+		r, size, err := open()
 		if err != nil {
 			return err
 		}
 		defer r.Close()
 		if size <= c.chunkSize() {
-			return c.pushMonolithic(ctx, name, r, size, d)
+			// The protocol's single-request form: no session is opened, so
+			// a failure leaves nothing to resume.
+			header := http.Header{"Content-Type": {"application/octet-stream"}}
+			resp, err := c.Do(ctx, http.MethodPost, c.url(name, "blobs", "uploads")+"/?digest="+string(d), header, sizedBody{r, size}, http.StatusCreated)
+			if err != nil {
+				return err
+			}
+			return resp.Body.Close()
 		}
-		// Only the size was needed: sendChunks opens its own reader, per
-		// attempt and resume offset.
-		loc, err := c.startUpload(ctx, name)
-		if err != nil {
-			return err
-		}
-		backoff := c.backoff()
+		// Resume from the offset the session committed; only a session
+		// the server no longer knows is replaced by a fresh one.
 		var offset int64
-		for attempt := 0; ; attempt++ {
-			err := c.sendChunks(ctx, loc, src, d, offset)
-			if err == nil {
-				return c.finalizeUpload(ctx, loc, d)
-			}
-			if !transient(err) || attempt >= c.retries() {
+		if loc != "" {
+			if offset, err = c.uploadOffset(ctx, loc); StatusCode(err) == http.StatusNotFound {
+				loc = ""
+			} else if err != nil {
 				return err
 			}
-			if cerr := ctx.Err(); cerr != nil {
-				return fmt.Errorf("%w (last attempt: %v)", cerr, err)
-			}
-			if serr := ctxutil.Sleep(ctx, backoff); serr != nil {
-				return fmt.Errorf("%w (last attempt: %v)", serr, err)
-			}
-			backoff *= 2
-			// Resume from the server's committed offset; if the
-			// session itself is gone, surface the original error so
-			// the outer retry opens a fresh one.
-			off, oerr := c.uploadOffset(ctx, loc)
-			if oerr != nil {
-				return err
-			}
-			offset = off
 		}
+		if loc == "" {
+			if loc, err = c.startUpload(ctx, name); err != nil {
+				return err
+			}
+		}
+		return c.sendChunks(ctx, loc, r, size, d, offset)
 	})
 }
 
@@ -552,21 +484,13 @@ func manifestMediaType(declared string, children []oci.Descriptor) string {
 // digest), retrying transient failures. The blobs it references must
 // already be on the registry.
 func (c *Client) PushManifest(ctx context.Context, name, ref, mediaType string, body []byte) error {
-	return c.withRetry(ctx, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.url(name, "manifests", ref), bytes.NewReader(body))
+	return c.Retry(ctx, func(ctx context.Context) error {
+		header := http.Header{"Content-Type": {mediaType}}
+		resp, err := c.Do(ctx, http.MethodPut, c.url(name, "manifests", ref), header, bytes.NewReader(body), http.StatusCreated)
 		if err != nil {
 			return err
 		}
-		req.Header.Set("Content-Type", mediaType)
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return fmt.Errorf("distrib: pushing manifest: %w", err)
-		}
-		if resp.StatusCode != http.StatusCreated {
-			return statusError(resp)
-		}
-		resp.Body.Close()
-		return nil
+		return resp.Body.Close()
 	})
 }
 
@@ -579,18 +503,11 @@ func (c *Client) PushManifest(ctx context.Context, name, ref, mediaType string, 
 func (c *Client) FetchManifest(ctx context.Context, name, ref string) ([]byte, digest.Digest, string, error) {
 	var body []byte
 	var mediaType string
-	err := c.withRetry(ctx, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(name, "manifests", ref), nil)
+	err := c.Retry(ctx, func(ctx context.Context) error {
+		header := http.Header{"Accept": {oci.MediaTypeManifest + ", " + oci.MediaTypeIndex}}
+		resp, err := c.Do(ctx, http.MethodGet, c.url(name, "manifests", ref), header, nil, http.StatusOK)
 		if err != nil {
 			return err
-		}
-		req.Header.Set("Accept", oci.MediaTypeManifest+", "+oci.MediaTypeIndex)
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return fmt.Errorf("distrib: fetching manifest %s:%s: %w", name, ref, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return statusError(resp)
 		}
 		defer resp.Body.Close()
 		body, err = io.ReadAll(io.LimitReader(resp.Body, 16<<20))
@@ -620,57 +537,17 @@ func (c *Client) FetchManifest(ctx context.Context, name, ref string) ([]byte, d
 }
 
 // FetchBlob downloads blob d from repository name into dst, verifying
-// the digest. The bytes received so far survive across retries: a
-// transfer cut mid-stream resumes with a Range request from the
-// committed offset, and only a digest mismatch (the accumulated bytes
-// are wrong, not merely incomplete) restarts from scratch. Concurrent
-// fetches of the same digest collapse into one transfer; waiters honor
-// their context.
+// the digest (see fetch). Concurrent fetches of the same digest
+// collapse into one transfer; waiters honor their context.
 func (c *Client) FetchBlob(ctx context.Context, dst Store, name string, d digest.Digest) error {
 	_, shared, err := c.flights.DoContext(ctx, d, func() (_ struct{}, err error) {
 		if dst.Has(d) {
 			return
 		}
-		var buf bytes.Buffer // bytes verified-received across attempts
-		return struct{}{}, c.withRetry(ctx, func(ctx context.Context) error {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(name, "blobs", string(d)), nil)
-			if err != nil {
-				return err
-			}
-			resume := buf.Len() > 0
-			if resume {
-				req.Header.Set("Range", fmt.Sprintf("bytes=%d-", buf.Len()))
-			}
-			resp, err := c.httpClient().Do(req)
-			if err != nil {
-				return fmt.Errorf("distrib: fetching blob %s: %w", d.Short(), err)
-			}
-			switch {
-			case resume && resp.StatusCode == http.StatusPartialContent:
-				// Continuing from the committed offset.
-			case resp.StatusCode == http.StatusOK:
-				// Full body (fresh fetch, or a server that ignored the
-				// Range): start over.
-				buf.Reset()
-			default:
-				// Includes 416 from a stale resume offset: statusError
-				// classifies it transient and the cleared buffer makes
-				// the next attempt fetch from scratch.
-				buf.Reset()
-				return statusError(resp)
-			}
-			_, cerr := io.Copy(&buf, io.LimitReader(resp.Body, 1<<30))
-			resp.Body.Close()
-			if cerr != nil {
-				return fmt.Errorf("distrib: reading blob %s: %w", d.Short(), cerr)
-			}
-			// Ingest verifies the digest; a corrupt accumulation fails
-			// verification, restarts clean, and is retried.
-			if _, _, err := dst.Ingest(bytes.NewReader(buf.Bytes()), d); err != nil {
-				buf.Reset()
-				return fmt.Errorf("distrib: ingesting blob %s: %w", d.Short(), err)
-			}
-			return nil
+		// Ingest verifies the digest.
+		return struct{}{}, c.fetch(ctx, name, d, func(b []byte) error {
+			_, _, err := dst.Ingest(bytes.NewReader(b), d)
+			return err
 		})
 	})
 	if shared && err == nil && !dst.Has(d) {
@@ -678,6 +555,63 @@ func (c *Client) FetchBlob(ctx context.Context, dst Store, name string, d digest
 		return c.FetchBlob(ctx, dst, name, d)
 	}
 	return err
+}
+
+// FetchBytes is FetchBlob for a caller that wants one blob's content
+// and has no store to keep it in: it downloads blob d of repository
+// name and returns the bytes, verified against d.
+func (c *Client) FetchBytes(ctx context.Context, name string, d digest.Digest) ([]byte, error) {
+	var out []byte
+	err := c.fetch(ctx, name, d, func(b []byte) error {
+		if !d.Verify(b) {
+			return fmt.Errorf("digest mismatch: content is %s", digest.FromBytes(b).Short())
+		}
+		out = b
+		return nil
+	})
+	return out, err
+}
+
+// fetch downloads blob d and hands the complete content to verify,
+// which must reject bytes that do not hash to d. The bytes received so
+// far survive across attempts: a transfer cut mid-stream, or an attempt
+// that never got a response, resumes with a Range request from the
+// committed offset. Only evidence that the accumulated bytes are wrong
+// rather than incomplete — a status other than the one asked for
+// (including the 416 of a stale offset), a digest mismatch — restarts
+// from scratch.
+func (c *Client) fetch(ctx context.Context, name string, d digest.Digest, verify func([]byte) error) error {
+	var buf bytes.Buffer
+	return c.Retry(ctx, func(ctx context.Context) error {
+		// A 206 is a body only in answer to a Range.
+		var header http.Header
+		accept := []int{http.StatusOK}
+		if buf.Len() > 0 {
+			header = http.Header{"Range": {fmt.Sprintf("bytes=%d-", buf.Len())}}
+			accept = append(accept, http.StatusPartialContent)
+		}
+		resp, err := c.Do(ctx, http.MethodGet, c.url(name, "blobs", string(d)), header, nil, accept...)
+		if err != nil {
+			if StatusCode(err) != 0 {
+				buf.Reset()
+			}
+			return err
+		}
+		if resp.StatusCode == http.StatusOK {
+			// Full body (fresh fetch, or a server that ignored the Range).
+			buf.Reset()
+		}
+		_, cerr := io.Copy(&buf, io.LimitReader(resp.Body, 1<<30))
+		resp.Body.Close()
+		if cerr != nil {
+			return fmt.Errorf("distrib: reading blob %s: %w", d.Short(), cerr)
+		}
+		if err := verify(buf.Bytes()); err != nil {
+			buf.Reset()
+			return fmt.Errorf("distrib: blob %s: %w", d.Short(), err)
+		}
+		return nil
+	})
 }
 
 // PullImage downloads name:ref (tag or digest; image or manifest

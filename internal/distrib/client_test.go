@@ -459,3 +459,111 @@ func TestPullVerifiesManifestDigest(t *testing.T) {
 		t.Fatal("pull by unknown digest succeeded")
 	}
 }
+
+// TestFetchRejectsUnsolicitedPartialContent: a 206 is a body only in
+// answer to a Range. A first attempt sends none, so a 206 there is a
+// protocol error — not a prefix to keep, let alone a blob to store.
+func TestFetchRejectsUnsolicitedPartialContent(t *testing.T) {
+	payload := []byte(strings.Repeat("partial content ", 64))
+	d := digest.FromBytes(payload)
+	var gets atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		gets.Add(1)
+		if rng := r.Header.Get("Range"); rng != "" {
+			t.Errorf("request carries Range %q although nothing was received", rng)
+		}
+		w.Header().Set("Content-Range", fmt.Sprintf("bytes 0-%d/%d", len(payload)-1, len(payload)))
+		w.WriteHeader(http.StatusPartialContent)
+		_, _ = w.Write(payload)
+	}))
+	defer ts.Close()
+
+	dst := oci.NewStore()
+	if err := fastClient(ts.URL).FetchBlob(context.Background(), dst, "app", d); err == nil {
+		t.Fatal("FetchBlob accepted an unsolicited 206")
+	}
+	if dst.Has(d) {
+		t.Fatal("an unsolicited 206 body was stored")
+	}
+	if n := gets.Load(); n != 1 {
+		t.Fatalf("%d GETs: an unsolicited 206 is permanent, not retried", n)
+	}
+}
+
+// TestBytesHelpersRoundTrip covers PushBytes and FetchBytes, the
+// store-less forms of PushBlob and FetchBlob: same wire, same dedup
+// probe, and the same digest verification on the way back.
+func TestBytesHelpersRoundTrip(t *testing.T) {
+	srv := registry.NewServer()
+	counter := &countingHandler{inner: srv.Handler()}
+	var tamper atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if tamper.Load() && r.Method == http.MethodGet {
+			_, _ = w.Write([]byte("not what was asked for"))
+			return
+		}
+		counter.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	c := fastClient(ts.URL)
+	c.Retries = 1
+	payload := []byte("one blob, no store on either side")
+	d, err := c.PushBytes(context.Background(), "app", payload)
+	if err != nil || d != digest.FromBytes(payload) {
+		t.Fatalf("PushBytes = %s, %v", d, err)
+	}
+	if _, err := c.PushBytes(context.Background(), "app", payload); err != nil || counter.uploads.Load() != 1 {
+		t.Fatalf("second PushBytes: err=%v, %d uploads, want the HEAD probe to skip it", err, counter.uploads.Load())
+	}
+	got, err := c.FetchBytes(context.Background(), "app", d)
+	if err != nil || string(got) != string(payload) {
+		t.Fatalf("FetchBytes = %q, %v", got, err)
+	}
+	tamper.Store(true)
+	if got, err := c.FetchBytes(context.Background(), "app", d); err == nil {
+		t.Fatalf("FetchBytes returned %q for content that does not hash to the digest asked for", got)
+	}
+}
+
+// TestPushBlobSpendsOneRetryBudget pins what the Client.Retries doc
+// promises: a chunked upload whose PATCH always fails is attempted
+// Retries+1 times in total — the resume handshake lives inside the one
+// retry loop, not in a second loop multiplying it — and every attempt
+// resumes the session the first one opened.
+func TestPushBlobSpendsOneRetryBudget(t *testing.T) {
+	inner := registry.NewServer().Handler()
+	var sessions, patches, offsetQueries atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPatch:
+			patches.Add(1)
+			http.Error(w, "disk full", http.StatusServiceUnavailable)
+			return
+		case r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/blobs/uploads/"):
+			sessions.Add(1)
+		case r.Method == http.MethodGet && strings.Contains(r.URL.Path, "/blobs/uploads/"):
+			offsetQueries.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	src := oci.NewStore()
+	d := src.Put([]byte(strings.Repeat("never lands ", 4096)))
+	c := fastClient(ts.URL)
+	c.ChunkSize = 8 << 10
+	c.Retries = 3
+	if err := c.PushBlob(context.Background(), "app", src, d); err == nil || !strings.Contains(err.Error(), "503") {
+		t.Fatalf("push against a failing PATCH: err=%v, want the 503", err)
+	}
+	if n := patches.Load(); n != int64(c.Retries)+1 {
+		t.Errorf("%d PATCH attempts, want Retries+1 = %d", n, c.Retries+1)
+	}
+	if n := sessions.Load(); n != 1 {
+		t.Errorf("%d upload sessions opened, want 1 resumed throughout", n)
+	}
+	if n := offsetQueries.Load(); n != int64(c.Retries) {
+		t.Errorf("%d offset queries, want one per retry = %d", n, c.Retries)
+	}
+}

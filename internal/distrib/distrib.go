@@ -10,12 +10,18 @@
 //   - DiskStore: a persistent, sharded (blobs/sha256/ab/abcd…),
 //     digest-verified blob store with atomic temp-file+rename writes.
 //   - TagStore: the tag → manifest-descriptor mapping, in memory or
-//     persisted per-ref on disk.
+//     persisted per-ref on disk (DiskTags, through the same
+//     faultinject.FS seam and commit protocol as DiskStore).
 //   - UploadManager: server-side resumable upload sessions backing the
 //     OCI distribution push protocol (POST/PATCH/PUT).
 //   - Client: a concurrent pull/push client with a bounded worker pool,
-//     singleflight dedup of in-flight fetches, cross-image blob dedup,
-//     and retry-with-backoff on transient failures.
+//     singleflight dedup of in-flight fetches and cross-image blob
+//     dedup. It is also the module's one HTTP client: every request,
+//     the build farm's JSON calls included, is built and sent by
+//     Client.Do, every non-accepted status is the one error type
+//     StatusCode reads, and every retry runs in Client.Retry — one
+//     budget of Retries+1 attempts per operation, exponential from
+//     RetryBackoff, with no second loop nested inside.
 //   - GC: reference-counting garbage collection over tagged manifests
 //     and manifest lists.
 package distrib
@@ -76,11 +82,4 @@ func ReadBlob(src BlobSource, d digest.Digest) ([]byte, error) {
 		return nil, fmt.Errorf("distrib: reading blob %s: %w", d.Short(), err)
 	}
 	return b.Bytes(), nil
-}
-
-// WriteBlob stores b and returns its digest — the buffered counterpart
-// of Ingest.
-func WriteBlob(sink BlobSink, b []byte) (digest.Digest, error) {
-	d, _, err := sink.Ingest(bytes.NewReader(b), "")
-	return d, err
 }

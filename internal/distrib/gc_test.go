@@ -1,8 +1,10 @@
 package distrib
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"comtainer/internal/digest"
@@ -210,11 +212,11 @@ func TestGCOnDisk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := WriteBlob(disk, b); err != nil {
+		if _, _, err := disk.Ingest(bytes.NewReader(b), d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	garbage, err := WriteBlob(disk, []byte("orphaned layer"))
+	garbage, _, err := disk.Ingest(strings.NewReader("orphaned layer"), "")
 	if err != nil {
 		t.Fatal(err)
 	}

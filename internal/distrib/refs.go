@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 
+	"comtainer/internal/faultinject"
 	"comtainer/internal/oci"
 )
 
@@ -83,20 +84,32 @@ func (t *MemTags) All() map[string]oci.Descriptor {
 }
 
 // DiskTags is a TagStore persisted one file per reference under
-// <root>/refs/, written atomically (temp+rename) so a crash never
-// leaves a torn descriptor. The full map is kept in memory and written
-// through.
+// <root>/refs/, each committed by faultinject.Commit's protocol so a
+// crash never leaves a torn descriptor. The full map is kept in memory
+// and written through.
 type DiskTags struct {
 	root string
+	fs   faultinject.FS
 	mu   sync.RWMutex
 	m    map[string]oci.Descriptor
 }
 
-// NewDiskTags opens (creating if needed) the tag store under dir and
-// loads every persisted reference.
+// refTempPrefix starts the name of a Set's temp file, which unlike a
+// committed ref's (see refFile) does not end in ".json".
+const refTempPrefix = "ref-"
+
+// NewDiskTags opens (creating if needed) the tag store under dir,
+// loads every persisted reference and removes the temp files a Set
+// interrupted by a crash left behind.
 func NewDiskTags(dir string) (*DiskTags, error) {
-	t := &DiskTags{root: filepath.Join(dir, "refs"), m: make(map[string]oci.Descriptor)}
-	if err := os.MkdirAll(t.root, 0o755); err != nil {
+	return NewDiskTagsFS(dir, faultinject.OS())
+}
+
+// NewDiskTagsFS is NewDiskTags writing through fsys — the hook chaos
+// tests use to kill a Set between its write and its rename.
+func NewDiskTagsFS(dir string, fsys faultinject.FS) (*DiskTags, error) {
+	t := &DiskTags{root: filepath.Join(dir, "refs"), fs: fsys, m: make(map[string]oci.Descriptor)}
+	if err := fsys.MkdirAll(t.root, 0o755); err != nil {
 		return nil, fmt.Errorf("distrib: creating refs dir: %w", err)
 	}
 	entries, err := os.ReadDir(t.root)
@@ -104,7 +117,15 @@ func NewDiskTags(dir string) (*DiskTags, error) {
 		return nil, fmt.Errorf("distrib: reading refs dir: %w", err)
 	}
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
+		if e.IsDir() {
+			continue
+		}
+		if !strings.HasSuffix(e.Name(), ".json") {
+			if strings.HasPrefix(e.Name(), refTempPrefix) {
+				if err := fsys.Remove(filepath.Join(t.root, e.Name())); err != nil {
+					return nil, fmt.Errorf("distrib: sweeping temp %s: %w", e.Name(), err)
+				}
+			}
 			continue
 		}
 		key, err := url.PathUnescape(strings.TrimSuffix(e.Name(), ".json"))
@@ -148,29 +169,19 @@ func (t *DiskTags) Set(name, tag string, desc oci.Descriptor) error {
 		return fmt.Errorf("distrib: encoding ref: %w", err)
 	}
 	key := name + ":" + tag
-	tmp, err := os.CreateTemp(t.root, "ref-*")
+	tmp, err := faultinject.WriteTemp(t.fs, t.refFile(key), refTempPrefix, b, 0)
 	if err != nil {
 		return fmt.Errorf("distrib: writing ref: %w", err)
 	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("distrib: writing ref: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("distrib: writing ref: %w", err)
-	}
-	tmpName := tmp.Name()
 	t.mu.Lock()
 	//comtainer:allow lockio -- rename must commit atomically with the map update
-	err = os.Rename(tmpName, t.refFile(key))
+	err = t.fs.Rename(tmp, t.refFile(key))
 	if err == nil {
 		t.m[key] = desc
 	}
 	t.mu.Unlock()
 	if err != nil {
-		os.Remove(tmpName)
+		t.fs.Remove(tmp)
 		return fmt.Errorf("distrib: committing ref %s: %w", key, err)
 	}
 	return nil
@@ -183,7 +194,7 @@ func (t *DiskTags) Delete(name, tag string) error {
 	key := name + ":" + tag
 	t.mu.Lock()
 	//comtainer:allow lockio -- remove must commit atomically with the map update
-	err := os.Remove(t.refFile(key))
+	err := t.fs.Remove(t.refFile(key))
 	if err == nil || os.IsNotExist(err) {
 		delete(t.m, key)
 		err = nil

@@ -132,11 +132,6 @@ func (idx *Index) Names() []string {
 // Len returns the number of distinct package names.
 func (idx *Index) Len() int { return len(idx.packages) }
 
-// Versions returns all versions of name, newest first.
-func (idx *Index) Versions(name string) []*Package {
-	return idx.packages[name]
-}
-
 // Latest returns the newest version of name.
 func (idx *Index) Latest(name string) (*Package, bool) {
 	list := idx.packages[name]

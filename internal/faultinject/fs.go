@@ -4,6 +4,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 )
 
@@ -60,6 +61,47 @@ func (osFS) Stat(name string) (fs.FileInfo, error)     { return os.Stat(name) }
 func (osFS) Rename(oldpath, newpath string) error      { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                  { return os.Remove(name) }
 func (osFS) Chmod(name string, mode fs.FileMode) error { return os.Chmod(name, mode) }
+
+// Commit is the stores' crash-safe file write: it puts data at path
+// (mode 0 keeps a temp file's 0600) so that at every instant, and after
+// a crash at any of them, path holds its old content or the new,
+// never a torn mix. What a crash can leave behind is a file beside path
+// whose name starts with prefix; each store sweeps or skips its prefix
+// when it opens.
+func Commit(fsys FS, path, prefix string, data []byte, mode fs.FileMode) error {
+	tmp, err := WriteTemp(fsys, path, prefix, data, mode)
+	if err != nil {
+		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	return nil
+}
+
+// WriteTemp is the first half of Commit for a caller that must do the
+// second — fsys.Rename(tmp, path), fsys.Remove(tmp) if that fails —
+// itself, under a lock: it writes and closes the temp file and returns
+// its name, or removes it on failure.
+func WriteTemp(fsys FS, path, prefix string, data []byte, mode fs.FileMode) (string, error) {
+	tmp, err := fsys.CreateTemp(filepath.Dir(path), prefix+"*")
+	if err != nil {
+		return "", err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && mode != 0 {
+		err = fsys.Chmod(tmp.Name(), mode)
+	}
+	if err != nil {
+		fsys.Remove(tmp.Name())
+		return "", err
+	}
+	return tmp.Name(), nil
+}
 
 // FaultFS wraps a base FS with a fault plan. Metadata operations
 // (create, rename, remove, mkdir, stat, open, chmod) are eligible for

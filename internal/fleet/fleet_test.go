@@ -32,6 +32,7 @@ import (
 // testReplica is one storage registry participating in a shard group.
 type testReplica struct {
 	srv *registry.Server
+	log *fleet.WriteLog
 	rep *fleet.Replicator
 	ts  *httptest.Server
 }
@@ -78,7 +79,8 @@ func startShard(t *testing.T, n int) *testShard {
 				peers = append(peers, u)
 			}
 		}
-		r.rep = fleet.NewReplicator(r.srv.Blobs(), nil, peers...)
+		r.log = &fleet.WriteLog{}
+		r.rep = fleet.NewReplicator(r.srv.Blobs(), r.log, peers...)
 		r.srv.SetCommitHook(r.rep)
 	}
 	g, err := fleet.NewShardGroup(urls[0], urls...)
@@ -263,7 +265,7 @@ func TestFleetReplicationAck(t *testing.T) {
 			}
 		}
 	}
-	if seq := sh.leaderReplica(t).rep.Log().LastSeq(); seq == 0 {
+	if len(sh.leaderReplica(t).log.Entries(0)) == 0 {
 		t.Fatal("leader write log is empty after acknowledged pushes")
 	}
 }

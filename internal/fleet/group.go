@@ -63,17 +63,6 @@ func (g *ShardGroup) promoteFrom(stale string) string {
 	return g.replicas[g.leader]
 }
 
-// Promote forces leadership to the next replica (operator action).
-func (g *ShardGroup) Promote() string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.replicas) > 1 {
-		g.leader = (g.leader + 1) % len(g.replicas)
-		g.misses = 0
-	}
-	return g.replicas[g.leader]
-}
-
 // noteMiss records one failed heartbeat against leader and returns
 // the consecutive-miss count (reset when leadership moved meanwhile).
 func (g *ShardGroup) noteMiss(leader string) int {

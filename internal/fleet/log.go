@@ -120,17 +120,9 @@ func (l *WriteLog) Entries(since int64) []LogEntry {
 	return out
 }
 
-// LastSeq returns the sequence number of the newest entry (0 when
-// empty).
-func (l *WriteLog) LastSeq() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
 // Close releases the backing file, if any. The handle is detached
 // under the lock and closed outside it, so a slow close never blocks
-// concurrent Entries/LastSeq readers.
+// concurrent Entries readers.
 func (l *WriteLog) Close() error {
 	l.mu.Lock()
 	f := l.f

@@ -247,7 +247,7 @@ func (p *Proxy) withGroup(g *ShardGroup, fn func(base string) error) error {
 	var err error
 	for range g.Replicas() {
 		err = fn(leader)
-		if err == nil || distrib.IsNotFound(err) {
+		if err == nil || distrib.StatusCode(err) == http.StatusNotFound {
 			return err
 		}
 		leader = g.promoteFrom(leader)
@@ -322,7 +322,7 @@ func (p *Proxy) relay(w http.ResponseWriter, r *http.Request, groups ...*ShardGr
 // a definitive 404 from the shard passes through, everything else is
 // a 502 the client's retry logic treats as transient.
 func shardStatus(err error) int {
-	if distrib.IsNotFound(err) {
+	if distrib.StatusCode(err) == http.StatusNotFound {
 		return http.StatusNotFound
 	}
 	return http.StatusBadGateway

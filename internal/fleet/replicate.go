@@ -33,7 +33,6 @@ type Replicator struct {
 	src distrib.BlobSource
 
 	mu        sync.Mutex
-	http      *http.Client
 	followers []string
 	clients   map[string]*distrib.Client
 }
@@ -47,15 +46,6 @@ func NewReplicator(src distrib.BlobSource, log *WriteLog, followers ...string) *
 	r := &Replicator{log: log, src: src}
 	r.SetFollowers(followers...)
 	return r
-}
-
-// SetHTTPClient replaces the transport used for follower traffic
-// (tests inject fault transports here). Must be called before use.
-func (r *Replicator) SetHTTPClient(hc *http.Client) {
-	r.mu.Lock()
-	r.http = hc
-	r.clients = nil
-	r.mu.Unlock()
 }
 
 // SetFollowers replaces the follower set.
@@ -72,9 +62,6 @@ func (r *Replicator) Followers() []string {
 	return append([]string(nil), r.followers...)
 }
 
-// Log exposes the shard's write log.
-func (r *Replicator) Log() *WriteLog { return r.log }
-
 // headerTransport stamps every outgoing request with one header —
 // here distrib.ReplicatedHeader, so the receiving replica's own
 // commit hook stays quiet and replication fans out exactly one hop.
@@ -89,19 +76,10 @@ func (t headerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return t.base.RoundTrip(req)
 }
 
-// replicationClient wraps hc so every request carries the
-// replication marker header.
-func replicationClient(hc *http.Client) *http.Client {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	rt := hc.Transport
-	if rt == nil {
-		rt = http.DefaultTransport
-	}
-	wrapped := *hc
-	wrapped.Transport = headerTransport{base: rt, key: distrib.ReplicatedHeader, value: "1"}
-	return &wrapped
+// replicationClient is the HTTP client of every follower push: the
+// default transport under the replication marker header.
+var replicationClient = &http.Client{
+	Transport: headerTransport{base: http.DefaultTransport, key: distrib.ReplicatedHeader, value: "1"},
 }
 
 func (r *Replicator) clientFor(base string) *distrib.Client {
@@ -111,7 +89,7 @@ func (r *Replicator) clientFor(base string) *distrib.Client {
 		return c
 	}
 	c := distrib.NewClient(base)
-	c.HTTP = replicationClient(r.http)
+	c.HTTP = replicationClient
 	if r.clients == nil {
 		r.clients = make(map[string]*distrib.Client)
 	}

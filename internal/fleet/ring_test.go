@@ -144,8 +144,8 @@ func TestShardGroupPromotion(t *testing.T) {
 	if got := g.promoteFrom("r2"); got != "r3" {
 		t.Fatalf("promoteFrom(r2) = %s, want r3", got)
 	}
-	if got := g.Promote(); got != "r1" {
-		t.Fatalf("forced Promote wrapped to %s, want r1", got)
+	if got := g.promoteFrom("r3"); got != "r1" {
+		t.Fatalf("promoteFrom(r3) wrapped to %s, want r1", got)
 	}
 }
 
@@ -244,7 +244,7 @@ func TestWriteLogToleratesTornTail(t *testing.T) {
 	if got := re.Entries(0); len(got) != 1 || got[0].Seq != 1 {
 		t.Fatalf("torn log replayed %+v, want just seq 1", got)
 	}
-	if re.LastSeq() != 1 {
-		t.Fatalf("LastSeq = %d, want 1", re.LastSeq())
+	if seq, err := re.Append(LogEntry{Kind: KindBlob, Digest: digest.FromString("next")}); err != nil || seq != 2 {
+		t.Fatalf("append after a torn tail got seq %d (err %v), want 2", seq, err)
 	}
 }

@@ -14,7 +14,7 @@
 // File values are immutable once inserted — mutators always install fresh
 // entries, never write through an existing *File or into its Data — so
 // pointers returned by Stat/Walk remain race-free snapshots, and Clone,
-// Apply, ApplyAll, Diff and Squash share entries between file systems
+// Apply, ApplyAll and Diff share entries between file systems
 // instead of copying them: a snapshot costs O(entries), not O(bytes).
 package fsim
 
@@ -84,9 +84,6 @@ const (
 
 // ErrNotExist is returned when a path is absent.
 var ErrNotExist = errors.New("fsim: file does not exist")
-
-// ErrExist is returned when a path unexpectedly exists.
-var ErrExist = errors.New("fsim: file already exists")
 
 // FS is an in-memory file system. The zero value is not usable; call New.
 type FS struct {
@@ -568,33 +565,4 @@ func Diff(base, derived *FS) *FS {
 		layer.WriteFile(wh, nil, 0o000)
 	}
 	return layer
-}
-
-// Squash merges two layers into one equivalent layer: for any base,
-// Apply(Apply(base, a), b) == Apply(base, Squash(a, b)).
-func Squash(a, b *FS) *FS {
-	empty := New()
-	combined := ApplyAll([]*FS{a, b})
-	// Diff against empty gives adds; deletions crossing a/b boundaries
-	// must be preserved as whiteouts from both layers.
-	out := Diff(empty, combined)
-	carryWhiteouts := func(layer *FS) {
-		for _, p := range layer.Paths() {
-			wh, _ := isWhiteout(path.Base(p))
-			if !wh {
-				continue
-			}
-			file, err := layer.Stat(p)
-			if err != nil {
-				continue
-			}
-			target := path.Join(path.Dir(p), strings.TrimPrefix(path.Base(p), WhiteoutPrefix))
-			if path.Base(p) == OpaqueWhiteout || !combined.Exists(target) {
-				out.Add(file)
-			}
-		}
-	}
-	carryWhiteouts(a)
-	carryWhiteouts(b)
-	return out
 }

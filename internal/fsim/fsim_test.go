@@ -233,27 +233,6 @@ func TestDiffRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSquashEquivalence(t *testing.T) {
-	base := New()
-	base.WriteFile("/a", []byte("a"), 0o644)
-	base.WriteFile("/b", []byte("b"), 0o644)
-
-	l1 := New()
-	l1.WriteFile("/c", []byte("c"), 0o644)
-	l1.WriteFile("/.wh.a", nil, 0)
-
-	l2 := New()
-	l2.WriteFile("/c", []byte("c2"), 0o644)
-	l2.WriteFile("/.wh.b", nil, 0)
-
-	sequential := Apply(Apply(base, l1), l2)
-	squashed := Apply(base, Squash(l1, l2))
-	if !sequential.Equal(squashed) {
-		t.Errorf("squash mismatch:\nsequential=%v\nsquashed=%v",
-			sequential.Paths(), squashed.Paths())
-	}
-}
-
 // randomFS builds a deterministic pseudo-random FS from a seed.
 func randomFS(seed int64, n int) *FS {
 	rng := rand.New(rand.NewSource(seed))
@@ -282,20 +261,6 @@ func TestPropertyDiffApplyRoundTrip(t *testing.T) {
 		return Apply(base, layer).Equal(derived)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyApplyAssociativeViaSquash(t *testing.T) {
-	f := func(s1, s2, s3 int64) bool {
-		base := randomFS(s1, 15)
-		a := Diff(New(), randomFS(s2, 10))
-		b := Diff(New(), randomFS(s3, 10))
-		seq := Apply(Apply(base, a), b)
-		sq := Apply(base, Squash(a, b))
-		return seq.Equal(sq)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }

@@ -97,17 +97,3 @@ func CommTime(f sysprofile.Fabric, mpi *toolchain.Artifact, nodes int, nativeBud
 		return nativeBudgetSec * p, nil
 	}
 }
-
-// ScaleCommFrac adjusts a 16-node communication fraction to another node
-// count with a simple surface-to-volume law: halving the node count
-// roughly halves the communication share, and one node has none.
-func ScaleCommFrac(commFrac16 float64, nodes int) float64 {
-	if nodes <= 1 {
-		return 0
-	}
-	f := commFrac16 * float64(nodes) / 16.0
-	if f > 0.95 {
-		f = 0.95
-	}
-	return f
-}

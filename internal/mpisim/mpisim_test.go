@@ -98,18 +98,3 @@ func TestCommTime(t *testing.T) {
 		t.Errorf("single node comm = %f, %v", single, err)
 	}
 }
-
-func TestScaleCommFrac(t *testing.T) {
-	if ScaleCommFrac(0.9, 1) != 0 {
-		t.Error("1 node should have no comm share")
-	}
-	if f := ScaleCommFrac(0.9, 16); f != 0.9 {
-		t.Errorf("16-node share = %f", f)
-	}
-	if f := ScaleCommFrac(0.4, 8); f != 0.2 {
-		t.Errorf("8-node share = %f", f)
-	}
-	if f := ScaleCommFrac(0.9, 32); f > 0.95 {
-		t.Errorf("share not clamped: %f", f)
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"comtainer/internal/digest"
@@ -71,31 +72,10 @@ func (r *Repository) PushImage(src *Store, desc Descriptor, tag string) error {
 	return nil
 }
 
-// writeFileAtomic commits data to path via a temp file in the same
-// directory plus rename, so a crash mid-write never leaves a torn
-// file at an addressable layout path.
-func writeFileAtomic(fsys faultinject.FS, path string, data []byte, mode os.FileMode) error {
-	tmp, err := fsys.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = fsys.Chmod(tmpName, mode)
-	}
-	if werr == nil {
-		werr = fsys.Rename(tmpName, path)
-	}
-	if werr != nil {
-		fsys.Remove(tmpName)
-		return werr
-	}
-	return nil
-}
+// tempPrefix starts the name of a file SaveLayout is still writing. It
+// sits beside its target until the rename; LoadLayout skips it. A
+// digest-named blob can never start with a dot.
+const tempPrefix = ".tmp-"
 
 // SaveLayout writes the repository as an OCI layout directory: an
 // oci-layout marker, index.json, and blobs/sha256/<hex> files. Every
@@ -116,7 +96,7 @@ func (r *Repository) SaveLayoutFS(dir string, fsys faultinject.FS) error {
 	if err := fsys.MkdirAll(blobDir, 0o755); err != nil {
 		return fmt.Errorf("oci: creating layout dir: %w", err)
 	}
-	if err := writeFileAtomic(fsys, filepath.Join(dir, "oci-layout"), []byte(layoutMarker), 0o644); err != nil {
+	if err := faultinject.Commit(fsys, filepath.Join(dir, "oci-layout"), tempPrefix, []byte(layoutMarker), 0o644); err != nil {
 		return fmt.Errorf("oci: writing layout marker: %w", err)
 	}
 	for _, d := range r.Store.Digests() {
@@ -124,7 +104,7 @@ func (r *Repository) SaveLayoutFS(dir string, fsys faultinject.FS) error {
 		if err != nil {
 			return err
 		}
-		if err := writeFileAtomic(fsys, filepath.Join(blobDir, d.Hex()), b, 0o644); err != nil {
+		if err := faultinject.Commit(fsys, filepath.Join(blobDir, d.Hex()), tempPrefix, b, 0o644); err != nil {
 			return fmt.Errorf("oci: writing blob %s: %w", d.Short(), err)
 		}
 	}
@@ -132,7 +112,7 @@ func (r *Repository) SaveLayoutFS(dir string, fsys faultinject.FS) error {
 	if err != nil {
 		return fmt.Errorf("oci: encoding index: %w", err)
 	}
-	if err := writeFileAtomic(fsys, filepath.Join(dir, "index.json"), idx, 0o644); err != nil {
+	if err := faultinject.Commit(fsys, filepath.Join(dir, "index.json"), tempPrefix, idx, 0o644); err != nil {
 		return fmt.Errorf("oci: writing index.json: %w", err)
 	}
 	return nil
@@ -167,8 +147,8 @@ func LoadLayout(dir string) (*Repository, error) {
 		return nil, fmt.Errorf("oci: reading blob dir: %w", err)
 	}
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
+		if e.IsDir() || strings.HasPrefix(e.Name(), tempPrefix) {
+			continue // a crashed save's leftover names no blob
 		}
 		b, err := os.ReadFile(filepath.Join(blobDir, e.Name()))
 		if err != nil {

@@ -73,13 +73,6 @@ func NewExecutor(scheduler string, sys *sysprofile.System, reg *toolchain.Regist
 	}
 }
 
-func (e *Executor) httpClient() *http.Client {
-	if e.Client != nil && e.Client.HTTP != nil {
-		return e.Client.HTTP
-	}
-	return http.DefaultClient
-}
-
 // Stats snapshots the executor's routing counters.
 func (e *Executor) Stats() ExecStats {
 	return ExecStats{Remote: e.remote.Load(), Local: e.local.Load(), Errors: e.errs.Load()}
@@ -147,7 +140,7 @@ func (e *Executor) tryFarm(ctx context.Context, argv []string, cwd string, overl
 		spec.Overlay = od
 	}
 	var sub SubmitResponse
-	if err := doJSON(ctx, e.httpClient(), http.MethodPost, e.Scheduler+APIPrefix+"/tasks", spec, &sub); err != nil {
+	if err := doJSON(ctx, e.Client, http.MethodPost, e.Scheduler+APIPrefix+"/tasks", spec, &sub); err != nil {
 		return nil, err
 	}
 	if sub.NoWorker {
@@ -156,7 +149,7 @@ func (e *Executor) tryFarm(ctx context.Context, argv []string, cwd string, overl
 	statusURL := fmt.Sprintf("%s%s/tasks/%s?wait=%d", e.Scheduler, APIPrefix, sub.TaskID, statusWaitMillis)
 	for {
 		var st TaskStatus
-		if err := doJSON(ctx, e.httpClient(), http.MethodGet, statusURL, nil, &st); err != nil {
+		if err := doJSON(ctx, e.Client, http.MethodGet, statusURL, nil, &st); err != nil {
 			return nil, err
 		}
 		switch st.State {

@@ -42,13 +42,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"comtainer/internal/digest"
+	"comtainer/internal/distrib"
 )
 
 // APIPrefix roots every farm endpoint, so a scheduler can share a mux
@@ -172,53 +171,25 @@ type FarmStatus struct {
 	Failed  int            `json:"failed"`
 }
 
-// --- small HTTP/JSON plumbing shared by worker and executor ---
-
-// httpError is a non-2xx scheduler response.
-type httpError struct {
-	status int
-	msg    string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-// isStatus reports whether err is an httpError with the given status.
-func isStatus(err error, status int) bool {
-	var he *httpError
-	return errors.As(err, &he) && he.status == status
-}
-
-// doJSON performs one request with a JSON body (nil in = no body) and
-// decodes the JSON response into out (nil out = discard). Non-2xx
-// statuses become errors carrying the response text.
-func doJSON(ctx context.Context, hc *http.Client, method, url string, in, out any) error {
+// doJSON performs one scheduler request through c (and so through the
+// transport that carries its blob traffic) with a JSON body (nil in =
+// no body) and decodes the JSON response into out (nil out = discard).
+// Anything but the scheduler's 200 is an error distrib.StatusCode reads.
+func doJSON(ctx context.Context, c *distrib.Client, method, url string, in, out any) error {
 	var body io.Reader
+	var header http.Header
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
 			return fmt.Errorf("remoteexec: marshaling request: %w", err)
 		}
-		body = bytes.NewReader(b)
+		body, header = bytes.NewReader(b), http.Header{"Content-Type": {"application/json"}}
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := hc.Do(req)
+	resp, err := c.Do(ctx, method, url, header, body, http.StatusOK)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return &httpError{
-			status: resp.StatusCode,
-			msg:    fmt.Sprintf("remoteexec: %s %s: %s: %s", method, url, resp.Status, strings.TrimSpace(string(msg))),
-		}
-	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
 		return nil

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"comtainer/internal/digest"
+	"comtainer/internal/distrib"
 )
 
 var testPlatform = Platform{ISA: "x86", System: "x86-64", Toolchains: "fp-test"}
@@ -24,14 +25,14 @@ func testSpec() TaskSpec {
 type farm struct {
 	t  *testing.T
 	ts *httptest.Server
-	hc *http.Client
+	hc *distrib.Client
 }
 
 func newFarm(t *testing.T, sched *Scheduler) *farm {
 	t.Helper()
 	ts := httptest.NewServer(sched.Handler())
 	t.Cleanup(ts.Close)
-	return &farm{t: t, ts: ts, hc: ts.Client()}
+	return &farm{t: t, ts: ts, hc: &distrib.Client{HTTP: ts.Client()}}
 }
 
 func (f *farm) url(path string) string { return f.ts.URL + APIPrefix + path }
@@ -237,7 +238,7 @@ func TestHeartbeatMissReassigns(t *testing.T) {
 	// The silent worker is gone: its next heartbeat is told to
 	// re-register.
 	err := f.do(http.MethodPost, "/workers/"+dead+"/heartbeat", nil, &struct{}{})
-	if !isStatus(err, http.StatusGone) {
+	if distrib.StatusCode(err) != http.StatusGone {
 		t.Fatalf("heartbeat of expired worker: %v, want 410", err)
 	}
 }
@@ -339,7 +340,7 @@ func TestTerminalTasksAreBounded(t *testing.T) {
 	if st := f.taskStatus(last, 0); st.State != StateDone || st.Payload != done.Payload {
 		t.Errorf("most recent task: %+v, want done with its result", st)
 	}
-	if err := f.do(http.MethodPost, "/tasks/"+first+"/result", done, nil); !isStatus(err, http.StatusNotFound) {
+	if err := f.do(http.MethodPost, "/tasks/"+first+"/result", done, nil); distrib.StatusCode(err) != http.StatusNotFound {
 		t.Errorf("late report for a forgotten task: %v, want 404", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"comtainer/internal/digest"
+	"comtainer/internal/distrib"
 )
 
 // The scheduler's long polls have no re-check interval: a parked poll
@@ -40,7 +41,7 @@ func newWakeFarm(t *testing.T, sched *Scheduler) *wakeFarm {
 		}
 	}))
 	t.Cleanup(ts.Close)
-	w.farm = &farm{t: t, ts: ts, hc: ts.Client()}
+	w.farm = &farm{t: t, ts: ts, hc: &distrib.Client{HTTP: ts.Client()}}
 	return w
 }
 
@@ -240,7 +241,7 @@ func TestSchedulerExpiryTimerRequeuesToParkedLease(t *testing.T) {
 	if st := <-status; st.State != StateDone || st.Attempts != 2 {
 		t.Errorf("status poll: state %q attempts %d, want done/2", st.State, st.Attempts)
 	}
-	if err := f.do(http.MethodPost, "/workers/"+silent+"/heartbeat", nil, nil); !isStatus(err, http.StatusGone) {
+	if err := f.do(http.MethodPost, "/workers/"+silent+"/heartbeat", nil, nil); distrib.StatusCode(err) != http.StatusGone {
 		t.Errorf("heartbeat of the silent worker: %v, want 410", err)
 	}
 }

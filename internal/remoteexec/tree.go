@@ -104,18 +104,13 @@ func PushTree(ctx context.Context, client *distrib.Client, fsys *fsim.FS) (diges
 	if err != nil {
 		return "", fmt.Errorf("remoteexec: snapshotting tree: %w", err)
 	}
-	src := oci.NewStore()
-	for _, data := range blobs {
-		src.Put(data)
-	}
-	enc := EncodeTree(t)
-	td := src.Put(enc)
-	for d := range blobs {
-		if err := client.PushBlob(ctx, DefaultRepo, src, d); err != nil {
+	for d, data := range blobs {
+		if _, err := client.PushBytes(ctx, DefaultRepo, data); err != nil {
 			return "", fmt.Errorf("remoteexec: pushing tree blob %s: %w", d.Short(), err)
 		}
 	}
-	if err := client.PushBlob(ctx, DefaultRepo, src, td); err != nil {
+	td, err := client.PushBytes(ctx, DefaultRepo, EncodeTree(t))
+	if err != nil {
 		return "", fmt.Errorf("remoteexec: pushing tree document: %w", err)
 	}
 	return td, nil
@@ -167,9 +162,8 @@ func FetchTree(ctx context.Context, client *distrib.Client, td digest.Digest) (*
 // executor's overlay: outputs only) as a content blob in DefaultRepo,
 // returning its digest.
 func pushResult(ctx context.Context, client *distrib.Client, res actioncache.Result) (digest.Digest, error) {
-	src := oci.NewStore()
-	d := src.Put(actioncache.EncodeResult(res))
-	if err := client.PushBlob(ctx, DefaultRepo, src, d); err != nil {
+	d, err := client.PushBytes(ctx, DefaultRepo, actioncache.EncodeResult(res))
+	if err != nil {
 		return "", fmt.Errorf("remoteexec: pushing action record %s: %w", d.Short(), err)
 	}
 	return d, nil
@@ -177,13 +171,9 @@ func pushResult(ctx context.Context, client *distrib.Client, res actioncache.Res
 
 // fetchResult retrieves and decodes the action-record blob d.
 func fetchResult(ctx context.Context, client *distrib.Client, d digest.Digest) (actioncache.Result, error) {
-	mem := oci.NewStore()
-	if err := client.FetchBlob(ctx, mem, DefaultRepo, d); err != nil {
-		return actioncache.Result{}, fmt.Errorf("remoteexec: fetching action record %s: %w", d.Short(), err)
-	}
-	raw, err := mem.Get(d)
+	raw, err := client.FetchBytes(ctx, DefaultRepo, d)
 	if err != nil {
-		return actioncache.Result{}, err
+		return actioncache.Result{}, fmt.Errorf("remoteexec: fetching action record %s: %w", d.Short(), err)
 	}
 	return actioncache.DecodeResult(raw)
 }

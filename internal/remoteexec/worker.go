@@ -28,13 +28,6 @@ const leaseWaitMillis = 1000
 // Snapshots a running task holds are never dropped and do not count.
 const maxIdleTreeBytes = 1 << 30
 
-// reportAttempts bounds result-report retries. The report is the
-// acknowledgement handshake: a worker keeps resubmitting until the
-// scheduler confirms, so an acknowledged result is never lost, and an
-// unacknowledged one is re-executed (same content-addressed record)
-// after heartbeat expiry.
-const reportAttempts = 5
-
 // Worker executes farm tasks: it registers with the scheduler,
 // heartbeats, leases ready actions, runs them on a materialized
 // snapshot of the executor's file system, and publishes each runner's
@@ -84,20 +77,13 @@ func NewWorker(scheduler string, sys *sysprofile.System, reg *toolchain.Registry
 	}
 }
 
-func (w *Worker) httpClient() *http.Client {
-	if w.Client != nil && w.Client.HTTP != nil {
-		return w.Client.HTTP
-	}
-	return http.DefaultClient
-}
-
 // Run registers and serves until ctx is cancelled (returning
 // ctx.Err()) or the scheduler expires the worker (returning the
 // expiry error). Heartbeat and slot loops are joined before return.
 func (w *Worker) Run(ctx context.Context) error {
 	var reg RegisterResponse
 	req := RegisterRequest{Name: w.Name, Slots: w.Slots, Platform: w.Platform}
-	if err := doJSON(ctx, w.httpClient(), http.MethodPost, w.Scheduler+APIPrefix+"/workers", req, &reg); err != nil {
+	if err := doJSON(ctx, w.Client, http.MethodPost, w.Scheduler+APIPrefix+"/workers", req, &reg); err != nil {
 		return fmt.Errorf("remoteexec: registering worker: %w", err)
 	}
 	interval := time.Duration(reg.HeartbeatMillis) * time.Millisecond
@@ -151,8 +137,8 @@ func (w *Worker) heartbeatLoop(ctx context.Context, id string, interval time.Dur
 		if err := ctxutil.Sleep(ctx, interval); err != nil {
 			return err
 		}
-		err := doJSON(ctx, w.httpClient(), http.MethodPost, url, struct{}{}, nil)
-		if isStatus(err, http.StatusGone) {
+		err := doJSON(ctx, w.Client, http.MethodPost, url, struct{}{}, nil)
+		if distrib.StatusCode(err) == http.StatusGone {
 			return fmt.Errorf("remoteexec: worker %s expired by scheduler: %w", id, err)
 		}
 	}
@@ -167,8 +153,8 @@ func (w *Worker) slotLoop(ctx context.Context, id string) error {
 			return err
 		}
 		var lr LeaseResponse
-		if err := doJSON(ctx, w.httpClient(), http.MethodPost, leaseURL, nil, &lr); err != nil {
-			if isStatus(err, http.StatusGone) {
+		if err := doJSON(ctx, w.Client, http.MethodPost, leaseURL, nil, &lr); err != nil {
+			if distrib.StatusCode(err) == http.StatusGone {
 				return fmt.Errorf("remoteexec: worker %s expired by scheduler: %w", id, err)
 			}
 			if err := ctxutil.Sleep(ctx, 50*time.Millisecond); err != nil {
@@ -196,27 +182,16 @@ func (w *Worker) slotLoop(ctx context.Context, id string) error {
 	}
 }
 
-// report resubmits until the scheduler acknowledges (idempotent on
-// its side) or the attempt budget runs out.
+// report is the acknowledgement handshake: it resubmits through the
+// client's retry budget until the scheduler confirms (idempotent on its
+// side), so an acknowledged result is never lost; an unacknowledged one
+// is re-executed (same content-addressed record) after heartbeat
+// expiry. A 404 — the scheduler no longer knows the task — is final.
 func (w *Worker) report(ctx context.Context, taskID string, rep ResultReport) error {
 	url := w.Scheduler + APIPrefix + "/tasks/" + taskID + "/result"
-	var last error
-	for attempt := 0; attempt < reportAttempts; attempt++ {
-		if attempt > 0 {
-			if err := ctxutil.Sleep(ctx, time.Duration(attempt)*50*time.Millisecond); err != nil {
-				return err
-			}
-		}
-		var st TaskStatus
-		last = doJSON(ctx, w.httpClient(), http.MethodPost, url, rep, &st)
-		if last == nil {
-			return nil
-		}
-		if isStatus(last, http.StatusNotFound) {
-			return last
-		}
-	}
-	return last
+	return w.Client.Retry(ctx, func(ctx context.Context) error {
+		return doJSON(ctx, w.Client, http.MethodPost, url, rep, nil)
+	})
 }
 
 // keptTree is one memoized session snapshot.

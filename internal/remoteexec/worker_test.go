@@ -15,6 +15,7 @@ import (
 	"comtainer/internal/actioncache"
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
+	"comtainer/internal/faultinject"
 	"comtainer/internal/fsim"
 	"comtainer/internal/registry"
 	"comtainer/internal/toolchain"
@@ -270,5 +271,46 @@ func TestWorkerAnswersFromSharedCache(t *testing.T) {
 	}
 	if len(rec.Outputs) != 1 || rec.Outputs[0].Path != "/src/main.o" {
 		t.Errorf("published outputs %+v, want /src/main.o", rec.Outputs)
+	}
+}
+
+// TestReportRetriesUntilAcknowledged pins the result handshake's two
+// ends. A 404 — the scheduler no longer knows the task — is final: one
+// request, no resubmission. A burst of 503s and dropped connections is
+// not: the worker resubmits until the scheduler acknowledges.
+func TestReportRetriesUntilAcknowledged(t *testing.T) {
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		switch r.URL.Path {
+		case APIPrefix + "/tasks/forgotten/result":
+			http.Error(w, "unknown task", http.StatusNotFound)
+		case APIPrefix + "/tasks/t1/result":
+			writeJSON(w, TaskStatus{ID: "t1", State: StateDone})
+		default:
+			t.Errorf("unexpected request %s %s", r.Method, r.URL.Path)
+		}
+	}))
+	defer ts.Close()
+
+	// Request 1 is answered 503 before it leaves, 2 loses its
+	// connection, 3 goes through.
+	plan := faultinject.NewPlan(1).At(1, faultinject.HTTP500).At(2, faultinject.Drop)
+	client := distrib.NewClient(ts.URL)
+	client.RetryBackoff = time.Millisecond
+	client.HTTP = &http.Client{Transport: faultinject.NewTransport(nil, plan)}
+	w := &Worker{Scheduler: ts.URL, Client: client}
+	if err := w.report(context.Background(), "t1", ResultReport{WorkerID: "w1"}); err != nil {
+		t.Fatalf("report through a 503 and a dropped connection: %v", err)
+	}
+	if n, sent := posts.Load(), plan.Ops(); n != 1 || sent != 3 {
+		t.Fatalf("%d requests sent, %d reached the scheduler; want 3 and 1", sent, n)
+	}
+
+	if err := w.report(context.Background(), "forgotten", ResultReport{WorkerID: "w1"}); err == nil {
+		t.Fatal("report of a task the scheduler forgot returned nil")
+	}
+	if n := posts.Load(); n != 2 {
+		t.Fatalf("a 404 was resubmitted: %d requests reached the scheduler, want 2 in all", n)
 	}
 }

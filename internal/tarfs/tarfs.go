@@ -152,20 +152,3 @@ func MarshalGzip(fs *fsim.FS) ([]byte, error) {
 	}
 	return buf.Bytes(), nil
 }
-
-// UnmarshalGzip decodes a gzip-compressed tar archive.
-func UnmarshalGzip(data []byte) (*fsim.FS, error) {
-	gz, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("tarfs: opening gzip stream: %w", err)
-	}
-	raw, err := io.ReadAll(gz)
-	if err != nil {
-		gz.Close()
-		return nil, fmt.Errorf("tarfs: decompressing: %w", err)
-	}
-	if err := gz.Close(); err != nil {
-		return nil, fmt.Errorf("tarfs: closing gzip stream: %w", err)
-	}
-	return Unmarshal(raw)
-}

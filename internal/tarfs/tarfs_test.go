@@ -2,7 +2,9 @@ package tarfs
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -42,7 +44,15 @@ func TestGzipRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalGzip(data)
+	gz, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Unmarshal(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +106,6 @@ func TestInsertionOrderIrrelevant(t *testing.T) {
 func TestUnmarshalGarbage(t *testing.T) {
 	if _, err := Unmarshal([]byte("this is not a tar archive at all, definitely not")); err == nil {
 		t.Error("Unmarshal accepted garbage")
-	}
-	if _, err := UnmarshalGzip([]byte("not gzip")); err == nil {
-		t.Error("UnmarshalGzip accepted garbage")
 	}
 }
 

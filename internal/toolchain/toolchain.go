@@ -100,11 +100,6 @@ func (r *Registry) Register(tc *Toolchain, aliases ...string) {
 	}
 }
 
-// RegisterTool binds a single tool name to tc.
-func (r *Registry) RegisterTool(name string, tc *Toolchain) {
-	r.byTool[name] = tc
-}
-
 // Lookup resolves a tool name (basename of argv[0]) to its toolchain.
 func (r *Registry) Lookup(tool string) (*Toolchain, bool) {
 	if i := strings.LastIndexByte(tool, '/'); i >= 0 {

@@ -12,7 +12,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"comtainer/internal/sysprofile"
@@ -373,18 +372,5 @@ func AllRefs() []Ref {
 			out = append(out, Ref{App: a, Workload: w})
 		}
 	}
-	return out
-}
-
-// CrossISAApps returns the apps that can cross ISAs with minor script
-// changes (Figure 11's population), sorted by name.
-func CrossISAApps() []*App {
-	var out []*App
-	for _, a := range apps {
-		if a.Portability != Mandatory {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

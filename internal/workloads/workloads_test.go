@@ -249,8 +249,15 @@ func TestContainerfileVariants(t *testing.T) {
 	}
 }
 
+// TestCrossISAApps pins Figure 11's population: the apps that can cross
+// ISAs with minor script changes.
 func TestCrossISAApps(t *testing.T) {
-	capable := CrossISAApps()
+	var capable []*App
+	for _, a := range Apps() {
+		if a.Portability != Mandatory {
+			capable = append(capable, a)
+		}
+	}
 	names := map[string]bool{}
 	for _, a := range capable {
 		names[a.Name] = true

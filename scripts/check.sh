@@ -47,12 +47,38 @@ if [ "$allows" -gt "$max_allows" ]; then
 fi
 echo "$allows/$max_allows"
 
+echo "== one-mechanism ratchet =="
+# A request is built in one place (distrib.Client.Do; the fleet proxy's
+# relay and forwardFarm are reverse-proxy steps that pass a caller's
+# request on) and a temp file is created in one place outside the
+# faultinject seam (DiskStore.Ingest, which streams before it knows the
+# target directory; everything else commits through faultinject.Commit).
+# Like the count above, these only go down.
+max_requests=3
+requests=$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=analysis \
+    'http\.NewRequest' cmd internal | wc -l)
+if [ "$requests" -gt "$max_requests" ]; then
+    echo "$requests http.NewRequest sites in product code, at most $max_requests allowed: send it through distrib.Client.Do" >&2
+    exit 1
+fi
+max_temps=1
+temps=$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=analysis --exclude-dir=faultinject \
+    'CreateTemp(' cmd internal | wc -l)
+if [ "$temps" -gt "$max_temps" ]; then
+    echo "$temps CreateTemp( sites outside internal/faultinject, at most $max_temps allowed: commit through faultinject.Commit" >&2
+    exit 1
+fi
+echo "http.NewRequest $requests/$max_requests, CreateTemp $temps/$max_temps"
+
 echo "== go build =="
 go build ./...
 
 echo "== chaos (-race, -short seed subset) =="
 # Fast fault-injection smoke: crash-restart-verify cycles over a
-# reduced seed subset (-short trims 100 seeds to 10 per suite), plus
+# reduced seed subset (-short trims 100 seeds to 10 per suite) for each
+# store — DiskStore, DiskTags, DiskCache, and an OCI layout saved fresh
+# and re-saved over a good one (…CrashRestartVerify,
+# …SaveLayoutCrashConsistency) — plus
 # the resume/cancellation/breaker tests, the remote-execution farm
 # chaos (worker killed mid-action, lossy result uploads) and the
 # registry-fleet chaos (leader killed mid-push: every acknowledged
