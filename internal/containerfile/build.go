@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path"
+	"sort"
 	"strings"
 
 	"comtainer/internal/dpkg"
@@ -274,14 +275,8 @@ const BaseLayersLabel = "io.comtainer.base-layers"
 // commit turns a stage state into an image: the base image's layers plus
 // one layer per FS-changing instruction.
 func (b *Builder) commit(state *stageState) (oci.Descriptor, error) {
-	layers, err := state.baseImg.Layers()
-	if err != nil {
-		return oci.Descriptor{}, err
-	}
-	baseCount := len(layers)
 	// Anything not yet cut (e.g. mutations after the last instruction).
 	state.cutLayer("containerfile commit")
-	layers = append(layers, state.layers...)
 	cfg := oci.ImageConfig{
 		Architecture: state.baseImg.Config.Architecture,
 		OS:           "linux",
@@ -297,23 +292,17 @@ func (b *Builder) commit(state *stageState) (oci.Descriptor, error) {
 		}
 		cfg.Config.Labels = copied
 	}
-	cfg.Config.Labels[BaseLayersLabel] = strconv.Itoa(baseCount)
+	cfg.Config.Labels[BaseLayersLabel] = strconv.Itoa(len(state.baseImg.Manifest.Layers))
 	cfg.Config.WorkingDir = state.cwd
 	var envList []string
 	for k, v := range state.env {
 		envList = append(envList, k+"="+v)
 	}
 	// Deterministic config encoding needs sorted env.
-	for i := 0; i < len(envList); i++ {
-		for j := i + 1; j < len(envList); j++ {
-			if envList[j] < envList[i] {
-				envList[i], envList[j] = envList[j], envList[i]
-			}
-		}
-	}
+	sort.Strings(envList)
 	cfg.Config.Env = envList
 	cfg.History = append(cfg.History, state.history...)
-	return oci.WriteImage(b.Repo.Store, cfg, layers)
+	return oci.WriteDerivedImage(b.Repo.Store, cfg, state.baseImg, state.layers)
 }
 
 func (b *Builder) exec(state *stageState, inst Instruction) error {

@@ -1,6 +1,7 @@
 package containerfile
 
 import (
+	"crypto/sha256"
 	"sort"
 	"strings"
 	"sync"
@@ -85,11 +86,11 @@ func contextDigest(fs *fsim.FS) digest.Digest {
 	if fs == nil {
 		return digest.FromString("no-context")
 	}
-	raw, err := tarfs.Marshal(fs)
-	if err != nil {
+	h := sha256.New()
+	if err := tarfs.MarshalTo(h, fs); err != nil {
 		return digest.FromString("unmarshalable-context")
 	}
-	return digest.FromBytes(raw)
+	return digest.FromHash(h)
 }
 
 // instructionKey chains the cache key forward over one instruction.

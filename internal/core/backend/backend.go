@@ -142,7 +142,7 @@ func Rebuild(repo *oci.Repository, distTag string, opts RebuildOptions) (oci.Des
 			return oci.Descriptor{}, report, err
 		}
 		if f.Type == fsim.TypeRegular {
-			rebuildFS.WriteFile(p, f.Data, f.Mode)
+			rebuildFS.Add(f)
 		}
 	}
 	for p, data := range opts.ExtraFiles {
@@ -184,7 +184,7 @@ func Rebuild(repo *oci.Repository, distTag string, opts RebuildOptions) (oci.Des
 		if err != nil {
 			return oci.Descriptor{}, report, fmt.Errorf("backend: rebuilt product %s missing: %w", buildPath, err)
 		}
-		layer.WriteFile(rebuildPrefix+distPath, data, 0o755)
+		layer.Add(&fsim.File{Path: rebuildPrefix + distPath, Mode: 0o755, Data: data})
 		pl.Files = append(pl.Files, distPath)
 	}
 	for _, fe := range ctx.Models.Image.Files {
@@ -306,7 +306,7 @@ func Redirect(repo *oci.Repository, distTag string, opts RedirectOptions) (oci.D
 		if err != nil {
 			return oci.Descriptor{}, err
 		}
-		redirectFS.WriteFile(distPath, data, 0o755)
+		redirectFS.Add(&fsim.File{Path: distPath, Mode: 0o755, Data: data})
 	}
 	// Platform-independent data carried verbatim from the dist image.
 	for _, p := range pl.DataFiles {
@@ -317,12 +317,8 @@ func Redirect(repo *oci.Repository, distTag string, opts RedirectOptions) (oci.D
 
 	// Commit: Rebase layers + one diff layer; runtime config carried from
 	// the dist image.
-	layers, err := rebaseImg.Layers()
-	if err != nil {
-		return oci.Descriptor{}, err
-	}
-	diff := fsim.Diff(baseState, redirectFS)
-	if diff.Len() > 0 {
+	var layers []*fsim.FS
+	if diff := fsim.Diff(baseState, redirectFS); diff.Len() > 0 {
 		layers = append(layers, diff)
 	}
 	cfg := oci.ImageConfig{
@@ -334,7 +330,7 @@ func Redirect(repo *oci.Repository, distTag string, opts RedirectOptions) (oci.D
 		CreatedBy: "coMtainer-redirect",
 		Comment:   fmt.Sprintf("optimized for %s", opts.System.Name),
 	})
-	desc, err := oci.WriteImage(repo.Store, cfg, layers)
+	desc, err := oci.WriteDerivedImage(repo.Store, cfg, rebaseImg, layers)
 	if err != nil {
 		return oci.Descriptor{}, err
 	}

@@ -281,7 +281,7 @@ func Read(extImg *oci.Image) (*model.Models, *fsim.FS, error) {
 		if f.Type != fsim.TypeRegular {
 			continue
 		}
-		srcFS.WriteFile(strings.TrimPrefix(p, SrcPrefix), f.Data, 0o644)
+		srcFS.Add(&fsim.File{Path: strings.TrimPrefix(p, SrcPrefix), Mode: 0o644, Data: f.Data})
 	}
 	// Integrity: every declared source must be present.
 	for _, src := range m.SourcePaths {

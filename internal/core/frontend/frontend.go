@@ -214,24 +214,19 @@ func classifyImage(m *model.Models, distImg *oci.Image, buildFS *fsim.FS) error 
 	if err != nil {
 		return fmt.Errorf("frontend: flattening dist image: %w", err)
 	}
-	layers, err := distImg.Layers()
-	if err != nil {
-		return err
-	}
 	// The builder labels how many leading layers come from the base image
 	// (instruction layers sit above them); older images without the label
 	// fall back to everything-below-the-top.
-	baseCount := len(layers) - 1
+	layerCount := len(distImg.Manifest.Layers)
+	baseCount := max(layerCount-1, 0)
 	if v := distImg.Config.Config.Labels[containerfile.BaseLayersLabel]; v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 && n <= len(layers) {
+		if n, err := strconv.Atoi(v); err == nil && n >= 0 && n <= layerCount {
 			baseCount = n
 		}
 	}
-	var baseFS *fsim.FS
-	if baseCount > 0 {
-		baseFS = fsim.ApplyAll(layers[:baseCount])
-	} else {
-		baseFS = fsim.New()
+	baseFS, err := distImg.FlattenPrefix(baseCount)
+	if err != nil {
+		return err
 	}
 	db, err := dpkg.Load(distFS)
 	if err != nil {

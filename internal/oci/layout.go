@@ -81,7 +81,10 @@ const tempPrefix = ".tmp-"
 // oci-layout marker, index.json, and blobs/sha256/<hex> files. Every
 // file is committed atomically (temp + rename): blobs because they are
 // content-addressed and must never exist torn, index.json because it
-// is the root a reader trusts.
+// is the root a reader trusts. A blob file therefore only ever appears
+// whole, and one that is already there with the blob's size — what a
+// load, work, save-back cycle finds for every blob it loaded — is not
+// written again.
 func (r *Repository) SaveLayout(dir string) error {
 	return r.SaveLayoutFS(dir, faultinject.OS())
 }
@@ -104,7 +107,11 @@ func (r *Repository) SaveLayoutFS(dir string, fsys faultinject.FS) error {
 		if err != nil {
 			return err
 		}
-		if err := faultinject.Commit(fsys, filepath.Join(blobDir, d.Hex()), tempPrefix, b, 0o644); err != nil {
+		path := filepath.Join(blobDir, d.Hex())
+		if fi, err := fsys.Stat(path); err == nil && fi.Mode().IsRegular() && fi.Size() == int64(len(b)) {
+			continue
+		}
+		if err := faultinject.Commit(fsys, path, tempPrefix, b, 0o644); err != nil {
 			return fmt.Errorf("oci: writing blob %s: %w", d.Short(), err)
 		}
 	}

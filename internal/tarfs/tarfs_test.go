@@ -170,3 +170,56 @@ func TestPropertyDeterministicDigest(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMarshalAllocatesOnce: Marshal sizes its buffer from the walk, so the
+// archive it returns — which a blob store keeps as is — has no spare
+// capacity behind it and was never grown into.
+func TestMarshalAllocatesOnce(t *testing.T) {
+	long := sampleFS()
+	long.WriteFile("/"+string(bytes.Repeat([]byte("long/"), 30))+"name", []byte("deep"), 0o644)
+	for name, fs := range map[string]*fsim.FS{"empty": fsim.New(), "sample": sampleFS(), "random": randomFS(7), "long name": long} {
+		data, err := Marshal(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(data) != len(data) {
+			t.Errorf("%s: archive of %d bytes sits in a buffer of %d", name, len(data), cap(data))
+		}
+	}
+}
+
+// TestMarshalToMatchesMarshal: the writer-taking encoder emits Marshal's
+// bytes, and MarshalGzip is still those bytes compressed in one piece.
+func TestMarshalToMatchesMarshal(t *testing.T) {
+	fs := randomFS(11)
+	want, err := Marshal(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed bytes.Buffer
+	if err := MarshalTo(&streamed, fs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(streamed.Bytes(), want) {
+		t.Error("MarshalTo and Marshal disagree")
+	}
+	var packed bytes.Buffer
+	gz, err := gzip.NewWriterLevel(&packed, gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gz.ModTime = epoch
+	if _, err := gz.Write(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := MarshalGzip(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, packed.Bytes()) {
+		t.Error("MarshalGzip no longer equals the archive compressed in one write")
+	}
+}

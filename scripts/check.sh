@@ -94,9 +94,24 @@ echo "== shared state (-race -count=10) =="
 # from several at once, ten times over: the *File entries fsim.Clone
 # shares between file systems, the scheduler's parked long polls
 # (woken by events and by the expiry timer, never by a tick), and the
-# upload manager while one session's chunk or commit is stalled.
-go test -race -count=10 -run 'CloneShar|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals' \
-    ./internal/fsim ./internal/remoteexec ./internal/distrib
+# upload manager while one session's chunk or commit is stalled, and
+# the layer trees an oci.Store remembers (handed out only as clones,
+# re-verified under another diffID, dropped with their blob, clean under
+# concurrent Flatten/Put/Delete).
+go test -race -count=10 -run 'CloneShar|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageVerifies' \
+    ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci
+
+echo "== fuzz smoke (10s) =="
+# Ten seconds of coverage-guided mutation on the one parser that takes
+# bytes straight from a registry: tarfs.Unmarshal against the copying
+# decoder it replaced (same verdict, same tree, archive never written,
+# no File.Data with capacity to append into it). The committed seeds in
+# internal/tarfs/testdata/fuzz run in every plain `go test`; this step
+# looks past them. A failure writes its input beside the seeds.
+# Minimization is off: with it the two workers spend the whole ten
+# seconds shrinking their first coverage-raising input (~100 executions
+# instead of ~150,000).
+go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 10s -fuzzminimizetime 0 ./internal/tarfs
 
 echo "== go test -race =="
 go test -race ./...
