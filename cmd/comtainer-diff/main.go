@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"comtainer/internal/core/cache"
 	"comtainer/internal/core/model"
@@ -103,50 +102,42 @@ func run(layoutDir, fromTag, toTag string) error {
 		return "-"
 	}
 
-	var added, removed, changed []string
-	seen := map[string]bool{}
-	for _, p := range toFS.Paths() {
-		seen[p] = true
-		tf, err := toFS.Stat(p)
-		if err != nil || tf.Type == fsim.TypeDir {
-			continue
+	var added, removed, changed []*fsim.File
+	err = toFS.Walk(func(tf *fsim.File) error {
+		if tf.Type == fsim.TypeDir {
+			return nil
 		}
-		ff, err := fromFS.Stat(p)
+		ff, err := fromFS.Stat(tf.Path)
 		switch {
 		case err != nil:
-			added = append(added, p)
+			added = append(added, tf)
 		case string(ff.Data) != string(tf.Data) || ff.Target != tf.Target || ff.Type != tf.Type:
-			changed = append(changed, p)
+			changed = append(changed, tf)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	for _, p := range fromFS.Paths() {
-		if seen[p] {
-			continue
+	err = fromFS.Walk(func(ff *fsim.File) error {
+		if ff.Type != fsim.TypeDir && !toFS.Exists(ff.Path) {
+			removed = append(removed, ff)
 		}
-		if f, err := fromFS.Stat(p); err == nil && f.Type != fsim.TypeDir {
-			removed = append(removed, p)
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	sort.Strings(added)
-	sort.Strings(removed)
-	sort.Strings(changed)
 
 	fmt.Printf("diff %s -> %s: %d added, %d changed, %d removed\n\n",
 		fromTag, toTag, len(added), len(changed), len(removed))
-	for _, p := range added {
-		//comtainer:allow errpropagate -- p comes from Paths() of the same FS; Stat cannot fail
-		f, _ := toFS.Stat(p)
-		fmt.Printf("A %-9s %-45s %s\n", origin(p), p, describe(f))
+	list := func(mark string, files []*fsim.File) {
+		for _, f := range files {
+			fmt.Printf("%s %-9s %-45s %s\n", mark, origin(f.Path), f.Path, describe(f))
+		}
 	}
-	for _, p := range changed {
-		//comtainer:allow errpropagate -- p comes from Paths() of the same FS; Stat cannot fail
-		f, _ := toFS.Stat(p)
-		fmt.Printf("M %-9s %-45s %s\n", origin(p), p, describe(f))
-	}
-	for _, p := range removed {
-		//comtainer:allow errpropagate -- p comes from Paths() of the same FS; Stat cannot fail
-		f, _ := fromFS.Stat(p)
-		fmt.Printf("D %-9s %-45s %s\n", origin(p), p, describe(f))
-	}
+	list("A", added)
+	list("M", changed)
+	list("D", removed)
 	return nil
 }

@@ -3,21 +3,22 @@
 // repository's concurrency, digest, and filesystem invariants:
 //
 //	digestcmp     typed digest construction and comparison
-//	digestflow    compared digests trace to sanctioned constructors
-//	atomicwrite   temp+rename writes under store roots
 //	lockorder     no cycles in the global lock-acquisition order
 //	lockio        no file/network I/O while a mutex is held (lockset)
 //	guardedby     a field's inferred guard lock is held on every access (lockset)
-//	atomicmix     no mixing of sync/atomic and plain access to one field
 //	safejoin      sanitized joins for tar entry names and fsim paths
 //	errpropagate  no discarded errors from the storage packages
 //	gonaked       no fire-and-forget goroutines
-//	ctxsleep      no raw time.Sleep in retry loops
 //	ctxflow       received contexts are plumbed, not discarded
 //	bodyclose     *http.Response bodies closed on every path (CFG)
 //	closeleak     acquired io.Closers closed or handed off on every path (CFG)
 //	timerstop     time.Timer/Ticker stopped on every path (CFG)
 //	wgbalance     WaitGroup.Add answered by a Done provider on every path (CFG)
+//
+// Invariants that are a banned spelling rather than a dataflow fact (no
+// time.Sleep, no raw digest.Digest conversion, no function-style
+// sync/atomic, no os.WriteFile past the faultinject seam) are budgeted
+// greps in scripts/bans.sh, not analyzers.
 //
 // Usage:
 //

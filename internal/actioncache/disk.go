@@ -102,7 +102,7 @@ func (c *DiskCache) index() error {
 			}
 			return nil
 		}
-		key, perr := digest.Parse("sha256:" + d.Name())
+		key, perr := digest.FromHex(d.Name())
 		if perr != nil {
 			return nil // foreign file; leave it alone
 		}

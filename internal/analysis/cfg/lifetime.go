@@ -20,7 +20,8 @@ import (
 // than attempting alias analysis.
 type Tracked struct {
 	Info *types.Info
-	// Obj is the variable holding the resource.
+	// Obj is the variable — or, for an obligation opened on s.wg, the
+	// field — holding the resource.
 	Obj types.Object
 	// Err, when non-nil, is the error variable assigned by the same
 	// acquire; branches on it prune paths where the resource is nil
@@ -179,14 +180,36 @@ func (t *Tracked) argMentions(call *ast.CallExpr) bool {
 	return found
 }
 
-// directOperand reports whether e is the resource itself, its address,
-// a composite literal embedding it, or (subject to AliasType) a
-// selector/index rooted at it whose type aliases the closable part —
-// the forms whose assignment aliases or stores the resource.
-func (t *Tracked) directOperand(e ast.Expr) bool {
+// Operand resolves e to the variable or field it denotes, through
+// parentheses, & and *: `x`, `&x` and `*x` are the variable x, `s.x`
+// and `&s.x` the field x. Other shapes (map and slice elements, calls)
+// resolve to nil.
+func Operand(info *types.Info, e ast.Expr) types.Object {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		return t.Info.Uses[e] == t.Obj
+		return info.Uses[e]
+	case *ast.SelectorExpr:
+		return info.Uses[e.Sel]
+	case *ast.UnaryExpr:
+		if e.Op == token.AND {
+			return Operand(info, e.X)
+		}
+	case *ast.StarExpr:
+		return Operand(info, e.X)
+	}
+	return nil
+}
+
+// directOperand reports whether e is the resource itself (see
+// Operand), the address of any such form, a composite literal
+// embedding it, or (subject to AliasType) a selector/index rooted at
+// it whose type aliases the closable part — the forms whose assignment
+// aliases or stores the resource.
+func (t *Tracked) directOperand(e ast.Expr) bool {
+	if Operand(t.Info, e) == t.Obj {
+		return true
+	}
+	switch e := ast.Unparen(e).(type) {
 	case *ast.UnaryExpr:
 		return e.Op == token.AND && t.directOperand(e.X)
 	case *ast.CompositeLit:

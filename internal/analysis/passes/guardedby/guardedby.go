@@ -176,7 +176,7 @@ func (w *walker) accesses(n ast.Node, at Access, owned map[types.Object]bool) {
 			return false
 		case *ast.CallExpr:
 			if isAtomicMethod(info, v) {
-				return false // atomicmix's domain, not a plain access
+				return false // the type system's domain: an atomic.Int64 has no plain access
 			}
 		case *ast.SelectorExpr:
 			class, field := analysis.FieldClass(info, v)

@@ -1,11 +1,12 @@
 // Package lifecycle is the shared engine behind the path-sensitive
-// resource passes (bodyclose, closeleak, timerstop). Each pass is a
-// Spec describing its resource family — what types are tracked, what
+// obligation passes (bodyclose, closeleak, timerstop, wgbalance). Each
+// pass is a Spec describing its family — what types are tracked, what
 // call releases one, which callees take ownership — and Run does the
-// rest: it finds acquisition sites (call results bound to locals) in
-// every function scope, builds the scope's CFG, and asks cfg.Tracked
-// whether any path reaches the function exit with the resource neither
-// released nor escaped.
+// rest: it finds the sites that open an obligation (call results bound
+// to locals, or the statements Spec.Opens names) in every function
+// scope, builds the scope's CFG, and asks cfg.Tracked whether any path
+// reaches the function exit with the resource neither released nor
+// escaped.
 //
 // Run is interprocedural through one fact type: it computes, per
 // declared function, the parameter indices of resource type that the
@@ -27,8 +28,13 @@ import (
 
 // Spec configures one resource family.
 type Spec struct {
-	// IsResource reports whether a call result of type t is tracked.
+	// IsResource reports whether a call result or parameter of type t
+	// is tracked.
 	IsResource func(t types.Type) bool
+	// Opens, when non-nil, replaces acquisition by call result: a
+	// statement's call opens an obligation on the object Opens returns
+	// for it (`s.wg.Add(1)` on the field wg), nil for any other call.
+	Opens func(info *types.Info, call *ast.CallExpr) types.Object
 	// IsRelease reports whether call releases the resource held in
 	// obj directly (obj.Close(), obj.Body.Close(), obj.Stop()).
 	IsRelease func(info *types.Info, call *ast.CallExpr, obj types.Object) bool
@@ -93,6 +99,24 @@ func checkNode(pass *analysis.Pass, spec *Spec, closers map[string][]int, g *cfg
 	if call == nil {
 		return
 	}
+	leaks := func(obj, err types.Object) bool {
+		tracked := &cfg.Tracked{
+			Info:      pass.TypesInfo,
+			Obj:       obj,
+			Err:       err,
+			ErrBlock:  blk,
+			Releases:  releasePredicate(pass, spec, closers, obj),
+			Consumes:  consumePredicate(pass, spec),
+			AliasType: spec.Aliases,
+		}
+		return tracked.Leaks(g, blk, idx)
+	}
+	if spec.Opens != nil {
+		if obj := spec.Opens(pass.TypesInfo, call); obj != nil && leaks(obj, nil) {
+			pass.Reportf(call.Pos(), "%s", spec.LeakMessage(obj))
+		}
+		return
+	}
 	results := resultTypes(pass.TypesInfo, call)
 	for k, rt := range results {
 		if rt == nil || !spec.IsResource(rt) {
@@ -121,16 +145,7 @@ func checkNode(pass *analysis.Pass, spec *Spec, closers map[string][]int, g *cfg
 		if obj == nil {
 			continue
 		}
-		tracked := &cfg.Tracked{
-			Info:      pass.TypesInfo,
-			Obj:       obj,
-			Err:       errSibling(pass.TypesInfo, lhs, results),
-			ErrBlock:  blk,
-			Releases:  releasePredicate(pass, spec, closers, obj),
-			Consumes:  consumePredicate(pass, spec),
-			AliasType: spec.Aliases,
-		}
-		if tracked.Leaks(g, blk, idx) {
+		if leaks(obj, errSibling(pass.TypesInfo, lhs, results)) {
 			pass.Reportf(id.Pos(), "%s", spec.LeakMessage(obj))
 		}
 	}
@@ -220,10 +235,8 @@ func releasePredicate(pass *analysis.Pass, spec *Spec, closers map[string][]int,
 			return false
 		}
 		for i, arg := range call.Args {
-			if id, ok := ast.Unparen(arg).(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-				if calleeReleasesArg(pass, closers, fn, i) {
-					return true
-				}
+			if cfg.Operand(pass.TypesInfo, arg) == obj && calleeReleasesArg(pass, closers, fn, i) {
+				return true
 			}
 		}
 		return false

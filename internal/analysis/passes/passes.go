@@ -3,14 +3,10 @@ package passes
 
 import (
 	"comtainer/internal/analysis"
-	"comtainer/internal/analysis/passes/atomicmix"
-	"comtainer/internal/analysis/passes/atomicwrite"
 	"comtainer/internal/analysis/passes/bodyclose"
 	"comtainer/internal/analysis/passes/closeleak"
 	"comtainer/internal/analysis/passes/ctxflow"
-	"comtainer/internal/analysis/passes/ctxsleep"
 	"comtainer/internal/analysis/passes/digestcmp"
-	"comtainer/internal/analysis/passes/digestflow"
 	"comtainer/internal/analysis/passes/errpropagate"
 	"comtainer/internal/analysis/passes/gonaked"
 	"comtainer/internal/analysis/passes/guardedby"
@@ -29,16 +25,12 @@ import (
 func All() analysis.Suite {
 	return analysis.Suite{
 		digestcmp.Analyzer,
-		digestflow.Analyzer,
-		atomicwrite.Analyzer,
 		lockorder.Analyzer,
 		lockio.Analyzer,
 		guardedby.Analyzer,
-		atomicmix.Analyzer,
 		safejoin.Analyzer,
 		errpropagate.Analyzer,
 		gonaked.Analyzer,
-		ctxsleep.Analyzer,
 		ctxflow.Analyzer,
 		bodyclose.Analyzer,
 		closeleak.Analyzer,

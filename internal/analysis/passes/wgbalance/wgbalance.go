@@ -7,6 +7,15 @@
 // an early `return err` with no provider on that path strands any
 // later Wait forever.
 //
+// That is a lifecycle.Spec like bodyclose's: the obligation is opened
+// by the Add statement rather than by a call result, on a group that
+// may be a field and is usually passed by address, and from there the
+// shared engine applies — released by Done, escaped by capture,
+// return, store, send or a dynamic call. A helper that only spawns the
+// goroutine (its literal calls Done, the helper does not) is not
+// classified as a releaser: hand the helper's callers a `go` statement
+// of their own, or the function to run.
+//
 // It also flags the classic startup race at the AST level: calling
 // wg.Add inside the spawned goroutine itself, while the spawning scope
 // Waits on the same group — Wait may run before the goroutine is
@@ -14,13 +23,13 @@
 package wgbalance
 
 import (
+	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"slices"
 
 	"comtainer/internal/analysis"
 	"comtainer/internal/analysis/cfg"
+	"comtainer/internal/analysis/passes/lifecycle"
 )
 
 // Analyzer reports unbalanced WaitGroup arithmetic.
@@ -31,31 +40,26 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// Fact records which declared functions call Done on a WaitGroup
-// parameter on every path, keyed by FuncID; values are flat parameter
-// indices.
-type Fact struct {
-	Finishers map[string][]int
+var spec = &lifecycle.Spec{
+	IsResource: isWaitGroup,
+	Opens: func(info *types.Info, call *ast.CallExpr) types.Object {
+		return wgMethodObj(info, call, "Add")
+	},
+	IsRelease: func(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
+		return wgMethodObj(info, call, "Done") == obj
+	},
+	LeakMessage: func(obj types.Object) string {
+		return fmt.Sprintf("%s.Add is not balanced by a Done provider on every path to return", obj.Name())
+	},
 }
-
-// AFact marks Fact as an analysis fact.
-func (*Fact) AFact() {}
 
 func run(pass *analysis.Pass) error {
 	if pass.Pkg.Path() == "sync" {
 		return nil
 	}
-	finishers := classifyFinishers(pass)
-	if len(finishers) > 0 {
-		pass.ExportPackageFact(&Fact{Finishers: finishers})
-	}
+	lifecycle.Run(pass, spec)
 	for _, file := range pass.Files {
-		analysis.FuncScopes(file, func(body *ast.BlockStmt, decl *ast.FuncDecl) {
-			name := "func literal"
-			if decl != nil {
-				name = decl.Name.Name
-			}
-			checkScope(pass, finishers, name, body)
+		analysis.FuncScopes(file, func(body *ast.BlockStmt, _ *ast.FuncDecl) {
 			checkAddInGoroutine(pass, body)
 		})
 	}
@@ -70,7 +74,9 @@ func isWaitGroup(t types.Type) bool {
 
 // wgMethodObj returns the object the WaitGroup method named method is
 // invoked on (`wg.Add(1)` → wg's object, `s.wg.Done()` → the field
-// object), or nil if call is not that method.
+// object), or nil if call is not that method or its receiver is a
+// shape cfg.Operand does not resolve (map/slice elements), which skips
+// the call site conservatively.
 func wgMethodObj(info *types.Info, call *ast.CallExpr, method string) types.Object {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != method {
@@ -80,256 +86,7 @@ func wgMethodObj(info *types.Info, call *ast.CallExpr, method string) types.Obje
 	if fn == nil || fn.Name() != method || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return nil
 	}
-	return recvObj(info, sel.X)
-}
-
-// recvObj resolves the receiver expression to the variable or field
-// object holding the WaitGroup. Unresolvable shapes (map/slice
-// elements) return nil and the call site is skipped conservatively.
-func recvObj(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return info.Uses[e]
-	case *ast.SelectorExpr:
-		return info.Uses[e.Sel]
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			return recvObj(info, e.X)
-		}
-	case *ast.StarExpr:
-		return recvObj(info, e.X)
-	}
-	return nil
-}
-
-// mentionsObj reports whether obj is used anywhere inside n — idents
-// and selector fields alike.
-func mentionsObj(info *types.Info, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := m.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-// argIsGroup reports whether arg is the group or its address.
-func argIsGroup(info *types.Info, arg ast.Expr, obj types.Object) bool {
-	return recvObj(info, arg) == obj
-}
-
-// checkScope verifies every Add in one function scope.
-func checkScope(pass *analysis.Pass, finishers map[string][]int, name string, body *ast.BlockStmt) {
-	g := cfg.New(name, body)
-	for _, blk := range g.Blocks {
-		if blk == g.Exit {
-			continue
-		}
-		for i, n := range blk.Nodes {
-			es, ok := n.(*ast.ExprStmt)
-			if !ok {
-				continue
-			}
-			call, ok := ast.Unparen(es.X).(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			obj := wgMethodObj(pass.TypesInfo, call, "Add")
-			if obj == nil {
-				continue
-			}
-			stop := providerStop(pass, finishers, obj, true)
-			if cfg.ReachesExit(g, blk, i, stop, nil) {
-				pass.Reportf(call.Pos(),
-					"%s.Add is not balanced by a Done provider on every path to return", obj.Name())
-			}
-		}
-	}
-}
-
-// providerStop builds the settles predicate for ReachesExit: nodes
-// that answer (or take over) an Add. With escapes true, handing the
-// group to unknown code, storing it, or returning it also stops
-// tracking quietly; with escapes false only genuine Done providers
-// count (the interprocedural classifier).
-func providerStop(pass *analysis.Pass, finishers map[string][]int, obj types.Object, escapes bool) func(ast.Node) bool {
-	info := pass.TypesInfo
-	var stops func(n ast.Node) bool
-	stops = func(n ast.Node) bool {
-		hit := false
-		ast.Inspect(n, func(m ast.Node) bool {
-			if hit {
-				return false
-			}
-			switch m := m.(type) {
-			case *ast.FuncLit:
-				// The goroutine body. A literal capturing the group is
-				// assumed to Done it — flagging `go func() { defer
-				// wg.Done(); ... }()` would be noise; a literal that
-				// captures and never calls Done is the rare bug this
-				// trade-off accepts.
-				if mentionsObj(info, m, obj) {
-					hit = true
-				}
-				return false
-			case *ast.CallExpr:
-				if wgMethodObj(info, m, "Done") == obj {
-					hit = true
-					return false
-				}
-				if wgMethodObj(info, m, "Wait") == obj || wgMethodObj(info, m, "Add") == obj {
-					return true // neither provides a Done; keep scanning args
-				}
-				for i, arg := range m.Args {
-					if !argIsGroup(info, arg, obj) {
-						continue
-					}
-					fn := analysis.Callee(info, m)
-					if fn == nil {
-						if escapes {
-							hit = true // dynamic callee: ownership left
-						}
-						return false
-					}
-					if finisherAt(pass, finishers, fn, i) || escapes {
-						hit = true
-					}
-					return false
-				}
-			case *ast.ReturnStmt:
-				if escapes && mentionsObj(info, m, obj) {
-					hit = true
-					return false
-				}
-			case *ast.SendStmt:
-				if escapes && mentionsObj(info, m, obj) {
-					hit = true
-					return false
-				}
-			case *ast.AssignStmt:
-				if !escapes {
-					return true
-				}
-				for _, r := range m.Rhs {
-					if _, isCall := ast.Unparen(r).(*ast.CallExpr); isCall {
-						continue
-					}
-					if mentionsObj(info, r, obj) {
-						hit = true // aliased or stored: someone else's ledger now
-						return false
-					}
-				}
-			}
-			return true
-		})
-		return hit
-	}
-	return stops
-}
-
-// finisherAt consults the local classification and dependency facts
-// for "fn calls Done on parameter i on every path".
-func finisherAt(pass *analysis.Pass, finishers map[string][]int, fn *types.Func, i int) bool {
-	id := analysis.FuncID(fn)
-	if id == "" {
-		return false
-	}
-	var idxs []int
-	if fn.Pkg() == pass.Pkg {
-		idxs = finishers[id]
-	} else if fn.Pkg() != nil {
-		if f, ok := pass.PackageFact(fn.Pkg().Path()).(*Fact); ok && f != nil {
-			idxs = f.Finishers[id]
-		}
-	}
-	for _, j := range idxs {
-		if j == i {
-			return true
-		}
-	}
-	return false
-}
-
-// classifyFinishers computes, per declared function, the WaitGroup
-// parameters that are Done'd on every path to the exit. Fixpoint
-// covers helper-forwards-to-helper chains.
-func classifyFinishers(pass *analysis.Pass) map[string][]int {
-	type candidate struct {
-		id     string
-		g      *cfg.CFG
-		params []paramSite
-	}
-	var cands []candidate
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			id := analysis.FuncID(fn)
-			if id == "" {
-				continue
-			}
-			params := groupParams(pass, fd)
-			if len(params) == 0 {
-				continue
-			}
-			cands = append(cands, candidate{id: id, g: cfg.New(fd.Name.Name, fd.Body), params: params})
-		}
-	}
-	finishers := make(map[string][]int)
-	for changed := true; changed; {
-		changed = false
-		for _, c := range cands {
-			for _, p := range c.params {
-				if slices.Contains(finishers[c.id], p.index) {
-					continue
-				}
-				stop := providerStop(pass, finishers, p.obj, false)
-				if !cfg.ReachesExit(c.g, c.g.Entry, -1, stop, nil) {
-					finishers[c.id] = append(finishers[c.id], p.index)
-					changed = true
-				}
-			}
-		}
-	}
-	return finishers
-}
-
-// paramSite is one WaitGroup-typed parameter of a declared function.
-type paramSite struct {
-	index int
-	obj   types.Object
-}
-
-// groupParams returns the flat indices (receiver excluded) of
-// WaitGroup-typed, named parameters.
-func groupParams(pass *analysis.Pass, fd *ast.FuncDecl) []paramSite {
-	var out []paramSite
-	idx := 0
-	for _, field := range fd.Type.Params.List {
-		if len(field.Names) == 0 {
-			idx++
-			continue
-		}
-		for _, nm := range field.Names {
-			obj := pass.TypesInfo.Defs[nm]
-			if obj != nil && nm.Name != "_" && isWaitGroup(obj.Type()) {
-				out = append(out, paramSite{index: idx, obj: obj})
-			}
-			idx++
-		}
-	}
-	return out
+	return cfg.Operand(info, sel.X)
 }
 
 // checkAddInGoroutine flags Add calls made inside a go-statement's

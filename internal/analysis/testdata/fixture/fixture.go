@@ -1,10 +1,13 @@
 // Package fixture is a tiny module the comtainer-vet end-to-end test
-// runs the multichecker against. It deliberately violates nine of the
-// enforced invariants (digestcmp, atomicwrite, gonaked, bodyclose,
-// closeleak, timerstop, wgbalance here; guardedby and atomicmix in
-// racecase.go) once each and contains one clean, suppressed site. It
-// must not import comtainer/internal packages: those are invisible
-// across the module boundary.
+// runs the multichecker against. It deliberately violates seven of the
+// enforced invariants (digestcmp, gonaked, bodyclose, closeleak,
+// timerstop, wgbalance here; guardedby in racecase.go) once each and
+// contains one clean, suppressed site. It also spells each thing
+// scripts/bans.sh bans (TestBansFire): a sha256 literal, an
+// os.WriteFile, a time.Sleep and a digest.Digest conversion here, a
+// function-style atomic in racecase.go. It must not import
+// comtainer/internal packages: those are invisible across the module
+// boundary.
 package fixture
 
 import (
@@ -14,6 +17,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"fixture/digest"
 )
 
 // IsDigest violates digestcmp: raw comparison against a sha256 literal.
@@ -21,9 +26,21 @@ func IsDigest(s string) bool {
 	return s == "sha256:0000000000000000000000000000000000000000000000000000000000000000"
 }
 
-// WriteBlob violates atomicwrite: a direct write into a blobs/ store path.
+// WriteBlob is banned as os-write: a store file written in place.
 func WriteBlob(root string, data []byte) error {
 	return os.WriteFile(filepath.Join(root, "blobs", "x"), data, 0o644)
+}
+
+// Poll is banned as time.Sleep: a wait no context can cancel.
+func Poll(ready func() bool) {
+	for !ready() {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// Mint is banned as digest-conversion: a Digest no parser has seen.
+func Mint(s string) digest.Digest {
+	return digest.Digest(s)
 }
 
 // Spawn violates gonaked: the goroutine is never joined.

@@ -1,8 +1,10 @@
-// racecase.go seeds the two static data-race violations: a field
-// guarded by a mutex on most accesses but read bare (guardedby), and
-// a field updated through sync/atomic but read plainly (atomicmix).
-// The spawned goroutine is joined through a channel receive so the
-// seeds trip exactly the intended analyzers and not gonaked.
+// racecase.go seeds the static data-race violation: a field guarded by
+// a mutex on most accesses but read bare (guardedby). Beside it, the
+// shape the atomic-function ban exists for: a field updated through a
+// sync/atomic function and read plainly, which an atomic.Int64 field
+// cannot express. The spawned goroutine is joined through a channel
+// receive so the seed trips exactly the intended analyzer and not
+// gonaked.
 package fixture
 
 import (
@@ -56,7 +58,7 @@ func (g *Gauge) Hit() {
 	atomic.AddInt64(&g.hits, 1)
 }
 
-// Snapshot violates atomicmix: a plain read of the atomic word.
+// Snapshot reads the atomic word plainly: the race the ban prevents.
 func (g *Gauge) Snapshot() int64 {
 	return g.hits
 }

@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -11,11 +12,10 @@ import (
 
 // TestVetEndToEnd builds and runs the comtainer-vet multichecker, as a
 // user would, over the fixture module in testdata/fixture. The fixture
-// violates digestcmp, atomicwrite, gonaked, guardedby, atomicmix,
-// bodyclose, closeleak, timerstop, and wgbalance once each, seeds a
-// two-package lock-order cycle (locka/lockb), and carries one
-// suppressed site, so the binary must exit 1 with exactly those ten
-// diagnostics.
+// violates digestcmp, gonaked, guardedby, bodyclose, closeleak,
+// timerstop, and wgbalance once each, seeds a two-package lock-order
+// cycle (locka/lockb), and carries one suppressed site, so the binary
+// must exit 1 with exactly those eight diagnostics.
 func TestVetEndToEnd(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go command not available")
@@ -45,19 +45,18 @@ func TestVetEndToEnd(t *testing.T) {
 			lines++
 		}
 	}
-	if lines != 10 {
-		t.Errorf("want exactly 10 diagnostics, got %d:\n%s", lines, text)
+	if lines != 8 {
+		t.Errorf("want exactly 8 diagnostics, got %d:\n%s", lines, text)
 	}
 	for _, name := range []string{
-		"[digestcmp]", "[atomicwrite]", "[gonaked]", "[lockorder]",
-		"[guardedby]", "[atomicmix]",
+		"[digestcmp]", "[gonaked]", "[lockorder]", "[guardedby]",
 		"[bodyclose]", "[closeleak]", "[timerstop]", "[wgbalance]",
 	} {
 		if !strings.Contains(text, name) {
 			t.Errorf("missing %s diagnostic in output:\n%s", name, text)
 		}
 	}
-	// The seeded resource-lifecycle leaks and static data races must
+	// The seeded resource-lifecycle leaks and the static data race must
 	// surface verbatim.
 	for _, msg := range []string{
 		"resp.Body is not closed on every path to return",
@@ -65,8 +64,6 @@ func TestVetEndToEnd(t *testing.T) {
 		"t (*time.Ticker) is not stopped on every path to return",
 		"wg.Add is not balanced by a Done provider on every path to return",
 		"field fixture.Counter.n is guarded by fixture.Counter.mu on 2/3 accesses; unguarded read",
-		"field fixture.Gauge.hits mixes sync/atomic access (1 sites) with a plain read; " +
-			"atomic and non-atomic access to the same word is a data race",
 	} {
 		if !strings.Contains(text, msg) {
 			t.Errorf("missing seeded leak message %q in output:\n%s", msg, text)
@@ -82,5 +79,27 @@ func TestVetEndToEnd(t *testing.T) {
 	// The suppressed Allowed site must not appear.
 	if strings.Count(text, "[digestcmp]") != 1 {
 		t.Errorf("suppression failed: want exactly one digestcmp diagnostic:\n%s", text)
+	}
+}
+
+// TestBansFire runs scripts/bans.sh over the same fixture with every
+// budget forced to zero: each spelling it bans is seeded there once, so
+// it must fail and name all five bans that replaced an analyzer.
+func TestBansFire(t *testing.T) {
+	script, err := filepath.Abs(filepath.Join("..", "..", "scripts", "bans.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command("sh", script, ".")
+	cmd.Dir = filepath.Join("testdata", "fixture")
+	cmd.Env = append(os.Environ(), "BAN_BUDGET=0")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("bans.sh exited 0 over a fixture that spells every ban:\n%s", out)
+	}
+	for _, name := range []string{"time.Sleep", "digest-conversion", "sha256-literal", "atomic-function", "os-write"} {
+		if !strings.Contains(string(out), "ban "+name+":") {
+			t.Errorf("ban %s did not fire:\n%s", name, out)
+		}
 	}
 }

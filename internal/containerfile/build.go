@@ -31,7 +31,9 @@ const (
 	RoleGeneric = ""
 )
 
-// Builder executes multi-stage Containerfile builds.
+// Builder executes multi-stage Containerfile builds. It keeps the
+// stages it has run and committed, so building one Containerfile's
+// "build" stage and then its "dist" stage runs each stage once.
 type Builder struct {
 	// Repo resolves FROM references and receives built images.
 	Repo *oci.Repository
@@ -50,16 +52,17 @@ type Builder struct {
 	// replays their recorded toolchain invocations).
 	Cache *BuildCache
 
-	// stageLookup tracks completed stages of the current Build call so
-	// COPY --from and FROM <stage> can reference them.
-	stageLookup map[string]*stageState
+	// built holds the stages of cf this builder has run and committed,
+	// by name and by ordinal: COPY --from and FROM <stage> read them, and
+	// a later Build of cf does not run them again.
+	cf    *Containerfile
+	built map[string]*stageState
 }
 
 // stageState is the mutable state of one executing build container.
 type stageState struct {
 	name    string
 	fs      *fsim.FS
-	baseFS  *fsim.FS
 	baseImg *oci.Image
 	env     map[string]string
 	cwd     string
@@ -75,11 +78,15 @@ type stageState struct {
 	snapshot *fsim.FS
 	history  []oci.HistoryEntry
 	chainKey digest.Digest
+
+	// desc is the committed image, set once the stage is done.
+	desc oci.Descriptor
 }
 
 // Build executes the Containerfile through the target stage (empty target =
 // last stage) and returns the target stage's image descriptor. All stages
-// built along the way are accessible to COPY --from.
+// built along the way — by this call or an earlier one for the same
+// Containerfile — are accessible to COPY --from.
 func (b *Builder) Build(cf *Containerfile, target string) (oci.Descriptor, error) {
 	if b.Repo == nil {
 		return oci.Descriptor{}, fmt.Errorf("containerfile: builder has no repository")
@@ -92,33 +99,31 @@ func (b *Builder) Build(cf *Containerfile, target string) (oci.Descriptor, error
 		}
 		targetIdx = st.Index
 	}
-	states := make(map[string]*stageState)
-	b.stageLookup = states
-	defer func() { b.stageLookup = nil }()
-	var desc oci.Descriptor
+	if b.cf != cf {
+		b.cf, b.built = cf, make(map[string]*stageState)
+	}
 	for i := 0; i <= targetIdx; i++ {
 		st := &cf.Stages[i]
-		state, err := b.runStage(st, states)
+		if b.built[st.Name] != nil {
+			continue
+		}
+		state, err := b.runStage(st)
 		if err != nil {
 			return oci.Descriptor{}, err
 		}
-		states[st.Name] = state
-		states[fmt.Sprint(st.Index)] = state
-		d, err := b.commit(state)
-		if err != nil {
+		if state.desc, err = b.commit(state); err != nil {
 			return oci.Descriptor{}, err
 		}
-		if i == targetIdx {
-			desc = d
-		}
+		b.built[st.Name] = state
+		b.built[fmt.Sprint(st.Index)] = state
 	}
-	return desc, nil
+	return b.built[cf.Stages[targetIdx].Name].desc, nil
 }
 
 // resolveBase loads the FROM reference: another stage or a repo tag. The
 // returned digest seeds the stage's build-cache chain.
-func (b *Builder) resolveBase(ref string, states map[string]*stageState) (*oci.Image, *fsim.FS, digest.Digest, error) {
-	if prior, ok := states[ref]; ok {
+func (b *Builder) resolveBase(ref string) (*oci.Image, *fsim.FS, digest.Digest, error) {
+	if prior, ok := b.built[ref]; ok {
 		// FROM an earlier stage: snapshot its current state.
 		img := prior.baseImg
 		return img, prior.fs.Clone(), prior.chainKey, nil
@@ -138,15 +143,14 @@ func (b *Builder) resolveBase(ref string, states map[string]*stageState) (*oci.I
 	return img, flat, desc.Digest, nil
 }
 
-func (b *Builder) runStage(st *Stage, states map[string]*stageState) (*stageState, error) {
-	img, fs, seed, err := b.resolveBase(st.BaseRef, states)
+func (b *Builder) runStage(st *Stage) (*stageState, error) {
+	img, fs, seed, err := b.resolveBase(st.BaseRef)
 	if err != nil {
 		return nil, err
 	}
 	state := &stageState{
 		name:    st.Name,
 		fs:      fs,
-		baseFS:  fs.Clone(),
 		baseImg: img,
 		env:     map[string]string{},
 		cwd:     "/",
@@ -210,7 +214,7 @@ func (b *Builder) copySourceKey(state *stageState, inst Instruction) digest.Dige
 	}
 	if len(inst.Args) > 0 && strings.HasPrefix(inst.Args[0], "--from=") {
 		ref := strings.TrimPrefix(inst.Args[0], "--from=")
-		if prior, ok := b.stageLookup[ref]; ok {
+		if prior, ok := b.built[ref]; ok {
 			return prior.chainKey
 		}
 		if desc, err := b.Repo.Resolve(ref); err == nil {
@@ -683,10 +687,8 @@ func (b *Builder) execCopy(state *stageState, args []string) error {
 	if len(rest) > 0 && strings.HasPrefix(rest[0], "--from=") {
 		ref := strings.TrimPrefix(rest[0], "--from=")
 		rest = rest[1:]
-		// --from can name an earlier stage (resolved by the caller keeping
-		// states) or a repo image; Build wires stages into the repo map, so
-		// resolve against the builder's stage registry first.
-		st, ok := b.stageLookup[ref]
+		// --from names an earlier stage or, failing that, a repo image.
+		st, ok := b.built[ref]
 		if ok {
 			src = st.fs
 		} else {

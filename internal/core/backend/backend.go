@@ -136,14 +136,14 @@ func Rebuild(repo *oci.Repository, distTag string, opts RebuildOptions) (oci.Des
 	if err != nil {
 		return oci.Descriptor{}, report, err
 	}
-	for _, p := range srcFS.Paths() {
-		f, err := srcFS.Stat(p)
-		if err != nil {
-			return oci.Descriptor{}, report, err
-		}
+	err = srcFS.Walk(func(f *fsim.File) error {
 		if f.Type == fsim.TypeRegular {
 			rebuildFS.Add(f)
 		}
+		return nil
+	})
+	if err != nil {
+		return oci.Descriptor{}, report, err
 	}
 	for p, data := range opts.ExtraFiles {
 		rebuildFS.WriteFile(p, data, 0o644)

@@ -270,18 +270,14 @@ func Read(extImg *oci.Image) (*model.Models, *fsim.FS, error) {
 		return nil, nil, err
 	}
 	srcFS := fsim.New()
-	for _, p := range flat.Paths() {
-		if !strings.HasPrefix(p, SrcPrefix+"/") {
-			continue
+	err = flat.Walk(func(f *fsim.File) error {
+		if f.Type == fsim.TypeRegular && strings.HasPrefix(f.Path, SrcPrefix+"/") {
+			srcFS.Add(&fsim.File{Path: strings.TrimPrefix(f.Path, SrcPrefix), Mode: 0o644, Data: f.Data})
 		}
-		f, err := flat.Stat(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		if f.Type != fsim.TypeRegular {
-			continue
-		}
-		srcFS.Add(&fsim.File{Path: strings.TrimPrefix(p, SrcPrefix), Mode: 0o644, Data: f.Data})
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	// Integrity: every declared source must be present.
 	for _, src := range m.SourcePaths {

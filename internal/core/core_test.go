@@ -111,6 +111,24 @@ func TestUserSideBuildExtended(t *testing.T) {
 	if _, ok := models.Installed[app.BinPath()]; !ok {
 		t.Errorf("Installed map misses %s: %v", app.BinPath(), models.Installed)
 	}
+	// Each stage ran and was committed once: every blob is reachable
+	// from a tag, and a fresh build replayed nothing from its own cache.
+	reachable := oci.NewStore()
+	for _, tag := range user.Repo.Index.Tags() {
+		desc, err := user.Repo.Resolve(tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reachable.CopyImage(user.Repo.Store, desc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reachable.Len() != user.Repo.Store.Len() {
+		t.Errorf("%d of %d blobs are reachable from a tag", reachable.Len(), user.Repo.Store.Len())
+	}
+	if hits, misses := user.BuildCache.Stats(); hits != 0 {
+		t.Errorf("one fresh build: %d build-cache hits, %d misses", hits, misses)
+	}
 }
 
 func TestBuildOriginalHasNoCache(t *testing.T) {

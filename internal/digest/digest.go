@@ -65,6 +65,12 @@ func Parse(s string) (Digest, error) {
 	return d, nil
 }
 
+// FromHex returns the sha256 digest whose hex portion is hexPart — the
+// name a store gives a blob file — validated exactly as Parse would.
+func FromHex(hexPart string) (Digest, error) {
+	return Parse("sha256:" + hexPart)
+}
+
 // Validate checks that d has the form "sha256:<64 lowercase hex chars>".
 func (d Digest) Validate() error {
 	algo, hexPart, ok := strings.Cut(string(d), ":")

@@ -2,6 +2,7 @@ package digest
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -63,6 +64,25 @@ func TestParseInvalid(t *testing.T) {
 	for _, c := range cases {
 		if _, err := Parse(c); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", c)
+		}
+	}
+}
+
+func TestFromHex(t *testing.T) {
+	d := FromBytes([]byte("x"))
+	if got, err := FromHex(d.Hex()); err != nil || got != d {
+		t.Errorf("FromHex(%q) = %s, %v; want %s", d.Hex(), got, err, d)
+	}
+	for _, c := range []string{
+		"",
+		"short",
+		strings.Repeat("a", 65),
+		strings.Repeat("A", 64), // uppercase hex rejected
+		strings.Repeat("g", 64), // non-hex
+		string(d),               // already prefixed
+	} {
+		if _, err := FromHex(c); !errors.Is(err, ErrInvalid) {
+			t.Errorf("FromHex(%q) = %v, want ErrInvalid", c, err)
 		}
 	}
 }

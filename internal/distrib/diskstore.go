@@ -217,7 +217,7 @@ func (s *DiskStore) Digests() []digest.Digest {
 			continue
 		}
 		for _, f := range files {
-			if d, err := digest.Parse("sha256:" + f.Name()); err == nil {
+			if d, err := digest.FromHex(f.Name()); err == nil {
 				out = append(out, d)
 			}
 		}

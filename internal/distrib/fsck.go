@@ -71,7 +71,7 @@ func (s *DiskStore) Fsck() (FsckReport, error) {
 		}
 		for _, f := range files {
 			p := filepath.Join(shardDir, f.Name())
-			d, perr := digest.Parse("sha256:" + f.Name())
+			d, perr := digest.FromHex(f.Name())
 			if perr != nil || f.IsDir() || !strings.HasPrefix(f.Name(), shard.Name()) {
 				rep.Misplaced = append(rep.Misplaced, p)
 				continue

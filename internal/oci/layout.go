@@ -161,7 +161,7 @@ func LoadLayout(dir string) (*Repository, error) {
 		if err != nil {
 			return nil, fmt.Errorf("oci: reading blob %s: %w", e.Name(), err)
 		}
-		want, err := digest.Parse("sha256:" + e.Name())
+		want, err := digest.FromHex(e.Name())
 		if err != nil {
 			return nil, fmt.Errorf("oci: blob file %q is not digest-named: %w", e.Name(), err)
 		}

@@ -17,9 +17,8 @@ echo "== go vet =="
 go vet ./...
 
 echo "== comtainer-vet =="
-# The repository's own 16-analyzer suite (digestcmp, digestflow,
-# atomicwrite, lockorder, lockio, guardedby, atomicmix, safejoin,
-# errpropagate, gonaked, ctxsleep, ctxflow, and the CFG-based
+# The repository's own 12-analyzer suite (digestcmp, lockorder, lockio,
+# guardedby, safejoin, errpropagate, gonaked, ctxflow, and the CFG-based
 # lifecycle passes bodyclose, closeleak, timerstop, wgbalance).
 # Diagnostics are printed as path:line:col: [analyzer] message — the
 # [analyzer] tag names the invariant that failed; see DESIGN.md
@@ -32,43 +31,16 @@ if ! go run ./cmd/comtainer-vet ./...; then
     exit 1
 fi
 
-echo "== suppression ratchet =="
-# Every //comtainer:allow switches an analyzer off for one line of
-# product code (tests, the analyzers' own sources and bench/ aside).
-# The count only goes down: a change that removes one lowers
-# max_allows with it, and one that needs a new one has to remove
-# another or argue for raising the number here, in review.
-max_allows=17
-allows=$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=analysis \
-    '//comtainer:allow' cmd examples internal | wc -l)
-if [ "$allows" -gt "$max_allows" ]; then
-    echo "$allows //comtainer:allow suppressions in product code, at most $max_allows allowed" >&2
-    exit 1
-fi
-echo "$allows/$max_allows"
-
-echo "== one-mechanism ratchet =="
-# A request is built in one place (distrib.Client.Do; the fleet proxy's
-# relay and forwardFarm are reverse-proxy steps that pass a caller's
-# request on) and a temp file is created in one place outside the
-# faultinject seam (DiskStore.Ingest, which streams before it knows the
-# target directory; everything else commits through faultinject.Commit).
-# Like the count above, these only go down.
-max_requests=3
-requests=$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=analysis \
-    'http\.NewRequest' cmd internal | wc -l)
-if [ "$requests" -gt "$max_requests" ]; then
-    echo "$requests http.NewRequest sites in product code, at most $max_requests allowed: send it through distrib.Client.Do" >&2
-    exit 1
-fi
-max_temps=1
-temps=$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=analysis --exclude-dir=faultinject \
-    'CreateTemp(' cmd internal | wc -l)
-if [ "$temps" -gt "$max_temps" ]; then
-    echo "$temps CreateTemp( sites outside internal/faultinject, at most $max_temps allowed: commit through faultinject.Commit" >&2
-    exit 1
-fi
-echo "http.NewRequest $requests/$max_requests, CreateTemp $temps/$max_temps"
+echo "== ratchets =="
+# Invariants that are a spelling with a budget, not a dataflow fact:
+# scripts/bans.sh holds the one function, the eight lines and, beside
+# each, its budget and who owns it — //comtainer:allow suppressions,
+# http.NewRequest outside distrib.Client.Do, CreateTemp outside
+# faultinject.Commit, and the five that replaced an analyzer with
+# nothing to look at: time.Sleep, digest.Digest( conversions, "sha256:
+# literals, function-style sync/atomic, and os.WriteFile/Create/OpenFile
+# outside the faultinject.FS seam. Every budget only goes down.
+sh scripts/bans.sh cmd examples internal bench
 
 echo "== go build =="
 go build ./...
