@@ -30,7 +30,7 @@ func main() {
 	adapterList := flag.String("adapters", "libo,cxxo", "comma-separated adapter chain: libo,cxxo,lto,cross-isa")
 	cacheDir := flag.String("action-cache", "", "directory for the local action-cache tier (empty = caching off)")
 	cacheRemote := flag.String("action-cache-remote", "", "registry URL of the shared remote action-cache tier, e.g. http://127.0.0.1:5000")
-	cacheCap := flag.Int64("action-cache-cap", 0, "byte cap of the local action-cache tier (0 = unbounded)")
+	cacheCap := flag.Int64("action-cache-cap", 0, "byte cap of the local action-cache tier (0 = unbounded); evicts whole segments, least recently used first")
 	workers := flag.Int("j", 0, "max concurrent build commands (0 = min(GOMAXPROCS, 8))")
 	remoteExec := flag.String("remote-exec", "", "scheduler URL of a remote-execution farm (a comtainer-registry with -exec); cache misses execute there, with local fallback")
 	flag.Parse()

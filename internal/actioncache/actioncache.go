@@ -23,8 +23,8 @@
 // for the current file-system contents.
 //
 // Storage is pluggable via the Cache interface. DiskCache is the
-// sharded on-disk tier (atomic temp+rename writes, digest
-// verify-on-read, LRU eviction under a size cap); RemoteCache stores
+// on-disk tier (an append-only segment log, digest verify-on-read,
+// segment-granular LRU eviction under a size cap); RemoteCache stores
 // entries as blobs in a comtainer registry through the distrib
 // client; Tiered stacks the two with push-through on remote hits.
 // Memoizer drives the protocol and deduplicates concurrent identical

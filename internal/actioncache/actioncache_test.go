@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"comtainer/internal/digest"
 	"comtainer/internal/registry"
@@ -86,21 +88,71 @@ func TestDiskCacheBasicAndVerify(t *testing.T) {
 		t.Fatal("hit on absent key")
 	}
 
-	// Corrupt the entry on disk: Get must detect, self-heal, and miss.
-	p := c.entryPath(k)
-	raw, _ := os.ReadFile(p)
-	raw[len(raw)-1] ^= 0xff
-	os.WriteFile(p, raw, 0o644)
-	if _, ok, _ := c.Get(k); ok {
-		t.Fatal("corrupt entry served as a hit")
+	// Corrupt the record inside the segment: Get must detect, drop and
+	// miss — once; the second lookup finds nothing to verify.
+	seg := segmentFiles(t, dir)
+	if len(seg) != 1 {
+		t.Fatalf("segments = %v, want one", seg)
 	}
-	if _, err := os.Stat(p); !os.IsNotExist(err) {
-		t.Fatal("corrupt entry not removed")
+	raw, _ := os.ReadFile(seg[0])
+	if want := testRecord(k, []byte("value-1")); !bytes.Equal(raw, want) {
+		t.Fatalf("segment holds %q, want the record %q", raw, want)
+	}
+	raw[len(raw)-1] ^= 0xff
+	os.WriteFile(seg[0], raw, 0o644)
+	for i := 0; i < 2; i++ {
+		if _, ok, _ := c.Get(k); ok {
+			t.Fatal("corrupt record served as a hit")
+		}
 	}
 	s := c.Stats()
-	if s.LocalHits != 1 || s.LocalMisses != 2 || s.Errors != 1 {
+	if s.LocalHits != 1 || s.LocalMisses != 3 || s.Errors != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
+	// A fresh Put of the key lands behind the bad record and is served,
+	// here and by the next opener.
+	if err := c.Put(k, []byte("value-1")); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := NewDiskCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*DiskCache{c, c2} {
+		if got, ok, _ := c.Get(k); !ok || string(got) != "value-1" {
+			t.Fatalf("after the re-put Get = %q, %v", got, ok)
+		}
+	}
+}
+
+// segmentFiles lists the segment files of the cache rooted at dir.
+func segmentFiles(t testing.TB, dir string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "segments", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
+// diskBytes sums the sizes of the files under the cache's segments/.
+func diskBytes(t testing.TB, dir string) int64 {
+	t.Helper()
+	var n int64
+	for _, p := range segmentFiles(t, dir) {
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
+}
+
+// testRecord spells the COMT-AC2 record of val under k, independently
+// of Put.
+func testRecord(k digest.Digest, val []byte) []byte {
+	return []byte(fmt.Sprintf("COMT-AC2 %s %d %s\n%s", k, len(val), digest.FromBytes(val), val))
 }
 
 func TestDiskCachePersistsAcrossReopen(t *testing.T) {
@@ -117,16 +169,45 @@ func TestDiskCachePersistsAcrossReopen(t *testing.T) {
 	if !ok || string(got) != "persisted" {
 		t.Fatalf("reopened cache lost the entry: %q %v", got, ok)
 	}
-	if c2.Len() != 1 {
-		t.Fatalf("Len = %d", c2.Len())
+	if len(c2.index) != 1 {
+		t.Fatalf("Len = %d", len(c2.index))
+	}
+
+	// Later records win over earlier ones of a key, newer segments over
+	// older: c rewrites p in its segment, c2 then writes it in a newer one.
+	if err := c.Put(key("p"), []byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	if c3, _ := NewDiskCache(dir, 0); c3 != nil {
+		if got, _, _ := c3.Get(key("p")); string(got) != "second" {
+			t.Fatalf("later record of one segment lost to an earlier one: %q", got)
+		}
+	}
+	if err := c2.Put(key("p"), []byte("third")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(key("q"), []byte("older segment, later write")); err != nil {
+		t.Fatal(err)
+	}
+	c4, err := NewDiskCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _ := c4.Get(key("p")); string(got) != "third" {
+		t.Fatalf("newer segment lost to an older one: %q", got)
+	}
+	if n := len(segmentFiles(t, dir)); n != 2 || len(c4.index) != 2 {
+		t.Fatalf("%d segments, %d entries; want 2 and 2", n, len(c4.index))
 	}
 }
 
 func TestDiskCacheLRUEviction(t *testing.T) {
 	dir := t.TempDir()
-	// Entries are ~100 bytes with header; cap at ~3 entries.
+	// A cap of three records: a record is more than an eighth of it, so
+	// every Put seals its segment and eviction is per entry.
 	val := bytes.Repeat([]byte("x"), 64)
-	c, _ := NewDiskCache(dir, 3*(int64(len(entryMagic))+72+int64(len(val))))
+	size := int64(len(testRecord(key("e0"), val)))
+	c, _ := NewDiskCache(dir, 3*size)
 	for i := 0; i < 3; i++ {
 		if err := c.Put(key(fmt.Sprintf("e%d", i)), val); err != nil {
 			t.Fatal(err)
@@ -147,8 +228,62 @@ func TestDiskCacheLRUEviction(t *testing.T) {
 			t.Fatalf("%s evicted but was not LRU", k)
 		}
 	}
-	if s := c.Stats(); s.Evictions == 0 || s.EvictedByte == 0 {
+	if s := c.Stats(); s.Evictions != 1 || s.EvictedByte != size {
 		t.Fatalf("eviction not counted: %+v", s)
+	}
+	if n := len(segmentFiles(t, dir)); n != 3 {
+		t.Fatalf("%d segment files, want 3", n)
+	}
+
+	// Recency survives a reopen through the segments' mtimes, and a cap
+	// lowered between runs applies at open, sparing no segment.
+	past := time.Now().Add(-time.Hour)
+	for _, p := range segmentFiles(t, dir) {
+		os.Chtimes(p, past, past)
+	}
+	re, _ := NewDiskCache(dir, 3*size)
+	if _, ok, _ := re.Get(key("e2")); !ok {
+		t.Fatal("e2 missing after reopen")
+	}
+	re, _ = NewDiskCache(dir, size)
+	if _, ok, _ := re.Get(key("e2")); !ok || len(re.index) != 1 {
+		t.Fatalf("reopen under a one-record cap kept %d entries, e2 among them: %v", len(re.index), ok)
+	}
+	if re, _ = NewDiskCache(dir, size-1); len(re.index) != 0 || diskBytes(t, dir) != 0 {
+		t.Fatalf("reopen under a cap below the last segment kept %d entries, %d bytes", len(re.index), diskBytes(t, dir))
+	}
+}
+
+// TestDiskCacheCapBoundsDiskBytes: under a cap many records wide a
+// segment is sealed at an eighth of it, and what the cap bounds is
+// bytes on disk — the dead records of rewritten keys included — after
+// every Put.
+func TestDiskCacheCapBoundsDiskBytes(t *testing.T) {
+	dir := t.TempDir()
+	size := int64(len(testRecord(key("k00"), make([]byte, 100))))
+	capBytes := 40 * size
+	c, err := NewDiskCache(dir, capBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 400; i++ {
+		val := bytes.Repeat([]byte{byte(i)}, 100)
+		if err := c.Put(key(fmt.Sprintf("k%02d", i%10)), val); err != nil { // ten keys, rewritten forty times
+			t.Fatal(err)
+		}
+		if n := diskBytes(t, dir); n > capBytes {
+			t.Fatalf("after Put %d: %d bytes on disk, cap %d", i, n, capBytes)
+		}
+		if got, ok, _ := c.Get(key(fmt.Sprintf("k%02d", i%10))); !ok || !bytes.Equal(got, val) {
+			t.Fatalf("Put %d not served back", i)
+		}
+	}
+	// Five records seal a segment (40/8): the cap holds eight of those.
+	if n := len(segmentFiles(t, dir)); n < 7 || n > 8 {
+		t.Fatalf("%d segments under a cap of eight sealed ones", n)
+	}
+	if s := c.Stats(); s.EvictedByte == 0 {
+		t.Fatalf("nothing evicted: %+v", s)
 	}
 }
 

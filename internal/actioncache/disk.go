@@ -1,12 +1,12 @@
 package actioncache
 
 import (
+	"bytes"
 	"fmt"
-	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,38 +17,77 @@ import (
 	"comtainer/internal/faultinject"
 )
 
-// DiskCache is the local tier: entries sharded on disk as
-// entries/sha256/ab/<keyhex> (the same layout as distrib.DiskStore's
-// blob tree), written atomically via temp file + rename, verified
-// against an embedded payload digest on every read, and evicted
-// least-recently-used when a byte cap is set.
+// DiskCache is the local tier: an append-only log of records in segment
+// files under <dir>/segments/ (layout COMT-AC2), indexed in memory.
 //
-// The temp file of a Put lives in the entry's own shard directory, not
-// in one spool shared by the whole cache: concurrent Puts (the rebuild
-// runs one per worker) then create and rename under 256 directory
-// locks instead of queueing on one, and the rename never crosses
-// directories.
+// A cache promises integrity, not durability. It never syncs: a crash
+// may cost a suffix of the dying process's own segment, nothing else.
+// Every read is verified against the payload digest in the record's
+// on-disk header, so no wrong byte is served. Keys are content-derived
+// (ManifestKey, ResultKey): any record ever put under a key is a sound
+// answer for it, so openers need not synchronise.
 //
-// Recency survives restarts through file mtimes: Get touches the
-// entry, and reopening a cache seeds its LRU order from the mtimes on
-// disk. Safe for concurrent use.
+// Each opener that writes appends to a segment of its own; two never
+// write one file. What an opener sees of the others is what was on disk
+// when it opened: it scans every segment once, stops at the first
+// record of each that does not parse (a torn tail, or a live writer's
+// next record), and lets later records and newer segments win.
+//
+// The byte cap counts segment files whole, dead records included, and
+// evicts whole segments, least recently used first; recency survives
+// restarts through their mtimes. Safe for concurrent use.
 type DiskCache struct {
-	root     string
-	maxBytes int64 // 0 = unbounded
+	dir      string // <root>/segments
+	maxBytes int64  // 0 = unbounded
 	fs       faultinject.FS
 
-	mu  sync.Mutex
-	lru cachekit.LRU[digest.Digest] // entry file sizes, in recency order
+	// wmu makes "append the record, then index it" one step, so the
+	// index names the record a later scan would find last. Get never
+	// takes it: a lookup does not wait behind a Put's write.
+	wmu sync.Mutex
+
+	mu     sync.Mutex // guards all below; never held across I/O
+	index  map[digest.Digest]record
+	lru    cachekit.LRU[*segment]  // by file size, in recency order
+	active *segment                // this opener's; nil before its first Put and after a seal
+	w      *faultinject.AppendFile // active's handle, the one descriptor held
 
 	hits, misses, evictions, evictedBytes, errors atomic.Int64
 }
 
-// entryMagic precedes every entry: "COMT-AC1 <payload digest>\n".
-const entryMagic = "COMT-AC1 "
+// segment is one file of the log.
+type segment struct {
+	path    string
+	size    int64
+	mod     time.Time
+	keys    []digest.Digest // of every record indexed from this file, dead ones included
+	touched bool            // written, or its mtime refreshed, by this opener
+}
 
-// NewDiskCache opens (creating if needed) a cache rooted at dir,
-// clears stale temp files, and indexes existing entries. maxBytes of
-// 0 disables eviction.
+// record locates one header-plus-payload extent; sum is the payload
+// digest its header carries.
+type record struct {
+	seg    *segment
+	off, n int64
+	sum    digest.Digest
+}
+
+const (
+	// recordMagic starts a record's header line, "COMT-AC2 <key>
+	// <payload length> <payload digest>\n"; the payload follows.
+	recordMagic = "COMT-AC2"
+	// maxHeader bounds a header line: the magic, two 71-byte digests, a
+	// length of at most 19 digits, three spaces and the newline are 173.
+	maxHeader = 256
+	// sealFraction: under a cap, an opener's segment is closed to
+	// appends at maxBytes/sealFraction bytes and its next Put starts
+	// another, so that one eviction gives up about an eighth of the
+	// cache at most. With no cap a segment grows while its opener writes.
+	sealFraction = 8
+)
+
+// NewDiskCache opens (creating if needed) a cache rooted at dir and
+// indexes the segments it holds. maxBytes of 0 disables eviction.
 func NewDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 	return NewDiskCacheFS(dir, maxBytes, faultinject.OS())
 }
@@ -56,175 +95,240 @@ func NewDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 // NewDiskCacheFS is NewDiskCache writing through fsys — the hook chaos
 // tests use to inject write faults and power cuts.
 func NewDiskCacheFS(dir string, maxBytes int64, fsys faultinject.FS) (*DiskCache, error) {
-	c := &DiskCache{
-		root:     dir,
-		maxBytes: maxBytes,
-		fs:       fsys,
+	c := &DiskCache{dir: filepath.Join(dir, "segments"), maxBytes: maxBytes, fs: fsys}
+	// The COMT-AC1 layout, a file per entry under entries/, is swept, not
+	// read: a cache is recomputable, and no byte escapes the cap.
+	if err := fsys.RemoveAll(filepath.Join(dir, "entries")); err != nil {
+		return nil, fmt.Errorf("actioncache: sweeping the COMT-AC1 tree: %w", err)
 	}
-	if err := fsys.MkdirAll(c.entriesDir(), 0o755); err != nil {
-		return nil, fmt.Errorf("actioncache: creating %s: %w", c.entriesDir(), err)
+	if err := fsys.MkdirAll(c.dir, 0o755); err != nil {
+		return nil, fmt.Errorf("actioncache: creating %s: %w", c.dir, err)
 	}
-	if err := c.index(); err != nil {
-		return nil, err
+	ents, err := os.ReadDir(c.dir) // in name order, which is creation order: newer segments win
+	if err != nil {
+		return nil, fmt.Errorf("actioncache: listing %s: %w", c.dir, err)
 	}
+	index := make(map[digest.Digest]record)
+	var segs []*segment
+	for _, d := range ents {
+		info, err := d.Info()
+		if err != nil || !info.Mode().IsRegular() {
+			continue
+		}
+		seg := &segment{path: filepath.Join(c.dir, d.Name()), size: info.Size(), mod: info.ModTime()}
+		seg.keys = c.scan(seg, info.Size(), index)
+		segs = append(segs, seg)
+	}
+	sort.SliceStable(segs, func(i, j int) bool { return segs[i].mod.Before(segs[j].mod) })
+
+	c.mu.Lock()
+	c.index = index
+	for _, seg := range segs {
+		c.lru.Add(seg, seg.size)
+	}
+	victims := c.evictLocked()
+	// Evict spares the most recently used segment: under Put, the one
+	// being written. Nothing is being written yet, so a last segment
+	// that alone exceeds the cap goes too.
+	if maxBytes > 0 && c.lru.Size() > maxBytes {
+		last := segs[len(segs)-1]
+		c.lru.Remove(last)
+		c.forgetLocked(last)
+		victims = append(victims, last)
+	}
+	c.mu.Unlock()
+	c.remove(victims)
 	return c, nil
 }
 
-func (c *DiskCache) entriesDir() string { return filepath.Join(c.root, "entries", "sha256") }
-
-func (c *DiskCache) entryPath(key digest.Digest) string {
-	hex := key.Hex()
-	return filepath.Join(c.entriesDir(), hex[:2], hex)
-}
-
-// tempPrefix starts the name of a Put's temp file, which sits beside
-// its entry.
-const tempPrefix = "put-"
-
-// index scans the entry tree, seeds the LRU order from mtimes and
-// removes the temp files it meets: one left behind is an interrupted
-// write from a dead process and can never be completed.
-func (c *DiskCache) index() error {
-	type found struct {
-		key  digest.Digest
-		size int64
-		mod  time.Time
-	}
-	var all []found
-	base := c.entriesDir()
-	err := filepath.WalkDir(base, func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		if strings.HasPrefix(d.Name(), tempPrefix) {
-			if err := c.fs.Remove(p); err != nil {
-				return fmt.Errorf("sweeping temp %s: %w", d.Name(), err)
-			}
-			return nil
-		}
-		key, perr := digest.FromHex(d.Name())
-		if perr != nil {
-			return nil // foreign file; leave it alone
-		}
-		info, err := d.Info()
-		if err != nil {
-			return nil
-		}
-		all = append(all, found{key: key, size: info.Size(), mod: info.ModTime()})
-		return nil
-	})
+// scan indexes the records of the valid prefix of seg's file, size
+// bytes long, and returns their keys. It reads headers only, one
+// positioned read each — an open costs the cache's records, not its
+// bytes — and stops at the first that does not parse or whose payload
+// leaves the file. Get verifies payloads.
+func (c *DiskCache) scan(seg *segment, size int64, index map[digest.Digest]record) (keys []digest.Digest) {
+	f, err := faultinject.Open(c.fs, seg.path)
 	if err != nil {
-		return fmt.Errorf("actioncache: indexing %s: %w", base, err)
+		c.errors.Add(1) // serves nothing; still counted against the cap, and evictable
+		return nil
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].mod.Before(all[j].mod) })
-	// index only runs from the constructor, but taking the lock keeps
-	// the invariant uniform: every mutation of the index holds c.mu,
-	// with no constructor-phase carve-out to reason about.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, f := range all {
-		c.lru.Add(f.key, f.size)
+	defer f.Close()
+	var buf [maxHeader]byte
+	for off := int64(0); off < size; {
+		m, _ := f.ReadAt(buf[:], off) // short, with io.EOF, at the end of the file
+		line, _, found := bytes.Cut(buf[:m], []byte("\n"))
+		key, n, sum, ok := parseHeader(line)
+		header := int64(len(line)) + 1
+		if !found || !ok || n > size-off-header {
+			return keys
+		}
+		index[key] = record{seg: seg, off: off, n: header + n, sum: sum}
+		keys = append(keys, key)
+		off += header + n
 	}
-	return nil
+	return keys
 }
 
-// Get returns the entry under key, verifying its embedded payload
-// digest. A corrupt entry is deleted and reported as a miss.
+// parseHeader parses a record's header line, newline excluded.
+func parseHeader(line []byte) (key digest.Digest, n int64, sum digest.Digest, ok bool) {
+	f := strings.Split(string(line), " ")
+	if len(f) != 4 || f[0] != recordMagic {
+		return "", 0, "", false
+	}
+	key, kerr := digest.Parse(f[1])
+	n, nerr := strconv.ParseInt(f[2], 10, 64)
+	sum, serr := digest.Parse(f[3])
+	return key, n, sum, kerr == nil && nerr == nil && serr == nil && n >= 0
+}
+
+// Get returns the entry under key, verified against its header. A
+// record that fails is dropped from the index and reported as a miss.
 func (c *DiskCache) Get(key digest.Digest) ([]byte, bool, error) {
 	c.mu.Lock()
-	known := c.lru.Touch(key)
+	r, ok := c.index[key]
+	if !ok {
+		c.mu.Unlock()
+		c.misses.Add(1)
+		return nil, false, nil
+	}
+	seg := r.seg
+	c.lru.Touch(seg)
+	touch := !seg.touched
+	seg.touched = true
 	c.mu.Unlock()
-	if !known {
-		c.misses.Add(1)
-		return nil, false, nil
-	}
 
-	p := c.entryPath(key)
-	raw, err := c.readEntry(p)
+	val, err := c.read(key, seg.path, r)
 	if err != nil {
-		c.drop(key)
-		c.errors.Add(1)
+		// Bit rot or a truncated file — or, if the record is no longer
+		// indexed, a segment evicted since the lookup.
+		c.mu.Lock()
+		if c.index[key] == r {
+			delete(c.index, key)
+			c.errors.Add(1)
+		}
+		c.mu.Unlock()
 		c.misses.Add(1)
 		return nil, false, nil
 	}
-	val, err := decodeEntry(raw)
-	if err != nil {
-		// Bit rot or a truncated write: self-heal by discarding.
-		c.fs.Remove(p)
-		c.drop(key)
-		c.errors.Add(1)
-		c.misses.Add(1)
-		return nil, false, nil
+	if touch { // persist recency, best-effort, once per segment per open
+		now := time.Now()
+		c.fs.Chtimes(seg.path, now, now)
 	}
-	now := time.Now()
-	os.Chtimes(p, now, now) // persist recency; best-effort
 	c.hits.Add(1)
 	return val, true, nil
 }
 
-// readEntry slurps an entry file through the FS seam.
-func (c *DiskCache) readEntry(p string) ([]byte, error) {
-	f, err := c.fs.Open(p)
+// read fetches r's extent of the segment at path with one positioned
+// read and returns the payload once header and payload check out. The
+// handle is opened for the read, whoever wrote the segment — as a warm
+// rebuild reads it — so descriptors held do not grow with segments.
+func (c *DiskCache) read(key digest.Digest, path string, r record) ([]byte, error) {
+	f, err := faultinject.Open(c.fs, path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	buf := make([]byte, r.n)
+	if _, err := f.ReadAt(buf, r.off); err != nil {
+		return nil, err
+	}
+	line, val, _ := bytes.Cut(buf, []byte("\n"))
+	k, n, sum, ok := parseHeader(line)
+	if !ok || k != key || n != int64(len(val)) || !sum.Verify(val) {
+		return nil, fmt.Errorf("actioncache: record of %s corrupt", key.Short())
+	}
+	return val, nil
 }
 
-// Put stores val under key atomically and evicts LRU entries if the
-// cache exceeds its cap.
+// Put appends val under key to this opener's segment and applies the
+// cap. A value already stored under key is not written again: the
+// re-put of an unchanged manifest must not become growth.
 func (c *DiskCache) Put(key digest.Digest, val []byte) error {
 	if err := key.Validate(); err != nil {
 		return fmt.Errorf("actioncache: invalid key: %w", err)
 	}
-	data := encodeEntry(val)
-	p := c.entryPath(key)
-	if err := c.fs.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+	sum := digest.FromBytes(val)
+	rec := append([]byte(fmt.Sprintf("%s %s %d %s\n", recordMagic, key, len(val), sum)), val...)
+	sealed, victims, err := c.append(key, sum, rec)
+	if err != nil {
 		c.errors.Add(1)
-		return fmt.Errorf("actioncache: creating shard dir: %w", err)
+		return fmt.Errorf("actioncache: appending record: %w", err)
 	}
-	if err := faultinject.Commit(c.fs, p, tempPrefix, data, 0); err != nil {
-		c.errors.Add(1)
-		return fmt.Errorf("actioncache: writing entry: %w", err)
+	if sealed != nil { // files go after the locks are released
+		sealed.Close()
 	}
-
-	// Evict never takes the most recently used entry, so the one just
-	// written stays even when it alone exceeds the cap. Victims leave
-	// the index here and the disk after the lock is released.
-	c.mu.Lock()
-	c.lru.Add(key, int64(len(data)))
-	victims, freed := c.lru.Evict(c.maxBytes)
-	c.mu.Unlock()
-
-	c.evictions.Add(int64(len(victims)))
-	c.evictedBytes.Add(freed)
-	for _, v := range victims {
-		c.fs.Remove(c.entryPath(v))
-	}
+	c.remove(victims)
 	return nil
 }
 
-// drop removes key from the index (the file is already gone or about
-// to be).
-func (c *DiskCache) drop(key digest.Digest) {
+// append writes and indexes rec, the record of key with payload digest
+// sum; it returns the segment's handle if this record sealed it, and
+// the segments the cap evicted.
+func (c *DiskCache) append(key, sum digest.Digest, rec []byte) (sealed *faultinject.AppendFile, victims []*segment, err error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.mu.Lock()
+	old, stored := c.index[key]
+	seg, w := c.active, c.w
+	c.mu.Unlock()
+	if stored && old.sum == sum {
+		return nil, nil, nil
+	}
+	if seg == nil {
+		// The name sorts by creation time; CreateTemp's random part
+		// makes it one no other opener can pick.
+		w, err = faultinject.CreateAppend(c.fs, c.dir, fmt.Sprintf("%019d-*", time.Now().UnixNano()))
+		if err != nil {
+			return nil, nil, err
+		}
+		seg = &segment{path: w.Name(), touched: true}
+	}
+	off, err := w.Append(rec)
+
+	// The segment just written is the most recently used, which Evict
+	// never takes: what is being written is never a victim. A segment
+	// whose first append failed is kept, for the next Put to write.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lru.Remove(key)
+	c.active, c.w = seg, w
+	if err != nil {
+		return nil, nil, err
+	}
+	seg.size = off + int64(len(rec))
+	c.index[key] = record{seg: seg, off: off, n: int64(len(rec)), sum: sum}
+	seg.keys = append(seg.keys, key)
+	c.lru.Add(seg, seg.size)
+	if c.maxBytes > 0 && seg.size >= c.maxBytes/sealFraction {
+		c.active, c.w, sealed = nil, nil, w
+	}
+	return sealed, c.evictLocked(), nil
 }
 
-// Len returns the number of indexed entries.
-func (c *DiskCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
+// evictLocked applies the cap: victims leave the LRU and their records
+// the index here, under c.mu; the caller removes their files after it.
+func (c *DiskCache) evictLocked() []*segment {
+	victims, _ := c.lru.Evict(c.maxBytes)
+	for _, v := range victims {
+		c.forgetLocked(v)
+	}
+	return victims
 }
 
-// Size returns the total indexed entry bytes.
-func (c *DiskCache) Size() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Size()
+// forgetLocked unindexes the records of v, a segment that left the LRU.
+func (c *DiskCache) forgetLocked(v *segment) {
+	for _, k := range v.keys {
+		if c.index[k].seg == v {
+			delete(c.index, k)
+			c.evictions.Add(1)
+		}
+	}
+	c.evictedBytes.Add(v.size)
+}
+
+func (c *DiskCache) remove(victims []*segment) {
+	for _, v := range victims {
+		c.fs.Remove(v.path)
+	}
 }
 
 // Stats reports the disk tier's counters.
@@ -236,30 +340,4 @@ func (c *DiskCache) Stats() Stats {
 		EvictedByte: c.evictedBytes.Load(),
 		Errors:      c.errors.Load(),
 	}
-}
-
-func encodeEntry(val []byte) []byte {
-	hdr := entryMagic + string(digest.FromBytes(val)) + "\n"
-	return append([]byte(hdr), val...)
-}
-
-func decodeEntry(raw []byte) ([]byte, error) {
-	s := string(raw)
-	rest, ok := strings.CutPrefix(s, entryMagic)
-	if !ok {
-		return nil, fmt.Errorf("actioncache: entry missing magic")
-	}
-	nl := strings.IndexByte(rest, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("actioncache: entry header truncated")
-	}
-	want, err := digest.Parse(rest[:nl])
-	if err != nil {
-		return nil, fmt.Errorf("actioncache: entry header: %w", err)
-	}
-	val := []byte(rest[nl+1:])
-	if !want.Verify(val) {
-		return nil, fmt.Errorf("actioncache: entry payload corrupt (want %s)", want.Short())
-	}
-	return val, nil
 }

@@ -98,7 +98,7 @@ func (s *DiskStore) Open(d digest.Digest) (io.ReadCloser, int64, error) {
 	if err := d.Validate(); err != nil {
 		return nil, 0, err
 	}
-	f, err := s.fs.Open(s.blobPath(d))
+	f, err := faultinject.Open(s.fs, s.blobPath(d))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, 0, fmt.Errorf("distrib: blob not found: %s", d)

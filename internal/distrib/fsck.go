@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"comtainer/internal/digest"
+	"comtainer/internal/faultinject"
 )
 
 // FsckReport is the outcome of a store consistency scan. The store's
@@ -99,7 +100,7 @@ func (s *DiskStore) Fsck() (FsckReport, error) {
 
 // rehash reports whether the file at p hashes to d.
 func (s *DiskStore) rehash(p string, d digest.Digest) (bool, error) {
-	f, err := s.fs.Open(p)
+	f, err := faultinject.Open(s.fs, p)
 	if err != nil {
 		return false, err
 	}

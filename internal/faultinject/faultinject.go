@@ -3,10 +3,13 @@
 //
 //   - an FS hook layer (FS / FaultFS) wrapping the create, write,
 //     rename and remove calls used by distrib.DiskStore,
-//     actioncache.DiskCache and oci.SaveLayout, able to inject EIO,
-//     short writes, and "power-cut" termination — after which every
-//     further operation fails and whatever half-written state is on
-//     disk stays exactly as a crash would leave it;
+//     actioncache.DiskCache, fleet.WriteLog and oci.SaveLayout, able to
+//     inject EIO, short writes, and "power-cut" termination — after
+//     which every further operation fails and whatever half-written
+//     state is on disk stays exactly as a crash would leave it. The two
+//     ways a store writes a file live here too, once each: Commit
+//     (whole, by temp file and rename) and AppendFile (a log that grows
+//     at the end of its valid prefix);
 //
 //   - an HTTP fault transport (Transport) wrapping a registry client's
 //     round-tripper, able to inject 5xx bursts, truncated response

@@ -4,10 +4,11 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"sync"
 
 	"comtainer/internal/digest"
+	"comtainer/internal/faultinject"
 )
 
 // Write-log entry kinds.
@@ -37,7 +38,7 @@ type LogEntry struct {
 // up (Replicator.Sync replays it).
 type WriteLog struct {
 	mu      sync.Mutex
-	f       *os.File
+	f       *faultinject.AppendFile // nil: in memory only
 	entries []LogEntry
 	seq     int64
 }
@@ -45,63 +46,61 @@ type WriteLog struct {
 // NewWriteLog opens (or creates) the log at path, replaying existing
 // entries; an empty path keeps the log in memory only.
 func NewWriteLog(path string) (*WriteLog, error) {
+	return NewWriteLogFS(path, faultinject.OS())
+}
+
+// NewWriteLogFS is NewWriteLog through fsys: tests tear an append with it.
+func NewWriteLogFS(path string, fsys faultinject.FS) (*WriteLog, error) {
 	l := &WriteLog{}
 	if path == "" {
 		return l, nil
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := faultinject.OpenAppend(fsys, path, l.replay)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: opening write log: %w", err)
-	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e LogEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			// A torn final line from a crash mid-append: everything
-			// before it is intact, and the entry it would have become
-			// was never acknowledged. Stop replaying here.
-			break
-		}
-		l.entries = append(l.entries, e)
-		l.seq = e.Seq
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fleet: replaying write log: %w", err)
 	}
 	l.f = f
 	return l, nil
 }
 
+// replay loads the entries r holds and returns the length of the
+// prefix they occupy. A line that is cut short or does not parse is a
+// torn append from a crash: everything before it is intact, its entry
+// was never acknowledged, and the next Append overwrites it.
+func (l *WriteLog) replay(r io.Reader) (valid int64, _ error) {
+	br := bufio.NewReaderSize(r, 1<<20) // a longer line fails the replay, with bufio.ErrBufferFull
+	for {
+		line, err := br.ReadSlice('\n')
+		if err != nil && err != io.EOF {
+			return 0, fmt.Errorf("replaying: %w", err)
+		}
+		var e LogEntry
+		if err == io.EOF || json.Unmarshal(line, &e) != nil {
+			return valid, nil
+		}
+		l.entries = append(l.entries, e)
+		l.seq = e.Seq
+		valid += int64(len(line))
+	}
+}
+
 // Append assigns the next sequence number to e and records it,
 // syncing to disk when file-backed: the entry is durable before the
 // caller acknowledges the write it describes.
-//
-// entry must reach the file in sequence order
-//
-//comtainer:allow lockio -- the log mutex is the append serializer; an
 func (l *WriteLog) Append(e LogEntry) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.seq++
-	e.Seq = l.seq
+	e.Seq = l.seq + 1
 	if l.f != nil {
 		b, err := json.Marshal(e)
 		if err != nil {
 			return 0, fmt.Errorf("fleet: encoding log entry: %w", err)
 		}
-		if _, err := l.f.Write(append(b, '\n')); err != nil {
+		if _, err := l.f.Append(append(b, '\n')); err != nil {
 			return 0, fmt.Errorf("fleet: appending write log: %w", err)
 		}
-		if err := l.f.Sync(); err != nil {
-			return 0, fmt.Errorf("fleet: syncing write log: %w", err)
-		}
 	}
+	l.seq = e.Seq
 	l.entries = append(l.entries, e)
 	return e.Seq, nil
 }

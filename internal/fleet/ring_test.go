@@ -1,12 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
 	"testing"
 
 	"comtainer/internal/digest"
+	"comtainer/internal/faultinject"
 )
 
 // randomDigests returns n seeded content digests.
@@ -247,4 +249,91 @@ func TestWriteLogToleratesTornTail(t *testing.T) {
 	if seq, err := re.Append(LogEntry{Kind: KindBlob, Digest: digest.FromString("next")}); err != nil || seq != 2 {
 		t.Fatalf("append after a torn tail got seq %d (err %v), want 2", seq, err)
 	}
+}
+
+// TestWriteLogAppendAfterTornTail: an entry acknowledged after a torn
+// tail must be replayed by every later open. The log's next write lands
+// at the end of its valid prefix — over the torn bytes, not behind them,
+// where the two would fuse into one unparsable line that hides every
+// entry appended since.
+func TestWriteLogAppendAfterTornTail(t *testing.T) {
+	entry := func(s string) LogEntry { return LogEntry{Kind: KindBlob, Digest: digest.FromString(s)} }
+	seqs := func(l *WriteLog) (out []int64) {
+		for _, e := range l.Entries(0) {
+			out = append(out, e.Seq)
+		}
+		return out
+	}
+	reopen := func(path string) *WriteLog {
+		t.Helper()
+		l, err := NewWriteLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	}
+
+	t.Run("half a line on disk", func(t *testing.T) {
+		path := t.TempDir() + "/replication.log"
+		if _, err := reopen(path).Append(entry("one")); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.WriteString(`{"seq":2,"kind":"bl`)
+		f.Close()
+		if seq, err := reopen(path).Append(entry("two")); err != nil || seq != 2 {
+			t.Fatalf("Append after the torn tail = seq %d, %v", seq, err)
+		}
+		l := reopen(path)
+		if got := seqs(l); fmt.Sprint(got) != "[1 2]" {
+			t.Fatalf("replay after an append behind a torn tail = %v, want [1 2]", got)
+		}
+		if seq, err := l.Append(entry("three")); err != nil || seq != 3 {
+			t.Fatalf("next Append = seq %d, %v", seq, err)
+		}
+	})
+
+	t.Run("a line past the bound fails the open", func(t *testing.T) {
+		path := t.TempDir() + "/replication.log"
+		if err := os.WriteFile(path, bytes.Repeat([]byte("x"), 1<<20+1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if l, err := NewWriteLog(path); err == nil {
+			l.Close()
+			t.Fatal("a log holding one line of more than 1 MiB opened")
+		}
+	})
+
+	t.Run("short write through the seam", func(t *testing.T) {
+		path := t.TempDir() + "/replication.log"
+		// Operation 1 opens the log, 2-3 write and sync the first entry,
+		// 4 is the second entry's write: torn.
+		plan := faultinject.NewPlan(7).At(4, faultinject.ShortWrite)
+		l, err := NewWriteLogFS(path, faultinject.NewFS(faultinject.OS(), plan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if _, err := l.Append(entry("one")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(entry("torn")); err == nil {
+			t.Fatal("short write acknowledged")
+		}
+		if raw, _ := os.ReadFile(path); len(plan.Events()) != 1 || bytes.HasSuffix(raw, []byte("\n")) {
+			t.Fatalf("no torn tail on disk: events %v, file %q", plan.Events(), raw)
+		}
+		// The same process goes on: the failed entry's number is reused
+		// and its bytes are overwritten.
+		if seq, err := l.Append(entry("two")); err != nil || seq != 2 {
+			t.Fatalf("Append after the short write = seq %d, %v", seq, err)
+		}
+		if got := seqs(reopen(path)); fmt.Sprint(got) != "[1 2]" {
+			t.Fatalf("replay = %v, want [1 2]", got)
+		}
+	})
 }

@@ -6,7 +6,7 @@ package remoteexec_test
 
 import (
 	"context"
-	"io/fs"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -151,23 +151,32 @@ func diskMemo(t *testing.T) (*actioncache.Memoizer, string) {
 	return actioncache.NewMemoizer(disk), dir
 }
 
-// cacheFiles reads every entry file of the on-disk action cache in dir,
-// by path relative to it (the path is the entry's key).
+// cacheFiles reads every record of the on-disk action cache in dir —
+// "COMT-AC2 <key> <length> <digest>\n" and the document, one after the
+// other in the files under segments/ — as documents by key.
 func cacheFiles(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	files := map[string]string{}
-	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		raw, err := os.ReadFile(p)
-		files[strings.TrimPrefix(p, dir)] = string(raw)
-		return err
-	})
+	segments, err := filepath.Glob(filepath.Join(dir, "segments", "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return files
+	docs := map[string]string{}
+	for _, p := range segments {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rest := string(raw); rest != ""; {
+			var key, sum string
+			var n int
+			header, body, _ := strings.Cut(rest, "\n")
+			if _, err := fmt.Sscanf(header, "COMT-AC2 %s %d %s", &key, &n, &sum); err != nil || n > len(body) {
+				t.Fatalf("%s: record header %q: %v", p, header, err)
+			}
+			docs[key], rest = body[:n], body[n:]
+		}
+	}
+	return docs
 }
 
 // TestFarmRebuildEndToEnd routes an uncached rebuild entirely through

@@ -37,8 +37,9 @@ ban allow 14 '//comtainer:allow' bench
 # A request is built in distrib.Client.Do; the other two are the fleet
 # proxy's reverse-proxy steps (relay, forwardFarm).
 ban http.NewRequest 3 'http\.NewRequest'
-# A temp file is made by faultinject.Commit; the one is
-# DiskStore.Ingest, which streams before it knows the target directory.
+# A temp file is made by faultinject.Commit, an action-cache segment by
+# faultinject.CreateAppend; the one is DiskStore.Ingest, which streams
+# before it knows the target directory.
 ban CreateTemp 1 'CreateTemp\(' faultinject
 # Waiting selects a timer against ctx.Done() (distrib.Client.Retry).
 ban time.Sleep 0 'time\.Sleep\('
@@ -48,9 +49,10 @@ ban digest-conversion 0 'digest\.Digest\(' digest
 ban sha256-literal 0 '"sha256:' digest
 # Atomics are atomic.Int64/Bool values: no plain access to mix with.
 ban atomic-function 0 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int|Uint|Pointer)'
-# Stores write through the faultinject.FS seam and commit whole. The
-# four, none under a store root: experiments/export.go (CSV),
-# fleet/log.go (append-only log), fsim/osimport.go (export to host),
-# distrib/upload.go (upload spool).
-ban os-write 4 'os\.(WriteFile|Create|OpenFile)\(' faultinject bench
+# Stores write through the faultinject.FS seam: a file is committed
+# whole (Commit) or appended to at the end of its valid prefix
+# (AppendFile — the fleet write log and the action cache's segments).
+# The three, none under a store root: experiments/export.go (CSV),
+# fsim/osimport.go (export to host), distrib/upload.go (upload spool).
+ban os-write 3 'os\.(WriteFile|Create|OpenFile)\(' faultinject bench
 exit $fail

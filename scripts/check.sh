@@ -50,7 +50,10 @@ echo "== chaos (-race, -short seed subset) =="
 # reduced seed subset (-short trims 100 seeds to 10 per suite) for each
 # store — DiskStore, DiskTags, DiskCache, and an OCI layout saved fresh
 # and re-saved over a good one (…CrashRestartVerify,
-# …SaveLayoutCrashConsistency) — plus
+# …SaveLayoutCrashConsistency) — the action cache's power cut at every
+# one of a run's file-system operations in turn, enumerated rather than
+# sampled (…EnumeratedCrashPoints), the append-only logs' one rule
+# (AppendFile…, WriteLogAppendAfterTornTail) — plus
 # the resume/cancellation/breaker tests, the remote-execution farm
 # chaos (worker killed mid-action, lossy result uploads) and the
 # registry-fleet chaos (leader killed mid-push: every acknowledged
@@ -58,8 +61,8 @@ echo "== chaos (-race, -short seed subset) =="
 # runs the full 100-seed sweep; this step catches regressions in
 # seconds.
 go test -race -short -count=1 \
-    -run 'Chaos|CrashRestartVerify|SaveLayoutCrashConsistency|Resume|CancelAborts|Breaker|TieredDegrades' \
-    ./internal/distrib ./internal/actioncache ./internal/oci ./internal/remoteexec ./internal/fleet
+    -run 'Chaos|CrashRestartVerify|EnumeratedCrashPoints|SaveLayoutCrashConsistency|AppendFile|TornTail|Resume|CancelAborts|Breaker|TieredDegrades' \
+    ./internal/distrib ./internal/actioncache ./internal/oci ./internal/remoteexec ./internal/fleet ./internal/faultinject
 
 echo "== shared state (-race -count=10) =="
 # State this repo lets several goroutines reach at once is exercised
@@ -69,21 +72,30 @@ echo "== shared state (-race -count=10) =="
 # upload manager while one session's chunk or commit is stalled, and
 # the layer trees an oci.Store remembers (handed out only as clones,
 # re-verified under another diffID, dropped with their blob, clean under
-# concurrent Flatten/Put/Delete).
-go test -race -count=10 -run 'CloneShar|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageVerifies' \
-    ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci
+# concurrent Flatten/Put/Delete), and one action-cache directory under
+# two openers, each written from several goroutines.
+go test -race -count=10 -run 'CloneShar|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageVerifies|DiskCacheTwoOpeners' \
+    ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache
 
-echo "== fuzz smoke (10s) =="
-# Ten seconds of coverage-guided mutation on the one parser that takes
-# bytes straight from a registry: tarfs.Unmarshal against the copying
-# decoder it replaced (same verdict, same tree, archive never written,
-# no File.Data with capacity to append into it). The committed seeds in
-# internal/tarfs/testdata/fuzz run in every plain `go test`; this step
-# looks past them. A failure writes its input beside the seeds.
-# Minimization is off: with it the two workers spend the whole ten
-# seconds shrinking their first coverage-raising input (~100 executions
-# instead of ~150,000).
+echo "== fuzz smoke (3 x 10s) =="
+# Ten seconds of coverage-guided mutation on each parser that takes
+# bytes from outside the process. tarfs.Unmarshal takes a layer straight
+# from a registry: fuzzed against the copying decoder it replaced (same
+# verdict, same tree, archive never written, no File.Data with capacity
+# to append into it). The action cache's segment scan takes files from
+# a cache directory — shared, possibly written by another user's crashed
+# process: no panic, no indexed record leaves its file, whatever is
+# served hashes to its header's digest, and a cut or a flipped bit costs
+# no record before it. DecodeManifest/DecodeResult take the documents
+# out of such a segment or a registry blob: no panic, and what decodes
+# re-encodes to the same value. The committed seeds under each package's
+# testdata/fuzz run in every plain `go test`; this step looks past them.
+# A failure writes its input beside the seeds. Minimization is off: with
+# it the two workers spend the whole ten seconds shrinking their first
+# coverage-raising input (~100 executions instead of ~150,000).
 go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 10s -fuzzminimizetime 0 ./internal/tarfs
+go test -run '^$' -fuzz '^FuzzSegmentScan$' -fuzztime 10s -fuzzminimizetime 0 ./internal/actioncache
+go test -run '^$' -fuzz '^FuzzDecodeDocuments$' -fuzztime 10s -fuzzminimizetime 0 ./internal/actioncache
 
 echo "== go test -race =="
 go test -race ./...
