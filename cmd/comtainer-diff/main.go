@@ -83,7 +83,7 @@ func run(layoutDir, fromTag, toTag string) error {
 
 	// Origins from the extended image's models, when present.
 	origins := map[string]model.FileOrigin{}
-	for _, tag := range repo.Index.Tags() {
+	for _, tag := range repo.Tags() {
 		img, err := repo.LoadByTag(tag)
 		if err != nil {
 			continue

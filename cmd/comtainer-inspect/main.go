@@ -42,7 +42,7 @@ func run(layoutDir, tag string, showGraph bool) error {
 	}
 	if tag == "" {
 		fmt.Printf("%-36s %-14s %s\n", "tag", "digest", "layers")
-		for _, t := range repo.Index.Tags() {
+		for _, t := range repo.Tags() {
 			img, err := repo.LoadByTag(t)
 			if err != nil {
 				return err

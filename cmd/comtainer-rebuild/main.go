@@ -93,16 +93,6 @@ func parseAdapters(spec string) ([]adapter.Adapter, error) {
 	return out, nil
 }
 
-// findDistTag locates the <tag>+coM manifest in the layout's index.
-func findDistTag(repo *oci.Repository) (string, error) {
-	for _, tag := range repo.Index.Tags() {
-		if strings.HasSuffix(tag, cache.ExtendedSuffix) {
-			return strings.TrimSuffix(tag, cache.ExtendedSuffix), nil
-		}
-	}
-	return "", fmt.Errorf("layout holds no extended image (+coM tag); run comtainer-build first")
-}
-
 func run(layoutDir, sysName, adapterSpec, cacheDir, cacheRemote, remoteExec string, cacheCap int64, workers int) error {
 	repo, err := oci.LoadLayout(layoutDir)
 	if err != nil {
@@ -124,10 +114,11 @@ func run(layoutDir, sysName, adapterSpec, cacheDir, cacheRemote, remoteExec stri
 	if err != nil {
 		return err
 	}
-	distTag, err := findDistTag(repo)
-	if err != nil {
-		return err
+	extended := cache.DistTags(repo.Tags(), cache.ExtendedSuffix)
+	if len(extended) == 0 {
+		return fmt.Errorf("layout holds no extended image (+coM tag); run comtainer-build first")
 	}
+	distTag := extended[0] // of several, the first in tag order
 	var farm *remoteexec.Executor
 	if remoteExec != "" {
 		// The rebuild executes under the system's Sysenv registry (the

@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"comtainer/internal/core/backend"
 	"comtainer/internal/core/cache"
@@ -47,15 +46,11 @@ func run(layoutDir, sysName, outTag string) error {
 	if err := sysprofile.PopulateSystemSide(repo, sys); err != nil {
 		return err
 	}
-	var distTag string
-	for _, tag := range repo.Index.Tags() {
-		if strings.HasSuffix(tag, cache.RebuiltSuffix) {
-			distTag = strings.TrimSuffix(tag, cache.RebuiltSuffix)
-		}
-	}
-	if distTag == "" {
+	rebuilt := cache.DistTags(repo.Tags(), cache.RebuiltSuffix)
+	if len(rebuilt) == 0 {
 		return fmt.Errorf("layout holds no rebuilt image (+coMre tag); run comtainer-rebuild first")
 	}
+	distTag := rebuilt[len(rebuilt)-1] // of several, the last in tag order
 	desc, err := backend.Redirect(repo, distTag, backend.RedirectOptions{
 		System:       sys,
 		OptimizedTag: outTag,

@@ -31,14 +31,6 @@ func NewMemoizer(cache Cache) *Memoizer {
 	return &Memoizer{cache: cache}
 }
 
-// Cache returns the underlying tier stack (may be nil).
-func (m *Memoizer) Cache() Cache {
-	if m == nil {
-		return nil
-	}
-	return m.cache
-}
-
 // Stats merges the memoizer's action-level counters with the tiers'.
 func (m *Memoizer) Stats() Stats {
 	if m == nil {

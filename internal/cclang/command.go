@@ -133,12 +133,6 @@ func (c *Command) Render() []string {
 	return out
 }
 
-// Clone returns a deep copy of the command.
-func (c *Command) Clone() *Command {
-	out := &Command{Tool: c.Tool, Tokens: append([]Token(nil), c.Tokens...)}
-	return out
-}
-
 // Mode determines the pipeline mode. Later mode flags win, matching the
 // driver; any info flag short-circuits.
 func (c *Command) Mode() Mode {
@@ -196,28 +190,6 @@ func (c *Command) DefaultOutput(input string) string {
 		return "" // stdout
 	default:
 		return "a.out"
-	}
-}
-
-// Outputs lists every file the command produces: the -o target, or one
-// default-named object per source input in -c mode.
-func (c *Command) Outputs() []string {
-	if out, ok := c.Output(); ok {
-		return []string{out}
-	}
-	switch c.Mode() {
-	case ModeCompile, ModeAssembleSrc:
-		var outs []string
-		for _, in := range c.Inputs() {
-			if IsSourceFile(in) {
-				outs = append(outs, c.DefaultOutput(in))
-			}
-		}
-		return outs
-	case ModeLink:
-		return []string{"a.out"}
-	default:
-		return nil
 	}
 }
 
@@ -358,9 +330,6 @@ func (c *Command) Defines() []string {
 	return out
 }
 
-// Std returns the -std= value, if any.
-func (c *Command) Std() (string, bool) { return c.value("-std=") }
-
 // Language guesses the source language from the tool name.
 func (c *Command) Language() string {
 	base := path.Base(c.Tool)
@@ -437,11 +406,6 @@ func IsObjectFile(p string) bool { return path.Ext(p) == ".o" }
 
 // IsArchiveFile reports whether p looks like a static archive.
 func IsArchiveFile(p string) bool { return path.Ext(p) == ".a" }
-
-// IsSharedObject reports whether p looks like a shared library.
-func IsSharedObject(p string) bool {
-	return path.Ext(p) == ".so" || strings.Contains(path.Base(p), ".so.")
-}
 
 // IsCompilerTool reports whether the command name is a compiler driver this
 // package models (used by the hijacker to decide what to record).

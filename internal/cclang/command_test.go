@@ -154,12 +154,12 @@ func TestParseErrors(t *testing.T) {
 
 func TestDefaultOutputs(t *testing.T) {
 	c := mustParse(t, "gcc", "-c", "src/kernel.c", "phys.c")
-	if got := c.Outputs(); !reflect.DeepEqual(got, []string{"kernel.o", "phys.o"}) {
-		t.Errorf("Outputs = %v", got)
+	if got := []string{c.DefaultOutput("src/kernel.c"), c.DefaultOutput("phys.c")}; !reflect.DeepEqual(got, []string{"kernel.o", "phys.o"}) {
+		t.Errorf("default outputs = %v", got)
 	}
 	c = mustParse(t, "gcc", "main.o")
-	if got := c.Outputs(); !reflect.DeepEqual(got, []string{"a.out"}) {
-		t.Errorf("Outputs = %v", got)
+	if got := c.DefaultOutput("main.o"); got != "a.out" {
+		t.Errorf("default output = %q", got)
 	}
 }
 
@@ -239,8 +239,8 @@ func TestFileKindPredicates(t *testing.T) {
 	if IsSourceFile("a.o") || IsSourceFile("lib.a") {
 		t.Error("source predicate too loose")
 	}
-	if !IsObjectFile("a.o") || !IsArchiveFile("lib.a") || !IsSharedObject("libx.so") || !IsSharedObject("libx.so.6") {
-		t.Error("object/archive/so predicates wrong")
+	if !IsObjectFile("a.o") || !IsArchiveFile("lib.a") {
+		t.Error("object/archive predicates wrong")
 	}
 }
 
@@ -313,7 +313,7 @@ func TestArchiveParse(t *testing.T) {
 }
 
 func TestOptionCount(t *testing.T) {
-	if OptionCount() < 60 {
-		t.Errorf("option table suspiciously small: %d", OptionCount())
+	if len(exact) < 60 {
+		t.Errorf("option table suspiciously small: %d", len(exact))
 	}
 }

@@ -228,7 +228,3 @@ func lookup(arg string) (Spec, string, bool) {
 	}
 	return Spec{}, "", false
 }
-
-// OptionCount reports the number of distinct exact option specs in the
-// table (the families extend coverage to the full open-ended namespaces).
-func OptionCount() int { return len(exact) }

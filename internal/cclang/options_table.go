@@ -113,28 +113,3 @@ var diagnosticOptions = []string{
 	"-ftime-report", "-fmem-report", "-Q", "--help=optimizers",
 	"--help=warnings", "--help=target", "--version",
 }
-
-// FamilySpellings returns the concretely-modeled spellings of one
-// category bucket, for introspection and tests.
-func FamilySpellings() map[string][]string {
-	return map[string][]string{
-		"warning":      warningOptions,
-		"optimization": optimizationFOptions,
-		"codegen":      codegenFOptions,
-		"machine":      machineOptions,
-		"language":     languageOptions,
-		"debug":        debugOptions,
-		"diagnostic":   diagnosticOptions,
-	}
-}
-
-// KnownSpellings reports how many concrete option spellings the model
-// recognizes precisely (exact table + the curated family spellings); the
-// open-ended family rules extend coverage to the rest of GCC's 2314.
-func KnownSpellings() int {
-	n := len(exact)
-	for _, list := range FamilySpellings() {
-		n += len(list)
-	}
-	return n
-}

@@ -481,12 +481,19 @@ func (b *Builder) execCommand(state *stageState, argv []string) error {
 		}
 		return nil
 	case "cp":
-		return b.cpBuiltin(state, argv[1:])
+		_, err := b.cpBuiltin(state, argv[1:])
+		return err
 	case "mv":
-		if err := b.cpBuiltin(state, argv[1:]); err != nil {
+		srcs, err := b.cpBuiltin(state, argv[1:])
+		if err != nil {
 			return err
 		}
-		return state.fs.Remove(abs(argv[len(argv)-2]))
+		for _, src := range srcs {
+			if err := state.fs.Remove(abs(src)); err != nil {
+				return err
+			}
+		}
+		return nil
 	case "touch":
 		for _, a := range argv[1:] {
 			if !state.fs.Exists(abs(a)) {
@@ -532,8 +539,9 @@ func (b *Builder) execCommand(state *stageState, argv []string) error {
 	}
 }
 
-// cpBuiltin copies files or directory subtrees.
-func (b *Builder) cpBuiltin(state *stageState, args []string) error {
+// cpBuiltin copies files or directory subtrees and returns the sources
+// it was given.
+func (b *Builder) cpBuiltin(state *stageState, args []string) ([]string, error) {
 	var paths []string
 	for _, a := range args {
 		if strings.HasPrefix(a, "-") {
@@ -542,10 +550,10 @@ func (b *Builder) cpBuiltin(state *stageState, args []string) error {
 		paths = append(paths, a)
 	}
 	if len(paths) < 2 {
-		return fmt.Errorf("cp: want source(s) and destination")
+		return nil, fmt.Errorf("cp: want source(s) and destination")
 	}
-	dst := paths[len(paths)-1]
-	return copyInto(state.fs, state.fs, state.cwd, paths[:len(paths)-1], dst)
+	srcs, dst := paths[:len(paths)-1], paths[len(paths)-1]
+	return srcs, copyInto(state.fs, state.fs, state.cwd, srcs, dst)
 }
 
 // makeBuiltin runs `make [targets]` through the makesim interpreter: the

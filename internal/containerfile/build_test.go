@@ -237,7 +237,8 @@ ENV CC=gcc COPTS=-O3
 COPY /src /work/src
 WORKDIR /work/src
 RUN mkdir -p /out && $CC $COPTS -c main.c -o /out/main.o
-RUN cp /out/main.o /out/copy.o && mv /out/copy.o /out/moved.o && rm /out/main.o
+RUN cp /out/main.o /out/copy.o && mv /out/copy.o /out/moved.o
+RUN cp /out/main.o /out/a.o && cp /out/main.o /out/b.o && mkdir /out/dir && mv /out/a.o /out/b.o /out/dir/ && rm /out/main.o
 RUN ln -s /out/moved.o /out/alias.o && touch /out/stamp
 `)
 	if err != nil {
@@ -251,6 +252,9 @@ RUN ln -s /out/moved.o /out/alias.o && touch /out/stamp
 	flat, _ := img.Flatten()
 	if flat.Exists("/out/main.o") || !flat.Exists("/out/moved.o") {
 		t.Error("cp/mv/rm semantics wrong")
+	}
+	if flat.Exists("/out/a.o") || flat.Exists("/out/b.o") || !flat.Exists("/out/dir/a.o") || !flat.Exists("/out/dir/b.o") {
+		t.Errorf("mv of two sources into a directory left %v", flat.Glob("/out/*"))
 	}
 	if !flat.Exists("/out/stamp") {
 		t.Error("touch failed")

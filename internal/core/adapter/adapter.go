@@ -319,65 +319,6 @@ func (crossISAAdapter) Apply(ctx *Context) error {
 	return nil
 }
 
-// --- bolt: post-link binary layout optimization ---
-
-type boltAdapter struct {
-	profilePath string
-}
-
-// BOLT returns the binary-layout-optimization adapter, the "greater space
-// for potential performance gains" the paper's §3 points at beyond LTO and
-// PGO. It appends a comt-bolt post-processing node after every executable
-// link and retargets the install map at the optimized binaries. Like PGO,
-// it needs a collected profile in the rebuild container.
-func BOLT(profilePath string) Adapter { return boltAdapter{profilePath: profilePath} }
-
-func (boltAdapter) Name() string { return "bolt" }
-
-func (b boltAdapter) Apply(ctx *Context) error {
-	if b.profilePath == "" {
-		return fmt.Errorf("adapter bolt: a profile path is required")
-	}
-	g := ctx.Models.Graph
-	maxSeq := 0
-	for _, n := range g.Products() {
-		if n.Cmd != nil && n.Cmd.Seq >= maxSeq {
-			maxSeq = n.Cmd.Seq + 1
-		}
-	}
-	// Collect first: adding nodes while ranging would revisit them.
-	var exes []*model.Node
-	for _, n := range g.Products() {
-		if n.Kind == model.KindExecutable && n.Cmd != nil && n.Cmd.Kind == "cc" {
-			exes = append(exes, n)
-		}
-	}
-	if len(exes) == 0 {
-		ctx.Report.Notef("bolt: no executables in the build graph")
-		return nil
-	}
-	for _, exe := range exes {
-		boltPath := exe.Path + ".bolt"
-		cm := &model.CompilationModel{
-			Kind: "bolt",
-			Argv: []string{"comt-bolt", "-profile", b.profilePath, "-o", boltPath, exe.Path},
-			Cwd:  exe.Cmd.Cwd,
-			Seq:  maxSeq,
-		}
-		maxSeq++
-		g.AddProduct(boltPath, model.KindExecutable, cm, []model.NodeID{exe.ID})
-		ctx.Report.ChangedCommands++
-		// Rebuilt installs now pick up the optimized binary.
-		for distPath, buildPath := range ctx.Models.Installed {
-			if buildPath == exe.Path {
-				ctx.Models.Installed[distPath] = boltPath
-			}
-		}
-		ctx.Report.Notef("bolt: layout-optimizing %s", exe.Path)
-	}
-	return nil
-}
-
 // --- march-only (ablation) ---
 
 type marchAdapter struct{ arch string }

@@ -212,38 +212,6 @@ func TestCrossISASameISANoOp(t *testing.T) {
 	}
 }
 
-func TestBOLTAdapter(t *testing.T) {
-	m, srcFS := fixtureModels([]string{"-O2"}, map[string]string{"/w/a.c": "x"})
-	sys := sysprofile.X86Cluster()
-	if _, err := apply(t, BOLT(""), m, srcFS, sys); err == nil {
-		t.Error("BOLT without a profile accepted")
-	}
-	r, err := apply(t, BOLT("/.comtainer/profile/p.profdata"), m, srcFS, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ChangedCommands != 1 {
-		t.Errorf("ChangedCommands = %d", r.ChangedCommands)
-	}
-	bolted, ok := m.Graph.ByPath("/w/app.bolt")
-	if !ok {
-		t.Fatal("no bolted node added")
-	}
-	if bolted.Cmd.Kind != "bolt" || bolted.Cmd.Argv[0] != "comt-bolt" {
-		t.Errorf("bolt command = %+v", bolted.Cmd)
-	}
-	if len(bolted.Deps) != 1 {
-		t.Errorf("bolt deps = %v", bolted.Deps)
-	}
-	// Installed map now points at the optimized binary.
-	if m.Installed["/app/x"] != "/w/app.bolt" {
-		t.Errorf("Installed = %v", m.Installed)
-	}
-	if err := m.Graph.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMarchAdapter(t *testing.T) {
 	m, srcFS := fixtureModels([]string{"-O2"}, map[string]string{"/w/a.c": "x"})
 	if _, err := apply(t, March("icelake-server"), m, srcFS, sysprofile.X86Cluster()); err != nil {

@@ -54,16 +54,17 @@ type plan struct {
 	Installed map[string]string `json:"installed"`
 }
 
-// RebuildOptions configures a rebuild.
+// RebuildOptions configures a rebuild. The rebuild container's base is the
+// image the repository tags sysprofile.TagSysenv.
 type RebuildOptions struct {
 	System *sysprofile.System
 	// Adapters to apply, in order. Defaults to adapter.DefaultAdapted().
 	Adapters []adapter.Adapter
 	// Registry overrides the toolchain registry of the rebuild container
-	// (defaults to the system's Sysenv registry).
+	// (defaults to the system's Sysenv registry): the generic toolchain
+	// for the library-replacement-only ablation, System.LLVMRegistry for
+	// the free toolchain over the same Sysenv image.
 	Registry *toolchain.Registry
-	// SysenvTag names the Sysenv image in the repository.
-	SysenvTag string
 	// ExtraFiles are placed into the rebuild container before execution
 	// (e.g. the PGO profile collected from a trial run).
 	ExtraFiles map[string][]byte
@@ -92,9 +93,6 @@ func Rebuild(repo *oci.Repository, distTag string, opts RebuildOptions) (oci.Des
 	}
 	if opts.Registry == nil {
 		opts.Registry = opts.System.Toolchains
-	}
-	if opts.SysenvTag == "" {
-		opts.SysenvTag = sysprofile.TagSysenv
 	}
 
 	extDesc, err := repo.Resolve(cache.ExtendedTag(distTag))
@@ -128,7 +126,7 @@ func Rebuild(repo *oci.Repository, distTag string, opts RebuildOptions) (oci.Des
 	}
 
 	// The rebuild container: Sysenv image + cached sources + extras.
-	sysenvImg, err := repo.LoadByTag(opts.SysenvTag)
+	sysenvImg, err := repo.LoadByTag(sysprofile.TagSysenv)
 	if err != nil {
 		return oci.Descriptor{}, report, fmt.Errorf("backend: loading Sysenv image: %w", err)
 	}
@@ -206,11 +204,10 @@ func Rebuild(repo *oci.Repository, distTag string, opts RebuildOptions) (oci.Des
 	return rebuilt, report, nil
 }
 
-// RedirectOptions configures a redirect.
+// RedirectOptions configures a redirect. The redirect container's base is
+// the image the repository tags sysprofile.TagRebase.
 type RedirectOptions struct {
 	System *sysprofile.System
-	// RebaseTag names the Rebase image in the repository.
-	RebaseTag string
 	// OptimizedTag is the tag given to the final image; defaults to
 	// distTag + ".redirect".
 	OptimizedTag string
@@ -223,9 +220,6 @@ type RedirectOptions struct {
 func Redirect(repo *oci.Repository, distTag string, opts RedirectOptions) (oci.Descriptor, error) {
 	if opts.System == nil {
 		return oci.Descriptor{}, fmt.Errorf("backend: redirect needs a system profile")
-	}
-	if opts.RebaseTag == "" {
-		opts.RebaseTag = sysprofile.TagRebase
 	}
 	if opts.OptimizedTag == "" {
 		opts.OptimizedTag = distTag + ".redirect"
@@ -247,7 +241,7 @@ func Redirect(repo *oci.Repository, distTag string, opts RedirectOptions) (oci.D
 		return oci.Descriptor{}, fmt.Errorf("backend: decoding plan: %w", err)
 	}
 
-	rebaseImg, err := repo.LoadByTag(opts.RebaseTag)
+	rebaseImg, err := repo.LoadByTag(sysprofile.TagRebase)
 	if err != nil {
 		return oci.Descriptor{}, fmt.Errorf("backend: loading Rebase image: %w", err)
 	}

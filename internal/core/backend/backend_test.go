@@ -59,7 +59,7 @@ func setup(t *testing.T, sys *sysprofile.System) (*oci.Repository, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	extDesc, err := cache.Extend(userRepo, "comd.dist", models, buildFS)
+	extDesc, err := cache.ExtendWith(userRepo, "comd.dist", models, buildFS, cache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,6 +117,19 @@ func ExtendedTag(distTag string) string { return distTag + ExtendedSuffix }
 // distTag.
 func RebuiltTag(distTag string) string { return distTag + RebuiltSuffix }
 
+// DistTags returns, in the order of tags, the dist tag of every one that
+// ends in suffix (ExtendedSuffix or RebuiltSuffix): what a layout holds an
+// extended or a rebuilt image of.
+func DistTags(tags []string, suffix string) []string {
+	var out []string
+	for _, tag := range tags {
+		if dist, ok := strings.CutSuffix(tag, suffix); ok {
+			out = append(out, dist)
+		}
+	}
+	return out
+}
+
 // Format selects the distribution form of the cached build inputs.
 type Format int
 
@@ -138,13 +151,9 @@ type Options struct {
 	Format Format
 }
 
-// BuildLayer assembles the cache layer: the serialized models plus every
-// referenced source file, stored under SrcPrefix at its original path.
-func BuildLayer(m *model.Models, buildFS *fsim.FS) (*fsim.FS, error) {
-	return BuildLayerWith(m, buildFS, Options{})
-}
-
-// BuildLayerWith is BuildLayer with explicit options.
+// BuildLayerWith assembles the cache layer: the serialized models plus
+// every referenced source file, stored under SrcPrefix at its original
+// path, in the form opts selects.
 func BuildLayerWith(m *model.Models, buildFS *fsim.FS, opts Options) (*fsim.FS, error) {
 	if opts.Obfuscate && opts.Format == FormatIR {
 		return nil, fmt.Errorf("cache: obfuscation and IR distribution are mutually exclusive")
@@ -186,14 +195,9 @@ func BuildLayerWith(m *model.Models, buildFS *fsim.FS, opts Options) (*fsim.FS, 
 	return layer, nil
 }
 
-// Extend appends the cache layer to the image tagged distTag in repo and
-// tags the result with the +coM suffix. It returns the extended image's
-// manifest descriptor.
-func Extend(repo *oci.Repository, distTag string, m *model.Models, buildFS *fsim.FS) (oci.Descriptor, error) {
-	return ExtendWith(repo, distTag, m, buildFS, Options{})
-}
-
-// ExtendWith is Extend with explicit options.
+// ExtendWith appends the cache layer to the image tagged distTag in repo
+// and tags the result with the +coM suffix. It returns the extended
+// image's manifest descriptor.
 func ExtendWith(repo *oci.Repository, distTag string, m *model.Models, buildFS *fsim.FS, opts Options) (oci.Descriptor, error) {
 	distDesc, err := repo.Resolve(distTag)
 	if err != nil {

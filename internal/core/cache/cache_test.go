@@ -46,7 +46,7 @@ func distRepo(t *testing.T) (*oci.Repository, string) {
 func TestExtendAndRead(t *testing.T) {
 	repo, distTag := distRepo(t)
 	m := sampleModels()
-	ext, err := Extend(repo, distTag, m, sampleBuildFS())
+	ext, err := ExtendWith(repo, distTag, m, sampleBuildFS(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestExtendAndRead(t *testing.T) {
 
 func TestCacheLayerSize(t *testing.T) {
 	repo, distTag := distRepo(t)
-	ext, err := Extend(repo, distTag, sampleModels(), sampleBuildFS())
+	ext, err := ExtendWith(repo, distTag, sampleModels(), sampleBuildFS(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestReadRejectsPlainImage(t *testing.T) {
 func TestBuildLayerMissingSource(t *testing.T) {
 	m := sampleModels()
 	m.SourcePaths = append(m.SourcePaths, "/w/src/ghost.c")
-	if _, err := BuildLayer(m, sampleBuildFS()); err == nil {
+	if _, err := BuildLayerWith(m, sampleBuildFS(), Options{}); err == nil {
 		t.Error("missing source not detected")
 	}
 }
@@ -124,7 +124,7 @@ func TestBuildLayerMissingSource(t *testing.T) {
 func TestReadDetectsTamperedCache(t *testing.T) {
 	repo, distTag := distRepo(t)
 	m := sampleModels()
-	if _, err := Extend(repo, distTag, m, sampleBuildFS()); err != nil {
+	if _, err := ExtendWith(repo, distTag, m, sampleBuildFS(), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	extImg, _ := repo.LoadByTag(ExtendedTag(distTag))

@@ -82,7 +82,7 @@ type BuildResult struct {
 // evaluation's "original" scheme): the stock base image, the default
 // toolchain and software stack, no coMtainer involvement.
 func (u *UserSide) BuildOriginal(app *workloads.App) (BuildResult, error) {
-	return u.build(app, false)
+	return u.buildWith(app, false, cache.Options{})
 }
 
 // BuildExtended runs the full user side of the coMtainer workflow: the
@@ -106,10 +106,6 @@ func (u *UserSide) BuildExtendedObfuscated(app *workloads.App) (BuildResult, err
 // own ISA, but its packages are version-locked and it cannot cross ISAs.
 func (u *UserSide) BuildExtendedIR(app *workloads.App) (BuildResult, error) {
 	return u.buildWith(app, true, cache.Options{Format: cache.FormatIR})
-}
-
-func (u *UserSide) build(app *workloads.App, comtainer bool) (BuildResult, error) {
-	return u.buildWith(app, comtainer, cache.Options{})
 }
 
 func (u *UserSide) buildWith(app *workloads.App, comtainer bool, cacheOpts cache.Options) (BuildResult, error) {
@@ -255,29 +251,6 @@ func (s *SystemSide) Adapt(distTag string, adapters []adapter.Adapter) (string, 
 	return distTag + ".redirect", nil
 }
 
-// AdaptLLVM performs the artifact-evaluation variant of Adapt: the rebuild
-// container uses the redistributable LLVM-based Sysenv image instead of
-// the proprietary vendor toolchain. The optimized libraries still apply,
-// but the compiler-side gains are diminished — matching the paper's AE
-// expectations.
-func (s *SystemSide) AdaptLLVM(distTag string, adapters []adapter.Adapter) (string, error) {
-	_, _, err := backend.Rebuild(s.Repo, distTag, backend.RebuildOptions{
-		System:    s.System,
-		Adapters:  adapters,
-		Registry:  s.System.LLVMRegistry(),
-		SysenvTag: sysprofile.TagSysenvLLVM,
-		Memo:      s.ActionMemo,
-		Workers:   s.RebuildWorkers,
-	})
-	if err != nil {
-		return "", err
-	}
-	if _, err := s.Redirect(distTag); err != nil {
-		return "", err
-	}
-	return distTag + ".redirect", nil
-}
-
 // profileDropPath is where the PGO loop places the collected profile
 // inside the rebuild container.
 const profileDropPath = "/.comtainer/profile/default.profdata"
@@ -313,41 +286,6 @@ func (s *SystemSide) PGOLoop(distTag string, base []adapter.Adapter, trainRef wo
 	}
 	if _, err := s.Redirect(distTag); err != nil {
 		return fmt.Errorf("core: PGO optimizing redirect: %w", err)
-	}
-	return nil
-}
-
-// PGOBoltLoop runs the PGO feedback loop and additionally post-processes
-// the final binaries with the BOLT-style layout optimizer, reusing the
-// same collected profile — the binary-level layout optimization the
-// paper's §3 identifies as further headroom.
-func (s *SystemSide) PGOBoltLoop(distTag string, base []adapter.Adapter, trainRef workloads.Ref, trainNodes int) error {
-	instr := append(append([]adapter.Adapter{}, base...), adapter.PGOInstrument())
-	if _, _, err := s.Rebuild(distTag, instr, nil); err != nil {
-		return fmt.Errorf("core: BOLT instrumentation rebuild: %w", err)
-	}
-	if _, err := s.Redirect(distTag); err != nil {
-		return err
-	}
-	img, err := s.Repo.LoadByTag(distTag + ".redirect")
-	if err != nil {
-		return err
-	}
-	run, err := chrun.RunImage(s.System, trainRef, img, trainNodes)
-	if err != nil {
-		return fmt.Errorf("core: BOLT trial run: %w", err)
-	}
-	if len(run.Profile) == 0 {
-		return fmt.Errorf("core: trial run produced no profile")
-	}
-	final := append(append([]adapter.Adapter{}, base...),
-		adapter.PGOUse(profileDropPath), adapter.BOLT(profileDropPath))
-	extra := map[string][]byte{profileDropPath: run.Profile}
-	if _, _, err := s.Rebuild(distTag, final, extra); err != nil {
-		return fmt.Errorf("core: BOLT optimizing rebuild: %w", err)
-	}
-	if _, err := s.Redirect(distTag); err != nil {
-		return err
 	}
 	return nil
 }

@@ -114,7 +114,7 @@ func TestUserSideBuildExtended(t *testing.T) {
 	// Each stage ran and was committed once: every blob is reachable
 	// from a tag, and a fresh build replayed nothing from its own cache.
 	reachable := oci.NewStore()
-	for _, tag := range user.Repo.Index.Tags() {
+	for _, tag := range user.Repo.Tags() {
 		desc, err := user.Repo.Resolve(tag)
 		if err != nil {
 			t.Fatal(err)
@@ -123,8 +123,8 @@ func TestUserSideBuildExtended(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if reachable.Len() != user.Repo.Store.Len() {
-		t.Errorf("%d of %d blobs are reachable from a tag", reachable.Len(), user.Repo.Store.Len())
+	if got, all := len(reachable.Digests()), len(user.Repo.Store.Digests()); got != all {
+		t.Errorf("%d of %d blobs are reachable from a tag", got, all)
 	}
 	if hits, misses := user.BuildCache.Stats(); hits != 0 {
 		t.Errorf("one fresh build: %d build-cache hits, %d misses", hits, misses)
@@ -294,63 +294,6 @@ func TestPGOLoop(t *testing.T) {
 	}
 }
 
-func TestPGOBoltLoop(t *testing.T) {
-	sys := sysprofile.X86Cluster()
-	user, err := NewUserSide(sys.ISA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := mustApp(t, "openmx")
-	res, err := user.BuildExtended(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := refFor(t, "openmx.pt13")
-
-	pgoSide, err := NewSystemSide(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pgoSide.Pull(user.Repo, res.ExtendedTag); err != nil {
-		t.Fatal(err)
-	}
-	if err := pgoSide.PGOLoop(res.DistTag, adapter.DefaultOptimized(), ref, 16); err != nil {
-		t.Fatal(err)
-	}
-	pgoRun, err := pgoSide.Run(res.DistTag+".redirect", ref, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	boltSide, err := NewSystemSide(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := boltSide.Pull(user.Repo, res.ExtendedTag); err != nil {
-		t.Fatal(err)
-	}
-	if err := boltSide.PGOBoltLoop(res.DistTag, adapter.DefaultOptimized(), ref, 16); err != nil {
-		t.Fatal(err)
-	}
-	boltRun, err := boltSide.Run(res.DistTag+".redirect", ref, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !boltRun.Binary.LayoutOptimized {
-		t.Error("final binary not layout-optimized")
-	}
-	if !boltRun.Binary.PGOOptimized || !boltRun.Binary.LTO {
-		t.Errorf("BOLT loop dropped earlier optimizations: %+v", boltRun.Binary)
-	}
-	// For a PGO-friendly workload, layout optimization adds on top of PGO.
-	if boltRun.Seconds >= pgoRun.Seconds {
-		t.Errorf("BOLT (%.2f) not faster than PGO-only (%.2f)", boltRun.Seconds, pgoRun.Seconds)
-	}
-	if boltRun.LayoutFactor <= 1.0 {
-		t.Errorf("LayoutFactor = %f", boltRun.LayoutFactor)
-	}
-}
-
 func TestCrossISAWorkflow(t *testing.T) {
 	// Build on x86-64, rebuild+redirect on the AArch64 system (§5.5).
 	x86User, err := NewUserSide(toolchain.ISAx86)
@@ -408,9 +351,9 @@ func TestCrossISAWorkflow(t *testing.T) {
 }
 
 func TestLLVMArtifactEvaluationPath(t *testing.T) {
-	// The AE ships LLVM-based Sysenv images; adaptation still works, the
-	// libraries still deliver, but the compiler gain is diminished
-	// compared to the vendor toolchain.
+	// The AE ships the free LLVM toolchain in place of the vendor one;
+	// adaptation still works, the libraries still deliver, but the
+	// compiler gain is diminished compared to the vendor toolchain.
 	sys := sysprofile.X86Cluster()
 	user, err := NewUserSide(sys.ISA)
 	if err != nil {
@@ -446,11 +389,13 @@ func TestLLVMArtifactEvaluationPath(t *testing.T) {
 	if err := llvmSide.Pull(user.Repo, res.ExtendedTag); err != nil {
 		t.Fatal(err)
 	}
-	llvmTag, err := llvmSide.AdaptLLVM(res.DistTag, adapter.DefaultAdapted())
-	if err != nil {
-		t.Fatalf("LLVM adapt: %v", err)
+	if _, _, err := llvmSide.RebuildWith(res.DistTag, adapter.DefaultAdapted(), nil, sys.LLVMRegistry()); err != nil {
+		t.Fatalf("LLVM rebuild: %v", err)
 	}
-	llvmRun, err := llvmSide.Run(llvmTag, ref, 16)
+	if _, err := llvmSide.Redirect(res.DistTag); err != nil {
+		t.Fatalf("LLVM redirect: %v", err)
+	}
+	llvmRun, err := llvmSide.Run(res.DistTag+".redirect", ref, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,7 +623,8 @@ func TestCrossISAMultiArchPublish(t *testing.T) {
 	}
 	x86Desc.Platform = &oci.Platform{Architecture: "amd64", OS: "linux"}
 	armDesc.Platform = &oci.Platform{Architecture: "arm64", OS: "linux"}
-	list, err := oci.WriteManifestList(shared.Store, []oci.Descriptor{x86Desc, armDesc})
+	list, err := oci.PutJSON(shared.Store, oci.Index{SchemaVersion: 2, MediaType: oci.MediaTypeIndex,
+		Manifests: []oci.Descriptor{x86Desc, armDesc}}, oci.MediaTypeIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,13 +632,13 @@ func TestCrossISAMultiArchPublish(t *testing.T) {
 	shared.Tag("comd", list)
 
 	// Each cluster pulls the fat tag — the list, both member images and
-	// all their blobs — resolves its own platform locally and runs the
-	// result.
+	// all their blobs — and runs the member built for it.
 	ref := refFor(t, "comd")
 	for _, tc := range []struct {
 		sys  *sysprofile.System
 		arch string
-	}{{x86Sys, "amd64"}, {armSys, "arm64"}} {
+		desc oci.Descriptor
+	}{{x86Sys, "amd64", x86Desc}, {armSys, "arm64", armDesc}} {
 		side, err := NewSystemSide(tc.sys)
 		if err != nil {
 			t.Fatal(err)
@@ -700,12 +646,7 @@ func TestCrossISAMultiArchPublish(t *testing.T) {
 		if err := side.Pull(shared, "comd"); err != nil {
 			t.Fatalf("%s: pulling the manifest-list tag: %v", tc.arch, err)
 		}
-		pulled := mustResolve(t, side.Repo, "comd")
-		desc, err := oci.ResolvePlatform(side.Repo.Store, pulled, tc.arch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		img, err := oci.LoadImage(side.Repo.Store, desc)
+		img, err := oci.LoadImage(side.Repo.Store, tc.desc)
 		if err != nil {
 			t.Fatal(err)
 		}

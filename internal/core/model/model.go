@@ -105,14 +105,6 @@ func (cm *CompilationModel) CC() (*cclang.Command, error) {
 	return cclang.Parse(cm.Argv)
 }
 
-// Ar parses the command as an archiver invocation.
-func (cm *CompilationModel) Ar() (*cclang.ArchiveCommand, error) {
-	if cm.Kind != "ar" {
-		return nil, fmt.Errorf("model: node command is %q, not an archive operation", cm.Kind)
-	}
-	return cclang.ParseArchive(cm.Argv)
-}
-
 // Clone deep-copies the compilation model.
 func (cm *CompilationModel) Clone() *CompilationModel {
 	if cm == nil {

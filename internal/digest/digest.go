@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"io"
 	"strings"
 )
 
@@ -44,16 +43,6 @@ func FromString(s string) Digest {
 // "sha256:" + hex strings by hand at streaming call sites.
 func FromHash(h hash.Hash) Digest {
 	return Digest("sha256:" + hex.EncodeToString(h.Sum(nil)))
-}
-
-// FromReader computes the sha256 digest of everything readable from r.
-func FromReader(r io.Reader) (Digest, int64, error) {
-	h := sha256.New()
-	n, err := io.Copy(h, r)
-	if err != nil {
-		return "", 0, fmt.Errorf("digest: reading content: %w", err)
-	}
-	return FromHash(h), n, nil
 }
 
 // Parse validates s and returns it as a Digest.
@@ -91,12 +80,6 @@ func (d Digest) Validate() error {
 	return nil
 }
 
-// Algorithm returns the algorithm portion of the digest.
-func (d Digest) Algorithm() Algorithm {
-	algo, _, _ := strings.Cut(string(d), ":")
-	return Algorithm(algo)
-}
-
 // Hex returns the hex portion of the digest (without the algorithm prefix).
 func (d Digest) Hex() string {
 	_, hexPart, _ := strings.Cut(string(d), ":")
@@ -119,25 +102,4 @@ func (d Digest) String() string { return string(d) }
 // Verify reports whether content hashes to d.
 func (d Digest) Verify(content []byte) bool {
 	return FromBytes(content) == d
-}
-
-// Verifier incrementally hashes written content and reports whether the
-// final hash matches an expected digest.
-type Verifier struct {
-	want Digest
-	h    hash.Hash
-}
-
-// NewVerifier returns a Verifier checking against want.
-func NewVerifier(want Digest) *Verifier {
-	return &Verifier{want: want, h: sha256.New()}
-}
-
-// Write feeds content into the verifier. It never fails.
-func (v *Verifier) Write(p []byte) (int, error) { return v.h.Write(p) }
-
-// Verified reports whether all content written so far hashes to the
-// expected digest.
-func (v *Verifier) Verified() bool {
-	return FromHash(v.h) == v.want
 }

@@ -26,19 +26,6 @@ func TestFromStringMatchesFromBytes(t *testing.T) {
 	}
 }
 
-func TestFromReader(t *testing.T) {
-	d, n, err := FromReader(strings.NewReader("abc"))
-	if err != nil {
-		t.Fatalf("FromReader: %v", err)
-	}
-	if n != 3 {
-		t.Errorf("n = %d, want 3", n)
-	}
-	if d != FromBytes([]byte("abc")) {
-		t.Errorf("digest mismatch: %s", d)
-	}
-}
-
 func TestParseValid(t *testing.T) {
 	d := FromBytes([]byte("x"))
 	got, err := Parse(string(d))
@@ -89,9 +76,6 @@ func TestFromHex(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	d := FromBytes([]byte("payload"))
-	if d.Algorithm() != SHA256 {
-		t.Errorf("Algorithm = %q", d.Algorithm())
-	}
 	if len(d.Hex()) != 64 {
 		t.Errorf("Hex length = %d", len(d.Hex()))
 	}
@@ -111,24 +95,6 @@ func TestVerify(t *testing.T) {
 	}
 	if d.Verify([]byte("other bytes")) {
 		t.Error("Verify accepted mismatched content")
-	}
-}
-
-func TestVerifier(t *testing.T) {
-	content := []byte("streaming content for the verifier")
-	v := NewVerifier(FromBytes(content))
-	// Feed in two chunks to exercise incremental hashing.
-	if _, err := v.Write(content[:10]); err != nil {
-		t.Fatal(err)
-	}
-	if v.Verified() {
-		t.Error("Verified true before all content written")
-	}
-	if _, err := v.Write(content[10:]); err != nil {
-		t.Fatal(err)
-	}
-	if !v.Verified() {
-		t.Error("Verified false after all content written")
 	}
 }
 

@@ -440,32 +440,26 @@ func (c *Client) push(ctx context.Context, name string, d digest.Digest, open fu
 // every member image by digest, then the manifest, so the registry
 // never sees a manifest with dangling references.
 func (c *Client) PushImage(ctx context.Context, src BlobSource, desc oci.Descriptor, name, tag string) error {
-	raw, err := ReadBlob(src, desc.Digest)
-	if err != nil {
-		return fmt.Errorf("distrib: loading manifest %s: %w", desc.Digest.Short(), err)
-	}
-	blobs, children, err := oci.References(raw)
-	if err != nil {
-		return fmt.Errorf("distrib: manifest %s: %w", desc.Digest.Short(), err)
-	}
-	for _, child := range children {
-		if err := c.PushImage(ctx, src, child, name, string(child.Digest)); err != nil {
+	get := func(d digest.Digest) ([]byte, error) { return ReadBlob(src, d) }
+	return oci.Walk(desc, get, func(doc oci.Descriptor, raw []byte, blobs, children []oci.Descriptor) error {
+		tasks := make([]func() error, len(blobs))
+		for i, bd := range blobs {
+			// Fail fast if the source is missing a referenced blob: the
+			// registry would reject the manifest anyway.
+			if !src.Has(bd.Digest) {
+				return fmt.Errorf("distrib: source is missing referenced blob %s", bd.Digest)
+			}
+			tasks[i] = func() error { return c.PushBlob(ctx, name, src, bd.Digest) }
+		}
+		if err := c.runPool(tasks); err != nil {
 			return err
 		}
-	}
-	tasks := make([]func() error, len(blobs))
-	for i, bd := range blobs {
-		// Fail fast if the source is missing a referenced blob: the
-		// registry would reject the manifest anyway.
-		if !src.Has(bd.Digest) {
-			return fmt.Errorf("distrib: source is missing referenced blob %s", bd.Digest)
+		ref := string(doc.Digest) // a member image goes up by digest
+		if doc.Digest == desc.Digest {
+			ref = tag
 		}
-		tasks[i] = func() error { return c.PushBlob(ctx, name, src, bd.Digest) }
-	}
-	if err := c.runPool(tasks); err != nil {
-		return err
-	}
-	return c.PushManifest(ctx, name, tag, manifestMediaType(desc.MediaType, children), raw)
+		return c.PushManifest(ctx, name, ref, manifestMediaType(doc.MediaType, children), raw)
+	})
 }
 
 // manifestMediaType returns declared, or when a document travelled
@@ -622,27 +616,35 @@ func (c *Client) PullImage(ctx context.Context, dst Store, name, ref string) (oc
 	if err != nil {
 		return oci.Descriptor{}, err
 	}
-	blobs, children, err := oci.References(body)
+	root := oci.Descriptor{MediaType: mediaType, Digest: d, Size: int64(len(body))}
+	get := func(child digest.Digest) ([]byte, error) {
+		if child == d {
+			return body, nil // ref may be a tag; what it named is in hand
+		}
+		doc, _, _, err := c.FetchManifest(ctx, name, string(child))
+		return doc, err
+	}
+	err = oci.Walk(root, get, func(doc oci.Descriptor, raw []byte, blobs, children []oci.Descriptor) error {
+		tasks := make([]func() error, 0, len(blobs))
+		for _, bd := range blobs {
+			if dst.Has(bd.Digest) {
+				continue // cross-image layer dedup: already local
+			}
+			tasks = append(tasks, func() error { return c.FetchBlob(ctx, dst, name, bd.Digest) })
+		}
+		if err := c.runPool(tasks); err != nil {
+			return err
+		}
+		if _, _, err := dst.Ingest(bytes.NewReader(raw), doc.Digest); err != nil {
+			return fmt.Errorf("distrib: storing manifest: %w", err)
+		}
+		if doc.Digest == d {
+			root.MediaType = manifestMediaType(mediaType, children)
+		}
+		return nil
+	})
 	if err != nil {
-		return oci.Descriptor{}, fmt.Errorf("distrib: manifest %s: %w", d.Short(), err)
-	}
-	for _, child := range children {
-		if _, err := c.PullImage(ctx, dst, name, string(child.Digest)); err != nil {
-			return oci.Descriptor{}, err
-		}
-	}
-	tasks := make([]func() error, 0, len(blobs))
-	for _, bd := range blobs {
-		if dst.Has(bd.Digest) {
-			continue // cross-image layer dedup: already local
-		}
-		tasks = append(tasks, func() error { return c.FetchBlob(ctx, dst, name, bd.Digest) })
-	}
-	if err := c.runPool(tasks); err != nil {
 		return oci.Descriptor{}, err
 	}
-	if _, _, err := dst.Ingest(bytes.NewReader(body), d); err != nil {
-		return oci.Descriptor{}, fmt.Errorf("distrib: storing manifest: %w", err)
-	}
-	return oci.Descriptor{MediaType: manifestMediaType(mediaType, children), Digest: d, Size: int64(len(body))}, nil
+	return root, nil
 }

@@ -226,9 +226,6 @@ func (s *DiskStore) Digests() []digest.Digest {
 	return out
 }
 
-// Len returns the number of stored blobs.
-func (s *DiskStore) Len() int { return len(s.Digests()) }
-
 // TotalSize returns the combined on-disk size of all blobs in bytes.
 func (s *DiskStore) TotalSize() int64 {
 	var n int64

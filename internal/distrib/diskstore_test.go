@@ -198,7 +198,7 @@ func TestDiskStoreConcurrentIngest(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := s.Len(); got != 1 {
+	if got := len(s.Digests()); got != 1 {
 		t.Errorf("store holds %d blobs after racing identical ingests, want 1", got)
 	}
 }

@@ -14,45 +14,29 @@ import (
 // missing or undecodable, so a partially-visible tree can never cause
 // reachable blobs to be collected. Returns the number of blobs
 // deleted.
-func GC(s Store, roots []oci.Descriptor) (int, error) {
-	return GCProtected(s, roots, nil)
-}
-
-// GCProtected is GC with an extra survival rule: any blob for which
-// protect returns true is kept even when unreachable from roots. A
-// registry uses this to pin blobs committed by an in-flight push whose
-// manifest has not yet registered its references — without it, a sweep
-// racing a concurrent push could collect a blob between its commit and
-// the ref registration, and the closing manifest PUT would then 400.
-func GCProtected(s Store, roots []oci.Descriptor, protect func(digest.Digest) bool) (int, error) {
+//
+// A blob for which protect (nil for none) returns true is kept even
+// when unreachable from roots. A registry uses this to pin blobs
+// committed by an in-flight push whose manifest has not yet registered
+// its references — without it, a sweep racing a concurrent push could
+// collect a blob between its commit and the ref registration, and the
+// closing manifest PUT would then 400.
+func GC(s Store, roots []oci.Descriptor, protect func(digest.Digest) bool) (int, error) {
 	reachable := map[digest.Digest]bool{}
-	var walk func(d digest.Digest) error
-	walk = func(d digest.Digest) error {
-		if reachable[d] {
-			return nil
-		}
-		reachable[d] = true
-		b, err := ReadBlob(s, d)
-		if err != nil {
-			return fmt.Errorf("distrib: gc: reading manifest %s: %w", d.Short(), err)
-		}
-		blobs, children, err := oci.References(b)
-		if err != nil {
-			return fmt.Errorf("distrib: gc: manifest %s: %w", d.Short(), err)
-		}
-		for _, bd := range blobs {
-			reachable[bd.Digest] = true
-		}
-		for _, m := range children {
-			if err := walk(m.Digest); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	get := func(d digest.Digest) ([]byte, error) { return ReadBlob(s, d) }
 	for _, root := range roots {
-		if err := walk(root.Digest); err != nil {
-			return 0, err
+		if reachable[root.Digest] {
+			continue
+		}
+		err := oci.Walk(root, get, func(desc oci.Descriptor, _ []byte, blobs, _ []oci.Descriptor) error {
+			reachable[desc.Digest] = true
+			for _, b := range blobs {
+				reachable[b.Digest] = true
+			}
+			return nil
+		})
+		if err != nil {
+			return 0, fmt.Errorf("distrib: gc: %w", err)
 		}
 	}
 	dropped := 0

@@ -79,7 +79,7 @@ func TestGCProperty(t *testing.T) {
 			entries := []oci.Descriptor{images[0], images[1]}
 			entries[0].Platform = &oci.Platform{Architecture: "amd64", OS: "linux"}
 			entries[1].Platform = &oci.Platform{Architecture: "arm64", OS: "linux"}
-			list, err := oci.WriteManifestList(s, entries)
+			list, err := oci.PutJSON(s, oci.Index{SchemaVersion: 2, MediaType: oci.MediaTypeIndex, Manifests: entries}, oci.MediaTypeIndex)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestGCProperty(t *testing.T) {
 		}
 		before := len(s.Digests())
 
-		dropped, err := GC(s, roots)
+		dropped, err := GC(s, roots, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestGCMissingRootRefuses(t *testing.T) {
 	img := buildImage(t, s, rng, 2)
 	ghost := oci.Descriptor{MediaType: oci.MediaTypeManifest, Digest: digest.FromString("missing")}
 	before := len(s.Digests())
-	if _, err := GC(s, []oci.Descriptor{img, ghost}); err == nil {
+	if _, err := GC(s, []oci.Descriptor{img, ghost}, nil); err == nil {
 		t.Fatal("GC with a missing root did not error")
 	}
 	if len(s.Digests()) != before {
@@ -147,14 +147,14 @@ func TestGCMissingRootRefuses(t *testing.T) {
 	}
 }
 
-// TestGCProtectedPinsInFlightPush models a sweep racing a concurrent
+// TestGCProtectPinsInFlightPush models a sweep racing a concurrent
 // push: blobs already committed but not yet referenced by any manifest
 // (the window between a blob PUT and the closing manifest PUT) are
 // pinned by the protect callback and must survive, while equally
 // unreachable garbage outside the pin set is still collected. Once the
 // protection lapses — the grace window a registry gives fresh commits —
 // a second sweep reclaims them.
-func TestGCProtectedPinsInFlightPush(t *testing.T) {
+func TestGCProtectPinsInFlightPush(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := oci.NewStore()
 	tagged := buildImage(t, s, rng, 2)
@@ -167,7 +167,7 @@ func TestGCProtectedPinsInFlightPush(t *testing.T) {
 	}
 	garbage := s.Put([]byte("stale orphan from long ago"))
 
-	dropped, err := GCProtected(s, []oci.Descriptor{tagged}, func(d digest.Digest) bool {
+	dropped, err := GC(s, []oci.Descriptor{tagged}, func(d digest.Digest) bool {
 		return inflight[d]
 	})
 	if err != nil {
@@ -183,7 +183,7 @@ func TestGCProtectedPinsInFlightPush(t *testing.T) {
 	}
 
 	// Grace expired: the same blobs are plain garbage now.
-	dropped, err = GCProtected(s, []oci.Descriptor{tagged}, nil)
+	dropped, err = GC(s, []oci.Descriptor{tagged}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestGCOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropped, err := GC(disk, []oci.Descriptor{img})
+	dropped, err := GC(disk, []oci.Descriptor{img}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

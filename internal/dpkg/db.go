@@ -47,9 +47,6 @@ func (db *DB) Names() []string {
 	return out
 }
 
-// Len returns the number of installed packages.
-func (db *DB) Len() int { return len(db.packages) }
-
 // OwnerOf returns the package owning path, if any.
 func (db *DB) OwnerOf(path string) (string, bool) {
 	name, ok := db.owner[fsim.Clean(path)]

@@ -157,8 +157,8 @@ func TestInstallAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db2.Len() != 2 {
-		t.Fatalf("loaded %d packages, want 2", db2.Len())
+	if len(db2.packages) != 2 {
+		t.Fatalf("loaded %d packages, want 2", len(db2.packages))
 	}
 	got, ok := db2.Installed("lulesh-deps")
 	if !ok {
@@ -294,7 +294,7 @@ func TestRemove(t *testing.T) {
 	if fsys.Exists("/usr/lib/libx.so") {
 		t.Error("files not removed")
 	}
-	if db.Len() != 0 {
+	if len(db.packages) != 0 {
 		t.Error("db entry not removed")
 	}
 	if err := db.Remove(fsys, "libx"); err == nil {
@@ -330,7 +330,7 @@ func TestLoadEmptyImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Len() != 0 {
+	if len(db.packages) != 0 {
 		t.Error("empty image yielded packages")
 	}
 }

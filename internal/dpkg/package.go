@@ -129,9 +129,6 @@ func (idx *Index) Names() []string {
 	return out
 }
 
-// Len returns the number of distinct package names.
-func (idx *Index) Len() int { return len(idx.packages) }
-
 // Latest returns the newest version of name.
 func (idx *Index) Latest(name string) (*Package, bool) {
 	list := idx.packages[name]

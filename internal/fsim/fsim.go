@@ -257,37 +257,6 @@ func (f *FS) removeLocked(p string) error {
 	return nil
 }
 
-// ReadDir returns the immediate children of directory p, sorted by path.
-func (f *FS) ReadDir(p string) ([]*File, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	p = Clean(p)
-	dir, ok := f.files[p]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotExist, p)
-	}
-	if dir.Type != TypeDir {
-		return nil, fmt.Errorf("fsim: %s is not a directory", p)
-	}
-	prefix := p + "/"
-	if p == "/" {
-		prefix = "/"
-	}
-	var out []*File
-	for q, file := range f.files {
-		if q == p || !strings.HasPrefix(q, prefix) {
-			continue
-		}
-		rest := q[len(prefix):]
-		if strings.Contains(rest, "/") {
-			continue
-		}
-		out = append(out, file)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out, nil
-}
-
 // Paths returns every path in the FS (excluding root), sorted.
 func (f *FS) Paths() []string {
 	f.mu.RLock()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -70,32 +69,6 @@ func TestRemoveSubtree(t *testing.T) {
 	}
 	if err := f.Remove("/nope"); !errors.Is(err, ErrNotExist) {
 		t.Errorf("Remove(missing) = %v", err)
-	}
-}
-
-func TestReadDir(t *testing.T) {
-	f := New()
-	f.WriteFile("/d/z", nil, 0o644)
-	f.WriteFile("/d/a", nil, 0o644)
-	f.WriteFile("/d/sub/deep", nil, 0o644)
-	entries, err := f.ReadDir("/d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Path)
-	}
-	want := []string{"/d/a", "/d/sub", "/d/z"}
-	if !reflect.DeepEqual(names, want) {
-		t.Errorf("ReadDir = %v, want %v", names, want)
-	}
-	root, err := f.ReadDir("/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(root) != 1 || root[0].Path != "/d" {
-		t.Errorf("ReadDir(/) = %v", root)
 	}
 }
 

@@ -12,7 +12,6 @@ package makesim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"comtainer/internal/fsim"
@@ -292,16 +291,4 @@ func (r *Runner) expandAutomatics(rule *Rule, target string, prereqs []string, l
 	line = strings.ReplaceAll(line, "$<", first)
 	line = strings.ReplaceAll(line, "$^", strings.Join(prereqs, " "))
 	return r.MF.Expand(line)
-}
-
-// Targets lists the non-pattern targets, sorted (for diagnostics).
-func (mf *Makefile) Targets() []string {
-	var out []string
-	for _, r := range mf.Rules {
-		if !r.Pattern {
-			out = append(out, r.Target)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

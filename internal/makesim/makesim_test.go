@@ -43,10 +43,13 @@ func TestParse(t *testing.T) {
 	if !mf.Phony["all"] || !mf.Phony["clean"] {
 		t.Errorf("phony = %v", mf.Phony)
 	}
-	targets := strings.Join(mf.Targets(), " ")
+	targets := map[string]bool{}
+	for _, r := range mf.Rules {
+		targets[r.Target] = true
+	}
 	for _, want := range []string{"all", "app", "clean"} {
-		if !strings.Contains(targets, want) {
-			t.Errorf("targets missing %s: %s", want, targets)
+		if !targets[want] {
+			t.Errorf("targets missing %s: %v", want, targets)
 		}
 	}
 }

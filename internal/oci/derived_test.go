@@ -98,7 +98,7 @@ func TestWriteDerivedImageMatchesWriteImage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := target.Len()
+			before := len(target.blobs)
 			got, err := WriteDerivedImage(target, cfg, base, []*fsim.FS{added})
 			if err != nil {
 				t.Fatal(err)
@@ -106,7 +106,7 @@ func TestWriteDerivedImageMatchesWriteImage(t *testing.T) {
 			if got.Digest != want.Digest {
 				t.Errorf("derived image is %s, WriteImage over the decoded base gives %s", got.Digest.Short(), want.Digest.Short())
 			}
-			if n := target.Len() - before; !tc.elsewhere && n != tc.newBlobs {
+			if n := len(target.blobs) - before; !tc.elsewhere && n != tc.newBlobs {
 				t.Errorf("derived image added %d blobs to a store holding its base, want %d", n, tc.newBlobs)
 			}
 			flat, err := mustLoad(t, target, got).Flatten()

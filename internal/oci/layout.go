@@ -17,9 +17,10 @@ const layoutMarker = `{"imageLayoutVersion": "1.0.0"}`
 
 // Repository couples a blob store with a tagged index — the in-memory
 // equivalent of an OCI layout directory. It is what registries serve and
-// what the build tools operate on. Tagging and resolution are safe for
-// concurrent use; direct Index access is not and belongs to loading and
-// saving code only.
+// what the build tools operate on. Its methods are safe for concurrent
+// use: the index is read and written under mu, by Tag, Tags, Resolve and
+// the layout code. Reading the Index field directly is for code that
+// knows nothing else holds the repository.
 type Repository struct {
 	Store *Store
 	Index Index
@@ -40,6 +41,13 @@ func (r *Repository) Tag(tag string, desc Descriptor) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.Index.SetTag(tag, desc)
+}
+
+// Tags returns the repository's tags, sorted.
+func (r *Repository) Tags() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.Index.Tags()
 }
 
 // Resolve returns the manifest descriptor tagged tag.
@@ -115,7 +123,9 @@ func (r *Repository) SaveLayoutFS(dir string, fsys faultinject.FS) error {
 			return fmt.Errorf("oci: writing blob %s: %w", d.Short(), err)
 		}
 	}
+	r.mu.RLock()
 	idx, err := json.MarshalIndent(r.Index, "", "  ")
+	r.mu.RUnlock()
 	if err != nil {
 		return fmt.Errorf("oci: encoding index: %w", err)
 	}
@@ -142,7 +152,10 @@ func LoadLayout(dir string) (*Repository, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oci: reading index.json: %w", err)
 	}
-	if err := json.Unmarshal(idxBytes, &r.Index); err != nil {
+	r.mu.Lock() // r is not shared yet; the index is only ever touched under its lock
+	err = json.Unmarshal(idxBytes, &r.Index)
+	r.mu.Unlock()
+	if err != nil {
 		return nil, fmt.Errorf("oci: decoding index.json: %w", err)
 	}
 	blobDir := filepath.Join(dir, "blobs", "sha256")

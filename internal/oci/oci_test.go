@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -95,8 +96,8 @@ func TestStoreDedup(t *testing.T) {
 	if d1 != d2 {
 		t.Error("identical content got different digests")
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
+	if len(s.blobs) != 1 {
+		t.Errorf("%d blobs, want 1", len(s.blobs))
 	}
 }
 
@@ -116,22 +117,6 @@ func TestPutVerified(t *testing.T) {
 	}
 	if err := s.PutVerified(content, digest.FromString("other")); err == nil {
 		t.Error("PutVerified accepted mismatched digest")
-	}
-}
-
-func TestChainIDs(t *testing.T) {
-	d1 := digest.FromString("layer1")
-	d2 := digest.FromString("layer2")
-	chains := ChainIDs([]digest.Digest{d1, d2})
-	if chains[0] != d1 {
-		t.Error("ChainID(L0) != DiffID(L0)")
-	}
-	want := digest.FromString(string(d1) + " " + string(d2))
-	if chains[1] != want {
-		t.Error("ChainID recursion incorrect")
-	}
-	if len(ChainIDs(nil)) != 0 {
-		t.Error("ChainIDs(nil) not empty")
 	}
 }
 
@@ -222,6 +207,65 @@ func TestRepositoryTagResolve(t *testing.T) {
 	if n := len(r.Index.Manifests); n != 1 {
 		t.Errorf("index has %d manifests, want 1", n)
 	}
+}
+
+// TestTagAliasKeepsBothTags: tagging what Resolve returned under a second
+// name adds a tag; the first keeps resolving.
+func TestTagAliasKeepsBothTags(t *testing.T) {
+	r := NewRepository()
+	desc, err := WriteImage(r.Store, testConfig(), []*fsim.FS{baseLayer()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Tag("one", desc)
+	got, err := r.Resolve("one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Tag("two", got)
+	for _, tag := range []string{"one", "two"} {
+		if d, err := r.Resolve(tag); err != nil || d.Digest != desc.Digest {
+			t.Errorf("Resolve(%q) = %s, %v; want %s", tag, d.Digest.Short(), err, desc.Digest.Short())
+		}
+	}
+	if got.Annotations[AnnotationRefName] != "one" {
+		t.Errorf("the caller's descriptor now says %q", got.Annotations[AnnotationRefName])
+	}
+}
+
+// TestConcurrentPullsFromOneRepository: one published image, many
+// clusters. Each pull is core.SystemSide.Pull's Resolve + PushImage, into a
+// repository of its own, so the only state the goroutines share is the
+// source's index entry.
+func TestConcurrentPullsFromOneRepository(t *testing.T) {
+	from := NewRepository()
+	desc, err := WriteImage(from.Store, testConfig(), []*fsim.FS{baseLayer(), appLayer()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	from.Tag("app+coM", desc)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			to := NewRepository()
+			for i := 0; i < 200; i++ {
+				d, err := from.Resolve("app+coM")
+				if err == nil {
+					err = to.PushImage(from.Store, d, "app+coM")
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if _, err := to.LoadByTag("app+coM"); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestLayoutRoundTrip(t *testing.T) {
@@ -359,24 +403,19 @@ func TestCopyImage(t *testing.T) {
 // .PushImage (and so SystemSide.Pull) does with a multi-arch tag.
 func TestCopyImageManifestList(t *testing.T) {
 	src := NewStore()
-	list, err := WriteManifestList(src, []Descriptor{archImage(t, src, "amd64"), archImage(t, src, "arm64")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	members := []Descriptor{archImage(t, src, "amd64"), archImage(t, src, "arm64")}
+	list := indexOf(t, src, members...)
 	src.Put([]byte("unrelated blob"))
 	repo := NewRepository()
 	if err := repo.PushImage(src, list, "fat"); err != nil {
 		t.Fatal(err)
 	}
 	// index + 2 x (manifest, config, layer); the unrelated blob stays behind.
-	if got := repo.Store.Len(); got != 7 {
+	if got := len(repo.Store.blobs); got != 7 {
 		t.Errorf("copied %d blobs, want 7", got)
 	}
-	for _, arch := range []string{"amd64", "arm64"} {
-		desc, err := ResolvePlatform(repo.Store, list, arch)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, desc := range members {
+		arch := desc.Platform.Architecture
 		img, err := LoadImage(repo.Store, desc)
 		if err != nil {
 			t.Fatalf("%s: %v", arch, err)
@@ -410,31 +449,6 @@ func TestPropertyStorePutGet(t *testing.T) {
 		return err == nil && string(got) == string(b) && d.Verify(got)
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyChainIDPrefixStability(t *testing.T) {
-	// Chain IDs of a prefix never change when layers are appended — this is
-	// the property that makes AppendLayer non-destructive.
-	f := func(seeds []int64) bool {
-		if len(seeds) == 0 {
-			return true
-		}
-		var diffIDs []digest.Digest
-		for _, s := range seeds {
-			diffIDs = append(diffIDs, digest.FromString(string(rune(s%1000))))
-		}
-		full := ChainIDs(diffIDs)
-		prefix := ChainIDs(diffIDs[:len(diffIDs)-1])
-		for i := range prefix {
-			if prefix[i] != full[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package oci implements the subset of the OCI image specification that
 // container build tools (and coMtainer) manipulate: content-addressed blob
 // stores, layer/config/manifest/index documents, image layout directories,
-// and the layer arithmetic (diffIDs, chainIDs) that makes images verifiable.
+// and the layer arithmetic (diffIDs) that makes images verifiable.
 //
 // coMtainer's central trick — "thanks to the layered nature of OCI images,
 // the injection of additional data introduces no changes to the original
@@ -102,9 +102,9 @@ type Index struct {
 // References decodes an image manifest or an image index and returns
 // what the document keeps alive: blobs are a manifest's config and
 // layers, children an index's member manifests, each of which has
-// references of its own. Every walk over an image — push, pull, copy,
-// GC, a registry's referential check — goes through it, so all of them
-// agree on what an image is.
+// references of its own. Walk and a registry's one-level referential
+// check are its callers, so push, pull, copy, GC and the registry agree
+// on what an image is.
 func References(doc []byte) (blobs, children []Descriptor, err error) {
 	var refs struct {
 		Config    *Descriptor  `json:"config"`
@@ -120,6 +120,41 @@ func References(doc []byte) (blobs, children []Descriptor, err error) {
 	return append(blobs, refs.Layers...), refs.Manifests, nil
 }
 
+// Walk visits every document of the image named by root — a manifest, or
+// a manifest list and every member image beneath it — in post-order:
+// children before the document that lists them, each document once. get
+// reads a document by digest; visit receives it as its parent (or the
+// caller, for root) described it, with what References found in it. A
+// document get cannot produce or that does not decode ends the walk with
+// an error naming its digest, as does an error from visit; nothing is
+// visited afterwards. Push, pull, copy and GC are its callers, so the
+// recursion over an image exists once.
+func Walk(root Descriptor, get func(digest.Digest) ([]byte, error), visit func(desc Descriptor, doc []byte, blobs, children []Descriptor) error) error {
+	seen := map[digest.Digest]bool{root.Digest: true}
+	var walk func(Descriptor) error
+	walk = func(desc Descriptor) error {
+		doc, err := get(desc.Digest)
+		if err != nil {
+			return fmt.Errorf("oci: reading manifest %s: %w", desc.Digest, err)
+		}
+		blobs, children, err := References(doc)
+		if err != nil {
+			return fmt.Errorf("oci: manifest %s: %w", desc.Digest, err)
+		}
+		for _, child := range children {
+			if seen[child.Digest] {
+				continue
+			}
+			seen[child.Digest] = true
+			if err := walk(child); err != nil {
+				return err
+			}
+		}
+		return visit(desc, doc, blobs, children)
+	}
+	return walk(root)
+}
+
 // canonicalJSON marshals v with sorted keys and no trailing newline so that
 // document digests are deterministic. encoding/json already sorts map keys;
 // struct fields marshal in declaration order, which is fixed.
@@ -129,21 +164,6 @@ func canonicalJSON(v any) ([]byte, error) {
 		return nil, fmt.Errorf("oci: marshaling %T: %w", v, err)
 	}
 	return b, nil
-}
-
-// ChainIDs computes the chain IDs for a sequence of diffIDs per the OCI
-// spec recursion: ChainID(L0) = DiffID(L0);
-// ChainID(L0..Ln) = Digest(ChainID(L0..Ln-1) + " " + DiffID(Ln)).
-func ChainIDs(diffIDs []digest.Digest) []digest.Digest {
-	out := make([]digest.Digest, len(diffIDs))
-	for i, d := range diffIDs {
-		if i == 0 {
-			out[i] = d
-			continue
-		}
-		out[i] = digest.FromString(string(out[i-1]) + " " + string(d))
-	}
-	return out
 }
 
 // FindByTag returns the descriptor in idx whose ref-name annotation equals
@@ -169,12 +189,16 @@ func (idx *Index) Tags() []string {
 	return out
 }
 
-// SetTag inserts or replaces the manifest tagged tag.
+// SetTag inserts or replaces the manifest tagged tag. The entry gets an
+// annotations map of its own: desc's may be another entry's, of this index
+// or of another repository's.
 func (idx *Index) SetTag(tag string, desc Descriptor) {
-	if desc.Annotations == nil {
-		desc.Annotations = map[string]string{}
+	annotations := make(map[string]string, len(desc.Annotations)+1)
+	for k, v := range desc.Annotations {
+		annotations[k] = v
 	}
-	desc.Annotations[AnnotationRefName] = tag
+	annotations[AnnotationRefName] = tag
+	desc.Annotations = annotations
 	for i, m := range idx.Manifests {
 		if m.Annotations[AnnotationRefName] == tag {
 			idx.Manifests[i] = desc

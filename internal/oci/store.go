@@ -139,13 +139,6 @@ func (s *Store) Has(d digest.Digest) bool {
 	return ok
 }
 
-// Len returns the number of stored blobs.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.blobs)
-}
-
 // Digests returns the sorted digests of every stored blob.
 func (s *Store) Digests() []digest.Digest {
 	s.mu.RLock()
@@ -174,28 +167,17 @@ func (s *Store) TotalSize() int64 {
 // member image in turn. Each blob is hashed and must match the digest it
 // was asked for by; the two stores then share its bytes.
 func (s *Store) CopyImage(src *Store, desc Descriptor) error {
-	doc, err := src.Get(desc.Digest)
-	if err != nil {
-		return fmt.Errorf("oci: copying manifest: %w", err)
-	}
-	blobs, children, err := References(doc)
-	if err != nil {
-		return err
-	}
-	for _, b := range blobs {
-		if err := s.copyBlob(src, b.Digest); err != nil {
-			return fmt.Errorf("oci: copying blob of %s: %w", desc.Digest.Short(), err)
+	return Walk(desc, src.Get, func(d Descriptor, _ []byte, blobs, _ []Descriptor) error {
+		for _, b := range blobs {
+			if err := s.copyBlob(src, b.Digest); err != nil {
+				return fmt.Errorf("oci: copying blob of %s: %w", d.Digest.Short(), err)
+			}
 		}
-	}
-	for _, child := range children {
-		if err := s.CopyImage(src, child); err != nil {
-			return err
+		if err := s.copyBlob(src, d.Digest); err != nil {
+			return fmt.Errorf("oci: copying manifest: %w", err)
 		}
-	}
-	if err := s.copyBlob(src, desc.Digest); err != nil {
-		return fmt.Errorf("oci: copying manifest: %w", err)
-	}
-	return nil
+		return nil
+	})
 }
 
 // copyBlob makes s hold src's blob d, verified.
@@ -380,15 +362,6 @@ func (img *Image) FlattenPrefix(n int) (*fsim.FS, error) {
 	return fsim.ApplyAll(layers), nil
 }
 
-// ChainID returns the chain ID of the image's full layer stack.
-func (img *Image) ChainID() digest.Digest {
-	ids := ChainIDs(img.Config.RootFS.DiffIDs)
-	if len(ids) == 0 {
-		return digest.FromString("")
-	}
-	return ids[len(ids)-1]
-}
-
 // WriteImage encodes layers, writes config and manifest into s, and returns
 // the manifest descriptor. The config's RootFS is overwritten with the
 // computed diffIDs.
@@ -469,51 +442,6 @@ func writeImage(s *Store, cfg ImageConfig, descs []Descriptor, diffIDs []digest.
 		Layers:        descs,
 	}
 	return PutJSON(s, m, MediaTypeManifest)
-}
-
-// WriteManifestList stores a multi-architecture image index referencing
-// per-platform manifests — the publishing format of the cross-ISA
-// container ecosystem the paper's §5.5 sketches. Every entry must carry a
-// Platform.
-func WriteManifestList(s *Store, entries []Descriptor) (Descriptor, error) {
-	if len(entries) == 0 {
-		return Descriptor{}, fmt.Errorf("oci: manifest list needs at least one entry")
-	}
-	seen := map[string]bool{}
-	for _, e := range entries {
-		if e.Platform == nil || e.Platform.Architecture == "" {
-			return Descriptor{}, fmt.Errorf("oci: manifest-list entry %s has no platform", e.Digest.Short())
-		}
-		if seen[e.Platform.Architecture] {
-			return Descriptor{}, fmt.Errorf("oci: duplicate platform %s in manifest list", e.Platform.Architecture)
-		}
-		seen[e.Platform.Architecture] = true
-		if !s.Has(e.Digest) {
-			return Descriptor{}, fmt.Errorf("oci: manifest %s not in store", e.Digest.Short())
-		}
-	}
-	idx := Index{SchemaVersion: 2, MediaType: MediaTypeIndex, Manifests: entries}
-	return PutJSON(s, idx, MediaTypeIndex)
-}
-
-// ResolvePlatform picks the manifest for an architecture out of a
-// manifest list.
-func ResolvePlatform(s *Store, list Descriptor, arch string) (Descriptor, error) {
-	var idx Index
-	if err := GetJSON(s, list.Digest, &idx); err != nil {
-		return Descriptor{}, err
-	}
-	var archs []string
-	for _, m := range idx.Manifests {
-		if m.Platform == nil {
-			continue
-		}
-		if m.Platform.Architecture == arch {
-			return m, nil
-		}
-		archs = append(archs, m.Platform.Architecture)
-	}
-	return Descriptor{}, fmt.Errorf("oci: no manifest for architecture %s (have %v)", arch, archs)
 }
 
 // AppendLayer derives a new image from base by appending one layer. All of

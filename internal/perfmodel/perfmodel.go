@@ -33,14 +33,13 @@ type Result struct {
 	CommSeconds float64
 
 	// The factors actually applied, for introspection and ablations.
-	LibFraction  float64 // fraction of key libraries resolved as optimized
-	LibFactor    float64
-	CCFactor     float64
-	LibcFactor   float64
-	LTOFactor    float64
-	PGOFactor    float64
-	LayoutFactor float64
-	NetPath      mpisim.Path
+	LibFraction float64 // fraction of key libraries resolved as optimized
+	LibFactor   float64
+	CCFactor    float64
+	LibcFactor  float64
+	LTOFactor   float64
+	PGOFactor   float64
+	NetPath     mpisim.Path
 }
 
 // Calibration is the derived per-workload gain decomposition.
@@ -81,10 +80,6 @@ func Calibrate(t workloads.Traits, sys *sysprofile.System) (Calibration, error) 
 // nativeLibcGain is the vendor C-runtime advantage only native builds get
 // (adapters do not replace libc for ABI reasons; see sysprofile.NativeStack).
 const nativeLibcGain = 1.03
-
-// layoutShare is the fraction of a workload's profile-guided headroom a
-// BOLT-style layout pass recovers (conservatively below full PGO).
-const layoutShare = 0.4
 
 // resolveLib finds and decodes the shared library at path in the runtime
 // image, following symlinks.
@@ -195,19 +190,12 @@ func Estimate(sys *sysprofile.System, ref workloads.Ref, bin *toolchain.Artifact
 	if bin.PGOOptimized {
 		pgoFactor = 1 + t.PGOGain
 	}
-	// BOLT-style layout optimization recovers a fraction of the
-	// profile-guided headroom on top of (or independent of) PGO — layout
-	// and inlining decisions overlap but are not identical.
-	layoutFactor := 1.0
-	if bin.LayoutOptimized && t.PGOGain > 0 {
-		layoutFactor = 1 + layoutShare*t.PGOGain
-	}
 
 	// --- Compute side. ---
 	nativeComp16 := t.NativeSec * (1 - t.CommFrac)
 	nativeComp := nativeComp16 * 16 / float64(nodes)
 	comp := nativeComp * (cal.LibGain * cal.CCGain * nativeLibcGain) /
-		(libFactor * ccFactor * libcFactor * ltoFactor * pgoFactor * layoutFactor)
+		(libFactor * ccFactor * libcFactor * ltoFactor * pgoFactor)
 	if bin.PGOInstrumented {
 		comp *= instrumentationOverhead
 	}
@@ -221,16 +209,15 @@ func Estimate(sys *sysprofile.System, ref workloads.Ref, bin *toolchain.Artifact
 	}
 
 	return Result{
-		Seconds:      comp + comm,
-		CompSeconds:  comp,
-		CommSeconds:  comm,
-		LibFraction:  libFrac,
-		LibFactor:    libFactor,
-		CCFactor:     ccFactor,
-		LibcFactor:   libcFactor,
-		LTOFactor:    ltoFactor,
-		PGOFactor:    pgoFactor,
-		LayoutFactor: layoutFactor,
-		NetPath:      mpisim.PathFor(mpiArt, nodes),
+		Seconds:     comp + comm,
+		CompSeconds: comp,
+		CommSeconds: comm,
+		LibFraction: libFrac,
+		LibFactor:   libFactor,
+		CCFactor:    ccFactor,
+		LibcFactor:  libcFactor,
+		LTOFactor:   ltoFactor,
+		PGOFactor:   pgoFactor,
+		NetPath:     mpisim.PathFor(mpiArt, nodes),
 	}, nil
 }

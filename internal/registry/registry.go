@@ -231,7 +231,7 @@ func (s *Server) GC() (int, error) {
 	for _, desc := range s.refs.All() {
 		roots = append(roots, desc)
 	}
-	return distrib.GCProtected(s.blobs, roots, s.recentlyCommitted)
+	return distrib.GC(s.blobs, roots, s.recentlyCommitted)
 }
 
 // Handler returns the HTTP handler implementing the distribution API:
@@ -253,15 +253,16 @@ func (s *Server) HasBlob(_ context.Context, d digest.Digest) (bool, error) {
 	return s.TrustReferences || s.blobs.Has(d), nil
 }
 
-// CommitBlob implements Backend: the content goes straight into the
-// mounted store, is pinned against GC, and is replicated through the
-// commit hook before the nil that lets the front-end answer 201.
+// CommitBlob implements Backend: the content is pinned against GC —
+// before the store holds it, so no sweep sees it unpinned — goes straight
+// into the mounted store, and is replicated through the commit hook
+// before the nil that lets the front-end answer 201.
 func (s *Server) CommitBlob(r *http.Request, _ string, d digest.Digest, ingest func(distrib.BlobSink) error) error {
 	had := s.blobs.Has(d)
+	s.noteCommit(d)
 	if err := ingest(s.blobs); err != nil {
 		return err
 	}
-	s.noteCommit(d)
 	if hook := s.commitHook(); hook != nil && !replicated(r) {
 		if err := hook.BlobCommitted(r.Context(), d); err != nil {
 			return s.replicationFailed(err, d, had)
@@ -326,10 +327,10 @@ func (s *Server) ServeManifest(w http.ResponseWriter, r *http.Request, name, ref
 // it, then register the tag.
 func (s *Server) CommitManifest(r *http.Request, name, ref, mediaType string, d digest.Digest, body []byte) error {
 	had := s.blobs.Has(d)
+	s.noteCommit(d) // pinned before stored, as in CommitBlob
 	if _, _, err := s.blobs.Ingest(bytes.NewReader(body), d); err != nil {
 		return WithStatus(http.StatusInternalServerError, err)
 	}
-	s.noteCommit(d)
 	// Replicate before registering the tag locally: an acknowledged
 	// manifest must exist on the followers, and a follower promoted
 	// after a mid-PUT leader crash may hold a ref the dead leader never

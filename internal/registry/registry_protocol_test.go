@@ -664,6 +664,45 @@ func TestConcurrentPushPullSharedImage(t *testing.T) {
 	}
 }
 
+// sweepingStore runs a GC sweep the moment a blob is stored — the worst
+// place a sweep can land in a commit.
+type sweepingStore struct {
+	distrib.Store
+	sweep func()
+}
+
+func (s *sweepingStore) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int64, error) {
+	d, n, err := s.Store.Ingest(r, want)
+	if err == nil {
+		s.sweep()
+	}
+	return d, n, err
+}
+
+// TestGCSweepBetweenStoreAndPin: a blob or manifest is pinned before the
+// store holds it, so a sweep that finds it there — stored, not yet
+// referenced by any tag — keeps it, and the push it belongs to ends with
+// a pullable image rather than a tag over a collected manifest.
+func TestGCSweepBetweenStoreAndPin(t *testing.T) {
+	store := &sweepingStore{Store: oci.NewStore()}
+	srv := registry.NewServerWith(store, distrib.NewMemTags())
+	store.sweep = func() {
+		if _, err := srv.GC(); err != nil {
+			t.Errorf("gc: %v", err)
+		}
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	src, tag := testImageRepo(t)
+	client := registry.NewClient(ts.URL)
+	if err := client.Push(context.Background(), src, tag, "app", "v1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Pull(context.Background(), oci.NewRepository(), "app", "v1", "x"); err != nil {
+		t.Errorf("image pushed across the sweeps does not pull back: %v", err)
+	}
+}
+
 // TestServerGC: unreachable blobs are dropped, tagged images survive
 // and remain pullable.
 func TestServerGC(t *testing.T) {

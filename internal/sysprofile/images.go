@@ -18,9 +18,6 @@ const (
 	TagBase   = "comt:ubuntu24.base"
 	TagSysenv = "comt:ubuntu24.sysenv"
 	TagRebase = "comt:ubuntu24.rebase"
-	// TagSysenvLLVM is the redistributable Sysenv alternative built on the
-	// free LLVM toolchain (the paper's artifact-evaluation images).
-	TagSysenvLLVM = "comt:ubuntu24.sysenv-llvm"
 )
 
 // ociArch maps an ISA to the OCI architecture string.
@@ -159,50 +156,5 @@ func PopulateSystemSide(repo *oci.Repository, s *System) error {
 	if err := rebase.MkdirAll("/.comtainer", 0o755); err != nil {
 		return err
 	}
-	if err := writeImage(repo, rebase, s.ISA, TagRebase, containerfile.RoleRebase); err != nil {
-		return err
-	}
-
-	// The redistributable LLVM Sysenv: same optimized runtime stack, free
-	// compilers instead of the proprietary vendor suite.
-	llvmEnv, err := baseFS(s.ISA)
-	if err != nil {
-		return err
-	}
-	llvmDB, err := dpkg.Load(llvmEnv)
-	if err != nil {
-		return err
-	}
-	llvmPkg := &dpkg.Package{
-		Name:         "llvm-toolchain",
-		Version:      "18.1.0-1",
-		Architecture: debArch(s.ISA),
-		Section:      "devel",
-		Description:  "free LLVM compiler suite (artifact-evaluation Sysenv)",
-		Vendor:       "llvm",
-		Depends:      []dpkg.Dependency{{Name: "libc6"}},
-	}
-	for _, t := range []string{"clang", "clang++", "flang", "llvm-ar", "gcc", "g++", "cc"} {
-		llvmPkg.Files = append(llvmPkg.Files, dpkg.PackageFile{
-			Path: "/usr/lib/llvm-18/bin/" + t,
-			Data: []byte("#!llvm-driver " + t + "\n"),
-			Mode: 0o755,
-		})
-	}
-	if err := llvmDB.Install(llvmEnv, llvmPkg); err != nil {
-		return err
-	}
-	for _, spec := range vendorSpecs(s) {
-		p, ok := idx.Latest(spec.pkg)
-		if !ok {
-			return fmt.Errorf("sysprofile: vendor package %s missing from index", spec.pkg)
-		}
-		if err := llvmDB.InstallWithDeps(llvmEnv, idx, p); err != nil {
-			return err
-		}
-	}
-	if err := llvmEnv.MkdirAll("/.comtainer", 0o755); err != nil {
-		return err
-	}
-	return writeImage(repo, llvmEnv, s.ISA, TagSysenvLLVM, containerfile.RoleSysenv)
+	return writeImage(repo, rebase, s.ISA, TagRebase, containerfile.RoleRebase)
 }

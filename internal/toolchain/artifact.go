@@ -82,11 +82,6 @@ type Artifact struct {
 	// the system's high-speed interconnect (the paper's LULESH story).
 	MPINetPlugin bool `json:"mpiNetPlugin,omitempty"`
 
-	// LayoutOptimized marks binaries post-processed by the BOLT-style
-	// profile-guided layout optimizer (the paper's §3 "binary-level
-	// layout optimization" extension).
-	LayoutOptimized bool `json:"layoutOptimized,omitempty"`
-
 	// SourceLines preserves the original line count on bitcode artifacts
 	// so recompilation cost stays faithful after the source is gone.
 	SourceLines int `json:"sourceLines,omitempty"`

@@ -132,7 +132,7 @@ func (r *Runner) actionKey(argv []string, base string) (digest.Digest, bool) {
 		spec.March = march
 		spec.Mtune, _ = cmd.Mtune()
 		spec.OptLevel = cmd.OptLevel()
-	case cclang.IsArchiverTool(base), base == BoltTool:
+	case cclang.IsArchiverTool(base):
 		// Pure functions of argv and file content.
 	default:
 		return "", false

@@ -90,7 +90,7 @@ func (r *Runner) CanRun(argv []string) bool {
 		return false
 	}
 	base := path.Base(argv[0])
-	return cclang.IsCompilerTool(base) || cclang.IsArchiverTool(base) || base == BoltTool
+	return cclang.IsCompilerTool(base) || cclang.IsArchiverTool(base)
 }
 
 // ExpandResponseFiles resolves GCC-style @file arguments: each @path is
@@ -222,8 +222,6 @@ func (r *Runner) dispatch(argv []string, base string) error {
 		return r.runCompiler(argv)
 	case base == "ar", base == "llvm-ar":
 		return r.runArchiver(argv)
-	case base == BoltTool:
-		return r.runBolt(argv)
 	case base == "ranlib":
 		if len(argv) < 2 {
 			return fmt.Errorf("toolchain: ranlib needs an archive argument")

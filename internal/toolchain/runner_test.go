@@ -356,39 +356,6 @@ func TestRegistryLookup(t *testing.T) {
 	}
 }
 
-func TestBoltTool(t *testing.T) {
-	f := buildFS()
-	r := newX86Runner(f)
-	run(t, r, "gcc -O2 main.c -o app")
-	// Fails without a profile.
-	err := runErr(t, r, "comt-bolt -profile /p/run.profdata -o app.bolt app")
-	if !strings.Contains(err.Error(), "profile") {
-		t.Errorf("err = %v", err)
-	}
-	f.WriteFile("/p/run.profdata", []byte("profile"), 0o644)
-	run(t, r, "comt-bolt -profile /p/run.profdata -o app.bolt app")
-	a := loadArt(t, f, "/src/app.bolt")
-	if !a.LayoutOptimized {
-		t.Error("output not marked layout-optimized")
-	}
-	if a.ProfileData == "" {
-		t.Error("profile reference missing")
-	}
-	// Only executables are accepted.
-	run(t, r, "gcc -c util.c")
-	if err := r.Run(strings.Fields("comt-bolt -profile /p/run.profdata util.o")); err == nil {
-		t.Error("bolt accepted an object file")
-	}
-	// In-place optimization (no -o).
-	run(t, r, "comt-bolt -profile /p/run.profdata app")
-	if a := loadArt(t, f, "/src/app"); !a.LayoutOptimized {
-		t.Error("in-place optimization failed")
-	}
-	if !r.CanRun([]string{"comt-bolt"}) {
-		t.Error("CanRun(comt-bolt) = false")
-	}
-}
-
 func TestInfoModeNoOp(t *testing.T) {
 	f := buildFS()
 	r := newX86Runner(f)

@@ -242,11 +242,3 @@ func VendorRegistry(isa string) *Registry {
 	}
 	return r
 }
-
-// LLVMRegistry returns a registry serving the free LLVM toolchain under
-// both the clang names and the standard driver names.
-func LLVMRegistry(isa string) *Registry {
-	r := NewRegistry()
-	r.Register(LLVM(isa), "clang", "clang++", "flang")
-	return r
-}

@@ -51,13 +51,6 @@ func TestRegistryTools(t *testing.T) {
 			t.Errorf("vendor registry missing %s: %s", want, tools)
 		}
 	}
-	l := LLVMRegistry(ISAArm)
-	if _, ok := l.Lookup("clang"); !ok {
-		t.Error("LLVM registry missing clang")
-	}
-	if tc, ok := l.Lookup("gcc"); !ok || tc.Vendor != "llvm" {
-		t.Error("LLVM registry must shadow the standard driver names")
-	}
 }
 
 func TestCompileErrors(t *testing.T) {

@@ -43,7 +43,7 @@ ban http.NewRequest 3 'http\.NewRequest'
 ban CreateTemp 1 'CreateTemp\(' faultinject
 # Waiting selects a timer against ctx.Done() (distrib.Client.Retry).
 ban time.Sleep 0 'time\.Sleep\('
-# A Digest outside internal/digest comes from FromBytes/FromReader/
+# A Digest outside internal/digest comes from FromBytes/FromString/
 # FromHash/FromHex/Parse, never from a conversion or a spelled prefix.
 ban digest-conversion 0 'digest\.Digest\(' digest
 ban sha256-literal 0 '"sha256:' digest

@@ -73,8 +73,10 @@ echo "== shared state (-race -count=10) =="
 # the layer trees an oci.Store remembers (handed out only as clones,
 # re-verified under another diffID, dropped with their blob, clean under
 # concurrent Flatten/Put/Delete), and one action-cache directory under
-# two openers, each written from several goroutines.
-go test -race -count=10 -run 'CloneShar|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageVerifies|DiskCacheTwoOpeners' \
+# two openers, each written from several goroutines, and the index entry
+# of one repository while several others pull its tag
+# (ConcurrentPullsFromOneRepository).
+go test -race -count=10 -run 'CloneShar|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageVerifies|DiskCacheTwoOpeners|ConcurrentPulls' \
     ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache
 
 echo "== fuzz smoke (3 x 10s) =="
