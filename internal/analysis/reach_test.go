@@ -10,18 +10,19 @@ import (
 )
 
 // reachAllow is what stays although no binary reaches it, and why. Like
-// the budgets of scripts/bans.sh, reachAllowBudget only goes down.
+// the budgets of scripts/bans.sh, reachAllowBudget only goes down. (Two
+// test accessors named Len left it when oci.Sized began asking readers
+// for theirs: a call through an interface keeps every method of that
+// name alive — see below.)
 var reachAllow = map[string]string{
 	"comtainer/internal/fsim.(FS).Equal":                      "the tree-equality oracle of ~25 test sites in five packages",
 	"comtainer/internal/core/cache.IsObfuscated":              "test accessor of another package (core)",
 	"comtainer/internal/core/model.(ImageModel).File":         "test accessor of other packages (frontend, core)",
 	"comtainer/internal/distrib.(Client).ListTags":            "test accessor of other packages (registry, fleet)",
 	"comtainer/internal/distrib.(DiskStore).Root":             "test accessor of another package (registry)",
-	"comtainer/internal/distrib.(UploadManager).Len":          "test accessor of another package (registry)",
 	"comtainer/internal/registry.(Server).Uploads":            "test accessor of another package (fleet)",
 	"comtainer/internal/remoteexec.(TaskStatus).Terminal":     "test accessor of another package (bench)",
 	"comtainer/internal/dpkg.(Package).ID":                    "test accessor of another package (sysprofile)",
-	"comtainer/internal/cachekit.(LRU).Len":                   "test accessor of another package (remoteexec)",
 	"comtainer/internal/containerfile.(Containerfile).Render": "ROADMAP 2(c): parse/render round-trip oracle",
 	"comtainer/internal/cclang.(ArchiveCommand).Render":       "ROADMAP 2(c): parse/render round-trip oracle",
 	"comtainer/internal/fleet.DecodeRing":                     "ROADMAP 2(c): ring round-trip oracle",
@@ -32,7 +33,7 @@ var reachAllow = map[string]string{
 	"comtainer/internal/fleet.(Proxy).CacheStats":             "ROADMAP 1(a): to become a view over obs counters",
 }
 
-const reachAllowBudget = 18
+const reachAllowBudget = 16
 
 // TestExportsReachABinary is the rule "the product is what a binary can
 // reach" as a ratchet: every exported function or method under internal/

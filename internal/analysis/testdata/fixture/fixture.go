@@ -4,14 +4,16 @@
 // timerstop, wgbalance here; guardedby in racecase.go) once each and
 // contains one clean, suppressed site. It also spells each thing
 // scripts/bans.sh bans (TestBansFire): a sha256 literal, an
-// os.WriteFile, a time.Sleep and a digest.Digest conversion here, a
-// function-style atomic in racecase.go. It must not import
+// os.WriteFile, a time.Sleep, a digest.Digest conversion and an
+// io.ReadAll of a bare reader here, a function-style atomic in
+// racecase.go. It must not import
 // comtainer/internal packages: those are invisible across the module
 // boundary.
 package fixture
 
 import (
 	"errors"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -41,6 +43,11 @@ func Poll(ready func() bool) {
 // Mint is banned as digest-conversion: a Digest no parser has seen.
 func Mint(s string) digest.Digest {
 	return digest.Digest(s)
+}
+
+// Slurp is banned as unbounded-read: a body read to wherever it ends.
+func Slurp(r io.Reader) ([]byte, error) {
+	return io.ReadAll(r)
 }
 
 // Spawn violates gonaked: the goroutine is never joined.

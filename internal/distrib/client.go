@@ -128,26 +128,20 @@ func StatusCode(err error) int {
 	return 0
 }
 
-// sizedBody is a request body of known length whose type does not
-// reveal it to net/http the way a bytes.Reader does.
-type sizedBody struct {
-	io.Reader
-	size int64
-}
-
 // Do is the one place a request is built and sent. It returns the
 // response, body open for the caller to close, only when its status is
 // one of accept. Any other response is drained, closed and returned as
 // an error StatusCode reads; a transport failure is an error without a
-// status.
+// status. A body that says how long it is (oci.Sized) is sent with that
+// Content-Length.
 func (c *Client) Do(ctx context.Context, method, url string, header http.Header, body io.Reader, accept ...int) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
 		return nil, err
 	}
-	if sb, ok := body.(sizedBody); ok {
-		req.ContentLength = sb.size
-		if sb.size == 0 {
+	if size, _ := oci.Sized(body); size >= 0 {
+		req.ContentLength = size
+		if size == 0 {
 			req.Body = http.NoBody
 		}
 	}
@@ -173,16 +167,16 @@ func (c *Client) Do(ctx context.Context, method, url string, header http.Header,
 // transient reports whether err is worth retrying.
 //
 // Permanent: context cancellation — a caller that cancelled must never
-// be held for another attempt — and every status but the server-side
-// ones (5xx, 429, 408, and 416: the resume-offset handshake restarts
-// from scratch).
+// be held for another attempt — a blob declared larger than the client
+// will hold, and every status but the server-side ones (5xx, 429, 408,
+// and 416: the resume-offset handshake restarts from scratch).
 //
 // Retryable: everything else — truncated bodies, connection resets and
 // refusals, per-attempt deadline expiry, and failures of no known kind
 // (a digest mismatch from a corrupted body, say): the retry budget
 // bounds the damage.
 func transient(err error) bool {
-	if err == nil || errors.Is(err, context.Canceled) {
+	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, oci.ErrBlobTooLarge) {
 		return false
 	}
 	if code := StatusCode(err); code != 0 {
@@ -338,32 +332,23 @@ func parseUploadRange(rng string) (int64, error) {
 
 // sendChunks PATCHes blob d to session loc from offset on, reading the
 // blob's size bytes from r, and PUTs the digest to close the session.
+// Each chunk's body is the next stretch of r itself.
 func (c *Client) sendChunks(ctx context.Context, loc string, r io.Reader, size int64, d digest.Digest, offset int64) error {
 	if _, err := io.CopyN(io.Discard, r, offset); err != nil {
 		return fmt.Errorf("distrib: seeking to resume offset %d: %w", offset, err)
 	}
-	buf := make([]byte, min(c.chunkSize(), size-offset))
 	for offset < size {
-		n, err := io.ReadFull(r, buf)
-		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			err = nil
-		}
-		if err != nil {
-			return fmt.Errorf("distrib: reading blob %s: %w", d.Short(), err)
-		}
-		if n == 0 {
-			break
-		}
+		n := min(c.chunkSize(), size-offset)
 		header := http.Header{
 			"Content-Type":  {"application/octet-stream"},
-			"Content-Range": {fmt.Sprintf("%d-%d", offset, offset+int64(n)-1)},
+			"Content-Range": {fmt.Sprintf("%d-%d", offset, offset+n-1)},
 		}
-		resp, err := c.Do(ctx, http.MethodPatch, loc, header, bytes.NewReader(buf[:n]), http.StatusAccepted)
+		resp, err := c.Do(ctx, http.MethodPatch, loc, header, oci.NewSizedReader(r, n), http.StatusAccepted)
 		if err != nil {
 			return fmt.Errorf("distrib: uploading chunk of %s: %w", d.Short(), err)
 		}
 		resp.Body.Close()
-		offset += int64(n)
+		offset += n
 	}
 	sep := "?"
 	if strings.Contains(loc, "?") {
@@ -410,7 +395,7 @@ func (c *Client) push(ctx context.Context, name string, d digest.Digest, open fu
 			// The protocol's single-request form: no session is opened, so
 			// a failure leaves nothing to resume.
 			header := http.Header{"Content-Type": {"application/octet-stream"}}
-			resp, err := c.Do(ctx, http.MethodPost, c.url(name, "blobs", "uploads")+"/?digest="+string(d), header, sizedBody{r, size}, http.StatusCreated)
+			resp, err := c.Do(ctx, http.MethodPost, c.url(name, "blobs", "uploads")+"/?digest="+string(d), header, oci.NewSizedReader(r, size), http.StatusCreated)
 			if err != nil {
 				return err
 			}
@@ -534,29 +519,35 @@ func (c *Client) FetchManifest(ctx context.Context, name, ref string) ([]byte, d
 // the digest (see fetch). Concurrent fetches of the same digest
 // collapse into one transfer; waiters honor their context.
 func (c *Client) FetchBlob(ctx context.Context, dst Store, name string, d digest.Digest) error {
-	_, shared, err := c.flights.DoContext(ctx, d, func() (_ struct{}, err error) {
-		if dst.Has(d) {
+	return c.fetchBlob(ctx, dst, name, oci.Descriptor{Digest: d})
+}
+
+// fetchBlob is FetchBlob for a caller that holds the blob's descriptor.
+func (c *Client) fetchBlob(ctx context.Context, dst Store, name string, bd oci.Descriptor) error {
+	_, shared, err := c.flights.DoContext(ctx, bd.Digest, func() (_ struct{}, err error) {
+		if dst.Has(bd.Digest) {
 			return
 		}
 		// Ingest verifies the digest.
-		return struct{}{}, c.fetch(ctx, name, d, func(b []byte) error {
-			_, _, err := dst.Ingest(bytes.NewReader(b), d)
+		return struct{}{}, c.fetch(ctx, name, bd, func(b []byte) error {
+			_, _, err := dst.Ingest(bytes.NewReader(b), bd.Digest)
 			return err
 		})
 	})
-	if shared && err == nil && !dst.Has(d) {
+	if shared && err == nil && !dst.Has(bd.Digest) {
 		// The transfer joined was filling another caller's store.
-		return c.FetchBlob(ctx, dst, name, d)
+		return c.fetchBlob(ctx, dst, name, bd)
 	}
 	return err
 }
 
 // FetchBytes is FetchBlob for a caller that wants one blob's content
 // and has no store to keep it in: it downloads blob d of repository
-// name and returns the bytes, verified against d.
+// name and returns the bytes, verified against d. The slice is the
+// caller's own.
 func (c *Client) FetchBytes(ctx context.Context, name string, d digest.Digest) ([]byte, error) {
 	var out []byte
-	err := c.fetch(ctx, name, d, func(b []byte) error {
+	err := c.fetch(ctx, name, oci.Descriptor{Digest: d}, func(b []byte) error {
 		if !d.Verify(b) {
 			return fmt.Errorf("digest mismatch: content is %s", digest.FromBytes(b).Short())
 		}
@@ -566,42 +557,57 @@ func (c *Client) FetchBytes(ctx context.Context, name string, d digest.Digest) (
 	return out, err
 }
 
-// fetch downloads blob d and hands the complete content to verify,
-// which must reject bytes that do not hash to d. The bytes received so
-// far survive across attempts: a transfer cut mid-stream, or an attempt
-// that never got a response, resumes with a Range request from the
-// committed offset. Only evidence that the accumulated bytes are wrong
-// rather than incomplete — a status other than the one asked for
-// (including the 416 of a stale offset), a digest mismatch — restarts
-// from scratch.
-func (c *Client) fetch(ctx context.Context, name string, d digest.Digest, verify func([]byte) error) error {
-	var buf bytes.Buffer
+// fetch downloads blob bd.Digest and hands the complete content to
+// verify, which must reject bytes that do not hash to it and, accepting
+// them, owns the slice. The blob lands in one buffer allocated at its
+// size (oci.ReadSized): bd.Size when the caller's descriptor states one,
+// which the response's Content-Length must then agree with, else the
+// Content-Length, as the declaration it is. The bytes received so far
+// survive across attempts in that buffer: a transfer cut mid-stream, or
+// an attempt that never got a response, resumes with a Range request
+// from the committed offset. Only evidence that the accumulated bytes
+// are wrong rather than incomplete — a status other than the one asked
+// for (including the 416 of a stale offset), a length that contradicts
+// the descriptor, a digest mismatch — restarts from scratch.
+func (c *Client) fetch(ctx context.Context, name string, bd oci.Descriptor, verify func([]byte) error) error {
+	d := bd.Digest
+	var buf []byte
 	return c.Retry(ctx, func(ctx context.Context) error {
 		// A 206 is a body only in answer to a Range.
 		var header http.Header
 		accept := []int{http.StatusOK}
-		if buf.Len() > 0 {
-			header = http.Header{"Range": {fmt.Sprintf("bytes=%d-", buf.Len())}}
+		if len(buf) > 0 {
+			header = http.Header{"Range": {fmt.Sprintf("bytes=%d-", len(buf))}}
 			accept = append(accept, http.StatusPartialContent)
 		}
 		resp, err := c.Do(ctx, http.MethodGet, c.url(name, "blobs", string(d)), header, nil, accept...)
 		if err != nil {
 			if StatusCode(err) != 0 {
-				buf.Reset()
+				buf = buf[:0]
 			}
 			return err
 		}
+		defer resp.Body.Close()
 		if resp.StatusCode == http.StatusOK {
 			// Full body (fresh fetch, or a server that ignored the Range).
-			buf.Reset()
+			buf = buf[:0]
 		}
-		_, cerr := io.Copy(&buf, io.LimitReader(resp.Body, 1<<30))
-		resp.Body.Close()
-		if cerr != nil {
-			return fmt.Errorf("distrib: reading blob %s: %w", d.Short(), cerr)
+		size := int64(-1)
+		if resp.ContentLength >= 0 {
+			size = int64(len(buf)) + resp.ContentLength
 		}
-		if err := verify(buf.Bytes()); err != nil {
-			buf.Reset()
+		if bd.Size > 0 {
+			if size >= 0 && size != bd.Size {
+				buf = buf[:0]
+				return fmt.Errorf("distrib: blob %s: registry declares %d bytes, its descriptor %d", d.Short(), size, bd.Size)
+			}
+			size = bd.Size
+		}
+		if buf, err = oci.ReadSized(buf, resp.Body, size, bd.Size <= 0); err != nil {
+			return fmt.Errorf("distrib: reading blob %s: %w", d.Short(), err)
+		}
+		if err := verify(buf); err != nil {
+			buf = buf[:0]
 			return fmt.Errorf("distrib: blob %s: %w", d.Short(), err)
 		}
 		return nil
@@ -630,7 +636,7 @@ func (c *Client) PullImage(ctx context.Context, dst Store, name, ref string) (oc
 			if dst.Has(bd.Digest) {
 				continue // cross-image layer dedup: already local
 			}
-			tasks = append(tasks, func() error { return c.FetchBlob(ctx, dst, name, bd.Digest) })
+			tasks = append(tasks, func() error { return c.fetchBlob(ctx, dst, name, bd) })
 		}
 		if err := c.runPool(tasks); err != nil {
 			return err

@@ -27,11 +27,11 @@
 package distrib
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
 	"comtainer/internal/digest"
+	"comtainer/internal/oci"
 )
 
 // ReplicatedHeader marks a write request as intra-fleet replication
@@ -69,17 +69,18 @@ type Store interface {
 }
 
 // ReadBlob buffers the whole content of blob d — a convenience for
-// small blobs (manifests, configs) where streaming buys nothing.
+// small blobs (manifests, configs) where streaming buys nothing. The
+// buffer is allocated once, at the size Open returned, and a source
+// that turns out shorter or longer than that is an error.
 func ReadBlob(src BlobSource, d digest.Digest) ([]byte, error) {
 	r, n, err := src.Open(d)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	buf := make([]byte, 0, n)
-	b := bytes.NewBuffer(buf)
-	if _, err := io.Copy(b, r); err != nil {
+	b, err := oci.ReadSized(nil, r, n, false)
+	if err != nil {
 		return nil, fmt.Errorf("distrib: reading blob %s: %w", d.Short(), err)
 	}
-	return b.Bytes(), nil
+	return b, nil
 }

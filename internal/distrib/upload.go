@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"comtainer/internal/digest"
+	"comtainer/internal/oci"
 )
 
 // ErrRangeMismatch reports a chunk whose starting offset does not line
@@ -77,8 +78,8 @@ type Upload struct {
 
 	mu     sync.Mutex
 	size   int64
-	file   *os.File // spool file, nil when buffering in memory
-	buf    bytes.Buffer
+	file   *os.File // spool file, nil when spooling in memory
+	chunks [][]byte // memory spool: what each Append delivered, never written again
 	closed bool
 	// committing marks a Commit reading the spool outside mu; like
 	// closed it refuses writers, but a failed commit clears it.
@@ -182,9 +183,12 @@ func (u *Upload) Size() int64 {
 // Append receives one chunk. When expectStart >= 0 it must equal the
 // bytes already received, otherwise ErrRangeMismatch is returned and
 // nothing is consumed from r; pass -1 to append unconditionally.
-// Returns the total size after the append. The copy runs under the
-// session mutex on purpose: u.mu is what serializes writers of the
-// one spool file, so "outside the lock" does not exist here.
+// Returns the total size after the append. The memory spool keeps the
+// chunk as the one slice it was read into, allocated at the length r
+// declares (oci.ReadSized), so a session costs its bytes once however
+// many chunks they arrive in. The copy runs under the session mutex on
+// purpose: u.mu is what serializes writers of the one spool, so
+// "outside the lock" does not exist here.
 //
 //comtainer:allow lockio -- the session mutex is the spool-file serializer
 func (u *Upload) Append(r io.Reader, expectStart int64) (int64, error) {
@@ -196,16 +200,89 @@ func (u *Upload) Append(r io.Reader, expectStart int64) (int64, error) {
 	if expectStart >= 0 && expectStart != u.size {
 		return u.size, fmt.Errorf("%w: chunk starts at %d, upload is at %d", ErrRangeMismatch, expectStart, u.size)
 	}
-	var w io.Writer = &u.buf
+	var n int64
+	var err error
 	if u.file != nil {
-		w = u.file
+		n, err = io.Copy(u.file, r)
+	} else {
+		size, declared := oci.Sized(r)
+		var chunk []byte
+		if chunk, err = oci.ReadSized(nil, r, size, declared); err != nil {
+			// Keep what arrived, as the file spool does, but not the
+			// room made for what did not.
+			chunk = bytes.Clone(chunk)
+		}
+		if n = int64(len(chunk)); n > 0 {
+			u.chunks = append(u.chunks, chunk)
+		}
 	}
-	n, err := io.Copy(w, r)
 	u.size += n
 	if err != nil {
 		return u.size, fmt.Errorf("distrib: receiving chunk: %w", err)
 	}
 	return u.size, nil
+}
+
+// memSpool reads a memory spool's chunks as one blob. It is what Commit
+// hands a sink: it says how long it is (Len, for a sink that allocates;
+// Size with ReadAt, for one that reads it more than once where it lies)
+// and writes itself out chunk by chunk, so a sink that streams gets
+// each chunk in one Write.
+type memSpool struct {
+	chunks [][]byte
+	size   int64
+	off    int64 // Read's position
+}
+
+func (m *memSpool) Len() int { return int(m.size - m.off) }
+
+func (m *memSpool) Size() int64 { return m.size }
+
+func (m *memSpool) Read(p []byte) (int, error) {
+	n, err := m.ReadAt(p, m.off)
+	m.off += int64(n)
+	if n > 0 {
+		err = nil // a short read is not yet the end to a Reader
+	}
+	return n, err
+}
+
+// ReadAt implements io.ReaderAt over the chunks.
+func (m *memSpool) ReadAt(p []byte, off int64) (int, error) {
+	var n int
+	for _, c := range m.chunks {
+		if off >= int64(len(c)) {
+			off -= int64(len(c))
+			continue
+		}
+		n += copy(p[n:], c[off:])
+		off = 0
+		if n == len(p) {
+			return n, nil
+		}
+	}
+	return n, io.EOF
+}
+
+// WriteTo implements io.WriterTo: what is left goes out one chunk a
+// Write.
+func (m *memSpool) WriteTo(w io.Writer) (int64, error) {
+	var written int64
+	skip := m.off
+	for _, c := range m.chunks {
+		if skip >= int64(len(c)) {
+			skip -= int64(len(c))
+			continue
+		}
+		n, err := w.Write(c[skip:])
+		skip = 0
+		written += int64(n)
+		m.off += int64(n)
+		if err != nil {
+			return written, err
+		}
+	}
+	return written, nil
 }
 
 // Commit finalizes the upload into sink, verifying against want (which
@@ -219,7 +296,9 @@ func (u *Upload) Append(r io.Reader, expectStart int64) (int64, error) {
 // Append and a second Commit get ErrUploadClosed, so the bytes the
 // sink sees are the bytes that were there when Commit was called. The
 // spool file is read through its own offset-free section reader, which
-// leaves the append position where it was for the retry.
+// leaves the append position where it was for the retry. Either spool
+// reaches the sink as an io.ReaderAt with a Size — a sink may read it
+// again, where it lies, for as long as its Ingest runs.
 func (m *UploadManager) Commit(u *Upload, sink BlobSink, want digest.Digest) (digest.Digest, int64, error) {
 	if err := want.Validate(); err != nil {
 		return "", 0, err
@@ -230,9 +309,9 @@ func (m *UploadManager) Commit(u *Upload, sink BlobSink, want digest.Digest) (di
 		return "", 0, ErrUploadClosed
 	}
 	u.committing = true
-	file, size, buffered := u.file, u.size, u.buf.Bytes()
+	file, size, chunks := u.file, u.size, u.chunks
 	u.mu.Unlock()
-	var content io.Reader = bytes.NewReader(buffered)
+	var content io.Reader = &memSpool{chunks: chunks, size: size}
 	if file != nil {
 		content = io.NewSectionReader(file, 0, size)
 	}

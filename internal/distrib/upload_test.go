@@ -1,11 +1,13 @@
 package distrib
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"comtainer/internal/digest"
@@ -233,5 +235,98 @@ func TestUploadCommitSealsSession(t *testing.T) {
 		if !store.Has(digest.FromString("half+rest")) {
 			t.Error("retried blob not in sink")
 		}
+	}
+}
+
+// TestMemSpoolReadsAsOneBlob: however a sink takes what Commit hands it
+// — Read in pieces of any size, WriteTo, ReadAt at any offset — the
+// chunks read as the one blob they are, and it says how long it is.
+func TestMemSpoolReadsAsOneBlob(t *testing.T) {
+	chunks := [][]byte{[]byte("first|"), []byte("2|"), []byte("the third chunk|"), []byte("4")}
+	want := string(bytes.Join(chunks, nil))
+	spool := func() *memSpool { return &memSpool{chunks: chunks, size: int64(len(want))} }
+
+	for _, piece := range []int{1, 3, 7, 64} {
+		m, buf := spool(), make([]byte, piece)
+		var got []byte
+		for {
+			if m.Len() != len(want)-len(got) {
+				t.Fatalf("Len = %d with %d of %d bytes read", m.Len(), len(got), len(want))
+			}
+			n, err := m.Read(buf)
+			got = append(got, buf[:n]...)
+			if err == io.EOF {
+				break
+			}
+			if err != nil || n == 0 {
+				t.Fatalf("Read(%d) = %d, %v", piece, n, err)
+			}
+		}
+		if string(got) != want {
+			t.Errorf("Read in pieces of %d = %q, want %q", piece, got, want)
+		}
+	}
+
+	// WriteTo after a partial Read writes the rest, one chunk a Write.
+	m := spool()
+	if _, err := io.ReadFull(m, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	var w writeLog
+	if n, err := m.WriteTo(&w); err != nil || n != int64(len(want)-8) || strings.Join(w.writes, "") != want[8:] {
+		t.Errorf("WriteTo after 8 bytes = %d, %v, %q", n, err, w.writes)
+	}
+	if len(w.writes) != 2 {
+		t.Errorf("WriteTo made %d writes %q, want the rest of chunk three and chunk four", len(w.writes), w.writes)
+	}
+	if m.Len() != 0 {
+		t.Errorf("Len after WriteTo = %d", m.Len())
+	}
+
+	m = spool()
+	for off := 0; off <= len(want); off++ {
+		p := make([]byte, 5)
+		n, err := m.ReadAt(p, int64(off))
+		if string(p[:n]) != want[off:min(off+5, len(want))] || (n < 5) != (err == io.EOF) {
+			t.Errorf("ReadAt(5, %d) = %q, %v", off, p[:n], err)
+		}
+	}
+	if m.Size() != int64(len(want)) || m.Len() != len(want) {
+		t.Errorf("ReadAt moved the read position: Size %d, Len %d", m.Size(), m.Len())
+	}
+}
+
+type writeLog struct{ writes []string }
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, string(p))
+	return len(p), nil
+}
+
+// TestUploadKeepsWhatArrivedNotWhatWasDeclared: the memory spool sizes
+// a chunk by the length its request declares. A request that declares a
+// megabyte and delivers ten bytes leaves ten bytes spooled — at the
+// offset a resuming client will be told — and not the megabyte of room.
+func TestUploadKeepsWhatArrivedNotWhatWasDeclared(t *testing.T) {
+	m := NewUploadManager("")
+	u, err := m.Start("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := io.MultiReader(strings.NewReader("ten bytes!"), iotest.ErrReader(io.ErrUnexpectedEOF))
+	size, err := u.Append(oci.NewSizedReader(cut, 1<<20), 0)
+	if err == nil || size != 10 {
+		t.Fatalf("Append of a cut chunk = %d, %v; want 10 and the error", size, err)
+	}
+	if len(u.chunks) != 1 || cap(u.chunks[0]) > 64 {
+		t.Fatalf("spool holds %d chunks, the first with capacity %d, for 10 bytes", len(u.chunks), cap(u.chunks[0]))
+	}
+	if size, err = u.Append(strings.NewReader(" and the rest"), 10); err != nil || size != 23 {
+		t.Fatalf("resumed Append = %d, %v", size, err)
+	}
+	store := oci.NewStore()
+	want := digest.FromString("ten bytes! and the rest")
+	if _, n, err := m.Commit(u, store, want); err != nil || n != 23 || !store.Has(want) {
+		t.Fatalf("Commit = %d, %v", n, err)
 	}
 }

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -156,11 +158,11 @@ func (p *Proxy) cacheAdd(src distrib.BlobSource, d digest.Digest) {
 	if store == nil || store.Has(d) {
 		return
 	}
-	rc, _, err := src.Open(d)
+	rc, size, err := src.Open(d)
 	if err != nil {
 		return
 	}
-	_, _, err = store.Ingest(rc, d)
+	_, _, err = store.Ingest(oci.NewSizedReader(rc, size), d)
 	rc.Close()
 	if err == nil {
 		_ = p.noteFetched(store, d) // best-effort, as above
@@ -370,23 +372,83 @@ func (p *Proxy) ServeBlob(w http.ResponseWriter, r *http.Request, name string, d
 	}
 }
 
-// CommitBlob implements registry.Backend: the verified blob is staged
-// in memory, pushed to its owning shard group (with failover) — whose
-// leader acknowledges only after every follower holds it — and warms
-// the pull-through cache.
-func (p *Proxy) CommitBlob(r *http.Request, name string, d digest.Digest, ingest func(distrib.BlobSink) error) error {
-	staging := oci.NewStore()
-	if err := ingest(staging); err != nil {
-		return err
+// CommitBlob implements registry.Backend: the blob is verified, pushed
+// to its owning shard group (with failover) — whose leader acknowledges
+// only after every follower holds it — and warms the pull-through
+// cache, all inside the sink's Ingest, while the front-end's copy of the
+// content is still there to be read.
+func (p *Proxy) CommitBlob(r *http.Request, name string, _ digest.Digest, ingest func(distrib.BlobSink) error) error {
+	return ingest(&relaySink{p: p, ctx: r.Context(), name: name})
+}
+
+// relaySink is the BlobSink CommitBlob hands the front-end and, once its
+// Ingest has verified what it was given, the one-blob BlobSource the
+// shard push and the cache read that content from.
+type relaySink struct {
+	p    *Proxy
+	ctx  context.Context
+	name string
+
+	d       digest.Digest
+	content randomAccess
+}
+
+// randomAccess is content that can be read any number of times, by
+// offset: a bytes.Reader, or what distrib.UploadManager.Commit hands a
+// sink.
+type randomAccess interface {
+	io.ReaderAt
+	Size() int64
+}
+
+// Ingest verifies r against want — a mismatch is the client's error,
+// returned before any shard hears of the blob — and pushes it on. An
+// upload session's spool is pushed from where it lies; a request body
+// is read once, into one allocation of the size it declares.
+func (s *relaySink) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int64, error) {
+	var ok bool
+	if s.content, ok = r.(randomAccess); !ok {
+		size, declared := oci.Sized(r)
+		b, err := oci.ReadSized(nil, r, size, declared)
+		if err != nil {
+			return "", 0, fmt.Errorf("fleet: receiving blob: %w", err)
+		}
+		body := bytes.NewReader(b)
+		s.content, r = body, body
 	}
-	err := p.withGroup(p.groupFor(d), func(base string) error {
-		return p.clientFor(base).PushBlob(r.Context(), name, staging, d)
+	h := sha256.New()
+	if _, err := io.Copy(h, r); err != nil {
+		return "", 0, fmt.Errorf("fleet: reading blob: %w", err)
+	}
+	if got := digest.FromHash(h); got != want {
+		return "", 0, fmt.Errorf("fleet: digest mismatch: content is %s, want %s", got, want)
+	}
+	s.d = want
+	err := s.p.withGroup(s.p.groupFor(want), func(base string) error {
+		return s.p.clientFor(base).PushBlob(s.ctx, s.name, s, want)
 	})
 	if err != nil {
-		return shardError(err)
+		return "", 0, shardError(err)
 	}
-	p.cacheAdd(staging, d)
-	return nil
+	s.p.cacheAdd(s, want)
+	return want, s.content.Size(), nil
+}
+
+// Has implements distrib.BlobSource.
+func (s *relaySink) Has(d digest.Digest) bool { return d == s.d }
+
+// Digests implements distrib.BlobSource.
+func (s *relaySink) Digests() []digest.Digest { return []digest.Digest{s.d} }
+
+// Open implements distrib.BlobSource: every caller gets a reader of its
+// own, so an attempt the transport has not quite let go of and the next
+// one never share a position.
+func (s *relaySink) Open(d digest.Digest) (io.ReadCloser, int64, error) {
+	if d != s.d {
+		return nil, 0, fmt.Errorf("%w: %s", oci.ErrBlobNotFound, d)
+	}
+	size := s.content.Size()
+	return io.NopCloser(io.NewSectionReader(s.content, 0, size)), size, nil
 }
 
 // --- manifests and tags ---

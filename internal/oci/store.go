@@ -64,8 +64,9 @@ func (s *Store) Put(content []byte) digest.Digest {
 
 // adopt stores content, which hashes to d, as the slice it is: the caller
 // hands over ownership and nothing may write to content afterwards. It is
-// for bytes this package made or another Store already holds; bytes
-// arriving from outside the process go through Put, PutVerified or Ingest.
+// for bytes nobody else holds — what this package made, what another Store
+// already holds, what Ingest read off its reader itself. Bytes a caller
+// still holds go through Put or PutVerified, which copy.
 func (s *Store) adopt(d digest.Digest, content []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -106,19 +107,21 @@ func (s *Store) Open(d digest.Digest) (io.ReadCloser, int64, error) {
 }
 
 // Ingest consumes r into the store — the distrib.BlobSink write side.
-// If want is non-empty the content must hash to it.
+// If want is non-empty the content must hash to it. The blob is read
+// into one allocation of the size r says it has (Sized, ReadSized),
+// hashed, and kept as that slice: nobody else holds it.
 func (s *Store) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int64, error) {
-	b, err := io.ReadAll(r)
+	size, declared := Sized(r)
+	b, err := ReadSized(nil, r, size, declared)
 	if err != nil {
 		return "", 0, fmt.Errorf("oci: ingesting blob: %w", err)
 	}
-	if want != "" {
-		if err := s.PutVerified(b, want); err != nil {
-			return "", 0, err
-		}
-		return want, int64(len(b)), nil
+	got := digest.FromBytes(b)
+	if want != "" && got != want {
+		return "", 0, fmt.Errorf("oci: digest mismatch: content is %s, want %s", got, want)
 	}
-	return s.Put(b), int64(len(b)), nil
+	s.adopt(got, b)
+	return got, int64(len(b)), nil
 }
 
 // Delete removes blob d and the tree decoded from it. Deleting an absent

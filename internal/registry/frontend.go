@@ -42,8 +42,10 @@ type Backend interface {
 	// HasBlob is the referential check behind manifest PUTs.
 	HasBlob(ctx context.Context, d digest.Digest) (bool, error)
 	// CommitBlob stores blob d durably before returning nil. It calls
-	// ingest once with the sink the content goes to; ingest verifies
-	// the content against d, and its error is returned unmarked.
+	// ingest once with the sink the content goes to; ingest has the sink
+	// verify the content against d, and its error — unmarked when it is
+	// the content's fault — is returned as it is. The content is there
+	// to be read only until ingest returns.
 	CommitBlob(r *http.Request, name string, d digest.Digest, ingest func(distrib.BlobSink) error) error
 	// CommitManifest stores the manifest document body (digest d) and,
 	// when ref is a tag, points the tag at it.
@@ -164,7 +166,7 @@ func (f *frontend) routeUpload(w http.ResponseWriter, r *http.Request, name, id 
 			// The whole blob in one request: the single-POST form and
 			// the old single-request PUT (back-compat).
 			f.commitBlob(w, r, name, func(sink distrib.BlobSink, want digest.Digest) error {
-				_, _, err := sink.Ingest(io.LimitReader(contextReader{r.Context(), r.Body}, 1<<30), want)
+				_, _, err := sink.Ingest(requestBody(r, io.LimitReader(r.Body, oci.MaxBlobSize)), want)
 				return err
 			})
 		case r.Method == http.MethodPost:
@@ -186,7 +188,7 @@ func (f *frontend) routeUpload(w http.ResponseWriter, r *http.Request, name, id 
 		f.commitBlob(w, r, name, func(sink distrib.BlobSink, want digest.Digest) error {
 			// An optional trailing chunk may ride on the finalizing PUT.
 			if r.ContentLength != 0 {
-				if _, err := u.Append(contextReader{r.Context(), r.Body}, -1); err != nil {
+				if _, err := u.Append(requestBody(r, r.Body), -1); err != nil {
 					return err
 				}
 			}
@@ -218,6 +220,18 @@ func (c contextReader) Read(p []byte) (int, error) {
 		return 0, err
 	}
 	return c.r.Read(p)
+}
+
+// requestBody returns src, r's body or a prefix of it, as a reader that
+// stops when the client goes away and, when the request declared a
+// Content-Length, says how long it is (oci.Sized) — what an in-memory
+// sink or spool sizes its one allocation by.
+func requestBody(r *http.Request, src io.Reader) io.Reader {
+	src = contextReader{r.Context(), src}
+	if r.ContentLength < 0 {
+		return src
+	}
+	return oci.NewSizedReader(src, r.ContentLength)
 }
 
 // uploadRange renders the session Range header ("0-0" when empty, per
@@ -252,7 +266,7 @@ func (f *frontend) patchUpload(w http.ResponseWriter, r *http.Request, u *distri
 		}
 		expectStart = n
 	}
-	size, err := u.Append(contextReader{r.Context(), r.Body}, expectStart)
+	size, err := u.Append(requestBody(r, r.Body), expectStart)
 	w.Header().Set("Docker-Upload-UUID", u.ID)
 	w.Header().Set("Range", uploadRange(size))
 	if err != nil {

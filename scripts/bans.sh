@@ -55,4 +55,10 @@ ban atomic-function 0 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int|Uint|Poi
 # The three, none under a store root: experiments/export.go (CSV),
 # fsim/osimport.go (export to host), distrib/upload.go (upload spool).
 ban os-write 3 'os\.(WriteFile|Create|OpenFile)\(' faultinject bench
+# A body is read at its size, under a bound (oci.ReadSized), or through
+# an io.LimitReader: never to wherever it ends, in a buffer that doubles
+# on the way. The three left are decompressors, whose output has no
+# length to know up front: oci's gunzip, core/cache's layer inflate,
+# tarfs's entry read.
+ban unbounded-read 3 'io\.ReadAll\(($|[^i]|i($|[^o]|o($|[^.]|\.($|[^L]))))'
 exit $fail
