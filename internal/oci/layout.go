@@ -19,20 +19,19 @@ const layoutMarker = `{"imageLayoutVersion": "1.0.0"}`
 // equivalent of an OCI layout directory. It is what registries serve and
 // what the build tools operate on. Its methods are safe for concurrent
 // use: the index is read and written under mu, by Tag, Tags, Resolve and
-// the layout code. Reading the Index field directly is for code that
-// knows nothing else holds the repository.
+// the layout code.
 type Repository struct {
 	Store *Store
-	Index Index
 
-	mu sync.RWMutex
+	mu    sync.RWMutex
+	index Index
 }
 
 // NewRepository returns an empty repository.
 func NewRepository() *Repository {
 	return &Repository{
 		Store: NewStore(),
-		Index: Index{SchemaVersion: 2, MediaType: MediaTypeIndex},
+		index: Index{SchemaVersion: 2, MediaType: MediaTypeIndex},
 	}
 }
 
@@ -40,23 +39,23 @@ func NewRepository() *Repository {
 func (r *Repository) Tag(tag string, desc Descriptor) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.Index.SetTag(tag, desc)
+	r.index.SetTag(tag, desc)
 }
 
 // Tags returns the repository's tags, sorted.
 func (r *Repository) Tags() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.Index.Tags()
+	return r.index.Tags()
 }
 
 // Resolve returns the manifest descriptor tagged tag.
 func (r *Repository) Resolve(tag string) (Descriptor, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	d, ok := r.Index.FindByTag(tag)
+	d, ok := r.index.FindByTag(tag)
 	if !ok {
-		return Descriptor{}, fmt.Errorf("oci: tag %q not found (have %v)", tag, r.Index.Tags())
+		return Descriptor{}, fmt.Errorf("oci: tag %q not found (have %v)", tag, r.index.Tags())
 	}
 	return d, nil
 }
@@ -124,7 +123,7 @@ func (r *Repository) SaveLayoutFS(dir string, fsys faultinject.FS) error {
 		}
 	}
 	r.mu.RLock()
-	idx, err := json.MarshalIndent(r.Index, "", "  ")
+	idx, err := json.MarshalIndent(r.index, "", "  ")
 	r.mu.RUnlock()
 	if err != nil {
 		return fmt.Errorf("oci: encoding index: %w", err)
@@ -153,7 +152,7 @@ func LoadLayout(dir string) (*Repository, error) {
 		return nil, fmt.Errorf("oci: reading index.json: %w", err)
 	}
 	r.mu.Lock() // r is not shared yet; the index is only ever touched under its lock
-	err = json.Unmarshal(idxBytes, &r.Index)
+	err = json.Unmarshal(idxBytes, &r.index)
 	r.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("oci: decoding index.json: %w", err)

@@ -204,7 +204,7 @@ func TestRepositoryTagResolve(t *testing.T) {
 	if got.Digest != desc2.Digest {
 		t.Error("re-tag did not replace")
 	}
-	if n := len(r.Index.Manifests); n != 1 {
+	if n := len(r.index.Manifests); n != 1 {
 		t.Errorf("index has %d manifests, want 1", n)
 	}
 }
@@ -283,8 +283,8 @@ func TestLayoutRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back.Index.Tags(), []string{"xxx.dist"}) {
-		t.Errorf("tags = %v", back.Index.Tags())
+	if !reflect.DeepEqual(back.Tags(), []string{"xxx.dist"}) {
+		t.Errorf("tags = %v", back.Tags())
 	}
 	img, err := back.LoadByTag("xxx.dist")
 	if err != nil {

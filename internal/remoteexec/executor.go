@@ -43,7 +43,7 @@ func (s ExecStats) String() string {
 
 // Executor is the client side of the farm, wired into the rebuild
 // scheduler through toolchain.Runner's Remote hook. PrepareContext
-// ships the rebuild file system once as a content-addressed tree;
+// ships the rebuild file system once as one layer blob;
 // ExecuteContext ships one ready action (with an overlay of its
 // transitive dependencies' outputs) and returns the worker's record
 // of it, or (nil, nil) to signal "run it locally". Safe for
@@ -57,8 +57,7 @@ type Executor struct {
 	Platform Platform
 
 	mu       sync.Mutex
-	prepared bool
-	baseTree digest.Digest
+	baseTree digest.Digest // "" until a PrepareContext succeeds
 
 	remote, local, errs atomic.Int64
 }
@@ -79,18 +78,21 @@ func (e *Executor) Stats() ExecStats {
 }
 
 // PrepareContext publishes fsys as the session's base tree, within
-// DefaultExecTimeout. Until it succeeds every ExecuteContext declines,
-// so a failed one degrades the whole rebuild to local execution.
+// DefaultExecTimeout. Until it succeeds every ExecuteContext declines
+// — an earlier session's tree is forgotten before the push — so a
+// failed one degrades the whole rebuild to local execution.
 func (e *Executor) PrepareContext(ctx context.Context, fsys *fsim.FS) error {
 	ctx, cancel := context.WithTimeout(ctx, DefaultExecTimeout)
 	defer cancel()
+	e.mu.Lock()
+	e.baseTree = ""
+	e.mu.Unlock()
 	td, err := PushTree(ctx, e.Client, fsys)
 	if err != nil {
 		return err
 	}
 	e.mu.Lock()
 	e.baseTree = td
-	e.prepared = true
 	e.mu.Unlock()
 	return nil
 }
@@ -103,9 +105,9 @@ func (e *Executor) PrepareContext(ctx context.Context, fsys *fsim.FS) error {
 // the command locally and the rebuild proceeds.
 func (e *Executor) ExecuteContext(ctx context.Context, argv []string, cwd string, overlay []actioncache.Output) (*actioncache.Result, error) {
 	e.mu.Lock()
-	prepared, base := e.prepared, e.baseTree
+	base := e.baseTree
 	e.mu.Unlock()
-	if !prepared {
+	if base == "" {
 		e.local.Add(1)
 		return nil, nil
 	}

@@ -15,17 +15,17 @@
 //
 //   - Worker: registers with its slot count and platform, leases
 //     tasks, materializes the executor's file-system snapshot from
-//     registry blobs (moved through the distrib client), runs the
-//     command through toolchain.Runner, publishes the runner's record
-//     of it (an actioncache.Result) as a blob, and writes the
-//     action-cache entries through to the shared
+//     one registry blob (a tarfs layer, moved through the distrib
+//     client), runs the command through toolchain.Runner, publishes
+//     the runner's record of it (an actioncache.Result) as a blob, and
+//     writes the action-cache entries through to the shared
 //     actioncache.RemoteCache so every farm execution warms the fleet
 //     cache.
 //
 //   - Executor: the client side wired into backend.executeGraph via
 //     toolchain.Runner's Remote hook. It pushes the rebuild
-//     file system once per session as a content-addressed tree, ships
-//     each ready action (plus an overlay of its transitive
+//     file system once per session as one uncompressed layer blob,
+//     ships each ready action (plus an overlay of its transitive
 //     dependencies' outputs), and re-observes the returned inputs
 //     against its own file system before recording the result — the
 //     local action cache stays executor-authoritative.
@@ -54,8 +54,9 @@ import (
 // with a registry's /v2/ tree.
 const APIPrefix = "/farm/v1"
 
-// DefaultRepo is the registry repository holding execution blobs
-// (tree snapshots, overlays, action records).
+// DefaultRepo is the registry repository holding execution blobs:
+// session trees (tarfs layers), overlays and action records (both
+// actioncache.Result documents) — the farm has no format of its own.
 const DefaultRepo = "comtainer-exec"
 
 // Platform is the execution compatibility contract between a task and
@@ -95,8 +96,8 @@ type TaskSpec struct {
 	Cwd  string   `json:"cwd"`
 	// Platform the command must execute under.
 	Platform Platform `json:"platform"`
-	// BaseTree is the digest of the session's file-system snapshot
-	// (see tree.go), pushed once per rebuild.
+	// BaseTree is the digest of the session's file-system snapshot, an
+	// uncompressed tarfs layer in DefaultRepo, pushed once per rebuild.
 	BaseTree digest.Digest `json:"baseTree"`
 	// Overlay, when non-empty, is the digest of an action-record blob
 	// whose outputs (the transitive dependencies' products) are

@@ -9,6 +9,7 @@ import (
 
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
+	"comtainer/internal/registry"
 )
 
 var testPlatform = Platform{ISA: "x86", System: "x86-64", Toolchains: "fp-test"}
@@ -21,7 +22,8 @@ func testSpec() TaskSpec {
 	}
 }
 
-// farm serves sched under httptest and wraps the JSON round trips.
+// farm serves sched, beside a registry's blob plane, under httptest and
+// wraps the JSON round trips.
 type farm struct {
 	t  *testing.T
 	ts *httptest.Server
@@ -30,7 +32,10 @@ type farm struct {
 
 func newFarm(t *testing.T, sched *Scheduler) *farm {
 	t.Helper()
-	ts := httptest.NewServer(sched.Handler())
+	mux := http.NewServeMux()
+	mux.Handle(APIPrefix+"/", sched.Handler())
+	mux.Handle("/", registry.NewServer().Handler())
+	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return &farm{t: t, ts: ts, hc: &distrib.Client{HTTP: ts.Client()}}
 }

@@ -1,7 +1,11 @@
 package remoteexec
 
 import (
+	"archive/tar"
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -18,8 +22,208 @@ import (
 	"comtainer/internal/faultinject"
 	"comtainer/internal/fsim"
 	"comtainer/internal/registry"
+	"comtainer/internal/tarfs"
 	"comtainer/internal/toolchain"
 )
+
+// spyTransport counts the requests a client sends and, of them, the
+// task submissions, and refuses blob traffic while told to.
+type spyTransport struct {
+	refuseBlobs atomic.Bool
+	n, submits  atomic.Int64
+}
+
+func (s *spyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	s.n.Add(1)
+	if s.refuseBlobs.Load() && strings.HasPrefix(req.URL.Path, "/v2/") {
+		return nil, errors.New("connection refused")
+	}
+	if req.URL.Path == APIPrefix+"/tasks" {
+		s.submits.Add(1)
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestTreeIsOneBlob: a session tree crosses the wire as one layer blob,
+// so what PushTree and FetchTree cost in requests does not depend on
+// what the tree holds, and every shape a rebuild file system takes
+// survives the round trip.
+func TestTreeIsOneBlob(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(*fsim.FS)
+	}{
+		{"the empty FS", func(*fsim.FS) {}},
+		{"one file", func(fsys *fsim.FS) { fsys.WriteFile("/src/main.c", []byte("int main(){}\n"), 0o644) }},
+		{"100 files", func(fsys *fsim.FS) {
+			for i := 0; i < 100; i++ {
+				fsys.WriteFile(fmt.Sprintf("/src/f%d.c", i), []byte(fmt.Sprintf("int f%d;\n", i)), 0o644)
+			}
+		}},
+		{"every shape", func(fsys *fsim.FS) {
+			_ = fsys.MkdirAll("/var/empty", 0o700) // nothing in a fresh FS is in the way
+			fsys.WriteFile("/usr/bin/cc", []byte("#!/bin/sh\n"), 0o755)
+			fsys.Symlink("usr/lib", "/lib")
+			fsys.WriteFile("/usr/lib/libc.so", []byte("libc"), 0o644)
+			fsys.WriteFile("/usr/lib/x86_64/libm.so", []byte("libm"), 0o644)
+			fsys.WriteFile("/etc/"+fsim.WhiteoutPrefix+"gone", nil, 0o644)
+			fsys.WriteFile("/etc/"+fsim.OpaqueWhiteout, nil, 0o644)
+			fsys.WriteFile("/src/a.h", []byte("same bytes"), 0o644)
+			fsys.WriteFile("/src/b.h", []byte("same bytes"), 0o600)
+		}},
+	}
+	var wantPush, wantFetch int64
+	for i, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ts := httptest.NewServer(registry.NewServer().Handler())
+			defer ts.Close()
+			spy := &spyTransport{}
+			client := distrib.NewClient(ts.URL)
+			client.HTTP = &http.Client{Transport: spy}
+			fsys := fsim.New()
+			c.build(fsys)
+
+			td, err := PushTree(context.Background(), client, fsys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			push := spy.n.Load()
+			got, err := FetchTree(context.Background(), client, td)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fetch := spy.n.Load() - push
+			if !got.Equal(fsys) {
+				t.Errorf("fetched %v, pushed %v", got.Paths(), fsys.Paths())
+			}
+			if i == 0 {
+				wantPush, wantFetch = push, fetch
+			}
+			if push != wantPush || fetch != wantFetch {
+				t.Errorf("%d requests to push and %d to fetch; %s took %d and %d", push, fetch, cases[0].name, wantPush, wantFetch)
+			}
+		})
+	}
+}
+
+// rawTar builds an archive of the given entries in the given order,
+// names unchecked; every regular file holds "owned".
+func rawTar(t *testing.T, hdrs ...tar.Header) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	tw := tar.NewWriter(&buf)
+	for _, hdr := range hdrs {
+		hdr.Mode, hdr.Size = 0o644, int64(len("owned"))
+		if err := tw.WriteHeader(&hdr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.Write([]byte("owned")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHostileTreeFailsTheTask: the blob plane is shared, so a tree is
+// outside input even under its true digest. What decodes it is
+// tarfs.Unmarshal, whose checks hold here: FetchTree returns an error
+// and no FS, and a worker leased a task on such a tree reports it failed
+// instead of executing on whatever part of the tree decoded.
+func TestHostileTreeFailsTheTask(t *testing.T) {
+	reg := func(name string) tar.Header { return tar.Header{Name: name, Typeflag: tar.TypeReg} }
+	whole := fsim.New()
+	whole.WriteFile("/src/main.c", bytes.Repeat([]byte("int x;\n"), 400), 0o644)
+	valid, err := tarfs.Marshal(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		blob []byte
+	}{
+		{"not a tar at all", bytes.Repeat([]byte("no archive here. "), 64)},
+		{"an absolute entry name", rawTar(t, reg("/etc/passwd"))},
+		{"a ../ escape", rawTar(t, reg("src/../../escape"))},
+		{"an entry beneath a regular file", rawTar(t, reg("src/main.c"), reg("src/main.c/x"))},
+		{"a truncated archive", valid[:len(valid)/2]},
+	}
+
+	sched := NewScheduler()
+	sched.MaxAttempts = 1
+	f := newFarm(t, sched)
+	client := distrib.NewClient(f.ts.URL)
+	w := &Worker{Scheduler: f.ts.URL, Client: client, Platform: testPlatform, Registry: toolchain.GenericRegistry(toolchain.ISAx86)}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = w.Run(ctx) // ends cancelled
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	for len(sched.Status().Workers) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	for _, c := range cases {
+		td, err := client.PushBytes(ctx, DefaultRepo, c.blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fsys, err := FetchTree(ctx, client, td); err == nil || fsys != nil {
+			t.Errorf("%s: FetchTree returned FS %v and error %v, want no FS and an error", c.name, fsys, err)
+		}
+		spec := testSpec()
+		spec.BaseTree = td
+		var sub SubmitResponse
+		f.must(http.MethodPost, "/tasks", spec, &sub)
+		st := f.taskStatus(sub.TaskID, 10*time.Second)
+		if st.State != StateFailed || !strings.Contains(st.Error, "decoding tree") {
+			t.Errorf("%s: task ended %s (%q), want failed on decoding its tree", c.name, st.State, st.Error)
+		}
+	}
+	w.treeMu.Lock()
+	defer w.treeMu.Unlock()
+	if len(w.trees) != 0 {
+		t.Errorf("the worker kept %d hostile trees", len(w.trees))
+	}
+}
+
+// TestFailedPrepareForgetsEarlierTree: an executor whose second
+// PrepareContext fails must decline every action — not submit it against
+// the tree of the session before.
+func TestFailedPrepareForgetsEarlierTree(t *testing.T) {
+	f := newFarm(t, NewScheduler())
+	spy := &spyTransport{}
+	client := distrib.NewClient(f.ts.URL)
+	client.HTTP = &http.Client{Transport: spy}
+	client.RetryBackoff = time.Millisecond
+	e := &Executor{Scheduler: f.ts.URL, Client: client, Platform: testPlatform}
+	ctx := context.Background()
+
+	first, second := fsim.New(), fsim.New()
+	first.WriteFile("/src/main.c", []byte("int main(){return 1;}\n"), 0o644)
+	second.WriteFile("/src/main.c", []byte("int main(){return 2;}\n"), 0o644)
+	if err := e.PrepareContext(ctx, first); err != nil {
+		t.Fatal(err)
+	}
+	spy.refuseBlobs.Store(true)
+	if err := e.PrepareContext(ctx, second); err == nil {
+		t.Fatal("PrepareContext through a transport that refuses returned nil")
+	}
+	res, err := e.ExecuteContext(ctx, []string{"cc", "-c", "main.c"}, "/src", nil)
+	if res != nil || err != nil {
+		t.Fatalf("ExecuteContext after a failed prepare returned (%v, %v), want (nil, nil)", res, err)
+	}
+	if st := e.Stats(); st.Local != 1 || st.Remote != 0 || spy.submits.Load() != 0 {
+		t.Errorf("stats %s and %d submits sent, want one local action and no submit", st, spy.submits.Load())
+	}
+}
 
 // gatedRegistry serves a registry whose blob GETs can be counted and,
 // per digest, held until the test says so.
@@ -80,7 +284,7 @@ func TestBaseFSFetchDiscipline(t *testing.T) {
 	treeA, treeB, treeC := push("a"), push("b"), push("c")
 	w := &Worker{Client: client}
 
-	// A's tree document is held on the wire until B has been fetched.
+	// A's tree is held on the wire until B has been fetched.
 	aStarted, bDone := make(chan struct{}), make(chan struct{})
 	g.gate(treeA, func() {
 		close(aStarted)
@@ -105,7 +309,7 @@ func TestBaseFSFetchDiscipline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Many slots, one tree: its document crosses the wire once. The
+	// Many slots, one tree: its blob crosses the wire once. The
 	// download is held until every caller is under way (plus a beat to
 	// join); a caller later still finds the memo.
 	const slots = 8
@@ -133,7 +337,7 @@ func TestBaseFSFetchDiscipline(t *testing.T) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.gets[treeC] != 1 || served.Load() != slots {
-		t.Fatalf("tree C document fetched %d times for %d callers (%d served), want once", g.gets[treeC], slots, served.Load())
+		t.Fatalf("tree C fetched %d times for %d callers (%d served), want once", g.gets[treeC], slots, served.Load())
 	}
 }
 

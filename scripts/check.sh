@@ -60,11 +60,9 @@ echo "== chaos (-race, -short seed subset) =="
 # chaos (worker killed mid-action, lossy result uploads) and the
 # registry-fleet chaos (leader killed mid-push: every acknowledged
 # write must survive follower promotion). CI's dedicated chaos job
-# runs the full 100-seed sweep; this step catches regressions in
-# seconds.
-go test -race -short -count=1 \
-    -run 'Chaos|CrashRestartVerify|EnumeratedCrashPoints|SaveLayoutCrashConsistency|AppendFile|TornTail|Resume|CancelAborts|Breaker|TieredDegrades' \
-    ./internal/distrib ./internal/actioncache ./internal/oci ./internal/remoteexec ./internal/fleet ./internal/faultinject
+# runs the same script without -short, the full 100-seed sweep; this
+# step catches regressions in seconds.
+sh scripts/chaos.sh -short
 
 echo "== shared state (-race -count=10) =="
 # State this repo lets several goroutines reach at once is exercised
@@ -84,9 +82,11 @@ go test -race -count=10 -run 'CloneShar|SchedulerWake|SchedulerExpiryTimer|Uploa
 echo "== fuzz smoke (3 x 10s) =="
 # Ten seconds of coverage-guided mutation on each parser that takes
 # bytes from outside the process. tarfs.Unmarshal takes a layer straight
-# from a registry: fuzzed against the copying decoder it replaced (same
-# verdict, same tree, archive never written, no File.Data with capacity
-# to append into it). The action cache's segment scan takes files from
+# from a registry, and a farm session's tree the same way (remoteexec
+# ships one as a layer blob and has no parser of its own): fuzzed
+# against the copying decoder it replaced (same verdict, same tree,
+# archive never written, no File.Data with capacity to append into it).
+# The action cache's segment scan takes files from
 # a cache directory — shared, possibly written by another user's crashed
 # process: no panic, no indexed record leaves its file, whatever is
 # served hashes to its header's digest, and a cut or a flipped bit costs
