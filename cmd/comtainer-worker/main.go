@@ -2,16 +2,16 @@
 // registers with a comtainer-registry running the farm scheduler
 // (-exec), leases rebuild actions matching its system's ISA and
 // toolchain fingerprint, executes them against the executor's shipped
-// file-system snapshot, and publishes each action's record (what it
-// read and wrote) — warming the registry's shared action cache with
-// every execution.
+// file-system snapshot plus the outputs each task carries, and reports
+// each action's record (what it read and wrote) to the scheduler —
+// warming the registry's shared action cache with every execution.
 //
 // Usage:
 //
 //	comtainer-worker -scheduler http://127.0.0.1:5000 -system x86-64 -toolchain sysenv -slots 4
 //
-// The scheduler URL also serves the blob traffic (snapshots, overlays,
-// action records) and the shared action cache; point it at a registry
+// The scheduler URL also serves the one kind of farm blob, the session
+// snapshots, and the shared action cache; point it at a registry
 // started with -exec. -toolchain selects which registry the worker
 // executes under: sysenv (the system's vendor toolchain), generic
 // (stock base-image toolchain) or llvm (redistributable Sysenv).

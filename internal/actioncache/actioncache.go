@@ -197,10 +197,9 @@ type Manifest struct {
 // Result is the record of one action: the input edges it observed,
 // sorted by (path, op), and the files it wrote, sorted by path. It is
 // what a Recorder produces, what Memoizer.Do returns on every path and
-// what the build farm puts on the wire (a dependency overlay is a
-// Result with no inputs). The stored result document is a Result with
-// no inputs too: those live in the manifest document, under a key of
-// their own.
+// what a build-farm worker reports. The stored result document is a
+// Result with no inputs: those live in the manifest document, under a
+// key of their own.
 type Result struct {
 	Inputs  []Input  `json:"inputs,omitempty"`
 	Outputs []Output `json:"outputs"`

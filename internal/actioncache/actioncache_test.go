@@ -524,11 +524,6 @@ func TestStoredDocumentsGolden(t *testing.T) {
 	if !reflect.DeepEqual(replayed, executed) || len(replayed.Inputs) != 3 {
 		t.Errorf("replayed record %+v, executed %+v", replayed, executed)
 	}
-	// On the farm's wire the same encoder carries the inputs along.
-	wire, err := DecodeResult(EncodeResult(*executed))
-	if err != nil || !reflect.DeepEqual(&wire, executed) {
-		t.Errorf("record did not survive the wire: %+v (%v)", wire, err)
-	}
 }
 
 // TestNilCacheDoEncodesNothing: a memoizer without a tier (the

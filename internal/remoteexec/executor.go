@@ -17,9 +17,9 @@ import (
 )
 
 // DefaultExecTimeout bounds the base-tree push and each action's full
-// farm round trip (overlay push, submit, completion wait, record
-// fetch). On expiry the action falls back to local execution; the
-// rebuild never blocks on a wedged farm.
+// farm round trip (submit, then completion polls until the status
+// carries the record). On expiry the action falls back to local
+// execution; the rebuild never blocks on a wedged farm.
 const DefaultExecTimeout = 2 * time.Minute
 
 // statusWaitMillis is the long-poll window of one completion check.
@@ -44,14 +44,13 @@ func (s ExecStats) String() string {
 // Executor is the client side of the farm, wired into the rebuild
 // scheduler through toolchain.Runner's Remote hook. PrepareContext
 // ships the rebuild file system once as one layer blob;
-// ExecuteContext ships one ready action (with an overlay of its
-// transitive dependencies' outputs) and returns the worker's record
-// of it, or (nil, nil) to signal "run it locally". Safe for
-// concurrent use.
+// ExecuteContext submits one ready action (with its transitive
+// dependencies' outputs) and returns the worker's record of it, or
+// (nil, nil) to signal "run it locally". Safe for concurrent use.
 type Executor struct {
 	// Scheduler is the farm base URL (also serving /v2/ blob traffic).
 	Scheduler string
-	// Client moves the snapshot, overlays and action records.
+	// Client pushes the snapshot and carries the scheduler traffic.
 	Client *distrib.Client
 	// Platform every shipped task demands.
 	Platform Platform
@@ -133,13 +132,7 @@ func (e *Executor) tryFarm(ctx context.Context, argv []string, cwd string, overl
 		Cwd:      cwd,
 		Platform: e.Platform,
 		BaseTree: base,
-	}
-	if len(overlay) > 0 {
-		od, err := pushResult(ctx, e.Client, actioncache.Result{Outputs: overlay})
-		if err != nil {
-			return nil, err
-		}
-		spec.Overlay = od
+		Overlay:  overlay,
 	}
 	var sub SubmitResponse
 	if err := doJSON(ctx, e.Client, http.MethodPost, e.Scheduler+APIPrefix+"/tasks", spec, &sub); err != nil {
@@ -156,11 +149,10 @@ func (e *Executor) tryFarm(ctx context.Context, argv []string, cwd string, overl
 		}
 		switch st.State {
 		case StateDone:
-			res, err := fetchResult(ctx, e.Client, st.Payload)
-			if err != nil {
-				return nil, err
+			if st.Record == nil {
+				return nil, fmt.Errorf("remoteexec: task %s done without a record", st.ID)
 			}
-			return &res, nil
+			return st.Record, nil
 		case StateFailed:
 			return nil, fmt.Errorf("remoteexec: task %s failed on the farm: %s", st.ID, st.Error)
 		}

@@ -16,17 +16,18 @@
 //   - Worker: registers with its slot count and platform, leases
 //     tasks, materializes the executor's file-system snapshot from
 //     one registry blob (a tarfs layer, moved through the distrib
-//     client), runs the command through toolchain.Runner, publishes
-//     the runner's record of it (an actioncache.Result) as a blob, and
-//     writes the action-cache entries through to the shared
-//     actioncache.RemoteCache so every farm execution warms the fleet
-//     cache.
+//     client), runs the command through toolchain.Runner, reports the
+//     runner's record of it (an actioncache.Result) in the task's
+//     result report, and writes the action-cache entries through to
+//     the shared actioncache.RemoteCache so every farm execution warms
+//     the fleet cache.
 //
 //   - Executor: the client side wired into backend.executeGraph via
 //     toolchain.Runner's Remote hook. It pushes the rebuild
 //     file system once per session as one uncompressed layer blob,
-//     ships each ready action (plus an overlay of its transitive
-//     dependencies' outputs), and re-observes the returned inputs
+//     submits each ready action with its transitive dependencies'
+//     outputs inside the task, reads the worker's record out of the
+//     task's final status, and re-observes the record's inputs
 //     against its own file system before recording the result — the
 //     local action cache stays executor-authoritative.
 //
@@ -42,22 +43,31 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 
+	"comtainer/internal/actioncache"
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
+	"comtainer/internal/oci"
 )
 
 // APIPrefix roots every farm endpoint, so a scheduler can share a mux
 // with a registry's /v2/ tree.
 const APIPrefix = "/farm/v1"
 
-// DefaultRepo is the registry repository holding execution blobs:
-// session trees (tarfs layers), overlays and action records (both
-// actioncache.Result documents) — the farm has no format of its own.
+// DefaultRepo is the registry repository holding the farm's session
+// trees, tarfs layers — the farm has no format of its own.
 const DefaultRepo = "comtainer-exec"
+
+// maxJSONBody bounds a farm JSON body, request or response: a record the
+// blob plane took (oci.MaxBlobSize) plus a MiB for the message around it.
+const maxJSONBody = oci.MaxBlobSize + 1<<20
+
+// errBodyTooLarge is a farm JSON body over maxJSONBody.
+var errBodyTooLarge = errors.New("remoteexec: JSON body over the size bound")
 
 // Platform is the execution compatibility contract between a task and
 // a worker: the ISA the toolchain targets and the fingerprint of the
@@ -99,10 +109,9 @@ type TaskSpec struct {
 	// BaseTree is the digest of the session's file-system snapshot, an
 	// uncompressed tarfs layer in DefaultRepo, pushed once per rebuild.
 	BaseTree digest.Digest `json:"baseTree"`
-	// Overlay, when non-empty, is the digest of an action-record blob
-	// whose outputs (the transitive dependencies' products) are
-	// applied on top of the base tree before execution.
-	Overlay digest.Digest `json:"overlay,omitempty"`
+	// Overlay is the outputs of the command's transitive dependencies,
+	// written over the base tree before execution.
+	Overlay []actioncache.Output `json:"overlay,omitempty"`
 }
 
 // SubmitResponse answers a task submission. NoWorker means the farm
@@ -119,19 +128,19 @@ type LeasedTask struct {
 	Spec TaskSpec `json:"spec"`
 }
 
-// LeaseResponse answers a worker's lease poll: the one task granted,
-// or none when the poll timed out with nothing assignable.
+// LeaseResponse answers a worker's lease poll: the task granted, or
+// none ({}) when the poll timed out with nothing assignable.
 type LeaseResponse struct {
-	Tasks []*LeasedTask `json:"tasks,omitempty"`
+	Task *LeasedTask `json:"task,omitempty"`
 }
 
 // ResultReport is a worker reporting a finished task. A successful
-// execution carries the digest of the action-record blob (pushed to
-// DefaultRepo before reporting); a failed one carries Error.
+// execution carries the runner's record of the action; a failed one
+// carries Error.
 type ResultReport struct {
-	WorkerID string        `json:"workerId"`
-	Payload  digest.Digest `json:"payload,omitempty"`
-	Error    string        `json:"error,omitempty"`
+	WorkerID string              `json:"workerId"`
+	Record   *actioncache.Result `json:"record,omitempty"`
+	Error    string              `json:"error,omitempty"`
 }
 
 // Task states, in lifecycle order.
@@ -144,11 +153,11 @@ const (
 
 // TaskStatus is the executor-visible state of a submitted task.
 type TaskStatus struct {
-	ID       string        `json:"id"`
-	State    string        `json:"state"`
-	Attempts int           `json:"attempts"`
-	Payload  digest.Digest `json:"payload,omitempty"`
-	Error    string        `json:"error,omitempty"`
+	ID       string              `json:"id"`
+	State    string              `json:"state"`
+	Attempts int                 `json:"attempts"`
+	Record   *actioncache.Result `json:"record,omitempty"`
+	Error    string              `json:"error,omitempty"`
 }
 
 // Terminal reports whether the task has reached a final state.
@@ -172,6 +181,22 @@ type FarmStatus struct {
 	Failed  int            `json:"failed"`
 }
 
+// decodeJSON decodes into v the JSON body of a request or response
+// that declares length declared (-1: unknown), reading at most limit
+// bytes of it: a body declaring more is refused unread, a longer one is
+// cut at limit. Either is errBodyTooLarge.
+func decodeJSON(body io.Reader, declared, limit int64, v any) error {
+	if declared > limit {
+		return errBodyTooLarge
+	}
+	lr := &io.LimitedReader{R: body, N: limit}
+	err := json.NewDecoder(lr).Decode(v)
+	if err != nil && lr.N == 0 {
+		return errBodyTooLarge
+	}
+	return err
+}
+
 // doJSON performs one scheduler request through c (and so through the
 // transport that carries its blob traffic) with a JSON body (nil in =
 // no body) and decodes the JSON response into out (nil out = discard).
@@ -192,10 +217,10 @@ func doJSON(ctx context.Context, c *distrib.Client, method, url string, in, out 
 	}
 	defer resp.Body.Close()
 	if out == nil {
-		io.Copy(io.Discard, resp.Body)
+		io.Copy(io.Discard, io.LimitReader(resp.Body, maxJSONBody))
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := decodeJSON(resp.Body, resp.ContentLength, maxJSONBody, out); err != nil {
 		return fmt.Errorf("remoteexec: decoding %s response: %w", url, err)
 	}
 	return nil

@@ -3,6 +3,7 @@ package remoteexec
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -22,10 +23,10 @@ const (
 	// maxPollWait caps the long-poll duration of the lease and status
 	// endpoints; clients poll again for longer waits.
 	maxPollWait = 10 * time.Second
-	// keptTerminalTasks is how many of the most recently finished tasks
-	// the scheduler still answers for: a late status poll, a retried or
-	// reassigned-away worker's report. Older ones are forgotten, and a
-	// report for one gets the 404 a worker treats as final.
+	// keptTerminalTasks is how many of the most recently finished tasks,
+	// records included, the scheduler still answers for: a late status
+	// poll, a retried or reassigned-away worker's report. Older ones are
+	// forgotten; a report for one gets the 404 a worker treats as final.
 	keptTerminalTasks = 1024
 )
 
@@ -61,7 +62,7 @@ func (t *schedTask) status() TaskStatus {
 		ID:       t.id,
 		State:    t.state,
 		Attempts: t.attempts,
-		Payload:  t.payload.Payload,
+		Record:   t.payload.Record,
 		Error:    t.payload.Error,
 	}
 }
@@ -211,6 +212,7 @@ func (s *Scheduler) finishLocked(t *schedTask, state string, outcome ResultRepor
 	t.state = state
 	t.worker = ""
 	t.payload = outcome
+	t.spec.Overlay = nil // no worker will run it again; the record is what is kept
 	close(t.done)
 	for i, id := range s.queue {
 		if id == t.id {
@@ -294,11 +296,14 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	err := decodeJSON(r.Body, r.ContentLength, maxJSONBody, v)
+	switch {
+	case errors.Is(err, errBodyTooLarge):
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+	case err != nil:
 		http.Error(w, "malformed request body: "+err.Error(), http.StatusBadRequest)
-		return false
 	}
-	return true
+	return err == nil
 }
 
 // pollWait parses the ?wait= duration of a long poll, clamped to
@@ -398,7 +403,7 @@ func (s *Scheduler) handleLease(w http.ResponseWriter, r *http.Request) {
 		leased := s.assignLocked(wk)
 		if leased != nil || !now.Before(deadline) {
 			s.mu.Unlock()
-			writeJSON(w, LeaseResponse{Tasks: leased})
+			writeJSON(w, LeaseResponse{Task: leased})
 			return
 		}
 		wk.parked++
@@ -421,7 +426,7 @@ func (s *Scheduler) handleLease(w http.ResponseWriter, r *http.Request) {
 // its in-flight set and returns it as the lease's grant, or returns
 // nil: assignment is capacity-aware, a worker never holds more tasks
 // than it has slots. Callers hold s.mu.
-func (s *Scheduler) assignLocked(wk *schedWorker) []*LeasedTask {
+func (s *Scheduler) assignLocked(wk *schedWorker) *LeasedTask {
 	if len(wk.inflight) >= wk.slots {
 		return nil
 	}
@@ -435,7 +440,7 @@ func (s *Scheduler) assignLocked(wk *schedWorker) []*LeasedTask {
 		t.worker = wk.id
 		t.attempts++
 		wk.inflight[t.id] = true
-		return []*LeasedTask{{ID: t.id, Spec: t.spec}}
+		return &LeasedTask{ID: t.id, Spec: t.spec}
 	}
 	return nil
 }
@@ -443,8 +448,8 @@ func (s *Scheduler) assignLocked(wk *schedWorker) []*LeasedTask {
 // handleResult records a worker's report. Reports are idempotent:
 // once a task is terminal, later reports (duplicates, or a
 // reassigned-away worker finishing anyway) are acknowledged and
-// dropped — first result wins, and because payloads are
-// content-addressed a duplicate carries identical bytes anyway.
+// dropped — first result wins. The acknowledgement is the task's
+// status without its record, which the reporter already has.
 func (s *Scheduler) handleResult(w http.ResponseWriter, r *http.Request, tid string) {
 	var rep ResultReport
 	if !readJSON(w, r, &rep) {
@@ -468,7 +473,7 @@ func (s *Scheduler) handleResult(w http.ResponseWriter, r *http.Request, tid str
 	case rep.Error == "":
 		s.done++
 		s.finishLocked(t, StateDone, rep)
-	case t.worker == rep.WorkerID:
+	case t.state == StateRunning && t.worker == rep.WorkerID:
 		s.requeueLocked(t, rep.Error)
 	default:
 		// A failure from a worker the task was taken from: it is
@@ -476,6 +481,7 @@ func (s *Scheduler) handleResult(w http.ResponseWriter, r *http.Request, tid str
 	}
 	st := t.status()
 	s.mu.Unlock()
+	st.Record = nil
 	writeJSON(w, st)
 }
 

@@ -1,13 +1,18 @@
 package remoteexec
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
-	"comtainer/internal/digest"
+	"comtainer/internal/actioncache"
 	"comtainer/internal/distrib"
 	"comtainer/internal/registry"
 )
@@ -74,13 +79,15 @@ func (f *farm) lease(worker string, wait time.Duration) *LeasedTask {
 	f.t.Helper()
 	var resp LeaseResponse
 	f.must(http.MethodPost, "/lease?worker="+worker+"&wait="+itoa(wait), nil, &resp)
-	if len(resp.Tasks) > 1 {
-		f.t.Fatalf("lease granted %d tasks, want at most 1", len(resp.Tasks))
+	return resp.Task
+}
+
+// record is a worker's record of an action that wrote one file, name.
+func record(name string) *actioncache.Result {
+	return &actioncache.Result{
+		Inputs:  []actioncache.Input{{Op: actioncache.OpRead, Path: "/src/main.c"}},
+		Outputs: []actioncache.Output{{Path: "/src/" + name, Mode: 0o644, Data: []byte(name + "\x00\xff")}},
 	}
-	if len(resp.Tasks) == 0 {
-		return nil
-	}
-	return resp.Tasks[0]
 }
 
 func (f *farm) taskStatus(id string, wait time.Duration) TaskStatus {
@@ -153,7 +160,7 @@ func TestWorkerRegistersMidFlight(t *testing.T) {
 	}
 	var st TaskStatus
 	f.must(http.MethodPost, "/tasks/"+tids[0]+"/result",
-		ResultReport{WorkerID: wid, Payload: digest.FromBytes([]byte("r1"))}, &st)
+		ResultReport{WorkerID: wid, Record: record("r1.o")}, &st)
 	if st.State != StateDone {
 		t.Fatalf("task state %q after result, want %q", st.State, StateDone)
 	}
@@ -175,24 +182,27 @@ func TestDuplicateResultIdempotent(t *testing.T) {
 		t.Fatalf("lease: got %+v, want task %s", lt, tid)
 	}
 
-	first := digest.FromBytes([]byte("result-1"))
-	second := digest.FromBytes([]byte("result-2"))
+	first, second := record("result-1.o"), record("result-2.o")
 	var st TaskStatus
-	f.must(http.MethodPost, "/tasks/"+tid+"/result", ResultReport{WorkerID: wid, Payload: first}, &st)
-	if st.State != StateDone || st.Payload != first {
-		t.Fatalf("first report: state %q payload %s", st.State, st.Payload)
+	f.must(http.MethodPost, "/tasks/"+tid+"/result", ResultReport{WorkerID: wid, Record: first}, &st)
+	if st.State != StateDone || st.Record != nil {
+		t.Fatalf("first report acknowledged with state %q and record %+v, want done and no record", st.State, st.Record)
+	}
+	if got := f.taskStatus(tid, 0); got.State != StateDone || !reflect.DeepEqual(got.Record, first) {
+		t.Fatalf("after the first report: state %q record %+v, want done with %+v", got.State, got.Record, first)
 	}
 	// Duplicate from the same worker, then a conflicting report from an
 	// unknown worker: both must be dropped on the floor.
-	f.must(http.MethodPost, "/tasks/"+tid+"/result", ResultReport{WorkerID: wid, Payload: second}, &st)
-	if st.State != StateDone || st.Payload != first {
-		t.Fatalf("duplicate report overwrote result: state %q payload %s", st.State, st.Payload)
+	f.must(http.MethodPost, "/tasks/"+tid+"/result", ResultReport{WorkerID: wid, Record: second}, &st)
+	if got := f.taskStatus(tid, 0); got.State != StateDone || !reflect.DeepEqual(got.Record, first) {
+		t.Fatalf("duplicate report overwrote result: state %q record %+v", got.State, got.Record)
 	}
 	f.must(http.MethodPost, "/tasks/"+tid+"/result", ResultReport{WorkerID: "ghost", Error: "late failure"}, &st)
-	if st.State != StateDone || st.Payload != first || st.Error != "" {
-		t.Fatalf("post-terminal error report mutated task: %+v", st)
+	got := f.taskStatus(tid, 0)
+	if got.State != StateDone || !reflect.DeepEqual(got.Record, first) || got.Error != "" {
+		t.Fatalf("post-terminal error report mutated task: %+v", got)
 	}
-	if got := f.taskStatus(tid, 0); got.Attempts != 1 {
+	if got.Attempts != 1 {
 		t.Fatalf("attempts = %d, want 1", got.Attempts)
 	}
 }
@@ -235,7 +245,7 @@ func TestHeartbeatMissReassigns(t *testing.T) {
 		t.Fatalf("after the expired worker's late failure: %+v, want the task running once", farm)
 	}
 	f.must(http.MethodPost, "/tasks/"+tid+"/result",
-		ResultReport{WorkerID: alive, Payload: digest.FromBytes([]byte("ok"))}, &st)
+		ResultReport{WorkerID: alive, Record: record("ok.o")}, &st)
 	if st.State != StateDone {
 		t.Fatalf("state %q after healthy result, want %q", st.State, StateDone)
 	}
@@ -311,6 +321,46 @@ func TestQueuedTasksFailWhenFarmEmpties(t *testing.T) {
 	}
 }
 
+// TestFarmBodiesAreBounded: a farm JSON body is read up to maxJSONBody,
+// at both ends. A request declaring more is answered 413 before any of
+// it is decoded, and nothing is queued; a response declaring more is
+// refused by the client; a body that declares no length is cut at the
+// bound.
+func TestFarmBodiesAreBounded(t *testing.T) {
+	sched := NewScheduler()
+	f := newFarm(t, sched)
+	f.register("w", 1)
+	spec, err := json.Marshal(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, APIPrefix+"/tasks", bytes.NewReader(spec))
+	req.ContentLength = maxJSONBody + 1
+	rec := httptest.NewRecorder()
+	sched.Handler().ServeHTTP(rec, req)
+	if st := sched.Status(); rec.Code != http.StatusRequestEntityTooLarge || st.Queued != 0 {
+		t.Errorf("a submit declaring %d bytes: %d %q, %d tasks queued; want 413 and none", req.ContentLength, rec.Code, rec.Body, st.Queued)
+	}
+
+	huge := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.FormatInt(maxJSONBody+1, 10))
+		w.Write([]byte("{}")) // the rest never comes: the client must not wait for it
+	}))
+	defer huge.Close()
+	var st TaskStatus
+	if err := doJSON(context.Background(), &distrib.Client{HTTP: huge.Client()}, http.MethodGet, huge.URL, nil, &st); !errors.Is(err, errBodyTooLarge) {
+		t.Errorf("a response declaring %d bytes: %v, want errBodyTooLarge", maxJSONBody+1, err)
+	}
+
+	var got TaskSpec
+	if err := decodeJSON(bytes.NewReader(spec), -1, int64(len(spec)), &got); err != nil || !reflect.DeepEqual(got, testSpec()) {
+		t.Errorf("an undeclared body at the bound: %+v, %v; want it decoded", got, err)
+	}
+	if err := decodeJSON(bytes.NewReader(spec), -1, int64(len(spec)-1), &got); !errors.Is(err, errBodyTooLarge) {
+		t.Errorf("an undeclared body one byte over the bound: %v, want errBodyTooLarge", err)
+	}
+}
+
 // TestTerminalTasksAreBounded: a scheduler serving rebuild after
 // rebuild keeps only the most recent terminal tasks — the map does not
 // grow with the number ever finished — while the farm status still
@@ -321,7 +371,7 @@ func TestTerminalTasksAreBounded(t *testing.T) {
 	f := newFarm(t, sched)
 	wid := f.register("w", 1)
 	const n = 3 * keptTerminalTasks
-	done := ResultReport{WorkerID: wid, Payload: digest.FromBytes([]byte("r"))}
+	done := ResultReport{WorkerID: wid, Record: record("r.o")}
 	var first, last string
 	for i := 0; i < n; i++ {
 		last = f.submit()
@@ -342,7 +392,7 @@ func TestTerminalTasksAreBounded(t *testing.T) {
 	if st := sched.Status(); st.Done != n || st.Failed != 0 || st.Queued != 0 || st.Running != 0 {
 		t.Errorf("status %+v, want %d done and nothing else", st, n)
 	}
-	if st := f.taskStatus(last, 0); st.State != StateDone || st.Payload != done.Payload {
+	if st := f.taskStatus(last, 0); st.State != StateDone || !reflect.DeepEqual(st.Record, done.Record) {
 		t.Errorf("most recent task: %+v, want done with its result", st)
 	}
 	if err := f.do(http.MethodPost, "/tasks/"+first+"/result", done, nil); distrib.StatusCode(err) != http.StatusNotFound {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
 )
 
@@ -83,12 +82,10 @@ func TestSchedulerWakeOnEvent(t *testing.T) {
 	leased := make(chan *LeasedTask, 1)
 	go func() {
 		var resp LeaseResponse
-		if err := f.do(http.MethodPost, "/lease?worker="+wid+"&wait=10000", nil, &resp); err != nil || len(resp.Tasks) != 1 {
-			t.Errorf("parked lease: %v, %d tasks", err, len(resp.Tasks))
-			leased <- nil
-			return
+		if err := f.do(http.MethodPost, "/lease?worker="+wid+"&wait=10000", nil, &resp); err != nil || resp.Task == nil {
+			t.Errorf("parked lease: %v, task %+v", err, resp.Task)
 		}
-		leased <- resp.Tasks[0]
+		leased <- resp.Task
 	}()
 	f.awaitParked(wid, 1)
 	start := time.Now()
@@ -118,7 +115,7 @@ func TestSchedulerWakeOnEvent(t *testing.T) {
 	await(t, "the status poll to reach the scheduler", f.arrived)
 	start = time.Now()
 	var st TaskStatus
-	f.must(http.MethodPost, "/tasks/"+tid+"/result", ResultReport{WorkerID: wid, Payload: digest.FromBytes([]byte("ok"))}, &st)
+	f.must(http.MethodPost, "/tasks/"+tid+"/result", ResultReport{WorkerID: wid, Record: record("ok.o")}, &st)
 	select {
 	case st := <-status:
 		if st.State != StateDone {
@@ -208,13 +205,13 @@ func TestSchedulerExpiryTimerRequeuesToParkedLease(t *testing.T) {
 	lastBeat := time.Now()
 	patient := f.register("patient", 1)
 
-	leased := make(chan []*LeasedTask, 1)
+	leased := make(chan *LeasedTask, 1)
 	go func() {
 		var resp LeaseResponse
 		if err := f.do(http.MethodPost, "/lease?worker="+patient+"&wait=10000", nil, &resp); err != nil {
 			t.Errorf("parked lease: %v", err)
 		}
-		leased <- resp.Tasks
+		leased <- resp.Task
 	}()
 	f.awaitParked(patient, 1)
 	status := make(chan TaskStatus, 1)
@@ -228,7 +225,7 @@ func TestSchedulerExpiryTimerRequeuesToParkedLease(t *testing.T) {
 
 	select {
 	case got := <-leased:
-		if len(got) != 1 || got[0].ID != tid {
+		if got == nil || got.ID != tid {
 			t.Fatalf("parked lease returned %+v, want the requeued task %s", got, tid)
 		}
 	case <-time.After(5 * time.Second):
@@ -237,7 +234,7 @@ func TestSchedulerExpiryTimerRequeuesToParkedLease(t *testing.T) {
 	if d := time.Since(lastBeat); d < 150*time.Millisecond || d > sched.HeartbeatTimeout+500*time.Millisecond {
 		t.Errorf("task requeued after %v, want about the %v heartbeat timeout", d, sched.HeartbeatTimeout)
 	}
-	f.must(http.MethodPost, "/tasks/"+tid+"/result", ResultReport{WorkerID: patient, Payload: digest.FromBytes([]byte("ok"))}, nil)
+	f.must(http.MethodPost, "/tasks/"+tid+"/result", ResultReport{WorkerID: patient, Record: record("ok.o")}, nil)
 	if st := <-status; st.State != StateDone || st.Attempts != 2 {
 		t.Errorf("status poll: state %q attempts %d, want done/2", st.State, st.Attempts)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"comtainer/internal/actioncache"
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
 	"comtainer/internal/fsim"
@@ -44,24 +43,4 @@ func FetchTree(ctx context.Context, client *distrib.Client, td digest.Digest) (*
 		return nil, fmt.Errorf("remoteexec: decoding tree %s: %w", td.Short(), err)
 	}
 	return fsys, nil
-}
-
-// pushResult publishes the action record res (a worker's result, or an
-// executor's overlay: outputs only) as a content blob in DefaultRepo,
-// returning its digest.
-func pushResult(ctx context.Context, client *distrib.Client, res actioncache.Result) (digest.Digest, error) {
-	d, err := client.PushBytes(ctx, DefaultRepo, actioncache.EncodeResult(res))
-	if err != nil {
-		return "", fmt.Errorf("remoteexec: pushing action record %s: %w", d.Short(), err)
-	}
-	return d, nil
-}
-
-// fetchResult retrieves and decodes the action-record blob d.
-func fetchResult(ctx context.Context, client *distrib.Client, d digest.Digest) (actioncache.Result, error) {
-	raw, err := client.FetchBytes(ctx, DefaultRepo, d)
-	if err != nil {
-		return actioncache.Result{}, fmt.Errorf("remoteexec: fetching action record %s: %w", d.Short(), err)
-	}
-	return actioncache.DecodeResult(raw)
 }

@@ -30,15 +30,15 @@ const maxIdleTreeBytes = 1 << 30
 
 // Worker executes farm tasks: it registers with the scheduler,
 // heartbeats, leases ready actions, runs them on a materialized
-// snapshot of the executor's file system, and publishes each runner's
-// record of its action as a blob — writing the action-cache entries
-// through to the shared remote cache along the way.
+// snapshot of the executor's file system, and reports each runner's
+// record of its action — writing the action-cache entries through to
+// the shared remote cache along the way.
 type Worker struct {
 	// Scheduler is the farm base URL (the host also serving /farm/v1).
 	Scheduler string
-	// Client moves blobs to/from the registry; its HTTP client also
-	// carries the scheduler traffic, so a fault-injecting transport
-	// wraps every wire interaction at once.
+	// Client fetches session trees from the registry; its HTTP client
+	// also carries the scheduler traffic, so a fault-injecting
+	// transport wraps every wire interaction at once.
 	Client *distrib.Client
 	// Name labels the worker in status output.
 	Name string
@@ -162,7 +162,7 @@ func (w *Worker) slotLoop(ctx context.Context, id string) error {
 			}
 			continue
 		}
-		for _, t := range lr.Tasks {
+		if t := lr.Task; t != nil {
 			rep := ResultReport{WorkerID: id}
 			record, err := w.executeTask(ctx, t)
 			if err != nil {
@@ -173,7 +173,7 @@ func (w *Worker) slotLoop(ctx context.Context, id string) error {
 				}
 				rep.Error = err.Error()
 			} else {
-				rep.Payload = record
+				rep.Record = record
 			}
 			if err := w.report(ctx, t.ID, rep); err != nil && ctx.Err() != nil {
 				return ctx.Err()
@@ -265,29 +265,23 @@ func (w *Worker) baseFS(ctx context.Context, td digest.Digest) (*fsim.FS, error)
 	return w.pinTree(td, fsys), nil
 }
 
-// executeTask runs one leased action and publishes the runner's
-// record of it, returning the blob digest the result report carries.
-func (w *Worker) executeTask(ctx context.Context, t *LeasedTask) (digest.Digest, error) {
+// executeTask runs one leased action and returns the runner's record
+// of it, what the result report carries.
+func (w *Worker) executeTask(ctx context.Context, t *LeasedTask) (*actioncache.Result, error) {
 	base, err := w.baseFS(ctx, t.Spec.BaseTree)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	defer w.unpinTree(t.Spec.BaseTree)
 	// A structural share: the task's writes land in its own map, the
 	// session's files are never copied.
 	fsys := base.Clone()
-	if t.Spec.Overlay != "" {
-		ov, err := fetchResult(ctx, w.Client, t.Spec.Overlay)
-		if err != nil {
-			return "", err
-		}
-		for _, out := range ov.Outputs {
-			fsys.WriteFile(out.Path, out.Data, fs.FileMode(out.Mode))
-		}
+	for _, out := range t.Spec.Overlay {
+		fsys.WriteFile(out.Path, out.Data, fs.FileMode(out.Mode))
 	}
 	if w.ExecDelay > 0 {
 		if err := ctxutil.Sleep(ctx, w.ExecDelay); err != nil {
-			return "", err
+			return nil, err
 		}
 	}
 
@@ -296,14 +290,14 @@ func (w *Worker) executeTask(ctx context.Context, t *LeasedTask) (digest.Digest,
 	runner := toolchain.NewRunner(fsys, w.Registry)
 	runner.Memo = actioncache.NewMemoizer(w.Cache)
 	if err := fsys.MkdirAll(t.Spec.Cwd, 0o755); err != nil {
-		return "", fmt.Errorf("remoteexec: creating cwd %s: %w", t.Spec.Cwd, err)
+		return nil, fmt.Errorf("remoteexec: creating cwd %s: %w", t.Spec.Cwd, err)
 	}
 	runner.Cwd = fsim.Clean(t.Spec.Cwd)
 	if err := runner.Run(t.Spec.Argv); err != nil {
-		return "", fmt.Errorf("remoteexec: executing task %s: %w", t.ID, err)
+		return nil, fmt.Errorf("remoteexec: executing task %s: %w", t.ID, err)
 	}
 	if runner.LastResult == nil {
-		return "", fmt.Errorf("remoteexec: task %s: command went through no action cache (not cacheable?)", t.ID)
+		return nil, fmt.Errorf("remoteexec: task %s: command went through no action cache (not cacheable?)", t.ID)
 	}
-	return pushResult(ctx, w.Client, *runner.LastResult)
+	return runner.LastResult, nil
 }

@@ -4,8 +4,11 @@ import (
 	"archive/tar"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -26,22 +29,154 @@ import (
 	"comtainer/internal/toolchain"
 )
 
-// spyTransport counts the requests a client sends and, of them, the
-// task submissions, and refuses blob traffic while told to.
+// spyTransport counts the requests a client sends — all of them, and
+// by what they are for — and the leases granted to it, and refuses
+// blob traffic while told to.
 type spyTransport struct {
-	refuseBlobs atomic.Bool
-	n, submits  atomic.Int64
+	refuseBlobs                               atomic.Bool
+	n, blobs, submits, polls, reports, grants atomic.Int64
+}
+
+// traffic is what a spyTransport counted.
+type traffic struct{ n, blobs, submits, polls, reports, grants int64 }
+
+func (s *spyTransport) seen() traffic {
+	return traffic{s.n.Load(), s.blobs.Load(), s.submits.Load(), s.polls.Load(), s.reports.Load(), s.grants.Load()}
+}
+
+// since returns what s counted after it had counted was.
+func (s *spyTransport) since(was traffic) traffic {
+	now := s.seen()
+	return traffic{now.n - was.n, now.blobs - was.blobs, now.submits - was.submits,
+		now.polls - was.polls, now.reports - was.reports, now.grants - was.grants}
 }
 
 func (s *spyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	s.n.Add(1)
-	if s.refuseBlobs.Load() && strings.HasPrefix(req.URL.Path, "/v2/") {
-		return nil, errors.New("connection refused")
-	}
-	if req.URL.Path == APIPrefix+"/tasks" {
+	p := req.URL.Path
+	switch {
+	case strings.HasPrefix(p, "/v2/"):
+		s.blobs.Add(1)
+		if s.refuseBlobs.Load() {
+			return nil, errors.New("connection refused")
+		}
+	case p == APIPrefix+"/tasks":
 		s.submits.Add(1)
+	case strings.HasSuffix(p, "/result"):
+		s.reports.Add(1)
+	case strings.HasPrefix(p, APIPrefix+"/tasks/"):
+		s.polls.Add(1)
 	}
-	return http.DefaultTransport.RoundTrip(req)
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || p != APIPrefix+"/lease" || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var lr LeaseResponse
+	if json.Unmarshal(body, &lr) == nil && lr.Task != nil {
+		s.grants.Add(1)
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// TestActionIsOneMessageEachWay: once a session's tree is on the
+// worker, a remote action is one submit and its status polls from the
+// executor, one granted lease and one report from the worker, and no
+// blob request from either — whatever the action carries. Its
+// dependencies' outputs ride in the task; its record rides in the
+// report and back in the final status, and is the record the runner
+// makes of the same action run locally, inputs and bytes included.
+func TestActionIsOneMessageEachWay(t *testing.T) {
+	base := fsim.New()
+	base.WriteFile("/src/main.c", []byte("int main(){return 0;}\n"), 0o644)
+	compile := func(src, out string, extra ...string) []string {
+		return append([]string{"gcc", "-O2", "-c", src, "-o", out}, extra...)
+	}
+	cases := []struct {
+		name    string
+		argv    []string
+		overlay []actioncache.Output
+		minOut  int // bytes of the record's one output, at least
+	}{
+		{"no overlay", compile("main.c", "main.o"), nil, 1},
+		// gen.c exists only in the overlay: the action fails unless it
+		// arrived.
+		{"a 3-file overlay", compile("gen.c", "gen.o", "-I", "include"), []actioncache.Output{
+			{Path: "/src/gen.c", Mode: 0o644, Data: []byte("#include \"gen.h\"\nint gen(void){return GEN;}\n")},
+			{Path: "/src/include/gen.h", Mode: 0o644, Data: []byte("#define GEN 1\n")},
+			{Path: "/src/lib/libgen.a", Mode: 0o644, Data: []byte("!<arch>\n\x00\xff")},
+		}, 1},
+		{"a 1 MiB output", compile("main.c", "big.o", "-DBIG="+strings.Repeat("x", 1<<20)), nil, 1 << 20},
+	}
+	reg := toolchain.GenericRegistry(toolchain.ISAx86)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sched := NewScheduler()
+			f := newFarm(t, sched)
+			execSpy, workerSpy := &spyTransport{}, &spyTransport{}
+			e := &Executor{Scheduler: f.ts.URL, Client: distrib.NewClient(f.ts.URL), Platform: testPlatform}
+			e.Client.HTTP = &http.Client{Transport: execSpy}
+			w := &Worker{Scheduler: f.ts.URL, Client: distrib.NewClient(f.ts.URL), Platform: testPlatform, Registry: reg}
+			w.Client.HTTP = &http.Client{Transport: workerSpy}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				_ = w.Run(ctx) // ends cancelled
+			}()
+			stop := sync.OnceFunc(func() {
+				cancel()
+				<-done
+			})
+			defer stop()
+			for len(sched.Status().Workers) == 0 {
+				time.Sleep(time.Millisecond)
+			}
+
+			if err := e.PrepareContext(ctx, base); err != nil {
+				t.Fatal(err)
+			}
+			// The worker fetches the session's tree for its first task.
+			if res, _ := e.ExecuteContext(ctx, compile("main.c", "warm.o"), "/src", nil); res == nil {
+				t.Fatal("the first action ran locally")
+			}
+			execWas, workerWas := execSpy.seen(), workerSpy.seen()
+			res, err := e.ExecuteContext(ctx, c.argv, "/src", c.overlay)
+			stop()
+			if err != nil || res == nil {
+				t.Fatalf("ExecuteContext = (%v, %v), want the worker's record", res, err)
+			}
+			ex, wk := execSpy.since(execWas), workerSpy.since(workerWas)
+			if ex.blobs != 0 || ex.submits != 1 || ex.polls < 1 || ex.n != ex.submits+ex.polls {
+				t.Errorf("the executor sent %+v; want a submit and its status polls only", ex)
+			}
+			if wk.blobs != 0 || wk.grants != 1 || wk.reports != 1 {
+				t.Errorf("the worker sent %+v; want no blob request, one granted lease, one report", wk)
+			}
+
+			local := base.Clone()
+			for _, out := range c.overlay {
+				local.WriteFile(out.Path, out.Data, fs.FileMode(out.Mode))
+			}
+			runner := toolchain.NewRunner(local, reg)
+			runner.Memo = actioncache.NewMemoizer(nil)
+			runner.Cwd = "/src"
+			if err := runner.Run(c.argv); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, runner.LastResult) {
+				t.Errorf("the record did not survive the wire:\n got %.300v\nwant %.300v", res, runner.LastResult)
+			}
+			if len(res.Inputs) == 0 || len(res.Outputs) != 1 || len(res.Outputs[0].Data) < c.minOut {
+				t.Errorf("record of %d inputs and %d outputs, want inputs and one output of at least %d bytes", len(res.Inputs), len(res.Outputs), c.minOut)
+			}
+		})
+	}
 }
 
 // TestTreeIsOneBlob: a session tree crosses the wire as one layer blob,
@@ -418,7 +553,7 @@ func (c *recordingCache) Put(k digest.Digest, v []byte) error {
 }
 
 // TestWorkerAnswersFromSharedCache: a worker whose shared cache already
-// holds a leased action publishes its record without executing it, and
+// holds a leased action reports its record without executing it, and
 // the record carries the inputs of the stored manifest — what the
 // executor re-observes before it caches anything itself.
 func TestWorkerAnswersFromSharedCache(t *testing.T) {
@@ -459,22 +594,18 @@ func TestWorkerAnswersFromSharedCache(t *testing.T) {
 	if len(shared.puts) != 2 {
 		t.Errorf("a worker executed (%d cache writes) an action the shared cache holds", len(shared.puts))
 	}
-	if replayed != executed {
-		t.Errorf("replayed record %s differs from the executed one %s", replayed, executed)
-	}
-	rec, err := fetchResult(ctx, client, replayed)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(replayed, executed) {
+		t.Errorf("replayed record %+v differs from the executed one %+v", replayed, executed)
 	}
 	man, err := actioncache.DecodeManifest(shared.puts[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Inputs) == 0 || !reflect.DeepEqual(rec.Inputs, man.Inputs) {
-		t.Errorf("published inputs %+v, stored manifest %+v", rec.Inputs, man.Inputs)
+	if len(replayed.Inputs) == 0 || !reflect.DeepEqual(replayed.Inputs, man.Inputs) {
+		t.Errorf("reported inputs %+v, stored manifest %+v", replayed.Inputs, man.Inputs)
 	}
-	if len(rec.Outputs) != 1 || rec.Outputs[0].Path != "/src/main.o" {
-		t.Errorf("published outputs %+v, want /src/main.o", rec.Outputs)
+	if len(replayed.Outputs) != 1 || replayed.Outputs[0].Path != "/src/main.o" {
+		t.Errorf("reported outputs %+v, want /src/main.o", replayed.Outputs)
 	}
 }
 

@@ -58,7 +58,7 @@ type Runner struct {
 	// LastResult is the record of the most recent Run that went
 	// through the action cache (executed, replayed, or remote), nil
 	// for uncacheable commands. The rebuild scheduler assembles
-	// dependency overlays from it and a farm worker publishes it.
+	// dependency overlays from it and a farm worker reports it.
 	LastResult *actioncache.Result
 
 	// rec is the recorder of the action currently executing, nil when

@@ -79,11 +79,11 @@ echo "== shared state (-race -count=10) =="
 go test -race -count=10 -run 'CloneShar|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageVerifies|DiskCacheTwoOpeners|ConcurrentPulls' \
     ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache
 
-echo "== fuzz smoke (3 x 10s) =="
+echo "== fuzz smoke (4 x 10s) =="
 # Ten seconds of coverage-guided mutation on each parser that takes
 # bytes from outside the process. tarfs.Unmarshal takes a layer straight
 # from a registry, and a farm session's tree the same way (remoteexec
-# ships one as a layer blob and has no parser of its own): fuzzed
+# ships one as a layer blob and has no tree parser of its own): fuzzed
 # against the copying decoder it replaced (same verdict, same tree,
 # archive never written, no File.Data with capacity to append into it).
 # The action cache's segment scan takes files from
@@ -92,7 +92,10 @@ echo "== fuzz smoke (3 x 10s) =="
 # served hashes to its header's digest, and a cut or a flipped bit costs
 # no record before it. DecodeManifest/DecodeResult take the documents
 # out of such a segment or a registry blob: no panic, and what decodes
-# re-encodes to the same value. The committed seeds under each package's
+# re-encodes to the same value. The farm scheduler takes JSON on every
+# route, action records and overlays included: a sequence of requests
+# never panics, every answer is a status its route documents, and the
+# scheduler's books balance after each. The committed seeds under each package's
 # testdata/fuzz run in every plain `go test`; this step looks past them.
 # A failure writes its input beside the seeds. Minimization is off: with
 # it the two workers spend the whole ten seconds shrinking their first
@@ -100,6 +103,7 @@ echo "== fuzz smoke (3 x 10s) =="
 go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 10s -fuzzminimizetime 0 ./internal/tarfs
 go test -run '^$' -fuzz '^FuzzSegmentScan$' -fuzztime 10s -fuzzminimizetime 0 ./internal/actioncache
 go test -run '^$' -fuzz '^FuzzDecodeDocuments$' -fuzztime 10s -fuzzminimizetime 0 ./internal/actioncache
+go test -run '^$' -fuzz '^FuzzSchedulerRequests$' -fuzztime 10s -fuzzminimizetime 0 ./internal/remoteexec
 
 echo "== go test -race =="
 go test -race ./...
