@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"comtainer/internal/experiments"
@@ -52,78 +53,70 @@ func main() {
 			return
 		}
 	}
-	run := func(what string, fn func() error) {
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "comtainer-bench: %s: %v\n", what, err)
-			os.Exit(1)
-		}
+	printed, err := render(os.Stdout, env, *all, *table, *figure)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "comtainer-bench:", err)
+		os.Exit(1)
 	}
-	want := func(t, f int) bool {
-		return *all || *table == t || *figure == f
-	}
-	any := false
-
-	if want(1, 0) {
-		any = true
-		fmt.Println(experiments.RenderTable1())
-	}
-	if want(2, 0) {
-		any = true
-		fmt.Println(experiments.RenderTable2())
-	}
-	if want(0, 3) {
-		any = true
-		run("figure 3", func() error {
-			rows, err := experiments.Figure3(env)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.RenderFigure3(rows))
-			return nil
-		})
-	}
-	if want(0, 9) || want(0, 10) {
-		any = true
-		run("figures 9/10", func() error {
-			for _, sys := range []string{"x86-64", "aarch64"} {
-				rows, err := experiments.Figure9(env, sys)
-				if err != nil {
-					return err
-				}
-				if *all || *figure == 9 {
-					fmt.Println(experiments.RenderFigure9(sys, rows))
-				}
-				if *all || *figure == 10 {
-					fmt.Println(experiments.RenderFigure10(sys, experiments.Figure10(rows)))
-				}
-			}
-			return nil
-		})
-	}
-	if want(3, 0) {
-		any = true
-		run("table 3", func() error {
-			rows, err := experiments.Table3(env)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.RenderTable3(rows))
-			return nil
-		})
-	}
-	if want(0, 11) {
-		any = true
-		run("figure 11", func() error {
-			rows, failed, err := experiments.Figure11(env)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.RenderFigure11(rows, failed))
-			return nil
-		})
-	}
-	if !any {
+	if !printed {
 		fmt.Fprintln(os.Stderr, "usage: comtainer-bench -all | -table {1,2,3} | -figure {3,9,10,11}")
 		os.Exit(2)
 	}
+}
+
+// render prints every table and figure with all set, otherwise exactly
+// the table and the figure named (0 names none). It reports whether it
+// printed anything.
+func render(w io.Writer, env *experiments.Environment, all bool, table, figure int) (bool, error) {
+	wantTable := func(n int) bool { return all || table == n }
+	wantFigure := func(n int) bool { return all || figure == n }
+	printed := false
+	if wantTable(1) {
+		printed = true
+		fmt.Fprintln(w, experiments.RenderTable1())
+	}
+	if wantTable(2) {
+		printed = true
+		fmt.Fprintln(w, experiments.RenderTable2())
+	}
+	if wantFigure(3) {
+		printed = true
+		rows, err := experiments.Figure3(env)
+		if err != nil {
+			return printed, fmt.Errorf("figure 3: %w", err)
+		}
+		fmt.Fprintln(w, experiments.RenderFigure3(rows))
+	}
+	if wantFigure(9) || wantFigure(10) {
+		printed = true
+		for _, sys := range []string{"x86-64", "aarch64"} {
+			rows, err := experiments.Figure9(env, sys)
+			if err != nil {
+				return printed, fmt.Errorf("figures 9/10: %w", err)
+			}
+			if wantFigure(9) {
+				fmt.Fprintln(w, experiments.RenderFigure9(sys, rows))
+			}
+			if wantFigure(10) {
+				fmt.Fprintln(w, experiments.RenderFigure10(sys, experiments.Figure10(rows)))
+			}
+		}
+	}
+	if wantTable(3) {
+		printed = true
+		rows, err := experiments.Table3(env)
+		if err != nil {
+			return printed, fmt.Errorf("table 3: %w", err)
+		}
+		fmt.Fprintln(w, experiments.RenderTable3(rows))
+	}
+	if wantFigure(11) {
+		printed = true
+		rows, failed, err := experiments.Figure11(env)
+		if err != nil {
+			return printed, fmt.Errorf("figure 11: %w", err)
+		}
+		fmt.Fprintln(w, experiments.RenderFigure11(rows, failed))
+	}
+	return printed, nil
 }

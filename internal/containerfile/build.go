@@ -45,8 +45,6 @@ type Builder struct {
 	AptIndex *dpkg.Index
 	// Recorder, when set, captures toolchain invocations (the hijacker).
 	Recorder *hijack.Recorder
-	// Args are build arguments usable via ARG/$name expansion.
-	Args map[string]string
 
 	// Cache, when set, memoizes instruction layers across builds (and
 	// replays their recorded toolchain invocations).
@@ -164,9 +162,6 @@ func (b *Builder) runStage(st *Stage) (*stageState, error) {
 	}
 	if wd := img.Config.Config.WorkingDir; wd != "" {
 		state.cwd = wd
-	}
-	for k, v := range b.Args {
-		state.env[k] = v
 	}
 	state.runner = toolchain.NewRunner(state.fs, b.Registry)
 	state.snapshot = fs.Clone()

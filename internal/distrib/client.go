@@ -52,11 +52,6 @@ type Client struct {
 	Retries int
 	// RetryBackoff is the initial backoff, doubled per retry (default 25ms).
 	RetryBackoff time.Duration
-	// OpTimeout, when positive, bounds each network attempt with a
-	// deadline; the attempt is retried (the parent context permitting)
-	// rather than hanging on a stalled registry. Zero disables the
-	// per-attempt deadline.
-	OpTimeout time.Duration
 
 	flights cachekit.Flight[digest.Digest, struct{}]
 }
@@ -172,9 +167,8 @@ func (c *Client) Do(ctx context.Context, method, url string, header http.Header,
 // and 416: the resume-offset handshake restarts from scratch).
 //
 // Retryable: everything else — truncated bodies, connection resets and
-// refusals, per-attempt deadline expiry, and failures of no known kind
-// (a digest mismatch from a corrupted body, say): the retry budget
-// bounds the damage.
+// refusals, and failures of no known kind (a digest mismatch from a
+// corrupted body, say): the retry budget bounds the damage.
 func transient(err error) bool {
 	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, oci.ErrBlobTooLarge) {
 		return false
@@ -188,25 +182,16 @@ func transient(err error) bool {
 	return true
 }
 
-// Retry is the one retry loop: it runs fn, under the per-attempt
-// deadline if OpTimeout sets one, until it succeeds, fails permanently
-// (see transient) or has failed Retries+1 times, waiting RetryBackoff
-// doubled per retry in between. Cancelling ctx aborts both the
-// in-flight attempt and any backoff wait. State fn keeps outside
+// Retry is the one retry loop: it runs fn until it succeeds, fails
+// permanently (see transient) or has failed Retries+1 times, waiting
+// RetryBackoff doubled per retry in between. Cancelling ctx aborts both
+// the in-flight attempt and any backoff wait. State fn keeps outside
 // itself — bytes received, an upload session — carries a transfer from
 // one attempt to the next.
 func (c *Client) Retry(ctx context.Context, fn func(context.Context) error) error {
-	attempt := func() error {
-		if c.OpTimeout <= 0 {
-			return fn(ctx)
-		}
-		actx, cancel := context.WithTimeout(ctx, c.OpTimeout)
-		defer cancel()
-		return fn(actx)
-	}
 	backoff := c.backoff()
 	for n := 0; ; n++ {
-		err := attempt()
+		err := fn(ctx)
 		if err == nil || !transient(err) || n >= c.retries() {
 			return err
 		}

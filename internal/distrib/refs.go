@@ -65,11 +65,21 @@ func (t *MemTags) Delete(name, tag string) error {
 	return nil
 }
 
-// Tags returns the sorted tags of repository name.
+// Tags returns the sorted tags of repository name. The tag is
+// everything after the last colon, so repository names may not contain
+// colons (OCI names cannot).
 func (t *MemTags) Tags(name string) []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return tagsOf(t.m, name)
+	var tags []string
+	for k := range t.m {
+		i := strings.LastIndex(k, ":")
+		if i >= 0 && k[:i] == name {
+			tags = append(tags, k[i+1:])
+		}
+	}
+	sort.Strings(tags)
+	return tags
 }
 
 // All returns a copy of every tag mapping.
@@ -85,13 +95,13 @@ func (t *MemTags) All() map[string]oci.Descriptor {
 
 // DiskTags is a TagStore persisted one file per reference under
 // <root>/refs/, each committed by faultinject.Commit's protocol so a
-// crash never leaves a torn descriptor. The full map is kept in memory
-// and written through.
+// crash never leaves a torn descriptor. The full map is a MemTags,
+// which serves every read; Set and Delete write through to disk under
+// its lock.
 type DiskTags struct {
+	MemTags
 	root string
 	fs   faultinject.FS
-	mu   sync.RWMutex
-	m    map[string]oci.Descriptor
 }
 
 // refTempPrefix starts the name of a Set's temp file, which unlike a
@@ -108,7 +118,7 @@ func NewDiskTags(dir string) (*DiskTags, error) {
 // NewDiskTagsFS is NewDiskTags writing through fsys — the hook chaos
 // tests use to kill a Set between its write and its rename.
 func NewDiskTagsFS(dir string, fsys faultinject.FS) (*DiskTags, error) {
-	t := &DiskTags{root: filepath.Join(dir, "refs"), fs: fsys, m: make(map[string]oci.Descriptor)}
+	t := &DiskTags{MemTags: MemTags{m: make(map[string]oci.Descriptor)}, root: filepath.Join(dir, "refs"), fs: fsys}
 	if err := fsys.MkdirAll(t.root, 0o755); err != nil {
 		return nil, fmt.Errorf("distrib: creating refs dir: %w", err)
 	}
@@ -149,14 +159,6 @@ func NewDiskTagsFS(dir string, fsys faultinject.FS) (*DiskTags, error) {
 // keeps slash-bearing repository names inside one flat directory.
 func (t *DiskTags) refFile(key string) string {
 	return filepath.Join(t.root, url.PathEscape(key)+".json")
-}
-
-// Resolve returns the descriptor tagged name:tag.
-func (t *DiskTags) Resolve(name, tag string) (oci.Descriptor, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	d, ok := t.m[name+":"+tag]
-	return d, ok
 }
 
 // Set records desc under name:tag and persists it atomically. The
@@ -204,37 +206,4 @@ func (t *DiskTags) Delete(name, tag string) error {
 		return fmt.Errorf("distrib: deleting ref %s: %w", key, err)
 	}
 	return nil
-}
-
-// Tags returns the sorted tags of repository name.
-func (t *DiskTags) Tags(name string) []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return tagsOf(t.m, name)
-}
-
-// All returns a copy of every tag mapping.
-func (t *DiskTags) All() map[string]oci.Descriptor {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make(map[string]oci.Descriptor, len(t.m))
-	for k, v := range t.m {
-		out[k] = v
-	}
-	return out
-}
-
-// tagsOf extracts the sorted tags of one repository from a key map.
-// The tag is everything after the last colon, so repository names may
-// not contain colons (OCI names cannot).
-func tagsOf(m map[string]oci.Descriptor, name string) []string {
-	var tags []string
-	for k := range m {
-		i := strings.LastIndex(k, ":")
-		if i >= 0 && k[:i] == name {
-			tags = append(tags, k[i+1:])
-		}
-	}
-	sort.Strings(tags)
-	return tags
 }

@@ -182,6 +182,7 @@ func (s SchemeSet) Get(scheme string) (float64, error) {
 }
 
 // runImage executes an image descriptor from the pipeline's system store.
+// The caller holds p.mu.
 func (p *pipeline) runImage(desc oci.Descriptor, ref workloads.Ref, nodes int) (float64, error) {
 	img, err := oci.LoadImage(p.system.Repo.Store, desc)
 	if err != nil {
@@ -196,12 +197,16 @@ func (p *pipeline) runImage(desc oci.Descriptor, ref workloads.Ref, nodes int) (
 
 // SchemeTimes measures all four schemes for one workload at a node count.
 // The optimized scheme runs the full LTO + automated-PGO feedback loop,
-// training the profile on the same workload.
+// training the profile on the same workload. The loop rewrites the
+// pipeline's redirect tag, so refs of the same app serialize here while
+// different apps proceed in parallel.
 func (e *Environment) SchemeTimes(sysName string, ref workloads.Ref, nodes int) (SchemeSet, error) {
 	p, err := e.Pipeline(sysName, ref.App.Name)
 	if err != nil {
 		return SchemeSet{}, err
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var out SchemeSet
 	if out.Original, err = p.runImage(p.origDesc, ref, nodes); err != nil {
 		return SchemeSet{}, fmt.Errorf("experiments: %s original: %w", ref.ID(), err)
@@ -214,11 +219,7 @@ func (e *Environment) SchemeTimes(sysName string, ref workloads.Ref, nodes int) 
 	if out.Adapted, err = p.runImage(p.adaptedDesc, ref, nodes); err != nil {
 		return SchemeSet{}, fmt.Errorf("experiments: %s adapted: %w", ref.ID(), err)
 	}
-	// Optimized: LTO plus the PGO loop trained on this workload. The loop
-	// rewrites the pipeline's redirect tag, so refs of the same app
-	// serialize here while different apps proceed in parallel.
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	// Optimized: LTO plus the PGO loop trained on this workload.
 	if err := p.system.PGOLoop(p.distTag, adapter.DefaultOptimized(), ref, nodes); err != nil {
 		return SchemeSet{}, fmt.Errorf("experiments: %s PGO loop: %w", ref.ID(), err)
 	}

@@ -32,101 +32,66 @@ func writeCSV(path string, rows [][]string) error {
 
 func f2s(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 
-// Figure3CSV writes the motivation-study series.
-func Figure3CSV(rows []Figure3Row, path string) error {
-	out := [][]string{{"system", "cost_s", "libo_s", "cxxo_s", "lto_s", "pgo_s"}}
-	for _, r := range rows {
-		out = append(out, []string{r.System, f2s(r.Cost), f2s(r.Libo), f2s(r.Cxxo), f2s(r.LTO), f2s(r.PGO)})
-	}
-	return writeCSV(path, out)
-}
-
-// Figure9CSV writes one system's scheme times.
-func Figure9CSV(sysName string, rows []Fig9Row, path string) error {
-	out := [][]string{{"system", "workload", "original_s", "native_s", "adapted_s", "optimized_s"}}
-	for _, r := range rows {
-		out = append(out, []string{sysName, r.ID, f2s(r.Original), f2s(r.Native), f2s(r.Adapted), f2s(r.Optimized)})
-	}
-	return writeCSV(path, out)
-}
-
-// Figure10CSV writes one system's relative times.
-func Figure10CSV(sysName string, rows []Fig10Row, path string) error {
-	out := [][]string{{"system", "workload", "original_rel", "adapted_rel", "optimized_rel"}}
-	for _, r := range rows {
-		out = append(out, []string{sysName, r.ID, f2s(r.Original), f2s(r.Adapted), f2s(r.Optimized)})
-	}
-	return writeCSV(path, out)
-}
-
-// Table3CSV writes the size table.
-func Table3CSV(rows []Table3Row, path string) error {
-	out := [][]string{{"app", "image_x86_mib", "image_arm_mib", "cache_mib"}}
-	for _, r := range rows {
-		out = append(out, []string{r.App, f2s(r.ImageX86), f2s(r.ImageArm), f2s(r.Cache)})
-	}
-	return writeCSV(path, out)
-}
-
-// Figure11CSV writes the cross-ISA line-change table.
-func Figure11CSV(rows []Fig11Row, failed []string, path string) error {
-	out := [][]string{{"app", "comtainer_lines", "xbuild_lines", "crossed"}}
-	for _, r := range rows {
-		out = append(out, []string{r.App, strconv.Itoa(r.CoMtainer), strconv.Itoa(r.XBuild), "true"})
-	}
-	for _, app := range failed {
-		out = append(out, []string{app, "", "", "false"})
-	}
-	return writeCSV(path, out)
-}
-
 // ExportAll regenerates everything and writes one CSV per table/figure
 // into dir. It returns the files written.
 func ExportAll(env *Environment, dir string) ([]string, error) {
-	var written []string
-	add := func(name string, err error) error {
-		if err != nil {
-			return err
-		}
-		written = append(written, filepath.Join(dir, name))
-		return nil
+	type file struct {
+		name string
+		rows [][]string
 	}
-
 	f3, err := Figure3(env)
 	if err != nil {
 		return nil, err
 	}
-	if err := add("figure3.csv", Figure3CSV(f3, filepath.Join(dir, "figure3.csv"))); err != nil {
-		return nil, err
+	f3csv := [][]string{{"system", "cost_s", "libo_s", "cxxo_s", "lto_s", "pgo_s"}}
+	for _, r := range f3 {
+		f3csv = append(f3csv, []string{r.System, f2s(r.Cost), f2s(r.Libo), f2s(r.Cxxo), f2s(r.LTO), f2s(r.PGO)})
 	}
+	files := []file{{"figure3.csv", f3csv}}
 	for _, sysName := range []string{"x86-64", "aarch64"} {
 		rows, err := Figure9(env, sysName)
 		if err != nil {
 			return nil, err
 		}
+		f9csv := [][]string{{"system", "workload", "original_s", "native_s", "adapted_s", "optimized_s"}}
+		for _, r := range rows {
+			f9csv = append(f9csv, []string{sysName, r.ID, f2s(r.Original), f2s(r.Native), f2s(r.Adapted), f2s(r.Optimized)})
+		}
+		f10csv := [][]string{{"system", "workload", "original_rel", "adapted_rel", "optimized_rel"}}
+		for _, r := range Figure10(rows) {
+			f10csv = append(f10csv, []string{sysName, r.ID, f2s(r.Original), f2s(r.Adapted), f2s(r.Optimized)})
+		}
 		slug := strings.ReplaceAll(sysName, "-", "")
-		n9 := "figure9_" + slug + ".csv"
-		if err := add(n9, Figure9CSV(sysName, rows, filepath.Join(dir, n9))); err != nil {
-			return nil, err
-		}
-		n10 := "figure10_" + slug + ".csv"
-		if err := add(n10, Figure10CSV(sysName, Figure10(rows), filepath.Join(dir, n10))); err != nil {
-			return nil, err
-		}
+		files = append(files, file{"figure9_" + slug + ".csv", f9csv}, file{"figure10_" + slug + ".csv", f10csv})
 	}
 	t3, err := Table3(env)
 	if err != nil {
 		return nil, err
 	}
-	if err := add("table3.csv", Table3CSV(t3, filepath.Join(dir, "table3.csv"))); err != nil {
-		return nil, err
+	t3csv := [][]string{{"app", "image_x86_mib", "image_arm_mib", "cache_mib"}}
+	for _, r := range t3 {
+		t3csv = append(t3csv, []string{r.App, f2s(r.ImageX86), f2s(r.ImageArm), f2s(r.Cache)})
 	}
 	f11, failed, err := Figure11(env)
 	if err != nil {
 		return nil, err
 	}
-	if err := add("figure11.csv", Figure11CSV(f11, failed, filepath.Join(dir, "figure11.csv"))); err != nil {
-		return nil, err
+	f11csv := [][]string{{"app", "comtainer_lines", "xbuild_lines", "crossed"}}
+	for _, r := range f11 {
+		f11csv = append(f11csv, []string{r.App, strconv.Itoa(r.CoMtainer), strconv.Itoa(r.XBuild), "true"})
+	}
+	for _, app := range failed {
+		f11csv = append(f11csv, []string{app, "", "", "false"})
+	}
+	files = append(files, file{"table3.csv", t3csv}, file{"figure11.csv", f11csv})
+
+	var written []string
+	for _, f := range files {
+		path := filepath.Join(dir, f.name)
+		if err := writeCSV(path, f.rows); err != nil {
+			return nil, err
+		}
+		written = append(written, path)
 	}
 	return written, nil
 }

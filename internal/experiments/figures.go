@@ -52,51 +52,59 @@ func Figure3(env *Environment) ([]Figure3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Figure3Row{System: sys.Name}
-		p.mu.Lock()
-		if row.Cost, err = p.runImage(p.origDesc, ref, 1); err != nil {
-			p.mu.Unlock()
+		row, err := p.figure3Row(ref)
+		if err != nil {
 			return nil, err
 		}
-		// libo alone: optimized libraries, but the binary stays a stock-
-		// toolchain build — the rebuild runs under the generic registry.
-		runStage := func(adapters []adapter.Adapter, generic bool) (float64, error) {
-			reg := sys.Toolchains
-			if generic {
-				reg = sys.GenericToolchains
-			}
-			if _, _, err := p.system.RebuildWith(p.distTag, adapters, nil, reg); err != nil {
-				return 0, err
-			}
-			if _, err := p.system.Redirect(p.distTag); err != nil {
-				return 0, err
-			}
-			return p.runTagged(ref, 1)
-		}
-		if row.Libo, err = runStage([]adapter.Adapter{adapter.Libo()}, true); err != nil {
-			p.mu.Unlock()
-			return nil, fmt.Errorf("figure 3 libo: %w", err)
-		}
-		if row.Cxxo, err = runStage(adapter.DefaultAdapted(), false); err != nil {
-			p.mu.Unlock()
-			return nil, fmt.Errorf("figure 3 cxxo: %w", err)
-		}
-		if row.LTO, err = runStage(adapter.DefaultOptimized(), false); err != nil {
-			p.mu.Unlock()
-			return nil, fmt.Errorf("figure 3 lto: %w", err)
-		}
-		if err := p.system.PGOLoop(p.distTag, adapter.DefaultOptimized(), ref, 1); err != nil {
-			p.mu.Unlock()
-			return nil, fmt.Errorf("figure 3 pgo: %w", err)
-		}
-		if row.PGO, err = p.runTagged(ref, 1); err != nil {
-			p.mu.Unlock()
-			return nil, err
-		}
-		p.mu.Unlock()
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// figure3Row runs the generic image and then each incremental stage on
+// one node, holding p.mu throughout.
+func (p *pipeline) figure3Row(ref workloads.Ref) (Figure3Row, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	row := Figure3Row{System: p.sys.Name}
+	var err error
+	if row.Cost, err = p.runImage(p.origDesc, ref, 1); err != nil {
+		return row, err
+	}
+	// libo alone: optimized libraries, but the binary stays a stock-
+	// toolchain build.
+	if row.Libo, err = p.runStage([]adapter.Adapter{adapter.Libo()}, true, ref, 1); err != nil {
+		return row, fmt.Errorf("figure 3 libo: %w", err)
+	}
+	if row.Cxxo, err = p.runStage(adapter.DefaultAdapted(), false, ref, 1); err != nil {
+		return row, fmt.Errorf("figure 3 cxxo: %w", err)
+	}
+	if row.LTO, err = p.runStage(adapter.DefaultOptimized(), false, ref, 1); err != nil {
+		return row, fmt.Errorf("figure 3 lto: %w", err)
+	}
+	if err := p.system.PGOLoop(p.distTag, adapter.DefaultOptimized(), ref, 1); err != nil {
+		return row, fmt.Errorf("figure 3 pgo: %w", err)
+	}
+	row.PGO, err = p.runTagged(ref, 1)
+	return row, err
+}
+
+// runStage rebuilds and redirects the pipeline's image with one adapter
+// chain and runs the result. generic rebuilds under the system's generic
+// toolchains, so the binary stays a stock-toolchain build. The caller
+// holds p.mu: a stage rewrites the pipeline's redirect tag.
+func (p *pipeline) runStage(adapters []adapter.Adapter, generic bool, ref workloads.Ref, nodes int) (float64, error) {
+	reg := p.sys.Toolchains
+	if generic {
+		reg = p.sys.GenericToolchains
+	}
+	if _, _, err := p.system.RebuildWith(p.distTag, adapters, nil, reg); err != nil {
+		return 0, err
+	}
+	if _, err := p.system.Redirect(p.distTag); err != nil {
+		return 0, err
+	}
+	return p.runTagged(ref, nodes)
 }
 
 // runTagged runs the current <dist>.redirect image.
@@ -234,30 +242,39 @@ func Figure10(rows []Fig9Row) []Fig10Row {
 	return out
 }
 
+// ltoGain is what LTO+PGO gains over the adapted image (§5.3).
+func (r Fig10Row) ltoGain() float64 { return r.Adapted/r.Optimized - 1 }
+
+// ltoGains returns the rows' mean LTO+PGO gain and the rows that gain
+// the most and the least.
+func ltoGains(rows []Fig10Row) (avg float64, best, worst Fig10Row) {
+	best, worst = rows[0], rows[0]
+	for _, r := range rows {
+		avg += r.ltoGain()
+		if r.ltoGain() > best.ltoGain() {
+			best = r
+		}
+		if r.ltoGain() < worst.ltoGain() {
+			worst = r
+		}
+	}
+	return avg / float64(len(rows)), best, worst
+}
+
 // RenderFigure10 formats the relative rows and the §5.3 summary deltas.
 func RenderFigure10(sysName string, rows []Fig10Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 10 (%s): execution time relative to native (lower is better)\n", sysName)
 	fmt.Fprintf(&b, "%-14s %10s %10s %10s\n", "workload", "original", "adapted", "optimized")
-	var sumOptVsAdapted, sumOptVsNative float64
-	best, worst := rows[0], rows[0]
+	var sumOptVsNative float64
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-14s %10.3f %10.3f %10.3f\n", r.ID, r.Original, r.Adapted, r.Optimized)
-		sumOptVsAdapted += r.Adapted/r.Optimized - 1
 		sumOptVsNative += 1/r.Optimized - 1
-		if r.Adapted/r.Optimized > best.Adapted/best.Optimized {
-			best = r
-		}
-		if r.Adapted/r.Optimized < worst.Adapted/worst.Optimized {
-			worst = r
-		}
 	}
-	n := float64(len(rows))
+	avg, best, worst := ltoGains(rows)
 	fmt.Fprintf(&b, "LTO+PGO vs adapted: avg %+.1f%% (best %s %+.1f%%, worst %s %+.1f%%)\n",
-		sumOptVsAdapted/n*100,
-		best.ID, (best.Adapted/best.Optimized-1)*100,
-		worst.ID, (worst.Adapted/worst.Optimized-1)*100)
-	fmt.Fprintf(&b, "optimized vs native: avg %+.1f%%\n", sumOptVsNative/n*100)
+		avg*100, best.ID, best.ltoGain()*100, worst.ID, worst.ltoGain()*100)
+	fmt.Fprintf(&b, "optimized vs native: avg %+.1f%%\n", sumOptVsNative/float64(len(rows))*100)
 	return b.String()
 }
 

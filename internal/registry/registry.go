@@ -54,10 +54,6 @@ type Server struct {
 	// out to every shard, so the fleet-wide referential check belongs
 	// to the proxy, not the individual shard.
 	TrustReferences bool
-	// GCGrace is how long a freshly committed blob survives GC even
-	// while unreferenced (DefaultGCGrace when zero; negative disables
-	// the protection entirely).
-	GCGrace time.Duration
 
 	blobs   distrib.Store
 	refs    distrib.TagStore
@@ -133,29 +129,15 @@ func replicated(r *http.Request) bool {
 	return r.Header.Get(distrib.ReplicatedHeader) != ""
 }
 
-func (s *Server) gcGrace() time.Duration {
-	switch {
-	case s.GCGrace > 0:
-		return s.GCGrace
-	case s.GCGrace < 0:
-		return 0
-	}
-	return DefaultGCGrace
-}
-
-// noteCommit pins d against GC for the grace window and sweeps pins
-// that have aged out.
+// noteCommit pins d against GC for DefaultGCGrace and sweeps pins that
+// have aged out.
 func (s *Server) noteCommit(d digest.Digest) {
-	grace := s.gcGrace()
-	if grace <= 0 {
-		return
-	}
 	now := time.Now()
 	s.recentMu.Lock()
 	if s.recent == nil {
 		s.recent = make(map[digest.Digest]time.Time)
 	}
-	cutoff := now.Add(-grace)
+	cutoff := now.Add(-DefaultGCGrace)
 	for old, at := range s.recent {
 		if at.Before(cutoff) {
 			delete(s.recent, old)
@@ -168,14 +150,10 @@ func (s *Server) noteCommit(d digest.Digest) {
 // recentlyCommitted reports whether d is still inside its GC grace
 // window.
 func (s *Server) recentlyCommitted(d digest.Digest) bool {
-	grace := s.gcGrace()
-	if grace <= 0 {
-		return false
-	}
 	s.recentMu.Lock()
 	at, ok := s.recent[d]
 	s.recentMu.Unlock()
-	return ok && time.Since(at) < grace
+	return ok && time.Since(at) < DefaultGCGrace
 }
 
 // SetUploadTTL bounds how long an idle upload session (and its spool
@@ -223,7 +201,7 @@ func (s *Server) Fsck(repair bool) (distrib.FsckReport, []string, error) {
 
 // GC deletes every blob unreachable from the currently tagged
 // manifests and manifest lists, returning the number dropped. Blobs
-// committed within GCGrace survive even while unreferenced, so a
+// committed within DefaultGCGrace survive even while unreferenced, so a
 // sweep racing an in-flight push never collects a blob between its
 // commit and the manifest's ref registration.
 func (s *Server) GC() (int, error) {
