@@ -55,6 +55,9 @@ type Builder struct {
 	// a later Build of cf does not run them again.
 	cf    *Containerfile
 	built map[string]*stageState
+	// contextKey is contextDigest(Context), computed by the first COPY of
+	// a Build call and forgotten when the next one starts.
+	contextKey digest.Digest
 }
 
 // stageState is the mutable state of one executing build container.
@@ -100,6 +103,7 @@ func (b *Builder) Build(cf *Containerfile, target string) (oci.Descriptor, error
 	if b.cf != cf {
 		b.cf, b.built = cf, make(map[string]*stageState)
 	}
+	b.contextKey = ""
 	for i := 0; i <= targetIdx; i++ {
 		st := &cf.Stages[i]
 		if b.built[st.Name] != nil {
@@ -217,7 +221,10 @@ func (b *Builder) copySourceKey(state *stageState, inst Instruction) digest.Dige
 		}
 		return digest.FromString("unknown-copy-source:" + ref)
 	}
-	return contextDigest(b.Context)
+	if b.contextKey == "" {
+		b.contextKey = contextDigest(b.Context)
+	}
+	return b.contextKey
 }
 
 // execInstruction runs one instruction with per-instruction layering and

@@ -126,6 +126,32 @@ func TestBuildCacheInvalidatedByContextChange(t *testing.T) {
 	}
 }
 
+// TestBuildSeesContextChangedBetweenCalls: the context is hashed once per
+// Build call, so a builder whose Context changes between two calls keys
+// the second call's COPYs by the new content.
+func TestBuildSeesContextChangedBetweenCalls(t *testing.T) {
+	b := newBuilder(t)
+	b.Cache = NewBuildCache()
+	var digests []string
+	for _, body := range []string{"int main(){return 0;}\n", "int main(){return 1;}\n"} {
+		b.Context = fsim.New()
+		b.Context.WriteFile("/src/main.c", []byte(body), 0o644)
+		b.Context.WriteFile("/src/util.c", []byte("double sq(double x){return x*x;}\n"), 0o644)
+		cf, err := Parse(twoStage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc, err := b.Build(cf, "build")
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, string(desc.Digest))
+	}
+	if digests[0] == digests[1] {
+		t.Error("the second Build served the first context's COPY from the cache")
+	}
+}
+
 func TestBuildCacheInvalidatedByEnvChange(t *testing.T) {
 	cache := NewBuildCache()
 	run := func(opt string) *toolchain.Artifact {

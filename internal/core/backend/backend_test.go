@@ -1,6 +1,8 @@
 package backend
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -170,6 +172,34 @@ func TestRedirectInstallsOptimizedStack(t *testing.T) {
 	// No cache/rebuild internals leak into the final image.
 	if flat.Exists(cache.ModelsPath) || flat.Exists(planPath) {
 		t.Error("coMtainer internals leaked into the optimized image")
+	}
+}
+
+// TestAptIndexIsSharedAndReadOnly: a System builds its package index
+// once, and a redirect, which installs from it, leaves it as it was.
+func TestAptIndexIsSharedAndReadOnly(t *testing.T) {
+	sys := sysprofile.X86Cluster()
+	idx := sys.AptIndex()
+	if sys.AptIndex() != idx {
+		t.Fatal("AptIndex built a second index")
+	}
+	before, err := json.Marshal(idx.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, distTag := setup(t, sys)
+	if _, _, err := Rebuild(repo, distTag, RebuildOptions{System: sys}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Redirect(repo, distTag, RedirectOptions{System: sys}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := json.Marshal(idx.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("a redirect changed the system's package index")
 	}
 }
 

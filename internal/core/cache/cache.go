@@ -13,7 +13,6 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -50,20 +49,6 @@ func gzipBytes(b []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// gunzipBytes decompresses b.
-func gunzipBytes(b []byte) ([]byte, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	out, err := io.ReadAll(zr)
-	if err != nil {
-		zr.Close()
-		return nil, err
-	}
-	return out, zr.Close()
 }
 
 // Manifest tag suffixes of the workflow's intermediate images (paper
@@ -265,7 +250,7 @@ func Read(extImg *oci.Image) (*model.Models, *fsim.FS, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	blob, err := gunzipBytes(packed)
+	blob, err := oci.Gunzip(packed, oci.MaxBlobSize)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cache: corrupt models document: %w", err)
 	}

@@ -162,45 +162,50 @@ func (db *DB) Remove(fsys *fsim.FS, name string) error {
 // writeStatus serializes the database as control stanzas to StatusPath.
 func (db *DB) writeStatus(fsys *fsim.FS) error {
 	var b strings.Builder
+	// A value ParseControl joined from continuation lines goes out as
+	// continuation lines again.
+	field := func(name, value string) {
+		fmt.Fprintf(&b, "%s: %s\n", name, strings.ReplaceAll(value, "\n", "\n "))
+	}
 	for _, name := range db.Names() {
 		p := db.packages[name]
-		fmt.Fprintf(&b, "Package: %s\n", p.Name)
-		fmt.Fprintf(&b, "Status: install ok installed\n")
-		fmt.Fprintf(&b, "Version: %s\n", p.Version)
+		field("Package", p.Name)
+		field("Status", "install ok installed")
+		field("Version", string(p.Version))
 		if p.Architecture != "" {
-			fmt.Fprintf(&b, "Architecture: %s\n", p.Architecture)
+			field("Architecture", p.Architecture)
 		}
 		if p.Section != "" {
-			fmt.Fprintf(&b, "Section: %s\n", p.Section)
+			field("Section", p.Section)
 		}
 		if len(p.Depends) > 0 {
 			deps := make([]string, len(p.Depends))
 			for i, d := range p.Depends {
 				deps[i] = d.String()
 			}
-			fmt.Fprintf(&b, "Depends: %s\n", strings.Join(deps, ", "))
+			field("Depends", strings.Join(deps, ", "))
 		}
 		if len(p.Conflicts) > 0 {
 			cs := make([]string, len(p.Conflicts))
 			for i, c := range p.Conflicts {
 				cs[i] = c.String()
 			}
-			fmt.Fprintf(&b, "Conflicts: %s\n", strings.Join(cs, ", "))
+			field("Conflicts", strings.Join(cs, ", "))
 		}
 		if len(p.Provides) > 0 {
-			fmt.Fprintf(&b, "Provides: %s\n", strings.Join(p.Provides, ", "))
+			field("Provides", strings.Join(p.Provides, ", "))
 		}
 		if p.Optimized {
-			fmt.Fprintf(&b, "Optimized: yes\n")
+			field("Optimized", "yes")
 		}
 		if p.Vendor != "" {
-			fmt.Fprintf(&b, "Vendor: %s\n", p.Vendor)
+			field("Vendor", p.Vendor)
 		}
 		if p.PerfGain > 1 {
-			fmt.Fprintf(&b, "Perf-Gain: %s\n", strconv.FormatFloat(p.PerfGain, 'f', -1, 64))
+			field("Perf-Gain", strconv.FormatFloat(p.PerfGain, 'f', -1, 64))
 		}
 		if p.Description != "" {
-			fmt.Fprintf(&b, "Description: %s\n", p.Description)
+			field("Description", p.Description)
 		}
 		b.WriteString("\n")
 	}
@@ -315,7 +320,11 @@ func packageFromStanza(st Stanza) (*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dpkg: package %s has invalid Perf-Gain %q", name, g)
 		}
-		p.PerfGain = v
+		// A gain of 1 or less (or NaN) is no gain, which writeStatus
+		// writes by leaving the field out.
+		if v > 1 {
+			p.PerfGain = v
+		}
 	}
 	if deps := st["Depends"]; deps != "" {
 		for _, part := range strings.Split(deps, ",") {

@@ -1,6 +1,7 @@
 package oci
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -338,6 +339,7 @@ func TestLayerDiffIDMismatchDetected(t *testing.T) {
 		{"tar", MediaTypeLayer, tarfs.Marshal, other, true},
 		{"gzip", MediaTypeLayerGzip, tarfs.MarshalGzip, other, true},
 		{"gzip intact", MediaTypeLayerGzip, tarfs.MarshalGzip, baseLayer(), false},
+		{"tar, diffID is its digest", MediaTypeLayer, tarfs.Marshal, baseLayer(), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewStore()
@@ -368,6 +370,86 @@ func TestLayerDiffIDMismatchDetected(t *testing.T) {
 			}
 			if _, err := tampered.Layer(0); (err != nil) != tc.wantErr {
 				t.Errorf("Layer(0) error = %v, want error: %v", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestStoreEntriesRefuseForgedBytes: every way bytes enter a Store hashes
+// them against the digest they would be kept under, which is what lets
+// Image.layer take a stored tar layer whose diffID is its digest as
+// verified. Each entry refuses bytes under a digest they do not hash to
+// and leaves the store holding nothing that fails to hash to its key.
+func TestStoreEntriesRefuseForgedBytes(t *testing.T) {
+	layer, err := tarfs.Marshal(appLayer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := digest.FromBytes(layer)
+	forged := []byte("not the layer")
+	for _, tc := range []struct {
+		name string
+		// enter offers forged under want and returns the store it would
+		// have landed in (nil when the entry refuses as a whole).
+		enter func(t *testing.T) (*Store, error)
+	}{
+		{"PutVerified", func(t *testing.T) (*Store, error) {
+			s := NewStore()
+			return s, s.PutVerified(forged, want)
+		}},
+		{"Ingest", func(t *testing.T) (*Store, error) {
+			s := NewStore()
+			_, _, err := s.Ingest(bytes.NewReader(forged), want)
+			return s, err
+		}},
+		{"CopyImage", func(t *testing.T) (*Store, error) {
+			src := NewStore()
+			desc, err := WriteImage(src, testConfig(), []*fsim.FS{appLayer()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src.mu.Lock()
+			src.blobs[want] = forged
+			src.mu.Unlock()
+			dst := NewStore()
+			return dst, dst.CopyImage(src, desc)
+		}},
+		{"LoadLayout", func(t *testing.T) (*Store, error) {
+			dir := filepath.Join(t.TempDir(), "img.oci")
+			r := NewRepository()
+			desc, err := WriteImage(r.Store, testConfig(), []*fsim.FS{appLayer()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Tag("x", desc)
+			if err := r.SaveLayout(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "blobs", "sha256", want.Hex()), forged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			back, err := LoadLayout(dir)
+			if back == nil {
+				return nil, err
+			}
+			return back.Store, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.enter(t)
+			if err == nil {
+				t.Fatal("forged bytes were accepted")
+			}
+			if s == nil {
+				return
+			}
+			if s.Has(want) {
+				t.Errorf("the store holds a blob under %s after refusing it", want.Short())
+			}
+			for _, d := range s.Digests() {
+				if b, _ := s.Get(d); !d.Verify(b) {
+					t.Errorf("the store holds bytes under %s that do not hash to it", d.Short())
+				}
 			}
 		})
 	}

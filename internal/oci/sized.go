@@ -1,6 +1,8 @@
 package oci
 
 import (
+	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
 	"io"
@@ -109,4 +111,25 @@ func ReadSized(buf []byte, r io.Reader, size int64, declared bool) ([]byte, erro
 			return buf, err
 		}
 	}
+}
+
+// Gunzip inflates the gzip stream data to at most bound bytes: the one
+// inflate, for content whose compressed size says nothing of what it
+// decodes to (deflate reaches about 1000:1). Callers pass MaxBlobSize.
+// Output longer than bound is ErrBlobTooLarge, found by reading bound + 1
+// bytes and no more.
+func Gunzip(data []byte, bound int64) ([]byte, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	defer zr.Close() // only read: reading to the end checked the stream
+	out, err := io.ReadAll(io.LimitReader(zr, bound+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(out)) > bound {
+		return nil, fmt.Errorf("oci: gzip stream inflates past %d bytes: %w", bound, ErrBlobTooLarge)
+	}
+	return out, nil
 }

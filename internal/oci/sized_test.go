@@ -2,8 +2,10 @@ package oci
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -123,5 +125,43 @@ func TestIngestOwnsItsBytes(t *testing.T) {
 	// A declaration the body does not keep is refused, not stored short.
 	if _, _, err := NewStore().Ingest(NewSizedReader(strings.NewReader("short"), 100), ""); err == nil {
 		t.Error("Ingest stored a body that ended before its declared length")
+	}
+}
+
+// TestGunzipIsBounded: an inflate reads one byte past its bound and no
+// further, whatever size the stream encodes.
+func TestGunzipIsBounded(t *testing.T) {
+	const bound = 4096
+	deflate := func(n int) []byte {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		if _, err := zw.Write(make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if got, err := Gunzip(deflate(bound), bound); err != nil || len(got) != bound {
+		t.Errorf("Gunzip of exactly the bound = %d bytes, %v", len(got), err)
+	}
+	if got, err := Gunzip(deflate(bound+1), bound); !errors.Is(err, ErrBlobTooLarge) || got != nil {
+		t.Errorf("Gunzip of the bound + 1 = %d bytes, %v; want ErrBlobTooLarge", len(got), err)
+	}
+	if _, err := Gunzip([]byte("not a gzip stream"), bound); err == nil {
+		t.Error("Gunzip accepted a stream that is not gzip")
+	}
+	// A 16 KiB stream of 16 MiB of zeros costs what the bound costs.
+	bomb := deflate(16 << 20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Gunzip(bomb, bound)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBlobTooLarge) {
+		t.Errorf("Gunzip of %d bytes inflating to 16 MiB: %v, want ErrBlobTooLarge", len(bomb), err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("Gunzip under a %d-byte bound allocated %d bytes", bound, n)
 	}
 }

@@ -2,7 +2,6 @@ package oci
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,6 +21,12 @@ var ErrBlobNotFound = errors.New("oci: blob not found")
 // immutable from the moment the store holds them: Get hands out the
 // stored slice itself, and stores, decoded layer trees and callers share
 // it for as long as any of them lives.
+//
+// A blob is hashed when it enters a store, on every hop, and nothing
+// inside a store hashes it again: Put, PutJSON and the layer writer
+// compute the key they store under, PutVerified, Ingest and CopyImage
+// check it. So a stored blob hashes to its key, and a check of those
+// bytes against that digest is the one the store already made.
 type Store struct {
 	mu    sync.RWMutex
 	blobs map[digest.Digest][]byte
@@ -278,7 +283,9 @@ func (img *Image) Layer(i int) (*fsim.FS, error) {
 // layer is Layer returning the store's own remembered tree, which the
 // caller only reads. The store skips the hash and the tar parse for a
 // blob it has already decoded under this media type and diffID; anything
-// else is decoded and checked in full.
+// else is decoded and checked. An uncompressed layer whose diffID is its
+// digest was checked when the blob entered the store (see Store); any
+// other layer is hashed against its diffID here.
 func (img *Image) layer(i int) (*fsim.FS, error) {
 	if i < 0 || i >= len(img.Manifest.Layers) {
 		return nil, fmt.Errorf("oci: layer index %d out of range [0,%d)", i, len(img.Manifest.Layers))
@@ -299,14 +306,16 @@ func (img *Image) layer(i int) (*fsim.FS, error) {
 	case MediaTypeLayer:
 	case MediaTypeLayerGzip:
 		var err error
-		if tarBytes, err = gunzip(tarBytes); err != nil {
+		if tarBytes, err = Gunzip(tarBytes, MaxBlobSize); err != nil {
 			return nil, fmt.Errorf("oci: decompressing layer %d: %w", i, err)
 		}
 	default:
 		return nil, fmt.Errorf("oci: unsupported layer media type %q", desc.MediaType)
 	}
-	if got := digest.FromBytes(tarBytes); got != diffID {
-		return nil, fmt.Errorf("oci: layer %d diffID mismatch: got %s, want %s", i, got.Short(), diffID.Short())
+	if desc.MediaType != MediaTypeLayer || desc.Digest != diffID {
+		if got := digest.FromBytes(tarBytes); got != diffID {
+			return nil, fmt.Errorf("oci: layer %d diffID mismatch: got %s, want %s", i, got.Short(), diffID.Short())
+		}
 	}
 	tree, err := tarfs.Unmarshal(tarBytes)
 	if err != nil {
@@ -319,15 +328,6 @@ func (img *Image) layer(i int) (*fsim.FS, error) {
 	}
 	s.mu.Unlock()
 	return tree, nil
-}
-
-func gunzip(data []byte) ([]byte, error) {
-	gz, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	defer gz.Close()
-	return io.ReadAll(gz)
 }
 
 // Layers decodes every layer in order.

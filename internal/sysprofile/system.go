@@ -6,6 +6,7 @@ package sysprofile
 
 import (
 	"fmt"
+	"sync"
 
 	"comtainer/internal/dpkg"
 	"comtainer/internal/toolchain"
@@ -59,6 +60,9 @@ type System struct {
 	Toolchains *toolchain.Registry
 	// GenericToolchains is what a stock base image sees on this ISA.
 	GenericToolchains *toolchain.Registry
+
+	aptOnce  sync.Once
+	aptIndex *dpkg.Index
 }
 
 // X86Cluster returns the paper's x86-64 testbed: 16 dual-socket Intel Xeon
@@ -183,16 +187,22 @@ func (s *System) CanRun(march string) bool {
 
 // AptIndex returns the package universe visible on the system side: the
 // generic distribution packages overlaid with the vendor-optimized builds
-// (which carry higher versions, so resolution prefers them).
+// (which carry higher versions, so resolution prefers them). It is built
+// once per System and shared by every caller, who only read it and its
+// packages: Pinned derives a new index, InstallWithDeps resolves against
+// it, and neither writes to a Package.
 func (s *System) AptIndex() *dpkg.Index {
-	idx := dpkg.NewIndex()
-	for _, p := range GenericPackages(s.ISA) {
-		idx.Add(p)
-	}
-	for _, p := range VendorPackages(s) {
-		idx.Add(p)
-	}
-	return idx
+	s.aptOnce.Do(func() {
+		idx := dpkg.NewIndex()
+		for _, p := range GenericPackages(s.ISA) {
+			idx.Add(p)
+		}
+		for _, p := range VendorPackages(s) {
+			idx.Add(p)
+		}
+		s.aptIndex = idx
+	})
+	return s.aptIndex
 }
 
 // Table1Row is one column of the paper's Table 1.

@@ -79,7 +79,7 @@ echo "== shared state (-race -count=10) =="
 go test -race -count=10 -run 'CloneShar|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageVerifies|DiskCacheTwoOpeners|ConcurrentPulls' \
     ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache
 
-echo "== fuzz smoke (4 x 10s) =="
+echo "== fuzz smoke (5 x 10s) =="
 # Ten seconds of coverage-guided mutation on each parser that takes
 # bytes from outside the process. tarfs.Unmarshal takes a layer straight
 # from a registry, and a farm session's tree the same way (remoteexec
@@ -95,7 +95,10 @@ echo "== fuzz smoke (4 x 10s) =="
 # re-encodes to the same value. The farm scheduler takes JSON on every
 # route, action records and overlays included: a sequence of requests
 # never panics, every answer is a status its route documents, and the
-# scheduler's books balance after each. The committed seeds under each package's
+# scheduler's books balance after each. The dpkg status file comes inside
+# a pulled image and is read by the redirect and the front-end: no panic,
+# and what loads is what the status writer gives back, field for field.
+# The committed seeds under each package's
 # testdata/fuzz run in every plain `go test`; this step looks past them.
 # A failure writes its input beside the seeds. Minimization is off: with
 # it the two workers spend the whole ten seconds shrinking their first
@@ -104,6 +107,7 @@ go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 10s -fuzzminimizetime 0 ./in
 go test -run '^$' -fuzz '^FuzzSegmentScan$' -fuzztime 10s -fuzzminimizetime 0 ./internal/actioncache
 go test -run '^$' -fuzz '^FuzzDecodeDocuments$' -fuzztime 10s -fuzzminimizetime 0 ./internal/actioncache
 go test -run '^$' -fuzz '^FuzzSchedulerRequests$' -fuzztime 10s -fuzzminimizetime 0 ./internal/remoteexec
+go test -run '^$' -fuzz '^FuzzParseControl$' -fuzztime 10s -fuzzminimizetime 0 ./internal/dpkg
 
 echo "== go test -race =="
 go test -race ./...
