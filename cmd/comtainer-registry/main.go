@@ -50,16 +50,16 @@
 //	comtainer-registry -addr :5000 -proxy \
 //	    -shard http://host1:5001,http://host2:5001 \
 //	    -shard http://host3:5001,http://host4:5001 \
-//	    [-proxy-cache /var/cache/comtainer -proxy-cache-cap 1073741824] \
-//	    [-redirect-reads] [-farm http://scheduler:6000] [-heartbeat 5s]
+//	    [-farm http://scheduler:6000] [-heartbeat 5s]
 //
 // The proxy speaks the same /v2 API: it routes blob traffic to the
-// owning shard by consistent hashing, fans manifests and tags out to
-// every shard, pull-through caches blobs in a bounded local store,
-// promotes a follower when a leader stops answering (per-request and
-// via -heartbeat pings), shows its routing table at /fleet/v1/table
-// (ring membership and current leaders), and with -farm forwards
-// /farm/v1 to a scheduler so farm workers need only the proxy URL.
+// owning shard by consistent hashing and relays every blob read from
+// it (the proxy keeps no blobs), fans manifests and tags out to every
+// shard, promotes a follower when a leader stops answering
+// (per-request and via -heartbeat pings), shows its routing table at
+// /fleet/v1/table (ring membership and current leaders), and with
+// -farm forwards /farm/v1 to a scheduler so farm workers need only the
+// proxy URL.
 package main
 
 import (
@@ -72,7 +72,6 @@ import (
 	"strings"
 	"time"
 
-	"comtainer/internal/distrib"
 	"comtainer/internal/fleet"
 	"comtainer/internal/registry"
 	"comtainer/internal/remoteexec"
@@ -101,15 +100,12 @@ func main() {
 	proxyMode := flag.Bool("proxy", false, "run as the fleet front-end proxy instead of a storage registry")
 	var shards multiFlag
 	flag.Var(&shards, "shard", "proxy: one shard group as comma-separated replica URLs, first is the initial leader (repeatable)")
-	proxyCache := flag.String("proxy-cache", "", "proxy: pull-through cache directory (default: no cache)")
-	proxyCacheCap := flag.Int64("proxy-cache-cap", 1<<30, "proxy: pull-through cache capacity in bytes (0 = unbounded)")
-	redirectReads := flag.Bool("redirect-reads", false, "proxy: answer uncached blob GETs with a redirect to the owning shard")
 	farm := flag.String("farm", "", "proxy: forward /farm/v1 to this scheduler URL")
 	heartbeat := flag.Duration("heartbeat", 5*time.Second, "proxy: leader heartbeat interval (0 = promote only on request failure)")
 	flag.Parse()
 
 	if *proxyMode {
-		runProxy(*addr, shards, *proxyCache, *proxyCacheCap, *redirectReads, *farm, *heartbeat, *uploadTTL)
+		runProxy(*addr, shards, *farm, *heartbeat, *uploadTTL)
 		return
 	}
 
@@ -173,7 +169,7 @@ func main() {
 }
 
 // runProxy assembles and serves the fleet front-end.
-func runProxy(addr string, shards []string, cacheDir string, cacheCap int64, redirectReads bool, farm string, heartbeat, uploadTTL time.Duration) {
+func runProxy(addr string, shards []string, farm string, heartbeat, uploadTTL time.Duration) {
 	if len(shards) == 0 {
 		log.Fatal("comtainer-registry: -proxy requires at least one -shard")
 	}
@@ -193,19 +189,8 @@ func runProxy(addr string, shards []string, cacheDir string, cacheCap int64, red
 	if err != nil {
 		log.Fatal(err)
 	}
-	p.RedirectReads = redirectReads
 	p.FarmBackend = farm
 	p.Uploads().TTL = uploadTTL
-	if cacheDir != "" {
-		store, err := distrib.NewDiskStore(cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := p.SetCache(store, cacheCap); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("comtainer-registry proxy caching blobs under %s (cap %d bytes)\n", cacheDir, cacheCap)
-	}
 	if heartbeat > 0 {
 		//comtainer:allow gonaked,ctxflow -- process-lifetime heartbeat loop; it ends when the process does
 		go p.Watch(context.Background(), heartbeat)

@@ -14,6 +14,7 @@ import (
 	"comtainer/internal/core/model"
 	"comtainer/internal/fsim"
 	"comtainer/internal/sysprofile"
+	"comtainer/internal/toolchain"
 )
 
 // Report accumulates what the adapters changed — consumed by logs and by
@@ -244,19 +245,11 @@ func (crossISAAdapter) Apply(ctx *Context) error {
 		if err != nil {
 			continue // non-regular or absent; the rebuild will complain if it matters
 		}
-		text := string(data)
-		idx := strings.Index(text, "isa:")
-		if idx < 0 {
+		marker := toolchain.ForeignISA(data, target)
+		if marker == "" {
 			continue
 		}
-		marker := strings.TrimSpace(text[idx+4:])
-		if f := strings.Fields(marker); len(f) > 0 {
-			marker = strings.TrimSuffix(f[0], "*/")
-		}
-		if marker == target {
-			continue
-		}
-		if !strings.Contains(text, "COMT_PORTABLE") {
+		if !strings.Contains(string(data), toolchain.PortabilityDefine) {
 			return fmt.Errorf("adapter cross-isa: %s contains unguarded %s-specific code; cannot rebuild for %s",
 				src, marker, target)
 		}
@@ -295,14 +288,8 @@ func (crossISAAdapter) Apply(ctx *Context) error {
 			if !ok || !needGuard[depNode.Path] {
 				continue
 			}
-			already := false
-			for _, d := range cmd.Defines() {
-				if d == "COMT_PORTABLE" {
-					already = true
-				}
-			}
-			if !already {
-				if err := cmd.AddFlag("-DCOMT_PORTABLE"); err != nil {
+			if !toolchain.PortabilityGuarded(cmd.Defines()) {
+				if err := cmd.AddFlag("-D" + toolchain.PortabilityDefine); err != nil {
 					return false, err
 				}
 				changed = true

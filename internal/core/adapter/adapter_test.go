@@ -201,6 +201,32 @@ func TestCrossISAMandatorySourcesFail(t *testing.T) {
 	}
 }
 
+// TestCrossISAKeepsValuedGuard: a command that already defines the
+// guard with a value is on the portable path; the adapter adds no
+// second -D and counts no change.
+func TestCrossISAKeepsValuedGuard(t *testing.T) {
+	guarded := "#ifndef COMT_PORTABLE\n__asm__(\"x\"); /* isa:x86-64 */\n#endif\n"
+	m, srcFS := fixtureModels([]string{"-O2", "-DCOMT_PORTABLE=1"}, map[string]string{"/w/a.c": guarded})
+	r, err := apply(t, CrossISA(), m, srcFS, sysprofile.ArmCluster())
+	if err != nil {
+		t.Fatal(err)
+	}
+	argv := strings.Join(ccArgvOf(t, m, "/w/a.o"), " ")
+	if r.ChangedCommands != 0 || strings.Count(argv, "COMT_PORTABLE") != 1 {
+		t.Errorf("ChangedCommands = %d, argv = %s; want 0 and the one guard it had", r.ChangedCommands, argv)
+	}
+}
+
+// TestCrossISAScansEveryMarker: a source whose first marker is the
+// target's own ISA and whose second is foreign and unguarded is refused.
+func TestCrossISAScansEveryMarker(t *testing.T) {
+	mixed := "__asm__(\"y\"); /* isa:" + toolchain.ISAArm + " */\n__asm__(\"x\"); /* isa:x86-64 */\n"
+	m, srcFS := fixtureModels([]string{"-O2"}, map[string]string{"/w/a.c": mixed})
+	if _, err := apply(t, CrossISA(), m, srcFS, sysprofile.ArmCluster()); err == nil {
+		t.Error("a source with unguarded x86-64 code after an aarch64 marker crossed")
+	}
+}
+
 func TestCrossISASameISANoOp(t *testing.T) {
 	m, srcFS := fixtureModels([]string{"-O2", "-mavx2"}, map[string]string{"/w/a.c": "x"})
 	r, err := apply(t, CrossISA(), m, srcFS, sysprofile.X86Cluster())

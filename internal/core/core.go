@@ -349,7 +349,7 @@ func NativeBuild(sys *sysprofile.System, app *workloads.App) (*fsim.FS, string, 
 		obj := fmt.Sprintf("%s_%02d.o", app.Name, i)
 		argv := []string{cc, "-O2", "-march=native", "-mtune=native", "-c", src, "-o", obj}
 		if app.Portability == workloads.Guarded && sys.ISA == toolchain.ISAArm {
-			argv = append(argv[:1], append([]string{"-DCOMT_PORTABLE"}, argv[1:]...)...)
+			argv = append(argv[:1], append([]string{"-D" + toolchain.PortabilityDefine}, argv[1:]...)...)
 		}
 		if err := runner.Run(argv); err != nil {
 			return nil, "", fmt.Errorf("core: native compile of %s: %w", src, err)

@@ -409,7 +409,7 @@ func TestFetchKeepsBytesAcrossTransportErrors(t *testing.T) {
 	c := fastClient(ts.URL)
 	c.HTTP = &http.Client{Transport: faultinject.NewTransport(nil, plan)}
 	dst := oci.NewStore()
-	if err := c.FetchBlob(context.Background(), dst, "app", d); err != nil {
+	if err := c.FetchBlob(context.Background(), dst, "app", oci.Descriptor{Digest: d}); err != nil {
 		t.Fatalf("fetch across truncation, drop and 503: %v", err)
 	}
 	if got, err := dst.Get(d); err != nil || !bytes.Equal(got, payload) {

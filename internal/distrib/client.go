@@ -500,15 +500,11 @@ func (c *Client) FetchManifest(ctx context.Context, name, ref string) ([]byte, d
 	return body, d, mediaType, nil
 }
 
-// FetchBlob downloads blob d from repository name into dst, verifying
-// the digest (see fetch). Concurrent fetches of the same digest
-// collapse into one transfer; waiters honor their context.
-func (c *Client) FetchBlob(ctx context.Context, dst Store, name string, d digest.Digest) error {
-	return c.fetchBlob(ctx, dst, name, oci.Descriptor{Digest: d})
-}
-
-// fetchBlob is FetchBlob for a caller that holds the blob's descriptor.
-func (c *Client) fetchBlob(ctx context.Context, dst Store, name string, bd oci.Descriptor) error {
+// FetchBlob downloads the blob bd names from repository name into dst,
+// verifying the digest and, when bd states one, the size (see fetch).
+// Concurrent fetches of the same digest collapse into one transfer;
+// waiters honor their context.
+func (c *Client) FetchBlob(ctx context.Context, dst Store, name string, bd oci.Descriptor) error {
 	_, shared, err := c.flights.DoContext(ctx, bd.Digest, func() (_ struct{}, err error) {
 		if dst.Has(bd.Digest) {
 			return
@@ -521,7 +517,7 @@ func (c *Client) fetchBlob(ctx context.Context, dst Store, name string, bd oci.D
 	})
 	if shared && err == nil && !dst.Has(bd.Digest) {
 		// The transfer joined was filling another caller's store.
-		return c.fetchBlob(ctx, dst, name, bd)
+		return c.FetchBlob(ctx, dst, name, bd)
 	}
 	return err
 }
@@ -621,7 +617,7 @@ func (c *Client) PullImage(ctx context.Context, dst Store, name, ref string) (oc
 			if dst.Has(bd.Digest) {
 				continue // cross-image layer dedup: already local
 			}
-			tasks = append(tasks, func() error { return c.fetchBlob(ctx, dst, name, bd) })
+			tasks = append(tasks, func() error { return c.FetchBlob(ctx, dst, name, bd) })
 		}
 		if err := c.runPool(tasks); err != nil {
 			return err

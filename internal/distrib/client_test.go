@@ -206,9 +206,9 @@ func TestConcurrentPullSingleflight(t *testing.T) {
 // TestConcurrentFetchIntoSeparateStores: in-flight dedup is keyed by
 // digest, so callers fetching the same blob into different stores may
 // share one transfer — but each must come back with the blob in its own
-// store, not with a nil error and nothing to show for it. (The farm
-// worker materializes every snapshot in a store of its own, and
-// snapshots of related images share most of their file blobs.)
+// store, not with a nil error and nothing to show for it. (PullImage
+// fetches through FetchBlob, and pulls of related images into stores
+// of their own share most of their layers.)
 func TestConcurrentFetchIntoSeparateStores(t *testing.T) {
 	srv := registry.NewServer()
 	const callers = 8
@@ -238,7 +238,7 @@ func TestConcurrentFetchIntoSeparateStores(t *testing.T) {
 			defer wg.Done()
 			dst := oci.NewStore()
 			launched.Done()
-			if err := c.FetchBlob(context.Background(), dst, "app", d); err != nil {
+			if err := c.FetchBlob(context.Background(), dst, "app", oci.Descriptor{Digest: d}); err != nil {
 				t.Error(err)
 			} else if !dst.Has(d) {
 				t.Error("FetchBlob returned nil but the caller's store does not hold the blob")
@@ -475,7 +475,7 @@ func TestFetchRejectsUnsolicitedPartialContent(t *testing.T) {
 	defer ts.Close()
 
 	dst := oci.NewStore()
-	if err := fastClient(ts.URL).FetchBlob(context.Background(), dst, "app", d); err == nil {
+	if err := fastClient(ts.URL).FetchBlob(context.Background(), dst, "app", oci.Descriptor{Digest: d}); err == nil {
 		t.Fatal("FetchBlob accepted an unsolicited 206")
 	}
 	if dst.Has(d) {

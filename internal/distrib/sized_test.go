@@ -204,7 +204,7 @@ func TestFetchRestartsWhenRangeIsIgnored(t *testing.T) {
 	c := fastClient(ts.URL)
 	c.HTTP = &http.Client{Transport: faultinject.NewTransport(nil, faultinject.NewPlan(3).At(1, faultinject.Truncate))}
 	dst := oci.NewStore()
-	if err := c.FetchBlob(context.Background(), dst, "app", d); err != nil {
+	if err := c.FetchBlob(context.Background(), dst, "app", oci.Descriptor{Digest: d}); err != nil {
 		t.Fatalf("fetch from a server that ignores Range: %v", err)
 	}
 	if got, err := dst.Get(d); err != nil || !bytes.Equal(got, payload) {

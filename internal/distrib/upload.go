@@ -183,7 +183,11 @@ func (u *Upload) Size() int64 {
 // Append receives one chunk. When expectStart >= 0 it must equal the
 // bytes already received, otherwise ErrRangeMismatch is returned and
 // nothing is consumed from r; pass -1 to append unconditionally.
-// Returns the total size after the append. The memory spool keeps the
+// Returns the total size after the append. A session holds at most
+// oci.MaxBlobSize bytes, the most any client will pull back: a chunk
+// whose declared length (oci.Sized) would take it past is refused with
+// oci.ErrBlobTooLarge before anything is read, and an undeclared one
+// fails the same way once it runs past. The memory spool keeps the
 // chunk as the one slice it was read into, allocated at the length r
 // declares (oci.ReadSized), so a session costs its bytes once however
 // many chunks they arrive in. The copy runs under the session mutex on
@@ -200,12 +204,19 @@ func (u *Upload) Append(r io.Reader, expectStart int64) (int64, error) {
 	if expectStart >= 0 && expectStart != u.size {
 		return u.size, fmt.Errorf("%w: chunk starts at %d, upload is at %d", ErrRangeMismatch, expectStart, u.size)
 	}
+	room := oci.MaxBlobSize - u.size
+	size, declared := oci.Sized(r)
+	if size > room {
+		return u.size, fmt.Errorf("distrib: a %d-byte chunk takes the upload past %d bytes: %w", size, oci.MaxBlobSize, oci.ErrBlobTooLarge)
+	}
+	if size < 0 {
+		r = &boundedReader{r: r, n: room}
+	}
 	var n int64
 	var err error
 	if u.file != nil {
 		n, err = io.Copy(u.file, r)
 	} else {
-		size, declared := oci.Sized(r)
 		var chunk []byte
 		if chunk, err = oci.ReadSized(nil, r, size, declared); err != nil {
 			// Keep what arrived, as the file spool does, but not the
@@ -221,6 +232,26 @@ func (u *Upload) Append(r io.Reader, expectStart int64) (int64, error) {
 		return u.size, fmt.Errorf("distrib: receiving chunk: %w", err)
 	}
 	return u.size, nil
+}
+
+// boundedReader reads at most n bytes of r; a byte past them is
+// oci.ErrBlobTooLarge.
+type boundedReader struct {
+	r io.Reader
+	n int64
+}
+
+func (b *boundedReader) Read(p []byte) (int, error) {
+	if b.n <= 0 {
+		var probe [1]byte
+		if n, err := b.r.Read(probe[:]); n == 0 {
+			return 0, err
+		}
+		return 0, oci.ErrBlobTooLarge
+	}
+	n, err := b.r.Read(p[:min(int64(len(p)), b.n)])
+	b.n -= int64(n)
+	return n, err
 }
 
 // memSpool reads a memory spool's chunks as one blob. It is what Commit

@@ -330,3 +330,29 @@ func TestUploadKeepsWhatArrivedNotWhatWasDeclared(t *testing.T) {
 		t.Fatalf("Commit = %d, %v", n, err)
 	}
 }
+
+// TestUploadBoundedByMaxBlobSize: a session four bytes short of
+// oci.MaxBlobSize refuses a declared chunk of five before reading it,
+// and reads an undeclared one up to the bound and no further — with
+// either spool.
+func TestUploadBoundedByMaxBlobSize(t *testing.T) {
+	for _, spool := range []string{"", t.TempDir()} {
+		m := NewUploadManager(spool)
+		u, err := m.Start("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		u.size = oci.MaxBlobSize - 4 // as if that much had arrived
+		declared := oci.NewSizedReader(strings.NewReader("fives"), 5)
+		if size, err := u.Append(declared, -1); !errors.Is(err, oci.ErrBlobTooLarge) || size != oci.MaxBlobSize-4 || declared.Len() != 5 {
+			t.Errorf("spool %q: Append declaring 5 bytes with room for 4 = %d, %v, %d bytes unread; want ErrBlobTooLarge, nothing read", spool, size, err, declared.Len())
+		}
+		if size, err := u.Append(struct{ io.Reader }{strings.NewReader("undeclared")}, -1); !errors.Is(err, oci.ErrBlobTooLarge) || size != oci.MaxBlobSize {
+			t.Errorf("spool %q: undeclared Append past the bound = %d, %v; want the bound and ErrBlobTooLarge", spool, size, err)
+		}
+		if size, err := u.Append(strings.NewReader(""), -1); err != nil || size != oci.MaxBlobSize {
+			t.Errorf("spool %q: empty Append at the bound = %d, %v", spool, size, err)
+		}
+		m.Cancel(u)
+	}
+}

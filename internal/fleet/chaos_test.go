@@ -128,7 +128,7 @@ func TestFleetChaosLeaderKillMidPush(t *testing.T) {
 			ring := p.Ring()
 			for d, content := range acked {
 				dst := oci.NewStore()
-				if err := c.FetchBlob(context.Background(), dst, "chaos", d); err != nil {
+				if err := c.FetchBlob(context.Background(), dst, "chaos", oci.Descriptor{Digest: d}); err != nil {
 					t.Fatalf("acked blob %s unreadable after leader kill: %v", d.Short(), err)
 				}
 				got, err := distrib.ReadBlob(dst, d)
@@ -223,7 +223,6 @@ func TestFleetChaosProxyRestart(t *testing.T) {
 // follower once the miss threshold is reached — not before.
 func TestFleetWatchPromotes(t *testing.T) {
 	p, _, shards := startFleet(t, 2)
-	p.HeartbeatMisses = 2
 	sh := shards[0]
 	leader := sh.leaderReplica(t)
 	follower := sh.replicas[1]

@@ -1,22 +1,18 @@
 // Functional tests of the registry fleet: sharded push/pull through
-// the proxy, synchronous replication, the pull-through cache, read
-// redirects, the routing-table endpoint, and GC racing pushes.
+// the proxy, synchronous replication, the routing-table endpoint, and
+// GC racing pushes.
 // External test package so the fleet is driven through the same
 // distrib client the CLI uses.
 package fleet_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -267,227 +263,6 @@ func TestFleetReplicationAck(t *testing.T) {
 	}
 	if len(sh.leaderReplica(t).log.Entries(0)) == 0 {
 		t.Fatal("leader write log is empty after acknowledged pushes")
-	}
-}
-
-// TestFleetPullThroughCache pulls the same image twice: the second
-// pull must be served from the proxy's cache without touching the
-// shards' blob endpoints.
-func TestFleetPullThroughCache(t *testing.T) {
-	p, ts, shards := startFleet(t, 1)
-	if err := p.SetCache(oci.NewStore(), 0); err != nil {
-		t.Fatal(err)
-	}
-	src := oci.NewStore()
-	desc := buildTestImage(t, src, manyPayloads(3)...)
-	c := fastClient(ts.URL)
-	if err := c.PushImage(context.Background(), src, desc, "app", "v1"); err != nil {
-		t.Fatal(err)
-	}
-	// The push itself warms the cache, so even the first pull should
-	// avoid the shard.
-	counter := &blobGetCounter{}
-	shards[0].replicas[0].ts.Config.Handler = counter.wrap(shards[0].replicas[0].srv.Handler())
-
-	for i := 0; i < 2; i++ {
-		dst := oci.NewStore()
-		got, err := c.PullImage(context.Background(), dst, "app", "v1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Digest != desc.Digest {
-			t.Fatalf("pull %d digest %s, want %s", i, got.Digest, desc.Digest)
-		}
-	}
-	if n := counter.gets.Load(); n != 0 {
-		t.Fatalf("cached pulls still issued %d blob GETs to the shard", n)
-	}
-	if hits, _ := p.CacheStats(); hits == 0 {
-		t.Fatal("cache recorded no hits across two pulls")
-	}
-}
-
-type blobGetCounter struct{ gets atomic.Int64 }
-
-func (c *blobGetCounter) wrap(inner http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && containsBlobPath(r.URL.Path) {
-			c.gets.Add(1)
-		}
-		inner.ServeHTTP(w, r)
-	})
-}
-
-func containsBlobPath(p string) bool {
-	return strings.Contains(p, "/blobs/") && !strings.Contains(p, "/uploads")
-}
-
-// TestFleetCacheBounded pushes more data than the cache capacity and
-// checks eviction keeps the cache within bounds while the fleet stays
-// authoritative for everything.
-func TestFleetCacheBounded(t *testing.T) {
-	p, ts, _ := startFleet(t, 1)
-	cache := oci.NewStore()
-	const capBytes = 3 * 1024
-	if err := p.SetCache(cache, capBytes); err != nil {
-		t.Fatal(err)
-	}
-	src := oci.NewStore()
-	var digests []digest.Digest
-	for i := 0; i < 6; i++ {
-		payload := make([]byte, 1024)
-		for j := range payload {
-			payload[j] = byte(i)
-		}
-		d, _, err := src.Ingest(bytes.NewReader(payload), "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		digests = append(digests, d)
-	}
-	c := fastClient(ts.URL)
-	for _, d := range digests {
-		if err := c.PushBlob(context.Background(), "app", src, d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var total int64
-	for _, d := range cache.Digests() {
-		rc, size, err := cache.Open(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc.Close()
-		total += size
-	}
-	if total > capBytes {
-		t.Fatalf("cache holds %d bytes, capacity %d", total, capBytes)
-	}
-	// Evicted blobs are still served (pull-through from the shard).
-	for _, d := range digests {
-		dst := oci.NewStore()
-		if err := c.FetchBlob(context.Background(), dst, "app", d); err != nil {
-			t.Fatalf("fetching %s after eviction: %v", d.Short(), err)
-		}
-	}
-}
-
-// probedStore runs probe inside every distrib.Store method.
-type probedStore struct {
-	distrib.Store
-	probe func()
-}
-
-func (s probedStore) Has(d digest.Digest) bool { s.probe(); return s.Store.Has(d) }
-func (s probedStore) Open(d digest.Digest) (io.ReadCloser, int64, error) {
-	s.probe()
-	return s.Store.Open(d)
-}
-func (s probedStore) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int64, error) {
-	s.probe()
-	return s.Store.Ingest(r, want)
-}
-func (s probedStore) Delete(d digest.Digest) error { s.probe(); return s.Store.Delete(d) }
-func (s probedStore) Digests() []digest.Digest     { s.probe(); return s.Store.Digests() }
-
-// TestFleetCacheStoreCalledUnlocked: the proxy never calls into its
-// cache store — disk I/O in production — while holding the lock that
-// guards the cache index. Every store method here re-enters the proxy
-// through a path that takes that lock (HasBlob of an uncached digest is
-// an index lookup, then a shard HEAD); were the lock held around the
-// store call, the re-entry would never return. Adoption, push warming,
-// eviction, pull-through and cache hits all pass through.
-func TestFleetCacheStoreCalledUnlocked(t *testing.T) {
-	p, ts, _ := startFleet(t, 1)
-	absent := digest.FromBytes([]byte("never pushed"))
-	var probes atomic.Int64
-	probe := func() {
-		probes.Add(1)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			_, _ = p.HasBlob(context.Background(), absent)
-		}()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Error("cache store called with the cache lock held: re-entering the proxy blocked")
-		}
-	}
-	// Six 1 KiB blobs on the fleet; the cache adopts two and has room
-	// for three, so pushes evict and fetches pull through and evict.
-	src, seeded := oci.NewStore(), oci.NewStore()
-	c := fastClient(ts.URL)
-	var digests []digest.Digest
-	for i := 0; i < 6; i++ {
-		payload := bytes.Repeat([]byte{byte(i)}, 1024)
-		d := src.Put(payload)
-		digests = append(digests, d)
-		if i < 2 {
-			if err := c.PushBlob(context.Background(), "app", src, d); err != nil {
-				t.Fatal(err)
-			}
-			seeded.Put(payload)
-		}
-	}
-	if err := p.SetCache(probedStore{seeded, probe}, 3*1024); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range digests[2:] {
-		if err := c.PushBlob(context.Background(), "app", src, d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, d := range append(digests, digests...) {
-		if err := c.FetchBlob(context.Background(), oci.NewStore(), "app", d); err != nil {
-			t.Fatalf("fetching %s: %v", d.Short(), err)
-		}
-	}
-	if probes.Load() == 0 {
-		t.Fatal("the cache store was never called")
-	}
-	if got := seeded.TotalSize(); got > 3*1024 {
-		t.Fatalf("cache holds %d bytes, capacity %d", got, 3*1024)
-	}
-}
-
-// TestFleetRedirectReads checks -redirect-reads: an uncached blob GET
-// answers with a 307 pointing at the owning shard's leader, and a
-// redirect-following client still gets the bytes.
-func TestFleetRedirectReads(t *testing.T) {
-	p, ts, shards := startFleet(t, 1)
-	p.RedirectReads = true
-	src := oci.NewStore()
-	desc := buildTestImage(t, src, "one layer")
-	c := fastClient(ts.URL)
-	if err := c.PushImage(context.Background(), src, desc, "app", "v1"); err != nil {
-		t.Fatal(err)
-	}
-
-	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	for _, d := range src.Digests() {
-		resp, err := noFollow.Get(ts.URL + "/v2/app/blobs/" + string(d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusTemporaryRedirect {
-			t.Fatalf("blob GET status %d, want 307", resp.StatusCode)
-		}
-		want := shards[0].group.Leader() + "/v2/app/blobs/" + string(d)
-		if loc := resp.Header.Get("Location"); loc != want {
-			t.Fatalf("redirect location %s, want %s", loc, want)
-		}
-	}
-	dst := oci.NewStore()
-	got, err := c.PullImage(context.Background(), dst, "app", "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Digest != desc.Digest {
-		t.Fatalf("redirected pull digest %s, want %s", got.Digest, desc.Digest)
 	}
 }
 

@@ -11,10 +11,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"comtainer/internal/cachekit"
 	"comtainer/internal/core/ctxutil"
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
@@ -32,11 +30,11 @@ const DefaultHeartbeatMisses = 2
 // Proxy is the stateless fleet front-end: it speaks the OCI
 // distribution API, routes every blob operation to the shard group
 // owning the digest (with failover promotion when a leader dies
-// mid-request), fans manifest and tag operations out to every shard,
-// and optionally pull-through caches blobs in a bounded local store.
-// Holding no state a restart can lose — upload sessions aside, which
-// clients simply restart — any number of proxies can front the same
-// shard fleet.
+// mid-request), and fans manifest and tag operations out to every
+// shard. It keeps no blobs: every read is relayed from the owning
+// group. Holding no state a restart can lose — upload sessions aside,
+// which clients simply restart — any number of proxies can front the
+// same shard fleet.
 type Proxy struct {
 	// HTTP carries proxy-to-shard traffic (defaults to
 	// http.DefaultClient); tests inject fault transports here.
@@ -46,29 +44,14 @@ type Proxy struct {
 	// point their single endpoint at the proxy and get routed blob
 	// traffic for free.
 	FarmBackend string
-	// RedirectReads answers uncached blob GETs with a 307 to the
-	// owning shard leader instead of streaming through the proxy,
-	// taking the proxy out of the read data path entirely.
-	RedirectReads bool
-	// HeartbeatMisses overrides DefaultHeartbeatMisses when > 0.
-	HeartbeatMisses int
 
 	ring    *Ring
 	groups  map[string]*ShardGroup
 	order   []string // sorted group names
 	uploads *distrib.UploadManager
 
-	// cacheMu guards which store is mounted and the index of what it
-	// holds; the store itself is only ever called with cacheMu released.
-	cacheMu  sync.Mutex
-	cache    distrib.Store
-	cacheCap int64
-	cacheLRU cachekit.LRU[digest.Digest]
-
 	clientMu sync.Mutex
 	clients  map[string]*distrib.Client
-
-	cacheHits, cacheMisses atomic.Int64
 }
 
 // NewProxy returns a proxy over the given shard groups, building the
@@ -99,100 +82,6 @@ func NewProxy(groups []*ShardGroup, vnodes int) (*Proxy, error) {
 
 // Ring exposes the proxy's routing ring.
 func (p *Proxy) Ring() *Ring { return p.ring }
-
-// SetCache mounts a bounded pull-through cache: blobs fetched from
-// shards are kept in store and evicted least-recently-used once the
-// total exceeds capBytes (0 = unbounded). Existing store content is
-// adopted into the accounting, so a disk-backed cache survives proxy
-// restarts.
-func (p *Proxy) SetCache(store distrib.Store, capBytes int64) error {
-	p.cacheMu.Lock()
-	p.cache, p.cacheCap, p.cacheLRU = store, capBytes, cachekit.LRU[digest.Digest]{}
-	p.cacheMu.Unlock()
-	if store == nil {
-		return nil
-	}
-	for _, d := range store.Digests() {
-		if err := p.noteFetched(store, d); err != nil {
-			return fmt.Errorf("fleet: adopting cache blob %s: %w", d.Short(), err)
-		}
-	}
-	return nil
-}
-
-// CacheStats returns pull-through cache hit/miss counters.
-func (p *Proxy) CacheStats() (hits, misses int64) {
-	return p.cacheHits.Load(), p.cacheMisses.Load()
-}
-
-// cacheStore returns the mounted cache store (nil when none).
-func (p *Proxy) cacheStore() distrib.Store {
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	return p.cache
-}
-
-// cacheHas reports (and LRU-touches) a cached blob: one index lookup
-// under the lock, then a presence probe of the store outside it. An
-// indexed blob the store has lost — evicted just before a concurrent
-// fetch re-indexed it — is forgotten and reported absent.
-func (p *Proxy) cacheHas(d digest.Digest) bool {
-	p.cacheMu.Lock()
-	store, known := p.cache, p.cacheLRU.Touch(d)
-	p.cacheMu.Unlock()
-	if !known || store.Has(d) {
-		return known
-	}
-	p.cacheMu.Lock()
-	p.cacheLRU.Remove(d)
-	p.cacheMu.Unlock()
-	return false
-}
-
-// cacheAdd copies blob d from src into the cache. Best-effort: a cache
-// failure never fails the request that triggered it. Ingestion is
-// content-addressed, so a concurrent add of the same digest is
-// harmless, and indexing it twice only refreshes its recency.
-func (p *Proxy) cacheAdd(src distrib.BlobSource, d digest.Digest) {
-	store := p.cacheStore()
-	if store == nil || store.Has(d) {
-		return
-	}
-	rc, size, err := src.Open(d)
-	if err != nil {
-		return
-	}
-	_, _, err = store.Ingest(oci.NewSizedReader(rc, size), d)
-	rc.Close()
-	if err == nil {
-		_ = p.noteFetched(store, d) // best-effort, as above
-	}
-}
-
-// noteFetched indexes blob d, which the cache store now holds, and
-// evicts beyond capacity. Sizing the blob and deleting the victims are
-// store I/O and happen on either side of the critical section; victims
-// a failed delete leaves behind go uncounted until the next mount
-// adopts them.
-func (p *Proxy) noteFetched(store distrib.Store, d digest.Digest) error {
-	rc, size, err := store.Open(d)
-	if err != nil {
-		return err
-	}
-	rc.Close()
-	p.cacheMu.Lock()
-	if p.cache != nil {
-		p.cacheLRU.Add(d, size)
-	}
-	victims, _ := p.cacheLRU.Evict(p.cacheCap)
-	p.cacheMu.Unlock()
-	for _, v := range victims {
-		if err := store.Delete(v); err != nil {
-			return fmt.Errorf("fleet: evicting cache blob %s: %w", v.Short(), err)
-		}
-	}
-	return nil
-}
 
 // groupFor returns the shard group owning blob d.
 func (p *Proxy) groupFor(d digest.Digest) *ShardGroup {
@@ -340,50 +229,24 @@ func shardError(err error) error {
 
 // --- blobs ---
 
-// ServeBlob implements registry.Backend: from the cache when it holds
-// d, else from the owning group — redirected, pulled through the
-// cache, or relayed.
-func (p *Proxy) ServeBlob(w http.ResponseWriter, r *http.Request, name string, d digest.Digest) {
-	get, hit := r.Method == http.MethodGet, p.cacheHas(d)
-	if get && hit {
-		p.cacheHits.Add(1)
-	} else if get {
-		p.cacheMisses.Add(1)
-	}
-	g, cache := p.groupFor(d), p.cacheStore()
-	switch {
-	case hit:
-		registry.ServeBlob(w, r, cache, d)
-	case get && p.RedirectReads:
-		http.Redirect(w, r, g.Leader()+r.URL.Path, http.StatusTemporaryRedirect)
-	case get && cache != nil:
-		// Pull-through: fetch into the cache (verified), serve from it.
-		err := p.withGroup(g, func(base string) error {
-			return p.clientFor(base).FetchBlob(r.Context(), cache, name, d)
-		})
-		if err != nil {
-			http.Error(w, err.Error(), shardStatus(err))
-			return
-		}
-		_ = p.noteFetched(cache, d) // unindexed at worst; ServeBlob answers either way
-		registry.ServeBlob(w, r, cache, d)
-	default:
-		p.relay(w, r, g)
-	}
+// ServeBlob implements registry.Backend: the owning group answers,
+// relayed through the proxy.
+func (p *Proxy) ServeBlob(w http.ResponseWriter, r *http.Request, _ string, d digest.Digest) {
+	p.relay(w, r, p.groupFor(d))
 }
 
-// CommitBlob implements registry.Backend: the blob is verified, pushed
-// to its owning shard group (with failover) — whose leader acknowledges
-// only after every follower holds it — and warms the pull-through
-// cache, all inside the sink's Ingest, while the front-end's copy of the
-// content is still there to be read.
+// CommitBlob implements registry.Backend: the blob is verified and
+// pushed to its owning shard group (with failover) — whose leader
+// acknowledges only after every follower holds it — inside the sink's
+// Ingest, while the front-end's copy of the content is still there to
+// be read.
 func (p *Proxy) CommitBlob(r *http.Request, name string, _ digest.Digest, ingest func(distrib.BlobSink) error) error {
 	return ingest(&relaySink{p: p, ctx: r.Context(), name: name})
 }
 
 // relaySink is the BlobSink CommitBlob hands the front-end and, once its
 // Ingest has verified what it was given, the one-blob BlobSource the
-// shard push and the cache read that content from.
+// shard push reads that content from.
 type relaySink struct {
 	p    *Proxy
 	ctx  context.Context
@@ -430,7 +293,6 @@ func (s *relaySink) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int6
 	if err != nil {
 		return "", 0, shardError(err)
 	}
-	s.p.cacheAdd(s, want)
 	return want, s.content.Size(), nil
 }
 
@@ -454,11 +316,8 @@ func (s *relaySink) Open(d digest.Digest) (io.ReadCloser, int64, error) {
 // --- manifests and tags ---
 
 // HasBlob implements registry.Backend with the fleet-wide referential
-// check: the cache or the owning shard group holds d.
+// check: the owning shard group holds d.
 func (p *Proxy) HasBlob(ctx context.Context, d digest.Digest) (bool, error) {
-	if p.cacheHas(d) {
-		return true, nil
-	}
 	var found bool
 	err := p.withGroup(p.groupFor(d), func(base string) error {
 		ok, err := p.clientFor(base).HasBlob(ctx, "fleet", d)
@@ -559,9 +418,9 @@ func (p *Proxy) serveTable(w http.ResponseWriter, r *http.Request) {
 // --- heartbeat watch ---
 
 // Watch pings every shard leader at interval until ctx is done,
-// promoting a group's next replica after HeartbeatMisses consecutive
-// failures — failover for idle fleets, complementing the immediate
-// request-path promotion in withGroup.
+// promoting a group's next replica after DefaultHeartbeatMisses
+// consecutive failures — failover for idle fleets, complementing the
+// immediate request-path promotion in withGroup.
 func (p *Proxy) Watch(ctx context.Context, interval time.Duration) {
 	for {
 		if err := ctxutil.Sleep(ctx, interval); err != nil {
@@ -573,12 +432,8 @@ func (p *Proxy) Watch(ctx context.Context, interval time.Duration) {
 
 // CheckLeaders performs one heartbeat round: each group's current
 // leader is pinged (bounded by timeout) and promoted past after
-// HeartbeatMisses consecutive losses.
+// DefaultHeartbeatMisses consecutive losses.
 func (p *Proxy) CheckLeaders(ctx context.Context, timeout time.Duration) {
-	misses := p.HeartbeatMisses
-	if misses <= 0 {
-		misses = DefaultHeartbeatMisses
-	}
 	for _, name := range p.order {
 		g := p.groups[name]
 		leader := g.Leader()
@@ -589,7 +444,7 @@ func (p *Proxy) CheckLeaders(ctx context.Context, timeout time.Duration) {
 			g.noteBeat(leader)
 			continue
 		}
-		if g.noteMiss(leader) >= misses {
+		if g.noteMiss(leader) >= DefaultHeartbeatMisses {
 			g.promoteFrom(leader)
 		}
 	}

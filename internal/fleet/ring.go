@@ -4,9 +4,9 @@
 // every commit to its followers (a write is acknowledged only once
 // the followers hold it durably), so killing a leader loses no
 // acknowledged write; and a stateless front-end proxy speaks the OCI
-// distribution API — routing blob traffic to the owning shard,
-// fanning manifest/ref operations out to every shard, and optionally
-// pull-through caching hot blobs in a bounded local store.
+// distribution API — routing blob traffic to the owning shard and
+// fanning manifest/ref operations out to every shard, keeping no blobs
+// of its own.
 package fleet
 
 import (

@@ -25,7 +25,7 @@ const maxManifestSize = 16 << 20
 // nor a repository name, and cannot tell a blob routed to one shard
 // from a manifest fanned out to all of them. Two implementations:
 // Server (local store, commit hook, GC pin) and fleet.Proxy (ring
-// routing, fan-out, failover, pull-through cache).
+// routing, fan-out, failover).
 //
 // The serve methods write the whole response. The others return an
 // error: one marked by WithStatus is answered with that status, any
@@ -66,12 +66,15 @@ func WithStatus(status int, err error) error {
 	return &statusError{status: status, err: err}
 }
 
-// fail answers a Backend error.
+// fail answers a Backend error: a blob past oci.MaxBlobSize is 413.
 func fail(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	var se *statusError
-	if errors.As(err, &se) {
+	switch {
+	case errors.As(err, &se):
 		status = se.status
+	case errors.Is(err, oci.ErrBlobTooLarge):
+		status = http.StatusRequestEntityTooLarge
 	}
 	http.Error(w, err.Error(), status)
 }
@@ -269,7 +272,11 @@ func (f *frontend) patchUpload(w http.ResponseWriter, r *http.Request, u *distri
 	size, err := u.Append(requestBody(r, r.Body), expectStart)
 	w.Header().Set("Docker-Upload-UUID", u.ID)
 	w.Header().Set("Range", uploadRange(size))
-	if err != nil {
+	switch {
+	case errors.Is(err, oci.ErrBlobTooLarge):
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return
+	case err != nil:
 		// A mis-aligned chunk gets 416 plus the committed range so the
 		// client can resume from the recorded offset.
 		http.Error(w, err.Error(), http.StatusRequestedRangeNotSatisfiable)
@@ -345,11 +352,10 @@ func (f *frontend) putManifest(w http.ResponseWriter, r *http.Request, name, ref
 	w.WriteHeader(http.StatusCreated)
 }
 
-// ServeBlob answers a blob GET or HEAD from src with distribution-API
+// serveBlob answers a blob GET or HEAD from src with distribution-API
 // headers, honoring single-range HTTP Range requests ("bytes=a-b" /
-// "bytes=a-") with 206 responses. Shared by the registry's blob reads
-// and the fleet proxy's cache-hit path.
-func ServeBlob(w http.ResponseWriter, r *http.Request, src distrib.BlobSource, d digest.Digest) {
+// "bytes=a-") with 206 responses.
+func serveBlob(w http.ResponseWriter, r *http.Request, src distrib.BlobSource, d digest.Digest) {
 	body, size, err := src.Open(d)
 	if err != nil {
 		http.Error(w, "blob unknown", http.StatusNotFound)

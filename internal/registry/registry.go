@@ -222,7 +222,7 @@ func (s *Server) Handler() http.Handler {
 
 // ServeBlob implements Backend from the mounted store.
 func (s *Server) ServeBlob(w http.ResponseWriter, r *http.Request, _ string, d digest.Digest) {
-	ServeBlob(w, r, s.blobs, d)
+	serveBlob(w, r, s.blobs, d)
 }
 
 // HasBlob implements Backend. A fleet shard trusts every reference:

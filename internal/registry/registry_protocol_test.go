@@ -501,6 +501,43 @@ func TestUploadStopsWhenClientGone(t *testing.T) {
 	})
 }
 
+// TestUploadSessionBounded: a session holds at most oci.MaxBlobSize
+// bytes, the most a client pulls back. A chunk declaring a length that
+// would take it past is refused with 413 — on a PATCH and as the
+// trailing chunk of the finalizing PUT — before a byte of it is read.
+// The requests declare the length and carry a short body, so they go to
+// the handler directly.
+func TestUploadSessionBounded(t *testing.T) {
+	eachFront(t, func(t *testing.T, f front) {
+		resp, _ := do(t, http.MethodPost, f.url+"/v2/app/blobs/uploads/", nil)
+		loc := resp.Header.Get("Location")
+		if resp, _ := do(t, http.MethodPatch, f.url+loc, strings.NewReader("a"), "Content-Range", "0-0"); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("1-byte PATCH: %s", resp.Status)
+		}
+		for _, target := range []string{loc, loc + "?digest=" + string(digest.FromString("ab"))} {
+			method := http.MethodPatch
+			if target != loc {
+				method = http.MethodPut
+			}
+			req := httptest.NewRequest(method, target, strings.NewReader("b"))
+			req.ContentLength = oci.MaxBlobSize
+			rec := httptest.NewRecorder()
+			f.handler.ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s declaring %d bytes after 1: %d, want 413", method, int64(oci.MaxBlobSize), rec.Code)
+			}
+			if resp, _ := do(t, http.MethodGet, f.url+loc, nil); resp.Header.Get("Range") != "0-0" {
+				t.Errorf("session Range = %q after a refused %s, want 0-0", resp.Header.Get("Range"), method)
+			}
+		}
+		// The session is where it was: the next byte goes at offset 1.
+		resp, _ = do(t, http.MethodPatch, f.url+loc, strings.NewReader("b"), "Content-Range", "1-1")
+		if resp.StatusCode != http.StatusAccepted || resp.Header.Get("Range") != "0-1" {
+			t.Errorf("PATCH at offset 1: %s, Range %q, want 202 and 0-1", resp.Status, resp.Header.Get("Range"))
+		}
+	})
+}
+
 func TestManifestByDigest(t *testing.T) {
 	eachFront(t, func(t *testing.T, f front) {
 		src, tag := testImageRepo(t)

@@ -16,11 +16,11 @@ import (
 // explicit -L directories, mirroring a conventional Linux layout.
 var DefaultLibPath = []string{"/usr/lib", "/usr/local/lib", "/opt/hpc/lib"}
 
-// portabilityDefine is the macro workloads use to guard ISA-specific inline
+// PortabilityDefine is the macro workloads use to guard ISA-specific inline
 // assembly; defining it selects the portable fallback path. The cross-ISA
 // adapter adds -D of this macro — one of the "minor modifications to build
 // scripts" Figure 11 counts.
-const portabilityDefine = "COMT_PORTABLE"
+const PortabilityDefine = "COMT_PORTABLE"
 
 // Stats accumulates simulated compilation cost, the quantity the paper
 // argues is "intolerable for normal users [but] viable on HPC clusters"
@@ -260,16 +260,10 @@ func countLines(data []byte) int {
 	return n + 1
 }
 
-// checkISAMarkers scans source text for "isa:<isa>" markers (the stand-in
-// for inline assembly) and fails when the marker targets another ISA and
-// the portability guard is not defined.
-func checkISAMarkers(src []byte, srcPath, targetISA string, defines []string) error {
-	guarded := false
-	for _, d := range defines {
-		if d == portabilityDefine || strings.HasPrefix(d, portabilityDefine+"=") {
-			guarded = true
-		}
-	}
+// ForeignISA scans source text for "isa:<isa>" markers (the stand-in for
+// inline assembly) and returns the first that targets an ISA other than
+// targetISA, or "" when none does.
+func ForeignISA(src []byte, targetISA string) string {
 	for _, line := range strings.Split(string(src), "\n") {
 		idx := strings.Index(line, "isa:")
 		if idx < 0 {
@@ -279,12 +273,22 @@ func checkISAMarkers(src []byte, srcPath, targetISA string, defines []string) er
 		if f := strings.Fields(marker); len(f) > 0 {
 			marker = strings.TrimSuffix(f[0], "*/")
 		}
-		if marker != "" && marker != targetISA && !guarded {
-			return fmt.Errorf("toolchain: %s: inline assembly targets %s, cannot compile for %s (define %s for the portable path)",
-				srcPath, marker, targetISA, portabilityDefine)
+		if marker != "" && marker != targetISA {
+			return marker
 		}
 	}
-	return nil
+	return ""
+}
+
+// PortabilityGuarded reports whether a command's -D values select the
+// portable path: PortabilityDefine, bare or with any value.
+func PortabilityGuarded(defines []string) bool {
+	for _, d := range defines {
+		if d == PortabilityDefine || strings.HasPrefix(d, PortabilityDefine+"=") {
+			return true
+		}
+	}
+	return false
 }
 
 // validateMachineFlags rejects -m switches the toolchain does not know —
@@ -368,8 +372,9 @@ func (r *Runner) makeObject(cmd *cclang.Command, tc *Toolchain, march, mtune, sr
 		fromIR = bc
 	}
 	if fromIR == nil {
-		if err := checkISAMarkers(data, src, tc.TargetISA, cmd.Defines()); err != nil {
-			return nil, err
+		if marker := ForeignISA(data, tc.TargetISA); marker != "" && !PortabilityGuarded(cmd.Defines()) {
+			return nil, fmt.Errorf("toolchain: %s: inline assembly targets %s, cannot compile for %s (define %s for the portable path)",
+				src, marker, tc.TargetISA, PortabilityDefine)
 		}
 	}
 	_, pgoGen := cmd.ProfileGenerate()

@@ -79,7 +79,7 @@ echo "== shared state (-race -count=10) =="
 go test -race -count=10 -run 'CloneShar|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageVerifies|DiskCacheTwoOpeners|ConcurrentPulls' \
     ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache
 
-echo "== fuzz smoke (5 x 10s) =="
+echo "== fuzz smoke (6 x 10s) =="
 # Ten seconds of coverage-guided mutation on each parser that takes
 # bytes from outside the process. tarfs.Unmarshal takes a layer straight
 # from a registry, and a farm session's tree the same way (remoteexec
@@ -98,6 +98,7 @@ echo "== fuzz smoke (5 x 10s) =="
 # scheduler's books balance after each. The dpkg status file comes inside
 # a pulled image and is read by the redirect and the front-end: no panic,
 # and what loads is what the status writer gives back, field for field.
+# Registry front-end requests (path, Range, Content-Range): no panic or 5xx; blob and 206 bodies match what they name.
 # The committed seeds under each package's
 # testdata/fuzz run in every plain `go test`; this step looks past them.
 # A failure writes its input beside the seeds. Minimization is off: with
@@ -108,6 +109,7 @@ go test -run '^$' -fuzz '^FuzzSegmentScan$' -fuzztime 10s -fuzzminimizetime 0 ./
 go test -run '^$' -fuzz '^FuzzDecodeDocuments$' -fuzztime 10s -fuzzminimizetime 0 ./internal/actioncache
 go test -run '^$' -fuzz '^FuzzSchedulerRequests$' -fuzztime 10s -fuzzminimizetime 0 ./internal/remoteexec
 go test -run '^$' -fuzz '^FuzzParseControl$' -fuzztime 10s -fuzzminimizetime 0 ./internal/dpkg
+go test -run '^$' -fuzz '^FuzzFrontend$' -fuzztime 10s -fuzzminimizetime 0 ./internal/registry
 
 echo "== go test -race =="
 go test -race ./...
