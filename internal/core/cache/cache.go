@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"comtainer/internal/core/model"
@@ -33,13 +34,21 @@ const (
 	SrcPrefix  = Dir + "/src" // + original absolute path
 )
 
-// gzipBytes compresses b deterministically (zeroed mtime).
+// gzipWriters keeps BestCompression writers between calls: a new one
+// allocates about 0.8 MB of compressor state, Reset only clears it.
+var gzipWriters = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(nil, gzip.BestCompression) // the level is valid
+	return zw
+}}
+
+// gzipBytes compresses b deterministically (zeroed mtime). Reset leaves
+// a pooled writer as NewWriterLevel would: a zero header and fresh
+// compressor state.
 func gzipBytes(b []byte) ([]byte, error) {
 	var buf bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&buf, gzip.BestCompression)
-	if err != nil {
-		return nil, err
-	}
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(&buf)
 	zw.ModTime = time.Unix(0, 0).UTC()
 	if _, err := zw.Write(b); err != nil {
 		zw.Close()
@@ -156,7 +165,9 @@ func BuildLayerWith(m *model.Models, buildFS *fsim.FS, opts Options) (*fsim.FS, 
 	if err != nil {
 		return nil, fmt.Errorf("cache: compressing models: %w", err)
 	}
-	layer.WriteFile(ModelsPath, packed, 0o644)
+	// Every file is Added: the layer shares the build's immutable source
+	// bytes, and adopts the buffers made here, instead of copying either.
+	layer.Add(&fsim.File{Path: ModelsPath, Mode: 0o644, Data: packed})
 	for _, src := range m.SourcePaths {
 		data, err := buildFS.ReadFile(src)
 		if err != nil {
@@ -169,14 +180,14 @@ func BuildLayerWith(m *model.Models, buildFS *fsim.FS, opts Options) (*fsim.FS, 
 		case opts.Obfuscate:
 			data = ObfuscateSource(src, data)
 		}
-		layer.WriteFile(SrcPrefix+src, data, 0o644)
+		layer.Add(&fsim.File{Path: SrcPrefix + src, Mode: 0o644, Data: data})
 	}
 	meta := Meta{Version: 1, CreatedBy: "coMtainer-build", Sources: len(m.SourcePaths), Obfuscated: opts.Obfuscate, Format: formatName(opts.Format)}
 	mb, err := json.Marshal(meta)
 	if err != nil {
 		return nil, fmt.Errorf("cache: encoding meta: %w", err)
 	}
-	layer.WriteFile(MetaPath, mb, 0o644)
+	layer.Add(&fsim.File{Path: MetaPath, Mode: 0o644, Data: mb})
 	return layer, nil
 }
 

@@ -1,10 +1,16 @@
 package cache
 
 import (
+	"bytes"
+	"compress/gzip"
+	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"comtainer/internal/core/model"
+	"comtainer/internal/digest"
 	"comtainer/internal/fsim"
 	"comtainer/internal/oci"
 )
@@ -118,6 +124,77 @@ func TestBuildLayerMissingSource(t *testing.T) {
 	m.SourcePaths = append(m.SourcePaths, "/w/src/ghost.c")
 	if _, err := BuildLayerWith(m, sampleBuildFS(), Options{}); err == nil {
 		t.Error("missing source not detected")
+	}
+}
+
+// cacheLayer extends a fresh dist image with m and returns the cache
+// layer's digest and its models document.
+func cacheLayer(t *testing.T, m *model.Models, buildFS *fsim.FS) (digest.Digest, []byte) {
+	t.Helper()
+	repo, distTag := distRepo(t)
+	if _, err := ExtendWith(repo, distTag, m, buildFS, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	img, err := repo.LoadByTag(ExtendedTag(distTag))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(img.Manifest.Layers) - 1
+	layer, err := img.Layer(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := layer.ReadFile(ModelsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img.Manifest.Layers[last].Digest, packed
+}
+
+// TestGzipWriterReuseLeaksNoState: gzipBytes reuses its compressors. A
+// cache layer built after another image's must be the one a process
+// builds with its first, fresh compressor — the one the test binary
+// prints when it runs only this test, in a process of its own — and the
+// models document's gzip header carries nothing of the build.
+func TestGzipWriterReuseLeaksNoState(t *testing.T) {
+	const child = "COMTAINER_CACHE_TEST_FIRST_LAYER"
+	if os.Getenv(child) != "" {
+		d, _ := cacheLayer(t, sampleModels(), sampleBuildFS())
+		fmt.Println("first layer", d)
+		return
+	}
+	other := sampleModels()
+	otherFS := sampleBuildFS()
+	for i := range 64 {
+		src := fmt.Sprintf("/w/src/b%02d.c", i)
+		other.Graph.AddSource(src)
+		other.SourcePaths = append(other.SourcePaths, src)
+		otherFS.WriteFile(src, []byte(strings.Repeat(fmt.Sprintf("int b%d;\n", i), 40)), 0o644)
+	}
+	first, packed := cacheLayer(t, sampleModels(), sampleBuildFS())
+	if between, _ := cacheLayer(t, other, otherFS); between == first {
+		t.Fatal("two different images got one cache layer")
+	}
+	if again, _ := cacheLayer(t, sampleModels(), sampleBuildFS()); again != first {
+		t.Errorf("the same image's cache layer is %s after another image's, %s before", again.Short(), first.Short())
+	}
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestGzipWriterReuseLeaksNoState$", "-test.count=1")
+	cmd.Env = append(os.Environ(), child+"=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("fresh process: %v\n%s", err, out)
+	}
+	if want := "first layer " + string(first); !strings.Contains(string(out), want+"\n") {
+		t.Errorf("this process's cache layer is %s; a fresh process's first:\n%s", first.Short(), out)
+	}
+
+	zr, err := gzip.NewReader(bytes.NewReader(packed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !zr.ModTime.IsZero() || zr.Name != "" || zr.Comment != "" || zr.Extra != nil {
+		t.Errorf("models document's gzip header: mtime %v, name %q, comment %q, extra %q", zr.ModTime, zr.Name, zr.Comment, zr.Extra)
 	}
 }
 

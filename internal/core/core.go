@@ -56,17 +56,17 @@ func NewUserSide(isa string) (*UserSide, error) {
 }
 
 // contextFor assembles an app's build context: sources under /src, data
-// under /data.
+// under /data. The context adopts the buffers the generators made.
 func contextFor(app *workloads.App, isa string) *fsim.FS {
 	ctx := fsim.New()
-	for name, content := range app.Sources(isa) {
-		ctx.WriteFile("/src/"+name, []byte(content), 0o644)
+	for name, data := range app.SourceFiles(isa) {
+		ctx.Add(&fsim.File{Path: "/src/" + name, Mode: 0o644, Data: data})
 	}
 	if app.UseMake {
-		ctx.WriteFile("/src/Makefile", []byte(app.Makefile(isa)), 0o644)
+		ctx.Add(&fsim.File{Path: "/src/Makefile", Mode: 0o644, Data: []byte(app.Makefile(isa))})
 	}
 	for name, data := range app.Data() {
-		ctx.WriteFile("/data/"+name, data, 0o644)
+		ctx.Add(&fsim.File{Path: "/data/" + name, Mode: 0o644, Data: data})
 	}
 	return ctx
 }
@@ -332,8 +332,8 @@ func NativeBuild(sys *sysprofile.System, app *workloads.App) (*fsim.FS, string, 
 		}
 	}
 	// Sources and the hand-run vendor build.
-	for name, content := range app.Sources(sys.ISA) {
-		fs.WriteFile("/home/user/"+app.Name+"/"+name, []byte(content), 0o644)
+	for name, data := range app.SourceFiles(sys.ISA) {
+		fs.Add(&fsim.File{Path: "/home/user/" + app.Name + "/" + name, Mode: 0o644, Data: data})
 	}
 	runner := toolchain.NewRunner(fs, sys.Toolchains)
 	runner.Cwd = "/home/user/" + app.Name

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"comtainer/internal/core/cache"
+	"comtainer/internal/digest"
+	"comtainer/internal/fsim"
 	"comtainer/internal/sysprofile"
 	"comtainer/internal/toolchain"
 	"comtainer/internal/workloads"
@@ -28,6 +33,81 @@ var imageDigestsGolden = map[string][3]string{
 	"minimd":   {"68da74df50576814bdd08b6782e62b16a2078d9c56910883d1bc6314456ca745", "37ca1200e38d7819a012fbd0b759c6895bb8114d46209bfa8239f227d814753a", "0d279cb452e45c707a545f0b3ccf8a934cd3f43e7efd879be3481d4155a63945"},
 	"lammps":   {"af111b912d81b26b483fa7d25ed2cebff8ff7d3acfc93320b3765e2a3f0a3f97", "fdec09679775042ec61230ade16e10bbbe6a90fc038cd0226ca02ccc9e1b4ae9", "94050b857902dd3e09f3c18bd88e8467ae175974d7f32329cca22cf17a38bb70"},
 	"openmx":   {"dc4790e4157758d7ec6fee804cab726da6c7297f4acd869b3207626f61205ff6", "52b6c00c69674a679ce5c92176ef423dfdf743a79848140cf290819b37f6c59a", "b09fb6ad0ecffc0d7baa70a6d7d3beaa10805f9c0b403b095b449b2608d6ff3b"},
+}
+
+// buildContextGolden holds, per case of TestBuildContextGolden, the
+// sha256 of the sorted "path size sha256(content)" lines of every file
+// contextFor builds. The constants were printed by this test body at
+// commit f2ba6c9, while the generators still wrote one fmt.Fprintf per
+// source line and one byte per data byte.
+var buildContextGolden = map[string]string{
+	"comd/aarch64":          "230954eaddd3dd5d5a30d1cdb97ce6a9b5c384fb4280c920d59279c566c58408",
+	"hpccg/aarch64":         "bf431032fdfccfcd838508803073592ee51ea8b38c67f16ed87bb2b6c2c7ba90",
+	"hpcg/aarch64":          "b05057ed0be6a46c958a53b60fc24470a5b8d47839136b7d76dc1b9cffbcf328",
+	"hpl/aarch64":           "a49c21434997970c1825b6fabef9f89243c89d26d57789c0d9a0af40c86d6177",
+	"lammps/aarch64":        "e3d5181086244a9056499504b06a4eb4c3d43497bf2ffe29fc5d9cf218f67f7e",
+	"lulesh/aarch64":        "327d0d9066c106999cb19e8178f53d721b2f7c8b6fe36852161f4435b5fab57f",
+	"miniaero/aarch64":      "484e0e2b03272591018fb116f13758b86d45bf78f916c15389dea238cf737218",
+	"miniamr/aarch64":       "2ebce65db8fd50f26a15591a02af501df55a4ee1e7130cadf76b3e3f265ad08f",
+	"minife/aarch64":        "b02cd37fdcf2eea2a484333bd26446c38e28585931833fb37b856022a62b21b4",
+	"minimd/aarch64":        "10990ec92458bf754f345a241c6782235baaef4cd92fa74dc8a98b0156e4530c",
+	"openmx/aarch64":        "cc3420dd1ce6cb0b765dc2542079586f800e17633d6646053e5cbf0b72e85c0d",
+	"synth-big/make=false":  "8d5770a3ed7d244f2a13ef32e9f6e8902869455a4c710276f553b831f9b163e4",
+	"synth-big/make=true":   "43948f65d51a65c65202acc68fb3cb0bafa00b4f5d3d35db10540da1945f00b4",
+	"synth-bulk/make=false": "1347b01796a40f46c85e110f33095af0c59293b8cd41975a00ae8b7aa8ca4047",
+	"synth-bulk/make=true":  "74234016e75d5e9bea5503e3b2359e18c8274f6be8d615ef929945fdc554729c",
+	"synth-wide/make=false": "d01d8cf6e75f6967e55622cbb2e377641fba81f5b2f1a4cc1ec569d54051bbdb",
+	"synth-wide/make=true":  "0dffd860788449da231ce7010ee3319204020f560a137274b43cee77f1307334",
+}
+
+// TestBuildContextGolden pins the build context byte for byte where
+// TestImageDigestsGolden does not reach: the Table-2 apps on AArch64, and
+// the benchmark's three synthetic shapes at its sizes, each built with
+// and without a Makefile.
+func TestBuildContextGolden(t *testing.T) {
+	type build struct {
+		app *workloads.App
+		isa string
+	}
+	cases := map[string]build{}
+	for _, app := range workloads.Apps() {
+		cases[app.Name+"/"+toolchain.ISAArm] = build{app, toolchain.ISAArm}
+	}
+	for _, s := range []struct {
+		name, lang   string
+		srcMiB, data float64
+		files        int
+	}{
+		{"synth-wide", "c", 2048, 0, 192},
+		{"synth-bulk", "c", 8, 8192, 8},
+		{"synth-big", "c++", 4096, 4096, 128},
+	} {
+		for _, useMake := range []bool{false, true} {
+			app := &workloads.App{Name: s.name, Language: s.lang, SrcMiB: s.srcMiB, NumSrcFiles: s.files,
+				DataMiB: s.data, UseMake: useMake, Libs: []string{"m", "mpi"}}
+			cases[fmt.Sprintf("%s/make=%t", s.name, useMake)] = build{app, toolchain.ISAx86}
+		}
+	}
+	for key, c := range cases {
+		var lines []string
+		err := contextFor(c.app, c.isa).Walk(func(f *fsim.File) error {
+			if f.Type == fsim.TypeRegular {
+				lines = append(lines, fmt.Sprintf("%s %d %s", f.Path, len(f.Data), digest.FromBytes(f.Data).Hex()))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(lines)
+		got := digest.FromString(strings.Join(lines, "\n")).Hex()
+		if want := buildContextGolden[key]; got != want {
+			t.Errorf("%s: build context moved:\n\t%q: %q,", key, key, got)
+		}
+	}
+	if len(buildContextGolden) != len(cases) {
+		t.Errorf("golden table has %d entries, want %d", len(buildContextGolden), len(cases))
+	}
 }
 
 func TestImageDigestsGolden(t *testing.T) {

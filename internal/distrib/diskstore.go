@@ -92,8 +92,11 @@ func (s *DiskStore) Has(d digest.Digest) bool {
 }
 
 // Open streams blob d. The returned reader verifies the content hash
-// incrementally: reading through to EOF fails if the on-disk bytes do
-// not hash to d, so corruption can never pass silently.
+// incrementally: the Read that reaches the size Open returned fails,
+// withholding its bytes, if the on-disk bytes do not hash to d, so a
+// reader that stops there without asking for EOF (oci.SizedReader, an
+// HTTP request body) still sees corruption. A file that ends early fails
+// too.
 func (s *DiskStore) Open(d digest.Digest) (io.ReadCloser, int64, error) {
 	if err := d.Validate(); err != nil {
 		return nil, 0, err
@@ -110,30 +113,44 @@ func (s *DiskStore) Open(d digest.Digest) (io.ReadCloser, int64, error) {
 		f.Close()
 		return nil, 0, fmt.Errorf("distrib: stat blob %s: %w", d.Short(), err)
 	}
-	return &verifyingReader{f: f, want: d, h: sha256.New()}, fi.Size(), nil
+	return &verifyingReader{f: f, want: d, h: sha256.New(), left: fi.Size()}, fi.Size(), nil
 }
 
-// verifyingReader hashes content as it streams and turns EOF into an
-// error when the final hash does not match the expected digest.
+// verifyingReader delivers the size Open stat'ed, hashing as it goes,
+// and checks the hash in the Read that reaches it.
 type verifyingReader struct {
 	f    faultinject.File
 	want digest.Digest
 	h    hash.Hash
-	done bool
+	left int64 // bytes not yet delivered
+	end  error // once set, what every Read returns: io.EOF or the verdict
 }
 
 func (v *verifyingReader) Read(p []byte) (int, error) {
-	n, err := v.f.Read(p)
-	if n > 0 {
-		v.h.Write(p[:n])
+	if v.end != nil {
+		return 0, v.end
 	}
-	if err == io.EOF && !v.done {
-		v.done = true
+	n, err := v.f.Read(p[:min(int64(len(p)), v.left)])
+	v.h.Write(p[:n])
+	v.left -= int64(n)
+	switch {
+	case v.left == 0:
+		v.end = io.EOF
 		if got := digest.FromHash(v.h); got != v.want {
-			return n, fmt.Errorf("distrib: blob %s corrupt on disk: content hashes to %s", v.want.Short(), got.Short())
+			// Withheld, so no reader ever holds the whole corrupt blob
+			// and the receiving end of a stream sees it cut short.
+			v.end = fmt.Errorf("distrib: blob %s corrupt on disk: content hashes to %s", v.want.Short(), got.Short())
+			return 0, v.end
 		}
+	case err == io.EOF:
+		v.end = fmt.Errorf("distrib: blob %s corrupt on disk: file truncated, %d bytes missing", v.want.Short(), v.left)
+	case err != nil:
+		return n, err
 	}
-	return n, err
+	if n > 0 && v.end == io.EOF {
+		return n, nil
+	}
+	return n, v.end
 }
 
 func (v *verifyingReader) Close() error { return v.f.Close() }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -246,6 +248,69 @@ func TestFetchBytesResultIsTheCallers(t *testing.T) {
 	}
 	if third, err := c.FetchBytes(context.Background(), "app", d); err != nil || !bytes.Equal(third, payload) {
 		t.Errorf("writing to a fetch's result changed what the registry serves: %q, %v", third, err)
+	}
+}
+
+// TestDiskBlobVerifiedAtItsSize: a DiskStore blob with one byte flipped
+// on disk. Reading exactly the size Open returned — how a push sends a
+// body (oci.NewSizedReader), and how net/http copies one — never asks for
+// EOF, so the check fires in the Read that delivers the last byte: a push
+// from the store fails on the sending side, blaming the disk, before the
+// receiver's digest check would blame the wire. A file that ends short of
+// that size fails the same way.
+func TestDiskBlobVerifiedAtItsSize(t *testing.T) {
+	s, err := distrib.NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("a blob that rots on disk "), 320)
+	d, _, err := s.Ingest(bytes.NewReader(payload), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(s.Root(), "blobs", "sha256", d.Hex()[:2], d.Hex())
+	sizedRead := func() (int, error) {
+		r, size, err := s.Open(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		b, err := io.ReadAll(oci.NewSizedReader(r, size))
+		return len(b), err
+	}
+
+	rotten := bytes.Clone(payload)
+	rotten[4000] ^= 1
+	if err := os.WriteFile(path, rotten, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := sizedRead(); err == nil || !strings.Contains(err.Error(), "corrupt on disk") {
+		t.Fatalf("sized read of a flipped blob: %d bytes, %v; want the corruption error", n, err)
+	}
+	ts := httptest.NewServer(registry.NewServer().Handler())
+	defer ts.Close()
+	err = fastClient(ts.URL).PushBlob(context.Background(), "app", s, d)
+	if err == nil || !strings.Contains(err.Error(), "corrupt on disk") {
+		t.Fatalf("push of a flipped blob: %v; want the corruption error", err)
+	}
+	if ok, _ := fastClient(ts.URL).HasBlob(context.Background(), "app", d); ok {
+		t.Error("the registry took the flipped blob")
+	}
+
+	// Cut after Open stat'ed the whole blob.
+	if err := os.WriteFile(path, payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, size, err := s.Open(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := os.Truncate(path, size-1); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := io.ReadAll(oci.NewSizedReader(r, size)); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("sized read of a blob cut a byte short: %d bytes, %v; want the short-file error", len(b), err)
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 // are not a record — and that the prefix grows only when the whole
 // record (and, for a durable log, its Sync) succeeded. So a torn or
 // failed append hides nothing: garbage exists only past the last
-// acknowledged record, where the owner's scan stops at the next open
-// and the next Append overwrites it. Safe for concurrent use.
+// acknowledged record, where the owner's scan stops at the next open,
+// which cuts it off, and within a process the next Append overwrites
+// it. Safe for concurrent use.
 type AppendFile struct {
 	f       File
 	durable bool
@@ -26,13 +27,22 @@ type AppendFile struct {
 // OpenAppend opens the durable log at path, creating it if needed: one
 // that syncs every record before Append returns. scan reads it from the
 // start and returns the length of the prefix that is whole records;
-// appends continue there.
+// appends continue there. Whatever lies past that prefix is cut off
+// first: overwritten only as far as the next record reaches, the rest
+// of it could start a line the next scan reads as a record. The next
+// Append's Sync makes the cut durable with the record.
 func OpenAppend(fsys FS, path string, scan func(io.Reader) (int64, error)) (*AppendFile, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	end, err := scan(f)
+	if err == nil {
+		var size int64
+		if size, err = f.Seek(0, io.SeekEnd); err == nil && size > end {
+			err = f.Truncate(end)
+		}
+	}
 	if err != nil {
 		f.Close()
 		return nil, err

@@ -22,6 +22,7 @@ type File interface {
 	io.Seeker
 	io.Closer
 	Sync() error
+	Truncate(size int64) error
 	Name() string
 }
 
@@ -272,6 +273,13 @@ func (w *faultFile) ReadAt(p []byte, off int64) (int, error) {
 		return 0, err
 	}
 	return w.File.ReadAt(p, off)
+}
+
+func (w *faultFile) Truncate(size int64) error {
+	if err := w.fs.meta("truncate " + w.Name()); err != nil {
+		return err
+	}
+	return w.File.Truncate(size)
 }
 
 func (w *faultFile) Sync() error {

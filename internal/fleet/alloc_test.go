@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"comtainer/internal/distrib"
@@ -16,8 +19,9 @@ import (
 )
 
 // diskReplica serves a fleet-member registry over a disk blob store
-// with the in-memory upload spool — what the benchmark's fleet runs.
-func diskReplica(t *testing.T) (*registry.Server, *httptest.Server) {
+// with the in-memory upload spool — what the benchmark's fleet runs —
+// and logs every request it receives.
+func diskReplica(t *testing.T) (*registry.Server, *httptest.Server, *requestLog) {
 	t.Helper()
 	blobs, err := distrib.NewDiskStore(t.TempDir())
 	if err != nil {
@@ -25,26 +29,55 @@ func diskReplica(t *testing.T) (*registry.Server, *httptest.Server) {
 	}
 	srv := registry.NewServerWith(blobs, distrib.NewMemTags())
 	srv.TrustReferences = true
-	ts := httptest.NewServer(srv.Handler())
+	log := &requestLog{}
+	ts := httptest.NewServer(log.wrap(srv.Handler()))
 	t.Cleanup(ts.Close)
-	return srv, ts
+	return srv, ts, log
+}
+
+// requestLog records "METHOD path?query" of each request a handler
+// serves.
+type requestLog struct {
+	mu   sync.Mutex
+	reqs []string
+}
+
+func (l *requestLog) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		l.mu.Lock()
+		l.reqs = append(l.reqs, r.Method+" "+r.URL.RequestURI())
+		l.mu.Unlock()
+		h.ServeHTTP(w, r)
+	})
+}
+
+// count returns how many logged requests match.
+func (l *requestLog) count(match func(string) bool) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, r := range l.reqs {
+		if match(r) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestPushThroughFleetAllocatesBlobOncePerHop is the push half of the
 // ownership rule (DESIGN.md §2, "Blob bytes in transit") as a number.
 // Client → proxy → leader → follower, the stores on disk: the client
-// streams from its store, and
-// each of the three servers holds an upload session's bytes once, in
-// the spool the PATCHes filled — so a blob of more than one chunk costs
-// three times its size, where regrown spool buffers, the proxy's
-// staging store and a chunk buffer per hop made it about twenty. A blob
-// of one chunk or less goes in one request, which only the proxy reads
-// into memory: once.
+// streams from its store, and only the proxy holds the blob in memory,
+// in the spool the client's PATCHes filled. Each intra-fleet hop is one
+// request whose body the replica streams into its store, so a push
+// costs about the blob's size once; with a spool per hop it cost three
+// times that, and with regrown spool buffers, the proxy's staging store
+// and a chunk buffer per hop about twenty.
 func TestPushThroughFleetAllocatesBlobOncePerHop(t *testing.T) {
 	for _, size := range []int{64 << 10, 1<<20 + 1, 5 << 20} {
 		t.Run(fmt.Sprint(size), func(t *testing.T) {
-			leader, leaderTS := diskReplica(t)
-			_, followerTS := diskReplica(t)
+			leader, leaderTS, leaderLog := diskReplica(t)
+			_, followerTS, followerLog := diskReplica(t)
 			leader.SetCommitHook(fleet.NewReplicator(leader.Blobs(), nil, followerTS.URL))
 			group, err := fleet.NewShardGroup("shard1", leaderTS.URL, followerTS.URL)
 			if err != nil {
@@ -80,19 +113,36 @@ func TestPushThroughFleetAllocatesBlobOncePerHop(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			got := after.TotalAlloc - before.TotalAlloc
 
-			// A push is some forty HTTP exchanges across the three hops
-			// (HEAD probes, sessions, manifest fan-out), each with its
-			// headers and buffers whatever the blob's size.
+			// A push is some twenty HTTP exchanges across the three hops
+			// (HEAD probes, the client's session, manifest fan-out), each
+			// with its headers and buffers whatever the blob's size.
 			const overhead = 1 << 20
-			budget := uint64(blobBytes)*7/2 + overhead
+			budget := uint64(blobBytes)*3/2 + overhead
 			t.Logf("push of %d blob bytes allocated %d (%.2fx)", blobBytes, got, float64(got)/float64(blobBytes))
 			if got > budget {
-				t.Errorf("push of %d blob bytes allocated %d, budget %d (3.5x + %d)", blobBytes, got, budget, overhead)
+				t.Errorf("push of %d blob bytes allocated %d, budget %d (1.5x + %d)", blobBytes, got, budget, overhead)
 			}
 			for _, ts := range []*httptest.Server{leaderTS, followerTS} {
 				ok, err := distrib.NewClient(ts.URL).HasBlob(context.Background(), "app", desc.Digest)
 				if err != nil || !ok {
 					t.Errorf("replica %s does not hold the pushed manifest (err=%v)", ts.URL, err)
+				}
+			}
+
+			// The client's 5 MiB went to the proxy in PATCHes; each
+			// replica got the layer in one request.
+			m, err := oci.LoadManifest(src.Store, desc.Digest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			layer0 := string(m.Layers[0].Digest)
+			for name, log := range map[string]*requestLog{"leader": leaderLog, "follower": followerLog} {
+				writes := log.count(func(r string) bool {
+					return strings.HasPrefix(r, "POST ") && strings.HasSuffix(r, "/blobs/uploads/?digest="+layer0)
+				})
+				patches := log.count(func(r string) bool { return strings.HasPrefix(r, "PATCH ") })
+				if writes != 1 || patches != 0 {
+					t.Errorf("%s: %d single-request writes of the layer and %d PATCHes, want 1 and 0", name, writes, patches)
 				}
 			}
 		})

@@ -112,7 +112,9 @@ func (p *Proxy) httpClient() *http.Client {
 
 // clientFor returns a (cached) distrib client for one replica. Low
 // retry budget: failover to the next replica beats retrying a dead
-// one.
+// one. Every blob fits one chunk, so each push is one request whose
+// body the replica streams into its store: nothing past the proxy
+// spools a blob in memory.
 func (p *Proxy) clientFor(base string) *distrib.Client {
 	p.clientMu.Lock()
 	defer p.clientMu.Unlock()
@@ -122,6 +124,7 @@ func (p *Proxy) clientFor(base string) *distrib.Client {
 	c := distrib.NewClient(base)
 	c.HTTP = p.httpClient()
 	c.Retries = 1
+	c.ChunkSize = oci.MaxBlobSize
 	if p.clients == nil {
 		p.clients = make(map[string]*distrib.Client)
 	}

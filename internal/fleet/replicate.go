@@ -8,6 +8,7 @@ import (
 
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
+	"comtainer/internal/oci"
 )
 
 // replicationRepo is the repository name replication pushes use; the
@@ -82,6 +83,9 @@ var replicationClient = &http.Client{
 	Transport: headerTransport{base: http.DefaultTransport, key: distrib.ReplicatedHeader, value: "1"},
 }
 
+// clientFor returns the (cached) client of one follower. Like the
+// proxy's, it pushes every blob in one request, streamed from the
+// leader's store into the follower's.
 func (r *Replicator) clientFor(base string) *distrib.Client {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -90,6 +94,7 @@ func (r *Replicator) clientFor(base string) *distrib.Client {
 	}
 	c := distrib.NewClient(base)
 	c.HTTP = replicationClient
+	c.ChunkSize = oci.MaxBlobSize
 	if r.clients == nil {
 		r.clients = make(map[string]*distrib.Client)
 	}

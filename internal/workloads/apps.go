@@ -12,6 +12,7 @@ package workloads
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"comtainer/internal/sysprofile"
@@ -90,33 +91,62 @@ func (a *App) srcExt() string {
 // isa. File contents are deterministic; the total size tracks SrcMiB.
 func (a *App) Sources(isa string) map[string]string {
 	files := make(map[string]string, a.NumSrcFiles+1)
-	perFile := a.SrcMiB * sysprofile.SizeUnit / float64(a.NumSrcFiles)
+	for name, data := range a.SourceFiles(isa) {
+		files[name] = string(data)
+	}
+	return files
+}
+
+// SourceFiles is Sources with each file generated into one buffer of its
+// final size, which the caller owns: a build context adopts the buffers
+// (fsim.FS.Add) instead of copying them.
+func (a *App) SourceFiles(isa string) map[string][]byte {
+	files := make(map[string][]byte, a.NumSrcFiles+1)
+	perFile := int(a.SrcMiB * sysprofile.SizeUnit / float64(a.NumSrcFiles))
 	for i := 0; i < a.NumSrcFiles; i++ {
 		name := fmt.Sprintf("%s_%02d%s", a.Name, i, a.srcExt())
-		var b strings.Builder
-		fmt.Fprintf(&b, "/* %s: translation unit %d of %d (synthetic reproduction source) */\n",
-			a.Name, i+1, a.NumSrcFiles)
-		fmt.Fprintf(&b, "#include \"%s.h\"\n", a.Name)
-		if i == 0 {
-			switch a.Portability {
-			case Guarded:
-				b.WriteString("#ifndef COMT_PORTABLE\n")
-				fmt.Fprintf(&b, "__asm__(\"vendor-intrinsics\"); /* isa:%s */\n", isa)
-				b.WriteString("#else\n/* portable scalar fallback */\n#endif\n")
-			case Mandatory:
-				fmt.Fprintf(&b, "__asm__(\"hand-tuned kernel\"); /* isa:%s */\n", isa)
-			}
-			fmt.Fprintf(&b, "int main(int argc, char **argv) { return %s_run(argc, argv); }\n", a.Name)
-		}
-		line := 0
-		for b.Len() < int(perFile) {
-			fmt.Fprintf(&b, "static const double %s_c%d_%d = %d.%04d;\n", a.Name, i, line, line, (line*7919)%10000)
-			line++
-		}
-		files[name] = b.String()
+		files[name] = a.unit(i, isa, perFile)
 	}
-	files[a.Name+".h"] = fmt.Sprintf("/* %s public header */\nint %s_run(int, char **);\n", a.Name, a.Name)
+	files[a.Name+".h"] = []byte("/* " + a.Name + " public header */\nint " + a.Name + "_run(int, char **);\n")
 	return files
+}
+
+// unit generates translation unit i: a header, then constant lines until
+// the file reaches perFile bytes. The lines are counted first, so the
+// buffer is allocated once, at the length they end at.
+func (a *App) unit(i int, isa string, perFile int) []byte {
+	n := strconv.Itoa
+	head := "/* " + a.Name + ": translation unit " + n(i+1) + " of " + n(a.NumSrcFiles) +
+		" (synthetic reproduction source) */\n#include \"" + a.Name + ".h\"\n"
+	if i == 0 {
+		switch a.Portability {
+		case Guarded:
+			head += "#ifndef COMT_PORTABLE\n__asm__(\"vendor-intrinsics\"); /* isa:" + isa +
+				" */\n#else\n/* portable scalar fallback */\n#endif\n"
+		case Mandatory:
+			head += "__asm__(\"hand-tuned kernel\"); /* isa:" + isa + " */\n"
+		}
+		head += "int main(int argc, char **argv) { return " + a.Name + "_run(argc, argv); }\n"
+	}
+	// Line k is prefix + "k = k.dddd;\n", dddd the four digits of
+	// (k*7919) mod 10000.
+	prefix := "static const double " + a.Name + "_c" + n(i) + "_"
+	var digits [20]byte
+	size, lines := len(head), 0
+	for ; size < perFile; lines++ {
+		size += len(prefix) + 2*len(strconv.AppendInt(digits[:0], int64(lines), 10)) + len(" = .dddd;\n")
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, head...)
+	for k := 0; k < lines; k++ {
+		frac := k * 7919 % 10000
+		buf = append(buf, prefix...)
+		buf = strconv.AppendInt(buf, int64(k), 10)
+		buf = append(buf, " = "...)
+		buf = strconv.AppendInt(buf, int64(k), 10)
+		buf = append(buf, '.', byte('0'+frac/1000), byte('0'+frac/100%10), byte('0'+frac/10%10), byte('0'+frac%10), ';', '\n')
+	}
+	return buf
 }
 
 // objectNames returns the object files the build produces, in order.
@@ -209,11 +239,11 @@ func (a *App) Data() map[string][]byte {
 	if a.DataMiB <= 0 {
 		return nil
 	}
-	n := int(a.DataMiB * sysprofile.SizeUnit)
-	pattern := []byte(a.Name + " input deck data. ")
-	blob := make([]byte, n)
-	for i := range blob {
-		blob[i] = pattern[i%len(pattern)]
+	// The pattern repeated: each copy doubles the filled prefix, which
+	// stays a whole number of patterns long.
+	blob := make([]byte, int(a.DataMiB*sysprofile.SizeUnit))
+	for k := copy(blob, a.Name+" input deck data. "); k < len(blob); {
+		k += copy(blob[k:], blob[:k])
 	}
 	return map[string][]byte{"potentials.dat": blob}
 }

@@ -79,7 +79,7 @@ echo "== shared state (-race -count=10) =="
 go test -race -count=10 -run 'CloneShar|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageVerifies|DiskCacheTwoOpeners|ConcurrentPulls' \
     ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache
 
-echo "== fuzz smoke (6 x 10s) =="
+echo "== fuzz smoke (7 x 10s) =="
 # Ten seconds of coverage-guided mutation on each parser that takes
 # bytes from outside the process. tarfs.Unmarshal takes a layer straight
 # from a registry, and a farm session's tree the same way (remoteexec
@@ -99,6 +99,9 @@ echo "== fuzz smoke (6 x 10s) =="
 # a pulled image and is read by the redirect and the front-end: no panic,
 # and what loads is what the status writer gives back, field for field.
 # Registry front-end requests (path, Range, Content-Range): no panic or 5xx; blob and 206 bodies match what they name.
+# A shard leader's replication log is replayed from whatever a crash
+# left: no panic, and after one append a reopen replays what the first
+# open found plus that entry, nothing from the tail it overwrote.
 # The committed seeds under each package's
 # testdata/fuzz run in every plain `go test`; this step looks past them.
 # A failure writes its input beside the seeds. Minimization is off: with
@@ -110,6 +113,7 @@ go test -run '^$' -fuzz '^FuzzDecodeDocuments$' -fuzztime 10s -fuzzminimizetime 
 go test -run '^$' -fuzz '^FuzzSchedulerRequests$' -fuzztime 10s -fuzzminimizetime 0 ./internal/remoteexec
 go test -run '^$' -fuzz '^FuzzParseControl$' -fuzztime 10s -fuzzminimizetime 0 ./internal/dpkg
 go test -run '^$' -fuzz '^FuzzFrontend$' -fuzztime 10s -fuzzminimizetime 0 ./internal/registry
+go test -run '^$' -fuzz '^FuzzWriteLogReplay$' -fuzztime 10s -fuzzminimizetime 0 ./internal/fleet
 
 echo "== go test -race =="
 go test -race ./...
