@@ -54,9 +54,10 @@ const requestOverhead = 256 << 10
 
 // TestPullAllocatesBlobOncePerHop is the ownership rule of DESIGN.md §2
 // as a number: a pull from a disk-backed registry into a repository
-// allocates each blob twice — the client's one sized fetch buffer and the
-// copy the destination store keeps — where growing buffers made it nine
-// times. The server streams from disk and allocates nothing per byte.
+// allocates each blob once — the client's one sized fetch buffer, which
+// the destination store keeps — where a copy into the store made it
+// twice and growing buffers nine times. The server streams from disk and
+// allocates nothing per byte.
 func TestPullAllocatesBlobOncePerHop(t *testing.T) {
 	for _, size := range blobSizes {
 		t.Run(fmt.Sprint(size), func(t *testing.T) {
@@ -81,10 +82,10 @@ func TestPullAllocatesBlobOncePerHop(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			budget := uint64(blobBytes)*5/2 + requestOverhead
+			budget := uint64(blobBytes)*5/4 + requestOverhead
 			t.Logf("pull of %d blob bytes allocated %d (%.2fx)", blobBytes, got, float64(got)/float64(blobBytes))
 			if got > budget {
-				t.Errorf("pull of %d blob bytes allocated %d, budget %d (2.5x + %d)", blobBytes, got, budget, requestOverhead)
+				t.Errorf("pull of %d blob bytes allocated %d, budget %d (1.25x + %d)", blobBytes, got, budget, requestOverhead)
 			}
 			if dst.Store.TotalSize() != blobBytes {
 				t.Errorf("pulled %d bytes, want %d", dst.Store.TotalSize(), blobBytes)

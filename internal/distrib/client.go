@@ -460,32 +460,57 @@ func (c *Client) PushManifest(ctx context.Context, name, ref, mediaType string, 
 
 // --- pull side ---
 
+// maxManifestSize bounds a manifest document, as the registry bounds one
+// it accepts.
+const maxManifestSize = 16 << 20
+
 // FetchManifest retrieves the manifest (or index) at name:ref and
 // returns its bytes, digest and media type. The digest is verified
 // against the Docker-Content-Digest header and, for digest refs, the
-// ref itself.
+// ref itself. A document longer than 16 MiB is an error wrapping
+// oci.ErrBlobTooLarge, after one request.
 func (c *Client) FetchManifest(ctx context.Context, name, ref string) ([]byte, digest.Digest, string, error) {
-	var body []byte
+	rc, d, mediaType, err := c.fetchManifest(ctx, name, ref)
+	if err != nil {
+		return nil, "", "", err
+	}
+	return rc.Bytes(), d, mediaType, nil
+}
+
+// fetchManifest is FetchManifest handing over the document as it was
+// received and hashed, for a store to keep.
+func (c *Client) fetchManifest(ctx context.Context, name, ref string) (*oci.Receiver, digest.Digest, string, error) {
+	var rc oci.Receiver
+	var d digest.Digest
 	var mediaType string
 	err := c.Retry(ctx, func(ctx context.Context) error {
+		rc.Reset()
 		header := http.Header{"Accept": {oci.MediaTypeManifest + ", " + oci.MediaTypeIndex}}
 		resp, err := c.Do(ctx, http.MethodGet, c.url(name, "manifests", ref), header, nil, http.StatusOK)
 		if err != nil {
 			return err
 		}
 		defer resp.Body.Close()
-		body, err = io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-		if err != nil {
-			return fmt.Errorf("distrib: reading manifest: %w", err)
+		size := resp.ContentLength // -1 when undeclared: the buffer grows
+		if size <= maxManifestSize {
+			// At most the bound + 1 bytes: a longer body is found, not cut.
+			if err := rc.Receive(io.LimitReader(resp.Body, maxManifestSize+1), size, true); err != nil {
+				return fmt.Errorf("distrib: reading manifest: %w", err)
+			}
+			size = int64(rc.Len())
+		}
+		if size > maxManifestSize {
+			return fmt.Errorf("distrib: manifest %s is over %d bytes: %w", ref, maxManifestSize, oci.ErrBlobTooLarge)
 		}
 		mediaType = resp.Header.Get("Content-Type")
+		d = rc.Digest()
 		if hd := resp.Header.Get("Docker-Content-Digest"); hd != "" {
 			want, err := digest.Parse(hd)
 			if err != nil {
 				return fmt.Errorf("distrib: malformed Docker-Content-Digest header %q: %w", hd, err)
 			}
-			if got := digest.FromBytes(body); want != got {
-				return fmt.Errorf("distrib: manifest digest mismatch: header %s, content %s", want.Short(), got.Short())
+			if want != d {
+				return fmt.Errorf("distrib: manifest digest mismatch: header %s, content %s", want.Short(), d.Short())
 			}
 		}
 		return nil
@@ -493,11 +518,10 @@ func (c *Client) FetchManifest(ctx context.Context, name, ref string) ([]byte, d
 	if err != nil {
 		return nil, "", "", err
 	}
-	d := digest.FromBytes(body)
 	if want, perr := digest.Parse(ref); perr == nil && want != d {
 		return nil, "", "", fmt.Errorf("distrib: manifest %s served wrong content %s", want.Short(), d.Short())
 	}
-	return body, d, mediaType, nil
+	return &rc, d, mediaType, nil
 }
 
 // FetchBlob downloads the blob bd names from repository name into dst,
@@ -509,9 +533,8 @@ func (c *Client) FetchBlob(ctx context.Context, dst Store, name string, bd oci.D
 		if dst.Has(bd.Digest) {
 			return
 		}
-		// Ingest verifies the digest.
-		return struct{}{}, c.fetch(ctx, name, bd, func(b []byte) error {
-			_, _, err := dst.Ingest(bytes.NewReader(b), bd.Digest)
+		return struct{}{}, c.fetch(ctx, name, bd, func(rc *oci.Receiver) error {
+			_, _, err := dst.Ingest(rc, bd.Digest)
 			return err
 		})
 	})
@@ -528,67 +551,70 @@ func (c *Client) FetchBlob(ctx context.Context, dst Store, name string, bd oci.D
 // caller's own.
 func (c *Client) FetchBytes(ctx context.Context, name string, d digest.Digest) ([]byte, error) {
 	var out []byte
-	err := c.fetch(ctx, name, oci.Descriptor{Digest: d}, func(b []byte) error {
-		if !d.Verify(b) {
-			return fmt.Errorf("digest mismatch: content is %s", digest.FromBytes(b).Short())
-		}
-		out = b
+	err := c.fetch(ctx, name, oci.Descriptor{Digest: d}, func(rc *oci.Receiver) error {
+		out = rc.Bytes()
 		return nil
 	})
 	return out, err
 }
 
-// fetch downloads blob bd.Digest and hands the complete content to
-// verify, which must reject bytes that do not hash to it and, accepting
-// them, owns the slice. The blob lands in one buffer allocated at its
-// size (oci.ReadSized): bd.Size when the caller's descriptor states one,
-// which the response's Content-Length must then agree with, else the
-// Content-Length, as the declaration it is. The bytes received so far
-// survive across attempts in that buffer: a transfer cut mid-stream, or
-// an attempt that never got a response, resumes with a Range request
-// from the committed offset. Only evidence that the accumulated bytes
-// are wrong rather than incomplete — a status other than the one asked
-// for (including the 416 of a stale offset), a length that contradicts
-// the descriptor, a digest mismatch — restarts from scratch.
-func (c *Client) fetch(ctx context.Context, name string, bd oci.Descriptor, verify func([]byte) error) error {
+// fetch downloads blob bd.Digest into an oci.Receiver and, once the
+// bytes hash to it, hands that to keep, which owns it if it returns nil.
+// The blob lands in one buffer allocated at its size (oci.ReadSized):
+// bd.Size when the caller's descriptor states one, which the response's
+// Content-Length must then agree with, else the Content-Length, as the
+// declaration it is. Each byte is hashed in the read that delivers it,
+// so the check is done when the last byte lands. The bytes received so
+// far, and their hash, survive across attempts: a transfer cut
+// mid-stream, or an attempt that never got a response, resumes with a
+// Range request from the committed offset. Only evidence that the
+// accumulated bytes are wrong rather than incomplete — a status other
+// than the one asked for (including the 416 of a stale offset), a length
+// that contradicts the descriptor, a digest mismatch — restarts bytes
+// and hash from scratch.
+func (c *Client) fetch(ctx context.Context, name string, bd oci.Descriptor, keep func(*oci.Receiver) error) error {
 	d := bd.Digest
-	var buf []byte
+	var rc oci.Receiver
 	return c.Retry(ctx, func(ctx context.Context) error {
 		// A 206 is a body only in answer to a Range.
 		var header http.Header
 		accept := []int{http.StatusOK}
-		if len(buf) > 0 {
-			header = http.Header{"Range": {fmt.Sprintf("bytes=%d-", len(buf))}}
+		if rc.Len() > 0 {
+			header = http.Header{"Range": {fmt.Sprintf("bytes=%d-", rc.Len())}}
 			accept = append(accept, http.StatusPartialContent)
 		}
 		resp, err := c.Do(ctx, http.MethodGet, c.url(name, "blobs", string(d)), header, nil, accept...)
 		if err != nil {
 			if StatusCode(err) != 0 {
-				buf = buf[:0]
+				rc.Reset()
 			}
 			return err
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode == http.StatusOK {
 			// Full body (fresh fetch, or a server that ignored the Range).
-			buf = buf[:0]
+			rc.Reset()
 		}
 		size := int64(-1)
 		if resp.ContentLength >= 0 {
-			size = int64(len(buf)) + resp.ContentLength
+			size = int64(rc.Len()) + resp.ContentLength
 		}
 		if bd.Size > 0 {
 			if size >= 0 && size != bd.Size {
-				buf = buf[:0]
+				rc.Reset()
 				return fmt.Errorf("distrib: blob %s: registry declares %d bytes, its descriptor %d", d.Short(), size, bd.Size)
 			}
 			size = bd.Size
 		}
-		if buf, err = oci.ReadSized(buf, resp.Body, size, bd.Size <= 0); err != nil {
+		if err := rc.Receive(resp.Body, size, bd.Size <= 0); err != nil {
 			return fmt.Errorf("distrib: reading blob %s: %w", d.Short(), err)
 		}
-		if err := verify(buf); err != nil {
-			buf = buf[:0]
+		if got := rc.Digest(); got != d {
+			rc.Reset()
+			return fmt.Errorf("distrib: blob %s: digest mismatch: content is %s", d.Short(), got.Short())
+		}
+		if err := keep(&rc); err != nil {
+			rc.Reset()
 			return fmt.Errorf("distrib: blob %s: %w", d.Short(), err)
 		}
 		return nil
@@ -599,19 +625,26 @@ func (c *Client) fetch(ctx context.Context, name string, bd oci.Descriptor, veri
 // list) into dst, fetching missing blobs in parallel and skipping
 // blobs dst already holds. Returns the manifest descriptor.
 func (c *Client) PullImage(ctx context.Context, dst Store, name, ref string) (oci.Descriptor, error) {
-	body, d, mediaType, err := c.FetchManifest(ctx, name, ref)
+	rc, d, mediaType, err := c.fetchManifest(ctx, name, ref)
 	if err != nil {
 		return oci.Descriptor{}, err
 	}
-	root := oci.Descriptor{MediaType: mediaType, Digest: d, Size: int64(len(body))}
+	root := oci.Descriptor{MediaType: mediaType, Digest: d, Size: int64(len(rc.Bytes()))}
+	// Each document as received, until its turn to be stored. ref may be
+	// a tag, so what it named is in hand under its digest.
+	docs := map[digest.Digest]*oci.Receiver{d: rc}
 	get := func(child digest.Digest) ([]byte, error) {
-		if child == d {
-			return body, nil // ref may be a tag; what it named is in hand
+		doc, ok := docs[child]
+		if !ok {
+			var err error
+			if doc, _, _, err = c.fetchManifest(ctx, name, string(child)); err != nil {
+				return nil, err
+			}
+			docs[child] = doc
 		}
-		doc, _, _, err := c.FetchManifest(ctx, name, string(child))
-		return doc, err
+		return doc.Bytes(), nil
 	}
-	err = oci.Walk(root, get, func(doc oci.Descriptor, raw []byte, blobs, children []oci.Descriptor) error {
+	err = oci.Walk(root, get, func(doc oci.Descriptor, _ []byte, blobs, children []oci.Descriptor) error {
 		tasks := make([]func() error, 0, len(blobs))
 		for _, bd := range blobs {
 			if dst.Has(bd.Digest) {
@@ -622,7 +655,7 @@ func (c *Client) PullImage(ctx context.Context, dst Store, name, ref string) (oc
 		if err := c.runPool(tasks); err != nil {
 			return err
 		}
-		if _, _, err := dst.Ingest(bytes.NewReader(raw), doc.Digest); err != nil {
+		if _, _, err := dst.Ingest(docs[doc.Digest], doc.Digest); err != nil {
 			return fmt.Errorf("distrib: storing manifest: %w", err)
 		}
 		if doc.Digest == d {

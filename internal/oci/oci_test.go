@@ -402,6 +402,15 @@ func TestStoreEntriesRefuseForgedBytes(t *testing.T) {
 			_, _, err := s.Ingest(bytes.NewReader(forged), want)
 			return s, err
 		}},
+		{"Ingest of a Receiver", func(t *testing.T) (*Store, error) {
+			var rc Receiver
+			if err := rc.Receive(bytes.NewReader(forged), int64(len(forged)), false); err != nil {
+				t.Fatal(err)
+			}
+			s := NewStore()
+			_, _, err := s.Ingest(&rc, want)
+			return s, err
+		}},
 		{"CopyImage", func(t *testing.T) (*Store, error) {
 			src := NewStore()
 			desc, err := WriteImage(src, testConfig(), []*fsim.FS{appLayer()})

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 )
 
@@ -65,6 +66,12 @@ func (s *SizedReader) Len() int { return int(s.N) }
 // too; with these, and with a read error, come the bytes received so
 // far, for the caller to resume from.
 func ReadSized(buf []byte, r io.Reader, size int64, declared bool) ([]byte, error) {
+	return readSized(buf, r, size, declared, nil)
+}
+
+// readSized is ReadSized writing every byte it appends to h, when h is
+// not nil, in the read that delivers it (a Receiver's running hash).
+func readSized(buf []byte, r io.Reader, size int64, declared bool, h hash.Hash) ([]byte, error) {
 	if size > MaxBlobSize {
 		return buf, ErrBlobTooLarge
 	}
@@ -100,6 +107,9 @@ func ReadSized(buf []byte, r io.Reader, size int64, declared bool) ([]byte, erro
 			buf = append(make([]byte, 0, next), buf...)
 		}
 		n, err := r.Read(buf[len(buf):min(int64(cap(buf)), limit)])
+		if h != nil && n > 0 {
+			h.Write(buf[len(buf) : len(buf)+n])
+		}
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {
 			if int64(len(buf)) < size {

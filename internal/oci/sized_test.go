@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+	"unsafe"
 
 	"comtainer/internal/digest"
 )
@@ -125,6 +126,76 @@ func TestIngestOwnsItsBytes(t *testing.T) {
 	// A declaration the body does not keep is refused, not stored short.
 	if _, _, err := NewStore().Ingest(NewSizedReader(strings.NewReader("short"), 100), ""); err == nil {
 		t.Error("Ingest stored a body that ended before its declared length")
+	}
+}
+
+// TestReceiverHashesWhatItHolds: a Receiver's digest is the digest of
+// exactly the bytes it holds — across a cut and a resume, after a Reset,
+// and when a body runs past its size (the byte that shows it is neither
+// kept nor hashed). A store adopts the buffer itself and empties the
+// Receiver; one that has been read from is read like any reader.
+func TestReceiverHashesWhatItHolds(t *testing.T) {
+	content := bytes.Repeat([]byte("received, hashed, kept "), 3000)
+	check := func(rc *Receiver, want []byte) {
+		t.Helper()
+		if !bytes.Equal(rc.Bytes(), want) || rc.Len() != len(want) {
+			t.Fatalf("Receiver holds %d bytes, want %d", rc.Len(), len(want))
+		}
+		if rc.Digest() != digest.FromBytes(want) {
+			t.Fatal("Receiver's digest is not the digest of its bytes")
+		}
+	}
+	size := int64(len(content))
+
+	var rc Receiver
+	check(&rc, nil)
+	cut := iotest.TimeoutReader(iotest.HalfReader(bytes.NewReader(content)))
+	if err := rc.Receive(cut, size, false); !errors.Is(err, iotest.ErrTimeout) {
+		t.Fatalf("cut Receive: %v", err)
+	}
+	have := rc.Len()
+	check(&rc, content[:have])
+	if err := rc.Receive(bytes.NewReader(content[have:]), size, false); err != nil {
+		t.Fatal(err)
+	}
+	check(&rc, content)
+	rc.Reset()
+	check(&rc, nil)
+	if err := rc.Receive(bytes.NewReader(content), 100, false); err == nil {
+		t.Fatal("Receive accepted a body past its size")
+	}
+	check(&rc, content[:100])
+
+	rc.Reset()
+	if err := rc.Receive(bytes.NewReader(content), size, false); err != nil {
+		t.Fatal(err)
+	}
+	held := rc.Bytes()
+	s := NewStore()
+	if _, _, err := s.Ingest(&rc, digest.FromString("something else")); err == nil || s.Has(digest.FromBytes(content)) {
+		t.Fatalf("Ingest of a Receiver under a digest it does not hash to: %v", err)
+	}
+	d, n, err := s.Ingest(&rc, digest.FromBytes(content))
+	if err != nil || n != size {
+		t.Fatalf("Ingest of a Receiver = %d, %v", n, err)
+	}
+	if got, _ := s.Get(d); unsafe.SliceData(got) != unsafe.SliceData(held) {
+		t.Error("the store copied the Receiver's buffer instead of keeping it")
+	}
+	check(&rc, nil)
+	if err := rc.Receive(bytes.NewReader(content), size, false); err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.SliceData(rc.Bytes()) == unsafe.SliceData(held) {
+		t.Error("the Receiver wrote into the buffer a store keeps")
+	}
+
+	// Read from, it is only a reader of what is left.
+	if _, err := rc.Read(make([]byte, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if d, _, err := NewStore().Ingest(&rc, ""); err != nil || d != digest.FromBytes(content[10:]) {
+		t.Errorf("Ingest of a Receiver read from = %s, %v; want the rest's digest", d.Short(), err)
 	}
 }
 

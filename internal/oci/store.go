@@ -25,8 +25,9 @@ var ErrBlobNotFound = errors.New("oci: blob not found")
 // A blob is hashed when it enters a store, on every hop, and nothing
 // inside a store hashes it again: Put, PutJSON and the layer writer
 // compute the key they store under, PutVerified, Ingest and CopyImage
-// check it. So a stored blob hashes to its key, and a check of those
-// bytes against that digest is the one the store already made.
+// check it (Ingest of a Receiver against the hash Receive made as the
+// bytes arrived). So a stored blob hashes to its key, and a check of
+// those bytes against that digest is the one the store already made.
 type Store struct {
 	mu    sync.RWMutex
 	blobs map[digest.Digest][]byte
@@ -69,9 +70,9 @@ func (s *Store) Put(content []byte) digest.Digest {
 
 // adopt stores content, which hashes to d, as the slice it is: the caller
 // hands over ownership and nothing may write to content afterwards. It is
-// for bytes nobody else holds — what this package made, what another Store
-// already holds, what Ingest read off its reader itself. Bytes a caller
-// still holds go through Put or PutVerified, which copy.
+// for bytes nobody else writes — what this package made, what another Store
+// already holds, what Ingest read off its reader itself or a Receiver took
+// in. Bytes a caller still holds go through Put or PutVerified, which copy.
 func (s *Store) adopt(d digest.Digest, content []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -114,8 +115,21 @@ func (s *Store) Open(d digest.Digest) (io.ReadCloser, int64, error) {
 // Ingest consumes r into the store — the distrib.BlobSink write side.
 // If want is non-empty the content must hash to it. The blob is read
 // into one allocation of the size r says it has (Sized, ReadSized),
-// hashed, and kept as that slice: nobody else holds it.
+// hashed, and kept as that slice: nobody else holds it. A Receiver no
+// sink has read from is neither read nor hashed: its buffer is kept as
+// it is, under the digest Receive computed as the bytes arrived, and the
+// Receiver is left empty.
 func (s *Store) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int64, error) {
+	if rc, ok := r.(*Receiver); ok && rc.off == 0 {
+		got, b := rc.Digest(), rc.buf
+		if want != "" && got != want {
+			return "", 0, fmt.Errorf("oci: digest mismatch: content is %s, want %s", got, want)
+		}
+		rc.buf = nil
+		rc.Reset()
+		s.adopt(got, b)
+		return got, int64(len(b)), nil
+	}
 	size, declared := Sized(r)
 	b, err := ReadSized(nil, r, size, declared)
 	if err != nil {

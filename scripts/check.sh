@@ -79,7 +79,7 @@ echo "== shared state (-race -count=10) =="
 go test -race -count=10 -run 'CloneShar|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageVerifies|DiskCacheTwoOpeners|ConcurrentPulls' \
     ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache
 
-echo "== fuzz smoke (7 x 10s) =="
+echo "== fuzz smoke (8 x 10s) =="
 # Ten seconds of coverage-guided mutation on each parser that takes
 # bytes from outside the process. tarfs.Unmarshal takes a layer straight
 # from a registry, and a farm session's tree the same way (remoteexec
@@ -102,6 +102,9 @@ echo "== fuzz smoke (7 x 10s) =="
 # A shard leader's replication log is replayed from whatever a crash
 # left: no panic, and after one append a reopen replays what the first
 # open found plus that entry, nothing from the tail it overwrote.
+# Compiler and ar command lines come out of an image's cache layer: no
+# panic, and what parses renders to an argv that parses and renders the
+# same (a compiler command to the argv it came from).
 # The committed seeds under each package's
 # testdata/fuzz run in every plain `go test`; this step looks past them.
 # A failure writes its input beside the seeds. Minimization is off: with
@@ -114,6 +117,7 @@ go test -run '^$' -fuzz '^FuzzSchedulerRequests$' -fuzztime 10s -fuzzminimizetim
 go test -run '^$' -fuzz '^FuzzParseControl$' -fuzztime 10s -fuzzminimizetime 0 ./internal/dpkg
 go test -run '^$' -fuzz '^FuzzFrontend$' -fuzztime 10s -fuzzminimizetime 0 ./internal/registry
 go test -run '^$' -fuzz '^FuzzWriteLogReplay$' -fuzztime 10s -fuzzminimizetime 0 ./internal/fleet
+go test -run '^$' -fuzz '^FuzzParseRender$' -fuzztime 10s -fuzzminimizetime 0 ./internal/cclang
 
 echo "== go test -race =="
 go test -race ./...
