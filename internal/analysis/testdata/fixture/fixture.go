@@ -4,19 +4,21 @@
 // timerstop, wgbalance here; guardedby in racecase.go) once each and
 // contains one clean, suppressed site. It also spells each thing
 // scripts/bans.sh bans (TestBansFire): a sha256 literal, an
-// os.WriteFile, a time.Sleep, a digest.Digest conversion and an
-// io.ReadAll of a bare reader here, a function-style atomic in
-// racecase.go. It must not import
+// os.WriteFile, a time.Sleep, a digest.Digest conversion, an
+// io.ReadAll of a bare reader and a bufio.NewScanner here, a
+// function-style atomic in racecase.go. It must not import
 // comtainer/internal packages: those are invisible across the module
 // boundary.
 package fixture
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -48,6 +50,17 @@ func Mint(s string) digest.Digest {
 // Slurp is banned as unbounded-read: a body read to wherever it ends.
 func Slurp(r io.Reader) ([]byte, error) {
 	return io.ReadAll(r)
+}
+
+// Lines is banned as scanner: text already in memory copied through a
+// line buffer that refuses a long line.
+func Lines(text string) []string {
+	var out []string
+	sc := bufio.NewScanner(strings.NewReader(text))
+	for sc.Scan() {
+		out = append(out, sc.Text())
+	}
+	return out
 }
 
 // Spawn violates gonaked: the goroutine is never joined.

@@ -84,8 +84,8 @@ func TestVetEndToEnd(t *testing.T) {
 
 // TestBansFire runs scripts/bans.sh over the same fixture with every
 // budget forced to zero: each spelling it bans is seeded there once, so
-// it must fail and name the five bans that replaced an analyzer and the
-// unbounded-read ratchet.
+// it must fail and name the five bans that replaced an analyzer, the
+// unbounded-read ratchet and the scanner ban.
 func TestBansFire(t *testing.T) {
 	script, err := filepath.Abs(filepath.Join("..", "..", "scripts", "bans.sh"))
 	if err != nil {
@@ -98,7 +98,7 @@ func TestBansFire(t *testing.T) {
 	if err == nil {
 		t.Fatalf("bans.sh exited 0 over a fixture that spells every ban:\n%s", out)
 	}
-	for _, name := range []string{"time.Sleep", "digest-conversion", "sha256-literal", "atomic-function", "os-write", "unbounded-read"} {
+	for _, name := range []string{"time.Sleep", "digest-conversion", "sha256-literal", "atomic-function", "os-write", "unbounded-read", "scanner"} {
 		if !strings.Contains(string(out), "ban "+name+":") {
 			t.Errorf("ban %s did not fire:\n%s", name, out)
 		}

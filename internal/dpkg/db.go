@@ -1,7 +1,7 @@
 package dpkg
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -82,6 +82,16 @@ func (db *DB) checkConflicts(pkg *Package) error {
 // the on-image status database. It does not resolve dependencies — use
 // InstallWithDeps for that.
 func (db *DB) Install(fsys *fsim.FS, pkg *Package) error {
+	if err := db.install(fsys, pkg); err != nil {
+		return err
+	}
+	return db.writeStatus(fsys)
+}
+
+// install is Install but for the status file. A failed install leaves
+// db.packages as it found it, so the status file the last successful one
+// would write is still the right one.
+func (db *DB) install(fsys *fsim.FS, pkg *Package) error {
 	if err := db.checkConflicts(pkg); err != nil {
 		return err
 	}
@@ -116,25 +126,39 @@ func (db *DB) Install(fsys *fsim.FS, pkg *Package) error {
 	db.packages[pkg.Name] = pkg
 	sort.Strings(list)
 	fsys.WriteFile(InfoDir+"/"+pkg.Name+".list", []byte(strings.Join(list, "\n")+"\n"), 0o644)
-	return db.writeStatus(fsys)
+	return nil
 }
 
 // InstallWithDeps resolves pkg's dependency closure against idx and
-// installs everything in topological order, then pkg itself.
+// installs everything in topological order, then pkg itself. The status
+// file is written once, after the last install, and also when one fails
+// partway: it then lists what was installed before the failure.
 func (db *DB) InstallWithDeps(fsys *fsim.FS, idx *Index, pkg *Package) error {
 	order, err := idx.Resolve(pkg.Depends)
 	if err != nil {
 		return fmt.Errorf("dpkg: resolving dependencies of %s: %w", pkg.Name, err)
 	}
+	installed := false
 	for _, dep := range order {
 		if cur, ok := db.packages[dep.Name]; ok && !cur.Version.Less(dep.Version) {
 			continue
 		}
-		if err := db.Install(fsys, dep); err != nil {
-			return err
+		if err = db.install(fsys, dep); err != nil {
+			break
+		}
+		installed = true
+	}
+	if err == nil {
+		if err = db.install(fsys, pkg); err == nil {
+			installed = true
 		}
 	}
-	return db.Install(fsys, pkg)
+	if installed {
+		if werr := db.writeStatus(fsys); err == nil {
+			err = werr
+		}
+	}
+	return err
 }
 
 // Remove deletes pkg's files from fsys and the database.
@@ -161,11 +185,14 @@ func (db *DB) Remove(fsys *fsim.FS, name string) error {
 
 // writeStatus serializes the database as control stanzas to StatusPath.
 func (db *DB) writeStatus(fsys *fsim.FS) error {
-	var b strings.Builder
+	var b bytes.Buffer
 	// A value ParseControl joined from continuation lines goes out as
 	// continuation lines again.
 	field := func(name, value string) {
-		fmt.Fprintf(&b, "%s: %s\n", name, strings.ReplaceAll(value, "\n", "\n "))
+		b.WriteString(name)
+		b.WriteString(": ")
+		b.WriteString(strings.ReplaceAll(value, "\n", "\n "))
+		b.WriteByte('\n')
 	}
 	for _, name := range db.Names() {
 		p := db.packages[name]
@@ -209,12 +236,14 @@ func (db *DB) writeStatus(fsys *fsim.FS) error {
 		}
 		b.WriteString("\n")
 	}
-	fsys.WriteFile(StatusPath, []byte(b.String()), 0o644)
+	fsys.WriteFile(StatusPath, b.Bytes(), 0o644)
 	return nil
 }
 
 // Load parses the dpkg database out of an image file system. Images without
-// a status file yield an empty database.
+// a status file yield an empty database. The status file and each file
+// list are converted to a string once, and what Load keeps of them is
+// substrings of that.
 func Load(fsys *fsim.FS) (*DB, error) {
 	db := NewDB()
 	if !fsys.Exists(StatusPath) {
@@ -240,7 +269,9 @@ func Load(fsys *fsim.FS) (*DB, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, line := range strings.Split(strings.TrimSpace(string(listData)), "\n") {
+			for rest := strings.TrimSpace(string(listData)); rest != ""; {
+				var line string
+				line, rest, _ = strings.Cut(rest, "\n")
 				if line == "" {
 					continue
 				}
@@ -258,17 +289,19 @@ func Load(fsys *fsim.FS) (*DB, error) {
 // Stanza is one control-file paragraph as ordered field/value pairs.
 type Stanza map[string]string
 
-// ParseControl splits a Debian control file into stanzas.
+// ParseControl splits a Debian control file into stanzas. It reads text
+// in place: a field name or a one-line value is a substring of it. A line
+// ends at "\n", a "\r" before it is dropped, and a line may be any length.
 func ParseControl(text string) ([]Stanza, error) {
 	var out []Stanza
 	cur := Stanza{}
 	lastField := ""
-	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	lineNo := 0
-	for sc.Scan() {
+	for rest := text; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		line = strings.TrimSuffix(line, "\r")
 		lineNo++
-		line := sc.Text()
 		switch {
 		case strings.TrimSpace(line) == "":
 			if len(cur) > 0 {
@@ -290,9 +323,6 @@ func ParseControl(text string) ([]Stanza, error) {
 			lastField = strings.TrimSpace(field)
 			cur[lastField] = strings.TrimSpace(value)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if len(cur) > 0 {
 		out = append(out, cur)

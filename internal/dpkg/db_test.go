@@ -1,6 +1,9 @@
 package dpkg
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -332,5 +335,108 @@ func TestLoadEmptyImage(t *testing.T) {
 	}
 	if len(db.packages) != 0 {
 		t.Error("empty image yielded packages")
+	}
+}
+
+// TestParseControlLineEnds: a "\r" before a line's "\n" is not part of
+// the line, and the last line needs no "\n".
+func TestParseControlLineEnds(t *testing.T) {
+	want, err := ParseControl("Package: a\nVersion: 1\nDescription: one\n two\n\nPackage: b\nVersion: 2\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{
+		"Package: a\r\nVersion: 1\r\nDescription: one\r\n two\r\n\r\nPackage: b\r\nVersion: 2\r\n",
+		"Package: a\nVersion: 1\nDescription: one\n two\n\nPackage: b\nVersion: 2",
+	} {
+		got, err := ParseControl(text)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%q parses to %v, want %v", text, got, want)
+		}
+	}
+}
+
+// TestLoadLongField: a field line has no length limit. (A line scanner
+// with a 1 MiB buffer refused this status file.)
+func TestLoadLongField(t *testing.T) {
+	fsys := fsim.New()
+	p := pkg("libhuge", "1.0")
+	p.Description = strings.Repeat("d", 2<<20)
+	if err := NewDB().Install(fsys, p); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Load(fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := db.Installed("libhuge"); !ok || got.Description != p.Description {
+		t.Errorf("the 2 MiB Description did not load back")
+	}
+}
+
+// TestInstallWithDepsFailingPartway: the status file, written once per
+// InstallWithDeps, still lists what was installed before a failure.
+func TestInstallWithDepsFailingPartway(t *testing.T) {
+	idx := NewIndex()
+	idx.Add(pkg("libc6", "2.39-0"))
+	mpich := pkg("libmpich12", "4.2", Dependency{Name: "libc6"})
+	mpich.Conflicts = []Dependency{{Name: "libopenmpi3"}}
+	idx.Add(mpich)
+	fsys := fsim.New()
+	db := NewDB()
+	if err := db.Install(fsys, pkg("libopenmpi3", "4.1")); err != nil {
+		t.Fatal(err)
+	}
+	err := db.InstallWithDeps(fsys, idx, pkg("app", "1", Dependency{Name: "libmpich12"}))
+	if err == nil || !strings.Contains(err.Error(), "conflicts") {
+		t.Fatalf("InstallWithDeps = %v, want the libmpich12 conflict", err)
+	}
+	back, err := Load(fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := back.Names(), []string{"libc6", "libopenmpi3"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("status file lists %v, want %v", got, want)
+	}
+}
+
+// TestLoadAllocatesInProportion: Load reads the status file and the file
+// lists in place, so what it allocates is a small multiple of their bytes
+// plus the packages it builds — no per-call line buffer (a line scanner
+// took 1 MiB a call).
+func TestLoadAllocatesInProportion(t *testing.T) {
+	fsys := fsim.New()
+	db := NewDB()
+	const packages = 40
+	for i := 0; i < packages; i++ {
+		p := pkg(fmt.Sprintf("lib%02d", i), "1.2.3-4ubuntu1", Dependency{Name: "libc6", Op: OpGE, Version: "2.36"})
+		p.Description = "a library\nwith a second line"
+		if err := db.Install(fsys, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var input int
+	for _, p := range append(fsys.Glob(InfoDir+"/*.list"), StatusPath) {
+		data, err := fsys.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		input += len(data)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Load(fsys); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	budget := uint64(4*input + 2048*packages)
+	t.Logf("Load of %d packages, %d status and list bytes: allocated %d (budget %d)", packages, input, got, budget)
+	if got > budget {
+		t.Errorf("Load of %d packages, %d status and list bytes allocated %d, budget %d (4x + 2 KiB a package)", packages, input, got, budget)
 	}
 }

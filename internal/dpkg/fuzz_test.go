@@ -51,3 +51,40 @@ func FuzzParseControl(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCompareVersions holds Compare to the order DESIGN.md §5 needs of
+// it: no panic on any version an index or a status file may carry, and
+// a total preorder — reflexive, antisymmetric, transitive — so that
+// Latest, Resolve and Satisfies agree with one another whatever order
+// they meet versions in.
+func FuzzCompareVersions(f *testing.F) {
+	for _, seed := range [][3]string{
+		{"1.0~rc1", "1.0", "1.0a"},
+		{"1:0.9", "0.9", "2:0.1"},
+		{"1.0-1", "1.0-1.1", "1.0.1-1"},
+		{"00:1.0", "0:1.0", "1.0"},
+		{"", "~", "0"},
+		{"2.36-9", "2.36-9+b1", "12.3.0-1ubuntu1"},
+	} {
+		f.Add(seed[0], seed[1], seed[2])
+	}
+	f.Fuzz(func(t *testing.T, a, b, c string) {
+		vs := [3]Version{Version(a), Version(b), Version(c)}
+		for _, x := range vs {
+			if got := x.Compare(x); got != 0 {
+				t.Fatalf("Compare(%q, itself) = %d", x, got)
+			}
+			for _, y := range vs {
+				xy, yx := x.Compare(y), y.Compare(x)
+				if xy < -1 || xy > 1 || xy != -yx {
+					t.Fatalf("Compare(%q, %q) = %d but Compare(%q, %q) = %d", x, y, xy, y, x, yx)
+				}
+				for _, z := range vs {
+					if xy <= 0 && y.Compare(z) <= 0 && x.Compare(z) > 0 {
+						t.Fatalf("%q <= %q <= %q, but Compare(%q, %q) = 1", x, y, z, x, z)
+					}
+				}
+			}
+		}
+	})
+}

@@ -15,7 +15,7 @@
 package hijack
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -94,7 +94,7 @@ func (r *Recorder) Len() int { return len(r.invocations) }
 
 // Save writes the log as JSON lines to LogPath in fsys.
 func (r *Recorder) Save(fsys *fsim.FS) error {
-	var b strings.Builder
+	var b bytes.Buffer
 	for _, inv := range r.invocations {
 		line, err := json.Marshal(inv)
 		if err != nil {
@@ -103,12 +103,14 @@ func (r *Recorder) Save(fsys *fsim.FS) error {
 		b.Write(line)
 		b.WriteByte('\n')
 	}
-	fsys.WriteFile(LogPath, []byte(b.String()), 0o644)
+	fsys.WriteFile(LogPath, b.Bytes(), 0o644)
 	return nil
 }
 
 // Load reads a raw build log from fsys. A missing log yields an empty
-// slice, distinguishing "no compilations" from parse errors.
+// slice, distinguishing "no compilations" from parse errors. Each line is
+// decoded where it lies in the log, and a line may be any length: an
+// invocation whose response files were expanded can run to megabytes.
 func Load(fsys *fsim.FS) ([]Invocation, error) {
 	if !fsys.Exists(LogPath) {
 		return nil, nil
@@ -118,21 +120,23 @@ func Load(fsys *fsim.FS) ([]Invocation, error) {
 		return nil, err
 	}
 	var out []Invocation
-	sc := bufio.NewScanner(strings.NewReader(string(data)))
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		if strings.TrimSpace(sc.Text()) == "" {
+	for rest := data; len(rest) > 0; {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte("\n"))
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
 		var inv Invocation
-		if err := json.Unmarshal(sc.Bytes(), &inv); err != nil {
-			return nil, fmt.Errorf("hijack: corrupt log line %q: %w", sc.Text(), err)
+		if err := json.Unmarshal(line, &inv); err != nil {
+			return nil, fmt.Errorf("hijack: corrupt log line %q: %w", quoted(line), err)
 		}
 		out = append(out, inv)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out, nil
+}
+
+// quoted is what of a corrupt line its error shows: the first 200 bytes.
+func quoted(line []byte) []byte {
+	return line[:min(len(line), 200)]
 }

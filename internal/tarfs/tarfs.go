@@ -15,6 +15,7 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"io/fs"
 	"path"
 	"strings"
 	"time"
@@ -136,24 +137,27 @@ func safeEntryName(name string) (string, error) {
 // content is not one run of the archive and is copied out; one whose holes
 // make it larger than the archive itself is rejected, so that a few header
 // bytes cannot make the decoder allocate without bound.
+//
+// Headers are read in place (see reader): an archive Marshal wrote
+// reaches archive/tar only if an entry needed a PAX record, and any archive
+// gets archive/tar's verdict.
 func Unmarshal(data []byte) (*fsim.FS, error) {
-	br := bytes.NewReader(data)
-	tr := tar.NewReader(br)
+	r := reader{data: data}
 	out := fsim.New()
 	for {
-		hdr, err := tr.Next()
+		hdr, err := r.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, fmt.Errorf("tarfs: reading archive: %w", err)
 		}
-		p, err := safeEntryName(hdr.Name)
+		p, err := safeEntryName(hdr.name)
 		if err != nil {
 			return nil, err
 		}
 		var typ fsim.FileType
-		switch hdr.Typeflag {
+		switch hdr.typeflag {
 		case tar.TypeReg:
 			typ = fsim.TypeRegular
 		case tar.TypeDir:
@@ -161,18 +165,18 @@ func Unmarshal(data []byte) (*fsim.FS, error) {
 		case tar.TypeSymlink:
 			typ = fsim.TypeSymlink
 		default:
-			return nil, fmt.Errorf("tarfs: unsupported tar entry type %q at %s", hdr.Typeflag, p)
+			return nil, fmt.Errorf("tarfs: unsupported tar entry type %q at %s", hdr.typeflag, p)
 		}
 		// A path keeps the type it first got, so a regular file never
 		// gains children, and the nearest ancestor the tree already holds
 		// decides: it passed this check itself when it went in, so
 		// nothing above it is a regular file either.
-		if f, err := out.Stat(p); err == nil && f.Type != typ {
+		if f, ok := lookup(out, p); ok && f.Type != typ {
 			return nil, fmt.Errorf("tarfs: entry %s is a %s, and a %s earlier in the archive", p, typ, f.Type)
 		}
 		for q := path.Dir(p); q != "/"; q = path.Dir(q) {
-			f, err := out.Stat(q)
-			if err != nil {
+			f, ok := lookup(out, q)
+			if !ok {
 				continue // not there yet; becomes a directory below
 			}
 			if f.Type == fsim.TypeRegular {
@@ -180,38 +184,194 @@ func Unmarshal(data []byte) (*fsim.FS, error) {
 			}
 			break
 		}
-		mode := hdr.FileInfo().Mode().Perm()
 		switch typ {
 		case fsim.TypeDir:
-			if err := out.MkdirAll(p, mode); err != nil {
+			if err := out.MkdirAll(p, hdr.mode); err != nil {
 				return nil, fmt.Errorf("tarfs: %w", err)
 			}
 		case fsim.TypeSymlink:
-			out.Symlink(hdr.Linkname, p)
+			out.Symlink(hdr.linkname, p)
 		case fsim.TypeRegular:
-			// After Next the reader stands at the first byte of the
-			// entry's content, so what it has left locates that content
-			// in data.
-			rest := int64(br.Len())
 			var content []byte
 			switch {
-			case isSparse(hdr):
-				if hdr.Size > int64(len(data)) {
-					return nil, fmt.Errorf("tarfs: sparse entry %s expands to %d bytes, more than its whole archive", p, hdr.Size)
+			case hdr.sparse:
+				if hdr.size > int64(len(data)) {
+					return nil, fmt.Errorf("tarfs: sparse entry %s expands to %d bytes, more than its whole archive", p, hdr.size)
 				}
-				if content, err = io.ReadAll(tr); err != nil {
+				if content, err = io.ReadAll(r.tr); err != nil {
 					return nil, fmt.Errorf("tarfs: reading %s: %w", p, err)
 				}
-			case hdr.Size > rest:
+			case hdr.size > int64(len(data)-hdr.at):
 				return nil, fmt.Errorf("tarfs: reading %s: %w", p, io.ErrUnexpectedEOF)
-			case hdr.Size > 0:
-				off := int64(len(data)) - rest
-				content = data[off : off+hdr.Size : off+hdr.Size]
+			case hdr.size > 0:
+				end := hdr.at + int(hdr.size)
+				content = data[hdr.at:end:end]
 			}
-			out.Add(&fsim.File{Path: p, Type: fsim.TypeRegular, Mode: mode, Data: content})
+			out.Add(&fsim.File{Path: p, Type: fsim.TypeRegular, Mode: hdr.mode, Data: content})
 		}
 	}
 	return out, nil
+}
+
+// lookup is tree.Stat without the error value a miss would build, which
+// most entries of an archive are.
+func lookup(tree *fsim.FS, p string) (*fsim.File, bool) {
+	if !tree.Exists(p) {
+		return nil, false
+	}
+	f, err := tree.Stat(p)
+	return f, err == nil
+}
+
+// header is what Unmarshal takes from an entry's header, whichever of
+// reader's two sources read it.
+type header struct {
+	name, linkname string
+	typeflag       byte
+	mode           fs.FileMode // permission bits only
+	size           int64
+	at             int  // offset in the archive of the entry's first content byte
+	sparse         bool // content is assembled by archive/tar, not one run at at
+}
+
+// reader yields an archive's entries. It reads each header block in place
+// while the block is plain ustar (plainHeader), as Marshal writes every
+// entry that needs no PAX record; at the first block that is not, it
+// hands the rest of the archive to archive/tar. archive/tar carries
+// nothing from one entry to the next but its position, so from there on
+// every header and every verdict is the one it would have given reading
+// from the start, and an entry is never parsed twice.
+type reader struct {
+	data []byte
+	off  int           // the next header block, while tr is nil
+	tr   *tar.Reader   // reads data[off:] once a block was not plain
+	rest *bytes.Reader // what tr has left of data
+}
+
+// endOfArchive is the two zero blocks that end a tar archive.
+var endOfArchive [2 * blockSize]byte
+
+// next returns the next entry's header, or io.EOF after the last.
+func (r *reader) next() (header, error) {
+	if r.tr == nil {
+		// Nothing left, or a last padding cut short, ends the archive,
+		// as it does for archive/tar.
+		if r.off >= len(r.data) {
+			return header{}, io.EOF
+		}
+		blk := r.data[r.off:]
+		if len(blk) >= len(endOfArchive) && bytes.Equal(blk[:len(endOfArchive)], endOfArchive[:]) {
+			return header{}, io.EOF
+		}
+		if h, ok := plainHeader(blk); ok {
+			h.at = r.off + blockSize
+			// A regular file's content, padded to whole blocks; past the
+			// end of the archive only when Unmarshal rejects the entry.
+			r.off = h.at + int((h.size+blockSize-1)/blockSize*blockSize)
+			return h, nil
+		}
+		r.rest = bytes.NewReader(blk)
+		r.tr = tar.NewReader(r.rest)
+	}
+	hdr, err := r.tr.Next()
+	if err != nil {
+		return header{}, err
+	}
+	// After Next the reader stands at the first byte of the entry's
+	// content, so what it has left locates that content in data.
+	return header{
+		name:     hdr.Name,
+		linkname: hdr.Linkname,
+		typeflag: hdr.Typeflag,
+		mode:     hdr.FileInfo().Mode().Perm(),
+		size:     hdr.Size,
+		at:       len(r.data) - r.rest.Len(),
+		sparse:   isSparse(hdr),
+	}, nil
+}
+
+// plainHeader decodes blk's first block if it is a plain POSIX ustar
+// header, to what archive/tar would decode it to:
+//   - magic "ustar\0", version "00", and no star trailer;
+//   - a stored checksum equal to the unsigned sum of the block;
+//   - a regular file, a directory or a symlink, the last two of size 0;
+//   - every numeric field archive/tar parses in plain octal, padded with
+//     NULs and spaces at either end;
+//   - the name is prefix + "/" + name when the prefix is not empty.
+//
+// Anything else — a PAX or GNU extension, a V7 or GNU magic, a base-256
+// number, a signed-only checksum, a zero block, a short block — is not
+// plain, and ok is false.
+func plainHeader(blk []byte) (h header, ok bool) {
+	if len(blk) < blockSize {
+		return header{}, false
+	}
+	blk = blk[:blockSize]
+	if string(blk[257:265]) != "ustar\x0000" || string(blk[508:512]) == "tar\x00" {
+		return header{}, false
+	}
+	h.typeflag = blk[156]
+	switch h.typeflag {
+	case tar.TypeReg, tar.TypeDir, tar.TypeSymlink:
+	default:
+		return header{}, false
+	}
+	sum, ok := octal(blk[148:156])
+	if !ok || sum != checksum(blk) {
+		return header{}, false
+	}
+	mode, ok := octal(blk[100:108])
+	if !ok {
+		return header{}, false
+	}
+	if h.size, ok = octal(blk[124:136]); !ok || h.typeflag != tar.TypeReg && h.size != 0 {
+		return header{}, false
+	}
+	// uid, gid, mtime, devmajor, devminor: parsed by archive/tar, unused here.
+	for _, field := range [...][2]int{{108, 116}, {116, 124}, {136, 148}, {329, 337}, {337, 345}} {
+		if _, ok := octal(blk[field[0]:field[1]]); !ok {
+			return header{}, false
+		}
+	}
+	h.mode = fs.FileMode(mode).Perm()
+	// Text fields end at their first NUL.
+	name, _, _ := bytes.Cut(blk[:100], []byte{0})
+	if prefix, _, _ := bytes.Cut(blk[345:500], []byte{0}); len(prefix) > 0 {
+		h.name = string(prefix) + "/" + string(name)
+	} else {
+		h.name = string(name)
+	}
+	if h.typeflag == tar.TypeSymlink {
+		link, _, _ := bytes.Cut(blk[157:257], []byte{0})
+		h.linkname = string(link)
+	}
+	return h, true
+}
+
+// octal parses a numeric header field the way archive/tar does when it
+// is plain octal: NULs and spaces trimmed from both ends, then octal
+// digits only, none at all being 0. ok is false for anything else.
+func octal(field []byte) (n int64, ok bool) {
+	for _, c := range bytes.Trim(field, " \x00") {
+		if c < '0' || c > '7' {
+			return 0, false
+		}
+		n = n<<3 | int64(c-'0')
+	}
+	return n, true
+}
+
+// checksum is a header block's POSIX checksum: the unsigned sum of its
+// bytes, the checksum field itself counted as eight spaces.
+func checksum(blk []byte) int64 {
+	var sum int64
+	for i, c := range blk {
+		if i >= 148 && i < 156 {
+			c = ' '
+		}
+		sum += int64(c)
+	}
+	return sum
 }
 
 // isSparse reports whether hdr describes a PAX-format GNU sparse file,

@@ -223,3 +223,34 @@ func TestMarshalToMatchesMarshal(t *testing.T) {
 		t.Error("MarshalGzip no longer equals the archive compressed in one write")
 	}
 }
+
+// TestUnmarshalAllocationsPerEntry: a plain header is read off the
+// archive in place, so Unmarshal allocates the tree it builds — the
+// entry's name, its path and its File — and no header decoder's copies
+// (archive/tar's Next makes about twenty allocations an entry).
+func TestUnmarshalAllocationsPerEntry(t *testing.T) {
+	fs := fsim.New()
+	for i := 0; i < 96; i++ {
+		dir := fmt.Sprintf("/usr/lib/pkg%d", i%12)
+		switch i % 3 {
+		case 0, 1:
+			fs.WriteFile(fmt.Sprintf("%s/lib%d.so", dir, i), []byte("elf"), 0o755)
+		case 2:
+			fs.Symlink(fmt.Sprintf("lib%d.so", i-1), fmt.Sprintf("%s/lib%d.so.1", dir, i))
+		}
+	}
+	data, err := Marshal(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := fs.Len()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Unmarshal(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d entries: %.0f allocations (%.2f an entry)", entries, allocs, allocs/float64(entries))
+	if budget := float64(4*entries + 32); allocs > budget {
+		t.Errorf("Unmarshal of %d entries made %.0f allocations, budget %.0f (4 an entry + 32)", entries, allocs, budget)
+	}
+}

@@ -1,10 +1,12 @@
 package toolchain
 
 import (
+	"bytes"
 	"fmt"
 	"path"
 	"sort"
 	"strings"
+	"unicode"
 
 	"comtainer/internal/actioncache"
 	"comtainer/internal/cclang"
@@ -262,22 +264,26 @@ func countLines(data []byte) int {
 
 // ForeignISA scans source text for "isa:<isa>" markers (the stand-in for
 // inline assembly) and returns the first that targets an ISA other than
-// targetISA, or "" when none does.
+// targetISA, or "" when none does. A line's first marker is the one that
+// counts. src is searched in place.
 func ForeignISA(src []byte, targetISA string) string {
-	for _, line := range strings.Split(string(src), "\n") {
-		idx := strings.Index(line, "isa:")
-		if idx < 0 {
-			continue
+	for rest := src; ; {
+		i := bytes.Index(rest, []byte("isa:"))
+		if i < 0 {
+			return ""
 		}
-		marker := strings.TrimSpace(line[idx+len("isa:"):])
-		if f := strings.Fields(marker); len(f) > 0 {
-			marker = strings.TrimSuffix(f[0], "*/")
+		var line []byte
+		line, rest, _ = bytes.Cut(rest[i+len("isa:"):], []byte("\n"))
+		// The marker is the first word after "isa:", less a comment's end.
+		marker := bytes.TrimSpace(line)
+		if j := bytes.IndexFunc(marker, unicode.IsSpace); j >= 0 {
+			marker = marker[:j]
 		}
-		if marker != "" && marker != targetISA {
-			return marker
+		marker = bytes.TrimSuffix(marker, []byte("*/"))
+		if len(marker) > 0 && string(marker) != targetISA {
+			return string(marker)
 		}
 	}
-	return ""
 }
 
 // PortabilityGuarded reports whether a command's -D values select the

@@ -276,6 +276,28 @@ func TestISAMarkerBlocksCrossCompile(t *testing.T) {
 	}
 }
 
+// TestForeignISA: a line's first marker is its first word after "isa:",
+// a comment's closing "*/" dropped, and the first that names another ISA
+// is the answer.
+func TestForeignISA(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"int main(){}\n", ""},
+		{"/* isa:x86-64 */\n", ""},
+		{"/* isa:aarch64 */\n", "aarch64"},
+		{"/* isa:aarch64*/", "aarch64"},
+		{"a(); /* isa:x86-64 */\nb(); /* isa:aarch64 */\n", "aarch64"},
+		{"/* isa:x86-64 */ /* isa:aarch64 */\n", ""},
+		{"/* isa: */\n/* isa:*/\nisa:\n", ""},
+		{"/* isa:\taarch64 \t*/\r\n", "aarch64"},
+		{"/* isa:riscv64\r\n", "riscv64"},
+		{"isa:x86-64isa:aarch64\n", "x86-64isa:aarch64"},
+	} {
+		if got := ForeignISA([]byte(c.src), ISAx86); got != c.want {
+			t.Errorf("ForeignISA(%q) = %q, want %q", c.src, got, c.want)
+		}
+	}
+}
+
 func TestCompileCostAccounting(t *testing.T) {
 	f := buildFS()
 	r := newX86Runner(f)

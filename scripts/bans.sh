@@ -60,4 +60,7 @@ ban os-write 3 'os\.(WriteFile|Create|OpenFile)\(' faultinject bench
 # on the way. Inflating is oci.Gunzip, under a bound; the one left is
 # tarfs's sparse-entry read, held to its archive's own length.
 ban unbounded-read 1 'io\.ReadAll\(($|[^i]|i($|[^o]|o($|[^.]|\.($|[^L]))))'
+# In-memory input is scanned in place (strings.Cut, bytes.Cut): no
+# per-call line buffer, no line-length limit.
+ban scanner 0 'bufio\.NewScanner\('
 exit $fail
