@@ -6,7 +6,7 @@
 // Usage:
 //
 //	comtainer-rebuild -layout ./lulesh.dist.oci -system x86-64 -adapters libo,cxxo,lto \
-//	                  -action-cache ~/.cache/comtainer-actions -action-cache-remote http://127.0.0.1:5000
+//	                  -action-cache ~/.cache/comtainer-actions
 package main
 
 import (
@@ -28,44 +28,32 @@ func main() {
 	layout := flag.String("layout", "", "OCI layout directory holding the extended image")
 	sysName := flag.String("system", "x86-64", "target system: x86-64 or aarch64")
 	adapterList := flag.String("adapters", "libo,cxxo", "comma-separated adapter chain: libo,cxxo,lto,cross-isa")
-	cacheDir := flag.String("action-cache", "", "directory for the local action-cache tier (empty = caching off)")
-	cacheRemote := flag.String("action-cache-remote", "", "registry URL of the shared remote action-cache tier, e.g. http://127.0.0.1:5000")
-	cacheCap := flag.Int64("action-cache-cap", 0, "byte cap of the local action-cache tier (0 = unbounded); evicts whole segments, least recently used first")
+	cacheDir := flag.String("action-cache", "", "directory of the action cache (empty = caching off)")
+	cacheCap := flag.Int64("action-cache-cap", 0, "byte cap of the action cache (0 = unbounded); evicts whole segments, least recently used first")
 	workers := flag.Int("j", 0, "max concurrent build commands (0 = min(GOMAXPROCS, 8))")
 	remoteExec := flag.String("remote-exec", "", "scheduler URL of a remote-execution farm (a comtainer-registry with -exec); cache misses execute there, with local fallback")
 	flag.Parse()
 	if *layout == "" {
-		fmt.Fprintln(os.Stderr, "usage: comtainer-rebuild -layout <dir.oci> -system <name> [-adapters ...] [-action-cache <dir>] [-action-cache-remote <url>] [-remote-exec <url>] [-j N]")
+		fmt.Fprintln(os.Stderr, "usage: comtainer-rebuild -layout <dir.oci> -system <name> [-adapters ...] [-action-cache <dir>] [-remote-exec <url>] [-j N]")
 		os.Exit(2)
 	}
-	if err := run(*layout, *sysName, *adapterList, *cacheDir, *cacheRemote, *remoteExec, *cacheCap, *workers); err != nil {
+	if err := run(*layout, *sysName, *adapterList, *cacheDir, *remoteExec, *cacheCap, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "comtainer-rebuild:", err)
 		os.Exit(1)
 	}
 }
 
-// buildMemo assembles the action-cache tier stack from the flags; a nil
-// memoizer means caching is off.
-func buildMemo(cacheDir, cacheRemote string, cacheCap int64) (*actioncache.Memoizer, error) {
-	var local, remote actioncache.Cache
-	if cacheDir != "" {
-		disk, err := actioncache.NewDiskCache(cacheDir, cacheCap)
-		if err != nil {
-			return nil, err
-		}
-		local = disk
-	}
-	if cacheRemote != "" {
-		// The breaker sheds calls to a down registry after a few
-		// consecutive failures, so a rebuild degrades to the local tier
-		// instead of paying a network timeout per action.
-		remote = actioncache.NewBreaker(actioncache.NewRemoteCache(cacheRemote, ""))
-	}
-	tiers := actioncache.NewTiered(local, remote)
-	if tiers == nil {
+// buildMemo is a memoizer over a DiskCache under cacheDir, or nil —
+// caching off — when there is no directory.
+func buildMemo(cacheDir string, cacheCap int64) (*actioncache.Memoizer, error) {
+	if cacheDir == "" {
 		return nil, nil
 	}
-	return actioncache.NewMemoizer(tiers), nil
+	disk, err := actioncache.NewDiskCache(cacheDir, cacheCap)
+	if err != nil {
+		return nil, err
+	}
+	return actioncache.NewMemoizer(disk), nil
 }
 
 // parseAdapters resolves adapter names to the built-in chain.
@@ -93,12 +81,12 @@ func parseAdapters(spec string) ([]adapter.Adapter, error) {
 	return out, nil
 }
 
-func run(layoutDir, sysName, adapterSpec, cacheDir, cacheRemote, remoteExec string, cacheCap int64, workers int) error {
+func run(layoutDir, sysName, adapterSpec, cacheDir, remoteExec string, cacheCap int64, workers int) error {
 	repo, err := oci.LoadLayout(layoutDir)
 	if err != nil {
 		return err
 	}
-	memo, err := buildMemo(cacheDir, cacheRemote, cacheCap)
+	memo, err := buildMemo(cacheDir, cacheCap)
 	if err != nil {
 		return err
 	}

@@ -3,19 +3,19 @@
 // (-exec), leases rebuild actions matching its system's ISA and
 // toolchain fingerprint, executes them against the executor's shipped
 // file-system snapshot plus the outputs each task carries, and reports
-// each action's record (what it read and wrote) to the scheduler —
-// warming the registry's shared action cache with every execution.
+// each action's record (what it read and wrote) to the scheduler. It
+// caches nothing: the rebuilding client stores each record in its own
+// action cache.
 //
 // Usage:
 //
 //	comtainer-worker -scheduler http://127.0.0.1:5000 -system x86-64 -toolchain sysenv -slots 4
 //
 // The scheduler URL also serves the one kind of farm blob, the session
-// snapshots, and the shared action cache; point it at a registry
-// started with -exec. -toolchain selects which registry the worker
-// executes under: sysenv (the system's vendor toolchain), generic
-// (stock base-image toolchain) or llvm (redistributable Sysenv).
-// Workers only receive tasks whose toolchain fingerprint matches, so
+// snapshots; point it at a registry started with -exec. -toolchain
+// selects which registry the worker executes under: sysenv (the
+// system's vendor toolchain), generic (stock base-image toolchain) or
+// llvm (redistributable Sysenv). Workers only receive tasks whose toolchain fingerprint matches, so
 // running the wrong flavor is safe — just useless.
 package main
 
@@ -29,7 +29,6 @@ import (
 	"syscall"
 	"time"
 
-	"comtainer/internal/actioncache"
 	"comtainer/internal/remoteexec"
 	"comtainer/internal/sysprofile"
 	"comtainer/internal/toolchain"
@@ -41,11 +40,10 @@ func main() {
 	tcFlavor := flag.String("toolchain", "sysenv", "toolchain registry to execute under: sysenv, generic or llvm")
 	slots := flag.Int("slots", 4, "concurrent execution slots")
 	name := flag.String("name", "", "worker name in farm status (default: system name)")
-	noCache := flag.Bool("no-action-cache", false, "do not write results through to the registry's shared action cache")
 	execDelay := flag.Duration("exec-delay", 0, "artificial per-action delay (testing/benchmarking)")
 	flag.Parse()
 
-	if err := run(*scheduler, *sysName, *tcFlavor, *name, *slots, *noCache, *execDelay); err != nil && !errors.Is(err, context.Canceled) {
+	if err := run(*scheduler, *sysName, *tcFlavor, *name, *slots, *execDelay); err != nil && !errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "comtainer-worker:", err)
 		os.Exit(1)
 	}
@@ -64,7 +62,7 @@ func registryFor(sys *sysprofile.System, flavor string) (*toolchain.Registry, er
 	}
 }
 
-func run(scheduler, sysName, tcFlavor, name string, slots int, noCache bool, execDelay time.Duration) error {
+func run(scheduler, sysName, tcFlavor, name string, slots int, execDelay time.Duration) error {
 	sys, err := sysprofile.ByName(sysName)
 	if err != nil {
 		return err
@@ -78,9 +76,6 @@ func run(scheduler, sysName, tcFlavor, name string, slots int, noCache bool, exe
 	w.ExecDelay = execDelay
 	if name != "" {
 		w.Name = name
-	}
-	if !noCache {
-		w.Cache = actioncache.NewBreaker(actioncache.NewRemoteCacheClient(w.Client, ""))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

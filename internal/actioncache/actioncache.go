@@ -22,13 +22,12 @@
 // which files to hash, and the hashed states select the result valid
 // for the current file-system contents.
 //
-// Storage is pluggable via the Cache interface. DiskCache is the
-// on-disk tier (an append-only segment log, digest verify-on-read,
-// segment-granular LRU eviction under a size cap); RemoteCache stores
-// entries as blobs in a comtainer registry through the distrib
-// client; Tiered stacks the two with push-through on remote hits.
-// Memoizer drives the protocol and deduplicates concurrent identical
-// actions with a singleflight group.
+// Storage is pluggable via the Cache interface. DiskCache is the one
+// tier: an append-only segment log, digest verify-on-read,
+// segment-granular LRU eviction under a size cap. Memoizer drives the
+// protocol and deduplicates concurrent identical actions with a
+// singleflight group; it is the only writer of entries, and a build
+// farm's records reach the executor's cache through it.
 package actioncache
 
 import (
@@ -58,7 +57,7 @@ type Cache interface {
 	Stats() Stats
 }
 
-// Stats aggregates counters across the memoizer and its tiers. Every
+// Stats aggregates counters across the memoizer and its tier. Every
 // component fills only the fields it owns; Add merges snapshots.
 type Stats struct {
 	// Action-level outcomes, counted by the Memoizer.
@@ -72,12 +71,7 @@ type Stats struct {
 	Evictions   int64 // entries evicted to honor the size cap
 	EvictedByte int64 // bytes reclaimed by eviction
 
-	// Remote-tier outcomes.
-	RemoteHits   int64
-	RemoteMisses int64
-	RemoteFills  int64 // remote hits copied into the local tier
-
-	// Entries dropped or operations failed, across tiers.
+	// Entries dropped or operations failed, memoizer and tier.
 	Errors int64
 }
 
@@ -90,19 +84,15 @@ func (s Stats) Add(o Stats) Stats {
 	s.LocalMisses += o.LocalMisses
 	s.Evictions += o.Evictions
 	s.EvictedByte += o.EvictedByte
-	s.RemoteHits += o.RemoteHits
-	s.RemoteMisses += o.RemoteMisses
-	s.RemoteFills += o.RemoteFills
 	s.Errors += o.Errors
 	return s
 }
 
 // String renders the snapshot as the one-line summary the CLI prints.
 func (s Stats) String() string {
-	return fmt.Sprintf("%d hits, %d misses, %d deduped (local %d/%d, remote %d/%d, %d fills, %d evictions, %d errors)",
+	return fmt.Sprintf("%d hits, %d misses, %d deduped (local %d/%d, %d evictions, %d errors)",
 		s.Hits, s.Misses, s.Deduped,
-		s.LocalHits, s.LocalMisses, s.RemoteHits, s.RemoteMisses,
-		s.RemoteFills, s.Evictions, s.Errors)
+		s.LocalHits, s.LocalMisses, s.Evictions, s.Errors)
 }
 
 // --- action identity ---

@@ -3,7 +3,6 @@ package actioncache
 import (
 	"bytes"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"comtainer/internal/digest"
-	"comtainer/internal/registry"
 )
 
 func key(s string) digest.Digest { return digest.FromString(s) }
@@ -287,72 +285,6 @@ func TestDiskCacheCapBoundsDiskBytes(t *testing.T) {
 	}
 }
 
-func TestRemoteCache(t *testing.T) {
-	ts := httptest.NewServer(registry.NewServer().Handler())
-	defer ts.Close()
-	c := NewRemoteCache(ts.URL, "")
-
-	if _, ok, err := c.Get(key("absent")); ok || err != nil {
-		t.Fatalf("absent key: ok=%v err=%v", ok, err)
-	}
-	if err := c.Put(key("r1"), []byte("remote-value")); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := c.Get(key("r1"))
-	if err != nil || !ok || string(got) != "remote-value" {
-		t.Fatalf("Get = %q, %v, %v", got, ok, err)
-	}
-	s := c.Stats()
-	if s.RemoteHits != 1 || s.RemoteMisses != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestTieredPushThrough(t *testing.T) {
-	ts := httptest.NewServer(registry.NewServer().Handler())
-	defer ts.Close()
-	remote := NewRemoteCache(ts.URL, "")
-	local, _ := NewDiskCache(t.TempDir(), 0)
-	tiers := NewTiered(local, remote)
-
-	// Seed only the remote, as a second machine would have.
-	if err := remote.Put(key("shared"), []byte("fleet-wide")); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := tiers.Get(key("shared"))
-	if err != nil || !ok || string(got) != "fleet-wide" {
-		t.Fatalf("tiered Get = %q, %v, %v", got, ok, err)
-	}
-	// The hit must have filled the local tier.
-	if _, ok, _ := local.Get(key("shared")); !ok {
-		t.Fatal("remote hit not pushed through to local tier")
-	}
-	if s := tiers.Stats(); s.RemoteFills != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-
-	// Put writes both tiers.
-	if err := tiers.Put(key("both"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := local.Get(key("both")); !ok {
-		t.Fatal("Put skipped local tier")
-	}
-	if _, ok, _ := remote.Get(key("both")); !ok {
-		t.Fatal("Put skipped remote tier")
-	}
-}
-
-func TestNewTieredDegenerate(t *testing.T) {
-	local, _ := NewDiskCache(t.TempDir(), 0)
-	if NewTiered(nil, nil) != nil {
-		t.Fatal("two nil tiers should collapse to nil")
-	}
-	if c := NewTiered(local, nil); c != Cache(local) {
-		t.Fatal("single tier should be returned unwrapped")
-	}
-}
-
 // mapState serves input states from a fixed map (simulating FS content).
 type mapState map[Input]string
 
@@ -527,7 +459,7 @@ func TestStoredDocumentsGolden(t *testing.T) {
 }
 
 // TestNilCacheDoEncodesNothing: a memoizer without a tier (the
-// farm-mode executor's, a worker's without a shared cache) must not
+// farm-mode executor's, every build-farm worker's) must not
 // marshal documents nobody stores. One copy of the outputs is the
 // Recorder's; everything else Do allocates stays below their size,
 // where a JSON+base64 encoding is 4/3 of it before buffer growth.

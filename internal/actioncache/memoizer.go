@@ -31,7 +31,7 @@ func NewMemoizer(cache Cache) *Memoizer {
 	return &Memoizer{cache: cache}
 }
 
-// Stats merges the memoizer's action-level counters with the tiers'.
+// Stats merges the memoizer's action-level counters with the tier's.
 func (m *Memoizer) Stats() Stats {
 	if m == nil {
 		return Stats{}

@@ -303,7 +303,7 @@ func TestCancelAbortsRetryBackoff(t *testing.T) {
 	defer timer.Stop()
 
 	start := time.Now()
-	_, _, _, err := c.FetchManifest(ctx, "app", "v1")
+	_, err := c.PullImage(ctx, oci.NewStore(), "app", "v1")
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want context.Canceled", err)

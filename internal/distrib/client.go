@@ -464,21 +464,12 @@ func (c *Client) PushManifest(ctx context.Context, name, ref, mediaType string, 
 // it accepts.
 const maxManifestSize = 16 << 20
 
-// FetchManifest retrieves the manifest (or index) at name:ref and
-// returns its bytes, digest and media type. The digest is verified
-// against the Docker-Content-Digest header and, for digest refs, the
-// ref itself. A document longer than 16 MiB is an error wrapping
-// oci.ErrBlobTooLarge, after one request.
-func (c *Client) FetchManifest(ctx context.Context, name, ref string) ([]byte, digest.Digest, string, error) {
-	rc, d, mediaType, err := c.fetchManifest(ctx, name, ref)
-	if err != nil {
-		return nil, "", "", err
-	}
-	return rc.Bytes(), d, mediaType, nil
-}
-
-// fetchManifest is FetchManifest handing over the document as it was
-// received and hashed, for a store to keep.
+// fetchManifest retrieves the manifest (or index) at name:ref and
+// hands over the document as it was received and hashed, for a store to
+// keep, with its digest and media type. The digest is verified against
+// the Docker-Content-Digest header and, for digest refs, the ref itself.
+// A document longer than 16 MiB is an error wrapping oci.ErrBlobTooLarge,
+// after one request.
 func (c *Client) fetchManifest(ctx context.Context, name, ref string) (*oci.Receiver, digest.Digest, string, error) {
 	var rc oci.Receiver
 	var d digest.Digest

@@ -127,11 +127,11 @@ func TestFetchHashGuardsWhatItKeeps(t *testing.T) {
 	}
 }
 
-// TestFetchManifestRefusesOversizedDocument: a manifest past the 16 MiB
-// bound is refused as too large — not cut to the bound and returned, nor
-// read four times over as a digest mismatch the retries cannot cure —
-// with or without a Content-Length and a Docker-Content-Digest header.
-func TestFetchManifestRefusesOversizedDocument(t *testing.T) {
+// TestPullRefusesOversizedManifest: a manifest past the 16 MiB bound is
+// refused as too large — not cut to the bound and kept, nor read four
+// times over as a digest mismatch the retries cannot cure — with or
+// without a Content-Length and a Docker-Content-Digest header.
+func TestPullRefusesOversizedManifest(t *testing.T) {
 	doc := bytes.Repeat([]byte(" "), 17<<20)
 	copy(doc, `{"schemaVersion":2}`)
 	for _, tc := range []struct {
@@ -159,9 +159,9 @@ func TestFetchManifestRefusesOversizedDocument(t *testing.T) {
 				_, _ = w.Write(doc)
 			}))
 			defer ts.Close()
-			body, _, _, err := fastClient(ts.URL).FetchManifest(context.Background(), "app", "v1")
+			_, err := fastClient(ts.URL).PullImage(context.Background(), oci.NewStore(), "app", "v1")
 			if !errors.Is(err, oci.ErrBlobTooLarge) {
-				t.Fatalf("FetchManifest of a %d-byte document: %d bytes, %v; want ErrBlobTooLarge", len(doc), len(body), err)
+				t.Fatalf("pull of a %d-byte manifest: %v; want ErrBlobTooLarge", len(doc), err)
 			}
 			if n := gets.Load(); n != 1 {
 				t.Errorf("%d requests for a document that will never fit, want 1", n)

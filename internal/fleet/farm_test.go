@@ -3,12 +3,10 @@ package fleet_test
 import (
 	"context"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"comtainer/internal/actioncache"
 	"comtainer/internal/core"
 	"comtainer/internal/core/adapter"
 	"comtainer/internal/oci"
@@ -56,11 +54,12 @@ func rebuild(t *testing.T, sys *sysprofile.System, user *core.UserSide, res core
 }
 
 // TestFleetFarmRebuildThroughProxy points the whole build farm — the
-// worker's blob plane, the shared remote action cache, and the
-// executor — at the fleet proxy: /farm/v1 forwards to the scheduler
-// while payloads and cache documents land on sharded, fanned-out
-// registries. The remote rebuild must match the local one, and the
-// cache documents must actually be spread across the shards.
+// worker's blob plane and the executor — at the fleet proxy: /farm/v1
+// forwards to the scheduler while the session's tree blob lands on
+// sharded, replicated registries. The remote rebuild must match the
+// local one, every blob must sit on the shard the ring assigns it, on
+// both of that shard's replicas, and no shard may hold a tag: the farm
+// stores no action-cache entry in the registry.
 func TestFleetFarmRebuildThroughProxy(t *testing.T) {
 	sys := sysprofile.X86Cluster()
 	user, res := buildApp(t, sys, "hpccg")
@@ -69,7 +68,7 @@ func TestFleetFarmRebuildThroughProxy(t *testing.T) {
 	sched := remoteexec.NewScheduler()
 	schedTS := httptest.NewServer(sched.Handler())
 	t.Cleanup(schedTS.Close)
-	p, ts, shards := startFleet(t, 1, 1)
+	p, ts, shards := startFleet(t, 2, 2)
 	p.FarmBackend = schedTS.URL
 	ts.Config.Handler = p.Handler() // rebuild routes now that FarmBackend is set
 
@@ -79,7 +78,6 @@ func TestFleetFarmRebuildThroughProxy(t *testing.T) {
 	t.Cleanup(cancel)
 	for i := 0; i < 2; i++ {
 		w := remoteexec.NewWorker(ts.URL, sys, sys.Toolchains)
-		w.Cache = actioncache.NewRemoteCacheClient(w.Client, "")
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -104,30 +102,26 @@ func TestFleetFarmRebuildThroughProxy(t *testing.T) {
 		t.Fatalf("executor stats %s: want remote actions through the proxy", st)
 	}
 
-	// Action-cache documents are manifests: fanned out to every shard.
+	blobs := 0
 	for i, sh := range shards {
-		var acTags int
-		for _, key := range sh.replicas[0].srv.Tags() {
-			if strings.Contains(key, ":ac-") {
-				acTags++
+		for j, r := range sh.replicas {
+			if tags := r.srv.Tags(); len(tags) != 0 {
+				t.Errorf("shard %d replica %d holds tags %v, want none", i, j, tags)
+			}
+			for _, d := range r.srv.Blobs().Digests() {
+				blobs++
+				if owner := p.Ring().Owner(d); owner != sh.group.Name() {
+					t.Errorf("blob %s on shard %d, which the ring does not assign it (owner %s)", d.Short(), i, owner)
+				}
+				for k, peer := range sh.replicas {
+					if !peer.srv.Blobs().Has(d) {
+						t.Errorf("blob %s on shard %d replica %d is missing from replica %d", d.Short(), i, j, k)
+					}
+				}
 			}
 		}
-		if acTags < int(2*st.Remote) {
-			t.Fatalf("shard %d holds %d action-cache tags for %d remote actions, want 2 per action", i, acTags, st.Remote)
-		}
 	}
-	// Their blobs are partitioned: with dozens of documents, both
-	// shards must hold some.
-	for i, sh := range shards {
-		if len(sh.replicas[0].srv.Blobs().Digests()) == 0 {
-			t.Fatalf("shard %d holds no blobs; farm data plane was not sharded", i)
-		}
-	}
-
-	// A second executor replays everything from the fleet-backed cache.
-	exec2 := remoteexec.NewExecutor(ts.URL, sys, sys.Toolchains)
-	again := rebuild(t, sys, user, res, exec2)
-	if again.Digest != local.Digest {
-		t.Fatalf("cache-replay rebuild digest %s differs from local %s", again.Digest, local.Digest)
+	if blobs == 0 {
+		t.Fatal("no shard holds a blob; the session's tree did not go through the proxy")
 	}
 }

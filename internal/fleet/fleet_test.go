@@ -16,8 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"comtainer/internal/actioncache"
-	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
 	"comtainer/internal/fleet"
 	"comtainer/internal/fsim"
@@ -225,21 +223,6 @@ func TestFleetUnknownManifestIs404(t *testing.T) {
 		if got := sh.group.Leader(); got != leaders[i] {
 			t.Errorf("group of %d replicas: a 404 moved leadership from %s to %s", len(sh.replicas), leaders[i], got)
 		}
-	}
-}
-
-// TestFleetRemoteCacheMiss reads a key nobody stored from an action
-// cache kept behind the proxy: a clean miss, not an error that feeds
-// the cache's circuit breaker.
-func TestFleetRemoteCacheMiss(t *testing.T) {
-	_, ts, _ := startFleet(t, 2, 2)
-	cache := actioncache.NewRemoteCacheClient(fastClient(ts.URL), "")
-	val, ok, err := cache.Get(digest.FromString("an action nobody has run"))
-	if val != nil || ok || err != nil {
-		t.Errorf("remote cache miss through the proxy = (%q, %v, %v), want (nil, false, nil)", val, ok, err)
-	}
-	if st := cache.Stats(); st.RemoteMisses != 1 || st.Errors != 0 {
-		t.Errorf("remote cache counted %d misses and %d errors, want 1 and 0", st.RemoteMisses, st.Errors)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -52,13 +51,12 @@ func startFarm(t *testing.T, sched *remoteexec.Scheduler) *testFarm {
 	return f
 }
 
-// startWorker launches a worker (with the shared remote action cache
-// wired in) and waits until the scheduler has registered it. The
-// returned cancel kills the worker; all workers are joined at cleanup.
+// startWorker launches a worker and waits until the scheduler has
+// registered it. The returned cancel kills the worker; all workers are
+// joined at cleanup.
 func (f *testFarm) startWorker(sys *sysprofile.System, mutate func(*remoteexec.Worker)) context.CancelFunc {
 	f.t.Helper()
 	w := remoteexec.NewWorker(f.ts.URL, sys, sys.Toolchains)
-	w.Cache = actioncache.NewRemoteCacheClient(w.Client, "")
 	if mutate != nil {
 		mutate(w)
 	}
@@ -80,17 +78,13 @@ func (f *testFarm) startWorker(sys *sysprofile.System, mutate func(*remoteexec.W
 	return cancel
 }
 
-// actionTags lists the farm registry's action-cache tags ("ac-<hex>"),
-// i.e. the manifest/result documents workers wrote through.
-func (f *testFarm) actionTags() []string {
-	var out []string
-	for _, key := range f.srv.Tags() {
-		if strings.Contains(key, ":ac-") {
-			out = append(out, key)
-		}
+// requireNoTags fails unless the farm registry holds no tag: a worker
+// stores no action-cache entry, and a session's one blob is untagged.
+func (f *testFarm) requireNoTags() {
+	f.t.Helper()
+	if tags := f.srv.Tags(); len(tags) != 0 {
+		f.t.Errorf("farm registry holds %d tags, want none: %v", len(tags), tags)
 	}
-	sort.Strings(out)
-	return out
 }
 
 // buildApp builds one workload's extended image on a fresh user side.
@@ -153,7 +147,8 @@ func diskMemo(t *testing.T) (*actioncache.Memoizer, string) {
 
 // cacheFiles reads every record of the on-disk action cache in dir —
 // "COMT-AC2 <key> <length> <digest>\n" and the document, one after the
-// other in the files under segments/ — as documents by key.
+// other in the files under segments/ — as documents by key. A key
+// recorded twice fails the test: each document is written once.
 func cacheFiles(t *testing.T, dir string) map[string]string {
 	t.Helper()
 	segments, err := filepath.Glob(filepath.Join(dir, "segments", "*"))
@@ -173,17 +168,41 @@ func cacheFiles(t *testing.T, dir string) map[string]string {
 			if _, err := fmt.Sscanf(header, "COMT-AC2 %s %d %s", &key, &n, &sum); err != nil || n > len(body) {
 				t.Fatalf("%s: record header %q: %v", p, header, err)
 			}
+			if _, dup := docs[key]; dup {
+				t.Fatalf("%s: key %s recorded twice", p, key)
+			}
 			docs[key], rest = body[:n], body[n:]
 		}
 	}
 	return docs
 }
 
+// requireSameCache fails unless the action cache in farmDir holds
+// exactly the documents a local rebuild left in localDir, two for each
+// of actions. The executor re-observes what a worker reports, so the
+// cache it fills is the one a local rebuild fills: same keys, same
+// documents.
+func requireSameCache(t *testing.T, localDir, farmDir string, actions int64) {
+	t.Helper()
+	want, got := cacheFiles(t, localDir), cacheFiles(t, farmDir)
+	if len(want) != int(2*actions) {
+		t.Fatalf("local rebuild left %d cache entries for %d actions, want 2 per action", len(want), actions)
+	}
+	if len(got) != len(want) {
+		t.Errorf("farm rebuild left %d cache entries, local rebuild %d", len(got), len(want))
+	}
+	for key, doc := range want {
+		if got[key] != doc {
+			t.Errorf("cache entry %s differs between the local and the farm rebuild (%d vs %d bytes)", key, len(doc), len(got[key]))
+		}
+	}
+}
+
 // TestFarmRebuildEndToEnd routes an uncached rebuild entirely through
 // farm workers and checks the result is byte-identical to a local
 // rebuild — the image and the action cache it leaves behind — with
-// every cacheable action executed remotely and its cache documents
-// written through to the registry exactly once.
+// every cacheable action executed remotely, its documents written once
+// by the executor and none by the farm.
 func TestFarmRebuildEndToEnd(t *testing.T) {
 	sys := sysprofile.X86Cluster()
 	user, res := buildApp(t, sys, "hpccg")
@@ -204,38 +223,20 @@ func TestFarmRebuildEndToEnd(t *testing.T) {
 	if st.Remote == 0 || st.Local != 0 || st.Errors != 0 {
 		t.Fatalf("executor stats %s: want every action remote", st)
 	}
-	// The executor re-observes what a worker reports, so the cache it
-	// fills is the one a local rebuild fills: same keys, same documents.
-	want, got := cacheFiles(t, localDir), cacheFiles(t, remoteDir)
-	if len(want) != int(2*st.Remote) {
-		t.Fatalf("local rebuild left %d cache entries for %d actions, want 2 per action", len(want), st.Remote)
-	}
-	if len(got) != len(want) {
-		t.Errorf("farm rebuild left %d cache entries, local rebuild %d", len(got), len(want))
-	}
-	for key, doc := range want {
-		if got[key] != doc {
-			t.Errorf("cache entry %s differs between the local and the farm rebuild (%d vs %d bytes)", key, len(doc), len(got[key]))
-		}
-	}
-	tags := f.actionTags()
-	// Each remotely executed action writes exactly one manifest and one
-	// result document; content addressing makes re-writes idempotent.
-	if len(tags) != int(2*st.Remote) {
-		t.Fatalf("%d action-cache tags for %d remote actions, want exactly 2 per action:\n%s",
-			len(tags), st.Remote, strings.Join(tags, "\n"))
-	}
+	requireSameCache(t, localDir, remoteDir, st.Remote)
+	f.requireNoTags()
 
-	// A second identical rebuild replays from the farm's shared action
-	// cache: same digest, same tag set — nothing duplicated.
+	// A second identical rebuild over the same warm client cache replays
+	// every action: same digest, and the farm is offered nothing.
 	exec2 := remoteexec.NewExecutor(f.ts.URL, sys, sys.Toolchains)
-	again := rebuild(t, sys, user, res, exec2)
+	again := rebuildInto(t, sys, user, res, exec2, remoteMemo)
 	if again.Digest != local.Digest {
 		t.Fatalf("repeat remote rebuild digest %s differs from local %s", again.Digest, local.Digest)
 	}
-	if got := f.actionTags(); strings.Join(got, ",") != strings.Join(tags, ",") {
-		t.Fatalf("repeat rebuild changed the action-cache tag set:\nbefore: %v\nafter:  %v", tags, got)
+	if st := exec2.Stats(); st.Remote != 0 || st.Local != 0 {
+		t.Fatalf("repeat rebuild over a warm cache: executor stats %s, want nothing offered", st)
 	}
+	f.requireNoTags()
 }
 
 // TestFarmZeroWorkersFallsBackLocal checks the executor degrades to
@@ -261,11 +262,13 @@ func TestFarmZeroWorkersFallsBackLocal(t *testing.T) {
 // TestChaosWorkerKilledMidAction kills a worker while it holds leased
 // actions. The scheduler must notice the missed heartbeats, requeue
 // the worker's in-flight tasks onto the survivor, and the DAG must
-// complete with the action cache holding each result exactly once.
+// complete with the executor's action cache holding each result
+// exactly once.
 func TestChaosWorkerKilledMidAction(t *testing.T) {
 	sys := sysprofile.X86Cluster()
 	user, res := buildApp(t, sys, "hpccg")
-	local := rebuild(t, sys, user, res, nil)
+	localMemo, localDir := diskMemo(t)
+	local := rebuildInto(t, sys, user, res, nil, localMemo)
 
 	sched := remoteexec.NewScheduler()
 	sched.HeartbeatTimeout = 300 * time.Millisecond
@@ -293,7 +296,8 @@ func TestChaosWorkerKilledMidAction(t *testing.T) {
 	}()
 
 	exec := remoteexec.NewExecutor(f.ts.URL, sys, sys.Toolchains)
-	remote := rebuild(t, sys, user, res, exec)
+	remoteMemo, remoteDir := diskMemo(t)
+	remote := rebuildInto(t, sys, user, res, exec, remoteMemo)
 	<-done
 	if remote.Digest != local.Digest {
 		t.Fatalf("post-chaos rebuild digest %s differs from local %s", remote.Digest, local.Digest)
@@ -306,12 +310,10 @@ func TestChaosWorkerKilledMidAction(t *testing.T) {
 	if farm.Queued != 0 || farm.Running != 0 {
 		t.Fatalf("farm left non-terminal tasks behind: %+v", farm)
 	}
-	// Exactly-once: requeued actions re-executed on the survivor write
-	// the same content-addressed documents; no duplicates, no losses
-	// among the remotely completed set.
-	if tags := f.actionTags(); len(tags) < int(2*st.Remote) {
-		t.Fatalf("%d action-cache tags for %d remote actions, want at least 2 per action", len(tags), st.Remote)
-	}
+	// Exactly-once: a requeued action re-executed on the survivor still
+	// reaches the executor as one record; no duplicates, no losses.
+	requireSameCache(t, localDir, remoteDir, st.Remote+st.Local)
+	f.requireNoTags()
 }
 
 // lossyUploads faults result reports and all blob traffic (payload
@@ -333,11 +335,13 @@ func (l lossyUploads) RoundTrip(req *http.Request) (*http.Response, error) {
 // blob transfers (payload uploads, snapshot fetches) fail with
 // injected drops, 503s and truncations, alongside one healthy worker.
 // Worker-side report retries and scheduler-side requeues must absorb
-// the faults: the DAG completes and matches the local rebuild.
+// the faults: the DAG completes and matches the local rebuild, image
+// and action cache.
 func TestChaosLossyResultUploads(t *testing.T) {
 	sys := sysprofile.X86Cluster()
 	user, res := buildApp(t, sys, "hpccg")
-	local := rebuild(t, sys, user, res, nil)
+	localMemo, localDir := diskMemo(t)
+	local := rebuildInto(t, sys, user, res, nil, localMemo)
 
 	sched := remoteexec.NewScheduler()
 	sched.HeartbeatTimeout = 500 * time.Millisecond
@@ -358,7 +362,8 @@ func TestChaosLossyResultUploads(t *testing.T) {
 	f.startWorker(sys, func(w *remoteexec.Worker) { w.Name = "clean" })
 
 	exec := remoteexec.NewExecutor(f.ts.URL, sys, sys.Toolchains)
-	remote := rebuild(t, sys, user, res, exec)
+	remoteMemo, remoteDir := diskMemo(t)
+	remote := rebuildInto(t, sys, user, res, exec, remoteMemo)
 	if remote.Digest != local.Digest {
 		t.Fatalf("post-chaos rebuild digest %s differs from local %s", remote.Digest, local.Digest)
 	}
@@ -370,7 +375,6 @@ func TestChaosLossyResultUploads(t *testing.T) {
 	if farm.Queued != 0 || farm.Running != 0 {
 		t.Fatalf("farm left non-terminal tasks behind: %+v", farm)
 	}
-	if tags := f.actionTags(); len(tags) < int(2*st.Remote) {
-		t.Fatalf("%d action-cache tags for %d remote actions, want at least 2 per action", len(tags), st.Remote)
-	}
+	requireSameCache(t, localDir, remoteDir, st.Remote+st.Local)
+	f.requireNoTags()
 }

@@ -18,9 +18,7 @@
 //     one registry blob (a tarfs layer, moved through the distrib
 //     client), runs the command through toolchain.Runner, reports the
 //     runner's record of it (an actioncache.Result) in the task's
-//     result report, and writes the action-cache entries through to
-//     the shared actioncache.RemoteCache so every farm execution warms
-//     the fleet cache.
+//     result report. A worker stores no cache entry.
 //
 //   - Executor: the client side wired into backend.executeGraph via
 //     toolchain.Runner's Remote hook. It pushes the rebuild

@@ -31,8 +31,8 @@ const maxIdleTreeBytes = 1 << 30
 // Worker executes farm tasks: it registers with the scheduler,
 // heartbeats, leases ready actions, runs them on a materialized
 // snapshot of the executor's file system, and reports each runner's
-// record of its action — writing the action-cache entries through to
-// the shared remote cache along the way.
+// record of its action. It stores nothing: the executor's memoizer is
+// the one writer of the record's cache entries.
 type Worker struct {
 	// Scheduler is the farm base URL (the host also serving /farm/v1).
 	Scheduler string
@@ -49,11 +49,6 @@ type Worker struct {
 	// Registry is the toolchain registry commands execute under; its
 	// fingerprint must match Platform.Toolchains.
 	Registry *toolchain.Registry
-	// Cache, when set, receives every action-cache entry this worker
-	// produces (usually an actioncache.RemoteCache), so farm
-	// executions warm the fleet-wide cache. Entries already present
-	// there short-circuit execution entirely.
-	Cache actioncache.Cache
 	// ExecDelay simulates per-action compute time — the knob the
 	// scaling benchmark turns to make wall-clock speedup observable.
 	ExecDelay time.Duration
@@ -285,10 +280,9 @@ func (w *Worker) executeTask(ctx context.Context, t *LeasedTask) (*actioncache.R
 		}
 	}
 
-	// Through the shared cache: an action already there is answered
-	// without executing, and one executed here is written through.
+	// A memoizer without a tier records the action and stores nothing.
 	runner := toolchain.NewRunner(fsys, w.Registry)
-	runner.Memo = actioncache.NewMemoizer(w.Cache)
+	runner.Memo = actioncache.NewMemoizer(nil)
 	if err := fsys.MkdirAll(t.Spec.Cwd, 0o755); err != nil {
 		return nil, fmt.Errorf("remoteexec: creating cwd %s: %w", t.Spec.Cwd, err)
 	}

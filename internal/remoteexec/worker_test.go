@@ -540,75 +540,6 @@ func TestIdleTreesAreBounded(t *testing.T) {
 	}
 }
 
-// recordingCache keeps the documents Put into a tier, in order. For
-// one goroutine.
-type recordingCache struct {
-	actioncache.Cache
-	puts [][]byte
-}
-
-func (c *recordingCache) Put(k digest.Digest, v []byte) error {
-	c.puts = append(c.puts, v)
-	return c.Cache.Put(k, v)
-}
-
-// TestWorkerAnswersFromSharedCache: a worker whose shared cache already
-// holds a leased action reports its record without executing it, and
-// the record carries the inputs of the stored manifest — what the
-// executor re-observes before it caches anything itself.
-func TestWorkerAnswersFromSharedCache(t *testing.T) {
-	ts := httptest.NewServer(registry.NewServer().Handler())
-	defer ts.Close()
-	client := distrib.NewClient(ts.URL)
-	ctx := context.Background()
-
-	fsys := fsim.New()
-	fsys.WriteFile("/src/main.c", []byte("int main(){return 0;}\n"), 0o644)
-	td, err := PushTree(ctx, client, fsys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	task := &LeasedTask{ID: "t1", Spec: TaskSpec{
-		Argv: []string{"gcc", "-O2", "-c", "main.c", "-o", "main.o"}, Cwd: "/src", BaseTree: td,
-	}}
-	disk, err := actioncache.NewDiskCache(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := &recordingCache{Cache: disk}
-	worker := func() *Worker {
-		return &Worker{Client: client, Registry: toolchain.GenericRegistry(toolchain.ISAx86), Cache: shared}
-	}
-
-	executed, err := worker().executeTask(ctx, task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shared.puts) != 2 {
-		t.Fatalf("executing wrote %d documents through to the shared cache, want manifest and result", len(shared.puts))
-	}
-	replayed, err := worker().executeTask(ctx, task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shared.puts) != 2 {
-		t.Errorf("a worker executed (%d cache writes) an action the shared cache holds", len(shared.puts))
-	}
-	if !reflect.DeepEqual(replayed, executed) {
-		t.Errorf("replayed record %+v differs from the executed one %+v", replayed, executed)
-	}
-	man, err := actioncache.DecodeManifest(shared.puts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(replayed.Inputs) == 0 || !reflect.DeepEqual(replayed.Inputs, man.Inputs) {
-		t.Errorf("reported inputs %+v, stored manifest %+v", replayed.Inputs, man.Inputs)
-	}
-	if len(replayed.Outputs) != 1 || replayed.Outputs[0].Path != "/src/main.o" {
-		t.Errorf("reported outputs %+v, want /src/main.o", replayed.Outputs)
-	}
-}
-
 // TestReportRetriesUntilAcknowledged pins the result handshake's two
 // ends. A 404 — the scheduler no longer knows the task — is final: one
 // request, no resubmission. A burst of 503s and dropped connections is

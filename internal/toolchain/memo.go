@@ -62,10 +62,13 @@ func (r *Runner) applyResult(res *actioncache.Result) {
 }
 
 // applyRemote adopts a farm execution: every input edge the worker
-// observed is re-observed here through the recording helpers — the
-// cache entry must reflect *this* file system's states, never the
-// worker's, or a skewed worker snapshot could poison future replays —
-// and the outputs are then written through the recorder. Inputs go
+// observed is re-observed here through the recording helpers, and the
+// outputs are then written through the recorder. The entry is keyed by
+// this file system's states, but a Result carries no states of the
+// worker's, so the worker's outputs are stored under these states
+// whatever the worker saw. What keeps the entry sound is that the
+// worker's tree is this file system's snapshot plus the outputs of the
+// task's transitive dependencies; nothing here checks it. Inputs go
 // first: NoteInput drops self-reads of paths already recorded as
 // outputs, and that filter must see the inputs before the outputs
 // land.

@@ -33,7 +33,7 @@ ban() {
 
 # Suppressions of a comtainer-vet finding in product code (bench/ has
 # its own four).
-ban allow 14 '//comtainer:allow' bench
+ban allow 13 '//comtainer:allow' bench
 # A request is built in distrib.Client.Do; the other two are the fleet
 # proxy's reverse-proxy steps (relay, forwardFarm).
 ban http.NewRequest 3 'http\.NewRequest'

@@ -7,5 +7,5 @@ set -eu
 cd "$(dirname "$0")/.."
 
 go test -race -count=1 "$@" \
-    -run 'Chaos|CrashRestartVerify|EnumeratedCrashPoints|SaveLayoutCrashConsistency|AppendFile|TornTail|Resume|CancelAborts|Breaker|TieredDegrades' \
+    -run 'Chaos|CrashRestartVerify|EnumeratedCrashPoints|SaveLayoutCrashConsistency|AppendFile|TornTail|Resume|CancelAborts' \
     ./internal/distrib ./internal/actioncache ./internal/oci ./internal/remoteexec ./internal/fleet ./internal/faultinject

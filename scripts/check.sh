@@ -57,7 +57,7 @@ echo "== chaos (-race, -short seed subset) =="
 # one of a run's file-system operations in turn, enumerated rather than
 # sampled (…EnumeratedCrashPoints), the append-only logs' one rule
 # (AppendFile…, WriteLogAppendAfterTornTail) — plus
-# the resume/cancellation/breaker tests, the remote-execution farm
+# the resume/cancellation tests, the remote-execution farm
 # chaos (worker killed mid-action, lossy result uploads) and the
 # registry-fleet chaos (leader killed mid-push: every acknowledged
 # write must survive follower promotion). CI's dedicated chaos job
