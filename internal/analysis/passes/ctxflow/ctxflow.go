@@ -115,7 +115,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, hasCtx, isMain bool, loc
 	// In-module callee that transitively blocks and has no way to
 	// receive the ctx: cancellation dies here. Callees taking function
 	// values are exempt — cancellation can reach them through the
-	// supplied closures (the worker-pool pattern: runPool waits on
+	// supplied closures (the worker-pool pattern: cachekit.Parallel waits on
 	// tasks that each capture ctx).
 	if takesFuncParam(fn) {
 		return

@@ -226,3 +226,51 @@ func TestLRUAgainstModel(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelContract: every task runs once, no more than limit at
+// once (all of them when limit is 0), and the error returned is the
+// first in task order even when a later task fails first.
+func TestParallelContract(t *testing.T) {
+	for _, tc := range []struct{ n, limit, wantPeak int }{
+		{0, 3, 0}, {1, 0, 1}, {10, 3, 3}, {5, 0, 5}, {4, 9, 4},
+	} {
+		var ran, running, peak atomic.Int64
+		var window sync.WaitGroup // the first tasks, all in flight at once
+		window.Add(tc.wantPeak)
+		err := Parallel(tc.n, tc.limit, func(i int) error {
+			now := running.Add(1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+			}
+			if i < tc.wantPeak {
+				window.Done()
+				window.Wait()
+			}
+			running.Add(-1)
+			ran.Add(1)
+			return nil
+		})
+		if err != nil || ran.Load() != int64(tc.n) || peak.Load() != int64(tc.wantPeak) {
+			t.Errorf("Parallel(%d, %d): err %v, %d ran, peak %d; want nil, %d, %d",
+				tc.n, tc.limit, err, ran.Load(), peak.Load(), tc.n, tc.wantPeak)
+		}
+	}
+
+	late, early := errors.New("task 1"), errors.New("task 3")
+	release := make(chan struct{})
+	var ran atomic.Int64
+	err := Parallel(5, 0, func(i int) error {
+		defer ran.Add(1)
+		switch i {
+		case 1:
+			<-release // fails only after task 3 has
+			return late
+		case 3:
+			defer close(release)
+			return early
+		}
+		return nil
+	})
+	if err != late || ran.Load() != 5 {
+		t.Errorf("Parallel returned %v after %d tasks, want task 1's error after all 5", err, ran.Load())
+	}
+}

@@ -1,10 +1,11 @@
-// Package cachekit holds the two mechanisms every cache in the system
-// is built from — in-flight call deduplication and a byte-bounded
-// recency index — so distrib, actioncache, fleet and remoteexec import
-// one copy instead of each carrying its own. Standard library only.
+// Package cachekit holds what every cache and fan-out in the system is
+// built from — in-flight call deduplication, a byte-bounded recency
+// index, a bounded parallel run — so that each package imports one
+// copy instead of carrying its own. Standard library only.
 package cachekit
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"sync"
@@ -75,4 +76,30 @@ func (g *Flight[K, V]) do(stop <-chan struct{}, key K, fn func() (V, error)) (c 
 	}()
 	c.val, c.err = fn()
 	return c, false
+}
+
+// Parallel runs task(0) … task(n-1), at most limit at once (all n when
+// limit is 0), waits for every one of them, and returns the first error
+// in task order — not the first to happen, so the answer does not
+// depend on scheduling. A failure does not stop the tasks after it.
+func Parallel(n, limit int, task func(i int) error) error {
+	errs := make([]error, n)
+	sem := make(chan struct{}, cmp.Or(limit, n))
+	var wg sync.WaitGroup
+	for i := range n {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			errs[i] = task(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"comtainer/internal/cachekit"
@@ -206,32 +205,6 @@ func (c *Client) Retry(ctx context.Context, fn func(context.Context) error) erro
 	}
 }
 
-// runPool runs tasks with at most c.Workers in flight and returns the
-// first error (all tasks are waited for either way).
-func (c *Client) runPool(tasks []func() error) error {
-	sem := make(chan struct{}, c.workers())
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var first error
-	for _, task := range tasks {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(task func() error) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := task(); err != nil {
-				mu.Lock()
-				if first == nil {
-					first = err
-				}
-				mu.Unlock()
-			}
-		}(task)
-	}
-	wg.Wait()
-	return first
-}
-
 // Ping checks the registry is alive.
 func (c *Client) Ping(ctx context.Context) error {
 	resp, err := c.Do(ctx, http.MethodGet, c.Base+"/v2/", nil, nil, http.StatusOK)
@@ -354,22 +327,40 @@ func (c *Client) sendChunks(ctx context.Context, loc string, r io.Reader, size i
 // server reports rather than restarting, and one whose session the
 // server has forgotten starts again from a new session.
 func (c *Client) PushBlob(ctx context.Context, name string, src BlobSource, d digest.Digest) error {
-	return c.push(ctx, name, d, func() (io.ReadCloser, int64, error) { return src.Open(d) })
+	return c.push(ctx, name, d, true, func() (io.ReadCloser, int64, error) { return src.Open(d) })
 }
 
 // PushBytes is PushBlob for content already in memory: it uploads data
 // as a blob of repository name and returns its digest.
 func (c *Client) PushBytes(ctx context.Context, name string, data []byte) (digest.Digest, error) {
 	d := digest.FromBytes(data)
-	return d, c.push(ctx, name, d, func() (io.ReadCloser, int64, error) {
+	return d, c.push(ctx, name, d, true, func() (io.ReadCloser, int64, error) {
 		return io.NopCloser(bytes.NewReader(data)), int64(len(data)), nil
 	})
 }
 
-// push uploads blob d, whose content open yields afresh per attempt.
-func (c *Client) push(ctx context.Context, name string, d digest.Digest, open func() (io.ReadCloser, int64, error)) error {
-	if ok, err := c.HasBlob(ctx, name, d); err == nil && ok {
-		return nil
+// PushStream uploads blob d into repository name from content still
+// arriving, without first asking whether the registry holds it. The
+// first attempt sends body, size bytes (-1: not known), in one request
+// and then closes it; a retry, within the same budget of Retries+1
+// attempts, reads d from src.
+func (c *Client) PushStream(ctx context.Context, name string, d digest.Digest, body io.ReadCloser, size int64, src BlobSource) error {
+	return c.push(ctx, name, d, false, func() (io.ReadCloser, int64, error) {
+		if r := body; r != nil {
+			body = nil
+			return r, size, nil
+		}
+		return src.Open(d)
+	})
+}
+
+// push uploads blob d, whose content open yields afresh per attempt —
+// after a HEAD, when probe is set, to skip a blob the registry holds.
+func (c *Client) push(ctx context.Context, name string, d digest.Digest, probe bool, open func() (io.ReadCloser, int64, error)) error {
+	if probe {
+		if ok, err := c.HasBlob(ctx, name, d); err == nil && ok {
+			return nil
+		}
 	}
 	var loc string // the chunked upload's session, kept across attempts
 	return c.Retry(ctx, func(ctx context.Context) error {
@@ -381,8 +372,12 @@ func (c *Client) push(ctx context.Context, name string, d digest.Digest, open fu
 		if size <= c.chunkSize() {
 			// The protocol's single-request form: no session is opened, so
 			// a failure leaves nothing to resume.
+			var body io.Reader = r
+			if size >= 0 {
+				body = oci.NewSizedReader(r, size)
+			}
 			header := http.Header{"Content-Type": {"application/octet-stream"}}
-			resp, err := c.Do(ctx, http.MethodPost, c.url(name, "blobs", "uploads")+"/?digest="+string(d), header, oci.NewSizedReader(r, size), http.StatusCreated)
+			resp, err := c.Do(ctx, http.MethodPost, c.url(name, "blobs", "uploads")+"/?digest="+string(d), header, body, http.StatusCreated)
 			if err != nil {
 				return err
 			}
@@ -422,16 +417,17 @@ func (c *Client) push(ctx context.Context, name string, d digest.Digest, open fu
 func (c *Client) PushImage(ctx context.Context, src BlobSource, desc oci.Descriptor, name, tag string) error {
 	get := func(d digest.Digest) ([]byte, error) { return ReadBlob(src, d) }
 	return oci.Walk(desc, get, func(doc oci.Descriptor, raw []byte, blobs, children []oci.Descriptor) error {
-		tasks := make([]func() error, len(blobs))
-		for i, bd := range blobs {
+		for _, bd := range blobs {
 			// Fail fast if the source is missing a referenced blob: the
 			// registry would reject the manifest anyway.
 			if !src.Has(bd.Digest) {
 				return fmt.Errorf("distrib: source is missing referenced blob %s", bd.Digest)
 			}
-			tasks[i] = func() error { return c.PushBlob(ctx, name, src, bd.Digest) }
 		}
-		if err := c.runPool(tasks); err != nil {
+		err := cachekit.Parallel(len(blobs), c.workers(), func(i int) error {
+			return c.PushBlob(ctx, name, src, blobs[i].Digest)
+		})
+		if err != nil {
 			return err
 		}
 		ref := string(doc.Digest) // a member image goes up by digest
@@ -646,14 +642,13 @@ func (c *Client) PullImage(ctx context.Context, dst Store, name, ref string) (oc
 		return doc.Bytes(), nil
 	}
 	err = oci.Walk(root, get, func(doc oci.Descriptor, _ []byte, blobs, children []oci.Descriptor) error {
-		tasks := make([]func() error, 0, len(blobs))
-		for _, bd := range blobs {
-			if dst.Has(bd.Digest) {
-				continue // cross-image layer dedup: already local
-			}
-			tasks = append(tasks, func() error { return c.FetchBlob(ctx, dst, name, bd) })
-		}
-		if err := c.runPool(tasks); err != nil {
+		missing := slices.DeleteFunc(slices.Clone(blobs), func(bd oci.Descriptor) bool {
+			return dst.Has(bd.Digest) // cross-image layer dedup: already local
+		})
+		err := cachekit.Parallel(len(missing), c.workers(), func(i int) error {
+			return c.FetchBlob(ctx, dst, name, missing[i])
+		})
+		if err != nil {
 			return err
 		}
 		if _, _, err := dst.Ingest(docs[doc.Digest], doc.Digest); err != nil {

@@ -5,8 +5,8 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
+	"comtainer/internal/cachekit"
 	"comtainer/internal/core"
 	"comtainer/internal/core/adapter"
 	"comtainer/internal/core/cache"
@@ -150,28 +150,13 @@ type Fig9Row struct {
 func Figure9(env *Environment, sysName string) ([]Fig9Row, error) {
 	refs := workloads.AllRefs()
 	rows := make([]Fig9Row, len(refs))
-	errs := make([]error, len(refs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, ref := range refs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, ref workloads.Ref) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			times, err := env.SchemeTimes(sysName, ref, 16)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rows[i] = Fig9Row{ID: ref.ID(), SchemeSet: times}
-		}(i, ref)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := cachekit.Parallel(len(refs), runtime.GOMAXPROCS(0), func(i int) error {
+		times, err := env.SchemeTimes(sysName, refs[i], 16)
+		rows[i] = Fig9Row{ID: refs[i].ID(), SchemeSet: times}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -58,6 +58,9 @@ const (
 	// Drop fails the request with a connection-reset error before any
 	// bytes move.
 	Drop Kind = "drop"
+	// Cut sends a seeded strict prefix of the request body, then fails
+	// it, the way a connection dying mid-upload would.
+	Cut Kind = "cut"
 )
 
 // ErrInjected is the injected I/O failure; it wraps syscall.EIO so

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -145,6 +146,38 @@ func TestTransportFaults(t *testing.T) {
 	resp.Body.Close()
 	if string(body) != "0123456789" {
 		t.Fatalf("clean request body = %q", body)
+	}
+}
+
+// TestTransportCutsRequestBody: a Cut fails the request after a strict
+// prefix of its body; the next request goes through whole.
+func TestTransportCutsRequestBody(t *testing.T) {
+	got := make(chan int, 2) // bytes each request delivered to the server
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n, _ := io.Copy(io.Discard, r.Body)
+		got <- int(n)
+	}))
+	client := &http.Client{Transport: NewTransport(nil, NewPlan(3).At(1, Cut))}
+	body := strings.Repeat("x", 100)
+
+	if _, err := client.Post(srv.URL, "text/plain", strings.NewReader(body)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("cut request error = %v, want ErrUnexpectedEOF", err)
+	}
+	resp, err := client.Post(srv.URL, "text/plain", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	srv.Close() // waits for both handlers
+	close(got)
+	whole := 0
+	for n := range got {
+		if n == len(body) {
+			whole++
+		}
+	}
+	if whole != 1 {
+		t.Fatalf("%d requests delivered the whole body, want 1 (the one past the plan)", whole)
 	}
 }
 

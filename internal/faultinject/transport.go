@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,10 +12,10 @@ import (
 
 // Transport is an http.RoundTripper that injects network faults from a
 // plan in front of a base transport: fabricated 503s (HTTP500),
-// truncated response bodies (Truncate), delayed requests (Latency,
-// honoring the request context), and connection resets (Drop). Wrap a
-// distrib.Client's HTTP transport with it to rehearse registry
-// failure modes deterministically.
+// truncated response bodies (Truncate), request bodies cut mid-upload
+// (Cut), delayed requests (Latency, honoring the request context), and
+// connection resets (Drop). Wrap a distrib.Client's HTTP transport with
+// it to rehearse registry failure modes deterministically.
 type Transport struct {
 	base http.RoundTripper
 	plan *Plan
@@ -33,11 +34,19 @@ func (t *Transport) Plan() *Plan { return t.plan }
 
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	op := "http " + req.Method + " " + req.URL.Path
-	kind, ok := t.plan.next(op, HTTP500, Drop, Latency, Truncate)
+	kind, ok := t.plan.next(op, HTTP500, Drop, Latency, Truncate, Cut)
 	if !ok {
 		return t.base.RoundTrip(req)
 	}
 	switch kind {
+	case Cut:
+		if req.Body == nil || req.Body == http.NoBody {
+			return t.base.RoundTrip(req)
+		}
+		span := cmp.Or(max(req.ContentLength-1, 0), 64<<10) // 64 KiB: the length is not known
+		req = req.Clone(req.Context())
+		req.Body = &truncatedBody{rc: req.Body, remain: int64(t.plan.intn(int(span))) + 1}
+		return t.base.RoundTrip(req)
 	case HTTP500:
 		return &http.Response{
 			StatusCode: http.StatusServiceUnavailable,
@@ -74,7 +83,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 }
 
-// truncatedBody serves remain bytes then reports an unexpected EOF.
+// truncatedBody serves remain bytes of a body, then an unexpected EOF.
 type truncatedBody struct {
 	rc     io.ReadCloser
 	remain int64

@@ -129,7 +129,8 @@ func TestPushThroughFleetAllocatesBlobOncePerHop(t *testing.T) {
 			}
 
 			// The client's 5 MiB went to the proxy in PATCHes; each
-			// replica got the layer in one request.
+			// replica got the layer in one request, and the follower got
+			// it streamed as the leader stored it, with no probe first.
 			m, err := oci.LoadManifest(src.Store, desc.Digest)
 			if err != nil {
 				t.Fatal(err)
@@ -143,6 +144,9 @@ func TestPushThroughFleetAllocatesBlobOncePerHop(t *testing.T) {
 				if writes != 1 || patches != 0 {
 					t.Errorf("%s: %d single-request writes of the layer and %d PATCHes, want 1 and 0", name, writes, patches)
 				}
+			}
+			if heads := followerLog.count(func(r string) bool { return r == "HEAD /v2/fleet-replication/blobs/"+layer0 }); heads != 0 {
+				t.Errorf("follower: %d HEADs of the layer, want 0", heads)
 			}
 		})
 	}

@@ -33,14 +33,12 @@ type LogEntry struct {
 
 // WriteLog is a shard's append-only replication log: every commit the
 // leader acknowledges is recorded here (durably, when file-backed)
-// before the followers are written, giving the shard a total order of
-// acknowledged writes and the material to catch a rejoining follower
-// up (Replicator.Sync replays it).
+// before its ack, giving the shard a total order of acknowledged writes
+// and the material to catch a rejoining follower up (Replicator.Sync).
 type WriteLog struct {
 	mu      sync.Mutex
 	f       *faultinject.AppendFile // nil: in memory only
 	entries []LogEntry
-	seq     int64
 }
 
 // NewWriteLog opens (or creates) the log at path, replaying existing
@@ -51,23 +49,22 @@ func NewWriteLog(path string) (*WriteLog, error) {
 
 // NewWriteLogFS is NewWriteLog through fsys: tests tear an append with it.
 func NewWriteLogFS(path string, fsys faultinject.FS) (*WriteLog, error) {
-	l := &WriteLog{}
 	if path == "" {
-		return l, nil
+		return &WriteLog{}, nil
 	}
-	f, err := faultinject.OpenAppend(fsys, path, l.replay)
+	var entries []LogEntry
+	f, err := faultinject.OpenAppend(fsys, path, func(r io.Reader) (int64, error) { return replay(r, &entries) })
 	if err != nil {
 		return nil, fmt.Errorf("fleet: opening write log: %w", err)
 	}
-	l.f = f
-	return l, nil
+	return &WriteLog{f: f, entries: entries}, nil
 }
 
-// replay loads the entries r holds and returns the length of the
-// prefix they occupy. A line that is cut short or does not parse is a
-// torn append from a crash: everything before it is intact, its entry
-// was never acknowledged, and the next Append overwrites it.
-func (l *WriteLog) replay(r io.Reader) (valid int64, _ error) {
+// replay appends the entries r holds to entries and returns the length
+// of the prefix they occupy. A line that is cut short or does not parse
+// is a torn append from a crash: everything before it is intact, its
+// entry was never acknowledged, and the next Append overwrites it.
+func replay(r io.Reader, entries *[]LogEntry) (valid int64, _ error) {
 	br := bufio.NewReaderSize(r, 1<<20) // a longer line fails the replay, with bufio.ErrBufferFull
 	for {
 		line, err := br.ReadSlice('\n')
@@ -78,8 +75,7 @@ func (l *WriteLog) replay(r io.Reader) (valid int64, _ error) {
 		if err == io.EOF || json.Unmarshal(line, &e) != nil {
 			return valid, nil
 		}
-		l.entries = append(l.entries, e)
-		l.seq = e.Seq
+		*entries = append(*entries, e)
 		valid += int64(len(line))
 	}
 }
@@ -90,7 +86,10 @@ func (l *WriteLog) replay(r io.Reader) (valid int64, _ error) {
 func (l *WriteLog) Append(e LogEntry) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e.Seq = l.seq + 1
+	e.Seq = 1
+	if n := len(l.entries); n > 0 {
+		e.Seq = l.entries[n-1].Seq + 1
+	}
 	if l.f != nil {
 		b, err := json.Marshal(e)
 		if err != nil {
@@ -100,7 +99,6 @@ func (l *WriteLog) Append(e LogEntry) (int64, error) {
 			return 0, fmt.Errorf("fleet: appending write log: %w", err)
 		}
 	}
-	l.seq = e.Seq
 	l.entries = append(l.entries, e)
 	return e.Seq, nil
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"comtainer/internal/cachekit"
 	"comtainer/internal/core/ctxutil"
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
@@ -331,18 +332,14 @@ func (p *Proxy) HasBlob(ctx context.Context, d digest.Digest) (bool, error) {
 }
 
 // CommitManifest implements registry.Backend: the manifest fans out to
-// every shard group, so any shard can resolve tags and anchor its own
-// GC roots. Acknowledged only once every group holds it.
+// every shard group at once, so any shard can resolve tags and anchor
+// its own GC roots. Acknowledged only once every group holds it.
 func (p *Proxy) CommitManifest(r *http.Request, name, ref, mediaType string, _ digest.Digest, body []byte) error {
-	for _, group := range p.order {
-		err := p.withGroup(p.groups[group], func(base string) error {
+	return shardError(cachekit.Parallel(len(p.order), 0, func(i int) error {
+		return p.withGroup(p.groups[p.order[i]], func(base string) error {
 			return p.clientFor(base).PushManifest(r.Context(), name, ref, mediaType, body)
 		})
-		if err != nil {
-			return shardError(err)
-		}
-	}
-	return nil
+	}))
 }
 
 // ServeManifest implements registry.Backend. Manifests are fanned out

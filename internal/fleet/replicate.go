@@ -3,9 +3,11 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 
+	"comtainer/internal/cachekit"
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
 	"comtainer/internal/oci"
@@ -17,11 +19,12 @@ import (
 const replicationRepo = "fleet-replication"
 
 // Replicator is the leader side of shard replication — a
-// registry.CommitHook. Each committed write is appended to the
-// shard's write log, then forwarded synchronously to every follower;
-// the hook (and therefore the leader's 201) only succeeds once the
-// followers have durably written it, so an acknowledged push survives
-// killing the leader.
+// registry.CommitHook. The steps of a commit run at once: a blob
+// streams to the followers as the leader stores it and is appended to
+// the shard's write log once stored; a manifest is appended and pushed
+// together. The hook (and so the leader's 201) succeeds only once the
+// log entry is durable and every follower holds the write durably, so
+// an acknowledged push survives killing the leader.
 //
 // Every replica of a shard can run a symmetric Replicator listing its
 // peers: replication requests are stamped with
@@ -102,33 +105,87 @@ func (r *Replicator) clientFor(base string) *distrib.Client {
 	return c
 }
 
-// BlobCommitted logs the commit and pushes the blob to every
-// follower, returning only after all of them hold it durably.
-func (r *Replicator) BlobCommitted(ctx context.Context, d digest.Digest) error {
-	if _, err := r.log.Append(LogEntry{Kind: KindBlob, Digest: d}); err != nil {
-		return err
+// BlobCommitted streams blob d to every follower as the leader stores
+// it — one request each, no HEAD first — logs it once stored (body ends
+// in io.EOF), and returns once every follower holds it durably. A
+// follower whose request fails is fed no more, and its retry reads the
+// leader's copy once the stream has ended; one that stops reading holds
+// the leader up until ctx ends its request.
+func (r *Replicator) BlobCommitted(ctx context.Context, d digest.Digest, size int64, body io.Reader) error {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	followers := r.Followers()
+	shares := make([]*share, len(followers))
+	feeds := make(fanout, len(followers))
+	ended := make(chan struct{})
+	for i := range shares {
+		shares[i] = &share{ended: ended}
+		shares[i].PipeReader, feeds[i] = io.Pipe()
 	}
-	for _, f := range r.Followers() {
-		if err := r.clientFor(f).PushBlob(ctx, replicationRepo, r.src, d); err != nil {
-			return fmt.Errorf("fleet: replicating blob %s to %s: %w", d.Short(), f, err)
+	return cachekit.Parallel(len(followers)+1, 0, func(i int) error {
+		if i < len(followers) {
+			if err := r.clientFor(followers[i]).PushStream(ctx, replicationRepo, d, shares[i], size, r.src); err != nil {
+				return fmt.Errorf("fleet: replicating blob %s to %s: %w", d.Short(), followers[i], err)
+			}
+			return nil
 		}
+		buf := relayBufs.Get().(*[32 << 10]byte)
+		defer relayBufs.Put(buf)
+		_, err := io.CopyBuffer(feeds, body, buf[:])
+		for _, w := range feeds {
+			w.CloseWithError(err)
+		}
+		close(ended)
+		if err != nil {
+			cancel(err) // the leader does not hold d: no retry can read it
+			return err
+		}
+		_, err = r.log.Append(LogEntry{Kind: KindBlob, Digest: d})
+		return err
+	})
+}
+
+// relayBufs holds the copy buffers a blob is relayed through.
+var relayBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// fanout writes to the followers' shares of a blob, passing over closed ones.
+type fanout []*io.PipeWriter
+
+func (f fanout) Write(p []byte) (int, error) {
+	for _, w := range f {
+		_, _ = w.Write(p)
 	}
+	return len(p), nil
+}
+
+// share is one follower's part of a streamed blob, the body of the
+// first attempt to push it. Closing it stops the feed, then waits for
+// the stream to end: a retry reads the leader's copy once it is there.
+type share struct {
+	*io.PipeReader
+	ended <-chan struct{}
+}
+
+func (s *share) Close() error {
+	s.PipeReader.Close()
+	<-s.ended
 	return nil
 }
 
-// ManifestCommitted logs the commit and re-issues the manifest PUT on
-// every follower under the same reference.
+// ManifestCommitted logs the commit and, at the same time, re-issues
+// the manifest PUT on every follower under the same reference.
 func (r *Replicator) ManifestCommitted(ctx context.Context, name, ref, mediaType string, body []byte) error {
-	entry := LogEntry{Kind: KindManifest, Digest: digest.FromBytes(body), Name: name, Ref: ref, MediaType: mediaType}
-	if _, err := r.log.Append(entry); err != nil {
-		return err
-	}
-	for _, f := range r.Followers() {
-		if err := r.clientFor(f).PushManifest(ctx, name, ref, mediaType, body); err != nil {
-			return fmt.Errorf("fleet: replicating manifest %s:%s to %s: %w", name, ref, f, err)
+	followers := r.Followers()
+	return cachekit.Parallel(len(followers)+1, 0, func(i int) error {
+		if i == len(followers) {
+			_, err := r.log.Append(LogEntry{Kind: KindManifest, Digest: digest.FromBytes(body), Name: name, Ref: ref, MediaType: mediaType})
+			return err
 		}
-	}
-	return nil
+		if err := r.clientFor(followers[i]).PushManifest(ctx, name, ref, mediaType, body); err != nil {
+			return fmt.Errorf("fleet: replicating manifest %s:%s to %s: %w", name, ref, followers[i], err)
+		}
+		return nil
+	})
 }
 
 // Sync replays the whole write log to addr — catching a follower up

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"comtainer/internal/cachekit"
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
 	"comtainer/internal/oci"
@@ -17,6 +18,11 @@ import (
 // maxManifestSize bounds manifest documents; blobs are unbounded
 // (streamed to the store, never buffered whole).
 const maxManifestSize = 16 << 20
+
+// maxReferenceChecks bounds a manifest PUT's HasBlob calls in flight (a
+// 16 MiB document can list some 100k) at net/http's default of idle
+// connections per host: more would open connections only to close them.
+const maxReferenceChecks = 2
 
 // Backend is where the front-end hands each operation once the wire
 // protocol is done with it: the path is parsed, the digest valid, the
@@ -319,16 +325,17 @@ func (f *frontend) putManifest(w http.ResponseWriter, r *http.Request, name, ref
 		http.Error(w, "manifest is not valid JSON: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	for _, rd := range append(blobs, children...) {
-		ok, err := f.backend.HasBlob(r.Context(), rd.Digest)
-		if err != nil {
-			fail(w, err)
-			return
+	refs := append(blobs, children...)
+	err = cachekit.Parallel(len(refs), maxReferenceChecks, func(i int) error {
+		ok, err := f.backend.HasBlob(r.Context(), refs[i].Digest)
+		if err == nil && !ok {
+			err = fmt.Errorf("manifest references missing blob %s", refs[i].Digest)
 		}
-		if !ok {
-			http.Error(w, fmt.Sprintf("manifest references missing blob %s", rd.Digest), http.StatusBadRequest)
-			return
-		}
+		return err
+	})
+	if err != nil {
+		fail(w, err)
+		return
 	}
 	d := digest.FromBytes(body)
 	// Push by digest: content must match the reference.

@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -29,19 +30,19 @@ import (
 // committed it to finish uploading siblings and register the manifest.
 const DefaultGCGrace = time.Minute
 
-// CommitHook observes committed writes before they are acknowledged.
-// A fleet shard leader mounts one to replicate every commit to its
-// followers: the handler only responds 201 once the hook returns nil,
-// so an acknowledged write is durable on the follower too. A hook
-// error turns into a 503 (and the just-ingested blob is rolled back
-// when this request introduced it), so clients retry rather than
-// treat an unreplicated write as pushed.
+// CommitHook replicates writes before they are acknowledged. A fleet
+// shard leader mounts one to forward every commit to its followers: the
+// handler responds 201 only once the hook and the local store have both
+// succeeded. A hook error is a 503, which clients retry, and rolls the
+// write back when nothing else stands on it (Server.endCommit).
 type CommitHook interface {
-	// BlobCommitted runs after blob d landed in the store.
-	BlobCommitted(ctx context.Context, d digest.Digest) error
-	// ManifestCommitted runs after a manifest blob landed, before the
-	// tag (if any) is registered locally. body is the manifest
-	// document, ref the reference it was pushed under (tag or digest).
+	// BlobCommitted runs while blob d is stored: body yields its size
+	// bytes (-1: not known) as the store takes them in, and ends in
+	// io.EOF only once the store has verified and holds d, else with the
+	// store's error. The store waits on the hook's reads until it returns.
+	BlobCommitted(ctx context.Context, d digest.Digest, size int64, body io.Reader) error
+	// ManifestCommitted runs while the manifest document body, pushed
+	// under ref (tag or digest), is stored, before the tag is registered.
 	ManifestCommitted(ctx context.Context, name, ref, mediaType string, body []byte) error
 }
 
@@ -61,8 +62,15 @@ type Server struct {
 	hookMu sync.Mutex
 	hook   CommitHook
 
-	recentMu sync.Mutex
-	recent   map[digest.Digest]time.Time
+	commitMu sync.Mutex
+	commits  map[digest.Digest]*commits // in flight or within DefaultGCGrace
+}
+
+// commits is what the recent commits of one digest share.
+type commits struct {
+	at   time.Time // when the last began: its GC pin runs from here
+	n    int       // in flight
+	keep bool      // held before the first began, or acknowledged since
 }
 
 // NewServer returns an in-memory registry server.
@@ -97,7 +105,7 @@ func NewServerAt(dir string) (*Server, error) {
 
 // NewServerWith returns a server over caller-provided stores.
 func NewServerWith(blobs distrib.Store, refs distrib.TagStore) *Server {
-	return &Server{blobs: blobs, refs: refs, uploads: distrib.NewUploadManager()}
+	return &Server{blobs: blobs, refs: refs, uploads: distrib.NewUploadManager(), commits: make(map[digest.Digest]*commits)}
 }
 
 // Blobs exposes the mounted blob store (for inspection and GC).
@@ -111,43 +119,24 @@ func (s *Server) SetCommitHook(h CommitHook) {
 	s.hookMu.Unlock()
 }
 
-func (s *Server) commitHook() CommitHook {
+// hookFor returns the commit hook r's write runs, if any: none for
+// intra-fleet replication traffic, which must not re-enter it.
+func (s *Server) hookFor(r *http.Request) CommitHook {
+	if r.Header.Get(distrib.ReplicatedHeader) != "" {
+		return nil
+	}
 	s.hookMu.Lock()
 	defer s.hookMu.Unlock()
 	return s.hook
 }
 
-// replicated reports whether the request is intra-fleet replication
-// traffic, which must not re-enter the commit hook.
-func replicated(r *http.Request) bool {
-	return r.Header.Get(distrib.ReplicatedHeader) != ""
-}
-
-// noteCommit pins d against GC for DefaultGCGrace and sweeps pins that
-// have aged out.
-func (s *Server) noteCommit(d digest.Digest) {
-	now := time.Now()
-	s.recentMu.Lock()
-	if s.recent == nil {
-		s.recent = make(map[digest.Digest]time.Time)
-	}
-	cutoff := now.Add(-DefaultGCGrace)
-	for old, at := range s.recent {
-		if at.Before(cutoff) {
-			delete(s.recent, old)
-		}
-	}
-	s.recent[d] = now
-	s.recentMu.Unlock()
-}
-
-// recentlyCommitted reports whether d is still inside its GC grace
-// window.
+// recentlyCommitted reports whether d is pinned against GC: a commit of
+// it is in flight or began within DefaultGCGrace.
 func (s *Server) recentlyCommitted(d digest.Digest) bool {
-	s.recentMu.Lock()
-	at, ok := s.recent[d]
-	s.recentMu.Unlock()
-	return ok && time.Since(at) < DefaultGCGrace
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	c, ok := s.commits[d]
+	return ok && (c.n > 0 || time.Since(c.at) < DefaultGCGrace)
 }
 
 // Uploads exposes the manager holding in-progress upload sessions; its
@@ -186,31 +175,86 @@ func (s *Server) HasBlob(_ context.Context, d digest.Digest) (bool, error) {
 	return s.TrustReferences || s.blobs.Has(d), nil
 }
 
-// CommitBlob implements Backend: the content is pinned against GC —
-// before the store holds it, so no sweep sees it unpinned — goes straight
-// into the mounted store, and is replicated through the commit hook
-// before the nil that lets the front-end answer 201.
+// CommitBlob implements Backend: the content, pinned against GC, goes
+// into the mounted store and, as the store reads it, to the commit
+// hook; the nil that lets the front-end answer 201 waits for both.
 func (s *Server) CommitBlob(r *http.Request, _ string, d digest.Digest, ingest func(distrib.BlobSink) error) error {
-	had := s.blobs.Has(d)
-	s.noteCommit(d)
-	if err := ingest(s.blobs); err != nil {
-		return err
+	c := s.beginCommit(d)
+	hook := s.hookFor(r)
+	if hook == nil {
+		return s.endCommit(d, c, ingest(s.blobs), nil)
 	}
-	if hook := s.commitHook(); hook != nil && !replicated(r) {
-		if err := hook.BlobCommitted(r.Context(), d); err != nil {
-			return s.replicationFailed(err, d, had)
+	var hookErr error
+	err := ingest(sinkFunc(func(body io.Reader, d digest.Digest) (digest.Digest, int64, error) {
+		size, _ := oci.Sized(body)
+		pr, pw := io.Pipe()
+		defer pw.Close() // ends the hook's stream should the store panic
+		hooked := make(chan error, 1)
+		go func() {
+			err := hook.BlobCommitted(r.Context(), d, size, pr)
+			_, _ = io.Copy(io.Discard, pr) // the store never waits on a hook that returned
+			hooked <- err
+		}()
+		tee := io.TeeReader(body, pw)
+		if size >= 0 {
+			tee = oci.NewSizedReader(tee, size) // what the store sizes its copy by
 		}
-	}
-	return nil
+		got, n, err := s.blobs.Ingest(tee, d)
+		pw.CloseWithError(err)
+		hookErr = <-hooked
+		return got, n, err
+	}))
+	return s.endCommit(d, c, err, hookErr)
 }
 
-// replicationFailed turns a commit-hook error into the 503 the client
-// retries on and, when this request introduced blob d, rolls the local
-// copy back — so a retried push re-uploads and re-replicates instead
-// of short-circuiting on the HEAD dedup probe.
-func (s *Server) replicationFailed(err error, d digest.Digest, had bool) error {
-	err = fmt.Errorf("replication failed: %w", err)
-	if !had {
+// sinkFunc is a BlobSink that is a function.
+type sinkFunc func(r io.Reader, want digest.Digest) (digest.Digest, int64, error)
+
+func (f sinkFunc) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int64, error) {
+	return f(r, want)
+}
+
+// beginCommit counts a commit of d in flight and pins d against GC
+// before the store holds it. Has runs before the lock: a commit storing
+// d since then has left an entry, which outlives the question.
+func (s *Server) beginCommit(d digest.Digest) *commits {
+	held := s.blobs.Has(d)
+	now := time.Now()
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	for old, c := range s.commits {
+		if c.n == 0 && now.Sub(c.at) >= DefaultGCGrace {
+			delete(s.commits, old)
+		}
+	}
+	c := s.commits[d]
+	if c == nil {
+		c = &commits{keep: held}
+		s.commits[d] = c
+	}
+	c.at = now
+	c.n++
+	return c
+}
+
+// endCommit retires a commit of d and returns its verdict: the store's
+// error, else a hook error as a 503. A failed replication rolls d back,
+// so a retry re-uploads instead of short-circuiting on the HEAD probe,
+// unless d is kept or another commit of it is in flight; commitMu spans
+// the delete, so a commit beginning meanwhile finds d held or gone.
+func (s *Server) endCommit(d digest.Digest, c *commits, storeErr, hookErr error) error {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	c.n--
+	if storeErr != nil {
+		return storeErr
+	}
+	if hookErr == nil {
+		c.keep = true // acknowledged
+		return nil
+	}
+	err := fmt.Errorf("replication failed: %w", hookErr)
+	if c.n == 0 && !c.keep {
 		if derr := s.blobs.Delete(d); derr != nil {
 			err = fmt.Errorf("%w (rollback failed: %v)", err, derr)
 		}
@@ -256,31 +300,29 @@ func (s *Server) ServeManifest(w http.ResponseWriter, r *http.Request, name, ref
 	_, _ = w.Write(b)
 }
 
-// CommitManifest implements Backend: store the document, replicate
-// it, then register the tag.
+// CommitManifest implements Backend: store the document while the
+// commit hook replicates it, then register the tag. A follower promoted
+// after a mid-PUT leader crash may hold a ref the dead leader never
+// recorded: safe, since only acknowledged state must survive.
 func (s *Server) CommitManifest(r *http.Request, name, ref, mediaType string, d digest.Digest, body []byte) error {
-	had := s.blobs.Has(d)
-	s.noteCommit(d) // pinned before stored, as in CommitBlob
-	if _, _, err := s.blobs.Ingest(bytes.NewReader(body), d); err != nil {
-		return WithStatus(http.StatusInternalServerError, err)
+	c := s.beginCommit(d)
+	hooked := make(chan error, 1)
+	if hook := s.hookFor(r); hook != nil {
+		go func() { hooked <- hook.ManifestCommitted(r.Context(), name, ref, mediaType, body) }()
+	} else {
+		hooked <- nil
 	}
-	// Replicate before registering the tag locally: an acknowledged
-	// manifest must exist on the followers, and a follower promoted
-	// after a mid-PUT leader crash may hold a ref the dead leader never
-	// recorded — safe, since only acknowledged state must survive.
-	if hook := s.commitHook(); hook != nil && !replicated(r) {
-		if err := hook.ManifestCommitted(r.Context(), name, ref, mediaType, body); err != nil {
-			return s.replicationFailed(err, d, had)
+	_, _, err := s.blobs.Ingest(bytes.NewReader(body), d)
+	if err != nil {
+		err = WithStatus(http.StatusInternalServerError, err)
+	}
+	hookErr := <-hooked
+	if _, perr := digest.Parse(ref); err == nil && hookErr == nil && perr != nil { // a tag
+		if serr := s.refs.Set(name, ref, oci.Descriptor{MediaType: mediaType, Digest: d, Size: int64(len(body))}); serr != nil {
+			err = WithStatus(http.StatusInternalServerError, serr)
 		}
 	}
-	if _, err := digest.Parse(ref); err != nil {
-		// Tag reference: record it.
-		err := s.refs.Set(name, ref, oci.Descriptor{MediaType: mediaType, Digest: d, Size: int64(len(body))})
-		if err != nil {
-			return WithStatus(http.StatusInternalServerError, err)
-		}
-	}
-	return nil
+	return s.endCommit(d, c, err, hookErr)
 }
 
 // ServeTags implements Backend: the distribution tags/list endpoint.
