@@ -17,15 +17,24 @@
 // -gc runs reference-counting garbage collection on startup, deleting
 // every blob unreachable from the tagged manifests.
 //
-// -upload-ttl expires upload sessions idle longer than the given
-// duration (0 disables expiry). Sessions are held in memory in every
-// mode, -data and -proxy included, and a restart forgets them: a client
-// starts such an upload again from its POST.
-//
 // -exec additionally mounts the remote-execution farm scheduler under
 // /farm/v1 on the same listener, turning the registry into the farm's
 // combined control plane and blob plane: comtainer-worker nodes
 // register here and comtainer-rebuild -remote-exec submits here.
+//
+// # Serving and stopping
+//
+// Every mode serves through daemon.Serve and prints the address it
+// bound (-addr 127.0.0.1:0 picks a free port). Headers must arrive
+// within 10 s and an idle connection closes after 2 min; a body is
+// bounded by progress, not total time, and is cut once it delivers
+// nothing for 1 min. Upload sessions are held in memory in every mode:
+// a cut PATCH keeps the bytes that arrived and resumes from its Range
+// until -upload-ttl (0 = never) expires the idle session, and a restart
+// forgets every session (its client starts again from the POST).
+// SIGINT or SIGTERM stops accepting, lets requests in flight finish for
+// up to 25 s, closes the rest and the replication log, and exits 0; a
+// failure to start or to keep listening exits 1.
 //
 // # Fleet mode
 //
@@ -62,49 +71,52 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
+	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"time"
 
+	"comtainer/internal/daemon"
 	"comtainer/internal/distrib"
 	"comtainer/internal/fleet"
 	"comtainer/internal/registry"
 	"comtainer/internal/remoteexec"
 )
 
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, " ") }
-
-func (m *multiFlag) Set(v string) error {
-	*m = append(*m, v)
-	return nil
+func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
 }
 
-func main() {
+func run() error {
 	addr := flag.String("addr", "127.0.0.1:5000", "listen address")
 	data := flag.String("data", "", "persist blobs and tags under this directory (default: in memory)")
 	gc := flag.Bool("gc", false, "garbage-collect unreachable blobs on startup")
 	uploadTTL := flag.Duration("upload-ttl", time.Hour, "expire upload sessions idle longer than this (0 = never)")
 	execFarm := flag.Bool("exec", false, "also serve the remote-execution farm scheduler under /farm/v1")
 	fleetMember := flag.Bool("fleet-member", false, "run as a fleet shard replica: trust manifest references (the proxy checks them fleet-wide)")
-	var followers multiFlag
-	flag.Var(&followers, "follower", "replicate every commit to this peer replica URL before acknowledging (repeatable)")
+	var followers, shards []string
+	flag.Func("follower", "replicate every commit to this peer replica URL before acknowledging (repeatable)", func(v string) error { followers = append(followers, v); return nil })
 	proxyMode := flag.Bool("proxy", false, "run as the fleet front-end proxy instead of a storage registry")
-	var shards multiFlag
-	flag.Var(&shards, "shard", "proxy: one shard group as comma-separated replica URLs, first is the initial leader (repeatable)")
+	flag.Func("shard", "proxy: one shard group as comma-separated replica URLs, first is the initial leader (repeatable)", func(v string) error { shards = append(shards, v); return nil })
 	farm := flag.String("farm", "", "proxy: forward /farm/v1 to this scheduler URL")
 	heartbeat := flag.Duration("heartbeat", 5*time.Second, "proxy: leader heartbeat interval (0 = promote only on request failure)")
 	flag.Parse()
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if *proxyMode {
-		runProxy(*addr, shards, *farm, *heartbeat, *uploadTTL)
-		return
+		return runProxy(ctx, *addr, shards, *farm, *heartbeat, *uploadTTL)
 	}
 
 	var srv *registry.Server
@@ -112,7 +124,7 @@ func main() {
 		var err error
 		srv, err = registry.NewServerAt(*data)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Printf("comtainer-registry persisting under %s (%d blobs)\n", *data, len(srv.Blobs().Digests()))
 		if ds, ok := srv.Blobs().(*distrib.DiskStore); ok && !ds.OpenReport().Clean() {
@@ -132,18 +144,18 @@ func main() {
 		if *data != "" {
 			logPath = filepath.Join(*data, "replication.log")
 		}
-		//comtainer:allow closeleak -- ownership transfers to the replicator; the log lives for the process lifetime
 		wlog, err := fleet.NewWriteLog(logPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
+		defer wlog.Close() // after Serve: every commit the drain let finish is logged
 		srv.SetCommitHook(fleet.NewReplicator(srv.Blobs(), wlog, followers...))
 		fmt.Printf("comtainer-registry replicating commits to %s\n", strings.Join(followers, ", "))
 	}
 	if *gc {
 		dropped, err := srv.GC()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Printf("gc: dropped %d unreachable blobs\n", dropped)
 	}
@@ -155,14 +167,13 @@ func main() {
 		handler = mux
 		fmt.Printf("comtainer-registry serving the farm scheduler under %s\n", remoteexec.APIPrefix)
 	}
-	fmt.Printf("comtainer-registry listening on %s\n", *addr)
-	log.Fatal(http.ListenAndServe(*addr, handler))
+	return serve(ctx, *addr, handler, "comtainer-registry listening on %s\n")
 }
 
 // runProxy assembles and serves the fleet front-end.
-func runProxy(addr string, shards []string, farm string, heartbeat, uploadTTL time.Duration) {
+func runProxy(ctx context.Context, addr string, shards []string, farm string, heartbeat, uploadTTL time.Duration) error {
 	if len(shards) == 0 {
-		log.Fatal("comtainer-registry: -proxy requires at least one -shard")
+		return errors.New("comtainer-registry: -proxy requires at least one -shard")
 	}
 	groups := make([]*fleet.ShardGroup, 0, len(shards))
 	for _, s := range shards {
@@ -172,23 +183,41 @@ func runProxy(addr string, shards []string, farm string, heartbeat, uploadTTL ti
 		}
 		g, err := fleet.NewShardGroup(replicas[0], replicas...)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		groups = append(groups, g)
 	}
 	p, err := fleet.NewProxy(groups, 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	p.FarmBackend = farm
 	p.Uploads().TTL = uploadTTL
+	var watching sync.WaitGroup
+	defer watching.Wait()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // before the Wait: a failed listen ends the heartbeat loop too
 	if heartbeat > 0 {
-		//comtainer:allow gonaked,ctxflow -- process-lifetime heartbeat loop; it ends when the process does
-		go p.Watch(context.Background(), heartbeat)
+		watching.Add(1)
+		go func() {
+			defer watching.Done()
+			p.Watch(ctx, heartbeat)
+		}()
 	}
 	if farm != "" {
 		fmt.Printf("comtainer-registry proxy forwarding /farm/v1 to %s\n", farm)
 	}
-	fmt.Printf("comtainer-registry proxy fronting %d shard group(s), listening on %s\n", len(groups), addr)
-	log.Fatal(http.ListenAndServe(addr, p.Handler()))
+	return serve(ctx, addr, p.Handler(), fmt.Sprintf("comtainer-registry proxy fronting %d shard group(s), listening on %%s\n", len(groups)))
+}
+
+// serve listens on addr, prints banner with the bound address (so
+// -addr 127.0.0.1:0 tells its port) and serves h until ctx is done.
+func serve(ctx context.Context, addr string, h http.Handler, banner string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close() // Serve closes it as it stops; closing twice is harmless
+	fmt.Printf(banner, ln.Addr())
+	return daemon.Serve(ctx, ln, h)
 }

@@ -4,7 +4,8 @@
 // runs — the full Figure-1 distribution picture.
 //
 // The registry persists to disk via internal/distrib: after the push the
-// example kills the server and starts a fresh one over the same data
+// example stops the server (daemon.Serve drains it, as it does
+// comtainer-registry's) and starts a fresh one over the same data
 // directory, proving the pull works across a registry restart. Transfers
 // run through the concurrent client (parallel layers, resumable chunked
 // uploads, cross-image blob dedup).
@@ -12,36 +13,40 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 
 	"comtainer/internal/core"
 	"comtainer/internal/core/adapter"
+	"comtainer/internal/daemon"
 	"comtainer/internal/registry"
 	"comtainer/internal/sysprofile"
 	"comtainer/internal/toolchain"
 	"comtainer/internal/workloads"
 )
 
-// serve starts a disk-backed registry on an ephemeral localhost port,
-// returning its base URL and a shutdown function.
-func serve(dataDir string) (string, func(), error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
+// withRegistry serves a disk-backed registry over dataDir on an
+// ephemeral localhost port while fn runs with its base URL, then stops
+// it the way a signal stops comtainer-registry.
+func withRegistry(ctx context.Context, dataDir string, fn func(base string) error) error {
 	srv, err := registry.NewServerAt(dataDir)
 	if err != nil {
-		ln.Close()
-		return "", nil, err
+		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
-	//comtainer:allow gonaked,errpropagate -- server goroutine ends when shutdown() closes hs; Serve then returns ErrServerClosed
-	go func() { _ = hs.Serve(ln) }()
-	return "http://" + ln.Addr().String(), func() { hs.Close() }, nil
+	var lc net.ListenConfig
+	ln, err := lc.Listen(ctx, "tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	ctx, stop := context.WithCancel(ctx)
+	served := make(chan error, 1)
+	go func() { served <- daemon.Serve(ctx, ln, srv.Handler()) }()
+	err = fn("http://" + ln.Addr().String())
+	stop()
+	return errors.Join(err, <-served)
 }
 
 func main() {
@@ -51,12 +56,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dataDir)
-
-	base, shutdown, err := serve(dataDir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("registry listening at %s, persisting under %s\n", base, dataDir)
 
 	// User side: build and push with the concurrent client.
 	user, err := core.NewUserSide(toolchain.ISAx86)
@@ -71,35 +70,35 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	client := registry.NewClient(base)
-	client.Workers = 8
-	if err := client.Ping(ctx); err != nil {
-		log.Fatal(err)
-	}
-	if err := client.Push(ctx, user.Repo, res.ExtendedTag, "user/hpcg", "v1"); err != nil {
+	err = withRegistry(ctx, dataDir, func(base string) error {
+		fmt.Printf("registry listening at %s, persisting under %s\n", base, dataDir)
+		client := registry.NewClient(base)
+		client.Workers = 8
+		if err := client.Ping(ctx); err != nil {
+			return err
+		}
+		return client.Push(ctx, user.Repo, res.ExtendedTag, "user/hpcg", "v1")
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("pushed %s as user/hpcg:v1 (8 parallel layer uploads)\n", res.ExtendedTag)
 
 	// Restart the registry over the same data directory: everything
 	// pushed must survive.
-	shutdown()
-	base, shutdown, err = serve(dataDir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer shutdown()
-	fmt.Printf("registry restarted at %s from persisted state\n", base)
-
 	// System side: pull over HTTP into its own store, then adapt and run.
 	sys := sysprofile.X86Cluster()
 	system, err := core.NewSystemSide(sys)
 	if err != nil {
 		log.Fatal(err)
 	}
-	client = registry.NewClient(base)
-	client.Workers = 8
-	if err := client.Pull(ctx, system.Repo, "user/hpcg", "v1", res.ExtendedTag); err != nil {
+	err = withRegistry(ctx, dataDir, func(base string) error {
+		fmt.Printf("registry restarted at %s from persisted state\n", base)
+		client := registry.NewClient(base)
+		client.Workers = 8
+		return client.Pull(ctx, system.Repo, "user/hpcg", "v1", res.ExtendedTag)
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("pulled user/hpcg:v1 on the %s system (parallel layer fetch)\n", sys.Name)

@@ -5,8 +5,8 @@
 // contains one clean, suppressed site. It also spells each thing
 // scripts/bans.sh bans (TestBansFire): a sha256 literal, an
 // os.WriteFile, a time.Sleep, a digest.Digest conversion, an
-// io.ReadAll of a bare reader and a bufio.NewScanner here, a
-// function-style atomic in racecase.go. It must not import
+// io.ReadAll of a bare reader, a bufio.NewScanner and an http.Server
+// literal here, a function-style atomic in racecase.go. It must not import
 // comtainer/internal packages: those are invisible across the module
 // boundary.
 package fixture
@@ -61,6 +61,12 @@ func Lines(text string) []string {
 		out = append(out, sc.Text())
 	}
 	return out
+}
+
+// Server is banned as http-server: a server with none of the bounds
+// and none of the drain of the one serve function.
+func Server(h http.Handler) *http.Server {
+	return &http.Server{Handler: h}
 }
 
 // Spawn violates gonaked: the goroutine is never joined.

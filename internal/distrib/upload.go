@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,9 +31,9 @@ var ErrUploadClosed = errors.New("distrib: upload closed")
 // a sink, and a restart forgets it.
 //
 // With a positive TTL, sessions idle longer than it are swept the next
-// time a session starts (lazy, so no background goroutine), or whenever
-// SweepExpired is called. A client that abandons an upload mid-push
-// therefore cannot hold its bytes forever.
+// time a session starts (lazy, so no background goroutine). A client
+// that abandons an upload mid-push therefore cannot hold its bytes
+// forever.
 type UploadManager struct {
 	// TTL is how long an idle session survives; zero disables expiry.
 	TTL time.Duration
@@ -64,12 +63,10 @@ type Upload struct {
 	// Name is the repository the upload was opened against.
 	Name string
 
-	// touched is the idle timer, in Unix nanoseconds. It is an atomic
-	// outside mu on purpose: mu serializes the spool and is held for
-	// as long as a chunk takes to arrive, while the sweep reads every
-	// session's timer under the manager's lock — a sweep waiting on mu
-	// would park Start, Get and Len behind one slow client.
+	// touched is the idle timer, in Unix nanoseconds: an atomic outside
+	// mu, which an Append holds for as long as its chunk takes to arrive.
 	touched atomic.Int64
+	clock   func() time.Time // the manager's; Append touches with it too
 
 	mu     sync.Mutex
 	size   int64
@@ -87,12 +84,12 @@ func (u *Upload) touchedAt() time.Time { return time.Unix(0, u.touched.Load()) }
 // Start opens a new upload session for repository name, first sweeping
 // any sessions whose TTL has lapsed.
 func (m *UploadManager) Start(name string) (*Upload, error) {
-	m.SweepExpired()
+	m.sweep()
 	idBytes := make([]byte, 16)
 	if _, err := rand.Read(idBytes); err != nil {
 		return nil, fmt.Errorf("distrib: generating upload id: %w", err)
 	}
-	u := &Upload{ID: hex.EncodeToString(idBytes), Name: name}
+	u := &Upload{ID: hex.EncodeToString(idBytes), Name: name, clock: m.clock}
 	u.touch(m.clock())
 	m.mu.Lock()
 	m.sessions[u.ID] = u
@@ -101,8 +98,10 @@ func (m *UploadManager) Start(name string) (*Upload, error) {
 }
 
 // Get returns the session with the given id, refreshing its idle
-// timer: every protocol request resolves the session through here, so
-// an upload making any progress at all never expires.
+// timer; every protocol request resolves the session through here. A
+// request whose client stalls is ended by the server (daemon.Serve cuts
+// a body that delivers nothing for a minute), and the session keeps the
+// bytes that arrived until it is resumed or its TTL runs out.
 func (m *UploadManager) Get(id string) (*Upload, bool) {
 	m.mu.Lock()
 	u, ok := m.sessions[id]
@@ -113,11 +112,13 @@ func (m *UploadManager) Get(id string) (*Upload, bool) {
 	return u, ok
 }
 
-// SweepExpired cancels every session idle longer than TTL and returns
-// the swept session IDs sorted. A zero TTL makes it a no-op.
-func (m *UploadManager) SweepExpired() []string {
+// sweep cancels every session idle longer than TTL; a zero TTL makes
+// it a no-op. A session whose mutex is held has a request in flight, so
+// it is not idle: the sweep passes it by rather than park every Start
+// behind one client.
+func (m *UploadManager) sweep() {
 	if m.TTL <= 0 {
-		return nil
+		return
 	}
 	cutoff := m.clock().Add(-m.TTL)
 	m.mu.Lock()
@@ -128,13 +129,13 @@ func (m *UploadManager) SweepExpired() []string {
 		}
 	}
 	m.mu.Unlock()
-	ids := make([]string, 0, len(stale))
 	for _, u := range stale {
-		m.Cancel(u)
-		ids = append(ids, u.ID)
+		if u.mu.TryLock() {
+			u.closed = true
+			u.mu.Unlock()
+			m.drop(u)
+		}
 	}
-	sort.Strings(ids)
-	return ids
 }
 
 // Len returns the number of live sessions.
@@ -188,6 +189,7 @@ func (u *Upload) Append(r io.Reader, expectStart int64) (int64, error) {
 		r = &boundedReader{r: r, n: room}
 	}
 	chunk, err := oci.ReadSized(nil, r, size, declared)
+	u.touch(u.clock()) // idle from when the chunk stopped arriving
 	if err != nil {
 		// Keep what arrived, but not the room made for what did not.
 		chunk = bytes.Clone(chunk)

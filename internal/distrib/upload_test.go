@@ -123,57 +123,78 @@ func (p *parkedReader) Read([]byte) (int, error) {
 // every Start sweeps, and the sweep reads each session's idle timer
 // under the manager's lock — so if the timer lived under the session
 // mutex, one stalled client would park Start, Get and Len for every
-// other session. They must return promptly.
+// other session. They must return promptly, and still do once the
+// stalled session's timer is past the TTL: a session with a request in
+// flight is not idle, so the sweep passes it by instead of waiting to
+// cancel it, while the idle session beside it goes.
 func TestUploadHeadOfLine(t *testing.T) {
-	m := NewUploadManager()
-	m.TTL = time.Hour
-	stalled, err := m.Start("slow/client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := m.Start("other/client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	park := &parkedReader{entered: make(chan struct{}), release: make(chan struct{})}
-	appended := make(chan error, 1)
-	go func() {
-		_, err := stalled.Append(park, -1)
-		appended <- err
-	}()
-	<-park.entered // Append is reading the chunk, holding stalled.mu
+	for _, tc := range []struct {
+		name string
+		idle time.Duration // clock advance between the first two Starts and the third
+	}{
+		{"within TTL", time.Minute},
+		{"past TTL", 2 * time.Hour},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			now := time.Unix(1e9, 0)
+			m := NewUploadManager()
+			m.TTL = time.Hour
+			m.Now = func() time.Time { return now }
+			stalled, err := m.Start("slow/client")
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := m.Start("other/client")
+			if err != nil {
+				t.Fatal(err)
+			}
+			now = now.Add(tc.idle)
+			expired := tc.idle > m.TTL
+			park := &parkedReader{entered: make(chan struct{}), release: make(chan struct{})}
+			appended := make(chan error, 1)
+			go func() {
+				_, err := stalled.Append(park, -1)
+				appended <- err
+			}()
+			<-park.entered // Append is reading the chunk, holding stalled.mu
 
-	done := make(chan error, 1)
-	go func() {
-		if _, err := m.Start("third/client"); err != nil {
-			done <- err
-			return
-		}
-		if _, ok := m.Get(other.ID); !ok {
-			done <- errors.New("other session lost")
-			return
-		}
-		if _, ok := m.Get(stalled.ID); !ok {
-			done <- errors.New("stalled session lost")
-			return
-		}
-		if got := m.Len(); got != 3 {
-			done <- fmt.Errorf("Len = %d, want 3", got)
-			return
-		}
-		done <- nil
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Error(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Error("Start/Get/Len for other sessions blocked behind one session's stalled Append")
-	}
-	close(park.release)
-	if err := <-appended; err != nil {
-		t.Errorf("released Append: %v", err)
+			done := make(chan error, 1)
+			go func() {
+				if _, err := m.Start("third/client"); err != nil {
+					done <- err
+					return
+				}
+				if _, ok := m.Get(other.ID); ok == expired {
+					done <- fmt.Errorf("idle session kept = %v, want %v", ok, !expired)
+					return
+				}
+				if _, ok := m.Get(stalled.ID); !ok {
+					done <- errors.New("stalled session lost")
+					return
+				}
+				want := 3
+				if expired {
+					want = 2
+				}
+				if got := m.Len(); got != want {
+					done <- fmt.Errorf("Len = %d, want %d", got, want)
+					return
+				}
+				done <- nil
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Error(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Error("Start/Get/Len for other sessions blocked behind one session's stalled Append")
+			}
+			close(park.release)
+			if err := <-appended; err != nil {
+				t.Errorf("released Append: %v", err)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"net/url"
 	"sync"
 )
 
@@ -20,14 +21,19 @@ type ShardGroup struct {
 	misses   int // consecutive failed heartbeats of the current leader
 }
 
-// NewShardGroup returns a group named name over the given replicas;
-// the first listed replica starts as leader.
+// NewShardGroup returns a group named name over the given replicas
+// (registry base URLs); the first listed replica starts as leader.
 func NewShardGroup(name string, replicas ...string) (*ShardGroup, error) {
 	if name == "" {
 		return nil, fmt.Errorf("fleet: shard group needs a name")
 	}
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("fleet: shard group %s needs at least one replica", name)
+	}
+	for _, r := range replicas {
+		if u, err := url.Parse(r); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, fmt.Errorf("fleet: shard group %s: replica %q is not an http(s) URL with a host", name, r)
+		}
 	}
 	return &ShardGroup{name: name, replicas: append([]string(nil), replicas...)}, nil
 }

@@ -101,45 +101,73 @@ func TestRingRejectsBadMembership(t *testing.T) {
 	}
 }
 
+// Replicas are registry base URLs. The CLI splits -shard on commas, so
+// a stray comma is an empty replica, which a leader miss would promote.
+func TestShardGroupRejectsBadReplicas(t *testing.T) {
+	for _, tc := range []struct {
+		replica string
+		ok      bool
+	}{
+		{"http://a:5001", true},
+		{"https://registry.example", true},
+		{"", false},
+		{" ", false},
+		{"a:5001", false},
+		{"//a:5001", false},
+		{"ftp://a:5001", false},
+		{"http://", false},
+		{"http:///v2", false},
+		{"http://a b", false},
+	} {
+		_, err := NewShardGroup("s", "http://leader:5001", tc.replica)
+		if (err == nil) != tc.ok {
+			t.Errorf("NewShardGroup(…, %q) error = %v, want ok = %v", tc.replica, err, tc.ok)
+		}
+	}
+}
+
+// Three replica base URLs; the messages below call them r1, r2, r3.
+const r1, r2, r3 = "http://r1", "http://r2", "http://r3"
+
 func TestShardGroupPromotion(t *testing.T) {
-	g, err := NewShardGroup("s", "r1", "r2", "r3")
+	g, err := NewShardGroup("s", r1, r2, r3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Leader() != "r1" {
+	if g.Leader() != r1 {
 		t.Fatalf("initial leader %s, want r1", g.Leader())
 	}
-	if got := g.promoteFrom("r1"); got != "r2" {
+	if got := g.promoteFrom(r1); got != r2 {
 		t.Fatalf("promoteFrom(r1) = %s, want r2", got)
 	}
 	// A second failure report against the already-replaced leader must
 	// not leapfrog the healthy new one.
-	if got := g.promoteFrom("r1"); got != "r2" {
+	if got := g.promoteFrom(r1); got != r2 {
 		t.Fatalf("stale promoteFrom(r1) moved leadership to %s", got)
 	}
-	if got := g.promoteFrom("r2"); got != "r3" {
+	if got := g.promoteFrom(r2); got != r3 {
 		t.Fatalf("promoteFrom(r2) = %s, want r3", got)
 	}
-	if got := g.promoteFrom("r3"); got != "r1" {
+	if got := g.promoteFrom(r3); got != r1 {
 		t.Fatalf("promoteFrom(r3) wrapped to %s, want r1", got)
 	}
 }
 
 func TestShardGroupHeartbeatCounters(t *testing.T) {
-	g, err := NewShardGroup("s", "r1", "r2")
+	g, err := NewShardGroup("s", r1, r2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := g.noteMiss("r1"); n != 1 {
+	if n := g.noteMiss(r1); n != 1 {
 		t.Fatalf("first miss count %d, want 1", n)
 	}
-	g.noteBeat("r1")
-	if n := g.noteMiss("r1"); n != 1 {
+	g.noteBeat(r1)
+	if n := g.noteMiss(r1); n != 1 {
 		t.Fatalf("miss count after beat %d, want 1 (reset)", n)
 	}
 	// Misses against a no-longer-leader don't count.
-	g.promoteFrom("r1")
-	if n := g.noteMiss("r1"); n != 0 {
+	g.promoteFrom(r1)
+	if n := g.noteMiss(r1); n != 0 {
 		t.Fatalf("stale miss counted: %d", n)
 	}
 }

@@ -33,7 +33,11 @@ ban() {
 
 # Suppressions of a comtainer-vet finding in product code (bench/ has
 # its own four).
-ban allow 12 '//comtainer:allow' bench
+ban allow 9 '//comtainer:allow' bench
+# A daemon serves through daemon.Serve, which holds the one http.Server:
+# header and idle timeouts, a body cut when it stops arriving, a drain
+# on stop. bench/servers.go keeps its own copy until it moves onto Serve.
+ban http-server 1 'http\.ListenAndServe|http\.Server\{' bench
 # A request is built in distrib.Client.Do; the other two are the fleet
 # proxy's reverse-proxy steps (relay, forwardFarm).
 ban http.NewRequest 3 'http\.NewRequest'

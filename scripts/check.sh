@@ -33,8 +33,9 @@ fi
 
 echo "== ratchets =="
 # Invariants that are a spelling with a budget, not a dataflow fact:
-# scripts/bans.sh holds the one function, the ten lines and, beside
+# scripts/bans.sh holds the one function, the eleven lines and, beside
 # each, its budget and who owns it — //comtainer:allow suppressions,
+# an http.Server or ListenAndServe outside daemon.Serve,
 # http.NewRequest outside distrib.Client.Do, CreateTemp outside
 # faultinject.Commit, io.ReadAll of anything but an io.LimitReader (a
 # blob body is read at its size, by oci.ReadSized), bufio.NewScanner
