@@ -7,8 +7,8 @@
 // example stops the server (daemon.Serve drains it, as it does
 // comtainer-registry's) and starts a fresh one over the same data
 // directory, proving the pull works across a registry restart. Transfers
-// run through the concurrent client (parallel layers, resumable chunked
-// uploads, cross-image blob dedup).
+// run through the concurrent client (parallel layers, each blob pushed
+// in one request, cross-image blob dedup).
 package main
 
 import (

@@ -44,8 +44,11 @@ type Client struct {
 	HTTP *http.Client
 	// Workers bounds parallel blob transfers per image (default 4).
 	Workers int
-	// ChunkSize is the PATCH chunk size for uploads (default 1 MiB). A
-	// blob that fits one chunk is pushed in a single request instead.
+	// ChunkSize, when set, sends a blob larger than it through a
+	// resumable upload session, one PATCH per ChunkSize bytes, so a
+	// transfer cut mid-blob resumes from the offset the server committed.
+	// Unset, every blob goes up in the protocol's single request, whatever
+	// its size, and a failed one is sent again from byte 0.
 	ChunkSize int64
 	// Retries is how many times one operation retries a transient
 	// failure, whichever of its requests failed (default 3).
@@ -67,13 +70,6 @@ func (c *Client) workers() int {
 		return c.Workers
 	}
 	return 4
-}
-
-func (c *Client) chunkSize() int64 {
-	if c.ChunkSize > 0 {
-		return c.ChunkSize
-	}
-	return 1 << 20
 }
 
 func (c *Client) retries() int {
@@ -297,7 +293,7 @@ func (c *Client) sendChunks(ctx context.Context, loc string, r io.Reader, size i
 		return fmt.Errorf("distrib: seeking to resume offset %d: %w", offset, err)
 	}
 	for offset < size {
-		n := min(c.chunkSize(), size-offset)
+		n := min(c.ChunkSize, size-offset)
 		header := http.Header{
 			"Content-Type":  {"application/octet-stream"},
 			"Content-Range": {fmt.Sprintf("%d-%d", offset, offset+n-1)},
@@ -321,11 +317,11 @@ func (c *Client) sendChunks(ctx context.Context, loc string, r io.Reader, size i
 }
 
 // PushBlob uploads blob d from src into repository name. Blobs the
-// registry already holds are skipped. A blob that fits one chunk goes
-// up in one request; a larger one uses the chunked upload protocol,
-// where a transfer interrupted mid-PATCH resumes from the offset the
-// server reports rather than restarting, and one whose session the
-// server has forgotten starts again from a new session.
+// registry already holds are skipped. A blob goes up in one request
+// unless it is larger than a set ChunkSize; then it uses the chunked
+// upload protocol, where a transfer interrupted mid-PATCH resumes from
+// the offset the server reports rather than restarting, and one whose
+// session the server has forgotten starts again from a new session.
 func (c *Client) PushBlob(ctx context.Context, name string, src BlobSource, d digest.Digest) error {
 	return c.push(ctx, name, d, true, func() (io.ReadCloser, int64, error) { return src.Open(d) })
 }
@@ -343,8 +339,13 @@ func (c *Client) PushBytes(ctx context.Context, name string, data []byte) (diges
 // arriving, without first asking whether the registry holds it. The
 // first attempt sends body, size bytes (-1: not known), in one request
 // and then closes it; a retry, within the same budget of Retries+1
-// attempts, reads d from src.
+// attempts, reads d from src. With no src the body is the only copy:
+// there is one attempt, and its failure is the answer.
 func (c *Client) PushStream(ctx context.Context, name string, d digest.Digest, body io.ReadCloser, size int64, src BlobSource) error {
+	if src == nil {
+		defer body.Close()
+		return c.post(ctx, name, d, body, size)
+	}
 	return c.push(ctx, name, d, false, func() (io.ReadCloser, int64, error) {
 		if r := body; r != nil {
 			body = nil
@@ -369,19 +370,8 @@ func (c *Client) push(ctx context.Context, name string, d digest.Digest, probe b
 			return err
 		}
 		defer r.Close()
-		if size <= c.chunkSize() {
-			// The protocol's single-request form: no session is opened, so
-			// a failure leaves nothing to resume.
-			var body io.Reader = r
-			if size >= 0 {
-				body = oci.NewSizedReader(r, size)
-			}
-			header := http.Header{"Content-Type": {"application/octet-stream"}}
-			resp, err := c.Do(ctx, http.MethodPost, c.url(name, "blobs", "uploads")+"/?digest="+string(d), header, body, http.StatusCreated)
-			if err != nil {
-				return err
-			}
-			return resp.Body.Close()
+		if c.ChunkSize <= 0 || size <= c.ChunkSize {
+			return c.post(ctx, name, d, r, size)
 		}
 		// Resume from the offset the session committed; only a session
 		// the server no longer knows is replaced by a fresh one.
@@ -408,6 +398,21 @@ func (c *Client) push(ctx context.Context, name string, d digest.Digest, probe b
 		}
 		return err
 	})
+}
+
+// post sends blob d, size bytes of r (-1: not known), in the protocol's
+// single request: no session is opened, so a failure leaves nothing to
+// resume.
+func (c *Client) post(ctx context.Context, name string, d digest.Digest, r io.Reader, size int64) error {
+	if size >= 0 {
+		r = oci.NewSizedReader(r, size)
+	}
+	header := http.Header{"Content-Type": {"application/octet-stream"}}
+	resp, err := c.Do(ctx, http.MethodPost, c.url(name, "blobs", "uploads")+"/?digest="+string(d), header, r, http.StatusCreated)
+	if err != nil {
+		return err
+	}
+	return resp.Body.Close()
 }
 
 // PushImage uploads the image (or manifest list) named by desc from

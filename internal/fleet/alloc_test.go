@@ -3,12 +3,14 @@ package fleet_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"comtainer/internal/distrib"
@@ -35,10 +37,13 @@ func diskReplica(t *testing.T) (*registry.Server, *httptest.Server, *requestLog)
 }
 
 // requestLog records "METHOD path?query" of each request a handler
-// serves.
+// serves, counts the body bytes it read and the requests it answered
+// 201.
 type requestLog struct {
-	mu   sync.Mutex
-	reqs []string
+	mu      sync.Mutex
+	reqs    []string
+	read    atomic.Int64
+	created atomic.Int64
 }
 
 func (l *requestLog) wrap(h http.Handler) http.Handler {
@@ -46,9 +51,41 @@ func (l *requestLog) wrap(h http.Handler) http.Handler {
 		l.mu.Lock()
 		l.reqs = append(l.reqs, r.Method+" "+r.URL.RequestURI())
 		l.mu.Unlock()
-		h.ServeHTTP(w, r)
+		r.Body = countingBody{r.Body, &l.read}
+		sw := &statusWriter{ResponseWriter: w}
+		h.ServeHTTP(sw, r)
+		if sw.status == http.StatusCreated {
+			l.created.Add(1)
+		}
 	})
 }
+
+// countingBody adds the bytes read from a request body to n.
+type countingBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (b countingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.n.Add(int64(n))
+	return n, err
+}
+
+// statusWriter remembers the status a handler answered with.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w *statusWriter) WriteHeader(status int) {
+	if w.status == 0 {
+		w.status = status
+	}
+	w.ResponseWriter.WriteHeader(status)
+}
+
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // count returns how many logged requests match.
 func (l *requestLog) count(match func(string) bool) int {
@@ -66,12 +103,13 @@ func (l *requestLog) count(match func(string) bool) int {
 // TestPushThroughFleetAllocatesBlobOncePerHop is the push half of the
 // ownership rule (DESIGN.md §2, "Blob bytes in transit") as a number.
 // Client → proxy → leader → follower, the stores on disk: the client
-// streams from its store, and only the proxy holds the blob in memory,
-// in the spool the client's PATCHes filled. Each intra-fleet hop is one
-// request whose body the replica streams into its store, so a push
-// costs about the blob's size once; with a spool per hop it cost three
-// times that, and with regrown spool buffers, the proxy's staging store
-// and a chunk buffer per hop about twenty.
+// streams from its store in one request, the proxy relays the body as
+// it arrives through two pooled blocks, and each replica streams it
+// into its store, so no hop holds the blob in memory and a push costs
+// a fixed allowance whatever the blob's size. When the proxy spooled the
+// client's PATCHes it cost about the blob's size once; with a spool per
+// hop three times that, and with regrown spool buffers, the proxy's
+// staging store and a chunk buffer per hop about twenty.
 func TestPushThroughFleetAllocatesBlobOncePerHop(t *testing.T) {
 	for _, size := range []int{64 << 10, 1<<20 + 1, 5 << 20} {
 		t.Run(fmt.Sprint(size), func(t *testing.T) {
@@ -86,7 +124,8 @@ func TestPushThroughFleetAllocatesBlobOncePerHop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			front := httptest.NewServer(proxy.Handler())
+			frontLog := &requestLog{}
+			front := httptest.NewServer(frontLog.wrap(proxy.Handler()))
 			defer front.Close()
 
 			payload := make([]byte, size)
@@ -112,14 +151,17 @@ func TestPushThroughFleetAllocatesBlobOncePerHop(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			got := after.TotalAlloc - before.TotalAlloc
 
-			// A push is some twenty HTTP exchanges across the three hops
-			// (HEAD probes, the client's session, manifest fan-out), each
-			// with its headers and buffers whatever the blob's size.
+			// A push is some fifteen HTTP exchanges across the three hops
+			// (HEAD probes, the blob POSTs, manifest fan-out), each with
+			// its headers and buffers whatever the blob's size: about
+			// 0.7 MB measured (0.9 MB under -race). A quarter of the blob
+			// on top leaves that slack at every size and still fails a
+			// hop that holds a copy of a 1 MiB or 5 MiB blob.
 			const overhead = 1 << 20
-			budget := uint64(blobBytes)*3/2 + overhead
+			budget := uint64(blobBytes)/4 + overhead
 			t.Logf("push of %d blob bytes allocated %d (%.2fx)", blobBytes, got, float64(got)/float64(blobBytes))
 			if got > budget {
-				t.Errorf("push of %d blob bytes allocated %d, budget %d (1.5x + %d)", blobBytes, got, budget, overhead)
+				t.Errorf("push of %d blob bytes allocated %d, budget %d (0.25x + %d)", blobBytes, got, budget, overhead)
 			}
 			for _, ts := range []*httptest.Server{leaderTS, followerTS} {
 				ok, err := distrib.NewClient(ts.URL).HasBlob(context.Background(), "app", desc.Digest)
@@ -128,15 +170,15 @@ func TestPushThroughFleetAllocatesBlobOncePerHop(t *testing.T) {
 				}
 			}
 
-			// The client's 5 MiB went to the proxy in PATCHes; each
-			// replica got the layer in one request, and the follower got
+			// The layer went up in one request on every hop — to the
+			// proxy, the leader and the follower — and the follower got
 			// it streamed as the leader stored it, with no probe first.
 			m, err := oci.LoadManifest(src.Store, desc.Digest)
 			if err != nil {
 				t.Fatal(err)
 			}
 			layer0 := string(m.Layers[0].Digest)
-			for name, log := range map[string]*requestLog{"leader": leaderLog, "follower": followerLog} {
+			for name, log := range map[string]*requestLog{"proxy": frontLog, "leader": leaderLog, "follower": followerLog} {
 				writes := log.count(func(r string) bool {
 					return strings.HasPrefix(r, "POST ") && strings.HasSuffix(r, "/blobs/uploads/?digest="+layer0)
 				})

@@ -3,11 +3,17 @@ package fleet_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +22,7 @@ import (
 	"comtainer/internal/faultinject"
 	"comtainer/internal/fleet"
 	"comtainer/internal/oci"
+	"comtainer/internal/registry"
 )
 
 // chaosCycles returns the seeded cycle count: the full 100-seed sweep
@@ -242,5 +249,256 @@ func TestFleetWatchPromotes(t *testing.T) {
 	p.CheckLeaders(context.Background(), 100*time.Millisecond)
 	if got := sh.group.Leader(); got != follower.ts.URL {
 		t.Fatalf("healthy promoted leader was demoted to %s", got)
+	}
+}
+
+// diskPair is one shard group of two disk replicas, each replicating
+// to the other, behind a proxy. wrap, when set, wraps replica i's
+// handler.
+type diskPair struct {
+	srvs  [2]*registry.Server
+	reps  [2]*fleet.Replicator
+	ts    [2]*httptest.Server
+	group *fleet.ShardGroup
+	proxy *fleet.Proxy
+	front *httptest.Server
+}
+
+func startDiskPair(t *testing.T, wrap func(i int, h http.Handler) http.Handler) *diskPair {
+	t.Helper()
+	dp := &diskPair{}
+	for i := range dp.srvs {
+		blobs, err := distrib.NewDiskStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp.srvs[i] = registry.NewServerWith(blobs, distrib.NewMemTags())
+		dp.srvs[i].TrustReferences = true
+		h := dp.srvs[i].Handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		dp.ts[i] = httptest.NewServer(h)
+		t.Cleanup(dp.ts[i].Close)
+	}
+	for i, srv := range dp.srvs {
+		dp.reps[i] = fleet.NewReplicator(srv.Blobs(), nil, dp.ts[1-i].URL)
+		srv.SetCommitHook(dp.reps[i])
+	}
+	var err error
+	if dp.group, err = fleet.NewShardGroup("pair", dp.ts[0].URL, dp.ts[1].URL); err != nil {
+		t.Fatal(err)
+	}
+	if dp.proxy, err = fleet.NewProxy([]*fleet.ShardGroup{dp.group}, 0); err != nil {
+		t.Fatal(err)
+	}
+	dp.front = httptest.NewServer(dp.proxy.Handler())
+	t.Cleanup(dp.front.Close)
+	return dp
+}
+
+// settle waits for every request to the proxy and the replicas to end.
+func (dp *diskPair) settle() {
+	dp.front.Close()
+	for _, ts := range dp.ts {
+		ts.Close()
+	}
+}
+
+// checkNoTemps fails t for an interrupted ingest left in a replica's tmp/.
+func (dp *diskPair) checkNoTemps(t *testing.T) {
+	t.Helper()
+	for i, srv := range dp.srvs {
+		left, err := filepath.Glob(filepath.Join(srv.Blobs().(*distrib.DiskStore).Root(), "tmp", "ingest-*"))
+		if err != nil || len(left) != 0 {
+			t.Errorf("replica %d left %d ingest temps (err %v)", i, len(left), err)
+		}
+	}
+}
+
+// TestFleetChaosProxyStreamLeaderKill: multi-MiB blobs go up through the
+// proxy in one request each, relayed to the leader as they arrive, while
+// the proxy-to-leader hop cuts request bodies at a seeded rate and the
+// replica taking a stream is killed partway through it. Every push the
+// client saw acknowledged reads back from the survivor, and no replica
+// keeps an interrupted ingest.
+func TestFleetChaosProxyStreamLeaderKill(t *testing.T) {
+	for seed := int64(1); seed <= chaosCycles(); seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			const blobs = 3
+			var contents [][]byte
+			src := oci.NewStore()
+			for i := 0; i < blobs; i++ {
+				content, d := randomBlob(seed*blobs+int64(i), 1<<20+rng.Intn(2<<20))
+				if _, _, err := src.Ingest(bytes.NewReader(content), d); err != nil {
+					t.Fatal(err)
+				}
+				contents = append(contents, content)
+			}
+			// The kill lands inside the first blob's bytes, counted over
+			// every client-facing body either replica reads.
+			killAt := int64(64<<10 + rng.Intn(len(contents[0])-64<<10))
+			var streamed atomic.Int64
+			var dp *diskPair
+			var once sync.Once
+			var victim int
+			dead, killed := make(chan struct{}), make(chan struct{})
+			// The kill: the survivor stops replicating to its dead peer
+			// and leads alone; the victim's connections are cut, the one
+			// whose body read called the kill among them.
+			kill := func(i int) {
+				once.Do(func() {
+					victim = i
+					go func() {
+						dp.reps[1-i].SetFollowers()
+						dp.ts[i].CloseClientConnections()
+						close(dead)
+						dp.ts[i].Close()
+						close(killed)
+					}()
+				})
+				<-dead
+			}
+			dp = startDiskPair(t, func(i int, h http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.Method == http.MethodPost && r.Header.Get(distrib.ReplicatedHeader) == "" {
+						r.Body = &killingBody{ReadCloser: r.Body, read: &streamed, at: killAt, kill: func() { kill(i) }}
+					}
+					h.ServeHTTP(w, r)
+				})
+			})
+			plan := faultinject.NewPlan(seed).Rate(faultinject.Cut, 0.2)
+			dp.proxy.HTTP = &http.Client{Transport: faultinject.NewTransport(nil, plan)}
+
+			c := fastClient(dp.front.URL)
+			acked := make(map[digest.Digest][]byte)
+			for _, content := range contents {
+				d := digest.FromBytes(content)
+				if err := c.PushBlob(context.Background(), "chaos", src, d); err == nil {
+					acked[d] = content
+				}
+			}
+			if streamed.Load() < killAt {
+				t.Fatalf("the replicas read %d body bytes; the kill at %d never came", streamed.Load(), killAt)
+			}
+			<-killed
+			survivor := dp.srvs[1-victim]
+			for d, content := range acked {
+				if !survivor.Blobs().Has(d) {
+					t.Errorf("acknowledged blob %s is not on the survivor", d.Short())
+				}
+				dst := oci.NewStore()
+				if err := c.FetchBlob(context.Background(), dst, "chaos", oci.Descriptor{Digest: d}); err != nil {
+					t.Fatalf("acknowledged blob %s unreadable through the proxy: %v", d.Short(), err)
+				}
+				if got, err := distrib.ReadBlob(dst, d); err != nil || !bytes.Equal(got, content) {
+					t.Fatalf("acknowledged blob %s read back wrong (err %v)", d.Short(), err)
+				}
+			}
+			if len(acked) == 0 {
+				t.Errorf("no push was acknowledged (faults %v)", plan.Events())
+			}
+			dp.settle()
+			dp.checkNoTemps(t)
+		})
+	}
+}
+
+// killingBody is a request body that, in the read taking the bytes read
+// across every such body to at or past at, calls kill and then fails.
+type killingBody struct {
+	io.ReadCloser
+	read *atomic.Int64
+	at   int64
+	kill func()
+}
+
+func (b *killingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	if total := b.read.Add(int64(n)); total >= b.at && total-int64(n) < b.at {
+		b.kill()
+		return 0, errors.New("killed mid-body")
+	}
+	return n, err
+}
+
+// TestFleetChaosProxyStreamClientCut: a client that resets its
+// connection partway through a multi-MiB single-request body fails its
+// own upload, not the shard's: the group keeps its leader, and no
+// replica stores the blob or keeps an interrupted ingest.
+func TestFleetChaosProxyStreamClientCut(t *testing.T) {
+	for seed := int64(1); seed <= chaosCycles(); seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			dp := startDiskPair(t, nil)
+			leader := dp.group.Leader()
+			content, d := randomBlob(seed, 2<<20)
+			cut := 64<<10 + rand.New(rand.NewSource(seed)).Intn(len(content)-64<<10)
+
+			conn, err := net.Dial("tcp", strings.TrimPrefix(dp.front.URL, "http://"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(conn, "POST /v2/app/blobs/uploads/?digest=%s HTTP/1.1\r\nHost: proxy\r\nContent-Length: %d\r\n\r\n", d, len(content))
+			if _, err := conn.Write(content[:cut]); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.(*net.TCPConn).SetLinger(0) // Close resets the connection
+			conn.Close()
+
+			dp.settle()
+			if got := dp.group.Leader(); got != leader {
+				t.Errorf("a client's cut body moved the leader from %s to %s", leader, got)
+			}
+			for i, srv := range dp.srvs {
+				if srv.Blobs().Has(d) {
+					t.Errorf("replica %d stored a blob whose body was cut at %d of %d bytes", i, cut, len(content))
+				}
+			}
+			dp.checkNoTemps(t)
+		})
+	}
+}
+
+// TestFleetChaosProxyStreamFailover: how far a relayed body got decides
+// the failover. A leader that fails before it takes a byte is promoted
+// past and the follower gets the same stream, so the client's one
+// request is acknowledged; one that fails after is promoted past too,
+// and the client gets a 503, its cue to send the blob again.
+func TestFleetChaosProxyStreamFailover(t *testing.T) {
+	for _, tc := range []struct {
+		fault faultinject.Kind
+		want  int
+	}{
+		{faultinject.HTTP500, http.StatusCreated},
+		{faultinject.Drop, http.StatusCreated},
+		{faultinject.Cut, http.StatusServiceUnavailable},
+	} {
+		t.Run(string(tc.fault), func(t *testing.T) {
+			dp := startDiskPair(t, nil)
+			plan := faultinject.NewPlan(1).At(1, tc.fault)
+			dp.proxy.HTTP = &http.Client{Transport: faultinject.NewTransport(nil, plan)}
+			content, d := randomBlob(1, 1<<20)
+			resp, err := http.Post(dp.front.URL+"/v2/app/blobs/uploads/?digest="+string(d), "application/octet-stream", bytes.NewReader(content))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("push with the leader's request failing (%s): %s, want %d", tc.fault, resp.Status, tc.want)
+			}
+			if got := dp.group.Leader(); got != dp.ts[1].URL {
+				t.Errorf("leader %s after the fault, want the follower %s promoted once", got, dp.ts[1].URL)
+			}
+			dp.settle()
+			for i, srv := range dp.srvs {
+				if srv.Blobs().Has(d) != (tc.want == http.StatusCreated) {
+					t.Errorf("replica %d holds the blob: %v, want %v", i, srv.Blobs().Has(d), tc.want == http.StatusCreated)
+				}
+			}
+			dp.checkNoTemps(t)
+		})
 	}
 }

@@ -2,15 +2,20 @@ package fleet_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"comtainer/internal/digest"
+	"comtainer/internal/distrib"
 	"comtainer/internal/fleet"
+	"comtainer/internal/oci"
 	"comtainer/internal/registry"
 )
 
@@ -68,13 +73,18 @@ func (ws *watchedShard) do(t *testing.T, method, url string, body io.Reader) *ht
 	return resp
 }
 
-// TestProxyRejectsWrongDigestBeforeAnyShard: the proxy forwards the
-// upload it holds without staging a second copy, and still hashes it
-// first — content that does not match ?digest= is the client's 400, in
-// either upload form, and no shard hears of it.
+// TestProxyRejectsWrongDigestBeforeAnyShard: content that does not
+// match ?digest= is the client's 400, in either upload form. A session's
+// spool is hashed before any shard hears of it, and so is a request body
+// that fits one of the proxy's relay blocks. A longer body goes on to the
+// leader as it arrives, its last block held back until the whole body
+// has hashed to the digest: the client gets its 400 with no retry, the
+// leader sees at most that one request, cut short, and no replica
+// stores, logs or acknowledges the blob.
 func TestProxyRejectsWrongDigestBeforeAnyShard(t *testing.T) {
 	ws := startWatchedShard(t)
-	wrong := string(digest.FromString("what the client claims"))
+	claimed := digest.FromString("what the client claims")
+	wrong := string(claimed)
 
 	resp := ws.do(t, http.MethodPost, "/v2/app/blobs/uploads/?digest="+wrong, strings.NewReader("what it sends"))
 	if resp.StatusCode != http.StatusBadRequest {
@@ -92,6 +102,71 @@ func TestProxyRejectsWrongDigestBeforeAnyShard(t *testing.T) {
 	if n := ws.reqs.Load(); n != 0 {
 		t.Errorf("the shard received %d requests for uploads the proxy should have refused", n)
 	}
+
+	// A relayed body: 1 MiB under the digest of other bytes.
+	leader, leaderTS, leaderLog := diskReplica(t)
+	follower, followerTS, followerLog := diskReplica(t)
+	wlog := &fleet.WriteLog{}
+	leader.SetCommitHook(fleet.NewReplicator(leader.Blobs(), wlog, followerTS.URL))
+	g, err := fleet.NewShardGroup("shard", leaderTS.URL, followerTS.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := fleet.NewProxy([]*fleet.ShardGroup{g}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontLog := &requestLog{}
+	front := httptest.NewServer(frontLog.wrap(p.Handler()))
+	t.Cleanup(front.Close)
+	content, d := randomBlob(1, 1<<20)
+	src := oci.NewStore()
+	if _, _, err := src.Ingest(bytes.NewReader(content), d); err != nil {
+		t.Fatal(err)
+	}
+	err = fastClient(front.URL).PushBlob(context.Background(), "app", mislabelled{src, d}, claimed)
+	if distrib.StatusCode(err) != http.StatusBadRequest {
+		t.Fatalf("relayed body under a wrong digest: %v, want the proxy's 400", err)
+	}
+	if n := frontLog.count(func(r string) bool { return strings.HasPrefix(r, "POST ") }); n != 1 {
+		t.Errorf("the client sent %d POSTs, want 1: a 400 is not retried", n)
+	}
+	leaderTS.Close() // each Close waits for the server's handlers to end
+	followerTS.Close()
+	if n := leaderLog.count(func(r string) bool { return strings.HasPrefix(r, "POST ") }); n > 1 {
+		t.Errorf("the leader received %d POSTs, want at most the one relayed", n)
+	}
+	if n := leaderLog.read.Load(); n >= int64(len(content)) {
+		t.Errorf("the leader read %d body bytes, want the request cut short of %d", n, len(content))
+	}
+	for name, r := range map[string]struct {
+		srv *registry.Server
+		log *requestLog
+	}{"leader": {leader, leaderLog}, "follower": {follower, followerLog}} {
+		if r.srv.Blobs().Has(d) || r.srv.Blobs().Has(claimed) {
+			t.Errorf("the %s stored a blob that does not hash to its digest", name)
+		}
+		if n := r.log.created.Load(); n != 0 {
+			t.Errorf("the %s acknowledged %d writes", name, n)
+		}
+		tmp, err := os.ReadDir(filepath.Join(r.srv.Blobs().(*distrib.DiskStore).Root(), "tmp"))
+		if err != nil || len(tmp) != 0 {
+			t.Errorf("the %s's tmp/ holds %d files (err %v), want none", name, len(tmp), err)
+		}
+	}
+	if e := wlog.Entries(0); len(e) != 0 {
+		t.Errorf("write log %+v, want nothing logged", e)
+	}
+}
+
+// mislabelled serves the bytes of blob serves under every digest asked.
+type mislabelled struct {
+	distrib.BlobSource
+	serves digest.Digest
+}
+
+func (s mislabelled) Open(digest.Digest) (io.ReadCloser, int64, error) {
+	return s.BlobSource.Open(s.serves)
 }
 
 // TestProxyKeepsSessionWhenShardFails: the proxy pushes a session's

@@ -1,11 +1,11 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"io"
 	"net/http"
 	"sort"
@@ -113,9 +113,8 @@ func (p *Proxy) httpClient() *http.Client {
 
 // clientFor returns a (cached) distrib client for one replica. Low
 // retry budget: failover to the next replica beats retrying a dead
-// one. Every blob fits one chunk, so each push is one request whose
-// body the replica streams into its store: nothing past the proxy
-// spools a blob in memory.
+// one. Each push is one request whose body the replica streams into
+// its store: nothing past the proxy spools a blob in memory.
 func (p *Proxy) clientFor(base string) *distrib.Client {
 	p.clientMu.Lock()
 	defer p.clientMu.Unlock()
@@ -125,7 +124,6 @@ func (p *Proxy) clientFor(base string) *distrib.Client {
 	c := distrib.NewClient(base)
 	c.HTTP = p.httpClient()
 	c.Retries = 1
-	c.ChunkSize = oci.MaxBlobSize
 	if p.clients == nil {
 		p.clients = make(map[string]*distrib.Client)
 	}
@@ -242,15 +240,16 @@ func (p *Proxy) ServeBlob(w http.ResponseWriter, r *http.Request, _ string, d di
 // CommitBlob implements registry.Backend: the blob is verified and
 // pushed to its owning shard group (with failover) — whose leader
 // acknowledges only after every follower holds it — inside the sink's
-// Ingest, while the front-end's copy of the content is still there to
-// be read.
+// Ingest, while the content, a session's spool or a request body still
+// arriving, is there to be read.
 func (p *Proxy) CommitBlob(r *http.Request, name string, _ digest.Digest, ingest func(distrib.BlobSink) error) error {
 	return ingest(&relaySink{p: p, ctx: r.Context(), name: name})
 }
 
-// relaySink is the BlobSink CommitBlob hands the front-end and, once its
-// Ingest has verified what it was given, the one-blob BlobSource the
-// shard push reads that content from.
+// relaySink is the BlobSink CommitBlob hands the front-end. It holds no
+// blob of its own: a request body goes on to the shard as it arrives
+// (relay), and an upload session's spool is pushed from where it lies,
+// the sink serving as the one-blob BlobSource the push reads.
 type relaySink struct {
 	p    *Proxy
 	ctx  context.Context
@@ -261,27 +260,19 @@ type relaySink struct {
 }
 
 // randomAccess is content that can be read any number of times, by
-// offset: a bytes.Reader, or what distrib.UploadManager.Commit hands a
-// sink.
+// offset: what distrib.UploadManager.Commit hands a sink.
 type randomAccess interface {
 	io.ReaderAt
 	Size() int64
 }
 
-// Ingest verifies r against want — a mismatch is the client's error,
-// returned before any shard hears of the blob — and pushes it on. An
-// upload session's spool is pushed from where it lies; a request body
-// is read once, into one allocation of the size it declares.
+// Ingest verifies r against want and pushes it on; a mismatch is the
+// client's error. A session's spool is hashed before any shard hears of
+// the blob; a request body is hashed as it is relayed.
 func (s *relaySink) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int64, error) {
-	var ok bool
-	if s.content, ok = r.(randomAccess); !ok {
-		size, declared := oci.Sized(r)
-		b, err := oci.ReadSized(nil, r, size, declared)
-		if err != nil {
-			return "", 0, fmt.Errorf("fleet: receiving blob: %w", err)
-		}
-		body := bytes.NewReader(b)
-		s.content, r = body, body
+	content, ok := r.(randomAccess)
+	if !ok {
+		return s.relay(r, want)
 	}
 	h := sha256.New()
 	if _, err := io.Copy(h, r); err != nil {
@@ -290,14 +281,135 @@ func (s *relaySink) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int6
 	if got := digest.FromHash(h); got != want {
 		return "", 0, fmt.Errorf("fleet: digest mismatch: content is %s, want %s", got, want)
 	}
-	s.d = want
+	s.d, s.content = want, content
 	err := s.p.withGroup(s.p.groupFor(want), func(base string) error {
 		return s.p.clientFor(base).PushBlob(s.ctx, s.name, s, want)
 	})
 	if err != nil {
 		return "", 0, shardError(err)
 	}
-	return want, s.content.Size(), nil
+	return want, content.Size(), nil
+}
+
+// relay pushes a request body to the leader of the group owning want as
+// the bytes arrive, with no HEAD first — the client has just probed
+// through the proxy — through a relayBody, which holds the body's last
+// block back until the whole body has hashed to want. Failover follows
+// how far the body got. A replica that failed before it took a byte is
+// promoted past and the next one gets the same stream; one that failed
+// after is promoted past too, and the client's 503 sends the blob again.
+// A body that is not delivered, or not want, is no shard's failure and
+// promotes nothing.
+func (s *relaySink) relay(r io.Reader, want digest.Digest) (digest.Digest, int64, error) {
+	size, _ := oci.Sized(r)
+	if size > oci.MaxBlobSize {
+		return "", 0, fmt.Errorf("fleet: blob of %d bytes: %w", size, oci.ErrBlobTooLarge)
+	}
+	b := &relayBody{r: r, want: want, h: sha256.New()}
+	for i := range b.bufs {
+		b.bufs[i] = relayBufs.Get().(*[32 << 10]byte)
+		defer relayBufs.Put(b.bufs[i])
+	}
+	if b.fill(); b.err != nil {
+		return "", 0, b.err // a body of one block is judged before any shard hears of it
+	}
+	g := s.p.groupFor(want)
+	leader := g.Leader()
+	var err error
+	for range g.Replicas() {
+		pr, pw := io.Pipe()
+		err = cachekit.Parallel(2, 0, func(i int) error {
+			if i == 0 {
+				return s.p.clientFor(leader).PushStream(s.ctx, s.name, want, pr, size, nil)
+			}
+			b.feed(pw)
+			return nil
+		})
+		switch {
+		case b.err != nil:
+			return "", 0, b.err
+		case err == nil:
+			return want, b.sent, nil
+		case s.ctx.Err() != nil: // the client's request ended, not the shard
+			return "", 0, fmt.Errorf("fleet: receiving blob: %w", context.Cause(s.ctx))
+		case b.sent > 0:
+			g.promoteFrom(leader)
+			return "", 0, registry.WithStatus(http.StatusServiceUnavailable, fmt.Errorf("fleet: shard %s failed mid-blob: %w", g.Name(), err))
+		}
+		leader = g.promoteFrom(leader)
+	}
+	return "", 0, shardError(fmt.Errorf("fleet: shard %s has no usable replica: %w", g.Name(), err))
+}
+
+// relayBody is a request body on its way to a shard, in blocks of the
+// relayBufs pool: each block is hashed as it is read and passed on once
+// the next has been read, so the block that ends the body goes only
+// when the whole body hashes to want. A body that does not ends in an
+// error instead, and the request carrying it fails short of its end:
+// no store downstream keeps it. What one request did not take stays for
+// the next.
+type relayBody struct {
+	r    io.Reader
+	want digest.Digest
+	h    hash.Hash
+	bufs [2]*[32 << 10]byte
+	next int    // the buffer the next block is read into
+	held []byte // the block last read, not passed on
+	out  []byte // passed on, not yet taken
+
+	sent  int64 // bytes taken by a request
+	ended bool  // r ended, hashing to want: held may go too
+	err   error // the body's own failure: not delivered, or not want
+}
+
+// fill reads the body's next block, while out is empty, and passes the
+// block held before it on.
+func (b *relayBody) fill() {
+	buf := b.bufs[b.next][:]
+	n := 0
+	var err error
+	for n < len(buf) && err == nil {
+		var m int
+		m, err = b.r.Read(buf[n:])
+		n += m
+	}
+	b.h.Write(buf[:n])
+	if n > 0 {
+		b.out, b.held = b.held, buf[:n]
+		b.next ^= 1
+	}
+	switch {
+	case err == io.EOF:
+		if got := digest.FromHash(b.h); got != b.want {
+			b.err = fmt.Errorf("fleet: digest mismatch: content is %s, want %s", got, b.want)
+		}
+		b.ended = b.err == nil
+	case err != nil:
+		b.err = fmt.Errorf("fleet: receiving blob: %w", err)
+	}
+}
+
+// feed writes the body to w until it has all gone or w takes no more,
+// and ends w with the body's verdict.
+func (b *relayBody) feed(w *io.PipeWriter) {
+	for b.err == nil {
+		switch {
+		case len(b.out) > 0:
+			n, err := w.Write(b.out)
+			b.out, b.sent = b.out[n:], b.sent+int64(n)
+			if err != nil {
+				return // the request is over
+			}
+		case b.ended && b.held == nil:
+			w.Close()
+			return
+		case b.ended:
+			b.out, b.held = b.held, nil
+		default:
+			b.fill()
+		}
+	}
+	w.CloseWithError(b.err)
 }
 
 // Has implements distrib.BlobSource.

@@ -10,7 +10,6 @@ import (
 	"comtainer/internal/cachekit"
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
-	"comtainer/internal/oci"
 )
 
 // replicationRepo is the repository name replication pushes use; the
@@ -86,9 +85,9 @@ var replicationClient = &http.Client{
 	Transport: headerTransport{base: http.DefaultTransport, key: distrib.ReplicatedHeader, value: "1"},
 }
 
-// clientFor returns the (cached) client of one follower. Like the
-// proxy's, it pushes every blob in one request, streamed from the
-// leader's store into the follower's.
+// clientFor returns the (cached) client of one follower. Like every
+// client, it pushes a blob in one request, streamed from the leader's
+// store into the follower's.
 func (r *Replicator) clientFor(base string) *distrib.Client {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -97,7 +96,6 @@ func (r *Replicator) clientFor(base string) *distrib.Client {
 	}
 	c := distrib.NewClient(base)
 	c.HTTP = replicationClient
-	c.ChunkSize = oci.MaxBlobSize
 	if r.clients == nil {
 		r.clients = make(map[string]*distrib.Client)
 	}
