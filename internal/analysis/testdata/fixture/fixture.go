@@ -5,8 +5,8 @@
 // contains one clean, suppressed site. It also spells each thing
 // scripts/bans.sh bans (TestBansFire): a sha256 literal, an
 // os.WriteFile, a time.Sleep, a digest.Digest conversion, an
-// io.ReadAll of a bare reader, a bufio.NewScanner and an http.Server
-// literal here, a function-style atomic in racecase.go. It must not import
+// io.ReadAll of a bare reader, a bufio.NewScanner, an http.Server
+// literal and a PATCH here, a function-style atomic in racecase.go. It must not import
 // comtainer/internal packages: those are invisible across the module
 // boundary.
 package fixture
@@ -67,6 +67,13 @@ func Lines(text string) []string {
 // and none of the drain of the one serve function.
 func Server(h http.Handler) *http.Server {
 	return &http.Server{Handler: h}
+}
+
+// SessionChunk is banned as client-patch: an upload session's chunk
+// sent from outside the registry front-end, the one side that serves
+// sessions.
+func SessionChunk() string {
+	return http.MethodPatch
 }
 
 // Spawn violates gonaked: the goroutine is never joined.

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -28,11 +27,11 @@ import (
 // There is one place a request is built and sent (Do) and one loop
 // that retries (Retry). Every operation that retries — a blob push or
 // fetch, a manifest, a farm result report — spends one budget of
-// Retries+1 attempts on it; nothing nests a second loop inside. What an
-// interrupted transfer already moved survives between attempts: a
-// download resumes with an HTTP Range request from the bytes received,
-// a chunked upload from the offset its session reports (or from a new
-// session, when the server has forgotten the old one).
+// Retries+1 attempts on it; nothing nests a second loop inside. A
+// download interrupted mid-body resumes with an HTTP Range request from
+// the bytes received; a blob goes up in the protocol's single request,
+// whatever its size, and an attempt cut mid-body is sent again from
+// byte 0.
 //
 // Every method takes a context: cancelling it aborts in-flight
 // requests and any retry/backoff wait within one timer tick — there is
@@ -44,12 +43,6 @@ type Client struct {
 	HTTP *http.Client
 	// Workers bounds parallel blob transfers per image (default 4).
 	Workers int
-	// ChunkSize, when set, sends a blob larger than it through a
-	// resumable upload session, one PATCH per ChunkSize bytes, so a
-	// transfer cut mid-blob resumes from the offset the server committed.
-	// Unset, every blob goes up in the protocol's single request, whatever
-	// its size, and a failed one is sent again from byte 0.
-	ChunkSize int64
 	// Retries is how many times one operation retries a transient
 	// failure, whichever of its requests failed (default 3).
 	Retries int
@@ -160,7 +153,8 @@ func (c *Client) Do(ctx context.Context, method, url string, header http.Header,
 // Permanent: context cancellation — a caller that cancelled must never
 // be held for another attempt — a blob declared larger than the client
 // will hold, and every status but the server-side ones (5xx, 429, 408,
-// and 416: the resume-offset handshake restarts from scratch).
+// and 416: a download's Range past what the server holds, which the
+// next attempt drops).
 //
 // Retryable: everything else — truncated bodies, connection resets and
 // refusals, and failures of no known kind (a digest mismatch from a
@@ -182,8 +176,8 @@ func transient(err error) bool {
 // permanently (see transient) or has failed Retries+1 times, waiting
 // RetryBackoff doubled per retry in between. Cancelling ctx aborts both
 // the in-flight attempt and any backoff wait. State fn keeps outside
-// itself — bytes received, an upload session — carries a transfer from
-// one attempt to the next.
+// itself — the bytes a download received — carries a transfer from one
+// attempt to the next.
 func (c *Client) Retry(ctx context.Context, fn func(context.Context) error) error {
 	backoff := c.backoff()
 	for n := 0; ; n++ {
@@ -239,89 +233,9 @@ func (c *Client) HasBlob(ctx context.Context, name string, d digest.Digest) (boo
 
 // --- push side ---
 
-// startUpload opens an upload session in repository name and returns
-// the session's absolute URL.
-func (c *Client) startUpload(ctx context.Context, name string) (string, error) {
-	resp, err := c.Do(ctx, http.MethodPost, c.url(name, "blobs", "uploads")+"/", nil, nil, http.StatusAccepted)
-	if err != nil {
-		return "", err
-	}
-	resp.Body.Close()
-	loc := resp.Header.Get("Location")
-	if loc == "" {
-		return "", fmt.Errorf("distrib: upload session has no Location")
-	}
-	if strings.HasPrefix(loc, "/") {
-		loc = c.Base + loc
-	}
-	return loc, nil
-}
-
-// uploadOffset queries a session for its committed offset.
-func (c *Client) uploadOffset(ctx context.Context, loc string) (int64, error) {
-	resp, err := c.Do(ctx, http.MethodGet, loc, nil, nil, http.StatusNoContent, http.StatusOK)
-	if err != nil {
-		return 0, err
-	}
-	resp.Body.Close()
-	return parseUploadRange(resp.Header.Get("Range"))
-}
-
-// parseUploadRange turns a session "Range: 0-<end>" header into the
-// next write offset. "0-0" means nothing received (the docker
-// convention for an empty session).
-func parseUploadRange(rng string) (int64, error) {
-	start, end, ok := strings.Cut(rng, "-")
-	if !ok || start != "0" {
-		return 0, fmt.Errorf("distrib: malformed upload range %q", rng)
-	}
-	n, err := strconv.ParseInt(end, 10, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("distrib: malformed upload range %q", rng)
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	return n + 1, nil
-}
-
-// sendChunks PATCHes blob d to session loc from offset on, reading the
-// blob's size bytes from r, and PUTs the digest to close the session.
-// Each chunk's body is the next stretch of r itself.
-func (c *Client) sendChunks(ctx context.Context, loc string, r io.Reader, size int64, d digest.Digest, offset int64) error {
-	if _, err := io.CopyN(io.Discard, r, offset); err != nil {
-		return fmt.Errorf("distrib: seeking to resume offset %d: %w", offset, err)
-	}
-	for offset < size {
-		n := min(c.ChunkSize, size-offset)
-		header := http.Header{
-			"Content-Type":  {"application/octet-stream"},
-			"Content-Range": {fmt.Sprintf("%d-%d", offset, offset+n-1)},
-		}
-		resp, err := c.Do(ctx, http.MethodPatch, loc, header, oci.NewSizedReader(r, n), http.StatusAccepted)
-		if err != nil {
-			return fmt.Errorf("distrib: uploading chunk of %s: %w", d.Short(), err)
-		}
-		resp.Body.Close()
-		offset += n
-	}
-	sep := "?"
-	if strings.Contains(loc, "?") {
-		sep = "&"
-	}
-	resp, err := c.Do(ctx, http.MethodPut, loc+sep+"digest="+string(d), nil, nil, http.StatusCreated)
-	if err != nil {
-		return err
-	}
-	return resp.Body.Close()
-}
-
 // PushBlob uploads blob d from src into repository name. Blobs the
-// registry already holds are skipped. A blob goes up in one request
-// unless it is larger than a set ChunkSize; then it uses the chunked
-// upload protocol, where a transfer interrupted mid-PATCH resumes from
-// the offset the server reports rather than restarting, and one whose
-// session the server has forgotten starts again from a new session.
+// registry already holds are skipped. A blob goes up in one request,
+// whatever its size; a failed attempt sends it again from byte 0.
 func (c *Client) PushBlob(ctx context.Context, name string, src BlobSource, d digest.Digest) error {
 	return c.push(ctx, name, d, true, func() (io.ReadCloser, int64, error) { return src.Open(d) })
 }
@@ -355,48 +269,22 @@ func (c *Client) PushStream(ctx context.Context, name string, d digest.Digest, b
 	})
 }
 
-// push uploads blob d, whose content open yields afresh per attempt —
-// after a HEAD, when probe is set, to skip a blob the registry holds.
+// push uploads blob d, whose content open yields afresh per attempt, in
+// one request an attempt — after a HEAD, when probe is set, to skip a
+// blob the registry holds.
 func (c *Client) push(ctx context.Context, name string, d digest.Digest, probe bool, open func() (io.ReadCloser, int64, error)) error {
 	if probe {
 		if ok, err := c.HasBlob(ctx, name, d); err == nil && ok {
 			return nil
 		}
 	}
-	var loc string // the chunked upload's session, kept across attempts
 	return c.Retry(ctx, func(ctx context.Context) error {
 		r, size, err := open()
 		if err != nil {
 			return err
 		}
 		defer r.Close()
-		if c.ChunkSize <= 0 || size <= c.ChunkSize {
-			return c.post(ctx, name, d, r, size)
-		}
-		// Resume from the offset the session committed; only a session
-		// the server no longer knows is replaced by a fresh one.
-		var offset int64
-		if loc != "" {
-			if offset, err = c.uploadOffset(ctx, loc); StatusCode(err) == http.StatusNotFound {
-				loc = ""
-			} else if err != nil {
-				return err
-			}
-		}
-		if loc == "" {
-			if loc, err = c.startUpload(ctx, name); err != nil {
-				return err
-			}
-		}
-		err = c.sendChunks(ctx, loc, r, size, d, offset)
-		if StatusCode(err) == http.StatusNotFound {
-			// The server has forgotten the session (it restarted, or the
-			// session expired): the next attempt opens a fresh one. The
-			// 404 is not wrapped, since Retry would stop on it.
-			loc = ""
-			return fmt.Errorf("distrib: upload session of %s is gone: %v", d.Short(), err)
-		}
-		return err
+		return c.post(ctx, name, d, r, size)
 	})
 }
 

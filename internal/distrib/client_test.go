@@ -379,31 +379,6 @@ func TestPushRefusesDanglingManifest(t *testing.T) {
 	}
 }
 
-// TestChunkedPushLargeBlob forces multi-chunk PATCH uploads.
-func TestChunkedPushLargeBlob(t *testing.T) {
-	srv := registry.NewServer()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	payload := strings.Repeat("big layer content ", 4096) // ~72 KiB
-	src := oci.NewStore()
-	desc := buildTestImage(t, src, payload)
-	c := fastClient(ts.URL)
-	c.ChunkSize = 8 << 10 // 8 KiB chunks → many PATCHes
-	if err := c.PushImage(context.Background(), src, desc, "big/app", "v1"); err != nil {
-		t.Fatal(err)
-	}
-	dst := oci.NewStore()
-	if _, err := c.PullImage(context.Background(), dst, "big/app", "v1"); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range src.Digests() {
-		if !dst.Has(d) {
-			t.Fatalf("blob %s did not survive chunked upload", d.Short())
-		}
-	}
-}
-
 // TestPushBlobStandalone covers PushBlob + HasBlob directly.
 func TestPushBlobStandalone(t *testing.T) {
 	srv := registry.NewServer()
@@ -523,23 +498,20 @@ func TestBytesHelpersRoundTrip(t *testing.T) {
 }
 
 // TestPushBlobSpendsOneRetryBudget pins what the Client.Retries doc
-// promises: a chunked upload whose PATCH always fails is attempted
-// Retries+1 times in total — the resume handshake lives inside the one
-// retry loop, not in a second loop multiplying it — and every attempt
-// resumes the session the first one opened.
+// promises: a push whose POST always fails is attempted Retries+1 times
+// in total, each attempt the whole blob in one request, and no upload
+// session is opened.
 func TestPushBlobSpendsOneRetryBudget(t *testing.T) {
 	inner := registry.NewServer().Handler()
-	var sessions, patches, offsetQueries atomic.Int64
+	var posts, sessions atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
-		case r.Method == http.MethodPatch:
-			patches.Add(1)
+		case r.Method == http.MethodPost && r.URL.Query().Has("digest"):
+			posts.Add(1)
 			http.Error(w, "disk full", http.StatusServiceUnavailable)
 			return
-		case r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/blobs/uploads/"):
+		case r.Method != http.MethodHead:
 			sessions.Add(1)
-		case r.Method == http.MethodGet && strings.Contains(r.URL.Path, "/blobs/uploads/"):
-			offsetQueries.Add(1)
 		}
 		inner.ServeHTTP(w, r)
 	}))
@@ -548,18 +520,14 @@ func TestPushBlobSpendsOneRetryBudget(t *testing.T) {
 	src := oci.NewStore()
 	d := src.Put([]byte(strings.Repeat("never lands ", 4096)))
 	c := fastClient(ts.URL)
-	c.ChunkSize = 8 << 10
 	c.Retries = 3
 	if err := c.PushBlob(context.Background(), "app", src, d); err == nil || !strings.Contains(err.Error(), "503") {
-		t.Fatalf("push against a failing PATCH: err=%v, want the 503", err)
+		t.Fatalf("push against a failing POST: err=%v, want the 503", err)
 	}
-	if n := patches.Load(); n != int64(c.Retries)+1 {
-		t.Errorf("%d PATCH attempts, want Retries+1 = %d", n, c.Retries+1)
+	if n := posts.Load(); n != int64(c.Retries)+1 {
+		t.Errorf("%d POST attempts, want Retries+1 = %d", n, c.Retries+1)
 	}
-	if n := sessions.Load(); n != 1 {
-		t.Errorf("%d upload sessions opened, want 1 resumed throughout", n)
-	}
-	if n := offsetQueries.Load(); n != int64(c.Retries) {
-		t.Errorf("%d offset queries, want one per retry = %d", n, c.Retries)
+	if n := sessions.Load(); n != 0 {
+		t.Errorf("%d session requests, want none", n)
 	}
 }

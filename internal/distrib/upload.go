@@ -225,10 +225,10 @@ func (b *boundedReader) Read(p []byte) (int, error) {
 }
 
 // memSpool reads a session's chunks as one blob. It is what Commit
-// hands a sink: it says how long it is (Len, for a sink that allocates;
-// Size with ReadAt, for one that reads it more than once where it lies)
-// and writes itself out chunk by chunk, so a sink that streams gets
-// each chunk in one Write.
+// hands a sink: it says how long it is (Len, for a sink that allocates),
+// reads again from any offset (ReadAt, for a sink that sends it more
+// than once) and writes itself out chunk by chunk, so a sink that
+// streams gets each chunk in one Write.
 type memSpool struct {
 	chunks [][]byte
 	size   int64
@@ -236,8 +236,6 @@ type memSpool struct {
 }
 
 func (m *memSpool) Len() int { return int(m.size - m.off) }
-
-func (m *memSpool) Size() int64 { return m.size }
 
 func (m *memSpool) Read(p []byte) (int, error) {
 	n, err := m.ReadAt(p, m.off)
@@ -296,8 +294,10 @@ func (m *memSpool) WriteTo(w io.Writer) (int64, error) {
 // should not wait for it. While it runs the session is sealed instead:
 // Append and a second Commit get ErrUploadClosed, so the bytes the
 // sink sees are the bytes that were there when Commit was called. They
-// reach the sink as an io.ReaderAt with a Size — a sink may read them
-// again, where they lie, for as long as its Ingest runs.
+// reach the sink as an io.ReaderAt whose Len is their size — a sink may
+// read them again, where they lie, for as long as its Ingest runs: the
+// fleet proxy sends them to the next replica from byte 0 when one fails
+// mid-blob.
 func (m *UploadManager) Commit(u *Upload, sink BlobSink, want digest.Digest) (digest.Digest, int64, error) {
 	if err := want.Validate(); err != nil {
 		return "", 0, err

@@ -502,3 +502,31 @@ func TestFleetChaosProxyStreamFailover(t *testing.T) {
 		})
 	}
 }
+
+// TestFleetChaosProxySessionFailover: a session's spool, unlike a
+// request body, can be read again. When the proxy → leader hop is cut
+// partway into the spool, the proxy promotes the follower and sends it
+// the spool from byte 0, so the finalizing PUT is acknowledged in one
+// request, and the follower, now leader, replicates the blob back.
+func TestFleetChaosProxySessionFailover(t *testing.T) {
+	dp := startDiskPair(t, nil)
+	plan := faultinject.NewPlan(1).At(1, faultinject.Cut)
+	dp.proxy.HTTP = &http.Client{Transport: faultinject.NewTransport(nil, plan)}
+	content, d := randomBlob(1, 1<<20)
+	if resp := pushSession(t, dp.front.URL, content, 4, d); resp.StatusCode != http.StatusCreated {
+		t.Errorf("finalize with the leader's request cut: %s, want 201", resp.Status)
+	}
+	if events := plan.Events(); len(events) != 1 || events[0].Kind != faultinject.Cut {
+		t.Errorf("injected %v, want the one cut", events)
+	}
+	if got := dp.group.Leader(); got != dp.ts[1].URL {
+		t.Errorf("leader %s after the cut, want the follower %s promoted once", got, dp.ts[1].URL)
+	}
+	dp.settle()
+	for i, srv := range dp.srvs {
+		if back, err := distrib.ReadBlob(srv.Blobs(), d); err != nil || !bytes.Equal(back, content) {
+			t.Errorf("replica %d's copy of the blob: %v, byte-identical %v", i, err, bytes.Equal(back, content))
+		}
+	}
+	dp.checkNoTemps(t)
+}

@@ -57,8 +57,15 @@ func startWatchedShard(t *testing.T) *watchedShard {
 
 func (ws *watchedShard) do(t *testing.T, method, url string, body io.Reader) *http.Response {
 	t.Helper()
+	return send(t, ws.front.URL, method, url, body)
+}
+
+// send makes one request of the server at front (a url that is a path
+// is taken as under it) and returns the response, its body read.
+func send(t *testing.T, front, method, url string, body io.Reader) *http.Response {
+	t.Helper()
 	if strings.HasPrefix(url, "/") {
-		url = ws.front.URL + url
+		url = front + url
 	}
 	req, err := http.NewRequest(method, url, body)
 	if err != nil {
@@ -73,14 +80,29 @@ func (ws *watchedShard) do(t *testing.T, method, url string, body io.Reader) *ht
 	return resp
 }
 
+// pushSession uploads content to repository app at front through an
+// upload session, in parts PATCHes, finalizes it under d and returns
+// the finalizing PUT's response.
+func pushSession(t *testing.T, front string, content []byte, parts int, d digest.Digest) *http.Response {
+	t.Helper()
+	loc := send(t, front, http.MethodPost, "/v2/app/blobs/uploads/", nil).Header.Get("Location")
+	for i := range parts {
+		part := content[i*len(content)/parts : (i+1)*len(content)/parts]
+		if resp := send(t, front, http.MethodPatch, loc, bytes.NewReader(part)); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("PATCH %d of %d: %s", i+1, parts, resp.Status)
+		}
+	}
+	return send(t, front, http.MethodPut, loc+"?digest="+string(d), nil)
+}
+
 // TestProxyRejectsWrongDigestBeforeAnyShard: content that does not
-// match ?digest= is the client's 400, in either upload form. A session's
-// spool is hashed before any shard hears of it, and so is a request body
-// that fits one of the proxy's relay blocks. A longer body goes on to the
-// leader as it arrives, its last block held back until the whole body
-// has hashed to the digest: the client gets its 400 with no retry, the
-// leader sees at most that one request, cut short, and no replica
-// stores, logs or acknowledges the blob.
+// match ?digest= is the client's 400, in either upload form. Content
+// that fits one of the proxy's relay blocks, a request body or a
+// session's spool, is hashed before any shard hears of it. Longer
+// content goes on to the leader as it is read, its last block held back
+// until the whole of it has hashed to the digest: the client gets its
+// 400 with no retry, the leader sees at most that one request, cut
+// short, and no replica stores, logs or acknowledges the blob.
 func TestProxyRejectsWrongDigestBeforeAnyShard(t *testing.T) {
 	ws := startWatchedShard(t)
 	claimed := digest.FromString("what the client claims")
@@ -103,59 +125,76 @@ func TestProxyRejectsWrongDigestBeforeAnyShard(t *testing.T) {
 		t.Errorf("the shard received %d requests for uploads the proxy should have refused", n)
 	}
 
-	// A relayed body: 1 MiB under the digest of other bytes.
-	leader, leaderTS, leaderLog := diskReplica(t)
-	follower, followerTS, followerLog := diskReplica(t)
-	wlog := &fleet.WriteLog{}
-	leader.SetCommitHook(fleet.NewReplicator(leader.Blobs(), wlog, followerTS.URL))
-	g, err := fleet.NewShardGroup("shard", leaderTS.URL, followerTS.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := fleet.NewProxy([]*fleet.ShardGroup{g}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frontLog := &requestLog{}
-	front := httptest.NewServer(frontLog.wrap(p.Handler()))
-	t.Cleanup(front.Close)
+	// Relayed content: 1 MiB under the digest of other bytes, as one
+	// request's body and as a session's spool.
 	content, d := randomBlob(1, 1<<20)
-	src := oci.NewStore()
-	if _, _, err := src.Ingest(bytes.NewReader(content), d); err != nil {
-		t.Fatal(err)
-	}
-	err = fastClient(front.URL).PushBlob(context.Background(), "app", mislabelled{src, d}, claimed)
-	if distrib.StatusCode(err) != http.StatusBadRequest {
-		t.Fatalf("relayed body under a wrong digest: %v, want the proxy's 400", err)
-	}
-	if n := frontLog.count(func(r string) bool { return strings.HasPrefix(r, "POST ") }); n != 1 {
-		t.Errorf("the client sent %d POSTs, want 1: a 400 is not retried", n)
-	}
-	leaderTS.Close() // each Close waits for the server's handlers to end
-	followerTS.Close()
-	if n := leaderLog.count(func(r string) bool { return strings.HasPrefix(r, "POST ") }); n > 1 {
-		t.Errorf("the leader received %d POSTs, want at most the one relayed", n)
-	}
-	if n := leaderLog.read.Load(); n >= int64(len(content)) {
-		t.Errorf("the leader read %d body bytes, want the request cut short of %d", n, len(content))
-	}
-	for name, r := range map[string]struct {
-		srv *registry.Server
-		log *requestLog
-	}{"leader": {leader, leaderLog}, "follower": {follower, followerLog}} {
-		if r.srv.Blobs().Has(d) || r.srv.Blobs().Has(claimed) {
-			t.Errorf("the %s stored a blob that does not hash to its digest", name)
-		}
-		if n := r.log.created.Load(); n != 0 {
-			t.Errorf("the %s acknowledged %d writes", name, n)
-		}
-		tmp, err := os.ReadDir(filepath.Join(r.srv.Blobs().(*distrib.DiskStore).Root(), "tmp"))
-		if err != nil || len(tmp) != 0 {
-			t.Errorf("the %s's tmp/ holds %d files (err %v), want none", name, len(tmp), err)
-		}
-	}
-	if e := wlog.Entries(0); len(e) != 0 {
-		t.Errorf("write log %+v, want nothing logged", e)
+	for _, tc := range []struct {
+		name string
+		push func(t *testing.T, front string, frontLog *requestLog)
+	}{
+		{"body", func(t *testing.T, front string, frontLog *requestLog) {
+			src := oci.NewStore()
+			if _, _, err := src.Ingest(bytes.NewReader(content), d); err != nil {
+				t.Fatal(err)
+			}
+			err := fastClient(front).PushBlob(context.Background(), "app", mislabelled{src, d}, claimed)
+			if distrib.StatusCode(err) != http.StatusBadRequest {
+				t.Fatalf("relayed body under a wrong digest: %v, want the proxy's 400", err)
+			}
+			if n := frontLog.count(func(r string) bool { return strings.HasPrefix(r, "POST ") }); n != 1 {
+				t.Errorf("the client sent %d POSTs, want 1: a 400 is not retried", n)
+			}
+		}},
+		{"session", func(t *testing.T, front string, _ *requestLog) {
+			if resp := pushSession(t, front, content, 4, claimed); resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("relayed session under a wrong digest: %s, want the proxy's 400", resp.Status)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leader, leaderTS, leaderLog := diskReplica(t)
+			follower, followerTS, followerLog := diskReplica(t)
+			wlog := &fleet.WriteLog{}
+			leader.SetCommitHook(fleet.NewReplicator(leader.Blobs(), wlog, followerTS.URL))
+			g, err := fleet.NewShardGroup("shard", leaderTS.URL, followerTS.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := fleet.NewProxy([]*fleet.ShardGroup{g}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frontLog := &requestLog{}
+			front := httptest.NewServer(frontLog.wrap(p.Handler()))
+			t.Cleanup(front.Close)
+			tc.push(t, front.URL, frontLog)
+			leaderTS.Close() // each Close waits for the server's handlers to end
+			followerTS.Close()
+			if n := leaderLog.count(func(r string) bool { return strings.HasPrefix(r, "POST ") }); n > 1 {
+				t.Errorf("the leader received %d POSTs, want at most the one relayed", n)
+			}
+			if n := leaderLog.read.Load(); n >= int64(len(content)) {
+				t.Errorf("the leader read %d body bytes, want the request cut short of %d", n, len(content))
+			}
+			for name, r := range map[string]struct {
+				srv *registry.Server
+				log *requestLog
+			}{"leader": {leader, leaderLog}, "follower": {follower, followerLog}} {
+				if r.srv.Blobs().Has(d) || r.srv.Blobs().Has(claimed) {
+					t.Errorf("the %s stored a blob that does not hash to its digest", name)
+				}
+				if n := r.log.created.Load(); n != 0 {
+					t.Errorf("the %s acknowledged %d writes", name, n)
+				}
+				tmp, err := os.ReadDir(filepath.Join(r.srv.Blobs().(*distrib.DiskStore).Root(), "tmp"))
+				if err != nil || len(tmp) != 0 {
+					t.Errorf("the %s's tmp/ holds %d files (err %v), want none", name, len(tmp), err)
+				}
+			}
+			if e := wlog.Entries(0); len(e) != 0 {
+				t.Errorf("write log %+v, want nothing logged", e)
+			}
+		})
 	}
 }
 

@@ -247,71 +247,38 @@ func (p *Proxy) CommitBlob(r *http.Request, name string, _ digest.Digest, ingest
 }
 
 // relaySink is the BlobSink CommitBlob hands the front-end. It holds no
-// blob of its own: a request body goes on to the shard as it arrives
-// (relay), and an upload session's spool is pushed from where it lies,
-// the sink serving as the one-blob BlobSource the push reads.
+// blob of its own: whatever the content, a request body or an upload
+// session's spool, it goes on to the shard as it is read.
 type relaySink struct {
 	p    *Proxy
 	ctx  context.Context
 	name string
-
-	d       digest.Digest
-	content randomAccess
 }
 
-// randomAccess is content that can be read any number of times, by
-// offset: what distrib.UploadManager.Commit hands a sink.
-type randomAccess interface {
-	io.ReaderAt
-	Size() int64
-}
-
-// Ingest verifies r against want and pushes it on; a mismatch is the
-// client's error. A session's spool is hashed before any shard hears of
-// the blob; a request body is hashed as it is relayed.
+// Ingest pushes r to the leader of the group owning want as the bytes
+// are read, with no HEAD first — the client has just probed through the
+// proxy, or spooled a session — through a relayBody, which holds the
+// content's last block back until the whole of it has hashed to want; a
+// mismatch is the client's error. Failover follows how far the content
+// got. A replica that failed before it took a byte is promoted past and
+// the next one gets the same stream. One that failed after is promoted
+// past too: a session's spool, which can be read again, goes to the
+// next one from byte 0, and for a request body the client's 503 sends
+// the blob again. Content that is not delivered, or not want, is no
+// shard's failure and promotes nothing.
 func (s *relaySink) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int64, error) {
-	content, ok := r.(randomAccess)
-	if !ok {
-		return s.relay(r, want)
-	}
-	h := sha256.New()
-	if _, err := io.Copy(h, r); err != nil {
-		return "", 0, fmt.Errorf("fleet: reading blob: %w", err)
-	}
-	if got := digest.FromHash(h); got != want {
-		return "", 0, fmt.Errorf("fleet: digest mismatch: content is %s, want %s", got, want)
-	}
-	s.d, s.content = want, content
-	err := s.p.withGroup(s.p.groupFor(want), func(base string) error {
-		return s.p.clientFor(base).PushBlob(s.ctx, s.name, s, want)
-	})
-	if err != nil {
-		return "", 0, shardError(err)
-	}
-	return want, content.Size(), nil
-}
-
-// relay pushes a request body to the leader of the group owning want as
-// the bytes arrive, with no HEAD first — the client has just probed
-// through the proxy — through a relayBody, which holds the body's last
-// block back until the whole body has hashed to want. Failover follows
-// how far the body got. A replica that failed before it took a byte is
-// promoted past and the next one gets the same stream; one that failed
-// after is promoted past too, and the client's 503 sends the blob again.
-// A body that is not delivered, or not want, is no shard's failure and
-// promotes nothing.
-func (s *relaySink) relay(r io.Reader, want digest.Digest) (digest.Digest, int64, error) {
 	size, _ := oci.Sized(r)
 	if size > oci.MaxBlobSize {
 		return "", 0, fmt.Errorf("fleet: blob of %d bytes: %w", size, oci.ErrBlobTooLarge)
 	}
+	spool, again := r.(io.ReaderAt) // a session's spool, whose Len is its size
 	b := &relayBody{r: r, want: want, h: sha256.New()}
 	for i := range b.bufs {
 		b.bufs[i] = relayBufs.Get().(*[32 << 10]byte)
 		defer relayBufs.Put(b.bufs[i])
 	}
 	if b.fill(); b.err != nil {
-		return "", 0, b.err // a body of one block is judged before any shard hears of it
+		return "", 0, b.err // content of one block is judged before any shard hears of it
 	}
 	g := s.p.groupFor(want)
 	leader := g.Leader()
@@ -332,19 +299,22 @@ func (s *relaySink) relay(r io.Reader, want digest.Digest) (digest.Digest, int64
 			return want, b.sent, nil
 		case s.ctx.Err() != nil: // the client's request ended, not the shard
 			return "", 0, fmt.Errorf("fleet: receiving blob: %w", context.Cause(s.ctx))
-		case b.sent > 0:
+		case b.sent > 0 && !again:
 			g.promoteFrom(leader)
 			return "", 0, registry.WithStatus(http.StatusServiceUnavailable, fmt.Errorf("fleet: shard %s failed mid-blob: %w", g.Name(), err))
+		case b.sent > 0:
+			b.h.Reset()
+			*b = relayBody{r: io.NewSectionReader(spool, 0, size), want: want, h: b.h, bufs: b.bufs}
 		}
 		leader = g.promoteFrom(leader)
 	}
 	return "", 0, shardError(fmt.Errorf("fleet: shard %s has no usable replica: %w", g.Name(), err))
 }
 
-// relayBody is a request body on its way to a shard, in blocks of the
+// relayBody is a blob's content on its way to a shard, in blocks of the
 // relayBufs pool: each block is hashed as it is read and passed on once
-// the next has been read, so the block that ends the body goes only
-// when the whole body hashes to want. A body that does not ends in an
+// the next has been read, so the block that ends the content goes only
+// when the whole of it hashes to want. Content that does not ends in an
 // error instead, and the request carrying it fails short of its end:
 // no store downstream keeps it. What one request did not take stays for
 // the next.
@@ -410,23 +380,6 @@ func (b *relayBody) feed(w *io.PipeWriter) {
 		}
 	}
 	w.CloseWithError(b.err)
-}
-
-// Has implements distrib.BlobSource.
-func (s *relaySink) Has(d digest.Digest) bool { return d == s.d }
-
-// Digests implements distrib.BlobSource.
-func (s *relaySink) Digests() []digest.Digest { return []digest.Digest{s.d} }
-
-// Open implements distrib.BlobSource: every caller gets a reader of its
-// own, so an attempt the transport has not quite let go of and the next
-// one never share a position.
-func (s *relaySink) Open(d digest.Digest) (io.ReadCloser, int64, error) {
-	if d != s.d {
-		return nil, 0, fmt.Errorf("%w: %s", oci.ErrBlobNotFound, d)
-	}
-	size := s.content.Size()
-	return io.NopCloser(io.NewSectionReader(s.content, 0, size)), size, nil
 }
 
 // --- manifests and tags ---

@@ -179,7 +179,7 @@ func (f *frontend) routeUpload(w http.ResponseWriter, r *http.Request, name, id 
 				return err
 			})
 		case r.Method == http.MethodPost:
-			f.startUpload(w, name)
+			f.openSession(w, name)
 		default:
 			http.Error(w, "unsupported operation", http.StatusMethodNotAllowed)
 		}
@@ -252,7 +252,7 @@ func uploadRange(size int64) string {
 	return fmt.Sprintf("0-%d", size-1)
 }
 
-func (f *frontend) startUpload(w http.ResponseWriter, name string) {
+func (f *frontend) openSession(w http.ResponseWriter, name string) {
 	u, err := f.uploads.Start(name)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

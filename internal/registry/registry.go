@@ -349,8 +349,8 @@ func (s *Server) Tags() []string {
 // --- Client ---
 
 // Client pushes and pulls images against a registry base URL, backed
-// by the concurrent distrib.Client (parallel layer transfer, resumable
-// chunked uploads, retry with backoff, cross-image blob dedup).
+// by the concurrent distrib.Client (parallel layer transfer, one request
+// per blob, resumable downloads, retry with backoff, blob dedup).
 type Client struct {
 	*distrib.Client
 }

@@ -67,4 +67,8 @@ ban unbounded-read 1 'io\.ReadAll\(($|[^i]|i($|[^o]|o($|[^.]|\.($|[^L]))))'
 # In-memory input is scanned in place (strings.Cut, bytes.Cut): no
 # per-call line buffer, no line-length limit.
 ban scanner 0 'bufio\.NewScanner\('
+# A client sends a blob in one request (distrib.Client.post): only the
+# registry front-end, which serves upload sessions to outside clients,
+# spells PATCH.
+ban client-patch 0 'MethodPatch|"PATCH"' registry
 exit $fail
