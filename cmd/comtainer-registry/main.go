@@ -20,7 +20,7 @@
 // -exec additionally mounts the remote-execution farm scheduler under
 // /farm/v1 on the same listener, turning the registry into the farm's
 // combined control plane and blob plane: comtainer-worker nodes
-// register here and comtainer-rebuild -remote-exec submits here.
+// register here and comtainer rebuild -remote-exec submits here.
 //
 // # Serving and stopping
 //

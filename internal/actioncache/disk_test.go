@@ -126,7 +126,7 @@ func TestDiskCacheTwoOpeners(t *testing.T) {
 }
 
 // TestDiskCacheDescriptorBound: descriptors held do not grow with the
-// number of segments — a thousand comtainer-rebuild runs leave a
+// number of segments — a thousand comtainer rebuild runs leave a
 // thousand small segments, and reading them all must not need a
 // thousand descriptors.
 func TestDiskCacheDescriptorBound(t *testing.T) {

@@ -6,9 +6,9 @@
 // scripts/bans.sh bans (TestBansFire): a sha256 literal, an
 // os.WriteFile, a time.Sleep, a digest.Digest conversion, an
 // io.ReadAll of a bare reader, a bufio.NewScanner, an http.Server
-// literal and a PATCH here, a function-style atomic in racecase.go. It must not import
-// comtainer/internal packages: those are invisible across the module
-// boundary.
+// literal, a PATCH and a LoadLayout here, a function-style atomic in
+// racecase.go. It must not import comtainer/internal packages: those
+// are invisible across the module boundary.
 package fixture
 
 import (
@@ -74,6 +74,12 @@ func Server(h http.Handler) *http.Server {
 // sessions.
 func SessionChunk() string {
 	return http.MethodPatch
+}
+
+// LoadLayout is banned as layout-io: an image store read by a second
+// opener, one that knows no registry repository.
+func LoadLayout(dir string) ([]byte, error) {
+	return os.ReadFile(filepath.Join(dir, "index.json"))
 }
 
 // Spawn violates gonaked: the goroutine is never joined.

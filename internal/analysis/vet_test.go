@@ -85,8 +85,8 @@ func TestVetEndToEnd(t *testing.T) {
 // TestBansFire runs scripts/bans.sh over the same fixture with every
 // budget forced to zero: each spelling it bans is seeded there once, so
 // it must fail and name the five bans that replaced an analyzer, the
-// unbounded-read ratchet, the scanner ban, the http-server ban and the
-// client-patch ban.
+// unbounded-read ratchet, the scanner ban, the http-server ban, the
+// client-patch ban and the layout-io ratchet.
 func TestBansFire(t *testing.T) {
 	script, err := filepath.Abs(filepath.Join("..", "..", "scripts", "bans.sh"))
 	if err != nil {
@@ -99,7 +99,7 @@ func TestBansFire(t *testing.T) {
 	if err == nil {
 		t.Fatalf("bans.sh exited 0 over a fixture that spells every ban:\n%s", out)
 	}
-	for _, name := range []string{"time.Sleep", "digest-conversion", "sha256-literal", "atomic-function", "os-write", "unbounded-read", "scanner", "http-server", "client-patch"} {
+	for _, name := range []string{"time.Sleep", "digest-conversion", "sha256-literal", "atomic-function", "os-write", "unbounded-read", "scanner", "http-server", "client-patch", "layout-io"} {
 		if !strings.Contains(string(out), "ban "+name+":") {
 			t.Errorf("ban %s did not fire:\n%s", name, out)
 		}

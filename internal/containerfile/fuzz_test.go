@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// FuzzParseRender feeds Containerfile text, which comtainer-build
+// FuzzParseRender feeds Containerfile text, which comtainer build
 // -containerfile reads from a user's file. Nothing panics, and whatever
 // Parse accepts renders to text that parses to the same stages and
 // instructions; only line numbers move, since Render keeps no comments

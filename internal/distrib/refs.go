@@ -65,17 +65,16 @@ func (t *MemTags) Delete(name, tag string) error {
 	return nil
 }
 
-// Tags returns the sorted tags of repository name. The tag is
-// everything after the last colon, so repository names may not contain
-// colons (OCI names cannot).
+// Tags returns the sorted tags of repository name. A key is name, a
+// colon, then the tag; a repository name holds no colon (OCI names
+// cannot) but a tag may, so the tag is everything after name+":".
 func (t *MemTags) Tags(name string) []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var tags []string
 	for k := range t.m {
-		i := strings.LastIndex(k, ":")
-		if i >= 0 && k[:i] == name {
-			tags = append(tags, k[i+1:])
+		if tag, ok := strings.CutPrefix(k, name+":"); ok {
+			tags = append(tags, tag)
 		}
 	}
 	sort.Strings(tags)

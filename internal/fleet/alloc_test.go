@@ -22,7 +22,7 @@ import (
 
 // diskReplica serves a fleet-member registry over a disk blob store —
 // what the benchmark's fleet runs — and logs every request it receives.
-func diskReplica(t *testing.T) (*registry.Server, *httptest.Server, *requestLog) {
+func diskReplica(t *testing.T) (*registry.Server, *quietServer, *requestLog) {
 	t.Helper()
 	blobs, err := distrib.NewDiskStore(t.TempDir())
 	if err != nil {
@@ -31,9 +31,7 @@ func diskReplica(t *testing.T) (*registry.Server, *httptest.Server, *requestLog)
 	srv := registry.NewServerWith(blobs, distrib.NewMemTags())
 	srv.TrustReferences = true
 	log := &requestLog{}
-	ts := httptest.NewServer(log.wrap(srv.Handler()))
-	t.Cleanup(ts.Close)
-	return srv, ts, log
+	return srv, newQuietServer(t, log.wrap(srv.Handler())), log
 }
 
 // requestLog records "METHOD path?query" of each request a handler
@@ -163,7 +161,7 @@ func TestPushThroughFleetAllocatesBlobOncePerHop(t *testing.T) {
 			if got > budget {
 				t.Errorf("push of %d blob bytes allocated %d, budget %d (0.25x + %d)", blobBytes, got, budget, overhead)
 			}
-			for _, ts := range []*httptest.Server{leaderTS, followerTS} {
+			for _, ts := range []*quietServer{leaderTS, followerTS} {
 				ok, err := distrib.NewClient(ts.URL).HasBlob(context.Background(), "app", desc.Digest)
 				if err != nil || !ok {
 					t.Errorf("replica %s does not hold the pushed manifest (err=%v)", ts.URL, err)

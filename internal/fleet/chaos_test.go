@@ -258,10 +258,79 @@ func TestFleetWatchPromotes(t *testing.T) {
 type diskPair struct {
 	srvs  [2]*registry.Server
 	reps  [2]*fleet.Replicator
-	ts    [2]*httptest.Server
+	ts    [2]*quietServer
 	group *fleet.ShardGroup
 	proxy *fleet.Proxy
-	front *httptest.Server
+	front *quietServer
+}
+
+// quietServer is an httptest.Server whose stop waits for the requests in
+// flight to end, not for their connections to close: net/http keeps a
+// connection whose handler left a body unread open for 500 ms more
+// (rstAvoidanceDelay), and Close waits that out. conns holds each
+// connection's state; one whose handler has returned is dropped from it.
+// The test's cleanup stops it.
+type quietServer struct {
+	*httptest.Server
+	mu    sync.Mutex
+	quiet *sync.Cond // broadcast when a connection leaves New or Active
+	conns map[net.Conn]http.ConnState
+}
+
+type connKey struct{}
+
+func newQuietServer(t *testing.T, h http.Handler) *quietServer {
+	q := &quietServer{conns: make(map[net.Conn]http.ConnState)}
+	q.quiet = sync.NewCond(&q.mu)
+	q.Server = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer q.setState(r.Context().Value(connKey{}).(net.Conn), http.StateClosed)
+		h.ServeHTTP(w, r)
+	}))
+	q.Config.ConnContext = func(ctx context.Context, c net.Conn) context.Context {
+		return context.WithValue(ctx, connKey{}, c)
+	}
+	q.Config.ConnState = q.setState
+	q.Start()
+	t.Cleanup(q.stop)
+	return q
+}
+
+func (q *quietServer) setState(c net.Conn, s http.ConnState) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if s == http.StateClosed || s == http.StateHijacked {
+		delete(q.conns, c)
+	} else {
+		q.conns[c] = s
+	}
+	q.quiet.Broadcast()
+}
+
+// stop does what Close does up to its wait: it stops accepting and
+// closes every connection with no request in flight. Then it waits for
+// every handler to return.
+func (q *quietServer) stop() {
+	q.Listener.Close()
+	q.Config.SetKeepAlivesEnabled(false)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for c, s := range q.conns {
+		if s == http.StateNew || s == http.StateIdle {
+			c.Close()
+		}
+	}
+	for q.active() {
+		q.quiet.Wait()
+	}
+}
+
+func (q *quietServer) active() bool {
+	for _, s := range q.conns {
+		if s == http.StateNew || s == http.StateActive {
+			return true
+		}
+	}
+	return false
 }
 
 func startDiskPair(t *testing.T, wrap func(i int, h http.Handler) http.Handler) *diskPair {
@@ -278,8 +347,7 @@ func startDiskPair(t *testing.T, wrap func(i int, h http.Handler) http.Handler) 
 		if wrap != nil {
 			h = wrap(i, h)
 		}
-		dp.ts[i] = httptest.NewServer(h)
-		t.Cleanup(dp.ts[i].Close)
+		dp.ts[i] = newQuietServer(t, h)
 	}
 	for i, srv := range dp.srvs {
 		dp.reps[i] = fleet.NewReplicator(srv.Blobs(), nil, dp.ts[1-i].URL)
@@ -292,16 +360,16 @@ func startDiskPair(t *testing.T, wrap func(i int, h http.Handler) http.Handler) 
 	if dp.proxy, err = fleet.NewProxy([]*fleet.ShardGroup{dp.group}, 0); err != nil {
 		t.Fatal(err)
 	}
-	dp.front = httptest.NewServer(dp.proxy.Handler())
-	t.Cleanup(dp.front.Close)
+	dp.front = newQuietServer(t, dp.proxy.Handler())
 	return dp
 }
 
-// settle waits for every request to the proxy and the replicas to end.
+// settle waits for every request to the proxy, then to the replicas, to
+// end, and stops the three servers.
 func (dp *diskPair) settle() {
-	dp.front.Close()
+	dp.front.stop()
 	for _, ts := range dp.ts {
-		ts.Close()
+		ts.stop()
 	}
 }
 
@@ -329,13 +397,14 @@ func TestFleetChaosProxyStreamLeaderKill(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			const blobs = 3
 			var contents [][]byte
+			var digests []digest.Digest
 			src := oci.NewStore()
 			for i := 0; i < blobs; i++ {
-				content, d := randomBlob(seed*blobs+int64(i), 1<<20+rng.Intn(2<<20))
-				if _, _, err := src.Ingest(bytes.NewReader(content), d); err != nil {
-					t.Fatal(err)
-				}
+				// randomBlob's bytes, hashed once: by Put.
+				content := make([]byte, 1<<20+rng.Intn(2<<20))
+				rand.New(rand.NewSource(seed*blobs + int64(i))).Read(content)
 				contents = append(contents, content)
+				digests = append(digests, src.Put(content))
 			}
 			// The kill lands inside the first blob's bytes, counted over
 			// every client-facing body either replica reads.
@@ -355,7 +424,7 @@ func TestFleetChaosProxyStreamLeaderKill(t *testing.T) {
 						dp.reps[1-i].SetFollowers()
 						dp.ts[i].CloseClientConnections()
 						close(dead)
-						dp.ts[i].Close()
+						dp.ts[i].stop()
 						close(killed)
 					}()
 				})
@@ -374,10 +443,9 @@ func TestFleetChaosProxyStreamLeaderKill(t *testing.T) {
 
 			c := fastClient(dp.front.URL)
 			acked := make(map[digest.Digest][]byte)
-			for _, content := range contents {
-				d := digest.FromBytes(content)
-				if err := c.PushBlob(context.Background(), "chaos", src, d); err == nil {
-					acked[d] = content
+			for i, content := range contents {
+				if err := c.PushBlob(context.Background(), "chaos", src, digests[i]); err == nil {
+					acked[digests[i]] = content
 				}
 			}
 			if streamed.Load() < killAt {

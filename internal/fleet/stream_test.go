@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
 	"strings"
@@ -69,9 +68,7 @@ func startStreamLeader(t *testing.T, wrap func(http.Handler) http.Handler, follo
 	if wrap != nil {
 		h = wrap(h)
 	}
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
-	l.url = ts.URL
+	l.url = newQuietServer(t, h).URL
 	return l
 }
 
@@ -86,49 +83,59 @@ func randomBlob(seed int64, n int) ([]byte, digest.Digest) {
 // dies partway through, cut by a fault-injecting hop in between. The
 // push still gets its 201, and only once the follower holds the bytes;
 // the retry read the leader's verified copy — the one open of the blob
-// on the leader — and no request probed the follower first.
+// on the leader — and no request probed the follower first. A seed
+// spends most of its time in the replicator's retry backoff, so eight
+// run at once, not -parallel's GOMAXPROCS.
 func TestFleetChaosStreamCutMidBlob(t *testing.T) {
+	var seeds sync.WaitGroup
+	slots := make(chan struct{}, 8)
 	for seed := int64(1); seed <= chaosCycles(); seed++ {
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			t.Parallel()
-			follower, followerTS, followerLog := diskReplica(t)
-			target, err := url.Parse(followerTS.URL)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan := faultinject.NewPlan(seed).At(1, faultinject.Cut)
-			cutter := httputil.NewSingleHostReverseProxy(target)
-			cutter.Transport = faultinject.NewTransport(nil, plan)
-			cutter.ErrorLog = log.New(io.Discard, "", 0)
-			cutTS := httptest.NewServer(cutter)
-			t.Cleanup(cutTS.Close)
-			leader := startStreamLeader(t, nil, cutTS.URL)
+		slots <- struct{}{}
+		seeds.Add(1)
+		go func() {
+			defer func() { <-slots; seeds.Done() }()
+			t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) { streamCutMidBlob(t, seed) })
+		}()
+	}
+	seeds.Wait()
+}
 
-			content, d := randomBlob(seed, 256<<10)
-			src := oci.NewStore()
-			if _, _, err := src.Ingest(bytes.NewReader(content), d); err != nil {
-				t.Fatal(err)
-			}
-			if err := fastClient(leader.url).PushBlob(context.Background(), "app", src, d); err != nil {
-				t.Fatalf("push with the follower's stream cut: %v", err)
-			}
-			if ev := plan.Events(); len(ev) != 1 || ev[0].Kind != faultinject.Cut {
-				t.Fatalf("injected %v, want one cut", ev)
-			}
-			got, err := distrib.ReadBlob(follower.Blobs(), d)
-			if err != nil || !bytes.Equal(got, content) {
-				t.Fatalf("acknowledged blob on the follower: %d bytes, err %v; want the %d pushed", len(got), err, len(content))
-			}
-			if n := leader.store.opens.Load(); n != 1 {
-				t.Errorf("the leader's copy was opened %d times, want once, by the retry", n)
-			}
-			if e := leader.log.Entries(0); len(e) != 1 || e[0].Kind != fleet.KindBlob || e[0].Digest != d {
-				t.Errorf("write log %+v, want the one blob", e)
-			}
-			if n := followerLog.count(func(r string) bool { return strings.HasPrefix(r, "HEAD ") }); n != 0 {
-				t.Errorf("the follower was probed %d times", n)
-			}
-		})
+func streamCutMidBlob(t *testing.T, seed int64) {
+	follower, followerTS, followerLog := diskReplica(t)
+	target, err := url.Parse(followerTS.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := faultinject.NewPlan(seed).At(1, faultinject.Cut)
+	cutter := httputil.NewSingleHostReverseProxy(target)
+	cutter.Transport = faultinject.NewTransport(nil, plan)
+	cutter.ErrorLog = log.New(io.Discard, "", 0)
+	cutTS := newQuietServer(t, cutter)
+	leader := startStreamLeader(t, nil, cutTS.URL)
+
+	content, d := randomBlob(seed, 256<<10)
+	src := oci.NewStore()
+	if _, _, err := src.Ingest(bytes.NewReader(content), d); err != nil {
+		t.Fatal(err)
+	}
+	if err := fastClient(leader.url).PushBlob(context.Background(), "app", src, d); err != nil {
+		t.Fatalf("push with the follower's stream cut: %v", err)
+	}
+	if ev := plan.Events(); len(ev) != 1 || ev[0].Kind != faultinject.Cut {
+		t.Fatalf("injected %v, want one cut", ev)
+	}
+	got, err := distrib.ReadBlob(follower.Blobs(), d)
+	if err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("acknowledged blob on the follower: %d bytes, err %v; want the %d pushed", len(got), err, len(content))
+	}
+	if n := leader.store.opens.Load(); n != 1 {
+		t.Errorf("the leader's copy was opened %d times, want once, by the retry", n)
+	}
+	if e := leader.log.Entries(0); len(e) != 1 || e[0].Kind != fleet.KindBlob || e[0].Digest != d {
+		t.Errorf("write log %+v, want the one blob", e)
+	}
+	if n := followerLog.count(func(r string) bool { return strings.HasPrefix(r, "HEAD ") }); n != 0 {
+		t.Errorf("the follower was probed %d times", n)
 	}
 }
 

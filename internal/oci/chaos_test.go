@@ -18,7 +18,7 @@ import (
 // loadable image. Nothing in between: index.json is committed last, so
 // a reader never sees an index whose blobs have not all landed.
 //
-// Over an existing good layout (what comtainer-rebuild and -redirect
+// Over an existing good layout (what comtainer rebuild and redirect
 // do: load, work, save back), the directory must keep loading whatever
 // the save did: it yields the old image or the new one, never an error.
 func TestSaveLayoutCrashConsistency(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -588,7 +589,9 @@ func TestListTags(t *testing.T) {
 	eachFront(t, func(t *testing.T, f front) {
 		client := registry.NewClient(f.url)
 		src, tag := testImageRepo(t)
-		for _, v := range []string{"v1", "v2", "latest"} {
+		// A tag with a colon is listed whole, as a layout's tags are
+		// (comtainer build writes comt:ubuntu24.base).
+		for _, v := range []string{"v1", "v2", "latest", "comt:ubuntu24.base", "app+coM"} {
 			if err := client.Push(context.Background(), src, tag, "team/app", v); err != nil {
 				t.Fatal(err)
 			}
@@ -600,8 +603,7 @@ func TestListTags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := []string{"latest", "v1", "v2"}
-		if len(tags) != 3 || tags[0] != want[0] || tags[1] != want[1] || tags[2] != want[2] {
+		if want := []string{"app+coM", "comt:ubuntu24.base", "latest", "v1", "v2"}; !slices.Equal(tags, want) {
 			t.Errorf("tags = %v, want %v", tags, want)
 		}
 		empty, err := client.ListTags(context.Background(), "nobody/nothing")

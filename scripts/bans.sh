@@ -67,6 +67,10 @@ ban unbounded-read 1 'io\.ReadAll\(($|[^i]|i($|[^o]|o($|[^.]|\.($|[^L]))))'
 # In-memory input is scanned in place (strings.Cut, bytes.Cut): no
 # per-call line buffer, no line-length limit.
 ban scanner 0 'bufio\.NewScanner\('
+# An image store is opened and saved by cmd/comtainer's resolver (open,
+# save), which reads a path as a layout directory and an http(s) URL as
+# a registry repository: every verb takes either.
+ban layout-io 2 'LoadLayout\(|\.SaveLayout\(' oci
 # A client sends a blob in one request (distrib.Client.post): only the
 # registry front-end, which serves upload sessions to outside clients,
 # spells PATCH.

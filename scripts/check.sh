@@ -33,14 +33,15 @@ fi
 
 echo "== ratchets =="
 # Invariants that are a spelling with a budget, not a dataflow fact:
-# scripts/bans.sh holds the one function, the twelve lines and, beside
+# scripts/bans.sh holds the one function, the thirteen lines and, beside
 # each, its budget and who owns it — //comtainer:allow suppressions,
 # an http.Server or ListenAndServe outside daemon.Serve,
 # http.NewRequest outside distrib.Client.Do, CreateTemp outside
 # faultinject.Commit, io.ReadAll of anything but an io.LimitReader (a
 # blob body is read at its size, by oci.ReadSized), bufio.NewScanner
 # (in-memory input is scanned in place), PATCH outside the registry
-# front-end (a client sends a blob in one request), and the five that
+# front-end (a client sends a blob in one request), a layout directory
+# opened or saved outside cmd/comtainer's resolver, and the five that
 # replaced an analyzer with nothing to look at: time.Sleep,
 # digest.Digest( conversions, "sha256: literals, function-style
 # sync/atomic, and os.WriteFile/Create/OpenFile outside the
@@ -111,7 +112,7 @@ echo "== fuzz smoke (10 x 10s) =="
 # Compiler and ar command lines come out of an image's cache layer: no
 # panic, and what parses renders to an argv that parses and renders the
 # same (a compiler command to the argv it came from).
-# A Containerfile is a user's file (comtainer-build -containerfile): no
+# A Containerfile is a user's file (comtainer build -containerfile): no
 # panic, and what parses renders to text that parses to the same stages
 # and instructions.
 # The committed seeds under each package's
