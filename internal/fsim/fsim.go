@@ -92,8 +92,11 @@ type FS struct {
 }
 
 // New returns an empty file system containing only the root directory.
-func New() *FS {
-	f := &FS{files: make(map[string]*File)}
+func New() *FS { return newSized(0) }
+
+// newSized is New with room for n entries besides the root.
+func newSized(n int) *FS {
+	f := &FS{files: make(map[string]*File, 1+n)}
 	f.files["/"] = &File{Path: "/", Type: TypeDir, Mode: 0o755}
 	return f
 }
@@ -151,14 +154,15 @@ func (f *FS) ReadFile(p string) ([]byte, error) {
 	return file.Data, nil
 }
 
-// mkParentsLocked creates any missing parent directories of p with mode 0755.
-func (f *FS) mkParentsLocked(p string) {
-	dir := path.Dir(p)
-	for dir != "/" {
-		if _, ok := f.files[dir]; !ok {
+// mkParentsLocked creates any missing parent directories of the clean
+// path p with mode 0755, up to the first that is known or above it:
+// known is present with its ancestors ("/" when nothing is known). Like
+// every ancestor walk here it slices p at its slashes, allocating none.
+func (f *FS) mkParentsLocked(p, known string) {
+	for i := strings.LastIndexByte(p, '/'); i > 0 && !within(known, p[:i]); i = strings.LastIndexByte(p[:i], '/') {
+		if dir := p[:i]; f.files[dir] == nil {
 			f.files[dir] = &File{Path: dir, Type: TypeDir, Mode: 0o755}
 		}
-		dir = path.Dir(dir)
 	}
 }
 
@@ -170,7 +174,7 @@ func (f *FS) WriteFile(p string, data []byte, mode fs.FileMode) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.mkParentsLocked(p)
+	f.mkParentsLocked(p, "/")
 	f.files[p] = &File{Path: p, Type: TypeRegular, Mode: mode.Perm(), Data: append([]byte(nil), data...)}
 }
 
@@ -184,12 +188,12 @@ func (f *FS) MkdirAll(p string, mode fs.FileMode) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for q := p; q != "/"; q = path.Dir(q) {
-		if existing, ok := f.files[q]; ok && existing.Type != TypeDir {
-			return fmt.Errorf("fsim: mkdir %s: %s exists as a %s, not a directory", p, q, existing.Type)
+	for i := len(p); i > 0; i = strings.LastIndexByte(p[:i], '/') {
+		if existing, ok := f.files[p[:i]]; ok && existing.Type != TypeDir {
+			return fmt.Errorf("fsim: mkdir %s: %s exists as a %s, not a directory", p, p[:i], existing.Type)
 		}
 	}
-	f.mkParentsLocked(p)
+	f.mkParentsLocked(p, "/")
 	if _, ok := f.files[p]; !ok {
 		f.files[p] = &File{Path: p, Type: TypeDir, Mode: mode.Perm()}
 	}
@@ -204,7 +208,7 @@ func (f *FS) Symlink(target, p string) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.mkParentsLocked(p)
+	f.mkParentsLocked(p, "/")
 	f.files[p] = &File{Path: p, Type: TypeSymlink, Mode: 0o777, Target: target}
 }
 
@@ -223,30 +227,30 @@ func (f *FS) Add(file *File) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.mkParentsLocked(file.Path)
+	f.mkParentsLocked(file.Path, "/")
 	f.files[file.Path] = file
 }
 
 // Remove deletes the entry at p. Removing a directory removes its entire
 // subtree. Removing the root or a missing path returns an error.
 func (f *FS) Remove(p string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.removeLocked(p)
-}
-
-// removeLocked is Remove for callers that hold f.mu.
-func (f *FS) removeLocked(p string) error {
 	p = Clean(p)
 	if p == "/" {
 		return errors.New("fsim: cannot remove root")
 	}
-	file, ok := f.files[p]
-	if !ok {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, ok := f.files[p]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotExist, p)
 	}
-	delete(f.files, p)
-	if file.Type == TypeDir {
+	f.removeLocked(p)
+	return nil
+}
+
+// removeLocked is Remove of a clean path other than the root, for
+// callers that hold f.mu; a missing p is no error.
+func (f *FS) removeLocked(p string) {
+	if file := f.files[p]; file != nil && file.Type == TypeDir {
 		prefix := p + "/"
 		for q := range f.files {
 			if strings.HasPrefix(q, prefix) {
@@ -254,7 +258,7 @@ func (f *FS) removeLocked(p string) error {
 			}
 		}
 	}
-	return nil
+	delete(f.files, p)
 }
 
 // Paths returns every path in the FS (excluding root), sorted.
@@ -419,58 +423,72 @@ func Apply(base, layer *FS) *FS {
 	return out
 }
 
-// applyLayer folds layer into f in place, with Apply's semantics.
+// applyLayer folds layer into f in place, with Apply's semantics, in
+// one pass under one lock pair (f, the caller's accumulator, is never
+// layer), reading both maps directly: layer's keys are clean already.
 func (f *FS) applyLayer(layer *FS) {
-	// Opaque markers first: they clear lower content before this layer's
-	// own entries for the directory are added.
-	var adds []*File
-	for _, p := range layer.Paths() {
-		file, err := layer.Stat(p)
-		if err != nil {
-			continue
-		}
-		baseName := path.Base(p)
-		wh, opaque := isWhiteout(baseName)
+	layer.mu.RLock()
+	defer layer.mu.RUnlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	// Opaque markers and whiteouts first: they clear lower content
+	// before this layer's own entries for the directory are added.
+	paths := layer.pathsLocked()
+	adds := paths[:0]
+	for _, p := range paths {
+		i := strings.LastIndexByte(p, '/')
+		dir, base := p[:max(i, 1)], p[i+1:] // path.Dir and path.Base
+		wh, opaque := isWhiteout(base)
 		switch {
 		case opaque:
-			dir := path.Dir(p)
-			if d, err := f.Stat(dir); err == nil && d.Type == TypeDir {
+			if d, ok := f.files[dir]; ok && d.Type == TypeDir {
 				prefix := dir + "/"
 				if dir == "/" {
 					prefix = "/"
 				}
-				f.mu.Lock()
 				for q := range f.files {
 					if q != dir && strings.HasPrefix(q, prefix) {
 						delete(f.files, q)
 					}
 				}
-				f.mu.Unlock()
 			}
 		case wh:
-			target := path.Join(path.Dir(p), strings.TrimPrefix(baseName, WhiteoutPrefix))
-			// Whiteout of a missing path is a no-op by the OCI spec, and
-			// Remove on an in-memory FS has no other failure mode here.
-			//comtainer:allow errpropagate -- whiteout of a missing path is a spec-mandated no-op
-			_ = f.Remove(target)
+			// Whiteout of a missing path is a no-op by the OCI spec.
+			if target := path.Join(dir, strings.TrimPrefix(base, WhiteoutPrefix)); target != "/" {
+				f.removeLocked(target)
+			}
 		default:
-			adds = append(adds, file)
+			adds = append(adds, p)
 		}
 	}
-	for _, file := range adds {
+	// In path order the entry added last is present with its ancestors:
+	// nothing since has removed anything but p's subtree.
+	prev := "/"
+	for _, p := range adds {
+		file := layer.files[p]
 		// Replacing a directory with a non-directory removes the subtree.
-		if existing, err := f.Stat(file.Path); err == nil && existing.Type == TypeDir && file.Type != TypeDir {
-			//comtainer:allow errpropagate -- Stat just proved the path exists; Remove cannot fail
-			_ = f.Remove(file.Path)
+		if existing := f.files[p]; existing != nil && existing.Type == TypeDir && file.Type != TypeDir {
+			f.removeLocked(p)
 		}
-		f.Add(file)
+		f.mkParentsLocked(p, prev)
+		f.files[p] = file
+		prev = p
 	}
+}
+
+// within reports whether the clean path p is dir or lies beneath it.
+func within(p, dir string) bool {
+	return strings.HasPrefix(p, dir) && (len(p) == len(dir) || p[len(dir)] == '/')
 }
 
 // ApplyAll applies layers in order on top of an empty file system: the
 // left fold of Apply, computed in one accumulator.
 func ApplyAll(layers []*FS) *FS {
-	state := New()
+	n := 0
+	for _, l := range layers {
+		n += l.Len()
+	}
+	state := newSized(n)
 	for _, l := range layers {
 		state.applyLayer(l)
 	}
@@ -510,16 +528,11 @@ func Diff(base, derived *FS) *FS {
 		if _, ok := derived.files[p]; ok {
 			continue
 		}
-		parent := path.Dir(p)
 		covered := false
-		for parent != "/" {
-			if _, inBase := base.files[parent]; inBase {
-				if _, inDerived := derived.files[parent]; !inDerived {
-					covered = true
-					break
-				}
-			}
-			parent = path.Dir(parent)
+		for i := strings.LastIndexByte(p, '/'); i > 0 && !covered; i = strings.LastIndexByte(p[:i], '/') {
+			_, inBase := base.files[p[:i]]
+			_, inDerived := derived.files[p[:i]]
+			covered = inBase && !inDerived
 		}
 		if covered {
 			continue

@@ -174,13 +174,13 @@ func Unmarshal(data []byte) (*fsim.FS, error) {
 		if f, ok := lookup(out, p); ok && f.Type != typ {
 			return nil, fmt.Errorf("tarfs: entry %s is a %s, and a %s earlier in the archive", p, typ, f.Type)
 		}
-		for q := path.Dir(p); q != "/"; q = path.Dir(q) {
-			f, ok := lookup(out, q)
+		for i := strings.LastIndexByte(p, '/'); i > 0; i = strings.LastIndexByte(p[:i], '/') {
+			f, ok := lookup(out, p[:i])
 			if !ok {
 				continue // not there yet; becomes a directory below
 			}
 			if f.Type == fsim.TypeRegular {
-				return nil, fmt.Errorf("tarfs: entry %s lies beneath the regular file %s", p, q)
+				return nil, fmt.Errorf("tarfs: entry %s lies beneath the regular file %s", p, p[:i])
 			}
 			break
 		}
@@ -352,7 +352,13 @@ func plainHeader(blk []byte) (h header, ok bool) {
 // is plain octal: NULs and spaces trimmed from both ends, then octal
 // digits only, none at all being 0. ok is false for anything else.
 func octal(field []byte) (n int64, ok bool) {
-	for _, c := range bytes.Trim(field, " \x00") {
+	for len(field) > 0 && (field[0] == ' ' || field[0] == 0) {
+		field = field[1:]
+	}
+	for len(field) > 0 && (field[len(field)-1] == ' ' || field[len(field)-1] == 0) {
+		field = field[:len(field)-1]
+	}
+	for _, c := range field {
 		if c < '0' || c > '7' {
 			return 0, false
 		}
@@ -364,11 +370,11 @@ func octal(field []byte) (n int64, ok bool) {
 // checksum is a header block's POSIX checksum: the unsigned sum of its
 // bytes, the checksum field itself counted as eight spaces.
 func checksum(blk []byte) int64 {
-	var sum int64
-	for i, c := range blk {
-		if i >= 148 && i < 156 {
-			c = ' '
-		}
+	sum := int64(8 * ' ')
+	for _, c := range blk[:148] {
+		sum += int64(c)
+	}
+	for _, c := range blk[156:blockSize] {
 		sum += int64(c)
 	}
 	return sum

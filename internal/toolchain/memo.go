@@ -18,11 +18,14 @@ import (
 // Recorder of the in-flight action, and on a hit the recorded outputs
 // are written back without running the tool at all.
 
-// readFile reads p (resolved against Cwd) and records the observation.
+// readFile reads p (resolved against Cwd) and records the observation,
+// a digest taken only when an action is being recorded.
 func (r *Runner) readFile(p string) ([]byte, error) {
 	ap := r.abs(p)
 	data, err := r.FS.ReadFile(ap)
-	r.rec.NoteInput(actioncache.OpRead, ap, actioncache.ReadState(data, err))
+	if r.rec != nil {
+		r.rec.NoteInput(actioncache.OpRead, ap, actioncache.ReadState(data, err))
+	}
 	return data, err
 }
 

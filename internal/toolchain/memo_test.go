@@ -172,3 +172,20 @@ func TestRunnerMemoErrorsStayUncached(t *testing.T) {
 		t.Fatal("object not produced after the fix")
 	}
 }
+
+// TestReadFileWithoutRecorderHashesNothing: a runner with no action
+// being recorded — every user-side RUN — reads a source without taking
+// the digest only a recorder would keep.
+func TestReadFileWithoutRecorderHashesNothing(t *testing.T) {
+	f := fsim.New()
+	f.WriteFile("/src/main.c", []byte(strings.Repeat("int x;\n", 512)), 0o644)
+	r := memoRunner(f, nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := r.readFile("/src/main.c"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("readFile with no recorder made %.0f allocations, want 0", allocs)
+	}
+}

@@ -71,7 +71,8 @@ sh scripts/chaos.sh -short
 echo "== shared state (-race -count=10) =="
 # State this repo lets several goroutines reach at once is exercised
 # from several at once, ten times over: the *File entries fsim.Clone
-# shares between file systems, the scheduler's parked long polls
+# shares between file systems and the layer trees eight folds read at
+# once (ApplyAllShared…), the scheduler's parked long polls
 # (woken by events and by the expiry timer, never by a tick), and the
 # upload manager while one session's chunk or commit is stalled, and
 # the layer trees an oci.Store remembers (handed out only as clones,
@@ -80,16 +81,18 @@ echo "== shared state (-race -count=10) =="
 # two openers, each written from several goroutines, and the index entry
 # of one repository while several others pull its tag
 # (ConcurrentPullsFromOneRepository).
-go test -race -count=10 -run 'CloneShar|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageVerifies|DiskCacheTwoOpeners|ConcurrentPulls' \
+go test -race -count=10 -run 'CloneShar|ApplyAllShared|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageVerifies|DiskCacheTwoOpeners|ConcurrentPulls' \
     ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache
 
-echo "== fuzz smoke (10 x 10s) =="
+echo "== fuzz smoke (11 x 10s) =="
 # Ten seconds of coverage-guided mutation on each parser that takes
 # bytes from outside the process. tarfs.Unmarshal takes a layer straight
 # from a registry, and a farm session's tree the same way (remoteexec
 # ships one as a layer blob and has no tree parser of its own): fuzzed
 # against the copying decoder it replaced (same verdict, same tree,
 # archive never written, no File.Data with capacity to append into it).
+# The layers so decoded are folded by fsim.ApplyAll: fuzzed against the
+# fold it replaced (same state, every layer left as it was).
 # The action cache's segment scan takes files from
 # a cache directory — shared, possibly written by another user's crashed
 # process: no panic, no indexed record leaves its file, whatever is
@@ -121,6 +124,7 @@ echo "== fuzz smoke (10 x 10s) =="
 # it the two workers spend the whole ten seconds shrinking their first
 # coverage-raising input (~100 executions instead of ~150,000).
 go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 10s -fuzzminimizetime 0 ./internal/tarfs
+go test -run '^$' -fuzz '^FuzzApplyLayers$' -fuzztime 10s -fuzzminimizetime 0 ./internal/fsim
 go test -run '^$' -fuzz '^FuzzSegmentScan$' -fuzztime 10s -fuzzminimizetime 0 ./internal/actioncache
 go test -run '^$' -fuzz '^FuzzDecodeDocuments$' -fuzztime 10s -fuzzminimizetime 0 ./internal/actioncache
 go test -run '^$' -fuzz '^FuzzSchedulerRequests$' -fuzztime 10s -fuzzminimizetime 0 ./internal/remoteexec
