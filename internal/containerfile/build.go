@@ -55,9 +55,6 @@ type Builder struct {
 	// a later Build of cf does not run them again.
 	cf    *Containerfile
 	built map[string]*stageState
-	// contextKey is contextDigest(Context), computed by the first COPY of
-	// a Build call and forgotten when the next one starts.
-	contextKey digest.Digest
 }
 
 // stageState is the mutable state of one executing build container.
@@ -65,17 +62,22 @@ type stageState struct {
 	name    string
 	fs      *fsim.FS
 	baseImg *oci.Image
-	env     map[string]string
-	cwd     string
-	config  oci.ExecConfig
-	runner  *toolchain.Runner
-	isEnv   bool
+	// baseLayers is what BaseLayersLabel records: the layer count of the
+	// first FROM image down a chain of FROM <stage>.
+	baseLayers int
+	env        map[string]string
+	cwd        string
+	config     oci.ExecConfig
+	runner     *toolchain.Runner
+	isEnv      bool
 
 	// Per-instruction layering (how real builders commit images): each
-	// FS-changing instruction cuts one layer, snapshot tracks the state
-	// as of the last cut, history mirrors the layers, and chainKey is the
-	// build-cache chain position.
+	// FS-changing instruction cuts one layer, put in the store as it is
+	// cut (descs; later stages compare theirs with layers), snapshot
+	// tracks the state as of the last cut, history mirrors the layers,
+	// and chainKey is the build-cache chain position.
 	layers   []*fsim.FS
+	descs    []oci.Descriptor
 	snapshot *fsim.FS
 	history  []oci.HistoryEntry
 	chainKey digest.Digest
@@ -103,7 +105,6 @@ func (b *Builder) Build(cf *Containerfile, target string) (oci.Descriptor, error
 	if b.cf != cf {
 		b.cf, b.built = cf, make(map[string]*stageState)
 	}
-	b.contextKey = ""
 	for i := 0; i <= targetIdx; i++ {
 		st := &cf.Stages[i]
 		if b.built[st.Name] != nil {
@@ -122,42 +123,43 @@ func (b *Builder) Build(cf *Containerfile, target string) (oci.Descriptor, error
 	return b.built[cf.Stages[targetIdx].Name].desc, nil
 }
 
-// resolveBase loads the FROM reference: another stage or a repo tag. The
-// returned digest seeds the stage's build-cache chain.
-func (b *Builder) resolveBase(ref string) (*oci.Image, *fsim.FS, digest.Digest, error) {
+// resolveBase loads the FROM reference: an earlier stage's committed
+// image or a repo tag. The image's digest seeds the stage's build-cache
+// chain; baseLayers is what the stage's BaseLayersLabel records.
+func (b *Builder) resolveBase(ref string) (img *oci.Image, fs *fsim.FS, baseLayers int, err error) {
 	if prior, ok := b.built[ref]; ok {
-		// FROM an earlier stage: snapshot its current state.
-		img := prior.baseImg
-		return img, prior.fs.Clone(), prior.chainKey, nil
+		if img, err = oci.LoadImage(b.Repo.Store, prior.desc); err != nil {
+			return nil, nil, 0, fmt.Errorf("containerfile: loading stage %s: %w", ref, err)
+		}
+		return img, prior.fs.Clone(), prior.baseLayers, nil
 	}
 	desc, err := b.Repo.Resolve(ref)
 	if err != nil {
-		return nil, nil, "", fmt.Errorf("containerfile: resolving FROM %s: %w", ref, err)
+		return nil, nil, 0, fmt.Errorf("containerfile: resolving FROM %s: %w", ref, err)
 	}
-	img, err := oci.LoadImage(b.Repo.Store, desc)
-	if err != nil {
-		return nil, nil, "", fmt.Errorf("containerfile: resolving FROM %s: %w", ref, err)
+	if img, err = oci.LoadImage(b.Repo.Store, desc); err != nil {
+		return nil, nil, 0, fmt.Errorf("containerfile: resolving FROM %s: %w", ref, err)
 	}
-	flat, err := img.Flatten()
-	if err != nil {
-		return nil, nil, "", fmt.Errorf("containerfile: flattening %s: %w", ref, err)
+	if fs, err = img.Flatten(); err != nil {
+		return nil, nil, 0, fmt.Errorf("containerfile: flattening %s: %w", ref, err)
 	}
-	return img, flat, desc.Digest, nil
+	return img, fs, len(img.Manifest.Layers), nil
 }
 
 func (b *Builder) runStage(st *Stage) (*stageState, error) {
-	img, fs, seed, err := b.resolveBase(st.BaseRef)
+	img, fs, baseLayers, err := b.resolveBase(st.BaseRef)
 	if err != nil {
 		return nil, err
 	}
 	state := &stageState{
-		name:    st.Name,
-		fs:      fs,
-		baseImg: img,
-		env:     map[string]string{},
-		cwd:     "/",
-		config:  img.Config.Config,
-		isEnv:   img.Config.Config.Labels[RoleLabel] == RoleEnv,
+		name:       st.Name,
+		fs:         fs,
+		baseImg:    img,
+		baseLayers: baseLayers,
+		env:        map[string]string{},
+		cwd:        "/",
+		config:     img.Config.Config,
+		isEnv:      img.Config.Config.Labels[RoleLabel] == RoleEnv,
 	}
 	for _, kv := range img.Config.Config.Env {
 		if k, v, ok := strings.Cut(kv, "="); ok {
@@ -169,7 +171,7 @@ func (b *Builder) runStage(st *Stage) (*stageState, error) {
 	}
 	state.runner = toolchain.NewRunner(state.fs, b.Registry)
 	state.snapshot = fs.Clone()
-	state.chainKey = seed
+	state.chainKey = img.Desc.Digest
 
 	for _, inst := range st.Instructions {
 		if err := b.execInstruction(state, inst); err != nil {
@@ -184,63 +186,93 @@ func (b *Builder) runStage(st *Stage) (*stageState, error) {
 		if err := b.Recorder.Save(state.fs); err != nil {
 			return nil, err
 		}
-		state.cutLayer("coMtainer raw build log")
+		if _, _, err := b.cutLayer(state, "coMtainer raw build log"); err != nil {
+			return nil, err
+		}
 	}
 	return state, nil
 }
 
-// cutLayer diffs the state against the last snapshot and, when anything
-// changed, appends an instruction layer plus its history entry.
-func (s *stageState) cutLayer(createdBy string) *fsim.FS {
+// cutLayer diffs the state against the last snapshot and adds the
+// difference as the instruction's layer.
+func (b *Builder) cutLayer(s *stageState, createdBy string) (*fsim.FS, oci.Descriptor, error) {
 	layer := fsim.Diff(s.snapshot, s.fs)
-	entry := oci.HistoryEntry{CreatedBy: createdBy}
-	if layer.Len() == 0 {
-		entry.EmptyLayer = true
-		s.history = append(s.history, entry)
-		return layer
-	}
-	s.layers = append(s.layers, layer)
 	s.snapshot = s.fs.Clone()
-	s.history = append(s.history, entry)
-	return layer
+	desc, err := b.addLayer(s, layer, oci.Descriptor{}, createdBy)
+	return layer, desc, err
 }
 
-// copySourceKey identifies the content a COPY instruction reads, for the
-// build-cache chain.
-func (b *Builder) copySourceKey(state *stageState, inst Instruction) digest.Digest {
-	if inst.Cmd != "COPY" && inst.Cmd != "ADD" {
-		return ""
+// addLayer appends layer and its history entry (only the entry, marked
+// EmptyLayer, for an empty layer). It encodes and hashes the layer only
+// when the store lacks known's blob (a build cache's descriptor; a cache
+// may outlive its repository) and no earlier stage put an equal layer:
+// the tar encoding is a function of exactly what fsim's Equal compares.
+func (b *Builder) addLayer(s *stageState, layer *fsim.FS, known oci.Descriptor, createdBy string) (desc oci.Descriptor, err error) {
+	s.history = append(s.history, oci.HistoryEntry{CreatedBy: createdBy, EmptyLayer: layer.Len() == 0})
+	if layer.Len() == 0 {
+		return desc, nil
 	}
-	if len(inst.Args) > 0 && strings.HasPrefix(inst.Args[0], "--from=") {
-		ref := strings.TrimPrefix(inst.Args[0], "--from=")
-		if prior, ok := b.built[ref]; ok {
-			return prior.chainKey
+	if desc = known; !b.Repo.Store.Has(known.Digest) {
+		desc, err = b.sharedLayer(layer)
+	}
+	if err == nil {
+		s.layers = append(s.layers, layer)
+		s.descs = append(s.descs, desc)
+	}
+	return desc, err
+}
+
+// sharedLayer returns the descriptor of a layer equal to layer that an
+// earlier stage of the current Containerfile put, or else puts layer.
+func (b *Builder) sharedLayer(layer *fsim.FS) (oci.Descriptor, error) {
+	for _, st := range b.cf.Stages {
+		if prior := b.built[st.Name]; prior != nil {
+			for i, l := range prior.layers {
+				if l.Equal(layer) {
+					return prior.descs[i], nil
+				}
+			}
 		}
-		if desc, err := b.Repo.Resolve(ref); err == nil {
-			return desc.Digest
-		}
-		return digest.FromString("unknown-copy-source:" + ref)
 	}
-	if b.contextKey == "" {
-		b.contextKey = contextDigest(b.Context)
+	return oci.PutLayer(b.Repo.Store, layer)
+}
+
+// imageKey identifies the image COPY --from=ref reads, for the
+// build-cache chain: an earlier stage's committed image or a repo image.
+func (b *Builder) imageKey(ref string) digest.Digest {
+	if prior, ok := b.built[ref]; ok {
+		return prior.desc.Digest
 	}
-	return b.contextKey
+	if desc, err := b.Repo.Resolve(ref); err == nil {
+		return desc.Digest
+	}
+	return digest.FromString("unknown-copy-source:" + ref)
 }
 
 // execInstruction runs one instruction with per-instruction layering and
 // optional build caching.
 func (b *Builder) execInstruction(state *stageState, inst Instruction) error {
-	cacheable := inst.Cmd == "RUN" || inst.Cmd == "COPY" || inst.Cmd == "ADD"
 	describe := inst.Cmd + " " + inst.Raw
-	key := instructionKey(state.chainKey, inst, state.env, b.copySourceKey(state, inst))
+	isCopy := inst.Cmd == "COPY" || inst.Cmd == "ADD"
+	ref, fromImage := "", false
+	if isCopy && len(inst.Args) > 0 {
+		ref, fromImage = strings.CutPrefix(inst.Args[0], "--from=")
+	}
+	var source digest.Digest
+	if fromImage {
+		source = b.imageKey(ref)
+	}
+	key := instructionKey(state.chainKey, inst, state.env, source)
+	cacheable := inst.Cmd == "RUN" || fromImage
 
 	if cacheable && b.Cache != nil {
 		if e, ok := b.Cache.get(key); ok {
 			state.fs = fsim.Apply(state.fs, e.layer)
 			state.runner = toolchain.NewRunner(state.fs, b.Registry)
 			state.snapshot = state.fs.Clone()
-			state.layers = append(state.layers, e.layer.Clone())
-			state.history = append(state.history, oci.HistoryEntry{CreatedBy: describe})
+			if _, err := b.addLayer(state, e.layer, e.desc, describe); err != nil {
+				return err
+			}
 			if b.Recorder != nil {
 				for _, inv := range e.invocations {
 					b.Recorder.Record(inv.Argv, inv.Cwd, state.name, inv.Env)
@@ -258,17 +290,26 @@ func (b *Builder) execInstruction(state *stageState, inst Instruction) error {
 	if err := b.exec(state, inst); err != nil {
 		return err
 	}
-	if cacheable {
-		layer := state.cutLayer(describe)
-		if b.Cache != nil {
-			var invs []hijack.Invocation
-			if b.Recorder != nil {
-				invs = b.Recorder.Invocations()[recBefore:]
-			}
-			b.Cache.put(key, layer, invs)
-		}
-	} else {
+	if !cacheable && !isCopy {
 		state.history = append(state.history, oci.HistoryEntry{CreatedBy: describe, EmptyLayer: true})
+		state.chainKey = key
+		return nil
+	}
+	layer, desc, err := b.cutLayer(state, describe)
+	if err != nil {
+		return err
+	}
+	if !cacheable {
+		// A COPY from the build context is cheap, so it always runs, and
+		// is keyed by the digest of the layer it cut: a checksum of what
+		// it copied, as Docker keys it.
+		key = instructionKey(state.chainKey, inst, state.env, desc.Digest)
+	} else if b.Cache != nil {
+		var invs []hijack.Invocation
+		if b.Recorder != nil {
+			invs = b.Recorder.Invocations()[recBefore:]
+		}
+		b.Cache.put(key, layer, desc, invs)
 	}
 	state.chainKey = key
 	return nil
@@ -282,7 +323,9 @@ const BaseLayersLabel = "io.comtainer.base-layers"
 // one layer per FS-changing instruction.
 func (b *Builder) commit(state *stageState) (oci.Descriptor, error) {
 	// Anything not yet cut (e.g. mutations after the last instruction).
-	state.cutLayer("containerfile commit")
+	if _, _, err := b.cutLayer(state, "containerfile commit"); err != nil {
+		return oci.Descriptor{}, err
+	}
 	cfg := oci.ImageConfig{
 		Architecture: state.baseImg.Config.Architecture,
 		OS:           "linux",
@@ -298,7 +341,7 @@ func (b *Builder) commit(state *stageState) (oci.Descriptor, error) {
 		}
 		cfg.Config.Labels = copied
 	}
-	cfg.Config.Labels[BaseLayersLabel] = strconv.Itoa(len(state.baseImg.Manifest.Layers))
+	cfg.Config.Labels[BaseLayersLabel] = strconv.Itoa(state.baseLayers)
 	cfg.Config.WorkingDir = state.cwd
 	var envList []string
 	for k, v := range state.env {
@@ -308,7 +351,7 @@ func (b *Builder) commit(state *stageState) (oci.Descriptor, error) {
 	sort.Strings(envList)
 	cfg.Config.Env = envList
 	cfg.History = append(cfg.History, state.history...)
-	return oci.WriteDerivedImage(b.Repo.Store, cfg, state.baseImg, state.layers)
+	return oci.WriteDerivedImage(b.Repo.Store, cfg, state.baseImg, state.descs)
 }
 
 func (b *Builder) exec(state *stageState, inst Instruction) error {

@@ -404,7 +404,7 @@ func TestRenderRoundTrip(t *testing.T) {
 func TestFromPriorStage(t *testing.T) {
 	b := newBuilder(t)
 	cf, err := Parse(`FROM comt:env AS one
-RUN mkdir /made-in-one
+RUN mkdir /made-in-one && touch /made-in-one/left-alone
 
 FROM one AS two
 RUN touch /made-in-one/mark
@@ -420,5 +420,12 @@ RUN touch /made-in-one/mark
 	flat, _ := img.Flatten()
 	if !flat.Exists("/made-in-one/mark") {
 		t.Error("state from prior stage missing")
+	}
+	// The second stage commits onto the first stage's image, not its base.
+	if !flat.Exists("/made-in-one/left-alone") {
+		t.Error("a file of the first stage that the second does not touch is missing from the second's image")
+	}
+	if got := img.Config.Config.Labels[BaseLayersLabel]; got != "1" {
+		t.Errorf("base-layers label = %q, want the first stage's 1", got)
 	}
 }

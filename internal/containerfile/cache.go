@@ -1,7 +1,6 @@
 package containerfile
 
 import (
-	"crypto/sha256"
 	"sort"
 	"strings"
 	"sync"
@@ -9,7 +8,7 @@ import (
 	"comtainer/internal/digest"
 	"comtainer/internal/fsim"
 	"comtainer/internal/hijack"
-	"comtainer/internal/tarfs"
+	"comtainer/internal/oci"
 )
 
 // BuildCache memoizes instruction layers across builds, keyed by the
@@ -24,9 +23,11 @@ type BuildCache struct {
 	misses  int
 }
 
-// cacheEntry is one memoized instruction result.
+// cacheEntry is one memoized instruction result: its layer and the
+// descriptor it was put under (zero for an empty layer).
 type cacheEntry struct {
 	layer       *fsim.FS
+	desc        oci.Descriptor
 	invocations []hijack.Invocation
 }
 
@@ -56,10 +57,10 @@ func (c *BuildCache) get(key digest.Digest) (*cacheEntry, bool) {
 }
 
 // put stores an instruction result.
-func (c *BuildCache) put(key digest.Digest, layer *fsim.FS, invs []hijack.Invocation) {
+func (c *BuildCache) put(key digest.Digest, layer *fsim.FS, desc oci.Descriptor, invs []hijack.Invocation) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries[key] = &cacheEntry{layer: layer.Clone(), invocations: invs}
+	c.entries[key] = &cacheEntry{layer: layer.Clone(), desc: desc, invocations: invs}
 }
 
 // envDigest hashes the environment that instruction expansion sees, so a
@@ -78,19 +79,6 @@ func envDigest(env map[string]string) digest.Digest {
 		b.WriteByte('\n')
 	}
 	return digest.FromString(b.String())
-}
-
-// contextDigest hashes an FS's full content — the conservative COPY cache
-// key (any context change invalidates).
-func contextDigest(fs *fsim.FS) digest.Digest {
-	if fs == nil {
-		return digest.FromString("no-context")
-	}
-	h := sha256.New()
-	if err := tarfs.MarshalTo(h, fs); err != nil {
-		return digest.FromString("unmarshalable-context")
-	}
-	return digest.FromHash(h)
 }
 
 // instructionKey chains the cache key forward over one instruction.

@@ -1,12 +1,14 @@
 package containerfile
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"comtainer/internal/fsim"
 	"comtainer/internal/hijack"
 	"comtainer/internal/oci"
+	"comtainer/internal/tarfs"
 	"comtainer/internal/toolchain"
 )
 
@@ -126,9 +128,9 @@ func TestBuildCacheInvalidatedByContextChange(t *testing.T) {
 	}
 }
 
-// TestBuildSeesContextChangedBetweenCalls: the context is hashed once per
-// Build call, so a builder whose Context changes between two calls keys
-// the second call's COPYs by the new content.
+// TestBuildSeesContextChangedBetweenCalls: a COPY from the context is
+// keyed by the layer it cuts, so a builder whose Context changes between
+// two calls keys the second call's COPYs by the new content.
 func TestBuildSeesContextChangedBetweenCalls(t *testing.T) {
 	b := newBuilder(t)
 	b.Cache = NewBuildCache()
@@ -217,5 +219,118 @@ RUN touch after.txt
 	}
 	if !flat.Exists("/w/after.txt") {
 		t.Error("WORKDIR not restored for the second RUN")
+	}
+}
+
+// TestBuildCacheReproducesNoopInstructions: an instruction that changes
+// nothing adds no layer, whether it ran or came from the cache.
+func TestBuildCacheReproducesNoopInstructions(t *testing.T) {
+	cache := NewBuildCache()
+	var digests []string
+	for _, round := range []string{"cold", "warm"} {
+		b := newBuilder(t)
+		b.Cache = cache
+		cf, err := Parse("FROM comt:env\nRUN true\nRUN apt-get update\nCOPY /src /app/src\nRUN touch /app/done\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc, err := b.Build(cf, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := oci.LoadImage(b.Repo.Store, desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s build: %d layers", round, len(img.Manifest.Layers))
+		digests = append(digests, string(desc.Digest))
+	}
+	if hits, _ := cache.Stats(); hits == 0 {
+		t.Fatal("the warm build had no cache hits")
+	}
+	if digests[0] != digests[1] {
+		t.Error("a cold and a warm build of the same Containerfile committed different images")
+	}
+}
+
+// TestCopyKeyIsTheCopiedLayer: a COPY from the context is keyed by what
+// it copied, so a context file that no COPY reads leaves the RUN after
+// it cached.
+func TestCopyKeyIsTheCopiedLayer(t *testing.T) {
+	cache := NewBuildCache()
+	build := func(ctx *fsim.FS) string {
+		b := newBuilder(t)
+		b.Cache, b.Context = cache, ctx
+		cf, err := Parse("FROM comt:env\nCOPY /src /app/src\nRUN touch /app/built\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc, err := b.Build(cf, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(desc.Digest)
+	}
+	first := build(testContext())
+	hits0, _ := cache.Stats()
+	ctx := testContext()
+	ctx.WriteFile("/notes/unread.txt", []byte("no COPY reads this"), 0o644)
+	if build(ctx) != first {
+		t.Error("a context file no COPY reads changed the image")
+	}
+	if hits, _ := cache.Stats(); hits-hits0 != 1 {
+		t.Errorf("second build: %d cache hits, want 1 (the RUN after the COPY)", hits-hits0)
+	}
+}
+
+// TestBuildEncodesEachLayerOnce: a layer is encoded and hashed when it
+// is cut and at no commit, a stage that copies another stage's layer
+// verbatim shares its blob, and a cache hit reuses the layer's
+// descriptor, so a build of 4 MiB of data through two stages allocates
+// about what one encode of the data's layer does — cold, and warm into
+// the same repository, where only the context COPY, which always runs,
+// encodes its layer. (The encode is the unit because the race
+// detector's instrumentation doubles what a bytes.Buffer allocates.)
+func TestBuildEncodesEachLayerOnce(t *testing.T) {
+	const size = 4 << 20
+	data := make([]byte, size)
+	for i := range data {
+		data[i] = byte(i * 31)
+	}
+	allocated := func(f func() error) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	layer := fsim.New()
+	layer.WriteFile("/app/data/input.dat", data, 0o644)
+	encode := allocated(func() error {
+		_, err := tarfs.Marshal(layer)
+		return err
+	})
+	b := newBuilder(t)
+	b.Cache = NewBuildCache()
+	b.Context.WriteFile("/data/input.dat", data, 0o644)
+	for _, round := range []string{"cold", "warm"} {
+		cf, err := Parse("FROM comt:base AS build\nCOPY /data /app/data\n\nFROM comt:base AS dist\nCOPY --from=build /app/data /app/data\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio := allocated(func() error {
+			for _, stage := range []string{"build", "dist"} {
+				if _, err := b.Build(cf, stage); err != nil {
+					return err
+				}
+			}
+			return nil
+		}) / encode
+		t.Logf("%s build: %.2fx what one encode of the data layer allocates (%.0f bytes)", round, ratio, encode)
+		if ratio > 1.5 {
+			t.Errorf("%s build allocated %.2fx one encode of its data layer, budget 1.5x", round, ratio)
+		}
 	}
 }

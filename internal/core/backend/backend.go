@@ -311,9 +311,13 @@ func Redirect(repo *oci.Repository, distTag string, opts RedirectOptions) (oci.D
 
 	// Commit: Rebase layers + one diff layer; runtime config carried from
 	// the dist image.
-	var layers []*fsim.FS
+	var layers []oci.Descriptor
 	if diff := fsim.Diff(baseState, redirectFS); diff.Len() > 0 {
-		layers = append(layers, diff)
+		desc, err := oci.PutLayer(repo.Store, diff)
+		if err != nil {
+			return oci.Descriptor{}, err
+		}
+		layers = append(layers, desc)
 	}
 	cfg := oci.ImageConfig{
 		Architecture: rebaseImg.Config.Architecture,

@@ -99,7 +99,11 @@ func TestWriteDerivedImageMatchesWriteImage(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := len(target.blobs)
-			got, err := WriteDerivedImage(target, cfg, base, []*fsim.FS{added})
+			addedDesc, err := PutLayer(target, added)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := WriteDerivedImage(target, cfg, base, []Descriptor{addedDesc})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -387,21 +387,20 @@ func WriteImage(s *Store, cfg ImageConfig, layers []*fsim.FS) (Descriptor, error
 }
 
 // WriteDerivedImage writes the image made of base's layers followed by
-// layers, under cfg, into s — what WriteImage gives for base.Layers()
-// plus layers, without decoding or re-encoding what s already stores. A
-// base layer that is an uncompressed tar blob of s whose diffID is its
-// digest is its own encoding and is referenced by media type, digest and
-// size (annotations dropped, as re-encoding would drop them). Any other
-// base layer — compressed, or held only by base's store — is decoded,
-// hence verified, and encoded afresh.
-func WriteDerivedImage(s *Store, cfg ImageConfig, base *Image, layers []*fsim.FS) (Descriptor, error) {
+// layers, descriptors PutLayer returned for s, under cfg, into s — what
+// WriteImage gives for base.Layers() plus the trees layers were put
+// from, without decoding or re-encoding what s already stores. A base
+// layer that is an uncompressed tar blob of s whose diffID is its digest
+// is its own encoding and is referenced by media type, digest and size
+// (annotations dropped, as re-encoding would drop them). Any other base
+// layer — compressed, or held only by base's store — is decoded, hence
+// verified, and encoded afresh.
+func WriteDerivedImage(s *Store, cfg ImageConfig, base *Image, layers []Descriptor) (Descriptor, error) {
 	descs := make([]Descriptor, 0, len(base.Manifest.Layers)+len(layers))
-	diffIDs := make([]digest.Digest, 0, cap(descs))
 	for i, d := range base.Manifest.Layers {
 		if d.MediaType == MediaTypeLayer && d.Digest == base.Config.RootFS.DiffIDs[i] {
 			if blob, err := s.Get(d.Digest); err == nil {
 				descs = append(descs, Descriptor{MediaType: MediaTypeLayer, Digest: d.Digest, Size: int64(len(blob))})
-				diffIDs = append(diffIDs, d.Digest)
 				continue
 			}
 		}
@@ -409,19 +408,24 @@ func WriteDerivedImage(s *Store, cfg ImageConfig, base *Image, layers []*fsim.FS
 		if err != nil {
 			return Descriptor{}, err
 		}
-		desc, err := putLayer(s, tree)
+		desc, err := PutLayer(s, tree)
 		if err != nil {
 			return Descriptor{}, fmt.Errorf("oci: encoding base layer %d: %w", i, err)
 		}
 		descs = append(descs, desc)
-		diffIDs = append(diffIDs, desc.Digest)
 	}
-	return writeImage(s, cfg, descs, diffIDs, layers, nil)
+	// Every layer is an uncompressed tar, its diffID its digest.
+	descs = append(descs, layers...)
+	diffIDs := make([]digest.Digest, len(descs))
+	for i, d := range descs {
+		diffIDs[i] = d.Digest
+	}
+	return writeImage(s, cfg, descs, diffIDs, nil, nil)
 }
 
-// putLayer encodes layer as an uncompressed tar blob of s and returns its
+// PutLayer encodes layer as an uncompressed tar blob of s and returns its
 // descriptor; the blob's digest is also the layer's diffID.
-func putLayer(s *Store, layer *fsim.FS) (Descriptor, error) {
+func PutLayer(s *Store, layer *fsim.FS) (Descriptor, error) {
 	raw, err := tarfs.Marshal(layer)
 	if err != nil {
 		return Descriptor{}, err
@@ -439,7 +443,7 @@ func writeImage(s *Store, cfg ImageConfig, descs []Descriptor, diffIDs []digest.
 	// Full slice expressions: a base's manifest and config are not appended into.
 	descs, diffIDs = descs[:len(descs):len(descs)], diffIDs[:len(diffIDs):len(diffIDs)]
 	for _, l := range added {
-		desc, err := putLayer(s, l)
+		desc, err := PutLayer(s, l)
 		if err != nil {
 			return Descriptor{}, fmt.Errorf("oci: encoding layer %d: %w", len(descs), err)
 		}

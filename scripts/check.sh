@@ -84,7 +84,7 @@ echo "== shared state (-race -count=10) =="
 go test -race -count=10 -run 'CloneShar|ApplyAllShared|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageVerifies|DiskCacheTwoOpeners|ConcurrentPulls' \
     ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache
 
-echo "== fuzz smoke (11 x 10s) =="
+echo "== fuzz smoke (12 x 10s) =="
 # Ten seconds of coverage-guided mutation on each parser that takes
 # bytes from outside the process. tarfs.Unmarshal takes a layer straight
 # from a registry, and a farm session's tree the same way (remoteexec
@@ -117,7 +117,9 @@ echo "== fuzz smoke (11 x 10s) =="
 # same (a compiler command to the argv it came from).
 # A Containerfile is a user's file (comtainer build -containerfile): no
 # panic, and what parses renders to text that parses to the same stages
-# and instructions.
+# and instructions. The build cache and the layers stages share are
+# held to a build without them: a cold, a warm and a warm build into a
+# fresh repository commit every stage as a build with no cache does.
 # The committed seeds under each package's
 # testdata/fuzz run in every plain `go test`; this step looks past them.
 # A failure writes its input beside the seeds. Minimization is off: with
@@ -134,6 +136,7 @@ go test -run '^$' -fuzz '^FuzzFrontend$' -fuzztime 10s -fuzzminimizetime 0 ./int
 go test -run '^$' -fuzz '^FuzzWriteLogReplay$' -fuzztime 10s -fuzzminimizetime 0 ./internal/fleet
 go test -run '^$' -fuzz '^FuzzParseRender$' -fuzztime 10s -fuzzminimizetime 0 ./internal/cclang
 go test -run '^$' -fuzz '^FuzzParseRender$' -fuzztime 10s -fuzzminimizetime 0 ./internal/containerfile
+go test -run '^$' -fuzz '^FuzzBuildReproduces$' -fuzztime 10s -fuzzminimizetime 0 ./internal/containerfile
 
 echo "== go test -race =="
 go test -race ./...
