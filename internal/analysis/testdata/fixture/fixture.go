@@ -6,13 +6,15 @@
 // scripts/bans.sh bans (TestBansFire): a sha256 literal, an
 // os.WriteFile, a time.Sleep, a digest.Digest conversion, an
 // io.ReadAll of a bare reader, a bufio.NewScanner, an http.Server
-// literal, a PATCH and a LoadLayout here, a function-style atomic in
-// racecase.go. It must not import comtainer/internal packages: those
-// are invisible across the module boundary.
+// literal, a PATCH, a LoadLayout and a sha256.New here, a
+// function-style atomic in racecase.go. It must not import
+// comtainer/internal packages: those are invisible across the module
+// boundary.
 package fixture
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"errors"
 	"io"
 	"net/http"
@@ -80,6 +82,14 @@ func SessionChunk() string {
 // opener, one that knows no registry repository.
 func LoadLayout(dir string) ([]byte, error) {
 	return os.ReadFile(filepath.Join(dir, "index.json"))
+}
+
+// Checksum is banned as hash-site: bytes hashed again where no trust
+// boundary is crossed.
+func Checksum(data []byte) []byte {
+	h := sha256.New()
+	h.Write(data)
+	return h.Sum(nil)
 }
 
 // Spawn violates gonaked: the goroutine is never joined.

@@ -86,7 +86,7 @@ func TestVetEndToEnd(t *testing.T) {
 // budget forced to zero: each spelling it bans is seeded there once, so
 // it must fail and name the five bans that replaced an analyzer, the
 // unbounded-read ratchet, the scanner ban, the http-server ban, the
-// client-patch ban and the layout-io ratchet.
+// client-patch ban and the layout-io and hash-site ratchets.
 func TestBansFire(t *testing.T) {
 	script, err := filepath.Abs(filepath.Join("..", "..", "scripts", "bans.sh"))
 	if err != nil {
@@ -99,7 +99,7 @@ func TestBansFire(t *testing.T) {
 	if err == nil {
 		t.Fatalf("bans.sh exited 0 over a fixture that spells every ban:\n%s", out)
 	}
-	for _, name := range []string{"time.Sleep", "digest-conversion", "sha256-literal", "atomic-function", "os-write", "unbounded-read", "scanner", "http-server", "client-patch", "layout-io"} {
+	for _, name := range []string{"time.Sleep", "digest-conversion", "sha256-literal", "atomic-function", "os-write", "unbounded-read", "scanner", "http-server", "client-patch", "layout-io", "hash-site"} {
 		if !strings.Contains(string(out), "ban "+name+":") {
 			t.Errorf("ban %s did not fire:\n%s", name, out)
 		}

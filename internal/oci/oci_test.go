@@ -375,11 +375,13 @@ func TestLayerDiffIDMismatchDetected(t *testing.T) {
 	}
 }
 
-// TestStoreEntriesRefuseForgedBytes: every way bytes enter a Store hashes
-// them against the digest they would be kept under, which is what lets
-// Image.layer take a stored tar layer whose diffID is its digest as
-// verified. Each entry refuses bytes under a digest they do not hash to
-// and leaves the store holding nothing that fails to hash to its key.
+// TestStoreEntriesRefuseForgedBytes: every way bytes enter a Store from
+// outside the process hashes them against the digest they would be kept
+// under, which is what lets Image.layer take a stored tar layer whose
+// diffID is its digest as verified. Each entry refuses bytes under a
+// digest they do not hash to and leaves the store holding nothing that
+// fails to hash to its key. (CopyImage moves bytes another Store already
+// checked: TestCopyImageSharesVerifiedBytes.)
 func TestStoreEntriesRefuseForgedBytes(t *testing.T) {
 	layer, err := tarfs.Marshal(appLayer())
 	if err != nil {
@@ -410,18 +412,6 @@ func TestStoreEntriesRefuseForgedBytes(t *testing.T) {
 			s := NewStore()
 			_, _, err := s.Ingest(&rc, want)
 			return s, err
-		}},
-		{"CopyImage", func(t *testing.T) (*Store, error) {
-			src := NewStore()
-			desc, err := WriteImage(src, testConfig(), []*fsim.FS{appLayer()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			src.mu.Lock()
-			src.blobs[want] = forged
-			src.mu.Unlock()
-			dst := NewStore()
-			return dst, dst.CopyImage(src, desc)
 		}},
 		{"LoadLayout", func(t *testing.T) (*Store, error) {
 			dir := filepath.Join(t.TempDir(), "img.oci")

@@ -71,6 +71,16 @@ ban scanner 0 'bufio\.NewScanner\('
 # save), which reads a path as a layout directory and an http(s) URL as
 # a registry repository: every verb takes either.
 ban layout-io 2 'LoadLayout\(|\.SaveLayout\(' oci
+# A blob is hashed once per trust boundary (DESIGN.md §2): a site is an
+# intake's check (the oci.Store entries and Receiver, a layer's diffID at
+# its first decode, the registry front-end, DiskStore's verifying reader
+# and ingest, fsck, the fleet proxy's relay), a key writer's key (Put,
+# PutJSON, PutLayer, the client's PushBytes, the fleet log's manifest
+# entry), an action-cache key or payload digest, or a name made from
+# content (a profile, the front-end's product match). Ring hashing is
+# sha256.Sum256 and not counted. A move between two stores of one
+# process is no boundary and adds none.
+ban hash-site 22 'digest\.FromBytes\(|sha256\.New\(' bench
 # A client sends a blob in one request (distrib.Client.post): only the
 # registry front-end, which serves upload sessions to outside clients,
 # spells PATCH.
