@@ -116,8 +116,14 @@ func inspect(fs *flag.FlagSet) func() error {
 		}
 		fmt.Printf("build ISA:    %s\n", m.BuildISA)
 		fmt.Println("image model origins:")
-		for origin, n := range m.Image.CountByOrigin() {
-			fmt.Printf("  %-8s %d files\n", origin, n)
+		counts := m.Image.CountByOrigin()
+		origins := make([]model.FileOrigin, 0, len(counts))
+		for origin := range counts {
+			origins = append(origins, origin)
+		}
+		slices.Sort(origins)
+		for _, origin := range origins {
+			fmt.Printf("  %-8s %d files\n", origin, counts[origin])
 		}
 		fmt.Printf("packages:     %d\n", len(m.Image.Packages))
 		fmt.Printf("build graph:  %d nodes (%d sources, %d products)\n",

@@ -7,6 +7,7 @@
 package adapter
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -47,7 +48,8 @@ type Context struct {
 	Report *Report
 }
 
-// Adapter transforms the process models for a target system.
+// Adapter transforms the process models for a target system. An error
+// from Apply need not name the adapter: the rebuild prefixes its Name.
 type Adapter interface {
 	Name() string
 	Apply(ctx *Context) error
@@ -149,7 +151,7 @@ func (ltoAdapter) Name() string { return "lto" }
 func (ltoAdapter) Apply(ctx *Context) error {
 	tc, ok := ctx.System.Toolchains.Lookup("gcc")
 	if !ok || !tc.SupportsLTO {
-		return fmt.Errorf("adapter lto: system toolchain does not support LTO")
+		return errors.New("system toolchain does not support LTO")
 	}
 	return rewriteCommands(ctx, func(n *model.Node, cmd *cclang.Command) (bool, error) {
 		if cmd.LTO() {
@@ -186,7 +188,7 @@ func (p pgoAdapter) Name() string {
 func (p pgoAdapter) Apply(ctx *Context) error {
 	tc, ok := ctx.System.Toolchains.Lookup("gcc")
 	if !ok || !tc.SupportsPGO {
-		return fmt.Errorf("adapter pgo: system toolchain does not support PGO")
+		return errors.New("system toolchain does not support PGO")
 	}
 	return rewriteCommands(ctx, func(n *model.Node, cmd *cclang.Command) (bool, error) {
 		// Clear any previous phase's flags.
@@ -230,12 +232,12 @@ func (crossISAAdapter) Apply(ctx *Context) error {
 		return nil
 	}
 	if ctx.Models.IRLocked() {
-		return fmt.Errorf("adapter cross-isa: image distributes %s-targeted IR, not source; cannot retarget to %s",
+		return fmt.Errorf("image distributes %s-targeted IR, not source; cannot retarget to %s",
 			ctx.Models.BuildISA, target)
 	}
 	tc, ok := ctx.System.Toolchains.Lookup("gcc")
 	if !ok {
-		return fmt.Errorf("adapter cross-isa: no system toolchain")
+		return errors.New("no system toolchain")
 	}
 
 	// Pre-scan sources for ISA-specific code.
@@ -250,7 +252,7 @@ func (crossISAAdapter) Apply(ctx *Context) error {
 			continue
 		}
 		if !strings.Contains(string(data), toolchain.PortabilityDefine) {
-			return fmt.Errorf("adapter cross-isa: %s contains unguarded %s-specific code; cannot rebuild for %s",
+			return fmt.Errorf("%s contains unguarded %s-specific code; cannot rebuild for %s",
 				src, marker, target)
 		}
 		needGuard[src] = true

@@ -273,12 +273,33 @@ func TestPGOLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := refFor(t, "minimd")
+	// The instrumented trial runs slower than the adapted+LTO baseline,
+	// and the loop's result faster.
+	run := func(adapters ...adapter.Adapter) chrun.Result {
+		t.Helper()
+		tag, err := system.Adapt(res.DistTag, append(adapter.DefaultOptimized(), adapters...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := system.Run(tag, ref, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	baseline, trial := run(), run(adapter.PGOInstrument())
+	if trial.Seconds <= baseline.Seconds {
+		t.Errorf("instrumented trial runs in %.3f s, not slower than the %.3f s baseline", trial.Seconds, baseline.Seconds)
+	}
 	if err := system.PGOLoop(res.DistTag, adapter.DefaultOptimized(), ref, 16); err != nil {
 		t.Fatal(err)
 	}
 	final, err := system.Run(res.DistTag+".redirect", ref, 16)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if final.Seconds >= baseline.Seconds {
+		t.Errorf("PGO result runs in %.3f s, not faster than the %.3f s baseline", final.Seconds, baseline.Seconds)
 	}
 	if !final.Binary.PGOOptimized {
 		t.Error("final binary not PGO-optimized")
