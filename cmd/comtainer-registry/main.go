@@ -3,8 +3,9 @@
 //
 // By default images live in memory and vanish with the process. With
 // -data the registry persists blobs (sharded content-addressed files)
-// and tags under the given directory, so a restarted registry serves
-// everything previously pushed. Opening the directory is the recovery
+// and tags (one append-only log, tags.log, synced on every write) under
+// the given directory, so a restarted registry serves everything
+// previously pushed. Opening the directory is the recovery
 // pass: every blob is rehashed against its name, corrupt or misplaced
 // files are quarantined, writes a crash interrupted are swept and tags
 // pointing at missing manifests are dropped; what it repaired is
@@ -46,9 +47,10 @@
 //
 //	comtainer-registry -addr :5001 -data /srv/shard-a1 -fleet-member -follower http://host2:5001
 //
-// Every commit is appended to a durable write log (replication.log
-// under -data) and pushed to each follower before the client's push is
-// acknowledged, so killing a leader loses no acknowledged write.
+// Every commit is pushed to each follower before the client's push is
+// acknowledged, and a blob's is appended to a durable write log
+// (replication.log under -data), so killing a leader loses no
+// acknowledged write. Each replica's tag log records the tags.
 //
 // The stateless front-end runs with -proxy and one -shard flag per
 // shard group (comma-separated replica URLs, first is the initial

@@ -10,8 +10,8 @@
 //   - DiskStore: a persistent, sharded (blobs/sha256/ab/abcd…),
 //     digest-verified blob store with atomic temp-file+rename writes.
 //   - TagStore: the tag → manifest-descriptor mapping, in memory or
-//     persisted per-ref on disk (DiskTags, through the same
-//     faultinject.FS seam and commit protocol as DiskStore).
+//     persisted as one synced append-only log on disk (DiskTags,
+//     through the same faultinject.FS seam as DiskStore).
 //   - UploadManager: server-side resumable upload sessions backing the
 //     OCI distribution push protocol (POST/PATCH/PUT).
 //   - Client: a concurrent pull/push client with a bounded worker pool,

@@ -2,7 +2,9 @@ package distrib
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -65,6 +67,15 @@ func (t *MemTags) Delete(name, tag string) error {
 	return nil
 }
 
+// apply sets key to desc (nil: deletes it); the caller holds mu or owns t.
+func (t *MemTags) apply(key string, desc *oci.Descriptor) {
+	if desc == nil {
+		delete(t.m, key)
+	} else {
+		t.m[key] = *desc
+	}
+}
+
 // Tags returns the sorted tags of repository name. A key is name, a
 // colon, then the tag; a repository name holds no colon (OCI names
 // cannot) but a tag may, so the tag is everything after name+":".
@@ -92,117 +103,149 @@ func (t *MemTags) All() map[string]oci.Descriptor {
 	return out
 }
 
-// DiskTags is a TagStore persisted one file per reference under
-// <root>/refs/, each committed by faultinject.Commit's protocol so a
-// crash never leaves a torn descriptor. The full map is a MemTags,
-// which serves every read; Set and Delete write through to disk under
-// its lock.
+// DiskTags is a TagStore persisted as one append-only log, tags.log: a
+// Set or Delete is a JSON line, synced, then applied to the MemTags that
+// serves reads, which is the log replayed at open.
 type DiskTags struct {
 	MemTags
-	root string
-	fs   faultinject.FS
+	log *faultinject.AppendFile
+	at  map[string]int64 // offset of each key's last applied line; guarded by mu
 }
 
-// refTempPrefix starts the name of a Set's temp file, which unlike a
-// committed ref's (see refFile) does not end in ".json".
-const refTempPrefix = "ref-"
+// tagRecord is one line of the tag log: Key ("name:tag") set to Desc, or deleted.
+type tagRecord struct {
+	Key  string          `json:"key"`
+	Desc *oci.Descriptor `json:"desc,omitempty"`
+}
 
-// NewDiskTags opens (creating if needed) the tag store under dir,
-// loads every persisted reference and removes the temp files a Set
-// interrupted by a crash left behind.
+// NewDiskTags opens (creating if needed) the tag store under dir.
 func NewDiskTags(dir string) (*DiskTags, error) {
 	return NewDiskTagsFS(dir, faultinject.OS())
 }
 
-// NewDiskTagsFS is NewDiskTags writing through fsys — the hook chaos
-// tests use to kill a Set between its write and its rename.
+// NewDiskTagsFS is NewDiskTags through fsys, for chaos tests. The open
+// replays tags.log (faultinject.OpenAppend) and rewrites it as the live
+// map if it holds lines the map no longer needs, or if refs/ (one file
+// per path-escaped key, from before the log) is there to import.
 func NewDiskTagsFS(dir string, fsys faultinject.FS) (*DiskTags, error) {
-	t := &DiskTags{MemTags: MemTags{m: make(map[string]oci.Descriptor)}, root: filepath.Join(dir, "refs"), fs: fsys}
-	if err := fsys.MkdirAll(t.root, 0o755); err != nil {
-		return nil, fmt.Errorf("distrib: creating refs dir: %w", err)
+	t := &DiskTags{MemTags: MemTags{m: make(map[string]oci.Descriptor)}, at: make(map[string]int64)}
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("distrib: creating tag store dir: %w", err)
 	}
-	entries, err := os.ReadDir(t.root)
-	if err != nil {
+	refs := filepath.Join(dir, "refs")
+	files, err := os.ReadDir(refs)
+	legacy := err == nil
+	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("distrib: reading refs dir: %w", err)
 	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if !strings.HasSuffix(e.Name(), ".json") {
-			if strings.HasPrefix(e.Name(), refTempPrefix) {
-				if err := fsys.Remove(filepath.Join(t.root, e.Name())); err != nil {
-					return nil, fmt.Errorf("distrib: sweeping temp %s: %w", e.Name(), err)
-				}
+	for _, f := range files {
+		// Other files are the temp files of writes a crash cut short.
+		if name, ok := strings.CutSuffix(f.Name(), ".json"); ok {
+			key, err := url.PathUnescape(name)
+			var b []byte
+			if err == nil {
+				b, err = os.ReadFile(filepath.Join(refs, f.Name()))
 			}
-			continue
+			var desc oci.Descriptor
+			if err == nil {
+				err = json.Unmarshal(b, &desc)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("distrib: importing ref %s: %w", f.Name(), err)
+			}
+			t.m[key] = desc
 		}
-		key, err := url.PathUnescape(strings.TrimSuffix(e.Name(), ".json"))
-		if err != nil {
-			continue
+	}
+	path, lines := filepath.Join(dir, "tags.log"), 0
+	t.log, err = faultinject.OpenAppend(fsys, path, func(line []byte) error {
+		var rec tagRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
 		}
-		b, err := os.ReadFile(filepath.Join(t.root, e.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("distrib: reading ref %s: %w", key, err)
-		}
-		var desc oci.Descriptor
-		if err := json.Unmarshal(b, &desc); err != nil {
-			return nil, fmt.Errorf("distrib: decoding ref %s: %w", key, err)
-		}
-		t.m[key] = desc
+		t.apply(rec.Key, rec.Desc)
+		lines++
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("distrib: opening tag log: %w", err)
+	}
+	if legacy || lines > len(t.m) {
+		err = t.rewrite(fsys, path)
+	}
+	if err == nil && legacy {
+		err = fsys.RemoveAll(refs)
+	}
+	if err != nil {
+		t.log.Close()
+		return nil, fmt.Errorf("distrib: rewriting tag log: %w", err)
 	}
 	return t, nil
 }
 
-// refFile returns the on-disk file of a "name:tag" key. PathEscape
-// keeps slash-bearing repository names inside one flat directory.
-func (t *DiskTags) refFile(key string) string {
-	return filepath.Join(t.root, url.PathEscape(key)+".json")
-}
-
-// Set records desc under name:tag and persists it atomically. The
-// temp file is prepared outside the lock; only the commit rename and
-// the write-through map update run under it, so the on-disk ref and
-// the in-memory map can never disagree about which Set won.
-func (t *DiskTags) Set(name, tag string, desc oci.Descriptor) error {
-	b, err := json.Marshal(desc)
-	if err != nil {
-		return fmt.Errorf("distrib: encoding ref: %w", err)
+// rewrite replaces the log with the live map, one line per tag, by a
+// synced tags.log.new renamed over it; a crash leaves the old log.
+func (t *DiskTags) rewrite(fsys faultinject.FS, path string) error {
+	var live []byte
+	for key, desc := range t.m {
+		b, err := json.Marshal(tagRecord{Key: key, Desc: &desc})
+		if err != nil {
+			return err
+		}
+		live = append(append(live, b...), '\n')
 	}
-	key := name + ":" + tag
-	tmp, err := faultinject.WriteTemp(t.fs, t.refFile(key), refTempPrefix, b, 0)
-	if err != nil {
-		return fmt.Errorf("distrib: writing ref: %w", err)
+	next := path + ".new"
+	if err := fsys.Remove(next); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
 	}
-	t.mu.Lock()
-	//comtainer:allow lockio -- rename must commit atomically with the map update
-	err = t.fs.Rename(tmp, t.refFile(key))
+	log, err := faultinject.OpenAppend(fsys, next, func([]byte) error { return errors.New("stale") })
+	if err != nil {
+		return err
+	}
+	if _, err = log.Append(live); err == nil {
+		err = fsys.Rename(next, path)
+	}
 	if err == nil {
-		t.m[key] = desc
+		err = faultinject.SyncDir(fsys, filepath.Dir(path))
 	}
-	t.mu.Unlock()
 	if err != nil {
-		t.fs.Remove(tmp)
-		return fmt.Errorf("distrib: committing ref %s: %w", key, err)
+		log.Close()
+		return err
 	}
+	t.log.Close()
+	t.log = log
 	return nil
 }
 
-// Delete removes the name:tag mapping and its on-disk ref file. The
-// remove runs under the lock for the same reason Set's rename does:
-// the file and the map must agree about whether the ref exists.
+// Close releases the log; writes fail afterwards, reads go on.
+func (t *DiskTags) Close() error { return t.log.Close() }
+
+// Set records desc under name:tag once its log line is durable.
+func (t *DiskTags) Set(name, tag string, desc oci.Descriptor) error {
+	return t.write(name+":"+tag, &desc)
+}
+
+// Delete removes the name:tag mapping once its log line is durable.
 func (t *DiskTags) Delete(name, tag string) error {
-	key := name + ":" + tag
-	t.mu.Lock()
-	//comtainer:allow lockio -- remove must commit atomically with the map update
-	err := t.fs.Remove(t.refFile(key))
-	if err == nil || os.IsNotExist(err) {
-		delete(t.m, key)
-		err = nil
-	}
-	t.mu.Unlock()
+	return t.write(name+":"+tag, nil)
+}
+
+// write appends the line that sets key to desc (nil: deletes it), then,
+// unless a later line of the key was applied first, applies it.
+func (t *DiskTags) write(key string, desc *oci.Descriptor) error {
+	b, err := json.Marshal(tagRecord{Key: key, Desc: desc})
 	if err != nil {
-		return fmt.Errorf("distrib: deleting ref %s: %w", key, err)
+		return fmt.Errorf("distrib: encoding tag %s: %w", key, err)
 	}
+	off, err := t.log.Append(append(b, '\n'))
+	if err != nil {
+		return fmt.Errorf("distrib: logging tag %s: %w", key, err)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if last, ok := t.at[key]; ok && last > off {
+		return nil
+	}
+	t.at[key] = off
+	t.apply(key, desc)
 	return nil
 }

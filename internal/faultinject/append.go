@@ -1,42 +1,48 @@
 package faultinject
 
 import (
+	"bufio"
+	"errors"
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
-// AppendFile is the other way a store writes, beside Commit: a log that
-// only grows, one record per Append. Its one rule is that a record is
-// written at the end of the file's valid prefix — never at the file's
-// end, which after a crash or a failed write may lie past bytes that
-// are not a record — and that the prefix grows only when the whole
-// record (and, for a durable log, its Sync) succeeded. So a torn or
-// failed append hides nothing: garbage exists only past the last
-// acknowledged record, where the owner's scan stops at the next open,
-// which cuts it off, and within a process the next Append overwrites
-// it. Safe for concurrent use.
-type AppendFile struct {
-	f       File
-	durable bool
+// ErrBroken: a record whose Sync failed could not be cut off again, so
+// the next open may replay it, and the log takes no record after it.
+var ErrBroken = errors.New("faultinject: log broken: a record whose sync failed could not be cut off")
 
-	mu  sync.Mutex
-	end int64 // length of the valid prefix
+// AppendFile is a log that only grows, one record per Append, written
+// at the end of the file's valid prefix — not at the file's end, which
+// may lie past a failed write — and the prefix grows only when the
+// whole record (and, when durable, its Sync) succeeded. So garbage lies
+// only past the last acknowledged record, where the next Append
+// overwrites it and the next open cuts it off. Safe for concurrent use.
+type AppendFile struct {
+	f    File
+	fsys FS // a durable log's; nil for one that never syncs
+
+	mu     sync.Mutex
+	end    int64  // length of the valid prefix
+	dir    string // a durable log's directory, until an Append syncs it
+	broken bool   // a failed record could not be cut off: see ErrBroken
 }
 
-// OpenAppend opens the durable log at path, creating it if needed: one
-// that syncs every record before Append returns. scan reads it from the
-// start and returns the length of the prefix that is whole records;
-// appends continue there. Whatever lies past that prefix is cut off
-// first: overwritten only as far as the next record reaches, the rest
-// of it could start a line the next scan reads as a record. The next
-// Append's Sync makes the cut durable with the record.
-func OpenAppend(fsys FS, path string, scan func(io.Reader) (int64, error)) (*AppendFile, error) {
+// OpenAppend opens the durable log at path, creating it if needed:
+// Append syncs every record before it returns, and the first one the
+// directory too, so a log created here is found after a crash once it
+// holds an acknowledged record. Records are lines, handed to decode in order, newline included. A
+// last line cut short or refused is a crash's torn append and is cut
+// off. A refused line with more after it is corruption, as one append
+// at a time is in flight: it fails the open, as a line over 1 MiB does.
+func OpenAppend(fsys FS, path string, decode func(line []byte) error) (*AppendFile, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	end, err := scan(f)
+	end, err := replay(f, decode)
 	if err == nil {
 		var size int64
 		if size, err = f.Seek(0, io.SeekEnd); err == nil && size > end {
@@ -47,7 +53,39 @@ func OpenAppend(fsys FS, path string, scan func(io.Reader) (int64, error)) (*App
 		f.Close()
 		return nil, err
 	}
-	return &AppendFile{f: f, durable: true, end: end}, nil
+	return &AppendFile{f: f, fsys: fsys, end: end, dir: filepath.Dir(path)}, nil
+}
+
+// replay hands decode the whole lines r starts with and returns the
+// length of the prefix they occupy.
+func replay(r io.Reader, decode func(line []byte) error) (valid int64, _ error) {
+	br := bufio.NewReaderSize(r, 1<<20) // a longer line fails the replay, with bufio.ErrBufferFull
+	for {
+		line, err := br.ReadSlice('\n')
+		if err == io.EOF {
+			return valid, nil
+		}
+		if err != nil {
+			return 0, fmt.Errorf("replaying: %w", err)
+		}
+		if derr := decode(line); derr != nil {
+			if _, err := br.Peek(1); err == io.EOF {
+				return valid, nil
+			}
+			return 0, fmt.Errorf("replaying: the line at offset %d is not a record and more follow it: %w", valid, derr)
+		}
+		valid += int64(len(line))
+	}
+}
+
+// SyncDir syncs directory dir, so the names made in it survive a crash.
+func SyncDir(fsys FS, dir string) error {
+	d, err := Open(fsys, dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	return err
 }
 
 // CreateAppend creates an empty log that never syncs — a cache's — in
@@ -60,21 +98,36 @@ func CreateAppend(fsys FS, dir, pattern string) (*AppendFile, error) {
 	return &AppendFile{f: f}, nil
 }
 
-// Append writes rec as the next record and returns the offset it
-// starts at.
+// Append writes rec as the next record and returns its offset. A
+// durable record whose Sync (or its directory's) fails is cut off
+// again, or the next open would replay it. If the cut fails too, the
+// record is in doubt, as if the power went during its Sync: this Append
+// and every later one fail with ErrBroken, the later ones writing nothing.
 //
 //comtainer:allow lockio -- mu is the append serializer: records reach the file in offset order, one write each
 func (a *AppendFile) Append(rec []byte) (int64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	off := a.end
-	if _, err := a.f.WriteAt(rec, off); err != nil {
+	if a.broken {
+		return 0, ErrBroken
+	}
+	f, off := a.f, a.end
+	if _, err := f.WriteAt(rec, off); err != nil {
 		return 0, err
 	}
-	if a.durable {
-		if err := a.f.Sync(); err != nil {
+	if a.fsys != nil {
+		err := f.Sync()
+		if err == nil && a.dir != "" {
+			err = SyncDir(a.fsys, a.dir)
+		}
+		if err != nil {
+			if terr := f.Truncate(off); terr != nil {
+				a.broken = true
+				return 0, fmt.Errorf("%w: sync: %v; cut: %v", ErrBroken, err, terr)
+			}
 			return 0, err
 		}
+		a.dir = ""
 	}
 	a.end += int64(len(rec))
 	return off, nil

@@ -10,10 +10,8 @@ import (
 )
 
 // File is the slice of *os.File the stores need: streaming reads and
-// writes, seeking (an append-only log finds its end), the name for
-// cleanup, and what an append-only log adds — writes at an offset and
-// Sync for AppendFile (one log is durable before it acknowledges), reads
-// at an offset for whoever reads its records.
+// writes, seeking, the name for cleanup, and for an append-only log
+// writes and reads at an offset, Truncate and Sync.
 type File interface {
 	io.Reader
 	io.ReaderAt
@@ -86,25 +84,9 @@ func Open(fsys FS, name string) (File, error) { return fsys.OpenFile(name, os.O_
 // whose name starts with prefix; each store sweeps or skips its prefix
 // when it opens.
 func Commit(fsys FS, path, prefix string, data []byte, mode fs.FileMode) error {
-	tmp, err := WriteTemp(fsys, path, prefix, data, mode)
-	if err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// WriteTemp is the first half of Commit for a caller that must do the
-// second — fsys.Rename(tmp, path), fsys.Remove(tmp) if that fails —
-// itself, under a lock: it writes and closes the temp file and returns
-// its name, or removes it on failure.
-func WriteTemp(fsys FS, path, prefix string, data []byte, mode fs.FileMode) (string, error) {
 	tmp, err := fsys.CreateTemp(filepath.Dir(path), prefix+"*")
 	if err != nil {
-		return "", err
+		return err
 	}
 	_, err = tmp.Write(data)
 	if cerr := tmp.Close(); err == nil {
@@ -113,11 +95,14 @@ func WriteTemp(fsys FS, path, prefix string, data []byte, mode fs.FileMode) (str
 	if err == nil && mode != 0 {
 		err = fsys.Chmod(tmp.Name(), mode)
 	}
+	if err == nil {
+		err = fsys.Rename(tmp.Name(), path)
+	}
 	if err != nil {
 		fsys.Remove(tmp.Name())
-		return "", err
+		return err
 	}
-	return tmp.Name(), nil
+	return nil
 }
 
 // FaultFS wraps a base FS with a fault plan. Metadata operations

@@ -105,8 +105,7 @@ func TestFleetChaosLeaderKillMidPush(t *testing.T) {
 				mu.Unlock()
 				if !killed && n >= killAfter {
 					victim := victimShard.leaderReplica(t)
-					victim.ts.CloseClientConnections()
-					victim.ts.Close()
+					victim.kill()
 					// Membership change: the survivor stops replicating
 					// to its dead peer and leads the group alone.
 					for _, r := range victimShard.replicas {
@@ -170,9 +169,7 @@ func TestFleetChaosLeaderKillMidPush(t *testing.T) {
 func TestFleetChaosNoFalseAck(t *testing.T) {
 	_, ts, shards := startFleet(t, 2)
 	sh := shards[0]
-	follower := sh.replicas[1]
-	follower.ts.CloseClientConnections()
-	follower.ts.Close()
+	sh.replicas[1].kill()
 
 	src := oci.NewStore()
 	d, _, err := src.Ingest(bytes.NewReader([]byte("must not be acked")), "")
@@ -233,8 +230,7 @@ func TestFleetWatchPromotes(t *testing.T) {
 	sh := shards[0]
 	leader := sh.leaderReplica(t)
 	follower := sh.replicas[1]
-	leader.ts.CloseClientConnections()
-	leader.ts.Close()
+	leader.kill()
 
 	p.CheckLeaders(context.Background(), 100*time.Millisecond)
 	if got := sh.group.Leader(); got != leader.ts.URL {
@@ -364,6 +360,14 @@ func startDiskPair(t *testing.T, wrap func(i int, h http.Handler) http.Handler) 
 	return dp
 }
 
+// leaderIndex returns which replica the proxy's group leads with.
+func (dp *diskPair) leaderIndex() int {
+	if dp.group.Leader() == dp.ts[0].URL {
+		return 0
+	}
+	return 1
+}
+
 // settle waits for every request to the proxy, then to the replicas, to
 // end, and stops the three servers.
 func (dp *diskPair) settle() {
@@ -413,29 +417,56 @@ func TestFleetChaosProxyStreamLeaderKill(t *testing.T) {
 			var dp *diskPair
 			var once sync.Once
 			var victim int
-			dead, killed := make(chan struct{}), make(chan struct{})
+			var down [2]killSwitch
+			dead := make(chan struct{})
+			// history is what a failure prints: each POST a replica
+			// answered, and where the kill landed among them.
+			var historyMu sync.Mutex
+			var history []string
+			note := func(format string, args ...any) {
+				historyMu.Lock()
+				history = append(history, fmt.Sprintf(format, args...))
+				historyMu.Unlock()
+			}
+			told := func() string {
+				historyMu.Lock()
+				defer historyMu.Unlock()
+				return strings.Join(history, "\n")
+			}
 			// The kill: the survivor stops replicating to its dead peer
 			// and leads alone; the victim's connections are cut, the one
-			// whose body read called the kill among them.
+			// whose body read called the kill among them, and every
+			// later one is dropped.
 			kill := func(i int) {
 				once.Do(func() {
 					victim = i
+					note("kill: replica %d, at body byte %d, while the proxy's leader is replica %d", i, killAt, dp.leaderIndex())
 					go func() {
 						dp.reps[1-i].SetFollowers()
+						down[i].Store(true)
 						dp.ts[i].CloseClientConnections()
 						close(dead)
-						dp.ts[i].stop()
-						close(killed)
 					}()
 				})
 				<-dead
 			}
 			dp = startDiskPair(t, func(i int, h http.Handler) http.Handler {
+				h = down[i].wrap(h)
 				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					if r.Method == http.MethodPost && r.Header.Get(distrib.ReplicatedHeader) == "" {
+					if r.Method != http.MethodPost || down[i].Load() {
+						h.ServeHTTP(w, r)
+						return
+					}
+					from := "the proxy"
+					if r.Header.Get(distrib.ReplicatedHeader) != "" {
+						from = "its peer"
+					} else {
 						r.Body = &killingBody{ReadCloser: r.Body, read: &streamed, at: killAt, kill: func() { kill(i) }}
 					}
-					h.ServeHTTP(w, r)
+					sw := &statusWriter{ResponseWriter: w}
+					h.ServeHTTP(sw, r)
+					d, _ := digest.Parse(r.URL.Query().Get("digest"))
+					note("replica %d answered %s's POST of %s: %d", i, from, d.Short(), sw.status)
 				})
 			})
 			plan := faultinject.NewPlan(seed).Rate(faultinject.Cut, 0.2)
@@ -444,22 +475,24 @@ func TestFleetChaosProxyStreamLeaderKill(t *testing.T) {
 			c := fastClient(dp.front.URL)
 			acked := make(map[digest.Digest][]byte)
 			for i, content := range contents {
-				if err := c.PushBlob(context.Background(), "chaos", src, digests[i]); err == nil {
+				err := c.PushBlob(context.Background(), "chaos", src, digests[i])
+				if err == nil {
 					acked[digests[i]] = content
 				}
+				note("client: push of %s: %v", digests[i].Short(), err)
 			}
 			if streamed.Load() < killAt {
 				t.Fatalf("the replicas read %d body bytes; the kill at %d never came", streamed.Load(), killAt)
 			}
-			<-killed
+			<-dead
 			survivor := dp.srvs[1-victim]
 			for d, content := range acked {
 				if !survivor.Blobs().Has(d) {
-					t.Errorf("acknowledged blob %s is not on the survivor", d.Short())
+					t.Errorf("acknowledged blob %s is not on the survivor, replica %d; history:\n%s", d.Short(), 1-victim, told())
 				}
 				dst := oci.NewStore()
 				if err := c.FetchBlob(context.Background(), dst, "chaos", oci.Descriptor{Digest: d}); err != nil {
-					t.Fatalf("acknowledged blob %s unreadable through the proxy: %v", d.Short(), err)
+					t.Fatalf("acknowledged blob %s unreadable through the proxy, whose leader is replica %d: %v; history:\n%s", d.Short(), dp.leaderIndex(), err, told())
 				}
 				if got, err := distrib.ReadBlob(dst, d); err != nil || !bytes.Equal(got, content) {
 					t.Fatalf("acknowledged blob %s read back wrong (err %v)", d.Short(), err)

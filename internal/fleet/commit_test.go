@@ -154,7 +154,7 @@ func TestProxyRejectsWrongDigestBeforeAnyShard(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			leader, leaderTS, leaderLog := diskReplica(t)
 			follower, followerTS, followerLog := diskReplica(t)
-			wlog := &fleet.WriteLog{}
+			wlog, wlogPath := tempLog(t)
 			leader.SetCommitHook(fleet.NewReplicator(leader.Blobs(), wlog, followerTS.URL))
 			g, err := fleet.NewShardGroup("shard", leaderTS.URL, followerTS.URL)
 			if err != nil {
@@ -191,7 +191,7 @@ func TestProxyRejectsWrongDigestBeforeAnyShard(t *testing.T) {
 					t.Errorf("the %s's tmp/ holds %d files (err %v), want none", name, len(tmp), err)
 				}
 			}
-			if e := wlog.Entries(0); len(e) != 0 {
+			if e := fleet.ReadLog(t, wlogPath); len(e) != 0 {
 				t.Errorf("write log %+v, want nothing logged", e)
 			}
 		})

@@ -11,8 +11,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,10 +27,36 @@ import (
 
 // testReplica is one storage registry participating in a shard group.
 type testReplica struct {
-	srv *registry.Server
-	log *fleet.WriteLog
-	rep *fleet.Replicator
-	ts  *httptest.Server
+	srv     *registry.Server
+	logPath string
+	rep     *fleet.Replicator
+	ts      *httptest.Server
+	dead    killSwitch
+}
+
+// kill takes the replica down for good: every connection to it drops,
+// those in flight first.
+func (r *testReplica) kill() {
+	r.dead.Store(true)
+	r.ts.CloseClientConnections()
+}
+
+// killSwitch is a killed server's state. The server keeps its address
+// and drops every connection made to it: a port freed mid-test can be
+// bound by a server of another test running in parallel, which would
+// then answer — and acknowledge pushes — in the dead replica's name.
+type killSwitch struct{ atomic.Bool }
+
+func (k *killSwitch) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !k.Load() {
+			h.ServeHTTP(w, r)
+			return
+		}
+		if c, _, err := http.NewResponseController(w).Hijack(); err == nil {
+			c.Close()
+		}
+	})
 }
 
 // testShard is a replica group plus its routing handle.
@@ -50,6 +78,19 @@ func (sh *testShard) leaderReplica(t *testing.T) *testReplica {
 	return nil
 }
 
+// tempLog opens a write log in a fresh temp directory, closed when the
+// test ends, and returns it with its path.
+func tempLog(t *testing.T) (*fleet.WriteLog, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "replication.log")
+	wlog, err := fleet.NewWriteLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wlog.Close() })
+	return wlog, path
+}
+
 // startShard launches n fleet-member registries wired as one replica
 // group: every replica runs a symmetric replicator listing its peers,
 // so whichever replica leads acknowledges a write only after the
@@ -59,12 +100,12 @@ func startShard(t *testing.T, n int) *testShard {
 	sh := &testShard{}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		srv := registry.NewServer()
-		srv.TrustReferences = true
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-		sh.replicas = append(sh.replicas, &testReplica{srv: srv, ts: ts})
-		urls[i] = ts.URL
+		r := &testReplica{srv: registry.NewServer()}
+		r.srv.TrustReferences = true
+		r.ts = httptest.NewServer(r.dead.wrap(r.srv.Handler()))
+		t.Cleanup(r.ts.Close)
+		sh.replicas = append(sh.replicas, r)
+		urls[i] = r.ts.URL
 	}
 	for i, r := range sh.replicas {
 		var peers []string
@@ -73,8 +114,9 @@ func startShard(t *testing.T, n int) *testShard {
 				peers = append(peers, u)
 			}
 		}
-		r.log = &fleet.WriteLog{}
-		r.rep = fleet.NewReplicator(r.srv.Blobs(), r.log, peers...)
+		var wlog *fleet.WriteLog
+		wlog, r.logPath = tempLog(t)
+		r.rep = fleet.NewReplicator(r.srv.Blobs(), wlog, peers...)
 		r.srv.SetCommitHook(r.rep)
 	}
 	g, err := fleet.NewShardGroup(urls[0], urls...)
@@ -244,7 +286,7 @@ func TestFleetReplicationAck(t *testing.T) {
 			}
 		}
 	}
-	if len(sh.leaderReplica(t).log.Entries(0)) == 0 {
+	if len(fleet.ReadLog(t, sh.leaderReplica(t).logPath)) == 0 {
 		t.Fatal("leader write log is empty after acknowledged pushes")
 	}
 }
@@ -284,7 +326,7 @@ func TestFleetTableEndpoint(t *testing.T) {
 	// Kill the two-replica group's leader; two missed heartbeats later
 	// the table names the promoted follower.
 	old := shards[0].group.Leader()
-	shards[0].replicas[0].ts.Close()
+	shards[0].replicas[0].kill()
 	for i := 0; i < fleet.DefaultHeartbeatMisses; i++ {
 		p.CheckLeaders(context.Background(), time.Second)
 	}

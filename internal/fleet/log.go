@@ -1,48 +1,35 @@
 package fleet
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 
 	"comtainer/internal/digest"
 	"comtainer/internal/faultinject"
 )
 
-// Write-log entry kinds.
-const (
-	KindBlob     = "blob"
-	KindManifest = "manifest"
-)
+// KindBlob is the kind of every write-log entry.
+const KindBlob = "blob"
 
-// LogEntry is one replicated write in commit order. Blob entries
-// carry the digest; manifest entries additionally carry the reference
-// they were pushed under and the media type, so a replay can re-issue
-// the exact manifest PUT (the body is recovered from the blob store
-// by digest).
+// LogEntry is one replicated blob in commit order.
 type LogEntry struct {
-	Seq       int64         `json:"seq"`
-	Kind      string        `json:"kind"`
-	Digest    digest.Digest `json:"digest"`
-	Name      string        `json:"name,omitempty"`
-	Ref       string        `json:"ref,omitempty"`
-	MediaType string        `json:"mediaType,omitempty"`
+	Seq    int64         `json:"seq"`
+	Kind   string        `json:"kind"`
+	Digest digest.Digest `json:"digest"`
 }
 
-// WriteLog is a shard's append-only replication log: every commit the
-// leader acknowledges is recorded here (durably, when file-backed)
-// before its ack, giving the shard a total order of acknowledged writes
-// and the material to catch a rejoining follower up (Replicator.Sync).
+// WriteLog is a shard leader's append-only journal of the blobs it
+// acknowledged, each recorded (durably, when file-backed) before its
+// ack. Tags are not in it: each replica's distrib.DiskTags logs its own.
 type WriteLog struct {
-	mu      sync.Mutex
-	f       *faultinject.AppendFile // nil: in memory only
-	entries []LogEntry
+	mu  sync.Mutex
+	f   *faultinject.AppendFile // nil: in memory only
+	seq int64                   // the last entry's
 }
 
-// NewWriteLog opens (or creates) the log at path, replaying existing
-// entries; an empty path keeps the log in memory only.
+// NewWriteLog opens (or creates) the log at path, replaying it for the
+// last sequence number; an empty path keeps the log in memory only.
 func NewWriteLog(path string) (*WriteLog, error) {
 	return NewWriteLogFS(path, faultinject.OS())
 }
@@ -52,44 +39,29 @@ func NewWriteLogFS(path string, fsys faultinject.FS) (*WriteLog, error) {
 	if path == "" {
 		return &WriteLog{}, nil
 	}
-	var entries []LogEntry
-	f, err := faultinject.OpenAppend(fsys, path, func(r io.Reader) (int64, error) { return replay(r, &entries) })
+	var seq int64
+	f, err := faultinject.OpenAppend(fsys, path, func(line []byte) error {
+		var e struct {
+			Seq int64 `json:"seq"`
+		}
+		if err := json.Unmarshal(line, &e); err != nil {
+			return err
+		}
+		seq = e.Seq
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: opening write log: %w", err)
 	}
-	return &WriteLog{f: f, entries: entries}, nil
+	return &WriteLog{f: f, seq: seq}, nil
 }
 
-// replay appends the entries r holds to entries and returns the length
-// of the prefix they occupy. A line that is cut short or does not parse
-// is a torn append from a crash: everything before it is intact, its
-// entry was never acknowledged, and the next Append overwrites it.
-func replay(r io.Reader, entries *[]LogEntry) (valid int64, _ error) {
-	br := bufio.NewReaderSize(r, 1<<20) // a longer line fails the replay, with bufio.ErrBufferFull
-	for {
-		line, err := br.ReadSlice('\n')
-		if err != nil && err != io.EOF {
-			return 0, fmt.Errorf("replaying: %w", err)
-		}
-		var e LogEntry
-		if err == io.EOF || json.Unmarshal(line, &e) != nil {
-			return valid, nil
-		}
-		*entries = append(*entries, e)
-		valid += int64(len(line))
-	}
-}
-
-// Append assigns the next sequence number to e and records it,
-// syncing to disk when file-backed: the entry is durable before the
-// caller acknowledges the write it describes.
+// Append assigns the next sequence number to e and records it: synced,
+// when file-backed, before the write it describes is acknowledged.
 func (l *WriteLog) Append(e LogEntry) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e.Seq = 1
-	if n := len(l.entries); n > 0 {
-		e.Seq = l.entries[n-1].Seq + 1
-	}
+	e.Seq = l.seq + 1
 	if l.f != nil {
 		b, err := json.Marshal(e)
 		if err != nil {
@@ -99,34 +71,14 @@ func (l *WriteLog) Append(e LogEntry) (int64, error) {
 			return 0, fmt.Errorf("fleet: appending write log: %w", err)
 		}
 	}
-	l.entries = append(l.entries, e)
+	l.seq = e.Seq
 	return e.Seq, nil
 }
 
-// Entries returns the log entries with sequence numbers > since, in
-// order.
-func (l *WriteLog) Entries(since int64) []LogEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []LogEntry
-	for _, e := range l.entries {
-		if e.Seq > since {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Close releases the backing file, if any. The handle is detached
-// under the lock and closed outside it, so a slow close never blocks
-// concurrent Entries readers.
+// Close releases the backing file, if any; appends fail afterwards.
 func (l *WriteLog) Close() error {
-	l.mu.Lock()
-	f := l.f
-	l.f = nil
-	l.mu.Unlock()
-	if f == nil {
+	if l.f == nil {
 		return nil
 	}
-	return f.Close()
+	return l.f.Close()
 }

@@ -18,12 +18,11 @@ import (
 const replicationRepo = "fleet-replication"
 
 // Replicator is the leader side of shard replication — a
-// registry.CommitHook. The steps of a commit run at once: a blob
-// streams to the followers as the leader stores it and is appended to
-// the shard's write log once stored; a manifest is appended and pushed
-// together. The hook (and so the leader's 201) succeeds only once the
-// log entry is durable and every follower holds the write durably, so
-// an acknowledged push survives killing the leader.
+// registry.CommitHook. A blob streams to the followers as the leader
+// stores it, then goes to the shard's write log; a manifest is pushed
+// to them while the leader stores it. The hook (so the leader's 201)
+// succeeds once every follower holds the write, so an acknowledged
+// push survives killing the leader.
 //
 // Every replica of a shard can run a symmetric Replicator listing its
 // peers: replication requests are stamped with
@@ -170,47 +169,14 @@ func (s *share) Close() error {
 	return nil
 }
 
-// ManifestCommitted logs the commit and, at the same time, re-issues
-// the manifest PUT on every follower under the same reference.
+// ManifestCommitted re-issues the manifest PUT on every follower, whose
+// tag store, like the leader's, logs the tag durably before it answers.
 func (r *Replicator) ManifestCommitted(ctx context.Context, name, ref, mediaType string, body []byte) error {
 	followers := r.Followers()
-	return cachekit.Parallel(len(followers)+1, 0, func(i int) error {
-		if i == len(followers) {
-			_, err := r.log.Append(LogEntry{Kind: KindManifest, Digest: digest.FromBytes(body), Name: name, Ref: ref, MediaType: mediaType})
-			return err
-		}
+	return cachekit.Parallel(len(followers), 0, func(i int) error {
 		if err := r.clientFor(followers[i]).PushManifest(ctx, name, ref, mediaType, body); err != nil {
 			return fmt.Errorf("fleet: replicating manifest %s:%s to %s: %w", name, ref, followers[i], err)
 		}
 		return nil
 	})
-}
-
-// Sync replays the whole write log to addr — catching a follower up
-// after it rejoins (restart, or a fresh replica added to the shard).
-// Entries whose blob has since been garbage-collected locally are
-// skipped: whatever made them collectable (ref removal) is in a later
-// entry or no longer acknowledged state.
-func (r *Replicator) Sync(ctx context.Context, addr string) error {
-	c := r.clientFor(addr)
-	for _, e := range r.log.Entries(0) {
-		if !r.src.Has(e.Digest) {
-			continue
-		}
-		switch e.Kind {
-		case KindBlob:
-			if err := c.PushBlob(ctx, replicationRepo, r.src, e.Digest); err != nil {
-				return fmt.Errorf("fleet: sync blob %s to %s: %w", e.Digest.Short(), addr, err)
-			}
-		case KindManifest:
-			body, err := distrib.ReadBlob(r.src, e.Digest)
-			if err != nil {
-				return fmt.Errorf("fleet: sync reading manifest %s: %w", e.Digest.Short(), err)
-			}
-			if err := c.PushManifest(ctx, e.Name, e.Ref, e.MediaType, body); err != nil {
-				return fmt.Errorf("fleet: sync manifest %s:%s to %s: %w", e.Name, e.Ref, addr, err)
-			}
-		}
-	}
-	return nil
 }

@@ -191,12 +191,7 @@ func TestWriteLogPersistsAndReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := NewWriteLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	got := re.Entries(0)
+	got := ReadLog(t, path)
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d entries, want %d", len(got), len(want))
 	}
@@ -205,9 +200,11 @@ func TestWriteLogPersistsAndReplays(t *testing.T) {
 			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if tail := re.Entries(3); len(tail) != 2 || tail[0].Seq != 4 {
-		t.Fatalf("Entries(3) = %+v, want seqs 4,5", tail)
+	re, err := NewWriteLog(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer re.Close()
 	// Appends continue the sequence after replay.
 	seq, err := re.Append(LogEntry{Kind: KindBlob, Digest: digest.FromBytes([]byte("later"))})
 	if err != nil {
@@ -245,7 +242,7 @@ func TestWriteLogToleratesTornTail(t *testing.T) {
 		t.Fatalf("reopening torn log: %v", err)
 	}
 	defer re.Close()
-	if got := re.Entries(0); len(got) != 1 || got[0].Seq != 1 {
+	if got := ReadLog(t, path); len(got) != 1 || got[0].Seq != 1 {
 		t.Fatalf("torn log replayed %+v, want just seq 1", got)
 	}
 	if seq, err := re.Append(LogEntry{Kind: KindBlob, Digest: digest.FromString("next")}); err != nil || seq != 2 {
@@ -260,8 +257,8 @@ func TestWriteLogToleratesTornTail(t *testing.T) {
 // entry appended since.
 func TestWriteLogAppendAfterTornTail(t *testing.T) {
 	entry := func(s string) LogEntry { return LogEntry{Kind: KindBlob, Digest: digest.FromString(s)} }
-	seqs := func(l *WriteLog) (out []int64) {
-		for _, e := range l.Entries(0) {
+	seqs := func(path string) (out []int64) {
+		for _, e := range ReadLog(t, path) {
 			out = append(out, e.Seq)
 		}
 		return out
@@ -290,11 +287,10 @@ func TestWriteLogAppendAfterTornTail(t *testing.T) {
 		if seq, err := reopen(path).Append(entry("two")); err != nil || seq != 2 {
 			t.Fatalf("Append after the torn tail = seq %d, %v", seq, err)
 		}
-		l := reopen(path)
-		if got := seqs(l); fmt.Sprint(got) != "[1 2]" {
+		if got := seqs(path); fmt.Sprint(got) != "[1 2]" {
 			t.Fatalf("replay after an append behind a torn tail = %v, want [1 2]", got)
 		}
-		if seq, err := l.Append(entry("three")); err != nil || seq != 3 {
+		if seq, err := reopen(path).Append(entry("three")); err != nil || seq != 3 {
 			t.Fatalf("next Append = seq %d, %v", seq, err)
 		}
 	})
@@ -312,9 +308,10 @@ func TestWriteLogAppendAfterTornTail(t *testing.T) {
 
 	t.Run("short write through the seam", func(t *testing.T) {
 		path := t.TempDir() + "/replication.log"
-		// Operation 1 opens the log, 2-3 write and sync the first entry,
-		// 4 is the second entry's write: torn.
-		plan := faultinject.NewPlan(7).At(4, faultinject.ShortWrite)
+		// Operation 1 opens the log, 2-3 write and sync the first entry
+		// and 4-5 open and sync its directory, 6 is the second entry's
+		// write: torn.
+		plan := faultinject.NewPlan(7).At(6, faultinject.ShortWrite)
 		l, err := NewWriteLogFS(path, faultinject.NewFS(faultinject.OS(), plan))
 		if err != nil {
 			t.Fatal(err)
@@ -334,7 +331,7 @@ func TestWriteLogAppendAfterTornTail(t *testing.T) {
 		if seq, err := l.Append(entry("two")); err != nil || seq != 2 {
 			t.Fatalf("Append after the short write = seq %d, %v", seq, err)
 		}
-		if got := seqs(reopen(path)); fmt.Sprint(got) != "[1 2]" {
+		if got := seqs(path); fmt.Sprint(got) != "[1 2]" {
 			t.Fatalf("replay = %v, want [1 2]", got)
 		}
 	})

@@ -44,12 +44,12 @@ func (s *openCounter) Open(d digest.Digest) (io.ReadCloser, int64, error) {
 }
 
 // streamLeader is a disk-backed fleet-member registry replicating to
-// followers through an in-memory write log.
+// followers, logging to the write log at logPath.
 type streamLeader struct {
-	srv   *registry.Server
-	store *openCounter
-	log   *fleet.WriteLog
-	url   string
+	srv     *registry.Server
+	store   *openCounter
+	logPath string
+	url     string
 }
 
 // startStreamLeader serves a leader whose handler is wrapped by wrap
@@ -60,10 +60,12 @@ func startStreamLeader(t *testing.T, wrap func(http.Handler) http.Handler, follo
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := &streamLeader{store: &openCounter{Store: disk}, log: &fleet.WriteLog{}}
+	l := &streamLeader{store: &openCounter{Store: disk}}
+	wlog, logPath := tempLog(t)
+	l.logPath = logPath
 	l.srv = registry.NewServerWith(l.store, distrib.NewMemTags())
 	l.srv.TrustReferences = true
-	l.srv.SetCommitHook(fleet.NewReplicator(l.store, l.log, followers...))
+	l.srv.SetCommitHook(fleet.NewReplicator(l.store, wlog, followers...))
 	h := l.srv.Handler()
 	if wrap != nil {
 		h = wrap(h)
@@ -131,7 +133,7 @@ func streamCutMidBlob(t *testing.T, seed int64) {
 	if n := leader.store.opens.Load(); n != 1 {
 		t.Errorf("the leader's copy was opened %d times, want once, by the retry", n)
 	}
-	if e := leader.log.Entries(0); len(e) != 1 || e[0].Kind != fleet.KindBlob || e[0].Digest != d {
+	if e := fleet.ReadLog(t, leader.logPath); len(e) != 1 || e[0].Kind != fleet.KindBlob || e[0].Digest != d {
 		t.Errorf("write log %+v, want the one blob", e)
 	}
 	if n := followerLog.count(func(r string) bool { return strings.HasPrefix(r, "HEAD ") }); n != 0 {
@@ -169,7 +171,7 @@ func TestFleetChaosStreamWrongDigest(t *testing.T) {
 					t.Errorf("the %s kept a blob that does not hash to its digest", name)
 				}
 			}
-			if e := leader.log.Entries(0); len(e) != 0 {
+			if e := fleet.ReadLog(t, leader.logPath); len(e) != 0 {
 				t.Errorf("write log %+v, want nothing logged", e)
 			}
 		})

@@ -33,7 +33,7 @@ ban() {
 
 # Suppressions of a comtainer-vet finding in product code (bench/ has
 # its own four).
-ban allow 7 '//comtainer:allow' bench
+ban allow 5 '//comtainer:allow' bench
 # A daemon serves through daemon.Serve, which holds the one http.Server:
 # header and idle timeouts, a body cut when it stops arriving, a drain
 # on stop. bench/servers.go keeps its own copy until it moves onto Serve.
@@ -55,7 +55,8 @@ ban sha256-literal 0 '"sha256:' digest
 ban atomic-function 0 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int|Uint|Pointer)'
 # Stores write through the faultinject.FS seam: a file is committed
 # whole (Commit) or appended to at the end of its valid prefix
-# (AppendFile — the fleet write log and the action cache's segments).
+# (AppendFile — the fleet write log, the registry's tag log and the
+# action cache's segments).
 # The two, neither under a store root: experiments/export.go (CSV) and
 # fsim/osimport.go (export to host).
 ban os-write 2 'os\.(WriteFile|Create|OpenFile)\(' faultinject bench
@@ -75,12 +76,12 @@ ban layout-io 2 'LoadLayout\(|\.SaveLayout\(' oci
 # intake's check (the oci.Store entries and Receiver, a layer's diffID at
 # its first decode, the registry front-end, DiskStore's verifying reader
 # and ingest, fsck, the fleet proxy's relay), a key writer's key (Put,
-# PutJSON, PutLayer, the client's PushBytes, the fleet log's manifest
-# entry), an action-cache key or payload digest, or a name made from
-# content (a profile, the front-end's product match). Ring hashing is
-# sha256.Sum256 and not counted. A move between two stores of one
+# PutJSON, PutLayer, the client's PushBytes), an action-cache key or
+# payload digest, or a name made from content (a profile, the
+# front-end's product match). Ring hashing is sha256.Sum256 and not
+# counted. A move between two stores of one
 # process is no boundary and adds none.
-ban hash-site 22 'digest\.FromBytes\(|sha256\.New\(' bench
+ban hash-site 21 'digest\.FromBytes\(|sha256\.New\(' bench
 # A client sends a blob in one request (distrib.Client.post): only the
 # registry front-end, which serves upload sessions to outside clients,
 # spells PATCH.

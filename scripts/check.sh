@@ -57,10 +57,11 @@ echo "== chaos (-race, -short seed subset) =="
 # reduced seed subset (-short trims 100 seeds to 10 per suite) for each
 # store — DiskStore, DiskTags, DiskCache, and an OCI layout saved fresh
 # and re-saved over a good one (…CrashRestartVerify,
-# …SaveLayoutCrashConsistency) — the action cache's power cut at every
-# one of a run's file-system operations in turn, enumerated rather than
-# sampled (…EnumeratedCrashPoints), the append-only logs' one rule
-# (AppendFile…, WriteLogAppendAfterTornTail) — plus
+# …SaveLayoutCrashConsistency) — the action cache's and the tag log's
+# power cut at every one of a run's file-system operations in turn,
+# enumerated rather than sampled (…EnumeratedCrashPoints), the
+# append-only logs' one rule (AppendFile…, WriteLogAppendAfterTornTail)
+# — plus
 # the resume/cancellation tests, the remote-execution farm
 # chaos (worker killed mid-action, lossy result uploads) and the
 # registry-fleet chaos (leader killed mid-push: every acknowledged
@@ -81,8 +82,9 @@ echo "== shared state (-race -count=10) =="
 # concurrent Flatten/Put/Delete), and one action-cache directory under
 # two openers, each written from several goroutines, and the index entry
 # of one repository while several others pull its tag
-# (ConcurrentPullsFromOneRepository).
-go test -race -count=10 -run 'CloneShar|ApplyAllShared|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageShares|DiskCacheTwoOpeners|ConcurrentPulls' \
+# (ConcurrentPullsFromOneRepository), and one tag set from several
+# goroutines at once (DiskTagsConcurrentSetsAgree).
+go test -race -count=10 -run 'CloneShar|ApplyAllShared|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageShares|DiskCacheTwoOpeners|ConcurrentPulls|DiskTagsConcurrentSets' \
     ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache
 
 echo "== fuzz smoke (13 x 10s) =="
@@ -110,9 +112,9 @@ echo "== fuzz smoke (13 x 10s) =="
 # them never panics and is a total preorder (reflexive, antisymmetric,
 # transitive), whatever the bytes.
 # Registry front-end requests (path, Range, Content-Range): no panic or 5xx; blob and 206 bodies match what they name.
-# A shard leader's replication log is replayed from whatever a crash
-# left: no panic, and after one append a reopen replays what the first
-# open found plus that entry, nothing from the tail it overwrote.
+# A registry's tag log is replayed from whatever a crash left: no
+# panic, and after one Set a reopen gives the tags the first open found
+# plus that Set, nothing from the tail it overwrote.
 # Compiler and ar command lines come out of an image's cache layer: no
 # panic, and what parses renders to an argv that parses and renders the
 # same (a compiler command to the argv it came from).
@@ -138,7 +140,7 @@ go test -run '^$' -fuzz '^FuzzSchedulerRequests$' -fuzztime 10s -fuzzminimizetim
 go test -run '^$' -fuzz '^FuzzParseControl$' -fuzztime 10s -fuzzminimizetime 0 ./internal/dpkg
 go test -run '^$' -fuzz '^FuzzCompareVersions$' -fuzztime 10s -fuzzminimizetime 0 ./internal/dpkg
 go test -run '^$' -fuzz '^FuzzFrontend$' -fuzztime 10s -fuzzminimizetime 0 ./internal/registry
-go test -run '^$' -fuzz '^FuzzWriteLogReplay$' -fuzztime 10s -fuzzminimizetime 0 ./internal/fleet
+go test -run '^$' -fuzz '^FuzzTagLogReplay$' -fuzztime 10s -fuzzminimizetime 0 ./internal/distrib
 go test -run '^$' -fuzz '^FuzzParseRender$' -fuzztime 10s -fuzzminimizetime 0 ./internal/cclang
 go test -run '^$' -fuzz '^FuzzParseRender$' -fuzztime 10s -fuzzminimizetime 0 ./internal/containerfile
 go test -run '^$' -fuzz '^FuzzBuildReproduces$' -fuzztime 10s -fuzzminimizetime 0 ./internal/containerfile
