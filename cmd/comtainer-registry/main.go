@@ -2,10 +2,12 @@
 // repository hop between the user side and the HPC systems.
 //
 // By default images live in memory and vanish with the process. With
-// -data the registry persists blobs (sharded content-addressed files)
-// and tags (one append-only log, tags.log, synced on every write) under
-// the given directory, so a restarted registry serves everything
-// previously pushed. Opening the directory is the recovery
+// -data the registry persists blobs (content-addressed files) and tags
+// (one append-only log, tags.log, synced on every write) under the
+// given directory, so a restarted registry serves everything previously
+// pushed. The directory is an image directory, the OCI image layout
+// `comtainer build -o` writes: the registry serves its tags at
+// /v2/layout/. Opening the directory is the recovery
 // pass: every blob is rehashed against its name, corrupt or misplaced
 // files are quarantined, writes a crash interrupted are swept and tags
 // pointing at missing manifests are dropped; what it repaired is

@@ -10,10 +10,10 @@
 //	diff      what changed, file by file, between two images
 //
 // Every verb opens and saves one image store, named by -layout (build's
-// -o). A path is an OCI layout directory. http(s)://host/name is a
-// registry repository standing for a whole layout: opening it pulls every
-// tag (as a layout directory is read whole), saving pushes every tag,
-// skipping the blobs the registry holds. The handoff through a registry:
+// -o). A path is an image directory, which `comtainer-registry -data`
+// serves at /v2/layout/. http(s)://host/name is a registry repository
+// standing for a whole layout: opening it pulls every tag, saving pushes
+// every tag, skipping the blobs the registry holds. The handoff:
 //
 //	comtainer build -app lulesh -o http://registry:5000/user/lulesh
 //	comtainer rebuild -layout http://registry:5000/user/lulesh -system x86-64
@@ -32,6 +32,7 @@ import (
 	"os"
 	"strings"
 
+	"comtainer/internal/distrib"
 	"comtainer/internal/oci"
 	"comtainer/internal/registry"
 )
@@ -72,12 +73,12 @@ func main() {
 	}
 }
 
-// open reads the image store ref names: a layout directory, or every
+// open reads the image store ref names: an image directory, or every
 // tag of a registry repository.
 func open(ref string) (*oci.Repository, error) {
 	c, name := registryRepo(ref)
 	if c == nil {
-		return oci.LoadLayout(ref)
+		return distrib.LoadLayout(ref)
 	}
 	tags, err := c.ListTags(context.Background(), name)
 	if err != nil {
@@ -92,12 +93,12 @@ func open(ref string) (*oci.Repository, error) {
 	return repo, nil
 }
 
-// save writes repo to the image store ref names: a layout directory, or
+// save writes repo to the image store ref names: an image directory, or
 // every tag pushed to a registry repository.
 func save(repo *oci.Repository, ref string) error {
 	c, name := registryRepo(ref)
 	if c == nil {
-		return repo.SaveLayout(ref)
+		return distrib.SaveLayout(repo, ref)
 	}
 	for _, tag := range repo.Tags() {
 		if err := c.Push(context.Background(), repo, tag, name, tag); err != nil {

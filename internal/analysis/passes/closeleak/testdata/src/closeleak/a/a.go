@@ -100,3 +100,59 @@ func acceptLeak(ln net.Listener) error {
 	_, err = conn.Write([]byte("hi"))
 	return err
 }
+
+// server is a registry.Server-shaped owner of two stores.
+type server struct {
+	blobs io.Reader
+	refs  io.Writer
+}
+
+// newServerWith stores what it is handed in the server it returns.
+func newServerWith(blobs io.Reader, refs io.Writer) *server {
+	return &server{blobs: blobs, refs: refs}
+}
+
+func newServerAt(p, q string) (*server, error) {
+	blobs, err := os.Open(p)
+	if err != nil {
+		return nil, err
+	}
+	refs, err := os.Create(q)
+	if err != nil {
+		blobs.Close()
+		return nil, err
+	}
+	return newServerWith(blobs, refs), nil // both handed off: the callee keeps them
+}
+
+// openServer keeps f on the path that returns no error.
+func openServer(f *os.File) (*server, error) {
+	if _, err := f.Stat(); err != nil {
+		return nil, err
+	}
+	return &server{blobs: f}, nil
+}
+
+func openServerAt(p string) (*server, error) {
+	f, err := os.Open(p)
+	if err != nil {
+		return nil, err
+	}
+	return openServer(f)
+}
+
+// keepSome stores f only when keep is set.
+func keepSome(f io.Reader, keep bool) *server {
+	if keep {
+		return &server{blobs: f}
+	}
+	return nil
+}
+
+func handOffSometimes(p string) *server {
+	f, err := os.Open(p) // want `f \(\*os.File\) is not closed on every path to return`
+	if err != nil {
+		return nil
+	}
+	return keepSome(f, true)
+}

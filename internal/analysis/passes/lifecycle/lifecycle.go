@@ -10,11 +10,13 @@
 //
 // Run is interprocedural through one fact type: it computes, per
 // declared function, the parameter indices of resource type that the
-// function releases on every path (a local fixpoint over
-// helper-calls-helper chains, seeded with dependency facts) and
-// exports them as the pass's Fact, so `statusError(resp)` — which
+// function releases on every path, and the parameters it keeps (stores,
+// or hands on) on every path that returns no error (a local fixpoint
+// over helper-calls-helper chains, seeded with dependency facts), and
+// exports them as the pass's Fact. So `statusError(resp)` — which
 // drains and closes resp.Body — counts as a release at its call sites,
-// in this package and in its dependents.
+// and `NewServerWith(blobs, refs)` — which stores both in the server it
+// returns — as a hand-off, in this package and in its dependents.
 package lifecycle
 
 import (
@@ -55,12 +57,14 @@ type Spec struct {
 	DiscardMessage func(t types.Type) string
 }
 
-// Fact records which declared functions release a resource-typed
-// parameter on every path, keyed by FuncID; values are flat parameter
-// indices. Every lifecycle pass exports this one type (facts are kept
-// per analyzer, so the families do not mix).
+// Fact records, keyed by FuncID with flat parameter indices as values,
+// which declared functions release a resource-typed parameter on every
+// path (Closers), and which keep a parameter on every path that returns
+// a nil error (Keepers). Every lifecycle pass exports this one type
+// (facts are kept per analyzer, so the families do not mix).
 type Fact struct {
 	Closers map[string][]int
+	Keepers map[string][]int
 }
 
 // AFact marks Fact as an analysis fact.
@@ -70,9 +74,9 @@ func (*Fact) AFact() {}
 // package's closer helpers, exports them for dependents, and reports
 // every resource of spec's family that leaks in any function scope.
 func Run(pass *analysis.Pass, spec *Spec) {
-	closers := closersOf(pass, spec)
-	if len(closers) > 0 {
-		pass.ExportPackageFact(&Fact{Closers: closers})
+	facts := classify(pass, spec)
+	if len(facts.Closers) > 0 || len(facts.Keepers) > 0 {
+		pass.ExportPackageFact(facts)
 	}
 	for _, file := range pass.Files {
 		analysis.FuncScopes(file, func(body *ast.BlockStmt, decl *ast.FuncDecl) {
@@ -86,7 +90,7 @@ func Run(pass *analysis.Pass, spec *Spec) {
 					continue
 				}
 				for i, n := range blk.Nodes {
-					checkNode(pass, spec, closers, g, blk, i, n)
+					checkNode(pass, spec, facts, g, blk, i, n)
 				}
 			}
 		})
@@ -94,7 +98,7 @@ func Run(pass *analysis.Pass, spec *Spec) {
 }
 
 // checkNode inspects one CFG node for acquisition sites.
-func checkNode(pass *analysis.Pass, spec *Spec, closers map[string][]int, g *cfg.CFG, blk *cfg.Block, idx int, n ast.Node) {
+func checkNode(pass *analysis.Pass, spec *Spec, facts *Fact, g *cfg.CFG, blk *cfg.Block, idx int, n ast.Node) {
 	call, lhs := acquireParts(n)
 	if call == nil {
 		return
@@ -105,8 +109,8 @@ func checkNode(pass *analysis.Pass, spec *Spec, closers map[string][]int, g *cfg
 			Obj:       obj,
 			Err:       err,
 			ErrBlock:  blk,
-			Releases:  releasePredicate(pass, spec, closers, obj),
-			Consumes:  consumePredicate(pass, spec),
+			Releases:  releasePredicate(pass, spec, facts, obj),
+			Consumes:  consumePredicate(pass, spec, facts, obj),
 			AliasType: spec.Aliases,
 		}
 		return tracked.Leaks(g, blk, idx)
@@ -225,61 +229,67 @@ func errSibling(info *types.Info, lhs []ast.Expr, results []types.Type) types.Ob
 // releasePredicate builds the Tracked.Releases hook: a direct release
 // on obj, or obj forwarded as an argument to a callee classified as a
 // closer for that position.
-func releasePredicate(pass *analysis.Pass, spec *Spec, closers map[string][]int, obj types.Object) func(*ast.CallExpr) bool {
+func releasePredicate(pass *analysis.Pass, spec *Spec, facts *Fact, obj types.Object) func(*ast.CallExpr) bool {
 	return func(call *ast.CallExpr) bool {
-		if spec.IsRelease(pass.TypesInfo, call, obj) {
-			return true
-		}
-		fn := analysis.Callee(pass.TypesInfo, call)
-		if fn == nil {
+		return spec.IsRelease(pass.TypesInfo, call, obj) || forwards(pass, facts, call, obj, func(f *Fact) map[string][]int { return f.Closers })
+	}
+}
+
+// forwards reports whether call hands obj, as an argument, to a static
+// callee whose position the classification which picks out of a Fact
+// (the local one, or a dependency's) lists.
+func forwards(pass *analysis.Pass, facts *Fact, call *ast.CallExpr, obj types.Object, which func(*Fact) map[string][]int) bool {
+	fn := analysis.Callee(pass.TypesInfo, call)
+	if fn == nil || fn.Pkg() == nil {
+		return false
+	}
+	id := analysis.FuncID(fn)
+	if id == "" {
+		return false
+	}
+	f := facts
+	if fn.Pkg() != pass.Pkg {
+		if f, _ = pass.PackageFact(fn.Pkg().Path()).(*Fact); f == nil {
 			return false
 		}
-		for i, arg := range call.Args {
-			if cfg.Operand(pass.TypesInfo, arg) == obj && calleeReleasesArg(pass, closers, fn, i) {
-				return true
-			}
+	}
+	for i, arg := range call.Args {
+		if cfg.Operand(pass.TypesInfo, arg) == obj && slices.Contains(which(f)[id], i) {
+			return true
 		}
-		return false
 	}
+	return false
 }
 
-// calleeReleasesArg consults the local closer classification and
-// dependency facts.
-func calleeReleasesArg(pass *analysis.Pass, closers map[string][]int, fn *types.Func, i int) bool {
-	id := analysis.FuncID(fn)
-	if id == "" || fn.Pkg() == nil {
-		return false
-	}
-	var idxs []int
-	if fn.Pkg() == pass.Pkg {
-		idxs = closers[id]
-	} else if f, ok := pass.PackageFact(fn.Pkg().Path()).(*Fact); ok {
-		idxs = f.Closers[id]
-	}
-	return slices.Contains(idxs, i)
-}
-
-// consumePredicate builds the Tracked.Consumes hook.
-func consumePredicate(pass *analysis.Pass, spec *Spec) func(*ast.CallExpr) bool {
+// consumePredicate builds the Tracked.Consumes hook: a dynamic callee,
+// a known consumer, or a static callee that keeps obj at its position.
+func consumePredicate(pass *analysis.Pass, spec *Spec, facts *Fact, obj types.Object) func(*ast.CallExpr) bool {
 	return func(call *ast.CallExpr) bool {
 		fn := analysis.Callee(pass.TypesInfo, call)
 		if fn == nil {
 			return true // dynamic call: assume ownership transfers
 		}
-		return spec.ConsumesKnown != nil && spec.ConsumesKnown(fn)
+		return (spec.ConsumesKnown != nil && spec.ConsumesKnown(fn)) ||
+			forwards(pass, facts, call, obj, func(f *Fact) map[string][]int { return f.Keepers })
 	}
 }
 
-// closersOf classifies every function declared in the package: for
-// each resource-typed parameter, does every path to the function exit
-// release it? Escapes do not count — a helper that stores or returns
-// the resource leaves closing to someone else. Helper-calls-helper
-// chains converge by fixpoint; dependency facts are final.
-func closersOf(pass *analysis.Pass, spec *Spec) map[string][]int {
+// classify classifies every function declared in the package. For each
+// resource-typed parameter: does every path to the function exit
+// release it (Closers)? Escapes do not count — a helper that stores or
+// returns the resource leaves closing to someone else. For each
+// parameter a closer can be passed as (a pointer or an interface): is
+// it released or escapes on every path that returns no error
+// (Keepers)? A constructor that stores what it is handed takes it over.
+// Helper-calls-helper chains converge by fixpoint; dependency facts are
+// final.
+func classify(pass *analysis.Pass, spec *Spec) *Fact {
 	type candidate struct {
-		id     string
-		g      *cfg.CFG
-		params []paramSite
+		id      string
+		g       *cfg.CFG
+		closers []paramSite
+		keepers []paramSite
+		errRet  func(ast.Node) bool
 	}
 	var cands []candidate
 	for _, file := range pass.Files {
@@ -296,45 +306,89 @@ func closersOf(pass *analysis.Pass, spec *Spec) map[string][]int {
 			if id == "" {
 				continue
 			}
-			params := resourceParams(pass, spec, fd)
-			if len(params) == 0 {
+			closers := params(pass, fd, spec.IsResource)
+			keepers := params(pass, fd, holdsCloser)
+			if len(closers) == 0 && len(keepers) == 0 {
 				continue
 			}
-			cands = append(cands, candidate{id: id, g: cfg.New(fd.Name.Name, fd.Body), params: params})
+			cands = append(cands, candidate{
+				id: id, g: cfg.New(fd.Name.Name, fd.Body), closers: closers, keepers: keepers,
+				errRet: errorReturn(pass.TypesInfo, fn.Type().(*types.Signature)),
+			})
 		}
 	}
-	closers := make(map[string][]int)
+	facts := &Fact{Closers: make(map[string][]int), Keepers: make(map[string][]int)}
 	for changed := true; changed; {
 		changed = false
 		for _, c := range cands {
-			for _, p := range c.params {
-				if slices.Contains(closers[c.id], p.index) {
+			for _, p := range c.closers {
+				if slices.Contains(facts.Closers[c.id], p.index) {
 					continue
 				}
 				tracked := &cfg.Tracked{
 					Info:     pass.TypesInfo,
 					Obj:      p.obj,
-					Releases: releasePredicate(pass, spec, closers, p.obj),
+					Releases: releasePredicate(pass, spec, facts, p.obj),
 				}
 				if tracked.ReleasedOnEveryPath(c.g) {
-					closers[c.id] = append(closers[c.id], p.index)
+					facts.Closers[c.id] = append(facts.Closers[c.id], p.index)
+					changed = true
+				}
+			}
+			for _, p := range c.keepers {
+				if slices.Contains(facts.Keepers[c.id], p.index) {
+					continue
+				}
+				tracked := &cfg.Tracked{
+					Info:      pass.TypesInfo,
+					Obj:       p.obj,
+					Releases:  releasePredicate(pass, spec, facts, p.obj),
+					Consumes:  consumePredicate(pass, spec, facts, p.obj),
+					AliasType: spec.Aliases,
+				}
+				if tracked.SettledOnEveryPath(c.g, c.errRet) {
+					facts.Keepers[c.id] = append(facts.Keepers[c.id], p.index)
 					changed = true
 				}
 			}
 		}
 	}
-	return closers
+	return facts
 }
 
-// paramSite is one resource-typed parameter of a declared function.
+// holdsCloser reports the parameter types a closer can be passed as.
+func holdsCloser(t types.Type) bool {
+	_, ptr := t.Underlying().(*types.Pointer)
+	return ptr || types.IsInterface(t)
+}
+
+// errorReturn returns the test for a return statement of a function of
+// signature sig that returns a non-nil error: its last result is error
+// and the statement spells that result as something other than nil.
+func errorReturn(info *types.Info, sig *types.Signature) func(ast.Node) bool {
+	res := sig.Results()
+	if res.Len() == 0 || !types.Identical(res.At(res.Len()-1).Type(), types.Universe.Lookup("error").Type()) {
+		return func(ast.Node) bool { return false }
+	}
+	return func(n ast.Node) bool {
+		ret, ok := n.(*ast.ReturnStmt)
+		if !ok || len(ret.Results) != res.Len() {
+			return false
+		}
+		tv, ok := info.Types[ret.Results[len(ret.Results)-1]]
+		return ok && !tv.IsNil()
+	}
+}
+
+// paramSite is one parameter of a declared function.
 type paramSite struct {
 	index int
 	obj   types.Object
 }
 
-// resourceParams returns the flat indices (receiver excluded) of
-// resource-typed, named parameters.
-func resourceParams(pass *analysis.Pass, spec *Spec, fd *ast.FuncDecl) []paramSite {
+// params returns the flat indices (receiver excluded) of the named
+// parameters whose type is tracked.
+func params(pass *analysis.Pass, fd *ast.FuncDecl, tracked func(types.Type) bool) []paramSite {
 	var out []paramSite
 	idx := 0
 	for _, field := range fd.Type.Params.List {
@@ -345,7 +399,7 @@ func resourceParams(pass *analysis.Pass, spec *Spec, fd *ast.FuncDecl) []paramSi
 		}
 		for _, nm := range names {
 			obj := pass.TypesInfo.Defs[nm]
-			if obj != nil && nm.Name != "_" && spec.IsResource(obj.Type()) {
+			if obj != nil && nm.Name != "_" && tracked(obj.Type()) {
 				out = append(out, paramSite{index: idx, obj: obj})
 			}
 			idx++

@@ -191,7 +191,7 @@ func TestFsckQuarantinesCorruptBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := filepath.Join(dir, "blobs", "sha256", d.Hex()[:2], d.Hex())
+	p := filepath.Join(dir, "blobs", "sha256", d.Hex())
 	if err := os.WriteFile(p, []byte("bit rot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +200,8 @@ func TestFsckQuarantinesCorruptBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := reopened.OpenReport(); len(rep.Corrupt) != 1 || rep.Corrupt[0] != d || rep.Quarantined != 1 {
-		t.Fatalf("open reported corrupt=%v and quarantined %d files, want [%s] and 1", rep.Corrupt, rep.Quarantined, d.Short())
+	if rep := reopened.OpenReport(); len(rep.Corrupt) != 1 || rep.Corrupt[0] != d || len(rep.Misplaced) != 0 {
+		t.Fatalf("open reported corrupt=%v misplaced=%v, want [%s] and none", rep.Corrupt, rep.Misplaced, d.Short())
 	}
 	if reopened.Has(d) {
 		t.Fatal("corrupt blob still addressable after repair")

@@ -1,25 +1,25 @@
 package distrib
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"hash"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"comtainer/internal/digest"
 	"comtainer/internal/faultinject"
 )
 
-// DiskStore is a persistent content-addressed blob store. Blobs live in
-// a sharded layout — blobs/sha256/ab/abcd… — keyed by the first two hex
-// characters so no single directory grows unbounded. Writes stream into
-// a temp file and are renamed into place only after the digest checks
-// out, so a crash mid-write never leaves a corrupt blob addressable.
-// Reads verify content against the digest as it streams out.
+// DiskStore is a persistent content-addressed blob store in the shape of
+// an OCI image layout: blob d at blobs/sha256/<hex of d>, under an
+// oci-layout marker. Writes stream into a temp file under tmp/ and are
+// renamed into place only after the digest checks out, so a crash
+// mid-write never leaves a corrupt blob addressable. Reads verify
+// content against the digest as it streams out.
 //
 // All mutating filesystem calls go through a faultinject.FS seam
 // (the real OS by default), so chaos tests can kill the store at an
@@ -48,11 +48,9 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 // NewDiskStoreFS is NewDiskStore writing through fsys — the hook chaos
 // tests use to inject EIO, short writes and power cuts.
 func NewDiskStoreFS(dir string, fsys faultinject.FS) (*DiskStore, error) {
-	s := &DiskStore{root: dir, fs: fsys}
-	for _, d := range []string{s.blobRoot(), s.tmpDir()} {
-		if err := fsys.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("distrib: creating store dir: %w", err)
-		}
+	s, err := openDiskStore(dir, fsys)
+	if err != nil {
+		return nil, err
 	}
 	// Crash recovery runs on every open: a store is never handed out
 	// with torn temp files or unreadable addressable blobs.
@@ -62,6 +60,47 @@ func NewDiskStoreFS(dir string, fsys faultinject.FS) (*DiskStore, error) {
 	}
 	s.openRepair = rep
 	return s, nil
+}
+
+// openDiskStore opens the store under dir, creating it if needed, with
+// no Repair, and writes the oci-layout marker if it is missing.
+func openDiskStore(dir string, fsys faultinject.FS) (*DiskStore, error) {
+	s := &DiskStore{root: dir, fs: fsys}
+	for _, d := range []string{s.blobRoot(), s.tmpDir()} {
+		if err := fsys.MkdirAll(d, 0o755); err != nil {
+			return nil, fmt.Errorf("distrib: creating store dir: %w", err)
+		}
+	}
+	if err := s.unshard(); err != nil {
+		return nil, fmt.Errorf("distrib: moving sharded blobs: %w", err)
+	}
+	marker := filepath.Join(dir, markerFile)
+	if _, err := fsys.Stat(marker); os.IsNotExist(err) {
+		if err := replaceFile(fsys, s.tmpDir(), marker, []byte(layoutMarker)); err != nil {
+			return nil, fmt.Errorf("distrib: writing %s: %w", markerFile, err)
+		}
+	}
+	return s, nil
+}
+
+// unshard moves the blobs of the store's older fan-out,
+// blobs/sha256/<2 hex>/<hex>, up one level, a rename each, so an open cut
+// short leaves the rest to the next, and removes the emptied
+// directories; one holding anything else is Repair's to quarantine.
+func (s *DiskStore) unshard() error {
+	blobs, err := filepath.Glob(filepath.Join(s.blobRoot(), "??", "*"))
+	for _, p := range blobs {
+		if _, herr := digest.FromHex(filepath.Base(p)); herr == nil && err == nil {
+			err = s.fs.Rename(p, filepath.Join(s.blobRoot(), filepath.Base(p)))
+		}
+	}
+	shards, _ := filepath.Glob(filepath.Join(s.blobRoot(), "??"))
+	for _, dir := range shards {
+		if fi, serr := os.Stat(dir); serr == nil && fi.IsDir() {
+			s.fs.Remove(dir) // fails while it holds anything
+		}
+	}
+	return err
 }
 
 // OpenReport returns what the open-time Repair found and fixed. A
@@ -76,10 +115,9 @@ func (s *DiskStore) blobRoot() string      { return filepath.Join(s.root, "blobs
 func (s *DiskStore) tmpDir() string        { return filepath.Join(s.root, "tmp") }
 func (s *DiskStore) quarantineDir() string { return filepath.Join(s.root, "quarantine") }
 
-// blobPath returns the sharded path of blob d.
+// blobPath returns the path of blob d.
 func (s *DiskStore) blobPath(d digest.Digest) string {
-	hex := d.Hex()
-	return filepath.Join(s.blobRoot(), hex[:2], hex)
+	return filepath.Join(s.blobRoot(), d.Hex())
 }
 
 // Has reports whether blob d is on disk.
@@ -156,7 +194,7 @@ func (v *verifyingReader) Read(p []byte) (int, error) {
 func (v *verifyingReader) Close() error { return v.f.Close() }
 
 // Ingest streams r into a temp file, verifies the digest, and renames
-// the file into its sharded location. The rename is atomic: concurrent
+// the file into its place. The rename is atomic: concurrent
 // ingests of the same content race benignly to the same final path.
 //
 // The stat+rename pair deliberately runs under mu — that is the lock's
@@ -169,28 +207,17 @@ func (s *DiskStore) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int6
 			return "", 0, err
 		}
 	}
-	tmp, err := s.fs.CreateTemp(s.tmpDir(), "ingest-*")
-	if err != nil {
-		return "", 0, fmt.Errorf("distrib: creating temp blob: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer s.fs.Remove(tmpName) // no-op after successful rename
 	h := sha256.New()
-	n, err := io.Copy(io.MultiWriter(tmp, h), r)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
+	tmpName, n, err := writeTemp(s.fs, s.tmpDir(), "ingest-*", r, h)
 	if err != nil {
 		return "", 0, fmt.Errorf("distrib: writing blob: %w", err)
 	}
+	defer s.fs.Remove(tmpName) // no-op after successful rename
 	got := digest.FromHash(h)
 	if want != "" && got != want {
 		return "", 0, fmt.Errorf("distrib: digest mismatch: content is %s, want %s", got, want)
 	}
 	dst := s.blobPath(got)
-	if err := s.fs.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return "", 0, fmt.Errorf("distrib: creating shard dir: %w", err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, err := s.fs.Stat(dst); err == nil {
@@ -217,29 +244,18 @@ func (s *DiskStore) Delete(d digest.Digest) error {
 	return nil
 }
 
-// Digests walks the sharded layout and returns every stored digest,
-// sorted.
+// Digests returns every stored digest, sorted.
 func (s *DiskStore) Digests() []digest.Digest {
 	var out []digest.Digest
-	shards, err := os.ReadDir(s.blobRoot())
+	files, err := os.ReadDir(s.blobRoot())
 	if err != nil {
 		return nil
 	}
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.blobRoot(), shard.Name()))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			if d, err := digest.FromHex(f.Name()); err == nil {
-				out = append(out, d)
-			}
+	for _, f := range files {
+		if d, err := digest.FromHex(f.Name()); err == nil && !f.IsDir() {
+			out = append(out, d)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -252,4 +268,36 @@ func (s *DiskStore) TotalSize() int64 {
 		}
 	}
 	return n
+}
+
+// writeTemp copies r into a new file under dir, named by pattern as
+// os.CreateTemp names it, and into also. It returns the file's name and
+// size, and removes the file on an error.
+func writeTemp(fsys faultinject.FS, dir, pattern string, r io.Reader, also io.Writer) (string, int64, error) {
+	tmp, err := fsys.CreateTemp(dir, pattern)
+	if err != nil {
+		return "", 0, err
+	}
+	n, err := io.Copy(io.MultiWriter(tmp, also), r)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fsys.Remove(tmp.Name())
+		return "", 0, err
+	}
+	return tmp.Name(), n, nil
+}
+
+// replaceFile puts data at path by a temp file under tmpDir, unsynced:
+// what it writes is derived (the marker, the index.json view), and an
+// open writes it again when it is missing or differs.
+func replaceFile(fsys faultinject.FS, tmpDir, path string, data []byte) error {
+	name, _, err := writeTemp(fsys, tmpDir, "file-*", bytes.NewReader(data), io.Discard)
+	if err == nil {
+		if err = fsys.Rename(name, path); err != nil {
+			fsys.Remove(name)
+		}
+	}
+	return err
 }

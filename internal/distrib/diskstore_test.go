@@ -47,10 +47,9 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, content) {
 		t.Errorf("content round-trip mismatch")
 	}
-	// Blob lives at the sharded path blobs/sha256/<ab>/<hex>.
-	shard := filepath.Join(s.Root(), "blobs", "sha256", d.Hex()[:2], d.Hex())
-	if _, err := os.Stat(shard); err != nil {
-		t.Errorf("blob not at sharded path: %v", err)
+	// Blob lives at the layout's path blobs/sha256/<hex>.
+	if _, err := os.Stat(filepath.Join(s.Root(), "blobs", "sha256", d.Hex())); err != nil {
+		t.Errorf("blob not at blobs/sha256/<hex>: %v", err)
 	}
 }
 
@@ -86,7 +85,7 @@ func TestDiskStoreVerifyOnRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt the blob behind the store's back.
-	path := filepath.Join(s.Root(), "blobs", "sha256", d.Hex()[:2], d.Hex())
+	path := filepath.Join(s.Root(), "blobs", "sha256", d.Hex())
 	if err := os.WriteFile(path, []byte("tampered"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -216,5 +215,32 @@ func TestDiskStoreTotalSize(t *testing.T) {
 	}
 	if got := s.TotalSize(); got != 10 {
 		t.Errorf("TotalSize = %d, want 10", got)
+	}
+}
+
+// TestRepairKeepsEarlierQuarantine: a blob found corrupt at two opens
+// leaves both damaged copies in quarantine/; the second does not
+// replace the first.
+func TestRepairKeepsEarlierQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rot := range []string{"rot one", "rot two"} {
+		d, _, err := s.Ingest(strings.NewReader("pristine"), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "blobs", "sha256", d.Hex()), []byte(rot), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = NewDiskStore(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, err := os.ReadDir(filepath.Join(dir, "quarantine"))
+	if err != nil || len(q) != 2 {
+		t.Fatalf("quarantine holds %v (%v), want both damaged copies", q, err)
 	}
 }

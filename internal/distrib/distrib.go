@@ -7,11 +7,13 @@
 //   - BlobSource/BlobSink/Store: streaming content-addressed blob
 //     interfaces that both the in-memory oci.Store and the disk-backed
 //     DiskStore satisfy, so a registry can mount either.
-//   - DiskStore: a persistent, sharded (blobs/sha256/ab/abcd…),
-//     digest-verified blob store with atomic temp-file+rename writes.
+//   - DiskStore: a persistent, digest-verified blob store in the OCI
+//     image-layout shape, with atomic temp-file+rename writes.
 //   - TagStore: the tag → manifest-descriptor mapping, in memory or
 //     persisted as one synced append-only log on disk (DiskTags,
 //     through the same faultinject.FS seam as DiskStore).
+//   - LoadLayout/SaveLayout: the CLI's image directory, one DiskStore
+//     and one DiskTags, which is what a registry's -data serves.
 //   - UploadManager: server-side resumable upload sessions backing the
 //     OCI distribution push protocol (POST/PATCH/PUT).
 //   - Client: a concurrent pull/push client with a bounded worker pool,

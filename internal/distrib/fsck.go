@@ -13,15 +13,14 @@ import (
 	"comtainer/internal/faultinject"
 )
 
-// FsckReport is the outcome of a store consistency scan. The store's
-// invariants after a successful Repair:
+// FsckReport is what a Repair found and did. The store's invariants
+// after a successful Repair:
 //
-//  1. every addressable path blobs/sha256/ab/<hex> holds content that
+//  1. every addressable path blobs/sha256/<hex> holds content that
 //     hashes to sha256:<hex> (no torn or bit-rotted blob is readable);
-//  2. the shard directory matches the first two hex characters;
-//  3. tmp/ is empty — an interrupted ingest can never be completed, so
+//  2. tmp/ is empty — an interrupted ingest can never be completed, so
 //     its spool is garbage by construction;
-//  4. nothing is silently deleted: damaged files move to quarantine/
+//  3. nothing is silently deleted: damaged files move to quarantine/
 //     for operator inspection, only temp spools are removed outright.
 type FsckReport struct {
 	// Scanned counts addressable blob files examined.
@@ -29,17 +28,16 @@ type FsckReport struct {
 	// Corrupt lists blobs whose content does not hash to their name —
 	// truncated by a crash mid-rename-window or rotted on disk.
 	Corrupt []digest.Digest
-	// Misplaced lists addressable paths whose name is not a digest or
-	// whose shard directory disagrees with it.
+	// Misplaced lists what blobs/sha256 holds that is not a file named
+	// by a digest.
 	Misplaced []string
 	// OrphanTemps lists temp spool files left by interrupted writes.
+	// Repair quarantines every Corrupt and Misplaced file and removes
+	// every temp, or fails.
 	OrphanTemps []string
-	// Quarantined and TempsSwept count what Repair acted on.
-	Quarantined int
-	TempsSwept  int
 }
 
-// Clean reports whether the scan found nothing wrong.
+// Clean reports whether Repair found nothing wrong.
 func (r FsckReport) Clean() bool {
 	return len(r.Corrupt) == 0 && len(r.Misplaced) == 0 && len(r.OrphanTemps) == 0
 }
@@ -47,43 +45,38 @@ func (r FsckReport) Clean() bool {
 // String renders the report as a one-line operator summary.
 func (r FsckReport) String() string {
 	return fmt.Sprintf("fsck: %d blobs scanned, %d corrupt, %d misplaced, %d orphan temps (%d quarantined, %d temps swept)",
-		r.Scanned, len(r.Corrupt), len(r.Misplaced), len(r.OrphanTemps), r.Quarantined, r.TempsSwept)
+		r.Scanned, len(r.Corrupt), len(r.Misplaced), len(r.OrphanTemps), len(r.Corrupt)+len(r.Misplaced), len(r.OrphanTemps))
 }
 
-// scan checks the store read-only: it rehashes every addressable blob
-// against its name, checks shard placement, and lists orphaned temp
-// files, for Repair to act on.
-func (s *DiskStore) scan() (FsckReport, error) {
+// Repair restores the store's invariants (FsckReport): it rehashes
+// every blob against its name, moves a corrupt one, and whatever in
+// blobs/sha256 is not a file named by a digest, into quarantine/ (never
+// deleted — an operator may still want the bytes), and removes the
+// temp files of interrupted writes. It runs on every open, and
+// OpenReport keeps what it did there.
+func (s *DiskStore) Repair() (FsckReport, error) {
 	var rep FsckReport
-	shards, err := os.ReadDir(s.blobRoot())
+	files, err := os.ReadDir(s.blobRoot())
 	if err != nil {
 		return rep, fmt.Errorf("distrib: fsck: reading blob root: %w", err)
 	}
-	for _, shard := range shards {
-		shardDir := filepath.Join(s.blobRoot(), shard.Name())
-		if !shard.IsDir() {
-			rep.Misplaced = append(rep.Misplaced, shardDir)
-			continue
-		}
-		files, err := os.ReadDir(shardDir)
-		if err != nil {
-			return rep, fmt.Errorf("distrib: fsck: reading shard %s: %w", shard.Name(), err)
-		}
-		for _, f := range files {
-			p := filepath.Join(shardDir, f.Name())
-			d, perr := digest.FromHex(f.Name())
-			if perr != nil || f.IsDir() || !strings.HasPrefix(f.Name(), shard.Name()) {
-				rep.Misplaced = append(rep.Misplaced, p)
+	for _, f := range files {
+		p := filepath.Join(s.blobRoot(), f.Name())
+		if d, err := digest.FromHex(f.Name()); err != nil || f.IsDir() {
+			rep.Misplaced = append(rep.Misplaced, p)
+		} else {
+			rep.Scanned++
+			ok, err := s.rehash(p, d)
+			if err != nil {
+				return rep, fmt.Errorf("distrib: fsck: rehashing %s: %w", d.Short(), err)
+			}
+			if ok {
 				continue
 			}
-			rep.Scanned++
-			ok, herr := s.rehash(p, d)
-			if herr != nil {
-				return rep, fmt.Errorf("distrib: fsck: rehashing %s: %w", d.Short(), herr)
-			}
-			if !ok {
-				rep.Corrupt = append(rep.Corrupt, d)
-			}
+			rep.Corrupt = append(rep.Corrupt, d)
+		}
+		if err := s.quarantine(p, len(rep.Corrupt)+len(rep.Misplaced)); err != nil {
+			return rep, err
 		}
 	}
 	temps, err := os.ReadDir(s.tmpDir())
@@ -91,9 +84,12 @@ func (s *DiskStore) scan() (FsckReport, error) {
 		return rep, fmt.Errorf("distrib: fsck: reading tmp dir: %w", err)
 	}
 	for _, t := range temps {
-		rep.OrphanTemps = append(rep.OrphanTemps, filepath.Join(s.tmpDir(), t.Name()))
+		p := filepath.Join(s.tmpDir(), t.Name())
+		rep.OrphanTemps = append(rep.OrphanTemps, p)
+		if err := s.fs.Remove(p); err != nil && !os.IsNotExist(err) {
+			return rep, fmt.Errorf("distrib: fsck: sweeping temp %s: %w", p, err)
+		}
 	}
-	sort.Slice(rep.Corrupt, func(i, j int) bool { return rep.Corrupt[i] < rep.Corrupt[j] })
 	return rep, nil
 }
 
@@ -111,48 +107,25 @@ func (s *DiskStore) rehash(p string, d digest.Digest) (bool, error) {
 	return digest.FromHash(h) == d, nil
 }
 
-// Repair scans the store and restores its invariants: corrupt and
-// misplaced files are moved into quarantine/ (never deleted — an
-// operator may still want the bytes), and orphaned temp spools are
-// removed. It runs on every open, and OpenReport keeps what it did
-// there.
-func (s *DiskStore) Repair() (FsckReport, error) {
-	rep, err := s.scan()
+// quarantine moves p into quarantine/ as <n>-<name>, n the first from
+// the repair's count up that no earlier file there holds.
+func (s *DiskStore) quarantine(p string, n int) error {
+	if err := s.fs.MkdirAll(s.quarantineDir(), 0o755); err != nil {
+		return fmt.Errorf("distrib: fsck: creating quarantine dir: %w", err)
+	}
+	dst := ""
+	for taken := true; taken; n++ {
+		dst = filepath.Join(s.quarantineDir(), fmt.Sprintf("%d-%s", n, filepath.Base(p)))
+		_, err := s.fs.Stat(dst)
+		taken = err == nil
+	}
+	s.mu.Lock()
+	err := s.fs.Rename(p, dst)
+	s.mu.Unlock()
 	if err != nil {
-		return rep, err
+		return fmt.Errorf("distrib: fsck: quarantining %s: %w", p, err)
 	}
-	if rep.Clean() {
-		return rep, nil
-	}
-	var damaged []string
-	for _, d := range rep.Corrupt {
-		damaged = append(damaged, s.blobPath(d))
-	}
-	damaged = append(damaged, rep.Misplaced...)
-	if len(damaged) > 0 {
-		if err := s.fs.MkdirAll(s.quarantineDir(), 0o755); err != nil {
-			return rep, fmt.Errorf("distrib: fsck: creating quarantine dir: %w", err)
-		}
-	}
-	for i, p := range damaged {
-		// The index prefix keeps same-named files from two repairs (or
-		// a shard dir and a blob) from colliding in the flat directory.
-		dst := filepath.Join(s.quarantineDir(), fmt.Sprintf("%d-%s", i, filepath.Base(p)))
-		s.mu.Lock()
-		err := s.fs.Rename(p, dst)
-		s.mu.Unlock()
-		if err != nil {
-			return rep, fmt.Errorf("distrib: fsck: quarantining %s: %w", p, err)
-		}
-		rep.Quarantined++
-	}
-	for _, p := range rep.OrphanTemps {
-		if err := s.fs.Remove(p); err != nil && !os.IsNotExist(err) {
-			return rep, fmt.Errorf("distrib: fsck: sweeping temp %s: %w", p, err)
-		}
-		rep.TempsSwept++
-	}
-	return rep, nil
+	return nil
 }
 
 // SweepDanglingRefs removes every tag whose manifest blob is missing

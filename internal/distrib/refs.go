@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -108,6 +109,8 @@ func (t *MemTags) All() map[string]oci.Descriptor {
 // serves reads, which is the log replayed at open.
 type DiskTags struct {
 	MemTags
+	dir string
+	fs  faultinject.FS
 	log *faultinject.AppendFile
 	at  map[string]int64 // offset of each key's last applied line; guarded by mu
 }
@@ -125,11 +128,12 @@ func NewDiskTags(dir string) (*DiskTags, error) {
 
 // NewDiskTagsFS is NewDiskTags through fsys, for chaos tests. The open
 // replays tags.log (faultinject.OpenAppend) and rewrites it as the live
-// map if it holds lines the map no longer needs, or if refs/ (one file
-// per path-escaped key, from before the log) is there to import.
+// map if it holds lines the map no longer needs, or if it imported the
+// tags of an older store: refs/ (one file per path-escaped key), or,
+// with no tags.log, index.json's. Then it writes the index.json view.
 func NewDiskTagsFS(dir string, fsys faultinject.FS) (*DiskTags, error) {
-	t := &DiskTags{MemTags: MemTags{m: make(map[string]oci.Descriptor)}, at: make(map[string]int64)}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	t := &DiskTags{MemTags: MemTags{m: make(map[string]oci.Descriptor)}, dir: dir, fs: fsys, at: make(map[string]int64)}
+	if err := fsys.MkdirAll(filepath.Join(dir, "tmp"), 0o755); err != nil {
 		return nil, fmt.Errorf("distrib: creating tag store dir: %w", err)
 	}
 	refs := filepath.Join(dir, "refs")
@@ -157,6 +161,13 @@ func NewDiskTagsFS(dir string, fsys faultinject.FS) (*DiskTags, error) {
 		}
 	}
 	path, lines := filepath.Join(dir, "tags.log"), 0
+	if _, err := fsys.Stat(path); os.IsNotExist(err) {
+		found, err := t.importIndex()
+		if err != nil {
+			return nil, fmt.Errorf("distrib: importing %s: %w", indexFile, err)
+		}
+		legacy = legacy || found
+	}
 	t.log, err = faultinject.OpenAppend(fsys, path, func(line []byte) error {
 		var rec tagRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
@@ -175,11 +186,54 @@ func NewDiskTagsFS(dir string, fsys faultinject.FS) (*DiskTags, error) {
 	if err == nil && legacy {
 		err = fsys.RemoveAll(refs)
 	}
+	if err == nil {
+		err = t.writeView()
+	}
 	if err != nil {
 		t.log.Close()
-		return nil, fmt.Errorf("distrib: rewriting tag log: %w", err)
+		return nil, fmt.Errorf("distrib: rewriting tag log or its view: %w", err)
 	}
 	return t, nil
+}
+
+// importIndex sets a LayoutRepository tag for each manifest of
+// index.json with a ref.name, and reports whether there was one.
+func (t *DiskTags) importIndex() (bool, error) {
+	b, err := os.ReadFile(filepath.Join(t.dir, indexFile))
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	var idx oci.Index
+	if err == nil {
+		err = json.Unmarshal(b, &idx)
+	}
+	for _, desc := range idx.Manifests {
+		if tag, ok := desc.Annotations[oci.AnnotationRefName]; ok {
+			t.m[LayoutRepository+":"+tag] = bare(desc)
+		}
+	}
+	return true, err
+}
+
+// writeView writes index.json, the tag log's view: an OCI index of
+// LayoutRepository's tags, each manifest's ref.name its tag, unless the
+// file already says that.
+func (t *DiskTags) writeView() error {
+	idx := oci.Index{SchemaVersion: 2, MediaType: oci.MediaTypeIndex, Manifests: []oci.Descriptor{}}
+	for _, tag := range t.Tags(LayoutRepository) {
+		desc, _ := t.Resolve(LayoutRepository, tag)
+		desc.Annotations = map[string]string{oci.AnnotationRefName: tag}
+		idx.Manifests = append(idx.Manifests, desc)
+	}
+	b, err := json.MarshalIndent(idx, "", "  ")
+	if err != nil {
+		return err
+	}
+	path := filepath.Join(t.dir, indexFile)
+	if old, err := os.ReadFile(path); err == nil && bytes.Equal(old, b) {
+		return nil
+	}
+	return replaceFile(t.fs, filepath.Join(t.dir, "tmp"), path, b)
 }
 
 // rewrite replaces the log with the live map, one line per tag, by a

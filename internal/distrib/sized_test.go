@@ -268,7 +268,7 @@ func TestDiskBlobVerifiedAtItsSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(s.Root(), "blobs", "sha256", d.Hex()[:2], d.Hex())
+	path := filepath.Join(s.Root(), "blobs", "sha256", d.Hex())
 	sizedRead := func() (int, error) {
 		r, size, err := s.Open(d)
 		if err != nil {

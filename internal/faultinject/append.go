@@ -42,12 +42,16 @@ func OpenAppend(fsys FS, path string, decode func(line []byte) error) (*AppendFi
 	if err != nil {
 		return nil, err
 	}
-	end, err := replay(f, decode)
+	size, err := f.Seek(0, io.SeekEnd)
+	var end int64
 	if err == nil {
-		var size int64
-		if size, err = f.Seek(0, io.SeekEnd); err == nil && size > end {
-			err = f.Truncate(end)
-		}
+		_, err = f.Seek(0, io.SeekStart)
+	}
+	if err == nil {
+		end, err = replay(f, decode, min(size+1, 1<<20))
+	}
+	if err == nil && size > end {
+		err = f.Truncate(end)
 	}
 	if err != nil {
 		f.Close()
@@ -57,9 +61,10 @@ func OpenAppend(fsys FS, path string, decode func(line []byte) error) (*AppendFi
 }
 
 // replay hands decode the whole lines r starts with and returns the
-// length of the prefix they occupy.
-func replay(r io.Reader, decode func(line []byte) error) (valid int64, _ error) {
-	br := bufio.NewReaderSize(r, 1<<20) // a longer line fails the replay, with bufio.ErrBufferFull
+// length of the prefix they occupy. A line longer than buf bytes fails
+// it, with bufio.ErrBufferFull.
+func replay(r io.Reader, decode func(line []byte) error, buf int64) (valid int64, _ error) {
+	br := bufio.NewReaderSize(r, int(buf))
 	for {
 		line, err := br.ReadSlice('\n')
 		if err == io.EOF {

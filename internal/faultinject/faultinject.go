@@ -2,13 +2,13 @@
 // harness for the distribution stack. It has two injection surfaces:
 //
 //   - an FS hook layer (FS / FaultFS) wrapping the create, write, sync,
-//     rename and remove calls of distrib.DiskStore and DiskTags,
-//     actioncache.DiskCache, fleet.WriteLog and oci.SaveLayout, able to
-//     inject EIO, short writes, and "power-cut" termination — after
-//     which every further operation fails and whatever half-written
-//     state is on disk stays exactly as a crash would leave it. The ways
-//     a store writes live here too, once each: Commit (whole, by temp
-//     file and rename), AppendFile (a log of lines) and SyncDir;
+//     rename and remove calls of distrib.DiskStore and DiskTags (and so
+//     of the CLI's image directory), actioncache.DiskCache and
+//     fleet.WriteLog, able to inject EIO, short writes, and "power-cut"
+//     termination — after which every further operation fails and
+//     whatever half-written state is on disk stays exactly as a crash
+//     would leave it. The log a store appends to lives here too:
+//     AppendFile (a log of lines) and SyncDir;
 //
 //   - an HTTP fault transport (Transport) wrapping a registry client's
 //     round-tripper, able to inject 5xx bursts, truncated response

@@ -4,7 +4,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 )
@@ -26,8 +25,8 @@ type File interface {
 
 // FS is the filesystem seam the distribution-stack stores write
 // through: the create/write/rename/remove surface of their
-// temp-file-plus-rename commit protocol (Commit), and the open-in-place
-// and touch an append-only log needs (AppendFile). The real
+// temp-file-plus-rename commits, and the open-in-place and touch an
+// append-only log needs (AppendFile). The real
 // implementation is OS(); FaultFS wraps any FS with an injection plan.
 type FS interface {
 	MkdirAll(path string, perm fs.FileMode) error
@@ -37,7 +36,6 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	RemoveAll(path string) error
-	Chmod(name string, mode fs.FileMode) error
 	Chtimes(name string, atime, mtime time.Time) error
 }
 
@@ -65,45 +63,16 @@ func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	return f, nil
 }
 
-func (osFS) Stat(name string) (fs.FileInfo, error)     { return os.Stat(name) }
-func (osFS) Rename(oldpath, newpath string) error      { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                  { return os.Remove(name) }
-func (osFS) RemoveAll(path string) error               { return os.RemoveAll(path) }
-func (osFS) Chmod(name string, mode fs.FileMode) error { return os.Chmod(name, mode) }
+func (osFS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
+func (osFS) Rename(oldpath, newpath string) error  { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error              { return os.Remove(name) }
+func (osFS) RemoveAll(path string) error           { return os.RemoveAll(path) }
 func (osFS) Chtimes(name string, atime, mtime time.Time) error {
 	return os.Chtimes(name, atime, mtime)
 }
 
 // Open opens name for reading through fsys.
 func Open(fsys FS, name string) (File, error) { return fsys.OpenFile(name, os.O_RDONLY, 0) }
-
-// Commit is the stores' crash-safe file write: it puts data at path
-// (mode 0 keeps a temp file's 0600) so that at every instant, and after
-// a crash at any of them, path holds its old content or the new,
-// never a torn mix. What a crash can leave behind is a file beside path
-// whose name starts with prefix; each store sweeps or skips its prefix
-// when it opens.
-func Commit(fsys FS, path, prefix string, data []byte, mode fs.FileMode) error {
-	tmp, err := fsys.CreateTemp(filepath.Dir(path), prefix+"*")
-	if err != nil {
-		return err
-	}
-	_, err = tmp.Write(data)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil && mode != 0 {
-		err = fsys.Chmod(tmp.Name(), mode)
-	}
-	if err == nil {
-		err = fsys.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		fsys.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
 
 // FaultFS wraps a base FS with a fault plan. Metadata operations
 // (create, rename, remove, mkdir, stat, open, chmod, chtimes) are
@@ -125,9 +94,6 @@ func NewFS(base FS, plan *Plan) *FaultFS {
 
 // Dead reports whether a PowerCut has fired.
 func (f *FaultFS) Dead() bool { return f.dead.Load() }
-
-// Plan returns the plan driving this FS.
-func (f *FaultFS) Plan() *Plan { return f.plan }
 
 // meta runs the shared fault check for an operation that either
 // happens whole or not at all.
@@ -202,13 +168,6 @@ func (f *FaultFS) RemoveAll(path string) error {
 		return err
 	}
 	return f.base.RemoveAll(path)
-}
-
-func (f *FaultFS) Chmod(name string, mode fs.FileMode) error {
-	if err := f.meta("chmod " + name); err != nil {
-		return err
-	}
-	return f.base.Chmod(name, mode)
 }
 
 func (f *FaultFS) Chtimes(name string, atime, mtime time.Time) error {

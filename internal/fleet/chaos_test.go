@@ -10,7 +10,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -377,14 +379,29 @@ func (dp *diskPair) settle() {
 	}
 }
 
-// checkNoTemps fails t for an interrupted ingest left in a replica's tmp/.
+// checkNoTemps fails t for an interrupted ingest left in a replica's
+// tmp/, naming each temp with its size, and then prints every
+// goroutine's stack, to show what was still inside an ingest.
 func (dp *diskPair) checkNoTemps(t *testing.T) {
 	t.Helper()
+	left := false
 	for i, srv := range dp.srvs {
-		left, err := filepath.Glob(filepath.Join(srv.Blobs().(*distrib.DiskStore).Root(), "tmp", "ingest-*"))
-		if err != nil || len(left) != 0 {
-			t.Errorf("replica %d left %d ingest temps (err %v)", i, len(left), err)
+		temps, err := filepath.Glob(filepath.Join(srv.Blobs().(*distrib.DiskStore).Root(), "tmp", "ingest-*"))
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, name := range temps {
+			size := int64(-1)
+			if fi, err := os.Stat(name); err == nil {
+				size = fi.Size()
+			}
+			t.Errorf("replica %d left ingest temp %s, %d bytes", i, filepath.Base(name), size)
+			left = true
+		}
+	}
+	if left {
+		stacks := make([]byte, 1<<20)
+		t.Logf("goroutines:\n%s", stacks[:runtime.Stack(stacks, true)])
 	}
 }
 

@@ -2,13 +2,11 @@ package oci
 
 import (
 	"errors"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"comtainer/internal/digest"
-	"comtainer/internal/faultinject"
 	"comtainer/internal/fsim"
 	"comtainer/internal/tarfs"
 )
@@ -348,66 +346,6 @@ func TestCopyImageSharesVerifiedBytes(t *testing.T) {
 		}
 	}
 	if _, err := mustLoad(t, dst, desc).Flatten(); err != nil {
-		t.Error(err)
-	}
-}
-
-// blobTemps counts the temp files a save creates in a layout's blob
-// directory.
-type blobTemps struct {
-	faultinject.FS
-	n int
-}
-
-func (c *blobTemps) CreateTemp(dir, pattern string) (faultinject.File, error) {
-	if filepath.Base(dir) == "sha256" {
-		c.n++
-	}
-	return c.FS.CreateTemp(dir, pattern)
-}
-
-// TestSaveLayoutWritesOnlyNewBlobs: saving back over the layout a
-// repository was loaded from rewrites no blob it already holds.
-func TestSaveLayoutWritesOnlyNewBlobs(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "img.oci")
-	r := NewRepository()
-	desc, err := WriteImage(r.Store, testConfig(), []*fsim.FS{baseLayer(), appLayer()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Tag("app.dist", desc)
-	if err := r.SaveLayout(dir); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadLayout(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unchanged := &blobTemps{FS: faultinject.OS()}
-	if err := back.SaveLayoutFS(dir, unchanged); err != nil {
-		t.Fatal(err)
-	}
-	if unchanged.n != 0 {
-		t.Errorf("re-save over an unchanged layout created %d blob temp files, want 0", unchanged.n)
-	}
-	rebuilt, err := AppendLayer(back.Store, desc, appLayer(), "comtainer.rebuild", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	back.Tag("app.dist+coMre", rebuilt)
-	grown := &blobTemps{FS: faultinject.OS()}
-	if err := back.SaveLayoutFS(dir, grown); err != nil {
-		t.Fatal(err)
-	}
-	// appLayer's blob is already there: only a config and a manifest are new.
-	if grown.n != 2 {
-		t.Errorf("re-save after one AppendLayer created %d blob temp files, want 2", grown.n)
-	}
-	final, err := LoadLayout(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := final.LoadByTag("app.dist+coMre"); err != nil {
 		t.Error(err)
 	}
 }

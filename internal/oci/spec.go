@@ -12,7 +12,6 @@ package oci
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"comtainer/internal/digest"
 )
@@ -164,46 +163,4 @@ func canonicalJSON(v any) ([]byte, error) {
 		return nil, fmt.Errorf("oci: marshaling %T: %w", v, err)
 	}
 	return b, nil
-}
-
-// FindByTag returns the descriptor in idx whose ref-name annotation equals
-// tag, or false.
-func (idx *Index) FindByTag(tag string) (Descriptor, bool) {
-	for _, m := range idx.Manifests {
-		if m.Annotations[AnnotationRefName] == tag {
-			return m, true
-		}
-	}
-	return Descriptor{}, false
-}
-
-// Tags returns the sorted set of ref-name annotations present in idx.
-func (idx *Index) Tags() []string {
-	var out []string
-	for _, m := range idx.Manifests {
-		if t, ok := m.Annotations[AnnotationRefName]; ok {
-			out = append(out, t)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SetTag inserts or replaces the manifest tagged tag. The entry gets an
-// annotations map of its own: desc's may be another entry's, of this index
-// or of another repository's.
-func (idx *Index) SetTag(tag string, desc Descriptor) {
-	annotations := make(map[string]string, len(desc.Annotations)+1)
-	for k, v := range desc.Annotations {
-		annotations[k] = v
-	}
-	annotations[AnnotationRefName] = tag
-	desc.Annotations = annotations
-	for i, m := range idx.Manifests {
-		if m.Annotations[AnnotationRefName] == tag {
-			idx.Manifests[i] = desc
-			return
-		}
-	}
-	idx.Manifests = append(idx.Manifests, desc)
 }

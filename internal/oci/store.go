@@ -24,9 +24,8 @@ var ErrBlobNotFound = errors.New("oci: blob not found")
 //
 // A blob is hashed once per trust boundary, when it comes into the
 // process, and never again: Put, PutJSON and the layer writer compute
-// the key they store under, PutVerified, LoadLayout and Ingest check it
-// (Ingest of a Receiver against the hash Receive made as the bytes
-// arrived). So a stored blob hashes to its key, and a check of those
+// the key they store under, and Ingest checks it (of a Receiver
+// against the hash Receive made as the bytes arrived). So a stored blob hashes to its key, and a check of those
 // bytes against that digest is the one already made. CopyImage moves
 // blobs between two stores of one process, which is no boundary: the
 // target shares the bytes on the source's check.
@@ -73,27 +72,14 @@ func (s *Store) Put(content []byte) digest.Digest {
 // adopt stores content, which hashes to d, as the slice it is: the caller
 // hands over ownership and nothing may write to content afterwards. It is
 // for bytes nobody else writes — what this package made, what another Store
-// already holds, what Ingest read off its reader itself or a Receiver took
-// in, or a PutVerified caller handed over. Bytes a caller still holds go
-// through Put, which copies.
+// already holds, or what Ingest read off its reader itself or a Receiver
+// took in. Bytes a caller still holds go through Put, which copies.
 func (s *Store) adopt(d digest.Digest, content []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.blobs[d]; !ok {
 		s.blobs[d] = content
 	}
-}
-
-// PutVerified stores content, which must hash to want, as the slice it
-// is: the caller hands over a buffer nobody else holds, such as one it
-// has just read a file into, and writes to it no more. The content is
-// hashed once, to check it.
-func (s *Store) PutVerified(content []byte, want digest.Digest) error {
-	if got := digest.FromBytes(content); got != want {
-		return fmt.Errorf("oci: digest mismatch: content is %s, want %s", got, want)
-	}
-	s.adopt(want, content)
-	return nil
 }
 
 // Get returns the content of the blob with digest d.

@@ -79,31 +79,18 @@ func NewServer() *Server {
 	return NewServerWith(oci.NewStore(), distrib.NewMemTags())
 }
 
-// NewServerAt returns a registry server persisted under dir: blobs in
-// a sharded distrib.DiskStore, tags in the synced log of a
-// distrib.DiskTags. Opening is the recovery pass — the store
-// quarantines what does not hash to its name and sweeps interrupted
-// writes, and tags whose manifest never landed are dropped — so
-// reopening the same dir after a restart or a crash serves everything
-// previously pushed. Upload sessions are held in memory, as by every
-// server, and a restart forgets them.
+// NewServerAt returns a registry server persisted under dir, an image
+// directory (distrib.LoadLayout): blobs in a distrib.DiskStore, tags in
+// the synced log of a distrib.DiskTags. Opening is the recovery pass —
+// the store quarantines what does not hash to its name and sweeps
+// interrupted writes, and tags whose manifest never landed are dropped
+// — so reopening the same dir after a restart or a crash serves
+// everything previously pushed. Upload sessions are held in memory.
 func NewServerAt(dir string) (*Server, error) {
 	blobs, err := distrib.NewDiskStore(dir)
 	if err != nil {
 		return nil, err
 	}
-	refs, err := openTags(dir, blobs)
-	if err != nil {
-		return nil, err
-	}
-	return NewServerWith(blobs, refs), nil
-}
-
-// openTags opens the tag log under dir for the server that will own it.
-// Referential crash recovery: a tag whose manifest never committed
-// (crash between ref write and blob rename) must not survive a restart,
-// or every pull of it would 500.
-func openTags(dir string, blobs distrib.Store) (distrib.TagStore, error) {
 	refs, err := distrib.NewDiskTags(dir)
 	if err != nil {
 		return nil, err
@@ -111,7 +98,7 @@ func openTags(dir string, blobs distrib.Store) (distrib.TagStore, error) {
 	if _, err := distrib.SweepDanglingRefs(refs, blobs); err != nil {
 		return nil, errors.Join(err, refs.Close())
 	}
-	return refs, nil
+	return NewServerWith(blobs, refs), nil
 }
 
 // NewServerWith returns a server over caller-provided stores.

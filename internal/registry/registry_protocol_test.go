@@ -657,7 +657,8 @@ func TestRestartPersistence(t *testing.T) {
 }
 
 // TestReopenKeepsOnlyTheStores: a -data registry keeps its stores in its
-// directory and nothing else. An upload session is held in memory, so
+// directory and nothing else: the image directory's blobs, tag log,
+// oci-layout marker and index.json view, and the store's tmp/. An upload session is held in memory, so
 // reopening the directory leaves no trace of one that was mid-push, and
 // its next PATCH is the 404 that sends a client back to POST.
 func TestReopenKeepsOnlyTheStores(t *testing.T) {
@@ -687,7 +688,7 @@ func TestReopenKeepsOnlyTheStores(t *testing.T) {
 	}
 	for _, e := range entries {
 		switch e.Name() {
-		case "blobs", "tmp", "tags.log", "quarantine":
+		case "blobs", "tmp", "tags.log", "quarantine", "oci-layout", "index.json":
 		default:
 			t.Errorf("%s in the data directory beside the stores", e.Name())
 		}

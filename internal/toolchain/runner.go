@@ -251,15 +251,11 @@ func optCost(level string) float64 {
 	}
 }
 
-// countLines returns the number of lines in source text.
+// countLines returns the number of lines in source text: its newlines
+// plus one, so text without a trailing newline counts its last line and
+// text with one an empty line after it.
 func countLines(data []byte) int {
-	n := 0
-	for _, c := range data {
-		if c == '\n' {
-			n++
-		}
-	}
-	return n + 1
+	return bytes.Count(data, []byte{'\n'}) + 1
 }
 
 // ForeignISA scans source text for "isa:<isa>" markers (the stand-in for

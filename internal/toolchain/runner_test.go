@@ -387,3 +387,24 @@ func TestInfoModeNoOp(t *testing.T) {
 		t.Error("--version modified the file system")
 	}
 }
+
+// TestCountLines: a source's line count is its newlines plus one, the
+// count the compile-cost model has priced every source with.
+func TestCountLines(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  string
+		want int
+	}{
+		{"empty", "", 1},
+		{"no trailing newline", "int x;\nint y;", 2},
+		{"trailing newline", "int x;\nint y;\n", 3},
+		{"only newlines", "\n\n\n", 4},
+		{"CRLF", "int x;\r\nint y;\r\n", 3},
+		{"lone CR", "int x;\rint y;", 1},
+	} {
+		if got := countLines([]byte(tc.src)); got != tc.want {
+			t.Errorf("%s: countLines(%q) = %d, want %d", tc.name, tc.src, got, tc.want)
+		}
+	}
+}

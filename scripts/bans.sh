@@ -41,9 +41,9 @@ ban http-server 1 'http\.ListenAndServe|http\.Server\{' bench
 # A request is built in distrib.Client.Do; the other two are the fleet
 # proxy's reverse-proxy steps (relay, forwardFarm).
 ban http.NewRequest 3 'http\.NewRequest'
-# A temp file is made by faultinject.Commit, an action-cache segment by
-# faultinject.CreateAppend; the one is DiskStore.Ingest, which streams
-# before it knows the target directory.
+# A temp file is made by distrib's writeTemp (a DiskStore's ingest, and
+# the marker and index.json view of an image directory), an action-cache
+# segment by faultinject.CreateAppend.
 ban CreateTemp 1 'CreateTemp\(' faultinject
 # Waiting selects a timer against ctx.Done() (distrib.Client.Retry).
 ban time.Sleep 0 'time\.Sleep\('
@@ -54,7 +54,8 @@ ban sha256-literal 0 '"sha256:' digest
 # Atomics are atomic.Int64/Bool values: no plain access to mix with.
 ban atomic-function 0 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int|Uint|Pointer)'
 # Stores write through the faultinject.FS seam: a file is committed
-# whole (Commit) or appended to at the end of its valid prefix
+# whole (a temp file renamed into place) or appended to at the end of
+# its valid prefix
 # (AppendFile — the fleet write log, the registry's tag log and the
 # action cache's segments).
 # The two, neither under a store root: experiments/export.go (CSV) and
@@ -69,9 +70,10 @@ ban unbounded-read 1 'io\.ReadAll\(($|[^i]|i($|[^o]|o($|[^.]|\.($|[^L]))))'
 # per-call line buffer, no line-length limit.
 ban scanner 0 'bufio\.NewScanner\('
 # An image store is opened and saved by cmd/comtainer's resolver (open,
-# save), which reads a path as a layout directory and an http(s) URL as
-# a registry repository: every verb takes either.
-ban layout-io 2 'LoadLayout\(|\.SaveLayout\(' oci
+# save), which reads a path as an image directory (distrib.LoadLayout,
+# SaveLayout) and an http(s) URL as a registry repository: every verb
+# takes either.
+ban layout-io 2 'LoadLayout\(|\.SaveLayout\(' distrib
 # A blob is hashed once per trust boundary (DESIGN.md §2): a site is an
 # intake's check (the oci.Store entries and Receiver, a layer's diffID at
 # its first decode, the registry front-end, DiskStore's verifying reader
@@ -81,7 +83,7 @@ ban layout-io 2 'LoadLayout\(|\.SaveLayout\(' oci
 # front-end's product match). Ring hashing is sha256.Sum256 and not
 # counted. A move between two stores of one
 # process is no boundary and adds none.
-ban hash-site 21 'digest\.FromBytes\(|sha256\.New\(' bench
+ban hash-site 20 'digest\.FromBytes\(|sha256\.New\(' bench
 # A client sends a blob in one request (distrib.Client.post): only the
 # registry front-end, which serves upload sessions to outside clients,
 # spells PATCH.

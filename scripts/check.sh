@@ -37,7 +37,7 @@ echo "== ratchets =="
 # each, its budget and who owns it — //comtainer:allow suppressions,
 # an http.Server or ListenAndServe outside daemon.Serve,
 # http.NewRequest outside distrib.Client.Do, CreateTemp outside
-# faultinject.Commit, io.ReadAll of anything but an io.LimitReader (a
+# distrib's one temp-file writer, io.ReadAll of anything but an io.LimitReader (a
 # blob body is read at its size, by oci.ReadSized), bufio.NewScanner
 # (in-memory input is scanned in place), PATCH outside the registry
 # front-end (a client sends a blob in one request), a layout directory
@@ -119,7 +119,8 @@ echo "== fuzz smoke (13 x 10s) =="
 # panic, and what parses renders to an argv that parses and renders the
 # same (a compiler command to the argv it came from).
 # An OCI layout directory is what every image verb opens: whatever its
-# marker, index.json and blob files hold, LoadLayout does not panic,
+# marker, index.json (imported into a tag log) and blob files hold,
+# distrib.LoadLayout does not panic,
 # refuses a blob file whose bytes do not hash to its name, and every tag
 # it lists loads and flattens to a tree or to an error.
 # A Containerfile is a user's file (comtainer build -containerfile): no
@@ -144,7 +145,7 @@ go test -run '^$' -fuzz '^FuzzTagLogReplay$' -fuzztime 10s -fuzzminimizetime 0 .
 go test -run '^$' -fuzz '^FuzzParseRender$' -fuzztime 10s -fuzzminimizetime 0 ./internal/cclang
 go test -run '^$' -fuzz '^FuzzParseRender$' -fuzztime 10s -fuzzminimizetime 0 ./internal/containerfile
 go test -run '^$' -fuzz '^FuzzBuildReproduces$' -fuzztime 10s -fuzzminimizetime 0 ./internal/containerfile
-go test -run '^$' -fuzz '^FuzzLoadLayout$' -fuzztime 10s -fuzzminimizetime 0 ./internal/oci
+go test -run '^$' -fuzz '^FuzzLoadLayout$' -fuzztime 10s -fuzzminimizetime 0 ./internal/distrib
 
 echo "== go test -race =="
 go test -race ./...
