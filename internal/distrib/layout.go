@@ -44,10 +44,11 @@ func openLayout(dir string, fsys faultinject.FS) (*DiskStore, *DiskTags, error) 
 // oci-layout marker, into a repository: LayoutRepository's tags and
 // every blob. A blob that does not hash to its name fails the load.
 func LoadLayout(dir string) (*oci.Repository, error) {
-	return loadLayout(dir, faultinject.OS())
+	return LoadLayoutFS(dir, faultinject.OS())
 }
 
-func loadLayout(dir string, fsys faultinject.FS) (*oci.Repository, error) {
+// LoadLayoutFS is LoadLayout through fsys.
+func LoadLayoutFS(dir string, fsys faultinject.FS) (*oci.Repository, error) {
 	if _, err := os.Stat(filepath.Join(dir, markerFile)); err != nil {
 		return nil, fmt.Errorf("distrib: %s is not an OCI layout: %w", dir, err)
 	}
@@ -91,10 +92,11 @@ func (s *DiskStore) copyTo(dst *oci.Store, d digest.Digest) error {
 // before a tag names it, and a tag is one synced line, so a save cut
 // short leaves every tag on its old image or its new one.
 func SaveLayout(repo *oci.Repository, dir string) error {
-	return saveLayout(repo, dir, faultinject.OS())
+	return SaveLayoutFS(repo, dir, faultinject.OS())
 }
 
-func saveLayout(repo *oci.Repository, dir string, fsys faultinject.FS) error {
+// SaveLayoutFS is SaveLayout through fsys.
+func SaveLayoutFS(repo *oci.Repository, dir string, fsys faultinject.FS) error {
 	blobs, tags, err := openLayout(dir, fsys)
 	if err != nil {
 		return err

@@ -1,7 +1,6 @@
 package oci
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"sync"
@@ -301,61 +300,6 @@ func TestLayerDiffIDMismatchDetected(t *testing.T) {
 			}
 			if _, err := tampered.Layer(0); (err != nil) != tc.wantErr {
 				t.Errorf("Layer(0) error = %v, want error: %v", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestStoreEntriesRefuseForgedBytes: every way bytes enter a Store from
-// outside the process hashes them against the digest they would be kept
-// under, which is what lets Image.layer take a stored tar layer whose
-// diffID is its digest as verified. Each entry refuses bytes under a
-// digest they do not hash to and leaves the store holding nothing that
-// fails to hash to its key. (CopyImage moves bytes another Store already
-// checked: TestCopyImageSharesVerifiedBytes.)
-func TestStoreEntriesRefuseForgedBytes(t *testing.T) {
-	layer, err := tarfs.Marshal(appLayer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := digest.FromBytes(layer)
-	forged := []byte("not the layer")
-	for _, tc := range []struct {
-		name string
-		// enter offers forged under want and returns the store it would
-		// have landed in (nil when the entry refuses as a whole).
-		enter func(t *testing.T) (*Store, error)
-	}{
-		{"Ingest", func(t *testing.T) (*Store, error) {
-			s := NewStore()
-			_, _, err := s.Ingest(bytes.NewReader(forged), want)
-			return s, err
-		}},
-		{"Ingest of a Receiver", func(t *testing.T) (*Store, error) {
-			var rc Receiver
-			if err := rc.Receive(bytes.NewReader(forged), int64(len(forged)), false); err != nil {
-				t.Fatal(err)
-			}
-			s := NewStore()
-			_, _, err := s.Ingest(&rc, want)
-			return s, err
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, err := tc.enter(t)
-			if err == nil {
-				t.Fatal("forged bytes were accepted")
-			}
-			if s == nil {
-				return
-			}
-			if s.Has(want) {
-				t.Errorf("the store holds a blob under %s after refusing it", want.Short())
-			}
-			for _, d := range s.Digests() {
-				if b, _ := s.Get(d); !d.Verify(b) {
-					t.Errorf("the store holds bytes under %s that do not hash to it", d.Short())
-				}
 			}
 		})
 	}

@@ -8,4 +8,4 @@ cd "$(dirname "$0")/.."
 
 go test -race -count=1 "$@" \
     -run 'Chaos|CrashRestartVerify|EnumeratedCrashPoints|SaveLayoutCrashConsistency|AppendFile|TornTail|Resume|CancelAborts' \
-    ./internal/distrib ./internal/actioncache ./internal/remoteexec ./internal/fleet ./internal/faultinject
+    ./internal/distrib ./internal/actioncache ./internal/oci ./internal/remoteexec ./internal/fleet ./internal/faultinject

@@ -145,7 +145,7 @@ go test -run '^$' -fuzz '^FuzzTagLogReplay$' -fuzztime 10s -fuzzminimizetime 0 .
 go test -run '^$' -fuzz '^FuzzParseRender$' -fuzztime 10s -fuzzminimizetime 0 ./internal/cclang
 go test -run '^$' -fuzz '^FuzzParseRender$' -fuzztime 10s -fuzzminimizetime 0 ./internal/containerfile
 go test -run '^$' -fuzz '^FuzzBuildReproduces$' -fuzztime 10s -fuzzminimizetime 0 ./internal/containerfile
-go test -run '^$' -fuzz '^FuzzLoadLayout$' -fuzztime 10s -fuzzminimizetime 0 ./internal/distrib
+go test -run '^$' -fuzz '^FuzzLoadLayout$' -fuzztime 10s -fuzzminimizetime 0 ./internal/oci
 
 echo "== go test -race =="
 go test -race ./...
