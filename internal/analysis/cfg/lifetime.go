@@ -84,13 +84,11 @@ func (t *Tracked) ReleasedOnEveryPath(g *CFG) bool {
 }
 
 // SettledOnEveryPath reports whether every path from the function
-// entry to its exit releases or escapes the resource, leaving out the
-// paths that end in a node skip reports (a return of a non-nil error) —
-// the classifier behind "this function keeps the argument it is handed"
-// facts, run with Obj bound to a parameter.
-func (t *Tracked) SettledOnEveryPath(g *CFG, skip func(ast.Node) bool) bool {
-	stop := func(n ast.Node) bool { return skip(n) || t.settles(n) }
-	return !ReachesExit(g, g.Entry, -1, stop, t.deadEdge)
+// entry to its exit releases or escapes the resource — the classifier
+// behind "this function keeps the argument it is handed" facts, run
+// with Obj bound to a parameter.
+func (t *Tracked) SettledOnEveryPath(g *CFG) bool {
+	return !ReachesExit(g, g.Entry, -1, t.settles, t.deadEdge)
 }
 
 // settles reports whether node n releases or escapes the resource.

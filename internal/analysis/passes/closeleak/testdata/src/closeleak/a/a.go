@@ -125,7 +125,8 @@ func newServerAt(p, q string) (*server, error) {
 	return newServerWith(blobs, refs), nil // both handed off: the callee keeps them
 }
 
-// openServer keeps f on the path that returns no error.
+// openServer keeps f on the path that returns no error; on the other,
+// f is its caller's still.
 func openServer(f *os.File) (*server, error) {
 	if _, err := f.Stat(); err != nil {
 		return nil, err
@@ -134,7 +135,7 @@ func openServer(f *os.File) (*server, error) {
 }
 
 func openServerAt(p string) (*server, error) {
-	f, err := os.Open(p)
+	f, err := os.Open(p) // want `f \(\*os.File\) is not closed on every path to return`
 	if err != nil {
 		return nil, err
 	}
@@ -155,4 +156,21 @@ func handOffSometimes(p string) *server {
 		return nil
 	}
 	return keepSome(f, true)
+}
+
+// openServerOrClose keeps f, or closes it on the path that fails.
+func openServerOrClose(f *os.File) (*server, error) {
+	if _, err := f.Stat(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &server{blobs: f}, nil
+}
+
+func openServerClosing(p string) (*server, error) {
+	f, err := os.Open(p)
+	if err != nil {
+		return nil, err
+	}
+	return openServerOrClose(f) // handed off on every path
 }

@@ -11,8 +11,8 @@
 // Run is interprocedural through one fact type: it computes, per
 // declared function, the parameter indices of resource type that the
 // function releases on every path, and the parameters it keeps (stores,
-// or hands on) on every path that returns no error (a local fixpoint
-// over helper-calls-helper chains, seeded with dependency facts), and
+// hands on or releases) on every path (a local fixpoint over
+// helper-calls-helper chains, seeded with dependency facts), and
 // exports them as the pass's Fact. So `statusError(resp)` — which
 // drains and closes resp.Body — counts as a release at its call sites,
 // and `NewServerWith(blobs, refs)` — which stores both in the server it
@@ -59,8 +59,8 @@ type Spec struct {
 
 // Fact records, keyed by FuncID with flat parameter indices as values,
 // which declared functions release a resource-typed parameter on every
-// path (Closers), and which keep a parameter on every path that returns
-// a nil error (Keepers). Every lifecycle pass exports this one type
+// path (Closers), and which keep or release a parameter on every path
+// (Keepers). Every lifecycle pass exports this one type
 // (facts are kept per analyzer, so the families do not mix).
 type Fact struct {
 	Closers map[string][]int
@@ -279,8 +279,10 @@ func consumePredicate(pass *analysis.Pass, spec *Spec, facts *Fact, obj types.Ob
 // release it (Closers)? Escapes do not count — a helper that stores or
 // returns the resource leaves closing to someone else. For each
 // parameter a closer can be passed as (a pointer or an interface): is
-// it released or escapes on every path that returns no error
-// (Keepers)? A constructor that stores what it is handed takes it over.
+// it released or escapes on every path (Keepers)? A constructor that
+// stores what it is handed takes it over; one that returns an error
+// with the argument neither stored nor closed does not, so its caller
+// still owns the argument on that path.
 // Helper-calls-helper chains converge by fixpoint; dependency facts are
 // final.
 func classify(pass *analysis.Pass, spec *Spec) *Fact {
@@ -289,7 +291,6 @@ func classify(pass *analysis.Pass, spec *Spec) *Fact {
 		g       *cfg.CFG
 		closers []paramSite
 		keepers []paramSite
-		errRet  func(ast.Node) bool
 	}
 	var cands []candidate
 	for _, file := range pass.Files {
@@ -311,10 +312,7 @@ func classify(pass *analysis.Pass, spec *Spec) *Fact {
 			if len(closers) == 0 && len(keepers) == 0 {
 				continue
 			}
-			cands = append(cands, candidate{
-				id: id, g: cfg.New(fd.Name.Name, fd.Body), closers: closers, keepers: keepers,
-				errRet: errorReturn(pass.TypesInfo, fn.Type().(*types.Signature)),
-			})
+			cands = append(cands, candidate{id: id, g: cfg.New(fd.Name.Name, fd.Body), closers: closers, keepers: keepers})
 		}
 	}
 	facts := &Fact{Closers: make(map[string][]int), Keepers: make(map[string][]int)}
@@ -346,7 +344,7 @@ func classify(pass *analysis.Pass, spec *Spec) *Fact {
 					Consumes:  consumePredicate(pass, spec, facts, p.obj),
 					AliasType: spec.Aliases,
 				}
-				if tracked.SettledOnEveryPath(c.g, c.errRet) {
+				if tracked.SettledOnEveryPath(c.g) {
 					facts.Keepers[c.id] = append(facts.Keepers[c.id], p.index)
 					changed = true
 				}
@@ -360,24 +358,6 @@ func classify(pass *analysis.Pass, spec *Spec) *Fact {
 func holdsCloser(t types.Type) bool {
 	_, ptr := t.Underlying().(*types.Pointer)
 	return ptr || types.IsInterface(t)
-}
-
-// errorReturn returns the test for a return statement of a function of
-// signature sig that returns a non-nil error: its last result is error
-// and the statement spells that result as something other than nil.
-func errorReturn(info *types.Info, sig *types.Signature) func(ast.Node) bool {
-	res := sig.Results()
-	if res.Len() == 0 || !types.Identical(res.At(res.Len()-1).Type(), types.Universe.Lookup("error").Type()) {
-		return func(ast.Node) bool { return false }
-	}
-	return func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok || len(ret.Results) != res.Len() {
-			return false
-		}
-		tv, ok := info.Types[ret.Results[len(ret.Results)-1]]
-		return ok && !tv.IsNil()
-	}
 }
 
 // paramSite is one parameter of a declared function.

@@ -133,7 +133,6 @@ func TestDiskTagsCrashRestartVerify(t *testing.T) {
 			var doubtDesc oci.Descriptor
 			tags, err := distrib.NewDiskTagsFS(dir, ffs)
 			if err == nil {
-				defer tags.Close()
 				broken := false
 				for i := 0; i < 20 && !ffs.Dead(); i++ {
 					name, tag := []string{"team/app", "ref-images/app"}[i%2], fmt.Sprintf("v%d", i%7)
@@ -148,6 +147,7 @@ func TestDiskTagsCrashRestartVerify(t *testing.T) {
 					}
 					broken = broken || errors.Is(err, faultinject.ErrBroken)
 				}
+				tags.Close() // the crash ends the process, and its directory lock
 			}
 
 			reopened, err := distrib.NewDiskTags(dir)

@@ -49,6 +49,9 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 // tests use to inject EIO, short writes and power cuts.
 func NewDiskStoreFS(dir string, fsys faultinject.FS) (*DiskStore, error) {
 	s, err := openDiskStore(dir, fsys)
+	if err == nil {
+		err = s.writeMarker()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +66,7 @@ func NewDiskStoreFS(dir string, fsys faultinject.FS) (*DiskStore, error) {
 }
 
 // openDiskStore opens the store under dir, creating it if needed, with
-// no Repair, and writes the oci-layout marker if it is missing.
+// no Repair and no marker.
 func openDiskStore(dir string, fsys faultinject.FS) (*DiskStore, error) {
 	s := &DiskStore{root: dir, fs: fsys}
 	for _, d := range []string{s.blobRoot(), s.tmpDir()} {
@@ -74,13 +77,19 @@ func openDiskStore(dir string, fsys faultinject.FS) (*DiskStore, error) {
 	if err := s.unshard(); err != nil {
 		return nil, fmt.Errorf("distrib: moving sharded blobs: %w", err)
 	}
-	marker := filepath.Join(dir, markerFile)
-	if _, err := fsys.Stat(marker); os.IsNotExist(err) {
-		if err := replaceFile(fsys, s.tmpDir(), marker, []byte(layoutMarker)); err != nil {
-			return nil, fmt.Errorf("distrib: writing %s: %w", markerFile, err)
-		}
-	}
 	return s, nil
+}
+
+// writeMarker writes the oci-layout marker if it is missing.
+func (s *DiskStore) writeMarker() error {
+	marker := filepath.Join(s.root, markerFile)
+	if _, err := s.fs.Stat(marker); !os.IsNotExist(err) {
+		return nil
+	}
+	if err := replaceFile(s.fs, s.tmpDir(), marker, []byte(layoutMarker)); err != nil {
+		return fmt.Errorf("distrib: writing %s: %w", markerFile, err)
+	}
+	return nil
 }
 
 // unshard moves the blobs of the store's older fan-out,
@@ -271,8 +280,10 @@ func (s *DiskStore) TotalSize() int64 {
 }
 
 // writeTemp copies r into a new file under dir, named by pattern as
-// os.CreateTemp names it, and into also. It returns the file's name and
-// size, and removes the file on an error.
+// os.CreateTemp names it, and into also. The file is 0644, as every
+// file an image directory publishes is: readable by other users and by
+// other OCI tools. It returns the file's name and size, and removes the
+// file on an error.
 func writeTemp(fsys faultinject.FS, dir, pattern string, r io.Reader, also io.Writer) (string, int64, error) {
 	tmp, err := fsys.CreateTemp(dir, pattern)
 	if err != nil {
@@ -281,6 +292,9 @@ func writeTemp(fsys faultinject.FS, dir, pattern string, r io.Reader, also io.Wr
 	n, err := io.Copy(io.MultiWriter(tmp, also), r)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
+	}
+	if err == nil {
+		err = fsys.Chmod(tmp.Name(), 0o644)
 	}
 	if err != nil {
 		fsys.Remove(tmp.Name())

@@ -13,7 +13,9 @@
 //     persisted as one synced append-only log on disk (DiskTags,
 //     through the same faultinject.FS seam as DiskStore).
 //   - LoadLayout/SaveLayout: the CLI's image directory, one DiskStore
-//     and one DiskTags, which is what a registry's -data serves.
+//     and one DiskTags, which is what a registry's -data serves. A save
+//     or a registry is the directory's one writer (ErrDirInUse); a load
+//     writes nothing.
 //   - UploadManager: server-side resumable upload sessions backing the
 //     OCI distribution push protocol (POST/PATCH/PUT).
 //   - Client: a concurrent pull/push client with a bounded worker pool,

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 
 	"comtainer/internal/faultinject"
 	"comtainer/internal/oci"
@@ -106,13 +107,15 @@ func (t *MemTags) All() map[string]oci.Descriptor {
 
 // DiskTags is a TagStore persisted as one append-only log, tags.log: a
 // Set or Delete is a JSON line, synced, then applied to the MemTags that
-// serves reads, which is the log replayed at open.
+// serves reads, which is the log replayed at open. An open holds the
+// directory's lock until Close: a directory has one writer.
 type DiskTags struct {
 	MemTags
-	dir string
-	fs  faultinject.FS
-	log *faultinject.AppendFile
-	at  map[string]int64 // offset of each key's last applied line; guarded by mu
+	dir  string
+	fs   faultinject.FS
+	lock *os.File // the directory, flock'ed
+	log  *faultinject.AppendFile
+	at   map[string]int64 // offset of each key's last applied line; guarded by mu
 }
 
 // tagRecord is one line of the tag log: Key ("name:tag") set to Desc, or deleted.
@@ -121,26 +124,64 @@ type tagRecord struct {
 	Desc *oci.Descriptor `json:"desc,omitempty"`
 }
 
+// ErrDirInUse: another open holds the directory's lock — a registry
+// serving it, or a save into it.
+var ErrDirInUse = errors.New("distrib: the directory is open for writing elsewhere (a registry serving it, or a save into it)")
+
 // NewDiskTags opens (creating if needed) the tag store under dir.
 func NewDiskTags(dir string) (*DiskTags, error) {
 	return NewDiskTagsFS(dir, faultinject.OS())
 }
 
 // NewDiskTagsFS is NewDiskTags through fsys, for chaos tests. The open
+// first takes dir's exclusive lock, or fails with ErrDirInUse. Then it
 // replays tags.log (faultinject.OpenAppend) and rewrites it as the live
 // map if it holds lines the map no longer needs, or if it imported the
 // tags of an older store: refs/ (one file per path-escaped key), or,
 // with no tags.log, index.json's. Then it writes the index.json view.
 func NewDiskTagsFS(dir string, fsys faultinject.FS) (*DiskTags, error) {
-	t := &DiskTags{MemTags: MemTags{m: make(map[string]oci.Descriptor)}, dir: dir, fs: fsys, at: make(map[string]int64)}
 	if err := fsys.MkdirAll(filepath.Join(dir, "tmp"), 0o755); err != nil {
 		return nil, fmt.Errorf("distrib: creating tag store dir: %w", err)
 	}
-	refs := filepath.Join(dir, "refs")
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	t := &DiskTags{MemTags: MemTags{m: make(map[string]oci.Descriptor)}, dir: dir, fs: fsys, lock: lock, at: make(map[string]int64)}
+	if err := t.open(); err != nil {
+		lock.Close()
+		return nil, err
+	}
+	return t, nil
+}
+
+// lockDir takes the exclusive flock on directory dir that its one
+// writer holds until it closes the returned file (or its process ends).
+// A load reads without it: blobs and tag-log lines appear whole, and a
+// rewritten log is renamed into place.
+func lockDir(dir string) (*os.File, error) {
+	f, err := os.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("distrib: opening %s to lock it: %w", dir, err)
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			return nil, fmt.Errorf("%w: %s", ErrDirInUse, dir)
+		}
+		return nil, fmt.Errorf("distrib: locking %s: %w", dir, err)
+	}
+	return f, nil
+}
+
+// open imports, replays and, if need be, rewrites the log, then writes
+// the view; t holds the lock.
+func (t *DiskTags) open() error {
+	refs := filepath.Join(t.dir, "refs")
 	files, err := os.ReadDir(refs)
 	legacy := err == nil
 	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("distrib: reading refs dir: %w", err)
+		return fmt.Errorf("distrib: reading refs dir: %w", err)
 	}
 	for _, f := range files {
 		// Other files are the temp files of writes a crash cut short.
@@ -155,51 +196,60 @@ func NewDiskTagsFS(dir string, fsys faultinject.FS) (*DiskTags, error) {
 				err = json.Unmarshal(b, &desc)
 			}
 			if err != nil {
-				return nil, fmt.Errorf("distrib: importing ref %s: %w", f.Name(), err)
+				return fmt.Errorf("distrib: importing ref %s: %w", f.Name(), err)
 			}
 			t.m[key] = desc
 		}
 	}
-	path, lines := filepath.Join(dir, "tags.log"), 0
-	if _, err := fsys.Stat(path); os.IsNotExist(err) {
-		found, err := t.importIndex()
+	path, lines := filepath.Join(t.dir, logFile), 0
+	if _, err := t.fs.Stat(path); os.IsNotExist(err) {
+		found, err := t.importIndex(t.dir)
 		if err != nil {
-			return nil, fmt.Errorf("distrib: importing %s: %w", indexFile, err)
+			return fmt.Errorf("distrib: importing %s: %w", indexFile, err)
 		}
 		legacy = legacy || found
 	}
-	t.log, err = faultinject.OpenAppend(fsys, path, func(line []byte) error {
-		var rec tagRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return err
+	t.log, err = faultinject.OpenAppend(t.fs, path, func(line []byte) error {
+		err := t.replay(line)
+		if err == nil {
+			lines++
 		}
-		t.apply(rec.Key, rec.Desc)
-		lines++
-		return nil
+		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("distrib: opening tag log: %w", err)
+		return fmt.Errorf("distrib: opening tag log: %w", err)
 	}
 	if legacy || lines > len(t.m) {
-		err = t.rewrite(fsys, path)
+		err = t.rewrite(t.fs, path)
 	}
 	if err == nil && legacy {
-		err = fsys.RemoveAll(refs)
+		err = t.fs.RemoveAll(refs)
 	}
 	if err == nil {
 		err = t.writeView()
 	}
 	if err != nil {
 		t.log.Close()
-		return nil, fmt.Errorf("distrib: rewriting tag log or its view: %w", err)
+		return fmt.Errorf("distrib: rewriting tag log or its view: %w", err)
 	}
-	return t, nil
+	return nil
 }
 
-// importIndex sets a LayoutRepository tag for each manifest of
-// index.json with a ref.name, and reports whether there was one.
-func (t *DiskTags) importIndex() (bool, error) {
-	b, err := os.ReadFile(filepath.Join(t.dir, indexFile))
+// replay applies one line of a tag log; the caller owns t.
+func (t *MemTags) replay(line []byte) error {
+	var rec tagRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return err
+	}
+	t.apply(rec.Key, rec.Desc)
+	return nil
+}
+
+// importIndex sets a LayoutRepository tag for each manifest of dir's
+// index.json with a ref.name, and reports whether there was one; the
+// caller owns t.
+func (t *MemTags) importIndex(dir string) (bool, error) {
+	b, err := os.ReadFile(filepath.Join(dir, indexFile))
 	if os.IsNotExist(err) {
 		return false, nil
 	}
@@ -270,8 +320,9 @@ func (t *DiskTags) rewrite(fsys faultinject.FS, path string) error {
 	return nil
 }
 
-// Close releases the log; writes fail afterwards, reads go on.
-func (t *DiskTags) Close() error { return t.log.Close() }
+// Close releases the log and the directory's lock; writes fail
+// afterwards, reads go on.
+func (t *DiskTags) Close() error { return errors.Join(t.log.Close(), t.lock.Close()) }
 
 // Set records desc under name:tag once its log line is durable.
 func (t *DiskTags) Set(name, tag string, desc oci.Descriptor) error {

@@ -35,6 +35,18 @@ func openTags(t *testing.T, dir string) *distrib.DiskTags {
 	return tags
 }
 
+// reopenAll opens the tag store under dir, which no other open may hold,
+// and returns its tags, closing it again.
+func reopenAll(t *testing.T, dir string) map[string]oci.Descriptor {
+	t.Helper()
+	tags, err := distrib.NewDiskTags(dir)
+	if err != nil {
+		t.Fatalf("reopening tags: %v", err)
+	}
+	defer tags.Close()
+	return tags.All()
+}
+
 // syncing is a filesystem whose files' Sync returns *err at once, read
 // at each call: a disk that fails every flush or, while *err is nil,
 // one that skips them.
@@ -73,9 +85,11 @@ func (s syncing) CreateTemp(dir, pattern string) (faultinject.File, error) {
 func TestDiskTagsUnsyncedWriteIsNotAcknowledged(t *testing.T) {
 	dir := t.TempDir()
 	kept := manifestDesc("kept")
-	if err := openTags(t, dir).Set("team/app", "v1", kept); err != nil {
+	first := openTags(t, dir)
+	if err := first.Set("team/app", "v1", kept); err != nil {
 		t.Fatal(err)
 	}
+	first.Close()
 	var syncErr error
 	failing, err := distrib.NewDiskTagsFS(dir, syncing{faultinject.OS(), &syncErr})
 	if err != nil {
@@ -89,11 +103,13 @@ func TestDiskTagsUnsyncedWriteIsNotAcknowledged(t *testing.T) {
 	if err := failing.Delete("team/app", "v1"); err == nil {
 		t.Error("Delete acknowledged although its Sync failed")
 	}
-	for name, tags := range map[string]distrib.TagStore{"live": failing, "reopened": openTags(t, dir)} {
-		if got, ok := tags.Resolve("team/app", "v1"); !ok || got.Digest != kept.Digest {
+	live := failing.All()
+	failing.Close() // a reopen needs the directory's lock
+	for name, tags := range map[string]map[string]oci.Descriptor{"live": live, "reopened": reopenAll(t, dir)} {
+		if got, ok := tags["team/app:v1"]; !ok || got.Digest != kept.Digest {
 			t.Errorf("%s store: team/app:v1 = %v (found %v), want the tag the failed Delete left", name, got.Digest, ok)
 		}
-		if got, ok := tags.Resolve("team/app", "v2"); ok {
+		if got, ok := tags["team/app:v2"]; ok {
 			t.Errorf("%s store: team/app:v2 = %v, set by a Set that failed", name, got.Digest)
 		}
 	}
@@ -138,13 +154,20 @@ func TestDiskTagsEnumeratedCrashPoints(t *testing.T) {
 	run := func(dir string, plan *faultinject.Plan) (acked []tagWrite, cut *tagWrite) {
 		ffs := faultinject.NewFS(faultinject.OS(), plan)
 		var tags *distrib.DiskTags
+		defer func() {
+			if tags != nil {
+				tags.Close()
+			}
+		}()
 		for i, w := range writes {
 			if i%10 == 0 {
+				if tags != nil {
+					tags.Close() // the next open takes the directory's lock
+				}
 				var err error
 				if tags, err = distrib.NewDiskTagsFS(dir, ffs); err != nil {
 					return acked, cut
 				}
-				defer tags.Close()
 			}
 			dead := ffs.Dead()
 			if err := w.apply(tags); err == nil {
@@ -170,7 +193,7 @@ func TestDiskTagsEnumeratedCrashPoints(t *testing.T) {
 	for n := int64(1); n <= total; n++ {
 		dir := t.TempDir()
 		acked, cut := run(dir, faultinject.NewPlan(1).At(n, faultinject.PowerCut))
-		got := openTags(t, dir).All()
+		got := reopenAll(t, dir)
 		want := state(acked)
 		if !reflect.DeepEqual(got, want) && (cut == nil || !reflect.DeepEqual(got, state(append(acked, *cut)))) {
 			t.Fatalf("cut at operation %d of %d: reopened tags %v, want the %d acknowledged writes applied: %v", n, total, got, len(acked), want)
@@ -267,7 +290,7 @@ func TestDiskTagsOpensPerTagFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	first := openTags(t, dir).All()
+	first := reopenAll(t, dir)
 	keys := []string{"app:v1", "team/sub/app:latest", "user/hpccg:comt:ubuntu24.base", "user/hpccg:hpccg.dist+coMre", "user/hpccg:ubuntu:24.04"}
 	if len(first) != len(keys) {
 		t.Errorf("opened %d tags, want %d: %v", len(first), len(keys), first)
@@ -281,7 +304,7 @@ func TestDiskTagsOpensPerTagFiles(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "refs")); !os.IsNotExist(err) {
 		t.Errorf("refs/ left after the open: %v", err)
 	}
-	if again := openTags(t, dir).All(); !reflect.DeepEqual(again, first) {
+	if again := reopenAll(t, dir); !reflect.DeepEqual(again, first) {
 		t.Errorf("second open = %v, want the first's %v", again, first)
 	}
 
@@ -290,7 +313,7 @@ func TestDiskTagsOpensPerTagFiles(t *testing.T) {
 	if err := os.Mkdir(filepath.Join(empty, "refs"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if got := openTags(t, empty).All(); len(got) != 0 {
+	if got := reopenAll(t, empty); len(got) != 0 {
 		t.Errorf("an empty refs/ opened as %v", got)
 	}
 	if _, err := os.Stat(filepath.Join(empty, "refs")); !os.IsNotExist(err) {
@@ -327,10 +350,11 @@ func FuzzTagLogReplay(f *testing.F) {
 			}
 			return
 		}
-		defer tags.Close()
 		want := tags.All()
 		d := oci.Descriptor{MediaType: oci.MediaTypeManifest, Digest: digest.FromBytes(data), Size: 1}
-		if err := tags.Set("fuzz/app", "v1", d); err != nil {
+		err = tags.Set("fuzz/app", "v1", d)
+		tags.Close()
+		if err != nil {
 			t.Fatal(err)
 		}
 		want["fuzz/app:v1"] = d
@@ -360,6 +384,7 @@ func TestDiskTagsRefusesCorruptLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	tags.Close()
 	path := filepath.Join(dir, "tags.log")
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -416,7 +441,8 @@ func TestDiskTagsBrokenLogRefusesWrites(t *testing.T) {
 	if n := plan.Ops(); n != opened+3 {
 		t.Fatalf("%d operations, want %d: a write after the break reached the disk", n, opened+3)
 	}
-	got := openTags(t, dir).All()
+	tags.Close()
+	got := reopenAll(t, dir)
 	if len(got) != 1 || got["team/app:v1"].Digest != doubt.Digest {
 		t.Fatalf("reopened tags %v, want team/app:v1 = the Set in doubt, alone", got)
 	}

@@ -42,14 +42,7 @@ func OpenAppend(fsys FS, path string, decode func(line []byte) error) (*AppendFi
 	if err != nil {
 		return nil, err
 	}
-	size, err := f.Seek(0, io.SeekEnd)
-	var end int64
-	if err == nil {
-		_, err = f.Seek(0, io.SeekStart)
-	}
-	if err == nil {
-		end, err = replay(f, decode, min(size+1, 1<<20))
-	}
+	size, end, err := replay(f, decode)
 	if err == nil && size > end {
 		err = f.Truncate(end)
 	}
@@ -60,24 +53,45 @@ func OpenAppend(fsys FS, path string, decode func(line []byte) error) (*AppendFi
 	return &AppendFile{f: f, fsys: fsys, end: end, dir: filepath.Dir(path)}, nil
 }
 
-// replay hands decode the whole lines r starts with and returns the
-// length of the prefix they occupy. A line longer than buf bytes fails
-// it, with bufio.ErrBufferFull.
-func replay(r io.Reader, decode func(line []byte) error, buf int64) (valid int64, _ error) {
-	br := bufio.NewReaderSize(r, int(buf))
+// ReadLog hands decode the records of the log at path as OpenAppend
+// does, but reads only: a torn last line — a crash's, or an append
+// another process has in flight — is skipped, not cut off.
+func ReadLog(fsys FS, path string, decode func(line []byte) error) error {
+	f, err := Open(fsys, path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, _, err = replay(f, decode)
+	return err
+}
+
+// replay hands decode the whole lines f starts with, through a buffer
+// the size of f up to 1 MiB, and returns f's size and the length of the
+// prefix the lines occupy. A longer line fails it, with
+// bufio.ErrBufferFull.
+func replay(f File, decode func(line []byte) error) (size, valid int64, _ error) {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err == nil {
+		_, err = f.Seek(0, io.SeekStart)
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	br := bufio.NewReaderSize(f, int(min(size+1, 1<<20)))
 	for {
 		line, err := br.ReadSlice('\n')
 		if err == io.EOF {
-			return valid, nil
+			return size, valid, nil
 		}
 		if err != nil {
-			return 0, fmt.Errorf("replaying: %w", err)
+			return 0, 0, fmt.Errorf("replaying: %w", err)
 		}
 		if derr := decode(line); derr != nil {
 			if _, err := br.Peek(1); err == io.EOF {
-				return valid, nil
+				return size, valid, nil
 			}
-			return 0, fmt.Errorf("replaying: the line at offset %d is not a record and more follow it: %w", valid, derr)
+			return 0, 0, fmt.Errorf("replaying: the line at offset %d is not a record and more follow it: %w", valid, derr)
 		}
 		valid += int64(len(line))
 	}

@@ -36,6 +36,7 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	RemoveAll(path string) error
+	Chmod(name string, mode fs.FileMode) error
 	Chtimes(name string, atime, mtime time.Time) error
 }
 
@@ -63,10 +64,11 @@ func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	return f, nil
 }
 
-func (osFS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
-func (osFS) Rename(oldpath, newpath string) error  { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error              { return os.Remove(name) }
-func (osFS) RemoveAll(path string) error           { return os.RemoveAll(path) }
+func (osFS) Stat(name string) (fs.FileInfo, error)     { return os.Stat(name) }
+func (osFS) Rename(oldpath, newpath string) error      { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                  { return os.Remove(name) }
+func (osFS) RemoveAll(path string) error               { return os.RemoveAll(path) }
+func (osFS) Chmod(name string, mode fs.FileMode) error { return os.Chmod(name, mode) }
 func (osFS) Chtimes(name string, atime, mtime time.Time) error {
 	return os.Chtimes(name, atime, mtime)
 }
@@ -168,6 +170,13 @@ func (f *FaultFS) RemoveAll(path string) error {
 		return err
 	}
 	return f.base.RemoveAll(path)
+}
+
+func (f *FaultFS) Chmod(name string, mode fs.FileMode) error {
+	if err := f.meta("chmod " + name); err != nil {
+		return err
+	}
+	return f.base.Chmod(name, mode)
 }
 
 func (f *FaultFS) Chtimes(name string, atime, mtime time.Time) error {

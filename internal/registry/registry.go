@@ -86,14 +86,17 @@ func NewServer() *Server {
 // interrupted writes, and tags whose manifest never landed are dropped
 // — so reopening the same dir after a restart or a crash serves
 // everything previously pushed. Upload sessions are held in memory.
+// The tag store opens first: it takes the directory's lock, so a
+// registry never opens, or sweeps the temp files of, a directory a
+// save or another registry is writing (distrib.ErrDirInUse).
 func NewServerAt(dir string) (*Server, error) {
-	blobs, err := distrib.NewDiskStore(dir)
-	if err != nil {
-		return nil, err
-	}
 	refs, err := distrib.NewDiskTags(dir)
 	if err != nil {
 		return nil, err
+	}
+	blobs, err := distrib.NewDiskStore(dir)
+	if err != nil {
+		return nil, errors.Join(err, refs.Close())
 	}
 	if _, err := distrib.SweepDanglingRefs(refs, blobs); err != nil {
 		return nil, errors.Join(err, refs.Close())

@@ -628,6 +628,7 @@ func TestRestartPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1.Close() // registry process dies
+	registry.Stop(srv1)
 
 	srv2, err := registry.NewServerAt(dir)
 	if err != nil {
@@ -675,6 +676,7 @@ func TestReopenKeepsOnlyTheStores(t *testing.T) {
 		t.Fatalf("PATCH: %s", resp.Status)
 	}
 	ts1.Close() // the registry process dies mid-push
+	registry.Stop(srv1)
 
 	srv2, err := registry.NewServerAt(dir)
 	if err != nil {
