@@ -41,6 +41,8 @@ type DiskStore struct {
 // NewDiskStore opens (creating if needed) a disk store rooted at dir
 // and repairs any damage a previous crash left behind: torn temp files
 // are swept and corrupt or misnamed blobs are quarantined (see Repair).
+// It takes no lock: a caller that shares dir with other processes opens
+// dir's DiskTags first, which holds the directory's one-writer lock.
 func NewDiskStore(dir string) (*DiskStore, error) {
 	return NewDiskStoreFS(dir, faultinject.OS())
 }
