@@ -31,20 +31,6 @@ const (
 	logFile      = "tags.log"
 )
 
-// openLayout opens the image directory dir for a save: its tags first,
-// which takes the directory's lock, then its blob store, with no Repair.
-func openLayout(dir string, fsys faultinject.FS) (*DiskStore, *DiskTags, error) {
-	tags, err := NewDiskTagsFS(dir, fsys)
-	if err != nil {
-		return nil, nil, err
-	}
-	blobs, err := openDiskStore(dir, fsys)
-	if err != nil {
-		return nil, nil, errors.Join(err, tags.Close())
-	}
-	return blobs, tags, nil
-}
-
 // LoadLayout reads the image directory dir, which must hold a valid
 // oci-layout marker, into a repository: LayoutRepository's tags and
 // every blob. A blob that does not hash to its name fails the load.
@@ -119,13 +105,18 @@ func SaveLayout(repo *oci.Repository, dir string) error {
 	return SaveLayoutFS(repo, dir, faultinject.OS())
 }
 
-// SaveLayoutFS is SaveLayout through fsys.
+// SaveLayoutFS is SaveLayout through fsys. It opens the tags first,
+// which takes the directory's lock, then the blob store, with no Repair.
 func SaveLayoutFS(repo *oci.Repository, dir string, fsys faultinject.FS) error {
-	blobs, tags, err := openLayout(dir, fsys)
+	tags, err := NewDiskTagsFS(dir, fsys)
 	if err != nil {
 		return err
 	}
-	return errors.Join(save(repo, blobs, tags), tags.Close())
+	blobs, err := openDiskStore(dir, fsys)
+	if err == nil {
+		err = save(repo, blobs, tags)
+	}
+	return errors.Join(err, tags.Close())
 }
 
 func save(repo *oci.Repository, blobs *DiskStore, tags *DiskTags) error {
