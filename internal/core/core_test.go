@@ -113,17 +113,17 @@ func TestUserSideBuildExtended(t *testing.T) {
 	}
 	// Each stage ran and was committed once: every blob is reachable
 	// from a tag, and a fresh build replayed nothing from its own cache.
-	reachable := oci.NewStore()
+	reachable := oci.NewRepository()
 	for _, tag := range user.Repo.Tags() {
 		desc, err := user.Repo.Resolve(tag)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := reachable.CopyImage(user.Repo.Store, desc); err != nil {
+		if err := reachable.PushImage(user.Repo.Store, desc, tag); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, all := len(reachable.Digests()), len(user.Repo.Store.Digests()); got != all {
+	if got, all := len(reachable.Store.Digests()), len(user.Repo.Store.Digests()); got != all {
 		t.Errorf("%d of %d blobs are reachable from a tag", got, all)
 	}
 	if hits, misses := user.BuildCache.Stats(); hits != 0 {

@@ -322,19 +322,20 @@ func TestLayerMemoConcurrent(t *testing.T) {
 	}
 }
 
-// TestCopyImageSharesVerifiedBytes: a copy between two stores of one
+// TestPushImageSharesVerifiedBytes: a push between two stores of one
 // process is no trust boundary. The source checked each blob when it
 // took it in, and the target keeps the source's bytes, not a copy.
-func TestCopyImageSharesVerifiedBytes(t *testing.T) {
+func TestPushImageSharesVerifiedBytes(t *testing.T) {
 	src := NewStore()
 	desc, err := WriteImage(src, testConfig(), []*fsim.FS{baseLayer(), appLayer()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := NewStore()
-	if err := dst.CopyImage(src, desc); err != nil {
+	repo := NewRepository()
+	if err := repo.PushImage(src, desc, "app"); err != nil {
 		t.Fatal(err)
 	}
+	dst := repo.Store
 	for _, d := range src.Digests() {
 		a, _ := src.Get(d)
 		b, err := dst.Get(d)

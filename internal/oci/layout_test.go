@@ -477,8 +477,8 @@ func FuzzLoadLayout(f *testing.F) {
 // under, which is what lets Image.layer take a stored tar layer whose
 // diffID is its digest as verified. Each entry refuses bytes under a
 // digest they do not hash to and leaves the store holding nothing that
-// fails to hash to its key. (CopyImage moves bytes another Store already
-// checked: TestCopyImageSharesVerifiedBytes.)
+// fails to hash to its key. (Repository.PushImage moves bytes another
+// Store already checked: TestPushImageSharesVerifiedBytes.)
 func TestStoreEntriesRefuseForgedBytes(t *testing.T) {
 	layer, err := tarfs.Marshal(appLayer())
 	if err != nil {

@@ -305,17 +305,20 @@ func TestLayerDiffIDMismatchDetected(t *testing.T) {
 	}
 }
 
-func TestCopyImage(t *testing.T) {
+func TestPushImage(t *testing.T) {
 	src := NewStore()
 	desc, err := WriteImage(src, testConfig(), []*fsim.FS{baseLayer(), appLayer()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := NewStore()
-	if err := dst.CopyImage(src, desc); err != nil {
+	dst := NewRepository()
+	if err := dst.PushImage(src, desc, "app"); err != nil {
 		t.Fatal(err)
 	}
-	img, err := LoadImage(dst, desc)
+	if got, err := dst.Resolve("app"); err != nil || got.Digest != desc.Digest {
+		t.Fatalf("Resolve(app) = %v, %v; want %s", got.Digest, err, desc.Digest)
+	}
+	img, err := LoadImage(dst.Store, desc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,10 +327,10 @@ func TestCopyImage(t *testing.T) {
 	}
 }
 
-// TestCopyImageManifestList: copying a manifest list brings the index,
-// every member manifest and all of their blobs — what Repository
-// .PushImage (and so SystemSide.Pull) does with a multi-arch tag.
-func TestCopyImageManifestList(t *testing.T) {
+// TestPushImageManifestList: pushing a manifest list brings the index,
+// every member manifest and all of their blobs — what SystemSide.Pull
+// does with a multi-arch tag.
+func TestPushImageManifestList(t *testing.T) {
 	src := NewStore()
 	members := []Descriptor{archImage(t, src, "amd64"), archImage(t, src, "arm64")}
 	list := indexOf(t, src, members...)

@@ -26,9 +26,9 @@ var ErrBlobNotFound = errors.New("oci: blob not found")
 // process, and never again: Put, PutJSON and the layer writer compute
 // the key they store under, and Ingest checks it (of a Receiver
 // against the hash Receive made as the bytes arrived). So a stored blob hashes to its key, and a check of those
-// bytes against that digest is the one already made. CopyImage moves
-// blobs between two stores of one process, which is no boundary: the
-// target shares the bytes on the source's check.
+// bytes against that digest is the one already made. Repository.PushImage
+// moves blobs between two stores of one process, which is no boundary:
+// the target shares the bytes on the source's check.
 type Store struct {
 	mu    sync.RWMutex
 	blobs map[digest.Digest][]byte
@@ -174,36 +174,6 @@ func (s *Store) TotalSize() int64 {
 		n += int64(len(b))
 	}
 	return n
-}
-
-// CopyImage copies the image named by desc from src into s: the
-// manifest, every blob it references and, for a manifest list, every
-// member image in turn. The two stores then share each blob's bytes.
-// A move between two stores of one process crosses no trust boundary:
-// src checked every blob against its key when it took it in, and its
-// bytes never change, so nothing is hashed again.
-func (s *Store) CopyImage(src *Store, desc Descriptor) error {
-	return Walk(desc, src.Get, func(d Descriptor, _ []byte, blobs, _ []Descriptor) error {
-		for _, b := range blobs {
-			if err := s.copyBlob(src, b.Digest); err != nil {
-				return fmt.Errorf("oci: copying blob of %s: %w", d.Digest.Short(), err)
-			}
-		}
-		if err := s.copyBlob(src, d.Digest); err != nil {
-			return fmt.Errorf("oci: copying manifest: %w", err)
-		}
-		return nil
-	})
-}
-
-// copyBlob makes s hold src's blob d, on the check src made.
-func (s *Store) copyBlob(src *Store, d digest.Digest) error {
-	content, err := src.Get(d)
-	if err != nil {
-		return err
-	}
-	s.adopt(d, content)
-	return nil
 }
 
 // PutJSON marshals v canonically, stores it, and returns a descriptor with

@@ -28,7 +28,8 @@ import (
 )
 
 // testFarm is a combined scheduler+registry endpoint plus its worker
-// fleet, torn down (workers joined) via t.Cleanup.
+// fleet, torn down (workers joined, then the census taken) via
+// t.Cleanup.
 type testFarm struct {
 	t     *testing.T
 	sched *remoteexec.Scheduler
@@ -47,6 +48,7 @@ func startFarm(t *testing.T, sched *remoteexec.Scheduler) *testFarm {
 	t.Cleanup(func() {
 		f.wg.Wait()
 		f.ts.Close()
+		remoteexec.RequireNoFarmGoroutines(t)
 	})
 	return f
 }
@@ -260,8 +262,8 @@ func TestFarmZeroWorkersFallsBackLocal(t *testing.T) {
 }
 
 // TestChaosWorkerKilledMidAction kills a worker while it holds leased
-// actions. The scheduler must notice the missed heartbeats, requeue
-// the worker's in-flight tasks onto the survivor, and the DAG must
+// actions. The scheduler must notice that its lease polls stopped,
+// requeue the worker's in-flight tasks onto the survivor, and the DAG must
 // complete with the executor's action cache holding each result
 // exactly once.
 func TestChaosWorkerKilledMidAction(t *testing.T) {
@@ -271,7 +273,7 @@ func TestChaosWorkerKilledMidAction(t *testing.T) {
 	local := rebuildInto(t, sys, user, res, nil, localMemo)
 
 	sched := remoteexec.NewScheduler()
-	sched.HeartbeatTimeout = 300 * time.Millisecond
+	sched.WorkerTimeout = 300 * time.Millisecond
 	f := startFarm(t, sched)
 	slow := func(w *remoteexec.Worker) {
 		w.Slots = 2
@@ -281,7 +283,7 @@ func TestChaosWorkerKilledMidAction(t *testing.T) {
 	f.startWorker(sys, slow)
 
 	// Kill the victim as soon as it holds a task: its lease dies with
-	// it, unreported, and must come back via heartbeat expiry.
+	// it, unreported, and must come back when the victim expires.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -317,8 +319,8 @@ func TestChaosWorkerKilledMidAction(t *testing.T) {
 }
 
 // lossyUploads faults result reports and all blob traffic (payload
-// uploads included) while letting registration, heartbeats and leases
-// through clean, so the chaos targets the result path specifically.
+// uploads included) while letting registration and leases through
+// clean, so the chaos targets the result path specifically.
 type lossyUploads struct {
 	faulty, clean http.RoundTripper
 }
@@ -344,7 +346,7 @@ func TestChaosLossyResultUploads(t *testing.T) {
 	local := rebuildInto(t, sys, user, res, nil, localMemo)
 
 	sched := remoteexec.NewScheduler()
-	sched.HeartbeatTimeout = 500 * time.Millisecond
+	sched.WorkerTimeout = 500 * time.Millisecond
 	// Generous attempt budget: the lossy worker may burn several.
 	sched.MaxAttempts = 10
 	f := startFarm(t, sched)

@@ -19,9 +19,9 @@ import (
 // counts the same, and no worker holds more tasks than it has slots.
 //
 // An input is lines, one request each: an op letter, an ID character
-// (its value mod 16 is n), then the body. W registers a worker, H beats
-// for worker w<n>, L leases for it, S submits a task, G polls task t<n>,
-// R reports it, F reads the farm status. Registrations and submissions
+// (its value mod 16 is n), then the body. W registers a worker, L
+// leases for worker w<n>, S submits a task, G polls task t<n>, R reports
+// it, F reads the farm status. Registrations and submissions
 // share one ID sequence from 1.
 func FuzzSchedulerRequests(f *testing.F) {
 	routes := map[byte]struct {
@@ -29,7 +29,6 @@ func FuzzSchedulerRequests(f *testing.F) {
 		statuses     []int
 	}{
 		'W': {http.MethodPost, "/workers", []int{200, 400, 413}},
-		'H': {http.MethodPost, "/workers/w<n>/heartbeat", []int{200, 410}},
 		'L': {http.MethodPost, "/lease?worker=w<n>&wait=0", []int{200, 410}},
 		'S': {http.MethodPost, "/tasks", []int{200, 400, 413}},
 		'G': {http.MethodGet, "/tasks/t<n>?wait=0", []int{200, 404}},

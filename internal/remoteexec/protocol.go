@@ -6,19 +6,20 @@
 // The pieces:
 //
 //   - Scheduler: an HTTP service (mounted beside a registry's /v2/
-//     tree, or standalone) where workers register, heartbeat and lease
-//     tasks, and executors submit ready actions from the rebuild DAG
-//     and long-poll their completion. Assignment is capacity-aware:
+//     tree, or standalone) where workers register and lease tasks,
+//     and executors submit ready actions from the rebuild DAG and
+//     long-poll their completion. Assignment is capacity-aware:
 //     a worker only holds as many tasks as it has free slots, and
 //     tasks carry platform properties (ISA, toolchain-registry
 //     fingerprint) a worker must match.
 //
-//   - Worker: registers with its slot count and platform, leases
-//     tasks, materializes the executor's file-system snapshot from
-//     one registry blob (a tarfs layer, moved through the distrib
-//     client), runs the command through toolchain.Runner, reports the
-//     runner's record of it (an actioncache.Result) in the task's
-//     result report. A worker stores no cache entry.
+//   - Worker: registers with its slot count and platform and keeps
+//     one lease poll open. For each task granted it materializes the
+//     executor's file-system snapshot from one registry blob (a tarfs
+//     layer, moved through the distrib client), runs the command
+//     through toolchain.Runner, and reports the runner's record of it
+//     (an actioncache.Result) in the task's result report. A worker
+//     stores no cache entry.
 //
 //   - Executor: the client side wired into backend.executeGraph via
 //     toolchain.Runner's Remote hook. It pushes the rebuild
@@ -29,9 +30,10 @@
 //     against its own file system before recording the result — the
 //     local action cache stays executor-authoritative.
 //
-// Failure model: workers that miss heartbeats are expired by the
+// Failure model: a worker's open lease poll is its one sign of life. A
+// worker with none open for the worker timeout is expired by the
 // scheduler's parked long polls (each sets a timer for the next expiry
-// due; there is no tick) and their in-flight tasks requeued
+// due; there is no tick) and its in-flight tasks requeued
 // (bounded attempts); a farm with no compatible worker declines at
 // submit time; every farm error degrades to local execution, so a
 // rebuild never fails because the farm did.
@@ -91,11 +93,9 @@ type RegisterRequest struct {
 	Platform Platform `json:"platform"`
 }
 
-// RegisterResponse carries the scheduler-assigned worker identity and
-// the heartbeat interval the worker must honor.
+// RegisterResponse carries the scheduler-assigned worker identity.
 type RegisterResponse struct {
-	WorkerID        string `json:"workerId"`
-	HeartbeatMillis int64  `json:"heartbeatMillis"`
+	WorkerID string `json:"workerId"`
 }
 
 // TaskSpec is one rebuild command shipped to the farm.
@@ -157,9 +157,6 @@ type TaskStatus struct {
 	Record   *actioncache.Result `json:"record,omitempty"`
 	Error    string              `json:"error,omitempty"`
 }
-
-// Terminal reports whether the task has reached a final state.
-func (s TaskStatus) Terminal() bool { return s.State == StateDone || s.State == StateFailed }
 
 // WorkerStatus is one worker's row in the farm status.
 type WorkerStatus struct {

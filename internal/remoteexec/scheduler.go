@@ -15,8 +15,9 @@ import (
 
 // Scheduler default tuning.
 const (
-	// DefaultHeartbeatTimeout is how long a silent worker stays alive.
-	DefaultHeartbeatTimeout = 3 * time.Second
+	// DefaultWorkerTimeout is how long a worker with no lease poll open
+	// stays alive.
+	DefaultWorkerTimeout = 3 * time.Second
 	// DefaultMaxAttempts bounds how often a task is reassigned after
 	// worker failures before it is failed back to the executor.
 	DefaultMaxAttempts = 3
@@ -36,11 +37,13 @@ type schedWorker struct {
 	name     string
 	slots    int
 	platform Platform
-	lastBeat time.Time
+	// lastSeen is when the worker registered, or when a lease poll of
+	// its last arrived or ended.
+	lastSeen time.Time
 	inflight map[string]bool // task IDs leased to this worker
 	// parked counts the worker's lease polls waiting in the scheduler.
-	// An open lease poll is a standing sign of life: the worker is not
-	// expired while it has one, and lastBeat is set when it ends.
+	// An open lease poll is the worker's sign of life: it is not expired
+	// while it has one.
 	parked int
 }
 
@@ -79,9 +82,9 @@ func (t *schedTask) status() TaskStatus {
 // on time for as long as anyone is polling, and an executor with
 // pending tasks always is.
 type Scheduler struct {
-	// HeartbeatTimeout expires workers silent for longer than this
-	// (DefaultHeartbeatTimeout when zero).
-	HeartbeatTimeout time.Duration
+	// WorkerTimeout expires a worker that has had no lease poll open
+	// for longer than this (DefaultWorkerTimeout when zero).
+	WorkerTimeout time.Duration
 	// MaxAttempts bounds reassignment of a task after worker failures
 	// (DefaultMaxAttempts when zero).
 	MaxAttempts int
@@ -109,11 +112,11 @@ func NewScheduler() *Scheduler {
 	}
 }
 
-func (s *Scheduler) heartbeatTimeout() time.Duration {
-	if s.HeartbeatTimeout > 0 {
-		return s.HeartbeatTimeout
+func (s *Scheduler) workerTimeout() time.Duration {
+	if s.WorkerTimeout > 0 {
+		return s.WorkerTimeout
 	}
-	return DefaultHeartbeatTimeout
+	return DefaultWorkerTimeout
 }
 
 func (s *Scheduler) maxAttempts() int {
@@ -123,15 +126,15 @@ func (s *Scheduler) maxAttempts() int {
 	return DefaultMaxAttempts
 }
 
-// expireLocked drops workers that missed their heartbeat window and
-// requeues (or fails) their in-flight tasks; queued tasks whose
-// platform no live worker can serve fail immediately so executors
-// fall back to local execution instead of waiting out their poll.
-// Callers hold s.mu.
+// expireLocked drops workers that have had no lease poll open for the
+// worker timeout and requeues (or fails) their in-flight tasks; queued
+// tasks whose platform no live worker can serve fail immediately so
+// executors fall back to local execution instead of waiting out their
+// poll. Callers hold s.mu.
 func (s *Scheduler) expireLocked(now time.Time) {
-	cutoff := now.Add(-s.heartbeatTimeout())
+	cutoff := now.Add(-s.workerTimeout())
 	for id, w := range s.workers {
-		if w.parked > 0 || w.lastBeat.After(cutoff) {
+		if w.parked > 0 || w.lastSeen.After(cutoff) {
 			continue
 		}
 		delete(s.workers, id)
@@ -140,7 +143,7 @@ func (s *Scheduler) expireLocked(now time.Time) {
 			if !ok || t.state != StateRunning || t.worker != id {
 				continue
 			}
-			s.requeueLocked(t, fmt.Sprintf("worker %s (%s) missed heartbeats", id, w.name))
+			s.requeueLocked(t, fmt.Sprintf("worker %s (%s) stopped polling", id, w.name))
 		}
 	}
 	for _, tid := range append([]string(nil), s.queue...) {
@@ -155,7 +158,7 @@ func (s *Scheduler) expireLocked(now time.Time) {
 // for expiry before that. Callers hold s.mu.
 func (s *Scheduler) wakeTimeLocked(deadline time.Time) time.Time {
 	for _, w := range s.workers {
-		if due := w.lastBeat.Add(s.heartbeatTimeout()); w.parked == 0 && due.Before(deadline) {
+		if due := w.lastSeen.Add(s.workerTimeout()); w.parked == 0 && due.Before(deadline) {
 			deadline = due
 		}
 	}
@@ -273,8 +276,6 @@ func (s *Scheduler) route(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case len(parts) == 1 && parts[0] == "workers" && r.Method == http.MethodPost:
 		s.handleRegister(w, r)
-	case len(parts) == 3 && parts[0] == "workers" && parts[2] == "heartbeat" && r.Method == http.MethodPost:
-		s.handleHeartbeat(w, r, parts[1])
 	case len(parts) == 1 && parts[0] == "lease" && r.Method == http.MethodPost:
 		s.handleLease(w, r)
 	case len(parts) == 1 && parts[0] == "tasks" && r.Method == http.MethodPost:
@@ -333,28 +334,11 @@ func (s *Scheduler) handleRegister(w http.ResponseWriter, r *http.Request) {
 	id := fmt.Sprintf("w%d", s.nextID)
 	s.workers[id] = &schedWorker{
 		id: id, name: req.Name, slots: req.Slots,
-		platform: req.Platform, lastBeat: time.Now(),
+		platform: req.Platform, lastSeen: time.Now(),
 		inflight: make(map[string]bool),
 	}
 	s.mu.Unlock()
-	// Workers must beat well inside the expiry window; a third leaves
-	// room for two lost beats.
-	writeJSON(w, RegisterResponse{WorkerID: id, HeartbeatMillis: s.heartbeatTimeout().Milliseconds() / 3})
-}
-
-func (s *Scheduler) handleHeartbeat(w http.ResponseWriter, r *http.Request, id string) {
-	s.mu.Lock()
-	wk, ok := s.workers[id]
-	if ok {
-		wk.lastBeat = time.Now()
-	}
-	s.mu.Unlock()
-	if !ok {
-		// Expired while silent: the worker must re-register.
-		http.Error(w, "unknown worker (expired?)", http.StatusGone)
-		return
-	}
-	writeJSON(w, struct{}{})
+	writeJSON(w, RegisterResponse{WorkerID: id})
 }
 
 func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -384,8 +368,9 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // handleLease hands the polling worker the oldest queued task its
 // platform can run, if it has a free slot, long-polling up to ?wait=
-// for one to appear. The lease also counts as a heartbeat, for as long
-// as it stays open.
+// for one to appear. An open poll keeps the worker alive; an unknown
+// worker (never registered, or expired) gets 410 and must register
+// again.
 func (s *Scheduler) handleLease(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("worker")
 	deadline := time.Now().Add(pollWait(r))
@@ -398,7 +383,7 @@ func (s *Scheduler) handleLease(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "unknown worker (expired?)", http.StatusGone)
 			return
 		}
-		wk.lastBeat = now
+		wk.lastSeen = now
 		s.expireLocked(now)
 		leased := s.assignLocked(wk)
 		if leased != nil || !now.Before(deadline) {
@@ -414,7 +399,7 @@ func (s *Scheduler) handleLease(w http.ResponseWriter, r *http.Request) {
 
 		s.mu.Lock()
 		wk.parked--
-		wk.lastBeat = time.Now()
+		wk.lastSeen = time.Now()
 		s.mu.Unlock()
 		if err != nil {
 			return
@@ -463,7 +448,6 @@ func (s *Scheduler) handleResult(w http.ResponseWriter, r *http.Request, tid str
 		return
 	}
 	if wk, live := s.workers[rep.WorkerID]; live {
-		wk.lastBeat = time.Now()
 		delete(wk.inflight, tid)
 		s.wakeLeasesLocked() // a slot is free
 	}

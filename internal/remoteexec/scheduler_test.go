@@ -28,7 +28,8 @@ func testSpec() TaskSpec {
 }
 
 // farm serves sched, beside a registry's blob plane, under httptest and
-// wraps the JSON round trips.
+// wraps the JSON round trips. Its cleanup closes the server and takes
+// the census.
 type farm struct {
 	t  *testing.T
 	ts *httptest.Server
@@ -41,7 +42,10 @@ func newFarm(t *testing.T, sched *Scheduler) *farm {
 	mux.Handle(APIPrefix+"/", sched.Handler())
 	mux.Handle("/", registry.NewServer().Handler())
 	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		requireNoFarmGoroutines(t)
+	})
 	return &farm{t: t, ts: ts, hc: &distrib.Client{HTTP: ts.Client()}}
 }
 
@@ -208,11 +212,11 @@ func TestDuplicateResultIdempotent(t *testing.T) {
 }
 
 // TestHeartbeatMissReassigns covers the failure model's core promise: a
-// task leased to a worker that stops heartbeating is requeued within
-// the heartbeat window and a healthy worker picks it up.
+// task leased to a worker that stops polling for leases is requeued
+// within the worker timeout and a healthy worker picks it up.
 func TestHeartbeatMissReassigns(t *testing.T) {
 	sched := NewScheduler()
-	sched.HeartbeatTimeout = 150 * time.Millisecond
+	sched.WorkerTimeout = 150 * time.Millisecond
 	f := newFarm(t, sched)
 
 	dead := f.register("flaky", 1)
@@ -250,11 +254,10 @@ func TestHeartbeatMissReassigns(t *testing.T) {
 		t.Fatalf("state %q after healthy result, want %q", st.State, StateDone)
 	}
 
-	// The silent worker is gone: its next heartbeat is told to
-	// re-register.
-	err := f.do(http.MethodPost, "/workers/"+dead+"/heartbeat", nil, &struct{}{})
+	// The silent worker is gone: its next lease is told to re-register.
+	err := f.do(http.MethodPost, "/lease?worker="+dead+"&wait=0", nil, &LeaseResponse{})
 	if distrib.StatusCode(err) != http.StatusGone {
-		t.Fatalf("heartbeat of expired worker: %v, want 410", err)
+		t.Fatalf("lease of expired worker: %v, want 410", err)
 	}
 }
 
@@ -296,7 +299,7 @@ func TestAttemptBudgetFails(t *testing.T) {
 // of pinning the executor to its full poll timeout.
 func TestQueuedTasksFailWhenFarmEmpties(t *testing.T) {
 	sched := NewScheduler()
-	sched.HeartbeatTimeout = 100 * time.Millisecond
+	sched.WorkerTimeout = 100 * time.Millisecond
 	f := newFarm(t, sched)
 	wid := f.register("only", 1)
 	running := f.submit()
@@ -311,7 +314,7 @@ func TestQueuedTasksFailWhenFarmEmpties(t *testing.T) {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			st = f.taskStatus(tid, 200*time.Millisecond)
-			if st.Terminal() || time.Now().After(deadline) {
+			if st.State == StateDone || st.State == StateFailed || time.Now().After(deadline) {
 				break
 			}
 		}

@@ -39,7 +39,10 @@ func newWakeFarm(t *testing.T, sched *Scheduler) *wakeFarm {
 			w.returned <- r.URL.Path
 		}
 	}))
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		requireNoFarmGoroutines(t)
+	})
 	w.farm = &farm{t: t, ts: ts, hc: &distrib.Client{HTTP: ts.Client()}}
 	return w
 }
@@ -167,42 +170,42 @@ func TestSchedulerWakeOnDisconnect(t *testing.T) {
 // TestSchedulerExpiryTimer: one status poll is parked and nothing else
 // talks to the scheduler. The worker holding the task falls silent; the
 // poll's own timer must expire it and fail the task (no worker is left
-// to requeue to) when the heartbeat window closes, not at the poll's
+// to requeue to) when the worker timeout runs out, not at the poll's
 // deadline.
 func TestSchedulerExpiryTimer(t *testing.T) {
 	sched := NewScheduler()
-	sched.HeartbeatTimeout = 200 * time.Millisecond
+	sched.WorkerTimeout = 200 * time.Millisecond
 	f := newWakeFarm(t, sched)
 	wid := f.register("silent", 1)
 	tid := f.submit()
 	if lt := f.lease(wid, 0); lt == nil || lt.ID != tid {
 		t.Fatalf("lease: got %+v, want %s", lt, tid)
 	}
-	lastBeat := time.Now()
+	lastSeen := time.Now()
 	st := f.taskStatus(tid, 10*time.Second)
 	if st.State != StateFailed {
 		t.Fatalf("task on a dead worker: state %q, want %q", st.State, StateFailed)
 	}
-	if d := time.Since(lastBeat); d < 150*time.Millisecond || d > sched.HeartbeatTimeout+500*time.Millisecond {
-		t.Errorf("dead worker's task failed after %v, want about the %v heartbeat timeout", d, sched.HeartbeatTimeout)
+	if d := time.Since(lastSeen); d < 150*time.Millisecond || d > sched.WorkerTimeout+500*time.Millisecond {
+		t.Errorf("dead worker's task failed after %v, want about the %v worker timeout", d, sched.WorkerTimeout)
 	}
 }
 
 // TestSchedulerExpiryTimerRequeuesToParkedLease: as above with a second
 // worker whose only sign of life is a parked lease poll. A parked
 // poll's timer expires the silent worker, the requeue wakes the parked
-// lease, and the polling worker — silent for longer than the heartbeat
-// window itself — is not expired: an open lease poll counts as alive.
+// lease, and the polling worker — silent for longer than the worker
+// timeout itself — is not expired: an open lease poll counts as alive.
 func TestSchedulerExpiryTimerRequeuesToParkedLease(t *testing.T) {
 	sched := NewScheduler()
-	sched.HeartbeatTimeout = 200 * time.Millisecond
+	sched.WorkerTimeout = 200 * time.Millisecond
 	f := newWakeFarm(t, sched)
 	silent := f.register("silent", 1)
 	tid := f.submit()
 	if lt := f.lease(silent, 0); lt == nil || lt.ID != tid {
 		t.Fatalf("lease: got %+v, want %s", lt, tid)
 	}
-	lastBeat := time.Now()
+	lastSeen := time.Now()
 	patient := f.register("patient", 1)
 
 	leased := make(chan *LeasedTask, 1)
@@ -231,14 +234,14 @@ func TestSchedulerExpiryTimerRequeuesToParkedLease(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("requeued task never reached the parked lease")
 	}
-	if d := time.Since(lastBeat); d < 150*time.Millisecond || d > sched.HeartbeatTimeout+500*time.Millisecond {
-		t.Errorf("task requeued after %v, want about the %v heartbeat timeout", d, sched.HeartbeatTimeout)
+	if d := time.Since(lastSeen); d < 150*time.Millisecond || d > sched.WorkerTimeout+500*time.Millisecond {
+		t.Errorf("task requeued after %v, want about the %v worker timeout", d, sched.WorkerTimeout)
 	}
 	f.must(http.MethodPost, "/tasks/"+tid+"/result", ResultReport{WorkerID: patient, Record: record("ok.o")}, nil)
 	if st := <-status; st.State != StateDone || st.Attempts != 2 {
 		t.Errorf("status poll: state %q attempts %d, want done/2", st.State, st.Attempts)
 	}
-	if err := f.do(http.MethodPost, "/workers/"+silent+"/heartbeat", nil, nil); distrib.StatusCode(err) != http.StatusGone {
-		t.Errorf("heartbeat of the silent worker: %v, want 410", err)
+	if err := f.do(http.MethodPost, "/lease?worker="+silent+"&wait=0", nil, nil); distrib.StatusCode(err) != http.StatusGone {
+		t.Errorf("lease of the silent worker: %v, want 410", err)
 	}
 }

@@ -2,7 +2,6 @@ package remoteexec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io/fs"
 	"net/http"
@@ -28,17 +27,19 @@ const leaseWaitMillis = 1000
 // Snapshots a running task holds are never dropped and do not count.
 const maxIdleTreeBytes = 1 << 30
 
-// Worker executes farm tasks: it registers with the scheduler,
-// heartbeats, leases ready actions, runs them on a materialized
-// snapshot of the executor's file system, and reports each runner's
-// record of its action. It stores nothing: the executor's memoizer is
-// the one writer of the record's cache entries.
+// Worker executes farm tasks: it registers with the scheduler, keeps a
+// lease poll open, runs each task granted on a materialized snapshot of
+// the executor's file system, and reports each runner's record of its
+// action. The open poll is its one sign of life. It stores nothing: the
+// executor's memoizer is the one writer of the record's cache entries.
 type Worker struct {
 	// Scheduler is the farm base URL (the host also serving /farm/v1).
 	Scheduler string
 	// Client fetches session trees from the registry; its HTTP client
 	// also carries the scheduler traffic, so a fault-injecting
-	// transport wraps every wire interaction at once.
+	// transport wraps every wire interaction at once. NewWorker gives
+	// it a connection pool of its own, which Run sizes to the open
+	// lease poll plus one connection per slot.
 	Client *distrib.Client
 	// Name labels the worker in status output.
 	Name string
@@ -53,6 +54,7 @@ type Worker struct {
 	// scaling benchmark turns to make wall-clock speedup observable.
 	ExecDelay time.Duration
 
+	pool        *http.Transport // Client's, when NewWorker made it
 	treeMu      sync.Mutex
 	trees       map[digest.Digest]*keptTree // session snapshots, fetched once
 	idleTrees   cachekit.LRU[digest.Digest] // the kept trees no task holds, by recency
@@ -62,126 +64,88 @@ type Worker struct {
 // NewWorker returns a worker for the farm at scheduler, executing
 // under reg on behalf of sys. The same URL serves blob traffic.
 func NewWorker(scheduler string, sys *sysprofile.System, reg *toolchain.Registry) *Worker {
+	pool := http.DefaultTransport.(*http.Transport).Clone()
+	client := distrib.NewClient(scheduler)
+	client.HTTP = &http.Client{Transport: pool}
 	return &Worker{
 		Scheduler: scheduler,
-		Client:    distrib.NewClient(scheduler),
+		Client:    client,
 		Name:      sys.Name,
 		Slots:     1,
 		Platform:  Platform{ISA: sys.ISA, System: sys.Name, Toolchains: reg.Fingerprint()},
 		Registry:  reg,
+		pool:      pool,
 	}
 }
 
 // Run registers and serves until ctx is cancelled (returning
 // ctx.Err()) or the scheduler expires the worker (returning the
-// expiry error). Heartbeat and slot loops are joined before return.
+// expiry error). It always keeps one lease poll open: while every slot
+// is busy the scheduler grants nothing and parks the poll until a
+// report frees one, and the parked poll is what keeps the worker from
+// expiring. Each task granted runs on its own goroutine, and Run joins
+// them before it returns.
 func (w *Worker) Run(ctx context.Context) error {
 	var reg RegisterResponse
 	req := RegisterRequest{Name: w.Name, Slots: w.Slots, Platform: w.Platform}
 	if err := doJSON(ctx, w.Client, http.MethodPost, w.Scheduler+APIPrefix+"/workers", req, &reg); err != nil {
 		return fmt.Errorf("remoteexec: registering worker: %w", err)
 	}
-	interval := time.Duration(reg.HeartbeatMillis) * time.Millisecond
-	if interval <= 0 {
-		interval = time.Second
+	if w.pool != nil {
+		w.pool.MaxIdleConnsPerHost = max(w.Slots, 1) + 1
+		defer w.pool.CloseIdleConnections()
 	}
-
+	var tasks sync.WaitGroup
+	defer tasks.Wait()
 	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	slots := w.Slots
-	if slots <= 0 {
-		slots = 1
-	}
-	errc := make(chan error, slots+1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := w.heartbeatLoop(ctx, reg.WorkerID, interval); err != nil {
-			errc <- err
-			cancel()
-		}
-	}()
-	for i := 0; i < slots; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.slotLoop(ctx, reg.WorkerID); err != nil {
-				errc <- err
-				cancel()
-			}
-		}()
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		if !errors.Is(err, context.Canceled) {
-			return err
-		}
-	}
-	return ctx.Err()
-}
+	defer cancel() // before the Wait: a task cut short reports nothing
 
-// heartbeatLoop beats at the registered interval. Transient delivery
-// failures are retried on the next beat (the expiry window leaves
-// room for two losses); a 410 means the scheduler already expired us
-// and is fatal — the operator restarts the worker.
-func (w *Worker) heartbeatLoop(ctx context.Context, id string, interval time.Duration) error {
-	url := w.Scheduler + APIPrefix + "/workers/" + id + "/heartbeat"
+	leaseURL := fmt.Sprintf("%s%s/lease?worker=%s&wait=%d", w.Scheduler, APIPrefix, reg.WorkerID, leaseWaitMillis)
 	for {
-		if err := ctxutil.Sleep(ctx, interval); err != nil {
-			return err
-		}
-		err := doJSON(ctx, w.Client, http.MethodPost, url, struct{}{}, nil)
-		if distrib.StatusCode(err) == http.StatusGone {
-			return fmt.Errorf("remoteexec: worker %s expired by scheduler: %w", id, err)
-		}
-	}
-}
-
-// slotLoop is one execution slot: lease a task, execute it, report,
-// repeat.
-func (w *Worker) slotLoop(ctx context.Context, id string) error {
-	leaseURL := fmt.Sprintf("%s%s/lease?worker=%s&wait=%d", w.Scheduler, APIPrefix, id, leaseWaitMillis)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		var lr LeaseResponse
-		if err := doJSON(ctx, w.Client, http.MethodPost, leaseURL, nil, &lr); err != nil {
-			if distrib.StatusCode(err) == http.StatusGone {
-				return fmt.Errorf("remoteexec: worker %s expired by scheduler: %w", id, err)
-			}
+		err := doJSON(ctx, w.Client, http.MethodPost, leaseURL, nil, &lr)
+		switch {
+		case ctx.Err() != nil:
+			return ctx.Err()
+		case distrib.StatusCode(err) == http.StatusGone:
+			return fmt.Errorf("remoteexec: worker %s expired by scheduler: %w", reg.WorkerID, err)
+		case err != nil:
 			if err := ctxutil.Sleep(ctx, 50*time.Millisecond); err != nil {
 				return err
 			}
-			continue
-		}
-		if t := lr.Task; t != nil {
-			rep := ResultReport{WorkerID: id}
-			record, err := w.executeTask(ctx, t)
-			if err != nil {
-				if ctx.Err() != nil {
-					// Killed mid-action: report nothing; heartbeat expiry
-					// requeues the task on a surviving worker.
-					return ctx.Err()
-				}
-				rep.Error = err.Error()
-			} else {
-				rep.Record = record
-			}
-			if err := w.report(ctx, t.ID, rep); err != nil && ctx.Err() != nil {
-				return ctx.Err()
-			}
+		case lr.Task != nil:
+			tasks.Add(1)
+			go func() {
+				defer tasks.Done()
+				w.serve(ctx, reg.WorkerID, lr.Task)
+			}()
 		}
 	}
+}
+
+// serve executes task t and reports how it went, unless the worker is
+// stopping: a task cut short is left to the scheduler, which requeues
+// it on a live worker once this one stops polling.
+func (w *Worker) serve(ctx context.Context, id string, t *LeasedTask) {
+	rep := ResultReport{WorkerID: id}
+	record, err := w.executeTask(ctx, t)
+	if ctx.Err() != nil {
+		return
+	}
+	if err != nil {
+		rep.Error = err.Error()
+	} else {
+		rep.Record = record
+	}
+	// A 404 is final, and report has spent the client's retries on the
+	// rest: the worker has nothing left to try.
+	_ = w.report(ctx, t.ID, rep)
 }
 
 // report is the acknowledgement handshake: it resubmits through the
 // client's retry budget until the scheduler confirms (idempotent on its
-// side), so an acknowledged result is never lost; an unacknowledged one
-// is re-executed (same content-addressed record) after heartbeat
-// expiry. A 404 — the scheduler no longer knows the task — is final.
+// side), so an acknowledged result is never lost. A 404 — the scheduler
+// no longer knows the task — is final.
 func (w *Worker) report(ctx context.Context, taskID string, rep ResultReport) error {
 	url := w.Scheduler + APIPrefix + "/tasks/" + taskID + "/result"
 	return w.Client.Retry(ctx, func(ctx context.Context) error {

@@ -84,6 +84,31 @@ func (s *spyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
+// runWorker runs w against the farm sched serves until the returned
+// stop is called or the test ends, and returns once sched has
+// registered it. stop cancels the worker, waits for Run to return, and
+// takes the census.
+func runWorker(t *testing.T, sched *Scheduler, w *Worker) (stop func()) {
+	t.Helper()
+	before := len(sched.Status().Workers)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = w.Run(ctx) // ends cancelled
+	}()
+	stop = sync.OnceFunc(func() {
+		cancel()
+		<-done
+		requireNoFarmGoroutines(t)
+	})
+	t.Cleanup(stop)
+	for len(sched.Status().Workers) == before {
+		time.Sleep(time.Millisecond)
+	}
+	return stop
+}
+
 // TestActionIsOneMessageEachWay: once a session's tree is on the
 // worker, a remote action is one submit and its status polls from the
 // executor, one granted lease and one report from the worker, and no
@@ -123,20 +148,8 @@ func TestActionIsOneMessageEachWay(t *testing.T) {
 			e.Client.HTTP = &http.Client{Transport: execSpy}
 			w := &Worker{Scheduler: f.ts.URL, Client: distrib.NewClient(f.ts.URL), Platform: testPlatform, Registry: reg}
 			w.Client.HTTP = &http.Client{Transport: workerSpy}
-			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				_ = w.Run(ctx) // ends cancelled
-			}()
-			stop := sync.OnceFunc(func() {
-				cancel()
-				<-done
-			})
-			defer stop()
-			for len(sched.Status().Workers) == 0 {
-				time.Sleep(time.Millisecond)
-			}
+			stop := runWorker(t, sched, w)
+			ctx := context.Background()
 
 			if err := e.PrepareContext(ctx, base); err != nil {
 				t.Fatal(err)
@@ -177,6 +190,75 @@ func TestActionIsOneMessageEachWay(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBusyWorkerStaysAlive: a worker's open lease poll is its one sign
+// of life, and it keeps one open while its only slot is busy. An action
+// that runs for more than twice the worker timeout, with no other
+// worker and no traffic but the executor's, is not expired: it ends on
+// its first attempt and the executor gets the worker's record.
+func TestBusyWorkerStaysAlive(t *testing.T) {
+	sched := NewScheduler()
+	sched.WorkerTimeout = 200 * time.Millisecond
+	f := newFarm(t, sched)
+	runWorker(t, sched, &Worker{
+		Scheduler: f.ts.URL, Client: distrib.NewClient(f.ts.URL), Slots: 1, Platform: testPlatform,
+		Registry: toolchain.GenericRegistry(toolchain.ISAx86), ExecDelay: 5 * sched.WorkerTimeout / 2,
+	})
+	e := &Executor{Scheduler: f.ts.URL, Client: distrib.NewClient(f.ts.URL), Platform: testPlatform}
+	ctx := context.Background()
+	base := fsim.New()
+	base.WriteFile("/src/main.c", []byte("int main(){return 0;}\n"), 0o644)
+	if err := e.PrepareContext(ctx, base); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := e.ExecuteContext(ctx, []string{"gcc", "-O2", "-c", "main.c", "-o", "main.o"}, "/src", nil)
+	if err != nil || res == nil || len(res.Outputs) != 1 {
+		t.Fatalf("ExecuteContext = (%v, %v), want the worker's record of one output", res, err)
+	}
+	if farm := sched.Status(); len(farm.Workers) != 1 || farm.Done != 1 || farm.Failed != 0 {
+		t.Errorf("farm status %+v, want the worker still registered and one task done", farm)
+	}
+	sched.mu.Lock()
+	defer sched.mu.Unlock()
+	for id, task := range sched.tasks {
+		if task.state != StateDone || task.attempts != 1 {
+			t.Errorf("task %s ended %s after %d attempts, want done after 1", id, task.state, task.attempts)
+		}
+	}
+}
+
+// stuckReports holds every result report for two seconds, whatever its
+// request's context says, then drops it; all else goes through.
+type stuckReports struct{ held chan string }
+
+func (s stuckReports) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !strings.HasSuffix(req.URL.Path, "/result") {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	select {
+	case s.held <- req.URL.Path:
+	default:
+	}
+	time.Sleep(2 * time.Second)
+	return nil, errors.New("report held, then dropped")
+}
+
+// TestStoppedWorkerJoinsItsTasks: Run returns only once every task it
+// started has ended. A worker stopped while one of its reports is stuck
+// on the wire for longer than the census waits leaves no goroutine
+// behind once Run has returned.
+func TestStoppedWorkerJoinsItsTasks(t *testing.T) {
+	sched := NewScheduler()
+	f := newFarm(t, sched)
+	held := make(chan string, 1)
+	w := &Worker{Scheduler: f.ts.URL, Client: distrib.NewClient(f.ts.URL), Platform: testPlatform}
+	w.Client.HTTP = &http.Client{Transport: stuckReports{held}}
+	stop := runWorker(t, sched, w)
+	f.submit() // no base tree: the task fails, and its failure is reported
+	await(t, "the worker's report", held)
+	stop()
 }
 
 // TestTreeIsOneBlob: a session tree crosses the wire as one layer blob,
@@ -291,19 +373,8 @@ func TestHostileTreeFailsTheTask(t *testing.T) {
 	f := newFarm(t, sched)
 	client := distrib.NewClient(f.ts.URL)
 	w := &Worker{Scheduler: f.ts.URL, Client: client, Platform: testPlatform, Registry: toolchain.GenericRegistry(toolchain.ISAx86)}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = w.Run(ctx) // ends cancelled
-	}()
-	defer func() {
-		cancel()
-		<-done
-	}()
-	for len(sched.Status().Workers) == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	runWorker(t, sched, w)
+	ctx := context.Background()
 
 	for _, c := range cases {
 		td, err := client.PushBytes(ctx, DefaultRepo, c.blob)

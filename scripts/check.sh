@@ -75,7 +75,9 @@ echo "== shared state (-race -count=10) =="
 # from several at once, ten times over: the *File entries fsim.Clone
 # shares between file systems and the layer trees eight folds read at
 # once (ApplyAllShared…), the scheduler's parked long polls
-# (woken by events and by the expiry timer, never by a tick), and the
+# (woken by events and by the expiry timer, never by a tick) and a
+# worker kept alive by its open lease poll while its one slot is busy
+# for longer than the expiry window (BusyWorkerStaysAlive), and the
 # upload manager while one session's chunk or commit is stalled, and
 # the layer trees an oci.Store remembers (handed out only as clones,
 # re-verified under another diffID, dropped with their blob, clean under
@@ -84,7 +86,7 @@ echo "== shared state (-race -count=10) =="
 # of one repository while several others pull its tag
 # (ConcurrentPullsFromOneRepository), and one tag set from several
 # goroutines at once (DiskTagsConcurrentSetsAgree).
-go test -race -count=10 -run 'CloneShar|ApplyAllShared|SchedulerWake|SchedulerExpiryTimer|UploadHeadOfLine|UploadCommitSeals|LayerMemo|CopyImageShares|DiskCacheTwoOpeners|ConcurrentPulls|DiskTagsConcurrentSets' \
+go test -race -count=10 -run 'CloneShar|ApplyAllShared|SchedulerWake|SchedulerExpiryTimer|BusyWorkerStaysAlive|UploadHeadOfLine|UploadCommitSeals|LayerMemo|PushImageShares|DiskCacheTwoOpeners|ConcurrentPulls|DiskTagsConcurrentSets' \
     ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache
 
 echo "== fuzz smoke (13 x 10s) =="
