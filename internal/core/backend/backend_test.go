@@ -23,17 +23,30 @@ import (
 // system-side repo holding the extended image plus Sysenv/Rebase images.
 func setup(t *testing.T, sys *sysprofile.System) (*oci.Repository, string) {
 	t.Helper()
-	userRepo := oci.NewRepository()
-	if err := sysprofile.PopulateUserSide(userRepo, sys.ISA); err != nil {
-		t.Fatal(err)
-	}
 	app, err := workloads.Find("comd")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return setupApp(t, sys, app)
+}
+
+// setupApp is setup for any Table-2 app; its dist tag is name.dist.
+func setupApp(t *testing.T, sys *sysprofile.System, app *workloads.App) (*oci.Repository, string) {
+	t.Helper()
+	userRepo := oci.NewRepository()
+	if err := sysprofile.PopulateUserSide(userRepo, sys.ISA); err != nil {
+		t.Fatal(err)
+	}
+	distTag := app.Name + ".dist"
 	ctx := fsim.New()
 	for name, content := range app.Sources(sys.ISA) {
 		ctx.WriteFile("/src/"+name, []byte(content), 0o644)
+	}
+	if app.UseMake {
+		ctx.WriteFile("/src/Makefile", []byte(app.Makefile(sys.ISA)), 0o644)
+	}
+	for name, data := range app.Data() {
+		ctx.WriteFile("/data/"+name, data, 0o644)
 	}
 	b := &containerfile.Builder{
 		Repo:     userRepo,
@@ -54,14 +67,14 @@ func setup(t *testing.T, sys *sysprofile.System) (*oci.Repository, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	userRepo.Tag("comd.dist", distDesc)
+	userRepo.Tag(distTag, distDesc)
 	buildImg, _ := oci.LoadImage(userRepo.Store, buildDesc)
 	distImg, _ := oci.LoadImage(userRepo.Store, distDesc)
 	models, buildFS, err := frontend.Analyze(buildImg, distImg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	extDesc, err := cache.ExtendWith(userRepo, "comd.dist", models, buildFS, cache.Options{})
+	extDesc, err := cache.ExtendWith(userRepo, distTag, models, buildFS, cache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +83,10 @@ func setup(t *testing.T, sys *sysprofile.System) (*oci.Repository, string) {
 	if err := sysprofile.PopulateSystemSide(sysRepo, sys); err != nil {
 		t.Fatal(err)
 	}
-	if err := sysRepo.PushImage(userRepo.Store, extDesc, cache.ExtendedTag("comd.dist")); err != nil {
+	if err := sysRepo.PushImage(userRepo.Store, extDesc, cache.ExtendedTag(distTag)); err != nil {
 		t.Fatal(err)
 	}
-	return sysRepo, "comd.dist"
+	return sysRepo, distTag
 }
 
 func TestRebuildProducesVendorArtifacts(t *testing.T) {

@@ -7,8 +7,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"comtainer/internal/actioncache"
+	"comtainer/internal/cachekit"
 	"comtainer/internal/core/model"
 	"comtainer/internal/fsim"
 	"comtainer/internal/remoteexec"
@@ -24,7 +26,13 @@ type command struct {
 	deps map[int]bool // seqs that must complete first
 }
 
-// commandDAG projects the node-level build graph onto distinct commands.
+// commandDAG projects the node-level build graph onto distinct commands
+// and returns them dependencies first: in ascending seq wherever that
+// order respects the edges, as it does in every recorded build, and
+// otherwise in the order a depth-first walk in ascending seq places
+// them. A cycle among commands — which an acyclic node graph can hide,
+// when one command's outputs feed another that feeds the first — is an
+// error naming a command on it.
 func commandDAG(g *model.BuildGraph) ([]*command, error) {
 	bySeq := map[int]*command{}
 	for _, n := range g.Nodes {
@@ -47,11 +55,41 @@ func commandDAG(g *model.BuildGraph) ([]*command, error) {
 		}
 	}
 	out := make([]*command, 0, len(bySeq))
-	for _, c := range bySeq {
-		out = append(out, c)
+	placed := make(map[int]bool, len(bySeq)) // false while on the walk's path
+	var place func(seq int) error
+	place = func(seq int) error {
+		switch done, seen := placed[seq]; {
+		case seen && !done:
+			return fmt.Errorf("backend: build commands form a cycle through command %d (%q)", seq, strings.Join(bySeq[seq].argv, " "))
+		case seen:
+			return nil
+		}
+		placed[seq] = false
+		for _, dep := range sortedKeys(bySeq[seq].deps) {
+			if err := place(dep); err != nil {
+				return err
+			}
+		}
+		placed[seq] = true
+		out = append(out, bySeq[seq])
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	for _, seq := range sortedKeys(bySeq) {
+		if err := place(seq); err != nil {
+			return nil, err
+		}
+	}
 	return out, nil
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[int]V) []int {
+	seqs := make([]int, 0, len(m))
+	for seq := range m {
+		seqs = append(seqs, seq)
+	}
+	sort.Ints(seqs)
+	return seqs
 }
 
 // execOptions tunes executeGraph.
@@ -66,38 +104,23 @@ type execOptions struct {
 	remote *remoteexec.Executor
 }
 
-// closures computes each command's transitive dependency set — the
-// seqs whose outputs a farm worker must overlay on the base tree
-// before executing it. The graph is already verified acyclic.
+// closures computes each command's transitive dependency set, in
+// ascending seq — the seqs whose outputs a farm worker must overlay on
+// the base tree before executing it — in one pass over commandDAG's
+// order, which places every dependency before its dependents.
 func closures(cmds []*command) map[int][]int {
-	bySeq := make(map[int]*command, len(cmds))
+	sets := make(map[int]map[int]bool, len(cmds))
+	out := make(map[int][]int, len(cmds))
 	for _, c := range cmds {
-		bySeq[c.seq] = c
-	}
-	memo := make(map[int]map[int]bool, len(cmds))
-	var cl func(int) map[int]bool
-	cl = func(seq int) map[int]bool {
-		if s, ok := memo[seq]; ok {
-			return s
-		}
 		s := map[int]bool{}
-		memo[seq] = s
-		for dep := range bySeq[seq].deps {
+		for dep := range c.deps {
 			s[dep] = true
-			for d := range cl(dep) {
+			for d := range sets[dep] {
 				s[d] = true
 			}
 		}
-		return s
-	}
-	out := make(map[int][]int, len(cmds))
-	for _, c := range cmds {
-		seqs := make([]int, 0, len(cl(c.seq)))
-		for d := range cl(c.seq) {
-			seqs = append(seqs, d)
-		}
-		sort.Ints(seqs)
-		out[c.seq] = seqs
+		sets[c.seq] = s
+		out[c.seq] = sortedKeys(s)
 	}
 	return out
 }
@@ -105,24 +128,19 @@ func closures(cmds []*command) map[int][]int {
 func (o execOptions) workerCount(cmds int) int {
 	w := o.workers
 	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > 8 {
-			w = 8
-		}
+		w = min(runtime.GOMAXPROCS(0), 8)
 	}
-	if w > cmds {
-		w = cmds
-	}
-	return w
+	return min(w, cmds)
 }
 
 // executeGraph re-runs every product-generating command of the build
-// graph. Scheduling is counter-based: each command tracks how many of
-// its dependencies are still outstanding and joins the ready queue the
-// moment the count hits zero, so a long-pole command never holds back
-// unrelated work the way the previous level-synchronized front did.
-// Outputs are disjoint per command, so the resulting file system state
-// is deterministic regardless of scheduling order.
+// graph on workerCount long-lived workers. Each takes the next command
+// in commandDAG's order, waits until its dependencies are done, and
+// runs it — or skips it once any command has failed. A worker only
+// ever waits on commands taken before its own, so the pool cannot
+// deadlock. Outputs are disjoint per command, so the resulting file
+// system is the same whatever order commands finish in, and the error
+// returned is the first in command order.
 func executeGraph(g *model.BuildGraph, fs *fsim.FS, reg *toolchain.Registry, opts execOptions) error {
 	if _, err := g.Topo(); err != nil {
 		return err
@@ -137,8 +155,13 @@ func executeGraph(g *model.BuildGraph, fs *fsim.FS, reg *toolchain.Registry, opt
 
 	// Remote mode needs a memoizer (it records each command's outputs
 	// for the dependency overlays) and the session's base tree pushed
-	// up front. A failed push disables the farm for this rebuild —
+	// up front. A farm whose tasks demand another toolchain than reg
+	// would hand back that toolchain's binaries, so it is offered
+	// nothing; a failed push disables the farm for this rebuild —
 	// never the rebuild itself.
+	if opts.remote != nil && opts.remote.Platform.Toolchains != reg.Fingerprint() {
+		opts.remote = nil
+	}
 	var depClosure map[int][]int
 	//comtainer:allow ctxflow -- Rebuild is a ctx-free API, so the farm's one root context is minted here; the executor bounds every use of it by DefaultExecTimeout
 	ctx := context.Background()
@@ -153,45 +176,23 @@ func executeGraph(g *model.BuildGraph, fs *fsim.FS, reg *toolchain.Registry, opt
 		}
 	}
 
-	// Invert the dependency edges into indegree counters + dependents
-	// lists; both are only touched under mu after this.
-	indeg := make(map[int]int, len(cmds))
-	dependents := make(map[int][]*command)
-	for _, c := range cmds {
-		indeg[c.seq] = len(c.deps)
-		for dep := range c.deps {
-			dependents[dep] = append(dependents[dep], c)
-		}
-	}
-
 	var (
-		mu        sync.Mutex
-		cond      = sync.NewCond(&mu)
-		ready     []*command
-		running   int
-		remaining = len(cmds)
-		firstErr  error
+		mu sync.Mutex
 		// outs is each finished command's recorded outputs, the
-		// material of farm overlays. Guarded by mu; a command's
-		// entry is complete before any dependent becomes ready.
-		outs map[int][]actioncache.Output
+		// material of farm overlays. Guarded by mu; a command's entry
+		// is complete before its done channel closes.
+		outs = make(map[int][]actioncache.Output)
+		done = make(map[int]chan struct{}, len(cmds))
 	)
-	if opts.remote != nil {
-		outs = make(map[int][]actioncache.Output, len(cmds))
-	}
 	for _, c := range cmds {
-		if indeg[c.seq] == 0 {
-			ready = append(ready, c)
-		}
+		done[c.seq] = make(chan struct{})
 	}
-
 	run := func(c *command) error {
 		runner := toolchain.NewRunner(fs, reg)
 		runner.Memo = opts.memo
 		if opts.remote != nil {
 			// The overlay: every transitive dependency's outputs, in
-			// seq order. Dependencies are terminal by the time c is
-			// scheduled, so reading outs here is race-free.
+			// seq order; all of them are done by now.
 			var overlay []actioncache.Output
 			mu.Lock()
 			for _, dep := range depClosure[c.seq] {
@@ -217,64 +218,32 @@ func executeGraph(g *model.BuildGraph, fs *fsim.FS, reg *toolchain.Registry, opt
 		return nil
 	}
 
-	var wg sync.WaitGroup
-	for i := 0; i < opts.workerCount(len(cmds)); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for len(ready) == 0 && running > 0 && remaining > 0 && firstErr == nil {
-					cond.Wait()
-				}
-				if firstErr != nil || remaining == 0 || len(ready) == 0 {
-					// Done, failed, or deadlocked (ready empty with
-					// nothing running) — either way this worker is
-					// finished; wake the rest so they exit too.
-					cond.Broadcast()
-					mu.Unlock()
-					return
-				}
-				// Pop the lowest seq for a stable, log-friendly order.
-				idx := 0
-				for i, c := range ready {
-					if c.seq < ready[idx].seq {
-						idx = i
-					}
-				}
-				c := ready[idx]
-				ready = append(ready[:idx], ready[idx+1:]...)
-				running++
-				mu.Unlock()
-
-				err := run(c)
-
-				mu.Lock()
-				running--
-				remaining--
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					for _, d := range dependents[c.seq] {
-						indeg[d.seq]--
-						if indeg[d.seq] == 0 {
-							ready = append(ready, d)
-						}
-					}
-				}
-				cond.Broadcast()
-				mu.Unlock()
+	queue := make(chan int, len(cmds))
+	for i := range cmds {
+		queue <- i
+	}
+	close(queue)
+	errs := make([]error, len(cmds))
+	var failed atomic.Bool
+	_ = cachekit.Parallel(opts.workerCount(len(cmds)), 0, func(int) error {
+		for i := range queue {
+			c := cmds[i]
+			for dep := range c.deps {
+				<-done[dep]
 			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if remaining > 0 {
-		return fmt.Errorf("backend: build graph commands deadlocked (%d unrunnable)", remaining)
+			if !failed.Load() {
+				if errs[i] = run(c); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+			close(done[c.seq])
+		}
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -241,6 +241,46 @@ func TestFarmRebuildEndToEnd(t *testing.T) {
 	f.requireNoTags()
 }
 
+// TestFarmServesOnlyItsToolchain: a rebuild under another toolchain
+// than the one the executor's tasks demand is offered to no worker. A
+// farm of Sysenv workers would hand an LLVM rebuild Sysenv binaries;
+// the rebuild runs locally instead and yields the local LLVM image.
+func TestFarmServesOnlyItsToolchain(t *testing.T) {
+	sys := sysprofile.X86Cluster()
+	user, res := buildApp(t, sys, "hpccg")
+	rebuildLLVM := func(farm *remoteexec.Executor) oci.Descriptor {
+		t.Helper()
+		system, err := core.NewSystemSide(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		system.RebuildWorkers = 4
+		system.RemoteExec = farm
+		if err := system.Pull(user.Repo, res.ExtendedTag); err != nil {
+			t.Fatal(err)
+		}
+		desc, _, err := system.RebuildWith(res.DistTag, adapter.DefaultAdapted(), nil, sys.LLVMRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return desc
+	}
+	local := rebuildLLVM(nil)
+
+	f := startFarm(t, remoteexec.NewScheduler())
+	f.startWorker(sys, nil)
+	exec := remoteexec.NewExecutor(f.ts.URL, sys, sys.Toolchains)
+	if remote := rebuildLLVM(exec); remote.Digest != local.Digest {
+		t.Fatalf("LLVM rebuild beside a Sysenv farm: digest %s, want the local LLVM %s", remote.Digest, local.Digest)
+	}
+	if st := exec.Stats(); st.Remote != 0 {
+		t.Errorf("executor stats %s: want nothing run remotely", st)
+	}
+	if farm := f.sched.Status(); farm.Queued+farm.Running+farm.Done+farm.Failed != 0 {
+		t.Errorf("farm status %+v: want no task taken", farm)
+	}
+}
+
 // TestFarmZeroWorkersFallsBackLocal checks the executor degrades to
 // local execution when the farm has no workers at all — the rebuild
 // still completes and produces the same image.

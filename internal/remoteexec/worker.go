@@ -22,10 +22,15 @@ import (
 // scheduler before coming back empty.
 const leaseWaitMillis = 1000
 
-// maxIdleTreeBytes bounds the session snapshots a worker keeps for
-// sessions it is running no task of at the moment, by fsim.FS.TotalSize.
-// Snapshots a running task holds are never dropped and do not count.
+// maxIdleTreeBytes bounds the session snapshots a worker keeps, by
+// fsim.FS.TotalSize: the least recently used beyond it are dropped. A
+// running task keeps its own snapshot alive by holding it, so the
+// worker's trees weigh at most this plus the dropped ones tasks hold.
 const maxIdleTreeBytes = 1 << 30
+
+// reportRoundWait is how long a worker waits between rounds of a
+// result report the scheduler has not acknowledged.
+const reportRoundWait = 200 * time.Millisecond
 
 // Worker executes farm tasks: it registers with the scheduler, keeps a
 // lease poll open, runs each task granted on a materialized snapshot of
@@ -56,8 +61,8 @@ type Worker struct {
 
 	pool        *http.Transport // Client's, when NewWorker made it
 	treeMu      sync.Mutex
-	trees       map[digest.Digest]*keptTree // session snapshots, fetched once
-	idleTrees   cachekit.LRU[digest.Digest] // the kept trees no task holds, by recency
+	trees       map[digest.Digest]*fsim.FS  // the kept session snapshots
+	treeLRU     cachekit.LRU[digest.Digest] // the kept snapshots, by recency
 	treeFetches cachekit.Flight[digest.Digest, *fsim.FS]
 }
 
@@ -127,101 +132,82 @@ func (w *Worker) Run(ctx context.Context) error {
 // stopping: a task cut short is left to the scheduler, which requeues
 // it on a live worker once this one stops polling.
 func (w *Worker) serve(ctx context.Context, id string, t *LeasedTask) {
-	rep := ResultReport{WorkerID: id}
 	record, err := w.executeTask(ctx, t)
-	if ctx.Err() != nil {
-		return
+	if ctx.Err() == nil {
+		_ = w.report(ctx, id, t.ID, record, err) // returns with nothing left to try
 	}
-	if err != nil {
-		rep.Error = err.Error()
-	} else {
-		rep.Record = record
-	}
-	// A 404 is final, and report has spent the client's retries on the
-	// rest: the worker has nothing left to try.
-	_ = w.report(ctx, t.ID, rep)
 }
 
-// report is the acknowledgement handshake: it resubmits through the
-// client's retry budget until the scheduler confirms (idempotent on its
-// side), so an acknowledged result is never lost. A 404 — the scheduler
-// no longer knows the task — is final.
-func (w *Worker) report(ctx context.Context, taskID string, rep ResultReport) error {
+// report is the acknowledgement handshake for worker id's result of
+// task taskID, the record or the failure: it resubmits it, one round
+// of the client's retry budget at a time and reportRoundWait apart,
+// until the scheduler confirms it (idempotent on its side), answers
+// 404 (it no longer knows the task) or ctx ends. So a result is never
+// lost, and its task never stranded, while both sides live. A record
+// the scheduler refuses for good (a 400, a 413) is sent once more as
+// the task's error, for the scheduler to requeue or fail the task.
+func (w *Worker) report(ctx context.Context, id, taskID string, record *actioncache.Result, failure error) error {
+	rep := ResultReport{WorkerID: id, Record: record}
+	if failure != nil {
+		rep = ResultReport{WorkerID: id, Error: failure.Error()}
+	}
 	url := w.Scheduler + APIPrefix + "/tasks/" + taskID + "/result"
-	return w.Client.Retry(ctx, func(ctx context.Context) error {
-		return doJSON(ctx, w.Client, http.MethodPost, url, rep, nil)
+	for {
+		err := w.Client.Retry(ctx, func(ctx context.Context) error {
+			return doJSON(ctx, w.Client, http.MethodPost, url, rep, nil)
+		})
+		code := distrib.StatusCode(err)
+		refused := code >= 400 && code < 500 && code != http.StatusRequestTimeout && code != http.StatusTooManyRequests
+		switch {
+		case err == nil || code == http.StatusNotFound || refused && rep.Record == nil:
+			return err
+		case refused:
+			rep = ResultReport{WorkerID: id, Error: fmt.Sprintf("remoteexec: result report refused: %v", err)}
+			continue
+		}
+		if err := ctxutil.Sleep(ctx, reportRoundWait); err != nil {
+			return err
+		}
+	}
+}
+
+// baseFS returns the session snapshot td, fetched unless kept. The
+// result is shared: callers Clone it before mutating. No lock is held
+// while fetching: one tree downloads once however many slots ask for
+// it, and different trees download concurrently.
+func (w *Worker) baseFS(ctx context.Context, td digest.Digest) (*fsim.FS, error) {
+	fsys, _, err := w.treeFetches.DoContext(ctx, td, func() (*fsim.FS, error) {
+		w.treeMu.Lock()
+		kept := w.trees[td]
+		w.treeLRU.Touch(td)
+		w.treeMu.Unlock()
+		if kept != nil {
+			return kept, nil
+		}
+		fetched, err := FetchTree(ctx, w.Client, td)
+		if err != nil {
+			return nil, err
+		}
+		w.keepTree(td, fetched)
+		return fetched, nil
 	})
+	return fsys, err
 }
 
-// keptTree is one memoized session snapshot.
-type keptTree struct {
-	fs    *fsim.FS
-	size  int64 // fs.TotalSize() when kept
-	holds int   // running tasks using it
-}
-
-// pinTree counts the caller as a task holding the memoized snapshot td
-// until it calls unpinTree, and returns the snapshot — nil if there is
-// none, unless fetched is given to be kept as td.
-func (w *Worker) pinTree(td digest.Digest, fetched *fsim.FS) *fsim.FS {
+// keepTree files fsys as the most recently used snapshot td and drops
+// the least recently used ones beyond maxIdleTreeBytes.
+func (w *Worker) keepTree(td digest.Digest, fsys *fsim.FS) {
 	w.treeMu.Lock()
 	defer w.treeMu.Unlock()
-	k := w.trees[td]
-	if k == nil {
-		if fetched == nil {
-			return nil
-		}
-		k = &keptTree{fs: fetched, size: fetched.TotalSize()}
-		if w.trees == nil {
-			w.trees = make(map[digest.Digest]*keptTree)
-		}
-		w.trees[td] = k
+	if w.trees == nil {
+		w.trees = make(map[digest.Digest]*fsim.FS)
 	}
-	k.holds++
-	w.idleTrees.Remove(td)
-	return k.fs
-}
-
-// unpinTree ends one task's hold on snapshot td. A snapshot no task
-// holds is filed as the most recently used idle one, and the least
-// recently used idle ones beyond maxIdleTreeBytes are dropped.
-func (w *Worker) unpinTree(td digest.Digest) {
-	w.treeMu.Lock()
-	defer w.treeMu.Unlock()
-	k := w.trees[td]
-	if k.holds--; k.holds > 0 {
-		return
-	}
-	w.idleTrees.Add(td, k.size)
-	victims, _ := w.idleTrees.Evict(maxIdleTreeBytes)
+	w.trees[td] = fsys
+	w.treeLRU.Add(td, fsys.TotalSize())
+	victims, _ := w.treeLRU.Evict(maxIdleTreeBytes)
 	for _, v := range victims {
 		delete(w.trees, v)
 	}
-}
-
-// baseFS materializes (and memoizes) the session snapshot td and pins
-// it: the caller calls unpinTree(td) when its task is over. The result
-// is shared: callers Clone it before mutating. No lock is held while
-// fetching: one tree downloads once however many slots ask for it, and
-// different trees download concurrently.
-func (w *Worker) baseFS(ctx context.Context, td digest.Digest) (*fsim.FS, error) {
-	fsys, _, err := w.treeFetches.DoContext(ctx, td, func() (*fsim.FS, error) {
-		fsys := w.pinTree(td, nil)
-		if fsys == nil {
-			fetched, err := FetchTree(ctx, w.Client, td)
-			if err != nil {
-				return nil, err
-			}
-			fsys = w.pinTree(td, fetched)
-		}
-		w.unpinTree(td) // kept; every caller of the flight takes its own pin
-		return fsys, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Keeps fsys again should eviction have dropped td since the flight.
-	return w.pinTree(td, fsys), nil
 }
 
 // executeTask runs one leased action and returns the runner's record
@@ -231,7 +217,6 @@ func (w *Worker) executeTask(ctx context.Context, t *LeasedTask) (*actioncache.R
 	if err != nil {
 		return nil, err
 	}
-	defer w.unpinTree(t.Spec.BaseTree)
 	// A structural share: the task's writes land in its own map, the
 	// session's files are never copied.
 	fsys := base.Clone()

@@ -548,8 +548,7 @@ func TestBaseFSFetchDiscipline(t *testing.T) {
 }
 
 // TestIdleTreesAreBounded: a worker serving session after session keeps
-// the snapshots of the most recent ones only, by size — but never drops
-// one a running task still holds.
+// the snapshots of the most recently used ones only, by size.
 func TestIdleTreesAreBounded(t *testing.T) {
 	// Three snapshots of 0.4 × the cap each: two fit, three do not. The
 	// files of one snapshot share a buffer, so the test allocates 1 MiB.
@@ -561,19 +560,24 @@ func TestIdleTreesAreBounded(t *testing.T) {
 		}
 		return digest.FromString(name), fsys
 	}
-	// run is what executeTask does with a snapshot the worker already
-	// fetched: pin, use, unpin.
 	w := &Worker{}
 	kept := func(td digest.Digest) bool {
 		w.treeMu.Lock()
 		defer w.treeMu.Unlock()
 		return w.trees[td] != nil
 	}
+	// run is what a task does with its session's snapshot: baseFS finds
+	// a kept one; one that is not kept is fetched, which keepTree stands
+	// in for.
 	run := func(td digest.Digest, fsys *fsim.FS) {
-		if got := w.pinTree(td, fsys); got.TotalSize() != fsys.TotalSize() {
-			t.Fatalf("pinned a snapshot of %d bytes, want %d", got.TotalSize(), fsys.TotalSize())
+		if !kept(td) {
+			w.keepTree(td, fsys)
+			return
 		}
-		w.unpinTree(td)
+		got, err := w.baseFS(context.Background(), td)
+		if err != nil || got.TotalSize() != fsys.TotalSize() {
+			t.Fatalf("baseFS of a kept snapshot = (%d bytes, %v), want %d bytes", got.TotalSize(), err, fsys.TotalSize())
+		}
 	}
 	a, aFS := session("a")
 	b, bFS := session("b")
@@ -590,40 +594,43 @@ func TestIdleTreesAreBounded(t *testing.T) {
 	if kept(b) || !kept(a) || !kept(c) {
 		t.Fatalf("after a third session: kept a=%v b=%v c=%v, want the least recent (b) dropped", kept(a), kept(b), kept(c))
 	}
-
-	// A task holds a while three more sessions pass: a stays, and does
-	// not count against the idle ones.
-	if w.pinTree(a, nil) == nil {
-		t.Fatal("a was kept and must pin")
-	}
-	run(b, bFS)
-	run(c, cFS)
 	run(d, dFS)
-	if !kept(a) || kept(b) || !kept(c) || !kept(d) {
-		t.Fatalf("with a held: kept a=%v b=%v c=%v d=%v, want a, c, d", kept(a), kept(b), kept(c), kept(d))
+	if kept(a) || !kept(c) || !kept(d) {
+		t.Fatalf("after a fourth session: kept a=%v c=%v d=%v, want the least recent (a) dropped", kept(a), kept(c), kept(d))
 	}
-	w.unpinTree(a)
-	if !kept(a) || kept(c) || !kept(d) {
-		t.Fatalf("after a's release: kept a=%v c=%v d=%v, want the least recent idle one (c) dropped", kept(a), kept(c), kept(d))
-	}
-	if len(w.trees) != w.idleTrees.Len() || w.idleTrees.Size() > maxIdleTreeBytes {
-		t.Errorf("%d snapshots kept, %d idle weighing %d bytes, cap %d", len(w.trees), w.idleTrees.Len(), w.idleTrees.Size(), maxIdleTreeBytes)
+	if len(w.trees) != w.treeLRU.Len() || w.treeLRU.Size() > maxIdleTreeBytes {
+		t.Errorf("%d snapshots kept, %d indexed weighing %d bytes, cap %d", len(w.trees), w.treeLRU.Len(), w.treeLRU.Size(), maxIdleTreeBytes)
 	}
 }
 
-// TestReportRetriesUntilAcknowledged pins the result handshake's two
-// ends. A 404 — the scheduler no longer knows the task — is final: one
+// TestReportRetriesUntilAcknowledged pins the result handshake's ends.
+// A 404 — the scheduler no longer knows the task — is final: one
 // request, no resubmission. A burst of 503s and dropped connections is
-// not: the worker resubmits until the scheduler acknowledges.
+// not, however long: the worker resubmits until the scheduler
+// acknowledges. A report refused for good goes once more as the
+// task's error.
 func TestReportRetriesUntilAcknowledged(t *testing.T) {
 	var posts atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		posts.Add(1)
+		var rep ResultReport
+		if err := json.NewDecoder(r.Body).Decode(&rep); err != nil {
+			t.Errorf("report body: %v", err)
+		}
 		switch r.URL.Path {
 		case APIPrefix + "/tasks/forgotten/result":
 			http.Error(w, "unknown task", http.StatusNotFound)
-		case APIPrefix + "/tasks/t1/result":
+		case APIPrefix + "/tasks/t1/result", APIPrefix + "/tasks/t2/result":
 			writeJSON(w, TaskStatus{ID: "t1", State: StateDone})
+		case APIPrefix + "/tasks/huge/result":
+			if rep.Record != nil {
+				http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+				return
+			}
+			if !strings.Contains(rep.Error, "413") {
+				t.Errorf("a refused report was resent as error %q, want the refusal", rep.Error)
+			}
+			writeJSON(w, TaskStatus{ID: "huge", State: StateQueued})
 		default:
 			t.Errorf("unexpected request %s %s", r.Method, r.URL.Path)
 		}
@@ -637,17 +644,93 @@ func TestReportRetriesUntilAcknowledged(t *testing.T) {
 	client.RetryBackoff = time.Millisecond
 	client.HTTP = &http.Client{Transport: faultinject.NewTransport(nil, plan)}
 	w := &Worker{Scheduler: ts.URL, Client: client}
-	if err := w.report(context.Background(), "t1", ResultReport{WorkerID: "w1"}); err != nil {
+	if err := w.report(context.Background(), "w1", "t1", nil, nil); err != nil {
 		t.Fatalf("report through a 503 and a dropped connection: %v", err)
 	}
 	if n, sent := posts.Load(), plan.Ops(); n != 1 || sent != 3 {
 		t.Fatalf("%d requests sent, %d reached the scheduler; want 3 and 1", sent, n)
 	}
 
-	if err := w.report(context.Background(), "forgotten", ResultReport{WorkerID: "w1"}); err == nil {
+	if err := w.report(context.Background(), "w1", "forgotten", nil, nil); err == nil {
 		t.Fatal("report of a task the scheduler forgot returned nil")
 	}
 	if n := posts.Load(); n != 2 {
 		t.Fatalf("a 404 was resubmitted: %d requests reached the scheduler, want 2 in all", n)
+	}
+
+	// Six dropped connections in a row outlast one round of the
+	// client's budget (3 retries, so 4 attempts); the seventh request
+	// goes through.
+	burst := faultinject.NewPlan(1)
+	for n := int64(1); n <= 6; n++ {
+		burst.At(n, faultinject.Drop)
+	}
+	client.HTTP = &http.Client{Transport: faultinject.NewTransport(nil, burst)}
+	if err := w.report(context.Background(), "w1", "t2", nil, nil); err != nil {
+		t.Fatalf("report through 6 dropped connections: %v", err)
+	}
+	if n, sent := posts.Load(), burst.Ops(); n != 3 || sent != 7 {
+		t.Fatalf("%d requests sent, %d reached the scheduler in all; want 7 and 3", sent, n)
+	}
+
+	// A 413 is not retried; the report goes once more as an error.
+	client.HTTP = nil
+	if err := w.report(context.Background(), "w1", "huge", record("big.o"), nil); err != nil {
+		t.Fatalf("report refused with 413: %v", err)
+	}
+	if n := posts.Load(); n != 5 {
+		t.Fatalf("%d requests reached the scheduler in all, want 5: the refused report and its error", n)
+	}
+}
+
+// dropReports drops the first n result reports before they leave;
+// everything else goes through.
+type dropReports struct{ n atomic.Int64 }
+
+func (d *dropReports) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(req.URL.Path, "/result") && d.n.Add(-1) >= 0 {
+		return nil, errors.New("report dropped")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestLostReportsDoNotStrandTheTask: a worker whose reports keep being
+// lost, longer than one round of the client's retry budget, resubmits
+// until one arrives. The task ends done on its first attempt, which
+// frees the worker's one slot for the next task.
+func TestLostReportsDoNotStrandTheTask(t *testing.T) {
+	sched := NewScheduler()
+	f := newFarm(t, sched)
+	w := &Worker{Scheduler: f.ts.URL, Client: distrib.NewClient(f.ts.URL), Slots: 1, Platform: testPlatform,
+		Registry: toolchain.GenericRegistry(toolchain.ISAx86)}
+	drops := &dropReports{}
+	drops.n.Store(6)
+	w.Client.HTTP = &http.Client{Transport: drops}
+	runWorker(t, sched, w)
+	e := &Executor{Scheduler: f.ts.URL, Client: distrib.NewClient(f.ts.URL), Platform: testPlatform}
+	// A stranded task would hold the executor for DefaultExecTimeout.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	base := fsim.New()
+	base.WriteFile("/src/main.c", []byte("int main(){return 0;}\n"), 0o644)
+	if err := e.PrepareContext(ctx, base); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, out := range []string{"a.o", "b.o"} {
+		res, err := e.ExecuteContext(ctx, []string{"gcc", "-O2", "-c", "main.c", "-o", out}, "/src", nil)
+		if err != nil || res == nil {
+			t.Fatalf("ExecuteContext for %s = (%v, %v), want the worker's record", out, res, err)
+		}
+	}
+	if left := drops.n.Load(); left != -2 {
+		t.Errorf("the worker sent %d reports, want 6 dropped and 2 delivered", 6-left)
+	}
+	sched.mu.Lock()
+	defer sched.mu.Unlock()
+	for id, task := range sched.tasks {
+		if task.state != StateDone || task.attempts != 1 {
+			t.Errorf("task %s ended %s after %d attempts, want done after 1", id, task.state, task.attempts)
+		}
 	}
 }

@@ -85,9 +85,12 @@ echo "== shared state (-race -count=10) =="
 # two openers, each written from several goroutines, and the index entry
 # of one repository while several others pull its tag
 # (ConcurrentPullsFromOneRepository), and one tag set from several
-# goroutines at once (DiskTagsConcurrentSetsAgree).
-go test -race -count=10 -run 'CloneShar|ApplyAllShared|SchedulerWake|SchedulerExpiryTimer|BusyWorkerStaysAlive|UploadHeadOfLine|UploadCommitSeals|LayerMemo|PushImageShares|DiskCacheTwoOpeners|ConcurrentPulls|DiskTagsConcurrentSets' \
-    ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache
+# goroutines at once (DiskTagsConcurrentSetsAgree), and the rebuild
+# executor's workers, each waiting on the done channels of commands
+# other workers run (ExecuteGraph…, CommandDAG…, and CommandCycle…,
+# which must fail at once rather than hang).
+go test -race -count=10 -run 'CloneShar|ApplyAllShared|SchedulerWake|SchedulerExpiryTimer|BusyWorkerStaysAlive|UploadHeadOfLine|UploadCommitSeals|LayerMemo|PushImageShares|DiskCacheTwoOpeners|ConcurrentPulls|DiskTagsConcurrentSets|ExecuteGraph|CommandDAG|CommandCycle' \
+    ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache ./internal/core/backend
 
 echo "== fuzz smoke (13 x 10s) =="
 # Ten seconds of coverage-guided mutation on each parser that takes
