@@ -8,17 +8,16 @@
 //	guardedby     a field's inferred guard lock is held on every access (lockset)
 //	safejoin      sanitized joins for tar entry names and fsim paths
 //	errpropagate  no discarded errors from the storage packages
-//	gonaked       no fire-and-forget goroutines
 //	ctxflow       received contexts are plumbed, not discarded
 //	bodyclose     *http.Response bodies closed on every path (CFG)
 //	closeleak     acquired io.Closers closed or handed off on every path (CFG)
 //	timerstop     time.Timer/Ticker stopped on every path (CFG)
-//	wgbalance     WaitGroup.Add answered by a Done provider on every path (CFG)
 //
 // Invariants that are a banned spelling rather than a dataflow fact (no
 // time.Sleep, no raw digest.Digest conversion, no function-style
-// sync/atomic, no os.WriteFile past the faultinject seam) are budgeted
-// greps in scripts/bans.sh, not analyzers.
+// sync/atomic, no os.WriteFile past the faultinject seam, a known few go
+// statements and WaitGroups, each join shown by a test) are
+// budgeted greps in scripts/bans.sh, not analyzers.
 //
 // Usage:
 //

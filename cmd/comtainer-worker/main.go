@@ -9,14 +9,12 @@
 //
 // Usage:
 //
-//	comtainer-worker -scheduler http://127.0.0.1:5000 -system x86-64 -toolchain sysenv -slots 4
+//	comtainer-worker -scheduler http://127.0.0.1:5000 -system x86-64 -slots 4
 //
 // The scheduler URL also serves the one kind of farm blob, the session
-// snapshots; point it at a registry started with -exec. -toolchain
-// selects which registry the worker executes under: sysenv (the
-// system's vendor toolchain), generic (stock base-image toolchain) or
-// llvm (redistributable Sysenv). Workers only receive tasks whose toolchain fingerprint matches, so
-// running the wrong flavor is safe — just useless.
+// snapshots; point it at a registry started with -exec. The worker
+// executes under the system's vendor toolchains (its Sysenv), the one
+// registry `comtainer rebuild -remote-exec` submits under.
 package main
 
 import (
@@ -31,47 +29,28 @@ import (
 
 	"comtainer/internal/remoteexec"
 	"comtainer/internal/sysprofile"
-	"comtainer/internal/toolchain"
 )
 
 func main() {
 	scheduler := flag.String("scheduler", "http://127.0.0.1:5000", "farm scheduler base URL (a comtainer-registry with -exec)")
 	sysName := flag.String("system", "x86-64", "system profile to execute as: x86-64 or aarch64")
-	tcFlavor := flag.String("toolchain", "sysenv", "toolchain registry to execute under: sysenv, generic or llvm")
 	slots := flag.Int("slots", 4, "concurrent execution slots")
 	name := flag.String("name", "", "worker name in farm status (default: system name)")
 	execDelay := flag.Duration("exec-delay", 0, "artificial per-action delay (testing/benchmarking)")
 	flag.Parse()
 
-	if err := run(*scheduler, *sysName, *tcFlavor, *name, *slots, *execDelay); err != nil && !errors.Is(err, context.Canceled) {
+	if err := run(*scheduler, *sysName, *name, *slots, *execDelay); err != nil && !errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "comtainer-worker:", err)
 		os.Exit(1)
 	}
 }
 
-func registryFor(sys *sysprofile.System, flavor string) (*toolchain.Registry, error) {
-	switch flavor {
-	case "sysenv":
-		return sys.Toolchains, nil
-	case "generic":
-		return sys.GenericToolchains, nil
-	case "llvm":
-		return sys.LLVMRegistry(), nil
-	default:
-		return nil, fmt.Errorf("unknown toolchain flavor %q (have sysenv, generic, llvm)", flavor)
-	}
-}
-
-func run(scheduler, sysName, tcFlavor, name string, slots int, execDelay time.Duration) error {
+func run(scheduler, sysName, name string, slots int, execDelay time.Duration) error {
 	sys, err := sysprofile.ByName(sysName)
 	if err != nil {
 		return err
 	}
-	reg, err := registryFor(sys, tcFlavor)
-	if err != nil {
-		return err
-	}
-	w := remoteexec.NewWorker(scheduler, sys, reg)
+	w := remoteexec.NewWorker(scheduler, sys, sys.Toolchains)
 	w.Slots = slots
 	w.ExecDelay = execDelay
 	if name != "" {
@@ -80,7 +59,7 @@ func run(scheduler, sysName, tcFlavor, name string, slots int, execDelay time.Du
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("comtainer-worker %q serving %s/%s with %d slots at %s\n",
-		w.Name, sys.Name, tcFlavor, slots, scheduler)
+	fmt.Printf("comtainer-worker %q serving %s with %d slots at %s\n",
+		w.Name, sys.Name, slots, scheduler)
 	return w.Run(ctx)
 }

@@ -1,12 +1,11 @@
 // Package lifecycle is the shared engine behind the path-sensitive
-// obligation passes (bodyclose, closeleak, timerstop, wgbalance). Each
-// pass is a Spec describing its family — what types are tracked, what
-// call releases one, which callees take ownership — and Run does the
-// rest: it finds the sites that open an obligation (call results bound
-// to locals, or the statements Spec.Opens names) in every function
-// scope, builds the scope's CFG, and asks cfg.Tracked whether any path
-// reaches the function exit with the resource neither released nor
-// escaped.
+// obligation passes (bodyclose, closeleak, timerstop). Each pass is a
+// Spec describing its family — what types are tracked, what call
+// releases one, which callees take ownership — and Run does the rest:
+// it finds the sites that open an obligation (call results bound to
+// locals) in every function scope, builds the scope's CFG, and asks
+// cfg.Tracked whether any path reaches the function exit with the
+// resource neither released nor escaped.
 //
 // Run is interprocedural through one fact type: it computes, per
 // declared function, the parameter indices of resource type that the
@@ -33,10 +32,6 @@ type Spec struct {
 	// IsResource reports whether a call result or parameter of type t
 	// is tracked.
 	IsResource func(t types.Type) bool
-	// Opens, when non-nil, replaces acquisition by call result: a
-	// statement's call opens an obligation on the object Opens returns
-	// for it (`s.wg.Add(1)` on the field wg), nil for any other call.
-	Opens func(info *types.Info, call *ast.CallExpr) types.Object
 	// IsRelease reports whether call releases the resource held in
 	// obj directly (obj.Close(), obj.Body.Close(), obj.Stop()).
 	IsRelease func(info *types.Info, call *ast.CallExpr, obj types.Object) bool
@@ -103,24 +98,6 @@ func checkNode(pass *analysis.Pass, spec *Spec, facts *Fact, g *cfg.CFG, blk *cf
 	if call == nil {
 		return
 	}
-	leaks := func(obj, err types.Object) bool {
-		tracked := &cfg.Tracked{
-			Info:      pass.TypesInfo,
-			Obj:       obj,
-			Err:       err,
-			ErrBlock:  blk,
-			Releases:  releasePredicate(pass, spec, facts, obj),
-			Consumes:  consumePredicate(pass, spec, facts, obj),
-			AliasType: spec.Aliases,
-		}
-		return tracked.Leaks(g, blk, idx)
-	}
-	if spec.Opens != nil {
-		if obj := spec.Opens(pass.TypesInfo, call); obj != nil && leaks(obj, nil) {
-			pass.Reportf(call.Pos(), "%s", spec.LeakMessage(obj))
-		}
-		return
-	}
 	results := resultTypes(pass.TypesInfo, call)
 	for k, rt := range results {
 		if rt == nil || !spec.IsResource(rt) {
@@ -149,7 +126,16 @@ func checkNode(pass *analysis.Pass, spec *Spec, facts *Fact, g *cfg.CFG, blk *cf
 		if obj == nil {
 			continue
 		}
-		if leaks(obj, errSibling(pass.TypesInfo, lhs, results)) {
+		tracked := &cfg.Tracked{
+			Info:      pass.TypesInfo,
+			Obj:       obj,
+			Err:       errSibling(pass.TypesInfo, lhs, results),
+			ErrBlock:  blk,
+			Releases:  releasePredicate(pass, spec, facts, obj),
+			Consumes:  consumePredicate(pass, spec, facts, obj),
+			AliasType: spec.Aliases,
+		}
+		if tracked.Leaks(g, blk, idx) {
 			pass.Reportf(id.Pos(), "%s", spec.LeakMessage(obj))
 		}
 	}

@@ -8,13 +8,11 @@ import (
 	"comtainer/internal/analysis/passes/ctxflow"
 	"comtainer/internal/analysis/passes/digestcmp"
 	"comtainer/internal/analysis/passes/errpropagate"
-	"comtainer/internal/analysis/passes/gonaked"
 	"comtainer/internal/analysis/passes/guardedby"
 	"comtainer/internal/analysis/passes/lockio"
 	"comtainer/internal/analysis/passes/lockorder"
 	"comtainer/internal/analysis/passes/safejoin"
 	"comtainer/internal/analysis/passes/timerstop"
-	"comtainer/internal/analysis/passes/wgbalance"
 )
 
 // All returns every analyzer in the comtainer-vet suite, in the order
@@ -30,11 +28,9 @@ func All() analysis.Suite {
 		guardedby.Analyzer,
 		safejoin.Analyzer,
 		errpropagate.Analyzer,
-		gonaked.Analyzer,
 		ctxflow.Analyzer,
 		bodyclose.Analyzer,
 		closeleak.Analyzer,
 		timerstop.Analyzer,
-		wgbalance.Analyzer,
 	}
 }

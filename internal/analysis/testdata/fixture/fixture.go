@@ -1,13 +1,13 @@
 // Package fixture is a tiny module the comtainer-vet end-to-end test
-// runs the multichecker against. It deliberately violates seven of the
-// enforced invariants (digestcmp, gonaked, bodyclose, closeleak,
-// timerstop, wgbalance here; guardedby in racecase.go) once each and
-// contains one clean, suppressed site. It also spells each thing
-// scripts/bans.sh bans (TestBansFire): a sha256 literal, an
-// os.WriteFile, a time.Sleep, a digest.Digest conversion, an
-// io.ReadAll of a bare reader, a bufio.NewScanner, an http.Server
-// literal, a PATCH, a LoadLayout and a sha256.New here, a
-// function-style atomic in racecase.go. It must not import
+// runs the multichecker against. It deliberately violates five of the
+// enforced invariants (digestcmp, bodyclose, closeleak, timerstop here;
+// guardedby in racecase.go) once each and contains one clean,
+// suppressed site. It also spells each thing scripts/bans.sh bans
+// (TestBansFire): a sha256 literal, an os.WriteFile, a time.Sleep, a
+// digest.Digest conversion, an io.ReadAll of a bare reader, a
+// bufio.NewScanner, an http.Server literal, a PATCH, a LoadLayout, a
+// sha256.New, a go statement and a WaitGroup here, a
+// function-style atomic and another go statement in racecase.go. It must not import
 // comtainer/internal packages: those are invisible across the module
 // boundary.
 package fixture
@@ -92,7 +92,8 @@ func Checksum(data []byte) []byte {
 	return h.Sum(nil)
 }
 
-// Spawn violates gonaked: the goroutine is never joined.
+// Spawn seeds the go-statement ban: the goroutine is never joined,
+// which only a test of its caller would notice.
 func Spawn(fn func()) {
 	go func() { fn() }()
 }
@@ -123,7 +124,8 @@ func WaitOne(d time.Duration) {
 	<-t.C
 }
 
-// Begin violates wgbalance: the Add is stranded on the error path.
+// Begin seeds the waitgroup ban: the Add is stranded on the error
+// path, which only a test that takes that path would notice.
 func Begin(ready bool) error {
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -2,9 +2,9 @@
 // a mutex on most accesses but read bare (guardedby). Beside it, the
 // shape the atomic-function ban exists for: a field updated through a
 // sync/atomic function and read plainly, which an atomic.Int64 field
-// cannot express. The spawned goroutine is joined through a channel
-// receive so the seed trips exactly the intended analyzer and not
-// gonaked.
+// cannot express. The goroutine that makes Counter shared is joined
+// through a channel receive; its go statement is a second seed of the
+// go-statement ban.
 package fixture
 
 import (
@@ -37,8 +37,7 @@ func (c *Counter) Peek() int {
 	return c.n
 }
 
-// Watch makes Counter goroutine-shared (joined, so gonaked stays
-// quiet).
+// Watch makes Counter goroutine-shared.
 func Watch(c *Counter) {
 	done := make(chan struct{})
 	go func() {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"comtainer/internal/digest"
+	"comtainer/internal/faultinject"
 	"comtainer/internal/registry"
 	"comtainer/internal/remoteexec"
 )
@@ -35,7 +36,7 @@ type daemonUnderTest struct {
 func (d *daemonUnderTest) url(path string) string { return "http://" + d.addr + path }
 
 // start serves h under testLimits until the test ends or d.stop is
-// called.
+// called, and takes the census once serve has returned.
 func start(t *testing.T, h http.Handler) *daemonUnderTest {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -48,8 +49,19 @@ func start(t *testing.T, h http.Handler) *daemonUnderTest {
 	t.Cleanup(func() {
 		stop()
 		<-d.served
+		requireNoDaemonGoroutines(t)
 	})
 	return d
+}
+
+// requireNoDaemonGoroutines is the census a test takes once serve has
+// returned: within a bounded wait, no goroutine may be left running,
+// or started by, this package's code.
+func requireNoDaemonGoroutines(t *testing.T) {
+	t.Helper()
+	if left := faultinject.Survivors("comtainer/internal/daemon.", time.Second); len(left) > 0 {
+		t.Errorf("%d goroutines outlived serve:\n\n%s", len(left), strings.Join(left, "\n\n"))
+	}
 }
 
 // steadyBody writes n chunks of size bytes, gap apart, into a pipe; a
@@ -237,5 +249,27 @@ func TestParkAfterBodyIsNotCut(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("parked handler answered %d, want 204 after %v", resp.StatusCode, park)
+	}
+}
+
+// A listener that fails ends serve with its error at once: the caller's
+// context need not end first, so a daemon whose socket dies exits
+// instead of idling until it is signalled.
+func TestFailedListenerEndsServe(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	served := make(chan error, 1)
+	go func() { served <- serve(context.Background(), ln, http.NotFoundHandler(), testLimits) }()
+	select {
+	case err := <-served:
+		if err == nil {
+			t.Fatal("serve over a closed listener returned nil, want its accept error")
+		}
+		requireNoDaemonGoroutines(t)
+	case <-time.After(slack):
+		t.Fatalf("serve over a closed listener still running after %v", slack)
 	}
 }

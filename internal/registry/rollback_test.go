@@ -9,12 +9,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
+	"comtainer/internal/faultinject"
 	"comtainer/internal/oci"
 	"comtainer/internal/registry"
 )
@@ -61,7 +64,8 @@ func (h *orderedHook) next() error {
 // TestRollbackKeepsConcurrentAck: two commits of one new blob, or of
 // one manifest, run at once; the first is replicated and acknowledged,
 // the second's replication fails. The second's rollback must not take
-// away what the first was acknowledged for.
+// away what the first was acknowledged for, and once the server has
+// closed no goroutine of the commit (its hook) is left.
 func TestRollbackKeepsConcurrentAck(t *testing.T) {
 	config := digest.FromString("{}")
 	manifest := []byte(fmt.Sprintf(`{"schemaVersion":2,"mediaType":%q,"config":{"mediaType":%q,"digest":%q,"size":2},"layers":[]}`,
@@ -81,7 +85,12 @@ func TestRollbackKeepsConcurrentAck(t *testing.T) {
 			hook := &orderedHook{firstAcked: make(chan struct{})}
 			srv.SetCommitHook(hook)
 			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
+			t.Cleanup(func() {
+				ts.Close()
+				if left := faultinject.Survivors("comtainer/internal/registry.", time.Second); len(left) > 0 {
+					t.Errorf("%d goroutines outlived the server:\n\n%s", len(left), strings.Join(left, "\n\n"))
+				}
+			})
 
 			var acked sync.Once
 			codes := make([]int, 2)

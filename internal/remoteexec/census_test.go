@@ -1,10 +1,11 @@
 package remoteexec
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"comtainer/internal/faultinject"
 )
 
 // requireNoFarmGoroutines is the census a test takes once it has
@@ -15,35 +16,10 @@ import (
 // its stack.
 func requireNoFarmGoroutines(t testing.TB) {
 	t.Helper()
-	deadline := time.Now().Add(time.Second)
-	for {
-		var left []string
-		for _, g := range strings.Split(goroutineStacks(), "\n\n") {
-			if strings.Contains(g, "comtainer/internal/remoteexec.") && !strings.Contains(g, "\ntesting.tRunner(") {
-				left = append(left, g)
-			}
-		}
-		if len(left) == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Errorf("%d goroutines outlived the farm:\n\n%s", len(left), strings.Join(left, "\n\n"))
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	if left := faultinject.Survivors("comtainer/internal/remoteexec.", time.Second); len(left) > 0 {
+		t.Errorf("%d goroutines outlived the farm:\n\n%s", len(left), strings.Join(left, "\n\n"))
 	}
 }
 
 // RequireNoFarmGoroutines is the census for the external test package.
 var RequireNoFarmGoroutines = requireNoFarmGoroutines
-
-// goroutineStacks returns the stacks of every goroutine.
-func goroutineStacks() string {
-	buf := make([]byte, 1<<16)
-	for {
-		if n := runtime.Stack(buf, true); n < len(buf) {
-			return string(buf[:n])
-		}
-		buf = make([]byte, 2*len(buf))
-	}
-}

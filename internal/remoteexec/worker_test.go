@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -259,6 +260,54 @@ func TestStoppedWorkerJoinsItsTasks(t *testing.T) {
 	f.submit() // no base tree: the task fails, and its failure is reported
 	await(t, "the worker's report", held)
 	stop()
+}
+
+// cannedFarm answers a worker from memory, with no connection: its
+// registration, then a lease granting task t1; the next lease request
+// stops the worker. Any other request fails.
+type cannedFarm struct {
+	leases int
+	stop   context.CancelFunc
+}
+
+func (f *cannedFarm) RoundTrip(req *http.Request) (*http.Response, error) {
+	var reply any
+	switch {
+	case strings.HasSuffix(req.URL.Path, "/workers"):
+		reply = RegisterResponse{WorkerID: "w1"}
+	case strings.HasSuffix(req.URL.Path, "/lease") && f.leases == 0:
+		f.leases++
+		reply = LeaseResponse{Task: &LeasedTask{ID: "t1"}}
+	case strings.HasSuffix(req.URL.Path, "/lease"):
+		f.stop()
+		return nil, context.Canceled
+	default:
+		return nil, errors.New("canned farm: no such route")
+	}
+	b, err := json.Marshal(reply)
+	if err != nil {
+		return nil, err
+	}
+	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(b)), ContentLength: int64(len(b)), Request: req}, nil
+}
+
+// TestWorkerStoppedAtAGrantJoinsItsTask: a worker stopped right after a
+// lease granted it a task, before the task's goroutine has run at all,
+// still joins that goroutine: Run counts the task before starting it.
+// On one P, with a farm that answers from memory, nothing lets the
+// task's goroutine run before Run returns unless Run waits for it.
+func TestWorkerStoppedAtAGrantJoinsItsTask(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &Worker{Scheduler: "http://farm.invalid", Client: distrib.NewClient("http://farm.invalid"), Platform: testPlatform}
+	w.Client.HTTP = &http.Client{Transport: &cannedFarm{stop: cancel}}
+	if err := w.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want it cancelled", err)
+	}
+	if left := faultinject.Survivors("comtainer/internal/remoteexec.(*Worker).Run", 0); len(left) > 0 {
+		t.Fatalf("Run returned before %d of its task goroutines ended:\n\n%s", len(left), strings.Join(left, "\n\n"))
+	}
 }
 
 // TestTreeIsOneBlob: a session tree crosses the wire as one layer blob,

@@ -18,17 +18,30 @@ type Command struct {
 	Argv []string
 }
 
-// String re-renders the command, quoting words containing whitespace.
+// String re-renders the command as a line Parse reads back to the same
+// argv: a word that is empty or holds any byte but [A-Za-z0-9_@%+=:,./-]
+// is single-quoted.
 func (c Command) String() string {
 	parts := make([]string, len(c.Argv))
 	for i, w := range c.Argv {
-		if strings.ContainsAny(w, " \t'\"") {
-			parts[i] = "'" + strings.ReplaceAll(w, "'", `'\''`) + "'"
-		} else {
+		if bare(w) {
 			parts[i] = w
+		} else {
+			parts[i] = "'" + strings.ReplaceAll(w, "'", `'\''`) + "'"
 		}
 	}
 	return strings.Join(parts, " ")
+}
+
+// bare reports whether w may stand unquoted: it is not empty and every
+// byte is one Parse reads as itself anywhere in a word.
+func bare(w string) bool {
+	for i := 0; i < len(w); i++ {
+		if c := w[i]; !isVarChar(c) && strings.IndexByte("@%+=:,./-", c) < 0 {
+			return false
+		}
+	}
+	return w != ""
 }
 
 // Env supplies variable values for expansion.

@@ -25,7 +25,7 @@ ban() {
     n=$(printf '%s\n' "$hits" | grep -c .) || true
     if [ "$n" -gt "$budget" ]; then
         printf '%s\n' "$hits" >&2
-        echo "ban $name: $n sites match $regex, at most $budget allowed" >&2
+        printf 'ban %s: %s sites match %s, at most %s allowed\n' "$name" "$n" "$regex" "$budget" >&2
         fail=1
     fi
     echo "$name $n/$budget"
@@ -88,4 +88,16 @@ ban hash-site 20 'digest\.FromBytes\(|sha256\.New\(' bench
 # registry front-end, which serves upload sessions to outside clients,
 # spells PATCH.
 ban client-patch 0 'MethodPatch|"PATCH"' registry
+# A goroutine is joined before the function that starts it returns.
+# That is a test's to show, not an analyzer's: a test that stops what it
+# started fails or hangs on a lost join, and a census of survivors
+# (faultinject.Survivors) names one left running. So a go statement is a
+# site for review, one at a time: cachekit.Parallel's bounded fan-out,
+# the farm worker's tasks, the registry's two commit hooks, daemon
+# serve's accept loop, the fleet proxy's heartbeat loop, and
+# bench/servers.go's two servers.
+ban go-statement 8 '^[^/]*\bgo (func|[A-Za-z_][A-Za-z0-9_.]*)\('
+# A WaitGroup is such a join: cachekit.Parallel's, the farm worker's
+# tasks', the proxy's heartbeat loop's and bench's servers'.
+ban waitgroup 4 'sync\.WaitGroup'
 exit $fail

@@ -17,9 +17,9 @@ echo "== go vet =="
 go vet ./...
 
 echo "== comtainer-vet =="
-# The repository's own 12-analyzer suite (digestcmp, lockorder, lockio,
-# guardedby, safejoin, errpropagate, gonaked, ctxflow, and the CFG-based
-# lifecycle passes bodyclose, closeleak, timerstop, wgbalance).
+# The repository's own 10-analyzer suite (digestcmp, lockorder, lockio,
+# guardedby, safejoin, errpropagate, ctxflow, and the CFG-based
+# lifecycle passes bodyclose, closeleak, timerstop).
 # Diagnostics are printed as path:line:col: [analyzer] message — the
 # [analyzer] tag names the invariant that failed; see DESIGN.md
 # "Static analysis", "CFG & dataflow", and "Lockset & shared-state
@@ -33,7 +33,7 @@ fi
 
 echo "== ratchets =="
 # Invariants that are a spelling with a budget, not a dataflow fact:
-# scripts/bans.sh holds the one function, the fourteen lines and, beside
+# scripts/bans.sh holds the one function, the sixteen lines and, beside
 # each, its budget and who owns it — //comtainer:allow suppressions,
 # an http.Server or ListenAndServe outside daemon.Serve,
 # http.NewRequest outside distrib.Client.Do, CreateTemp outside
@@ -42,11 +42,12 @@ echo "== ratchets =="
 # (in-memory input is scanned in place), PATCH outside the registry
 # front-end (a client sends a blob in one request), a layout directory
 # opened or saved outside cmd/comtainer's resolver, a sha256 taken
-# anywhere but a trust boundary or a key writer, and the five that
+# anywhere but a trust boundary or a key writer, and the seven that
 # replaced an analyzer with nothing to look at: time.Sleep,
 # digest.Digest( conversions, "sha256: literals, function-style
-# sync/atomic, and os.WriteFile/Create/OpenFile outside the
-# faultinject.FS seam. Every budget only goes down.
+# sync/atomic, os.WriteFile/Create/OpenFile outside the
+# faultinject.FS seam, and the go statements and sync.WaitGroups whose
+# joins the tests show. Every budget only goes down.
 sh scripts/bans.sh cmd examples internal bench
 
 echo "== go build =="
@@ -92,7 +93,7 @@ echo "== shared state (-race -count=10) =="
 go test -race -count=10 -run 'CloneShar|ApplyAllShared|SchedulerWake|SchedulerExpiryTimer|BusyWorkerStaysAlive|UploadHeadOfLine|UploadCommitSeals|LayerMemo|PushImageShares|DiskCacheTwoOpeners|ConcurrentPulls|DiskTagsConcurrentSets|ExecuteGraph|CommandDAG|CommandCycle' \
     ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache ./internal/core/backend
 
-echo "== fuzz smoke (13 x 10s) =="
+echo "== fuzz smoke (14 x 10s) =="
 # Ten seconds of coverage-guided mutation on each parser that takes
 # bytes from outside the process. tarfs.Unmarshal takes a layer straight
 # from a registry, and a farm session's tree the same way (remoteexec
@@ -130,7 +131,9 @@ echo "== fuzz smoke (13 x 10s) =="
 # it lists loads and flattens to a tree or to an error.
 # A Containerfile is a user's file (comtainer build -containerfile): no
 # panic, and what parses renders to text that parses to the same stages
-# and instructions. The build cache and the layers stages share are
+# and instructions. A RUN line in it goes to the shell parser: no
+# panic, and each command it gives renders to a line that parses back
+# to that one argv. The build cache and the layers stages share are
 # held to a build without them: a cold, a warm and a warm build into a
 # fresh repository commit every stage as a build with no cache does.
 # The committed seeds under each package's
@@ -149,6 +152,7 @@ go test -run '^$' -fuzz '^FuzzFrontend$' -fuzztime 10s -fuzzminimizetime 0 ./int
 go test -run '^$' -fuzz '^FuzzTagLogReplay$' -fuzztime 10s -fuzzminimizetime 0 ./internal/distrib
 go test -run '^$' -fuzz '^FuzzParseRender$' -fuzztime 10s -fuzzminimizetime 0 ./internal/cclang
 go test -run '^$' -fuzz '^FuzzParseRender$' -fuzztime 10s -fuzzminimizetime 0 ./internal/containerfile
+go test -run '^$' -fuzz '^FuzzParseRender$' -fuzztime 10s -fuzzminimizetime 0 ./internal/shell
 go test -run '^$' -fuzz '^FuzzBuildReproduces$' -fuzztime 10s -fuzzminimizetime 0 ./internal/containerfile
 go test -run '^$' -fuzz '^FuzzLoadLayout$' -fuzztime 10s -fuzzminimizetime 0 ./internal/oci
 
