@@ -11,8 +11,9 @@
 //
 //	comtainer-worker -scheduler http://127.0.0.1:5000 -system x86-64 -slots 4
 //
-// The scheduler URL also serves the one kind of farm blob, the session
-// snapshots; point it at a registry started with -exec. The worker
+// The scheduler URL also serves the one kind of farm blob, the layers
+// a session's file system is shipped as; point it at a registry started
+// with -exec. The worker
 // executes under the system's vendor toolchains (its Sysenv), the one
 // registry `comtainer rebuild -remote-exec` submits under.
 package main

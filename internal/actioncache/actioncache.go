@@ -246,9 +246,10 @@ func decodeDoc(magic string, b []byte, v any) error {
 // nothing, so instrumented code needs no cache-enabled check at every
 // call site. Safe for concurrent use.
 type Recorder struct {
-	mu      sync.Mutex
-	inputs  map[Input]string  // observed state per input edge
-	outputs map[string]Output // by path; last write wins
+	mu        sync.Mutex
+	inputs    map[Input]string  // observed state per input edge
+	outputs   map[string]Output // by path; last write wins
+	stateless bool              // the states are kept nowhere: see WantsStates
 }
 
 // NewRecorder returns an empty Recorder.
@@ -258,6 +259,12 @@ func NewRecorder() *Recorder {
 		outputs: make(map[string]Output),
 	}
 }
+
+// WantsStates reports whether the states of r's inputs are kept: not
+// for a nil Recorder, nor for one a Memoizer without a cache tier made,
+// which stores no entry and so never reads a state. A caller may then
+// note an input with an empty state instead of taking its digest.
+func (r *Recorder) WantsStates() bool { return r != nil && !r.stateless }
 
 // NoteInput records that the action observed path via op and saw
 // state. Reads of a path the action itself already wrote are not

@@ -480,3 +480,34 @@ func TestNilCacheDoEncodesNothing(t *testing.T) {
 		t.Fatalf("nil-cache Do allocated %d bytes beyond the recorder's copy of a %d-byte output", extra, len(out))
 	}
 }
+
+// TestTierlessRecorderWantsNoStates: the Recorder a memoizer hands an
+// action wants input states only when a tier will store them; a nil
+// Recorder wants none.
+func TestTierlessRecorderWantsNoStates(t *testing.T) {
+	disk, err := NewDiskCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		memo *Memoizer
+		want bool
+	}{
+		{"no tier", NewMemoizer(nil), false},
+		{"a tier", NewMemoizer(disk), true},
+	}
+	for _, c := range cases {
+		var got bool
+		_, _, err := c.memo.Do(key("wants-"+c.name), nil, func(rec *Recorder) error {
+			got = rec.WantsStates()
+			return nil
+		})
+		if err != nil || got != c.want {
+			t.Errorf("%s: WantsStates = %v (%v), want %v", c.name, got, err, c.want)
+		}
+	}
+	if (*Recorder)(nil).WantsStates() {
+		t.Error("a nil Recorder wants states")
+	}
+}

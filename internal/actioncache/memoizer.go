@@ -86,6 +86,7 @@ func (m *Memoizer) run(id digest.Digest, st InputState, exec func(*Recorder) err
 	m.misses.Add(1)
 
 	rec := NewRecorder()
+	rec.stateless = m.cache == nil
 	if err := exec(rec); err != nil {
 		return nil, false, err
 	}

@@ -147,7 +147,10 @@ func Rebuild(repo *oci.Repository, distTag string, opts RebuildOptions) (oci.Des
 		rebuildFS.WriteFile(p, data, 0o644)
 	}
 
-	if err := executeGraph(ctx.Models.Graph, rebuildFS, opts.Registry, execOptions{workers: opts.Workers, memo: opts.Memo, remote: opts.RemoteExec}); err != nil {
+	// A farm session is the Sysenv image's layers plus one layer of the
+	// sources and extras.
+	exec := execOptions{workers: opts.Workers, memo: opts.Memo, remote: opts.RemoteExec, lower: sysenvImg}
+	if err := executeGraph(ctx.Models.Graph, rebuildFS, opts.Registry, exec); err != nil {
 		return oci.Descriptor{}, report, err
 	}
 

@@ -12,7 +12,9 @@ import (
 	"comtainer/internal/actioncache"
 	"comtainer/internal/cachekit"
 	"comtainer/internal/core/model"
+	"comtainer/internal/digest"
 	"comtainer/internal/fsim"
+	"comtainer/internal/oci"
 	"comtainer/internal/remoteexec"
 	"comtainer/internal/toolchain"
 )
@@ -102,11 +104,37 @@ type execOptions struct {
 	// remote, when set, offers cache-missed commands to the build
 	// farm; every farm failure falls back to local execution.
 	remote *remoteexec.Executor
+	// lower, when set, is the image fs was flattened from before the
+	// rebuild added to it: a farm session ships its layers as stored.
+	lower *oci.Image
+}
+
+// prepareSession publishes fs as ex's session: the longest prefix of
+// lower's layers stored as a worker decodes them — uncompressed tars
+// whose diffID is their digest — pushed as lower's store holds them,
+// and one layer of what fs holds beyond them. With no lower image, fs
+// goes up as one layer.
+func prepareSession(ctx context.Context, ex *remoteexec.Executor, lower *oci.Image, fs *fsim.FS) error {
+	if lower == nil {
+		return ex.PrepareContext(ctx, fs)
+	}
+	var layers []digest.Digest
+	for i, d := range lower.Manifest.Layers {
+		if d.MediaType != oci.MediaTypeLayer || d.Digest != lower.Config.RootFS.DiffIDs[i] {
+			break
+		}
+		layers = append(layers, d.Digest)
+	}
+	tree, err := lower.FlattenPrefix(len(layers))
+	if err != nil {
+		return err
+	}
+	return ex.PrepareLayers(ctx, lower.Store, layers, fsim.Diff(tree, fs))
 }
 
 // closures computes each command's transitive dependency set, in
 // ascending seq — the seqs whose outputs a farm worker must overlay on
-// the base tree before executing it — in one pass over commandDAG's
+// the session's base before executing it — in one pass over commandDAG's
 // order, which places every dependency before its dependents.
 func closures(cmds []*command) map[int][]int {
 	sets := make(map[int]map[int]bool, len(cmds))
@@ -154,11 +182,12 @@ func executeGraph(g *model.BuildGraph, fs *fsim.FS, reg *toolchain.Registry, opt
 	}
 
 	// Remote mode needs a memoizer (it records each command's outputs
-	// for the dependency overlays) and the session's base tree pushed
-	// up front. A farm whose tasks demand another toolchain than reg
-	// would hand back that toolchain's binaries, so it is offered
-	// nothing; a failed push disables the farm for this rebuild —
-	// never the rebuild itself.
+	// for the dependency overlays) and the session's file system pushed
+	// up front: the lower layers as stored, and one session layer of
+	// what fs holds beyond them. A farm whose tasks demand another
+	// toolchain than reg would hand back that toolchain's binaries, so
+	// it is offered nothing; a failed push disables the farm for this
+	// rebuild — never the rebuild itself.
 	if opts.remote != nil && opts.remote.Platform.Toolchains != reg.Fingerprint() {
 		opts.remote = nil
 	}
@@ -169,7 +198,7 @@ func executeGraph(g *model.BuildGraph, fs *fsim.FS, reg *toolchain.Registry, opt
 		if opts.memo == nil {
 			opts.memo = actioncache.NewMemoizer(nil)
 		}
-		if err := opts.remote.PrepareContext(ctx, fs); err != nil {
+		if err := prepareSession(ctx, opts.remote, opts.lower, fs); err != nil {
 			opts.remote = nil
 		} else {
 			depClosure = closures(cmds)

@@ -74,6 +74,11 @@ const (
 	RoleRebuild = "comtainer.rebuild"
 )
 
+// LayerVersion is the cache layer format this package writes and the
+// one Read accepts: a site refuses a layer of any other version rather
+// than misread it.
+const LayerVersion = 1
+
 // Meta describes a cache layer.
 type Meta struct {
 	Version    int    `json:"version"`
@@ -182,7 +187,7 @@ func BuildLayerWith(m *model.Models, buildFS *fsim.FS, opts Options) (*fsim.FS, 
 		}
 		layer.Add(&fsim.File{Path: SrcPrefix + src, Mode: 0o644, Data: data})
 	}
-	meta := Meta{Version: 1, CreatedBy: "coMtainer-build", Sources: len(m.SourcePaths), Obfuscated: opts.Obfuscate, Format: formatName(opts.Format)}
+	meta := Meta{Version: LayerVersion, CreatedBy: "coMtainer-build", Sources: len(m.SourcePaths), Obfuscated: opts.Obfuscate, Format: formatName(opts.Format)}
 	mb, err := json.Marshal(meta)
 	if err != nil {
 		return nil, fmt.Errorf("cache: encoding meta: %w", err)
@@ -246,6 +251,23 @@ func ContentSize(repo *oci.Repository, extDesc oci.Descriptor) (int64, error) {
 	return 0, fmt.Errorf("cache: image has no cache layer")
 }
 
+// checkVersion refuses a cache layer whose meta document is missing or
+// names a format version other than LayerVersion, naming both.
+func checkVersion(flat *fsim.FS) error {
+	raw, err := flat.ReadFile(MetaPath)
+	if err != nil {
+		return fmt.Errorf("cache: the cache layer has no %s, so no format version; this site reads version %d", MetaPath, LayerVersion)
+	}
+	var meta Meta
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		return fmt.Errorf("cache: decoding %s: %w", MetaPath, err)
+	}
+	if meta.Version != LayerVersion {
+		return fmt.Errorf("cache: the cache layer is format version %d; this site reads version %d", meta.Version, LayerVersion)
+	}
+	return nil
+}
+
 // Read loads the models and the source tree from an extended image. The
 // returned FS holds the sources at their *original* build-container paths,
 // ready to be materialized into a rebuild container.
@@ -256,6 +278,9 @@ func Read(extImg *oci.Image) (*model.Models, *fsim.FS, error) {
 	}
 	if !flat.Exists(ModelsPath) {
 		return nil, nil, fmt.Errorf("cache: image carries no coMtainer cache layer (run coMtainer-build first)")
+	}
+	if err := checkVersion(flat); err != nil {
+		return nil, nil, err
 	}
 	packed, err := flat.ReadFile(ModelsPath)
 	if err != nil {

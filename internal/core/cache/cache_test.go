@@ -228,3 +228,45 @@ func TestReadDetectsTamperedCache(t *testing.T) {
 		t.Error("tampered cache (missing declared source) accepted")
 	}
 }
+
+// TestReadRefusesUnknownVersion: a cache layer is read only in the
+// format version this site knows. One with no meta document, or one
+// whose meta names another version, is refused with both versions
+// named, before its models are decoded.
+func TestReadRefusesUnknownVersion(t *testing.T) {
+	cases := []struct {
+		name, path string // the appended layer writes data at path
+		data       []byte
+		want       []string
+	}{
+		{"no meta", Dir + "/" + fsim.WhiteoutPrefix + "meta.json", nil,
+			[]string{"no format version", fmt.Sprintf("reads version %d", LayerVersion)}},
+		{"version 2", MetaPath, []byte(`{"version":2,"createdBy":"a newer coMtainer-build"}`),
+			[]string{"format version 2", fmt.Sprintf("reads version %d", LayerVersion)}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			repo, distTag := distRepo(t)
+			ext, err := ExtendWith(repo, distTag, sampleModels(), sampleBuildFS(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			layer := fsim.New()
+			layer.WriteFile(c.path, c.data, 0o644)
+			desc, err := oci.AppendLayer(repo.Store, ext, layer, RoleCache, c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := oci.LoadImage(repo.Store, desc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = Read(img)
+			for _, want := range c.want {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("Read = %v, want an error saying %q", err, want)
+				}
+			}
+		})
+	}
+}

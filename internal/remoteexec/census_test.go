@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"comtainer/internal/faultinject"
+	"comtainer/internal/fsim"
 )
 
 // requireNoFarmGoroutines is the census a test takes once it has
@@ -23,3 +24,16 @@ func requireNoFarmGoroutines(t testing.TB) {
 
 // RequireNoFarmGoroutines is the census for the external test package.
 var RequireNoFarmGoroutines = requireNoFarmGoroutines
+
+// KeptTrees is, for the external test package, the trees w keeps, by
+// the number of layers in their chain.
+func KeptTrees(w *Worker) map[int][]*fsim.FS {
+	w.treeMu.Lock()
+	defer w.treeMu.Unlock()
+	out := map[int][]*fsim.FS{}
+	for key, tree := range w.trees {
+		n := strings.Count(key, " ")
+		out[n] = append(out[n], tree)
+	}
+	return out
+}

@@ -16,7 +16,7 @@ import (
 	"comtainer/internal/toolchain"
 )
 
-// DefaultExecTimeout bounds the base-tree push and each action's full
+// DefaultExecTimeout bounds the session's push and each action's full
 // farm round trip (submit, then completion polls until the status
 // carries the record). On expiry the action falls back to local
 // execution; the rebuild never blocks on a wedged farm.
@@ -42,8 +42,8 @@ func (s ExecStats) String() string {
 }
 
 // Executor is the client side of the farm, wired into the rebuild
-// scheduler through toolchain.Runner's Remote hook. PrepareContext
-// ships the rebuild file system once as one layer blob;
+// scheduler through toolchain.Runner's Remote hook. PrepareLayers
+// ships the rebuild file system once as layer blobs;
 // ExecuteContext submits one ready action (with its transitive
 // dependencies' outputs) and returns the worker's record of it, or
 // (nil, nil) to signal "run it locally". Safe for concurrent use.
@@ -55,8 +55,8 @@ type Executor struct {
 	// Platform every shipped task demands.
 	Platform Platform
 
-	mu       sync.Mutex
-	baseTree digest.Digest // "" until a PrepareContext succeeds
+	mu   sync.Mutex
+	base []digest.Digest // nil until a PrepareLayers succeeds
 
 	remote, local, errs atomic.Int64
 }
@@ -76,37 +76,52 @@ func (e *Executor) Stats() ExecStats {
 	return ExecStats{Remote: e.remote.Load(), Local: e.local.Load(), Errors: e.errs.Load()}
 }
 
-// PrepareContext publishes fsys as the session's base tree, within
-// DefaultExecTimeout. Until it succeeds every ExecuteContext declines
-// — an earlier session's tree is forgotten before the push — so a
-// failed one degrades the whole rebuild to local execution.
+// PrepareContext publishes fsys as the session's file system, one
+// layer: PrepareLayers with no lower layers.
 func (e *Executor) PrepareContext(ctx context.Context, fsys *fsim.FS) error {
+	return e.PrepareLayers(ctx, nil, nil, fsys)
+}
+
+// PrepareLayers publishes the session's file system as the layers
+// lower, uncompressed tarfs layers src holds, with top applied over
+// them, within DefaultExecTimeout. Each lower layer is pushed as src
+// stores it, neither re-encoded nor hashed here: a blob the farm holds
+// already costs one HEAD. top goes up as one layer of its own. Until
+// it succeeds every ExecuteContext declines — an earlier session's
+// base is forgotten before the push — so a failed one degrades the
+// whole rebuild to local execution.
+func (e *Executor) PrepareLayers(ctx context.Context, src distrib.BlobSource, lower []digest.Digest, top *fsim.FS) error {
 	ctx, cancel := context.WithTimeout(ctx, DefaultExecTimeout)
 	defer cancel()
 	e.mu.Lock()
-	e.baseTree = ""
+	e.base = nil
 	e.mu.Unlock()
-	td, err := PushTree(ctx, e.Client, fsys)
+	for _, d := range lower {
+		if err := e.Client.PushBlob(ctx, DefaultRepo, src, d); err != nil {
+			return fmt.Errorf("remoteexec: pushing layer %s: %w", d.Short(), err)
+		}
+	}
+	td, err := PushTree(ctx, e.Client, top)
 	if err != nil {
 		return err
 	}
 	e.mu.Lock()
-	e.baseTree = td
+	e.base = append(lower[:len(lower):len(lower)], td)
 	e.mu.Unlock()
 	return nil
 }
 
 // ExecuteContext offers one cache-missed command to the farm, within
 // DefaultExecTimeout. overlay is the outputs of the command's
-// transitive dependencies, applied over the base tree on the worker.
+// transitive dependencies, applied over the base on the worker.
 // Any farm-side problem — no compatible worker, exhausted attempts,
 // timeouts, transport failures — returns (nil, nil): the caller runs
 // the command locally and the rebuild proceeds.
 func (e *Executor) ExecuteContext(ctx context.Context, argv []string, cwd string, overlay []actioncache.Output) (*actioncache.Result, error) {
 	e.mu.Lock()
-	base := e.baseTree
+	base := e.base
 	e.mu.Unlock()
-	if base == "" {
+	if base == nil {
 		e.local.Add(1)
 		return nil, nil
 	}
@@ -126,12 +141,12 @@ func (e *Executor) ExecuteContext(ctx context.Context, argv []string, cwd string
 
 // tryFarm performs one full farm round trip. A nil, nil return means
 // the farm declined cleanly (no compatible worker).
-func (e *Executor) tryFarm(ctx context.Context, argv []string, cwd string, overlay []actioncache.Output, base digest.Digest) (*actioncache.Result, error) {
+func (e *Executor) tryFarm(ctx context.Context, argv []string, cwd string, overlay []actioncache.Output, base []digest.Digest) (*actioncache.Result, error) {
 	spec := TaskSpec{
 		Argv:     argv,
 		Cwd:      cwd,
 		Platform: e.Platform,
-		BaseTree: base,
+		Base:     base,
 		Overlay:  overlay,
 	}
 	var sub SubmitResponse

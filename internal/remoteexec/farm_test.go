@@ -19,7 +19,9 @@ import (
 	"comtainer/internal/actioncache"
 	"comtainer/internal/core"
 	"comtainer/internal/core/adapter"
+	"comtainer/internal/core/cache"
 	"comtainer/internal/faultinject"
+	"comtainer/internal/fsim"
 	"comtainer/internal/oci"
 	"comtainer/internal/registry"
 	"comtainer/internal/remoteexec"
@@ -239,6 +241,139 @@ func TestFarmRebuildEndToEnd(t *testing.T) {
 		t.Fatalf("repeat rebuild over a warm cache: executor stats %s, want nothing offered", st)
 	}
 	f.requireNoTags()
+}
+
+// TestWorkerComposesTheRebuildContainer: a worker builds a session's
+// base from the Sysenv image's layer and the session layer, and what it
+// builds is the rebuild container — the Sysenv image with the cached
+// sources and any extra files added (the paper's §4.1) — entry for
+// entry, with and without extra files. The Sysenv layer alone is kept
+// as the Sysenv image's tree.
+func TestWorkerComposesTheRebuildContainer(t *testing.T) {
+	sys := sysprofile.X86Cluster()
+	user, res := buildApp(t, sys, "hpccg")
+	cases := map[string]map[string][]byte{
+		"no extra files": nil,
+		"a profile":      {"/.comtainer/profile/default.profdata": []byte("profile\x00\xff")},
+	}
+	for name, extra := range cases {
+		t.Run(name, func(t *testing.T) { composesTheRebuildContainer(t, sys, user, res, extra) })
+	}
+}
+
+// composesTheRebuildContainer rebuilds res through a one-worker farm
+// with extra in the rebuild container and compares the worker's trees
+// with the Sysenv image and the rebuild container.
+func composesTheRebuildContainer(t *testing.T, sys *sysprofile.System, user *core.UserSide, res core.BuildResult, extra map[string][]byte) {
+	f := startFarm(t, remoteexec.NewScheduler())
+	var worker *remoteexec.Worker
+	f.startWorker(sys, func(w *remoteexec.Worker) { worker = w })
+	system, err := core.NewSystemSide(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	system.RemoteExec = remoteexec.NewExecutor(f.ts.URL, sys, sys.Toolchains)
+	if err := system.Pull(user.Repo, res.ExtendedTag); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := system.Rebuild(res.DistTag, adapter.DefaultAdapted(), extra); err != nil {
+		t.Fatal(err)
+	}
+	if st := system.RemoteExec.Stats(); st.Remote == 0 || st.Local != 0 {
+		t.Fatalf("executor stats %s, want every action remote", st)
+	}
+
+	sysenvImg, err := system.Repo.LoadByTag(sysprofile.TagSysenv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysenv, err := sysenvImg.Flatten()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sysenv.Clone()
+	extDesc, err := system.Repo.Resolve(cache.ExtendedTag(res.DistTag))
+	if err != nil {
+		t.Fatal(err)
+	}
+	extImg, err := oci.LoadImage(system.Repo.Store, extDesc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, src, err := cache.Read(extImg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = src.Walk(func(f *fsim.File) error {
+		if f.Type == fsim.TypeRegular {
+			want.Add(f)
+		}
+		return nil
+	})
+	for p, data := range extra {
+		want.WriteFile(p, data, 0o644)
+	}
+
+	kept := remoteexec.KeptTrees(worker)
+	if len(kept[1]) != 1 || len(kept[2]) != 1 {
+		t.Fatalf("the worker keeps %d one-layer and %d two-layer trees, want one of each", len(kept[1]), len(kept[2]))
+	}
+	if !kept[1][0].Equal(sysenv) {
+		t.Error("the kept one-layer tree is not the Sysenv image's")
+	}
+	if got := kept[2][0]; !got.Equal(want) {
+		t.Errorf("the worker's tree (%d entries) is not the rebuild container (%d entries)", got.Len(), want.Len())
+	}
+}
+
+// TestFarmPGOLoop: the PGO loop's two rebuilds, the second with the
+// trial run's profile as an extra file, give through the farm the
+// images they give locally.
+func TestFarmPGOLoop(t *testing.T) {
+	sys := sysprofile.X86Cluster()
+	user, res := buildApp(t, sys, "minimd")
+	var ref workloads.Ref
+	for _, r := range workloads.AllRefs() {
+		if r.ID() == "minimd" {
+			ref = r
+		}
+	}
+	loop := func(farm *remoteexec.Executor) (rebuilt, redirected oci.Descriptor) {
+		t.Helper()
+		system, err := core.NewSystemSide(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		system.RebuildWorkers = 4
+		system.RemoteExec = farm
+		if err := system.Pull(user.Repo, res.ExtendedTag); err != nil {
+			t.Fatal(err)
+		}
+		if err := system.PGOLoop(res.DistTag, adapter.DefaultOptimized(), ref, 16); err != nil {
+			t.Fatal(err)
+		}
+		if rebuilt, err = system.Repo.Resolve(cache.RebuiltTag(res.DistTag)); err != nil {
+			t.Fatal(err)
+		}
+		if redirected, err = system.Repo.Resolve(res.DistTag + ".redirect"); err != nil {
+			t.Fatal(err)
+		}
+		return rebuilt, redirected
+	}
+	localRebuilt, localRedirected := loop(nil)
+
+	f := startFarm(t, remoteexec.NewScheduler())
+	f.startWorker(sys, nil)
+	f.startWorker(sys, nil)
+	exec := remoteexec.NewExecutor(f.ts.URL, sys, sys.Toolchains)
+	rebuilt, redirected := loop(exec)
+	if rebuilt.Digest != localRebuilt.Digest || redirected.Digest != localRedirected.Digest {
+		t.Fatalf("farm PGO loop gave %s and %s, the local one %s and %s",
+			rebuilt.Digest, redirected.Digest, localRebuilt.Digest, localRedirected.Digest)
+	}
+	if st := exec.Stats(); st.Remote == 0 || st.Local != 0 {
+		t.Fatalf("executor stats %s, want every action of both rebuilds remote", st)
+	}
 }
 
 // TestFarmServesOnlyItsToolchain: a rebuild under another toolchain

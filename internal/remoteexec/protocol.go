@@ -15,15 +15,19 @@
 //
 //   - Worker: registers with its slot count and platform and keeps
 //     one lease poll open. For each task granted it materializes the
-//     executor's file-system snapshot from one registry blob (a tarfs
-//     layer, moved through the distrib client), runs the command
-//     through toolchain.Runner, and reports the runner's record of it
-//     (an actioncache.Result) in the task's result report. A worker
-//     stores no cache entry.
+//     executor's file system from the task's base, a chain of registry
+//     blobs (tarfs layers, moved through the distrib client), keeping
+//     each chain's tree so that a lower chain many sessions share —
+//     the Sysenv image — is fetched once; it runs the command through
+//     toolchain.Runner, and reports the runner's record of it (an
+//     actioncache.Result) in the task's result report. A worker stores
+//     no cache entry.
 //
 //   - Executor: the client side wired into backend.executeGraph via
-//     toolchain.Runner's Remote hook. It pushes the rebuild
-//     file system once per session as one uncompressed layer blob,
+//     toolchain.Runner's Remote hook. Once per session it pushes the
+//     rebuild file system as layers: the Sysenv image's, straight from
+//     the system's store (one HEAD each once the farm holds them), and
+//     one uncompressed session layer of what the rebuild adds; it
 //     submits each ready action with its transitive dependencies'
 //     outputs inside the task, reads the worker's record out of the
 //     task's final status, and re-observes the record's inputs
@@ -59,7 +63,7 @@ import (
 const APIPrefix = "/farm/v1"
 
 // DefaultRepo is the registry repository holding the farm's session
-// trees, tarfs layers — the farm has no format of its own.
+// layers, tarfs layers — the farm has no format of its own.
 const DefaultRepo = "comtainer-exec"
 
 // maxJSONBody bounds a farm JSON body, request or response: a record the
@@ -104,11 +108,14 @@ type TaskSpec struct {
 	Cwd  string   `json:"cwd"`
 	// Platform the command must execute under.
 	Platform Platform `json:"platform"`
-	// BaseTree is the digest of the session's file-system snapshot, an
-	// uncompressed tarfs layer in DefaultRepo, pushed once per rebuild.
-	BaseTree digest.Digest `json:"baseTree"`
+	// Base is the session's file system as layers: the digests of
+	// uncompressed tarfs layers in DefaultRepo, applied in order with
+	// fsim.Apply's semantics. A rebuild's are the Sysenv image's layers,
+	// shipped as they are stored, then one session layer holding what
+	// the rebuild container adds to them (the sources, any extra files).
+	Base []digest.Digest `json:"base"`
 	// Overlay is the outputs of the command's transitive dependencies,
-	// written over the base tree before execution.
+	// written over the base before execution.
 	Overlay []actioncache.Output `json:"overlay,omitempty"`
 }
 

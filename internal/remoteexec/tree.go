@@ -10,14 +10,16 @@ import (
 	"comtainer/internal/tarfs"
 )
 
-// The executor ships its rebuild file system as what an image ships
-// one in: an uncompressed tarfs layer, one blob. Workers fetch it once
-// per rebuild session and clone the materialized FS per task, so the
-// session's base image crosses the wire exactly once per worker no
-// matter how many actions it executes.
+// A session's file system crosses the wire as what an image ships one
+// in: uncompressed tarfs layers, one blob each. The lower layers are
+// the Sysenv image's own blobs, which the farm keeps from one session
+// to the next; the session's layer is what the rebuild adds to them.
+// Workers build each chain of layers once and clone the materialized
+// FS per task, so a layer crosses the wire once per worker while its
+// tree is kept, no matter how many actions or sessions use it.
 
 // PushTree publishes fsys to DefaultRepo through client as one layer
-// blob. Returns its digest — the handle a TaskSpec carries.
+// blob. Returns its digest, the last of a TaskSpec's Base.
 func PushTree(ctx context.Context, client *distrib.Client, fsys *fsim.FS) (digest.Digest, error) {
 	layer, err := tarfs.Marshal(fsys)
 	if err != nil {

@@ -2,9 +2,11 @@ package remoteexec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io/fs"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -22,9 +24,10 @@ import (
 // scheduler before coming back empty.
 const leaseWaitMillis = 1000
 
-// maxIdleTreeBytes bounds the session snapshots a worker keeps, by
+// maxIdleTreeBytes bounds the trees a worker keeps, by
 // fsim.FS.TotalSize: the least recently used beyond it are dropped. A
-// running task keeps its own snapshot alive by holding it, so the
+// chain's tree shares its parent chain's files, so this counts them
+// twice. A running task keeps its own tree alive by holding it, so the
 // worker's trees weigh at most this plus the dropped ones tasks hold.
 const maxIdleTreeBytes = 1 << 30
 
@@ -40,7 +43,7 @@ const reportRoundWait = 200 * time.Millisecond
 type Worker struct {
 	// Scheduler is the farm base URL (the host also serving /farm/v1).
 	Scheduler string
-	// Client fetches session trees from the registry; its HTTP client
+	// Client fetches session layers from the registry; its HTTP client
 	// also carries the scheduler traffic, so a fault-injecting
 	// transport wraps every wire interaction at once. NewWorker gives
 	// it a connection pool of its own, which Run sizes to the open
@@ -61,9 +64,9 @@ type Worker struct {
 
 	pool        *http.Transport // Client's, when NewWorker made it
 	treeMu      sync.Mutex
-	trees       map[digest.Digest]*fsim.FS  // the kept session snapshots
-	treeLRU     cachekit.LRU[digest.Digest] // the kept snapshots, by recency
-	treeFetches cachekit.Flight[digest.Digest, *fsim.FS]
+	trees       map[string]*fsim.FS  // the kept trees, by chainKey
+	treeLRU     cachekit.LRU[string] // the kept trees, by recency
+	treeFetches cachekit.Flight[string, *fsim.FS]
 }
 
 // NewWorker returns a worker for the farm at scheduler, executing
@@ -171,39 +174,66 @@ func (w *Worker) report(ctx context.Context, id, taskID string, record *actionca
 	}
 }
 
-// baseFS returns the session snapshot td, fetched unless kept. The
-// result is shared: callers Clone it before mutating. No lock is held
-// while fetching: one tree downloads once however many slots ask for
-// it, and different trees download concurrently.
-func (w *Worker) baseFS(ctx context.Context, td digest.Digest) (*fsim.FS, error) {
-	fsys, _, err := w.treeFetches.DoContext(ctx, td, func() (*fsim.FS, error) {
+// chainKey names a chain of layers: their digests in order, as the
+// OCI ChainID does without hashing them again.
+func chainKey(chain []digest.Digest) string {
+	var b strings.Builder
+	for _, d := range chain {
+		b.WriteString(string(d))
+		b.WriteByte(' ')
+	}
+	return b.String()
+}
+
+// baseFS returns the tree of chain, its layers applied in order, built
+// unless kept. A chain's tree is its parent chain's (all but its last
+// layer) with the last layer applied, and a one-layer chain's is that
+// layer's; each is kept, so a lower chain many sessions share is
+// fetched once while it is kept. The last layer is fetched and decoded
+// before the parent is looked at: a chain with a layer that fails keeps
+// nothing. The result is shared: callers Clone it before mutating. No
+// lock is held while fetching: one chain builds once however many slots
+// ask for it, and different chains build concurrently.
+func (w *Worker) baseFS(ctx context.Context, chain []digest.Digest) (*fsim.FS, error) {
+	if len(chain) == 0 {
+		return nil, errors.New("remoteexec: the task names no base layer")
+	}
+	key := chainKey(chain)
+	fsys, _, err := w.treeFetches.DoContext(ctx, key, func() (*fsim.FS, error) {
 		w.treeMu.Lock()
-		kept := w.trees[td]
-		w.treeLRU.Touch(td)
+		kept := w.trees[key]
+		w.treeLRU.Touch(key)
 		w.treeMu.Unlock()
 		if kept != nil {
 			return kept, nil
 		}
-		fetched, err := FetchTree(ctx, w.Client, td)
+		tree, err := FetchTree(ctx, w.Client, chain[len(chain)-1])
 		if err != nil {
 			return nil, err
 		}
-		w.keepTree(td, fetched)
-		return fetched, nil
+		if len(chain) > 1 {
+			parent, err := w.baseFS(ctx, chain[:len(chain)-1])
+			if err != nil {
+				return nil, err
+			}
+			tree = fsim.Apply(parent, tree)
+		}
+		w.keepTree(key, tree)
+		return tree, nil
 	})
 	return fsys, err
 }
 
-// keepTree files fsys as the most recently used snapshot td and drops
-// the least recently used ones beyond maxIdleTreeBytes.
-func (w *Worker) keepTree(td digest.Digest, fsys *fsim.FS) {
+// keepTree files fsys as the most recently used tree under key and
+// drops the least recently used ones beyond maxIdleTreeBytes.
+func (w *Worker) keepTree(key string, fsys *fsim.FS) {
 	w.treeMu.Lock()
 	defer w.treeMu.Unlock()
 	if w.trees == nil {
-		w.trees = make(map[digest.Digest]*fsim.FS)
+		w.trees = make(map[string]*fsim.FS)
 	}
-	w.trees[td] = fsys
-	w.treeLRU.Add(td, fsys.TotalSize())
+	w.trees[key] = fsys
+	w.treeLRU.Add(key, fsys.TotalSize())
 	victims, _ := w.treeLRU.Evict(maxIdleTreeBytes)
 	for _, v := range victims {
 		delete(w.trees, v)
@@ -213,12 +243,12 @@ func (w *Worker) keepTree(td digest.Digest, fsys *fsim.FS) {
 // executeTask runs one leased action and returns the runner's record
 // of it, what the result report carries.
 func (w *Worker) executeTask(ctx context.Context, t *LeasedTask) (*actioncache.Result, error) {
-	base, err := w.baseFS(ctx, t.Spec.BaseTree)
+	base, err := w.baseFS(ctx, t.Spec.Base)
 	if err != nil {
 		return nil, err
 	}
 	// A structural share: the task's writes land in its own map, the
-	// session's files are never copied.
+	// base's files are never copied.
 	fsys := base.Clone()
 	for _, out := range t.Spec.Overlay {
 		fsys.WriteFile(out.Path, out.Data, fs.FileMode(out.Mode))

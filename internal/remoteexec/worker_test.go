@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -21,10 +22,12 @@ import (
 	"time"
 
 	"comtainer/internal/actioncache"
+	"comtainer/internal/cachekit"
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
 	"comtainer/internal/faultinject"
 	"comtainer/internal/fsim"
+	"comtainer/internal/oci"
 	"comtainer/internal/registry"
 	"comtainer/internal/tarfs"
 	"comtainer/internal/toolchain"
@@ -393,11 +396,14 @@ func rawTar(t *testing.T, hdrs ...tar.Header) []byte {
 	return buf.Bytes()
 }
 
-// TestHostileTreeFailsTheTask: the blob plane is shared, so a tree is
+// TestHostileTreeFailsTheTask: the blob plane is shared, so a layer is
 // outside input even under its true digest. What decodes it is
 // tarfs.Unmarshal, whose checks hold here: FetchTree returns an error
-// and no FS, and a worker leased a task on such a tree reports it failed
-// instead of executing on whatever part of the tree decoded.
+// and no FS, and a worker leased a task on such a layer reports it
+// failed instead of executing on whatever part of the tree decoded —
+// whether the layer is the task's whole base or the second layer of a
+// chain whose first is sound. No tree is kept for either. A task that
+// names no base layer fails too.
 func TestHostileTreeFailsTheTask(t *testing.T) {
 	reg := func(name string) tar.Header { return tar.Header{Name: name, Typeflag: tar.TypeReg} }
 	whole := fsim.New()
@@ -424,6 +430,23 @@ func TestHostileTreeFailsTheTask(t *testing.T) {
 	w := &Worker{Scheduler: f.ts.URL, Client: client, Platform: testPlatform, Registry: toolchain.GenericRegistry(toolchain.ISAx86)}
 	runWorker(t, sched, w)
 	ctx := context.Background()
+	sound, err := client.PushBytes(ctx, DefaultRepo, valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fails submits a task on base and requires it to fail with an
+	// error that says want.
+	fails := func(name string, base []digest.Digest, want string) {
+		t.Helper()
+		spec := testSpec()
+		spec.Base = base
+		var sub SubmitResponse
+		f.must(http.MethodPost, "/tasks", spec, &sub)
+		st := f.taskStatus(sub.TaskID, 10*time.Second)
+		if st.State != StateFailed || !strings.Contains(st.Error, want) {
+			t.Errorf("%s: task ended %s (%q), want failed on %q", name, st.State, st.Error, want)
+		}
+	}
 
 	for _, c := range cases {
 		td, err := client.PushBytes(ctx, DefaultRepo, c.blob)
@@ -433,19 +456,14 @@ func TestHostileTreeFailsTheTask(t *testing.T) {
 		if fsys, err := FetchTree(ctx, client, td); err == nil || fsys != nil {
 			t.Errorf("%s: FetchTree returned FS %v and error %v, want no FS and an error", c.name, fsys, err)
 		}
-		spec := testSpec()
-		spec.BaseTree = td
-		var sub SubmitResponse
-		f.must(http.MethodPost, "/tasks", spec, &sub)
-		st := f.taskStatus(sub.TaskID, 10*time.Second)
-		if st.State != StateFailed || !strings.Contains(st.Error, "decoding tree") {
-			t.Errorf("%s: task ended %s (%q), want failed on decoding its tree", c.name, st.State, st.Error)
-		}
+		fails(c.name, []digest.Digest{td}, "decoding tree")
+		fails(c.name+", second in a chain", []digest.Digest{sound, td}, "decoding tree")
 	}
+	fails("no base layer", nil, "no base layer")
 	w.treeMu.Lock()
 	defer w.treeMu.Unlock()
 	if len(w.trees) != 0 {
-		t.Errorf("the worker kept %d hostile trees", len(w.trees))
+		t.Errorf("the worker kept %d trees of hostile chains", len(w.trees))
 	}
 }
 
@@ -551,11 +569,11 @@ func TestBaseFSFetchDiscipline(t *testing.T) {
 	})
 	aDone := make(chan error, 1)
 	go func() {
-		_, err := w.baseFS(ctx, treeA)
+		_, err := w.baseFS(ctx, []digest.Digest{treeA})
 		aDone <- err
 	}()
 	<-aStarted
-	_, err := w.baseFS(ctx, treeB)
+	_, err := w.baseFS(ctx, []digest.Digest{treeB})
 	close(bDone)
 	if err != nil {
 		t.Fatal(err)
@@ -581,7 +599,7 @@ func TestBaseFSFetchDiscipline(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			launched.Done()
-			if _, err := w.baseFS(ctx, treeC); err != nil {
+			if _, err := w.baseFS(ctx, []digest.Digest{treeC}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -602,28 +620,28 @@ func TestIdleTreesAreBounded(t *testing.T) {
 	// Three snapshots of 0.4 × the cap each: two fit, three do not. The
 	// files of one snapshot share a buffer, so the test allocates 1 MiB.
 	buf := make([]byte, 1<<20)
-	session := func(name string) (digest.Digest, *fsim.FS) {
+	session := func(name string) ([]digest.Digest, *fsim.FS) {
 		fsys := fsim.New()
 		for i := 0; i < maxIdleTreeBytes*2/5/len(buf); i++ {
 			fsys.Add(&fsim.File{Path: "/" + name + "/f" + strconv.Itoa(i), Type: fsim.TypeRegular, Mode: 0o644, Data: buf})
 		}
-		return digest.FromString(name), fsys
+		return []digest.Digest{digest.FromString(name)}, fsys
 	}
 	w := &Worker{}
-	kept := func(td digest.Digest) bool {
+	kept := func(chain []digest.Digest) bool {
 		w.treeMu.Lock()
 		defer w.treeMu.Unlock()
-		return w.trees[td] != nil
+		return w.trees[chainKey(chain)] != nil
 	}
 	// run is what a task does with its session's snapshot: baseFS finds
 	// a kept one; one that is not kept is fetched, which keepTree stands
 	// in for.
-	run := func(td digest.Digest, fsys *fsim.FS) {
-		if !kept(td) {
-			w.keepTree(td, fsys)
+	run := func(chain []digest.Digest, fsys *fsim.FS) {
+		if !kept(chain) {
+			w.keepTree(chainKey(chain), fsys)
 			return
 		}
-		got, err := w.baseFS(context.Background(), td)
+		got, err := w.baseFS(context.Background(), chain)
 		if err != nil || got.TotalSize() != fsys.TotalSize() {
 			t.Fatalf("baseFS of a kept snapshot = (%d bytes, %v), want %d bytes", got.TotalSize(), err, fsys.TotalSize())
 		}
@@ -781,5 +799,133 @@ func TestLostReportsDoNotStrandTheTask(t *testing.T) {
 		if task.state != StateDone || task.attempts != 1 {
 			t.Errorf("task %s ended %s after %d attempts, want done after 1", id, task.state, task.attempts)
 		}
+	}
+}
+
+// blobLog counts a registry's blob requests by method and digest: a
+// GET or HEAD by the digest in its path, an upload by its ?digest=.
+type blobLog struct {
+	inner http.Handler
+	mu    sync.Mutex
+	n     map[string]int // "<method> <digest>"
+}
+
+func (l *blobLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	d := r.URL.Query().Get("digest")
+	if i := strings.LastIndex(r.URL.Path, "/blobs/"); i >= 0 && d == "" {
+		d = r.URL.Path[i+len("/blobs/"):]
+	}
+	l.mu.Lock()
+	l.n[r.Method+" "+d]++
+	l.mu.Unlock()
+	l.inner.ServeHTTP(w, r)
+}
+
+// since returns how many requests of method for each of ds l counted
+// beyond was.
+func (l *blobLog) since(was map[string]int, method string, ds ...digest.Digest) []int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]int, len(ds))
+	for i, d := range ds {
+		out[i] = l.n[method+" "+string(d)] - was[method+" "+string(d)]
+	}
+	return out
+}
+
+func (l *blobLog) snapshot() map[string]int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return maps.Clone(l.n)
+}
+
+// TestSecondSessionShipsOnlyItsLayer: a session's lower layers go up
+// as the executor's store holds them and are kept by each worker, so a
+// second session on the same lower layer costs, for that layer, one
+// HEAD and nothing else — no upload, no fetch — and for its own layer
+// one upload and one GET per worker that runs a task of it.
+func TestSecondSessionShipsOnlyItsLayer(t *testing.T) {
+	sched := NewScheduler()
+	log := &blobLog{inner: registry.NewServer().Handler(), n: map[string]int{}}
+	mux := http.NewServeMux()
+	mux.Handle(APIPrefix+"/", sched.Handler())
+	mux.Handle("/", log)
+	ts := httptest.NewServer(mux)
+	// Two workers, stopped together before the census: runWorker's
+	// census would find the other one running.
+	workers, cancel := context.WithCancel(context.Background())
+	var running sync.WaitGroup
+	t.Cleanup(func() {
+		cancel()
+		running.Wait()
+		ts.Close()
+		requireNoFarmGoroutines(t)
+	})
+	reg := toolchain.GenericRegistry(toolchain.ISAx86)
+	for range 2 {
+		w := &Worker{Scheduler: ts.URL, Client: distrib.NewClient(ts.URL), Slots: 1,
+			Platform: testPlatform, Registry: reg, ExecDelay: 300 * time.Millisecond}
+		running.Add(1)
+		go func() {
+			defer running.Done()
+			_ = w.Run(workers) // ends cancelled
+		}()
+	}
+	for len(sched.Status().Workers) < 2 {
+		time.Sleep(time.Millisecond)
+	}
+
+	store := oci.NewStore()
+	sysenv := fsim.New()
+	sysenv.WriteFile("/usr/include/stdio.h", []byte("int printf(const char *, ...);\n"), 0o644)
+	desc, err := oci.PutLayer(store, sysenv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &Executor{Scheduler: ts.URL, Client: distrib.NewClient(ts.URL), Platform: testPlatform}
+	ctx := context.Background()
+	// session pushes one session layer over sysenv and runs two actions
+	// at once, one on each worker, and returns that layer's digest.
+	session := func(n int) digest.Digest {
+		t.Helper()
+		top := fsim.New()
+		top.WriteFile("/src/main.c", []byte(fmt.Sprintf("#include <stdio.h>\nint main(){return %d;}\n", n)), 0o644)
+		if err := e.PrepareLayers(ctx, store, []digest.Digest{desc.Digest}, top); err != nil {
+			t.Fatal(err)
+		}
+		e.mu.Lock()
+		base := e.base
+		e.mu.Unlock()
+		if len(base) != 2 || base[0] != desc.Digest {
+			t.Fatalf("session base %v, want the lower layer %s and the session's", base, desc.Digest)
+		}
+		err := cachekit.Parallel(2, 0, func(i int) error {
+			res, err := e.ExecuteContext(ctx, []string{"gcc", "-O2", "-c", "main.c", "-o", fmt.Sprintf("m%d.o", i)}, "/src", nil)
+			if err == nil && res == nil {
+				err = errors.New("the action ran locally")
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return base[1]
+	}
+
+	first := session(1)
+	if got := log.since(nil, http.MethodGet, desc.Digest, first); got[0] != 2 || got[1] != 2 {
+		t.Fatalf("first session: GETs of the lower and the session layer %v, want one per worker of each", got)
+	}
+	was := log.snapshot()
+	second := session(2)
+	head, post, get := log.since(was, http.MethodHead, desc.Digest, second), log.since(was, http.MethodPost, desc.Digest, second), log.since(was, http.MethodGet, desc.Digest, second)
+	if head[0] != 1 || post[0] != 0 || get[0] != 0 {
+		t.Errorf("second session, lower layer: %d HEAD, %d uploads, %d GETs; want 1, 0, 0", head[0], post[0], get[0])
+	}
+	if post[1] != 1 || get[1] != 2 {
+		t.Errorf("second session, its own layer: %d uploads, %d GETs; want 1 and one per worker", post[1], get[1])
+	}
+	if st := e.Stats(); st.Remote != 4 || st.Local != 0 {
+		t.Errorf("executor stats %s, want every action remote", st)
 	}
 }

@@ -19,13 +19,15 @@ import (
 // are written back without running the tool at all.
 
 // readFile reads p (resolved against Cwd) and records the observation,
-// a digest taken only when an action is being recorded.
+// a digest taken only when the recorder keeps states.
 func (r *Runner) readFile(p string) ([]byte, error) {
 	ap := r.abs(p)
 	data, err := r.FS.ReadFile(ap)
-	if r.rec != nil {
-		r.rec.NoteInput(actioncache.OpRead, ap, actioncache.ReadState(data, err))
+	state := ""
+	if r.rec.WantsStates() {
+		state = actioncache.ReadState(data, err)
 	}
+	r.rec.NoteInput(actioncache.OpRead, ap, state)
 	return data, err
 }
 

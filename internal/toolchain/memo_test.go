@@ -1,10 +1,12 @@
 package toolchain
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"comtainer/internal/actioncache"
+	"comtainer/internal/digest"
 	"comtainer/internal/fsim"
 )
 
@@ -187,5 +189,59 @@ func TestReadFileWithoutRecorderHashesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("readFile with no recorder made %.0f allocations, want 0", allocs)
+	}
+}
+
+// TestTierlessRunRecordsWhatATieredRunRecords: a memoizer with no cache
+// tier (a farm worker's, a farm-mode executor's) takes no input states,
+// yet the record it returns — what a worker reports and what the
+// executor re-observes — names the same inputs and outputs as a tiered
+// run's of the same action.
+func TestTierlessRunRecordsWhatATieredRunRecords(t *testing.T) {
+	for _, line := range []string{"gcc -O2 -c main.c -o main.o", "gcc -O2 main.c util.c -lm -o app"} {
+		var results []*actioncache.Result
+		for _, memo := range []*actioncache.Memoizer{actioncache.NewMemoizer(nil), newDiskMemo(t)} {
+			r := memoRunner(buildFS(), memo)
+			run(t, r, line)
+			if r.LastResult == nil || len(r.LastResult.Inputs) == 0 || len(r.LastResult.Outputs) == 0 {
+				t.Fatalf("%q recorded %+v, want inputs and outputs", line, r.LastResult)
+			}
+			results = append(results, r.LastResult)
+		}
+		if !reflect.DeepEqual(results[0], results[1]) {
+			t.Errorf("%q: the tierless run recorded\n %+v\nthe tiered one\n %+v", line, results[0], results[1])
+		}
+	}
+}
+
+// TestTierlessReadHashesNothing: inside an action a memoizer without a
+// tier runs, a read takes no digest — no allocation once the input is
+// noted — while under a tiered memoizer the same read hashes the file.
+func TestTierlessReadHashesNothing(t *testing.T) {
+	f := fsim.New()
+	f.WriteFile("/src/main.c", []byte(strings.Repeat("int x;\n", 512)), 0o644)
+	for _, c := range []struct {
+		name   string
+		memo   *actioncache.Memoizer
+		hashes bool
+	}{{"no tier", actioncache.NewMemoizer(nil), false}, {"a tier", newDiskMemo(t), true}} {
+		r := memoRunner(f, c.memo)
+		var allocs float64
+		_, _, err := c.memo.Do(digest.FromString("read-"+c.name), nil, func(rec *actioncache.Recorder) error {
+			r.rec = rec
+			defer func() { r.rec = nil }()
+			allocs = testing.AllocsPerRun(100, func() {
+				if _, err := r.readFile("/src/main.c"); err != nil {
+					t.Fatal(err)
+				}
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hashed := allocs > 0; hashed != c.hashes {
+			t.Errorf("%s: a read made %.0f allocations; want a digest taken: %v", c.name, allocs, c.hashes)
+		}
 	}
 }

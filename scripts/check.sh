@@ -89,8 +89,11 @@ echo "== shared state (-race -count=10) =="
 # goroutines at once (DiskTagsConcurrentSetsAgree), and the rebuild
 # executor's workers, each waiting on the done channels of commands
 # other workers run (ExecuteGraph…, CommandDAG…, and CommandCycle…,
-# which must fail at once rather than hang).
-go test -race -count=10 -run 'CloneShar|ApplyAllShared|SchedulerWake|SchedulerExpiryTimer|BusyWorkerStaysAlive|UploadHeadOfLine|UploadCommitSeals|LayerMemo|PushImageShares|DiskCacheTwoOpeners|ConcurrentPulls|DiskTagsConcurrentSets|ExecuteGraph|CommandDAG|CommandCycle' \
+# which must fail at once rather than hang), and a farm session's
+# layer chains, which several slots and workers build from one kept
+# parent tree at once (SecondSessionShipsOnlyItsLayer,
+# WorkerComposesTheRebuildContainer, FarmPGOLoop, HostileTree…).
+go test -race -count=10 -run 'CloneShar|ApplyAllShared|SchedulerWake|SchedulerExpiryTimer|BusyWorkerStaysAlive|UploadHeadOfLine|UploadCommitSeals|LayerMemo|PushImageShares|DiskCacheTwoOpeners|ConcurrentPulls|DiskTagsConcurrentSets|ExecuteGraph|CommandDAG|CommandCycle|SecondSessionShipsOnlyItsLayer|WorkerComposesTheRebuildContainer|FarmPGOLoop|HostileTreeFailsTheTask' \
     ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache ./internal/core/backend
 
 echo "== fuzz smoke (14 x 10s) =="
