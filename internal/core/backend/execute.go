@@ -2,6 +2,7 @@ package backend
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -104,23 +105,23 @@ type execOptions struct {
 	// remote, when set, offers cache-missed commands to the build
 	// farm; every farm failure falls back to local execution.
 	remote *remoteexec.Executor
-	// lower, when set, is the image fs was flattened from before the
-	// rebuild added to it: a farm session ships its layers as stored.
+	// lower is the image fs was flattened from before the rebuild
+	// added to it: a farm session ships its layers as stored, and
+	// remote mode needs it.
 	lower *oci.Image
 }
 
 // prepareSession publishes fs as ex's session: the longest prefix of
-// lower's layers stored as a worker decodes them — uncompressed tars
-// whose diffID is their digest — pushed as lower's store holds them,
-// and one layer of what fs holds beyond them. With no lower image, fs
-// goes up as one layer.
+// lower's layers that are their own diffIDs — stored as a worker
+// decodes them — pushed as lower's store holds them, and one layer of
+// what fs holds beyond them.
 func prepareSession(ctx context.Context, ex *remoteexec.Executor, lower *oci.Image, fs *fsim.FS) error {
 	if lower == nil {
-		return ex.PrepareContext(ctx, fs)
+		return errors.New("backend: a farm session needs the image the rebuild container was flattened from")
 	}
 	var layers []digest.Digest
 	for i, d := range lower.Manifest.Layers {
-		if d.MediaType != oci.MediaTypeLayer || d.Digest != lower.Config.RootFS.DiffIDs[i] {
+		if !lower.LayerIsDiffID(i) {
 			break
 		}
 		layers = append(layers, d.Digest)

@@ -287,7 +287,7 @@ func (img *Image) layer(i int) (*fsim.FS, error) {
 	default:
 		return nil, fmt.Errorf("oci: unsupported layer media type %q", desc.MediaType)
 	}
-	if desc.MediaType != MediaTypeLayer || desc.Digest != diffID {
+	if !img.LayerIsDiffID(i) {
 		if got := digest.FromBytes(tarBytes); got != diffID {
 			return nil, fmt.Errorf("oci: layer %d diffID mismatch: got %s, want %s", i, got.Short(), diffID.Short())
 		}
@@ -303,6 +303,15 @@ func (img *Image) layer(i int) (*fsim.FS, error) {
 	}
 	s.mu.Unlock()
 	return tree, nil
+}
+
+// LayerIsDiffID reports whether layer i's blob is its own uncompressed
+// tar stream: an uncompressed layer whose digest is its diffID. Such a
+// blob was checked when it entered the store, and can be shipped or
+// referenced as stored, without decoding it.
+func (img *Image) LayerIsDiffID(i int) bool {
+	d := img.Manifest.Layers[i]
+	return d.MediaType == MediaTypeLayer && d.Digest == img.Config.RootFS.DiffIDs[i]
 }
 
 // Layers decodes every layer in order.
@@ -359,7 +368,7 @@ func WriteImage(s *Store, cfg ImageConfig, layers []*fsim.FS) (Descriptor, error
 func WriteDerivedImage(s *Store, cfg ImageConfig, base *Image, layers []Descriptor) (Descriptor, error) {
 	descs := make([]Descriptor, 0, len(base.Manifest.Layers)+len(layers))
 	for i, d := range base.Manifest.Layers {
-		if d.MediaType == MediaTypeLayer && d.Digest == base.Config.RootFS.DiffIDs[i] {
+		if base.LayerIsDiffID(i) {
 			if blob, err := s.Get(d.Digest); err == nil {
 				descs = append(descs, Descriptor{MediaType: MediaTypeLayer, Digest: d.Digest, Size: int64(len(blob))})
 				continue

@@ -84,18 +84,22 @@ func (e *Executor) PrepareContext(ctx context.Context, fsys *fsim.FS) error {
 
 // PrepareLayers publishes the session's file system as the layers
 // lower, uncompressed tarfs layers src holds, with top applied over
-// them, within DefaultExecTimeout. Each lower layer is pushed as src
-// stores it, neither re-encoded nor hashed here: a blob the farm holds
-// already costs one HEAD. top goes up as one layer of its own. Until
-// it succeeds every ExecuteContext declines — an earlier session's
-// base is forgotten before the push — so a failed one degrades the
-// whole rebuild to local execution.
+// them, within DefaultExecTimeout; lower and top together are at most
+// MaxBaseLayers. Each lower layer is pushed as src stores it, neither
+// re-encoded nor hashed here: a blob the farm holds already costs one
+// HEAD. top goes up as one layer of its own. Until it succeeds every
+// ExecuteContext declines — an earlier session's base is forgotten
+// before the push — so a failed one degrades the whole rebuild to
+// local execution.
 func (e *Executor) PrepareLayers(ctx context.Context, src distrib.BlobSource, lower []digest.Digest, top *fsim.FS) error {
 	ctx, cancel := context.WithTimeout(ctx, DefaultExecTimeout)
 	defer cancel()
 	e.mu.Lock()
 	e.base = nil
 	e.mu.Unlock()
+	if len(lower) >= MaxBaseLayers {
+		return fmt.Errorf("remoteexec: %d lower layers and a session layer exceed %d", len(lower), MaxBaseLayers)
+	}
 	for _, d := range lower {
 		if err := e.Client.PushBlob(ctx, DefaultRepo, src, d); err != nil {
 			return fmt.Errorf("remoteexec: pushing layer %s: %w", d.Short(), err)

@@ -113,11 +113,18 @@ type TaskSpec struct {
 	// fsim.Apply's semantics. A rebuild's are the Sysenv image's layers,
 	// shipped as they are stored, then one session layer holding what
 	// the rebuild container adds to them (the sources, any extra files).
+	// At most MaxBaseLayers.
 	Base []digest.Digest `json:"base"`
 	// Overlay is the outputs of the command's transitive dependencies,
 	// written over the base before execution.
 	Overlay []actioncache.Output `json:"overlay,omitempty"`
 }
+
+// MaxBaseLayers bounds TaskSpec.Base. A worker keeps one tree per
+// prefix of a chain, each fetched and built once, so a chain's length
+// is what one submission costs a worker; a rebuild's is the Sysenv
+// image's layers plus one.
+const MaxBaseLayers = 16
 
 // SubmitResponse answers a task submission. NoWorker means the farm
 // currently has no live worker compatible with the task's platform;

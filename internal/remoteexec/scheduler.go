@@ -350,6 +350,10 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "task has empty argv", http.StatusBadRequest)
 		return
 	}
+	if len(spec.Base) > MaxBaseLayers {
+		http.Error(w, fmt.Sprintf("task base has %d layers, more than %d", len(spec.Base), MaxBaseLayers), http.StatusBadRequest)
+		return
+	}
 	s.mu.Lock()
 	s.expireLocked(time.Now())
 	if !s.hasCompatibleLocked(spec.Platform) {

@@ -198,6 +198,9 @@ func (w *Worker) baseFS(ctx context.Context, chain []digest.Digest) (*fsim.FS, e
 	if len(chain) == 0 {
 		return nil, errors.New("remoteexec: the task names no base layer")
 	}
+	if len(chain) > MaxBaseLayers {
+		return nil, fmt.Errorf("remoteexec: the task's base has %d layers, more than %d", len(chain), MaxBaseLayers)
+	}
 	key := chainKey(chain)
 	fsys, _, err := w.treeFetches.DoContext(ctx, key, func() (*fsim.FS, error) {
 		w.treeMu.Lock()

@@ -403,7 +403,9 @@ func rawTar(t *testing.T, hdrs ...tar.Header) []byte {
 // failed instead of executing on whatever part of the tree decoded —
 // whether the layer is the task's whole base or the second layer of a
 // chain whose first is sound. No tree is kept for either. A task that
-// names no base layer fails too.
+// names no base layer fails too, and one naming more than MaxBaseLayers
+// is refused by the scheduler, by a worker before it fetches any layer
+// and by an executor before it pushes any.
 func TestHostileTreeFailsTheTask(t *testing.T) {
 	reg := func(name string) tar.Header { return tar.Header{Name: name, Typeflag: tar.TypeReg} }
 	whole := fsim.New()
@@ -427,7 +429,10 @@ func TestHostileTreeFailsTheTask(t *testing.T) {
 	sched.MaxAttempts = 1
 	f := newFarm(t, sched)
 	client := distrib.NewClient(f.ts.URL)
-	w := &Worker{Scheduler: f.ts.URL, Client: client, Platform: testPlatform, Registry: toolchain.GenericRegistry(toolchain.ISAx86)}
+	spy := &spyTransport{}
+	wc := distrib.NewClient(f.ts.URL)
+	wc.HTTP = &http.Client{Transport: spy}
+	w := &Worker{Scheduler: f.ts.URL, Client: wc, Platform: testPlatform, Registry: toolchain.GenericRegistry(toolchain.ISAx86)}
 	runWorker(t, sched, w)
 	ctx := context.Background()
 	sound, err := client.PushBytes(ctx, DefaultRepo, valid)
@@ -460,6 +465,31 @@ func TestHostileTreeFailsTheTask(t *testing.T) {
 		fails(c.name+", second in a chain", []digest.Digest{sound, td}, "decoding tree")
 	}
 	fails("no base layer", nil, "no base layer")
+
+	long := make([]digest.Digest, MaxBaseLayers+1)
+	for i := range long {
+		long[i] = sound
+	}
+	spec := testSpec()
+	spec.Base = long
+	if err := f.do(http.MethodPost, "/tasks", spec, nil); distrib.StatusCode(err) != http.StatusBadRequest {
+		t.Errorf("submitting a %d-layer base: %v, want a 400", len(long), err)
+	}
+	was := spy.seen()
+	if fsys, err := w.baseFS(ctx, long); fsys != nil || err == nil || !strings.Contains(err.Error(), "more than") {
+		t.Errorf("a worker's tree of a %d-layer base: FS %v and error %v, want no FS and a refusal", len(long), fsys, err)
+	}
+	if got := spy.since(was).blobs; got != 0 {
+		t.Errorf("a worker refusing a %d-layer base sent %d blob requests, want none", len(long), got)
+	}
+	e := &Executor{Scheduler: f.ts.URL, Client: wc, Platform: testPlatform}
+	was = spy.seen()
+	if err := e.PrepareLayers(ctx, nil, long[:MaxBaseLayers], fsim.New()); err == nil {
+		t.Errorf("PrepareLayers of %d lower layers and a session layer returned nil", MaxBaseLayers)
+	}
+	if got := spy.since(was).n; got != 0 {
+		t.Errorf("an executor refusing a %d-layer base sent %d requests, want none", MaxBaseLayers+1, got)
+	}
 	w.treeMu.Lock()
 	defer w.treeMu.Unlock()
 	if len(w.trees) != 0 {
