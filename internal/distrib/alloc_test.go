@@ -57,7 +57,7 @@ const requestOverhead = 256 << 10
 // allocates each blob once — the client's one sized fetch buffer, which
 // the destination store keeps — where a copy into the store made it
 // twice and growing buffers nine times. The server streams from disk and
-// allocates nothing per byte.
+// allocates nothing per byte on a blob's first read.
 func TestPullAllocatesBlobOncePerHop(t *testing.T) {
 	for _, size := range blobSizes {
 		t.Run(fmt.Sprint(size), func(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"comtainer/internal/cachekit"
 	"comtainer/internal/digest"
 	"comtainer/internal/faultinject"
 )
@@ -19,7 +20,8 @@ import (
 // oci-layout marker. Writes stream into a temp file under tmp/ and are
 // renamed into place only after the digest checks out, so a crash
 // mid-write never leaves a corrupt blob addressable. Reads verify
-// content against the digest as it streams out.
+// content against the digest as it streams out, and a blob read whole
+// and verified twice is served from memory after that (see Open).
 //
 // All mutating filesystem calls go through a faultinject.FS seam
 // (the real OS by default), so chaos tests can kill the store at an
@@ -36,6 +38,10 @@ type DiskStore struct {
 	// kept so operator tooling can report damage that was already
 	// healed before it got a chance to scan.
 	openRepair FsckReport
+
+	heldMu  sync.Mutex                  // guards the two below; never held across I/O
+	held    map[digest.Digest][]byte    // verified bytes, of blobs read whole twice
+	heldLRU cachekit.LRU[digest.Digest] // held blobs by length, and blobs read whole once by key length
 }
 
 // NewDiskStore opens (creating if needed) a disk store rooted at dir
@@ -140,47 +146,134 @@ func (s *DiskStore) Has(d digest.Digest) bool {
 	return err == nil && fi.Mode().IsRegular()
 }
 
+// maxHeldBlobBytes bounds what a DiskStore keeps in memory: the bytes
+// of the blobs it holds plus a key's length per blob read whole once.
+// The least recently used beyond it are dropped, and a larger blob is
+// never held. It is twenty times the most any shard leader of the
+// benchmark's fleet holds with its whole corpus pulled over and over
+// (13 MB), so the layers of the image a job's nodes all pull at its
+// start stay held until its last node has them.
+const maxHeldBlobBytes = 256 << 20
+
 // Open streams blob d. The returned reader verifies the content hash
 // incrementally: the Read that reaches the size Open returned fails,
 // withholding its bytes, if the on-disk bytes do not hash to d, so a
 // reader that stops there without asking for EOF (oci.SizedReader, an
 // HTTP request body) still sees corruption. A file that ends early fails
 // too.
+//
+// The second read that verifies, and no earlier one, keeps what it
+// delivered: from then on, while the file is there, Open serves those
+// bytes (an io.ReadSeeker) with no file read and no hash. So a blob is
+// hashed off the disk at most twice however often it is read, and only
+// bytes hashed to d in this process are served. A file that rots after
+// that is not read again until a reopen's Repair quarantines it.
 func (s *DiskStore) Open(d digest.Digest) (io.ReadCloser, int64, error) {
 	if err := d.Validate(); err != nil {
 		return nil, 0, err
 	}
+	b, held, readOnce := s.lookupHeld(d)
+	if held {
+		if _, err := s.fs.Stat(s.blobPath(d)); err != nil {
+			s.forget(d)
+			return nil, 0, openError(d, err)
+		}
+		return heldReader{bytes.NewReader(b)}, int64(len(b)), nil
+	}
 	f, err := faultinject.Open(s.fs, s.blobPath(d))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, fmt.Errorf("distrib: blob not found: %s", d)
-		}
-		return nil, 0, fmt.Errorf("distrib: opening blob %s: %w", d.Short(), err)
+		return nil, 0, openError(d, err)
 	}
 	fi, err := s.fs.Stat(s.blobPath(d))
-	if err != nil {
+	if err != nil { // removed since the open: not found
 		f.Close()
-		return nil, 0, fmt.Errorf("distrib: stat blob %s: %w", d.Short(), err)
+		return nil, 0, openError(d, err)
 	}
-	return &verifyingReader{f: f, want: d, h: sha256.New(), left: fi.Size()}, fi.Size(), nil
+	v := &verifyingReader{f: f, want: d, h: sha256.New(), left: fi.Size(), store: s}
+	v.keep = readOnce && fi.Size() <= maxHeldBlobBytes
+	return v, fi.Size(), nil
 }
 
+// openError is Open's error for a failed open or stat of blob d's file.
+func openError(d digest.Digest, err error) error {
+	if os.IsNotExist(err) {
+		return fmt.Errorf("distrib: blob not found: %s", d)
+	}
+	return fmt.Errorf("distrib: opening blob %s: %w", d.Short(), err)
+}
+
+// lookupHeld returns blob d's held bytes, if any, and whether a read
+// verified it whole before.
+func (s *DiskStore) lookupHeld(d digest.Digest) (b []byte, held, readOnce bool) {
+	s.heldMu.Lock()
+	defer s.heldMu.Unlock()
+	if !s.heldLRU.Touch(d) {
+		return nil, false, false
+	}
+	b, held = s.held[d]
+	return b, held, true
+}
+
+// verified records a read of blob d that reached its size and hashed to
+// d: the first marks it read once, a later one holds kept, the bytes it
+// delivered, if it kept them.
+func (s *DiskStore) verified(d digest.Digest, kept []byte) {
+	s.heldMu.Lock()
+	defer s.heldMu.Unlock()
+	if kept != nil {
+		if s.held == nil {
+			s.held = make(map[digest.Digest][]byte)
+		}
+		s.held[d] = kept
+		s.heldLRU.Add(d, int64(len(kept)))
+	} else if !s.heldLRU.Touch(d) {
+		s.heldLRU.Add(d, int64(len(d)))
+	}
+	victims, _ := s.heldLRU.Evict(maxHeldBlobBytes)
+	for _, v := range victims {
+		delete(s.held, v)
+	}
+}
+
+// forget drops what the store holds of blob d.
+func (s *DiskStore) forget(d digest.Digest) {
+	s.heldMu.Lock()
+	defer s.heldMu.Unlock()
+	s.heldLRU.Remove(d)
+	delete(s.held, d)
+}
+
+// heldReader serves a held blob.
+type heldReader struct{ *bytes.Reader }
+
+func (heldReader) Close() error { return nil }
+
 // verifyingReader delivers the size Open stat'ed, hashing as it goes,
-// and checks the hash in the Read that reaches it.
+// and checks the hash in the Read that reaches it. A good verdict is
+// reported to the store, with the delivered bytes if keep was set.
 type verifyingReader struct {
-	f    faultinject.File
-	want digest.Digest
-	h    hash.Hash
-	left int64 // bytes not yet delivered
-	end  error // once set, what every Read returns: io.EOF or the verdict
+	f     faultinject.File
+	want  digest.Digest
+	h     hash.Hash
+	left  int64 // bytes not yet delivered
+	end   error // once set, what every Read returns: io.EOF or the verdict
+	store *DiskStore
+	keep  bool
+	kept  []byte // what was delivered, when keep is set
 }
 
 func (v *verifyingReader) Read(p []byte) (int, error) {
 	if v.end != nil {
 		return 0, v.end
 	}
+	if v.keep && v.kept == nil {
+		v.kept = make([]byte, 0, v.left) // allocated by the first Read: a HEAD reads none
+	}
 	n, err := v.f.Read(p[:min(int64(len(p)), v.left)])
 	v.h.Write(p[:n])
+	if v.keep {
+		v.kept = append(v.kept, p[:n]...)
+	}
 	v.left -= int64(n)
 	switch {
 	case v.left == 0:
@@ -191,6 +284,7 @@ func (v *verifyingReader) Read(p []byte) (int, error) {
 			v.end = fmt.Errorf("distrib: blob %s corrupt on disk: content hashes to %s", v.want.Short(), got.Short())
 			return 0, v.end
 		}
+		v.store.verified(v.want, v.kept)
 	case err == io.EOF:
 		v.end = fmt.Errorf("distrib: blob %s corrupt on disk: file truncated, %d bytes missing", v.want.Short(), v.left)
 	case err != nil:
@@ -240,13 +334,15 @@ func (s *DiskStore) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int6
 	return got, n, nil
 }
 
-// Delete removes blob d from disk. Absent blobs are not an error.
+// Delete removes blob d from disk, and then what the store holds of it.
+// Absent blobs are not an error.
 //
 //comtainer:allow lockio -- mu exists to serialize Delete with commit renames
 func (s *DiskStore) Delete(d digest.Digest) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
+	defer s.forget(d)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.fs.Remove(s.blobPath(d)); err != nil && !os.IsNotExist(err) {

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -270,20 +271,43 @@ type diskPair struct {
 // The test's cleanup stops it.
 type quietServer struct {
 	*httptest.Server
-	mu    sync.Mutex
-	quiet *sync.Cond // broadcast when a connection leaves New or Active
-	conns map[net.Conn]http.ConnState
+	mu     sync.Mutex
+	quiet  *sync.Cond // broadcast when a connection leaves New or Active
+	conns  map[net.Conn]http.ConnState
+	served chan struct{} // closed when the server's accept loop has ended
+}
+
+// servedListener closes served when Accept fails on the closed listener.
+// The server reports a connection New before it accepts the next, so from
+// then on conns has every connection the server will serve. Without that
+// wait, a stop that came between an Accept and its report went on to
+// stop the replicas under a proxy handler still to run, whose dial to the
+// stopped leader then promoted the follower: the "a client's cut body
+// moved the leader" of TestFleetChaosProxyStreamClientCut's seeds 62
+// and 18.
+type servedListener struct {
+	net.Listener
+	served chan struct{}
+}
+
+func (l servedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if errors.Is(err, net.ErrClosed) {
+		close(l.served)
+	}
+	return c, err
 }
 
 type connKey struct{}
 
 func newQuietServer(t *testing.T, h http.Handler) *quietServer {
-	q := &quietServer{conns: make(map[net.Conn]http.ConnState)}
+	q := &quietServer{conns: make(map[net.Conn]http.ConnState), served: make(chan struct{})}
 	q.quiet = sync.NewCond(&q.mu)
 	q.Server = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer q.setState(r.Context().Value(connKey{}).(net.Conn), http.StateClosed)
 		h.ServeHTTP(w, r)
 	}))
+	q.Listener = servedListener{q.Listener, q.served}
 	q.Config.ConnContext = func(ctx context.Context, c net.Conn) context.Context {
 		return context.WithValue(ctx, connKey{}, c)
 	}
@@ -309,6 +333,7 @@ func (q *quietServer) setState(c net.Conn, s http.ConnState) {
 // every handler to return.
 func (q *quietServer) stop() {
 	q.Listener.Close()
+	<-q.served
 	q.Config.SetKeepAlivesEnabled(false)
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -578,6 +603,61 @@ func TestFleetChaosProxyStreamClientCut(t *testing.T) {
 			dp.checkNoTemps(t)
 		})
 	}
+}
+
+// cutFirst is a proxy-to-shard transport step that fails a push only
+// after the client pushing through the proxy has cut its body: it takes
+// a block of the relayed body and a byte (so the relay has read three
+// blocks of the client's body and is blocked passing one on), reports
+// that on taken, waits for cut to close, and answers a connection reset
+// with the rest unread, while the client's reset is still unread in the
+// proxy's socket.
+type cutFirst struct{ taken, cut chan struct{} }
+
+func (c cutFirst) RoundTrip(req *http.Request) (*http.Response, error) {
+	defer req.Body.Close()
+	if _, err := io.CopyN(io.Discard, req.Body, 32<<10+1); err != nil {
+		return nil, err
+	}
+	close(c.taken)
+	<-c.cut
+	return nil, fmt.Errorf("cutFirst: connection to the leader reset: %w", syscall.ECONNRESET)
+}
+
+// TestFleetChaosProxyStreamClientCutBeforeLeaderFails: the client's cut
+// happens first, the leader's request fails mid-body after it, and the
+// relay has not read the cut yet. The body's verdict decides: a body the
+// client cut promotes nothing.
+func TestFleetChaosProxyStreamClientCutBeforeLeaderFails(t *testing.T) {
+	dp := startDiskPair(t, nil)
+	leader := dp.group.Leader()
+	step := cutFirst{taken: make(chan struct{}), cut: make(chan struct{})}
+	dp.proxy.HTTP = &http.Client{Transport: step}
+	content, d := randomBlob(1, 2<<20)
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(dp.front.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "POST /v2/app/blobs/uploads/?digest=%s HTTP/1.1\r\nHost: proxy\r\nContent-Length: %d\r\n\r\n", d, len(content))
+	if _, err := conn.Write(content[:128<<10]); err != nil {
+		t.Fatal(err)
+	}
+	<-step.taken
+	_ = conn.(*net.TCPConn).SetLinger(0) // Close resets the connection
+	conn.Close()
+	close(step.cut)
+
+	dp.settle()
+	if got := dp.group.Leader(); got != leader {
+		t.Errorf("a client's cut body moved the leader from %s to %s", leader, got)
+	}
+	for i, srv := range dp.srvs {
+		if srv.Blobs().Has(d) {
+			t.Errorf("replica %d stored a blob whose body was cut", i)
+		}
+	}
+	dp.checkNoTemps(t)
 }
 
 // TestFleetChaosProxyStreamFailover: how far a relayed body got decides

@@ -265,7 +265,10 @@ type relaySink struct {
 // past too: a session's spool, which can be read again, goes to the
 // next one from byte 0, and for a request body the client's 503 sends
 // the blob again. Content that is not delivered, or not want, is no
-// shard's failure and promotes nothing.
+// shard's failure and promotes nothing: before a request body's failed
+// relay promotes, the rest of the body is read for its verdict, since a
+// client's cut can end the leader's request before the proxy's own
+// read of the body has reported it.
 func (s *relaySink) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int64, error) {
 	size, _ := oci.Sized(r)
 	if size > oci.MaxBlobSize {
@@ -300,6 +303,9 @@ func (s *relaySink) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int6
 		case s.ctx.Err() != nil: // the client's request ended, not the shard
 			return "", 0, fmt.Errorf("fleet: receiving blob: %w", context.Cause(s.ctx))
 		case b.sent > 0 && !again:
+			if b.drain(); b.err != nil {
+				return "", 0, b.err
+			}
 			g.promoteFrom(leader)
 			return "", 0, registry.WithStatus(http.StatusServiceUnavailable, fmt.Errorf("fleet: shard %s failed mid-blob: %w", g.Name(), err))
 		case b.sent > 0:
@@ -380,6 +386,15 @@ func (b *relayBody) feed(w *io.PipeWriter) {
 		}
 	}
 	w.CloseWithError(b.err)
+}
+
+// drain reads and hashes the rest of the body, passing nothing on, until
+// it ends or fails.
+func (b *relayBody) drain() {
+	for b.err == nil && !b.ended {
+		b.out = nil
+		b.fill()
+	}
 }
 
 // --- manifests and tags ---

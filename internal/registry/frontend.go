@@ -361,7 +361,11 @@ func (f *frontend) putManifest(w http.ResponseWriter, r *http.Request, name, ref
 
 // serveBlob answers a blob GET or HEAD from src with distribution-API
 // headers, honoring single-range HTTP Range requests ("bytes=a-b" /
-// "bytes=a-") with 206 responses.
+// "bytes=a-") with 206 responses. A range is served only from verified
+// bytes: a seekable body (bytes a store keeps in memory) is cut by
+// seeking; from any other the range's last byte is held back while the
+// rest of the blob drains through src's check, and a blob that fails it
+// is answered cut short, as a whole GET is.
 func serveBlob(w http.ResponseWriter, r *http.Request, src distrib.BlobSource, d digest.Digest) {
 	body, size, err := src.Open(d)
 	if err != nil {
@@ -379,14 +383,34 @@ func serveBlob(w http.ResponseWriter, r *http.Request, src distrib.BlobSource, d
 			http.Error(w, "unsatisfiable range", http.StatusRequestedRangeNotSatisfiable)
 			return
 		}
-		if _, err := io.CopyN(io.Discard, body, start); err != nil {
+		seeker, seekable := body.(io.Seeker)
+		if seekable {
+			_, err = seeker.Seek(start, io.SeekStart)
+		} else {
+			_, err = io.CopyN(io.Discard, body, start)
+		}
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, end, size))
 		w.Header().Set("Content-Length", strconv.FormatInt(end-start+1, 10))
 		w.WriteHeader(http.StatusPartialContent)
-		_, _ = io.CopyN(w, body, end-start+1)
+		if seekable {
+			_, _ = io.CopyN(w, body, end-start+1)
+			return
+		}
+		var last [1]byte
+		_, err = io.CopyN(w, body, end-start)
+		if err == nil {
+			_, err = io.ReadFull(body, last[:])
+		}
+		if err == nil {
+			_, err = io.Copy(io.Discard, body)
+		}
+		if err == nil {
+			_, _ = w.Write(last[:])
+		}
 		return
 	}
 	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -258,6 +259,63 @@ func TestGetBlobContentLengthAndRange(t *testing.T) {
 			t.Errorf("out-of-bounds range: status %s", resp.Status)
 		}
 	})
+}
+
+// TestRangeGetServesOnlyVerifiedBytes: a Range GET from a disk-backed
+// registry is answered from bytes that hashed to the blob's digest. A
+// blob rotten in its last byte is cut short even for a range that ends
+// long before it; one the store holds after two verified reads is cut
+// from those bytes, whatever its file holds since.
+func TestRangeGetServesOnlyVerifiedBytes(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := registry.NewServerAt(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	f := front{url: ts.URL}
+	rotLast := func(d digest.Digest, content []byte) {
+		rotten := bytes.Clone(content)
+		rotten[len(rotten)-1] ^= 1
+		if err := os.WriteFile(filepath.Join(dir, "blobs", "sha256", d.Hex()), rotten, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	content := bytes.Repeat([]byte("0123456789abcdefghij"), 4096)
+
+	d := putBlob(t, f, content)
+	resp, body := do(t, http.MethodGet, ts.URL+"/v2/x/blobs/"+string(d), nil, "Range", "bytes=10-19")
+	if resp.StatusCode != http.StatusPartialContent || string(body) != "abcdefghij" {
+		t.Fatalf("Range of a sound blob: %s, %q", resp.Status, body)
+	}
+	rotLast(d, content)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v2/x/blobs/"+string(d), nil)
+	req.Header.Set("Range", "bytes=0-9")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err == nil && len(body) == 10 {
+		t.Errorf("Range bytes=0-9 of a blob rotten in its last byte: %s, %q in full", resp.Status, body)
+	}
+
+	held := append(bytes.Clone(content), 'x')
+	d = putBlob(t, f, held)
+	for i := 0; i < 2; i++ {
+		if resp, body := do(t, http.MethodGet, ts.URL+"/v2/x/blobs/"+string(d), nil); !bytes.Equal(body, held) {
+			t.Fatalf("GET %d: %s, %d bytes", i, resp.Status, len(body))
+		}
+	}
+	rotLast(d, held)
+	for rng, want := range map[string]string{"bytes=0-9": "0123456789", "bytes=81915-": "fghijx"} {
+		resp, body := do(t, http.MethodGet, ts.URL+"/v2/x/blobs/"+string(d), nil, "Range", rng)
+		if resp.StatusCode != http.StatusPartialContent || string(body) != want {
+			t.Errorf("Range %s of a held blob: %s, %q, want %q", rng, resp.Status, body, want)
+		}
+	}
 }
 
 // TestPutManifestRejectsMissingBlobs: a manifest referencing absent

@@ -92,9 +92,13 @@ echo "== shared state (-race -count=10) =="
 # which must fail at once rather than hang), and a farm session's
 # layer chains, which several slots and workers build from one kept
 # parent tree at once (SecondSessionShipsOnlyItsLayer,
-# WorkerComposesTheRebuildContainer, FarmPGOLoop, HostileTree…).
-go test -race -count=10 -run 'CloneShar|ApplyAllShared|SchedulerWake|SchedulerExpiryTimer|BusyWorkerStaysAlive|UploadHeadOfLine|UploadCommitSeals|LayerMemo|PushImageShares|DiskCacheTwoOpeners|ConcurrentPulls|DiskTagsConcurrentSets|ExecuteGraph|CommandDAG|CommandCycle|SecondSessionShipsOnlyItsLayer|WorkerComposesTheRebuildContainer|FarmPGOLoop|HostileTreeFailsTheTask' \
-    ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache ./internal/core/backend
+# WorkerComposesTheRebuildContainer, FarmPGOLoop, HostileTree…), and the
+# verified blob bytes a DiskStore holds, which reads share and Delete
+# drops while other reads are in flight (HeldBlob…, RottenBlobNeverHeld,
+# HeadsAndEarlyStops…, HeldBytesBounded, and RangeGetServesOnlyVerified…
+# through a registry).
+go test -race -count=10 -run 'CloneShar|ApplyAllShared|SchedulerWake|SchedulerExpiryTimer|BusyWorkerStaysAlive|UploadHeadOfLine|UploadCommitSeals|LayerMemo|PushImageShares|DiskCacheTwoOpeners|ConcurrentPulls|DiskTagsConcurrentSets|ExecuteGraph|CommandDAG|CommandCycle|SecondSessionShipsOnlyItsLayer|WorkerComposesTheRebuildContainer|FarmPGOLoop|HostileTreeFailsTheTask|HeldBlob|RottenBlobNeverHeld|HeadsAndEarlyStops|HeldBytesBounded|RangeGetServesOnlyVerified' \
+    ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache ./internal/core/backend ./internal/registry
 
 echo "== fuzz smoke (14 x 10s) =="
 # Ten seconds of coverage-guided mutation on each parser that takes
