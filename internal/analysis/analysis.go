@@ -22,7 +22,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer describes one invariant check.
@@ -39,19 +38,13 @@ type Analyzer struct {
 	// in dependency order, so facts exported by a package's imports
 	// are available through Pass.PackageFact.
 	Run func(*Pass) error
-
-	// Finish, when non-nil, runs once after every package has been
-	// analyzed, with this analyzer's facts for all of them — the hook
-	// whole-program passes (lock-order cycle detection) use.
-	Finish func(*FinishPass) error
 }
 
 // Fact is a package-level statement an analyzer exports for downstream
-// packages and for its own Finish step — the stdlib-only analogue of
-// go/analysis facts. Facts live in memory for one run; they carry
-// resolved token.Positions and string identities (FuncID, LockClass),
-// never AST or types objects, so the whole-program steps read them
-// without reaching back into a package.
+// packages — the stdlib-only analogue of go/analysis facts. Facts live
+// in memory for one run; they carry string identities (FuncID), never
+// AST or types objects, so a dependent package reads them without
+// reaching back into the package that exported them.
 type Fact interface{ AFact() }
 
 // Pass carries everything an analyzer may inspect about one package.
@@ -74,34 +67,6 @@ type Pass struct {
 	// (package not analyzed, or no fact exported). The returned fact
 	// is shared: treat it as read-only.
 	PackageFact func(path string) Fact
-
-	// AnalyzerFact returns the fact the named analyzer exported for
-	// the package with the given import path — including the package
-	// under analysis, when that analyzer ran earlier in the suite.
-	// This is how layered analyzers (guardedby over lockorder's lock
-	// summaries) share facts without re-deriving them; the consumer
-	// must run after the producer in the suite and degrade gracefully
-	// to nil when the producer was filtered out with -only.
-	AnalyzerFact func(analyzer, path string) Fact
-}
-
-// FinishPass is the whole-program view handed to Analyzer.Finish after
-// the per-package runs: every package fact this analyzer exported,
-// keyed by import path.
-type FinishPass struct {
-	Analyzer *Analyzer
-
-	// Facts maps package import path → the fact exported for it.
-	Facts map[string]Fact
-
-	// Report records one diagnostic, located by a resolved
-	// token.Position carried inside a fact.
-	Report func(Diagnostic)
-
-	// AnalyzerFacts returns every package fact the named analyzer
-	// exported (import path → fact), the whole-program counterpart of
-	// Pass.AnalyzerFact. The returned map is shared: read-only.
-	AnalyzerFacts func(analyzer string) map[string]Fact
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.
@@ -147,6 +112,33 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
+}
+
+// FuncID returns the stable package-qualified identifier of fn:
+// "path.Name" for a package function, "path.(Type).Name" for a method
+// (pointer receivers collapse onto the named type, so (*T).M and
+// (T).M share an identity) — the key facts record call edges by. The
+// empty string identifies nothing.
+func FuncID(fn *types.Func) string {
+	if fn == nil {
+		return ""
+	}
+	pkg := ""
+	if fn.Pkg() != nil {
+		pkg = fn.Pkg().Path()
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return pkg + "." + fn.Name()
+	}
+	rpath, rname := NamedTypePath(sig.Recv().Type())
+	if rname == "" {
+		return pkg + "." + fn.Name()
+	}
+	if rpath == "" {
+		rpath = pkg
+	}
+	return rpath + ".(" + rname + ")." + fn.Name()
 }
 
 // IsPkgFunc reports whether call is a static call to one of the named
@@ -232,46 +224,6 @@ func InspectShallow(n ast.Node, fn func(ast.Node) bool) {
 	})
 }
 
-// FirstSegment returns the leading path segment of an import path or
-// FuncID — this repository's stand-in for "the module": two packages
-// are in the same module when their first segments agree. Passes use
-// it to ignore foreign code, which can neither take this module's
-// locks nor touch its fields.
-func FirstSegment(path string) string {
-	if i := strings.IndexByte(path, '/'); i >= 0 {
-		return path[:i]
-	}
-	return path
-}
-
-// WriteTargets collects the selector expressions n writes through:
-// assignment left-hand sides, ++/-- operands, and address-taken
-// operands (a pointer to the field may be written by anyone).
-func WriteTargets(n ast.Node) map[*ast.SelectorExpr]bool {
-	writes := make(map[*ast.SelectorExpr]bool)
-	mark := func(e ast.Expr) {
-		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-			writes[sel] = true
-		}
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch v := m.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range v.Lhs {
-				mark(lhs)
-			}
-		case *ast.IncDecStmt:
-			mark(v.X)
-		case *ast.UnaryExpr:
-			if v.Op == token.AND {
-				mark(v.X)
-			}
-		}
-		return true
-	})
-	return writes
-}
-
 // SortedKeys returns m's keys in ascending order, nil when m is empty.
 func SortedKeys[V any](m map[string]V) []string {
 	if len(m) == 0 {
@@ -286,7 +238,7 @@ func SortedKeys[V any](m map[string]V) []string {
 }
 
 // PosBefore orders resolved positions by file, line, then column —
-// the order facts and diagnostics are sorted in.
+// the order diagnostics are sorted in.
 func PosBefore(a, b token.Position) bool {
 	if a.Filename != b.Filename {
 		return a.Filename < b.Filename

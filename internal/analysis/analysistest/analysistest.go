@@ -34,7 +34,7 @@ var quoted = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 
 // Run loads the package rooted at dir (a path relative to the calling
 // test, conventionally testdata/src/<name>), applies a through the
-// full checker (facts, Finish, suppression), and reports mismatches
+// full checker (facts, suppression), and reports mismatches
 // against the package's want comments.
 func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	t.Helper()
@@ -43,7 +43,7 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 
 // RunSuite loads every package matched by patterns under dir and runs
 // the whole suite over them with the real checker, so facts flow
-// between the loaded packages and whole-program Finish steps execute.
+// between the loaded packages.
 // Diagnostics from all packages are matched against all want comments
 // (suppressed diagnostics are dropped first).
 func RunSuite(t *testing.T, suite analysis.Suite, dir string, patterns ...string) {

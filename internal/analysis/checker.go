@@ -11,8 +11,7 @@ import (
 // suppressed ones included (flagged), sorted by position. Packages are
 // analyzed in the order given, which must be dependency-first — the
 // order Load returns — so the facts a package exports are visible to
-// its dependents; each analyzer's Finish step then runs over the union
-// of its facts. This is the one way the suite runs: comtainer-vet, the
+// its dependents. This is the one way the suite runs: comtainer-vet, the
 // analysistest harness and the end-to-end test all come through here.
 func CheckPackages(pkgs []*Package, suite []*Analyzer) ([]Diagnostic, error) {
 	ck := &checker{suite: suite, facts: make(map[string]map[string]Fact)}
@@ -21,7 +20,7 @@ func CheckPackages(pkgs []*Package, suite []*Analyzer) ([]Diagnostic, error) {
 			return nil, err
 		}
 	}
-	return ck.finish()
+	return ck.finish(), nil
 }
 
 // checker accumulates diagnostics, allow sites, and facts across the
@@ -54,7 +53,6 @@ func (ck *checker) analyze(pkg *Package) error {
 			Report:            func(d Diagnostic) { ck.diags = append(ck.diags, d) },
 			ExportPackageFact: func(f Fact) { byPkg[pkg.Path] = f },
 			PackageFact:       func(path string) Fact { return byPkg[path] },
-			AnalyzerFact:      func(analyzer, path string) Fact { return ck.facts[analyzer][path] },
 		}
 		if err := a.Run(pass); err != nil {
 			return fmt.Errorf("analysis: running %s on %s: %w", a.Name, pkg.Path, err)
@@ -63,24 +61,8 @@ func (ck *checker) analyze(pkg *Package) error {
 	return nil
 }
 
-// finish runs the whole-program steps, applies suppression, and
-// returns the sorted diagnostics.
-func (ck *checker) finish() ([]Diagnostic, error) {
-	for _, a := range ck.suite {
-		if a.Finish == nil {
-			continue
-		}
-		fp := &FinishPass{
-			Analyzer:      a,
-			Facts:         ck.facts[a.Name],
-			Report:        func(d Diagnostic) { ck.diags = append(ck.diags, d) },
-			AnalyzerFacts: func(analyzer string) map[string]Fact { return ck.facts[analyzer] },
-		}
-		if err := a.Finish(fp); err != nil {
-			return nil, fmt.Errorf("analysis: finishing %s: %w", a.Name, err)
-		}
-	}
-
+// finish applies suppression and returns the sorted diagnostics.
+func (ck *checker) finish() []Diagnostic {
 	ix := buildAllowIndex(ck.sites)
 	out := make([]Diagnostic, len(ck.diags))
 	for i, d := range ck.diags {
@@ -102,7 +84,7 @@ func (ck *checker) finish() ([]Diagnostic, error) {
 		}
 		return a.Message < b.Message
 	})
-	return out, nil
+	return out
 }
 
 // AllowAnalyzerName tags the diagnostics the suppression scanner
@@ -205,8 +187,8 @@ func scanAllows(pkg *Package) ([]allowSite, []Diagnostic) {
 // names when the comment is not an allow directive, and whether a
 // non-empty reason follows the "--" separator. Accepted forms:
 //
-//	//comtainer:allow lockio -- rename must stay serialized
-//	//comtainer:allow lockio,errpropagate -- reason spans both
+//	//comtainer:allow closeleak -- the caller closes it
+//	//comtainer:allow closeleak,errpropagate -- reason spans both
 func parseAllow(text string) (names []string, hasReason bool) {
 	text = strings.TrimPrefix(text, "//")
 	text = strings.TrimPrefix(text, "/*")

@@ -123,3 +123,20 @@ func TestParseAllow(t *testing.T) {
 		}
 	}
 }
+
+// ByName keeps suite order and refuses a name the suite does not have,
+// naming it: `-only lockio,safejoin` must not quietly run safejoin alone.
+func TestSuiteByName(t *testing.T) {
+	suite := Suite{{Name: "a"}, {Name: "b"}, {Name: "c"}}
+	got, err := suite.ByName("c", "a")
+	if err != nil || strings.Join(got.Names(), ",") != "a,c" {
+		t.Errorf("ByName(c, a) = %v, %v; want [a c]", got.Names(), err)
+	}
+	if got, err := suite.ByName(); err != nil || len(got) != 3 {
+		t.Errorf("ByName() = %v, %v; want the whole suite", got.Names(), err)
+	}
+	_, err = suite.ByName("b", "lockio", "gone")
+	if err == nil || !strings.Contains(err.Error(), `"gone", "lockio"`) {
+		t.Errorf("ByName(b, lockio, gone) err = %v; want both unknown names", err)
+	}
+}

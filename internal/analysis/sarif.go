@@ -108,7 +108,7 @@ func EncodeSARIF(diags []Diagnostic, suite Suite, root string) ([]byte, error) {
 		}
 		line := d.Pos.Line
 		if line < 1 {
-			line = 1 // SARIF regions are 1-based; Finish diags may lack positions
+			line = 1 // SARIF regions are 1-based; a diagnostic may lack a position
 		}
 		r := sarifResult{
 			RuleID:    d.Analyzer,

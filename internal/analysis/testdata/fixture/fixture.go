@@ -1,8 +1,7 @@
 // Package fixture is a tiny module the comtainer-vet end-to-end test
-// runs the multichecker against. It deliberately violates five of the
-// enforced invariants (digestcmp, bodyclose, closeleak, timerstop here;
-// guardedby in racecase.go) once each and contains one clean,
-// suppressed site. It also spells each thing scripts/bans.sh bans
+// runs the multichecker against. It deliberately violates four of the
+// enforced invariants (digestcmp, bodyclose, closeleak, timerstop) once
+// each and contains one clean, suppressed site. It also spells each thing scripts/bans.sh bans
 // (TestBansFire): a sha256 literal, an os.WriteFile, a time.Sleep, a
 // digest.Digest conversion, an io.ReadAll of a bare reader, a
 // bufio.NewScanner, an http.Server literal, a PATCH, a LoadLayout, a

@@ -12,10 +12,9 @@ import (
 
 // TestVetEndToEnd builds and runs the comtainer-vet multichecker, as a
 // user would, over the fixture module in testdata/fixture. The fixture
-// violates digestcmp, guardedby, bodyclose, closeleak and timerstop
-// once each, seeds a two-package lock-order cycle (locka/lockb), and
+// violates digestcmp, bodyclose, closeleak and timerstop once each and
 // carries one suppressed site, so the binary must exit 1 with exactly
-// those six diagnostics. Its unjoined goroutine and stranded
+// those four diagnostics. Its unjoined goroutine and stranded
 // WaitGroup.Add are the bans' seeds (TestBansFire), not findings.
 func TestVetEndToEnd(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
@@ -46,39 +45,54 @@ func TestVetEndToEnd(t *testing.T) {
 			lines++
 		}
 	}
-	if lines != 6 {
-		t.Errorf("want exactly 6 diagnostics, got %d:\n%s", lines, text)
+	if lines != 4 {
+		t.Errorf("want exactly 4 diagnostics, got %d:\n%s", lines, text)
 	}
 	for _, name := range []string{
-		"[digestcmp]", "[lockorder]", "[guardedby]",
-		"[bodyclose]", "[closeleak]", "[timerstop]",
+		"[digestcmp]", "[bodyclose]", "[closeleak]", "[timerstop]",
 	} {
 		if !strings.Contains(text, name) {
 			t.Errorf("missing %s diagnostic in output:\n%s", name, text)
 		}
 	}
-	// The seeded resource-lifecycle leaks and the static data race must
-	// surface verbatim.
+	// The seeded resource-lifecycle leaks must surface verbatim.
 	for _, msg := range []string{
 		"resp.Body is not closed on every path to return",
 		"f (*os.File) is not closed on every path to return",
 		"t (*time.Ticker) is not stopped on every path to return",
-		"field fixture.Counter.n is guarded by fixture.Counter.mu on 2/3 accesses; unguarded read",
 	} {
 		if !strings.Contains(text, msg) {
 			t.Errorf("missing seeded leak message %q in output:\n%s", msg, text)
 		}
 	}
-	// The seeded locka/lockb cycle must be reported with the exact
-	// canonical chain, anchored at the cross-package call in CrossAB.
-	wantCycle := "potential deadlock: lock order cycle: " +
-		"fixture/locka.MuA -> fixture/lockb.MuB -> fixture/locka.MuA"
-	if !strings.Contains(text, wantCycle) {
-		t.Errorf("missing the seeded lock-order cycle %q in output:\n%s", wantCycle, text)
-	}
 	// The suppressed Allowed site must not appear.
 	if strings.Count(text, "[digestcmp]") != 1 {
 		t.Errorf("suppression failed: want exactly one digestcmp diagnostic:\n%s", text)
+	}
+}
+
+// TestVetOnlyRefusesUnknownName: -only with a name that is no analyzer
+// is a usage error (exit 2) naming it, not a run of the names it knows.
+func TestVetOnlyRefusesUnknownName(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go command not available")
+	}
+	// Built, not run with `go run`, which exits 1 whatever the status.
+	bin := filepath.Join(t.TempDir(), "comtainer-vet")
+	if out, err := exec.Command("go", "build", "-o", bin, "comtainer/cmd/comtainer-vet").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	cmd := exec.Command(bin, "-only", "lockio,safejoin", "./...")
+	cmd.Dir = filepath.Join("testdata", "fixture")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("vet -only lockio,safejoin: %v, want exit 2\nstderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `"lockio"`) {
+		t.Errorf("error does not name the unknown analyzer:\n%s", stderr.String())
 	}
 }
 

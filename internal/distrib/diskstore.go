@@ -304,8 +304,6 @@ func (v *verifyingReader) Close() error { return v.f.Close() }
 //
 // The stat+rename pair deliberately runs under mu — that is the lock's
 // whole purpose: a Delete may never observe a half-committed blob.
-//
-//comtainer:allow lockio -- mu exists to serialize commit renames with Delete
 func (s *DiskStore) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int64, error) {
 	if want != "" {
 		if err := want.Validate(); err != nil {
@@ -335,9 +333,8 @@ func (s *DiskStore) Ingest(r io.Reader, want digest.Digest) (digest.Digest, int6
 }
 
 // Delete removes blob d from disk, and then what the store holds of it.
-// Absent blobs are not an error.
-//
-//comtainer:allow lockio -- mu exists to serialize Delete with commit renames
+// Absent blobs are not an error. The remove runs under mu, so it never
+// overlaps a commit rename.
 func (s *DiskStore) Delete(d digest.Digest) error {
 	if err := d.Validate(); err != nil {
 		return err

@@ -122,8 +122,8 @@ func CreateAppend(fsys FS, dir, pattern string) (*AppendFile, error) {
 // again, or the next open would replay it. If the cut fails too, the
 // record is in doubt, as if the power went during its Sync: this Append
 // and every later one fail with ErrBroken, the later ones writing nothing.
-//
-//comtainer:allow lockio -- mu is the append serializer: records reach the file in offset order, one write each
+// mu is held across the write: it is the append serializer, so records
+// reach the file in offset order, one write each.
 func (a *AppendFile) Append(rec []byte) (int64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -196,3 +196,10 @@ func (p *Plan) next(op string, eligible ...Kind) (Kind, bool) {
 	}
 	return "", false
 }
+
+// delay returns the wait a Latency fault injects.
+func (p *Plan) delay() time.Duration {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.latency
+}

@@ -62,7 +62,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	case Latency:
 		// Context-aware wait: a cancelled request aborts the spike
 		// within one timer tick instead of sleeping through it.
-		timer := time.NewTimer(t.plan.latency)
+		timer := time.NewTimer(t.plan.delay())
 		defer timer.Stop()
 		select {
 		case <-req.Context().Done():

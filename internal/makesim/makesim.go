@@ -12,6 +12,7 @@ package makesim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"comtainer/internal/fsim"
@@ -64,7 +65,11 @@ func Parse(text string) (*Makefile, error) {
 		// Variable assignment?
 		if name, value, op, ok := splitAssign(line); ok {
 			_ = op // `=` and `:=` both expand eagerly in this subset
-			mf.Vars[name] = mf.Expand(value)
+			v, err := mf.Expand(value)
+			if err != nil {
+				return nil, fmt.Errorf("makesim: line %d: %w", lineNo, err)
+			}
+			mf.Vars[name] = v
 			current = nil
 			continue
 		}
@@ -73,8 +78,15 @@ func Parse(text string) (*Makefile, error) {
 		if colon < 0 {
 			return nil, fmt.Errorf("makesim: line %d: expected rule or assignment: %q", lineNo, line)
 		}
-		targets := strings.Fields(mf.Expand(line[:colon]))
-		prereqs := strings.Fields(mf.Expand(line[colon+1:]))
+		tpart, err := mf.Expand(line[:colon])
+		if err != nil {
+			return nil, fmt.Errorf("makesim: line %d: %w", lineNo, err)
+		}
+		ppart, err := mf.Expand(line[colon+1:])
+		if err != nil {
+			return nil, fmt.Errorf("makesim: line %d: %w", lineNo, err)
+		}
+		targets, prereqs := strings.Fields(tpart), strings.Fields(ppart)
 		if len(targets) == 0 {
 			return nil, fmt.Errorf("makesim: line %d: rule with no target", lineNo)
 		}
@@ -117,12 +129,30 @@ func splitAssign(line string) (name, value, op string, ok bool) {
 	return "", "", "", false
 }
 
+// maxExpansion bounds what one Expand may produce: a chain of variables
+// that each reference the next twice doubles at every link.
+const maxExpansion = 1 << 20
+
 // Expand resolves $(VAR) and ${VAR} references (recursively) and the
-// escaped dollar `$$`.
-func (mf *Makefile) Expand(s string) string {
+// escaped dollar `$$`. A variable that refers to itself, directly or
+// through other variables, is an error naming it, as is an expansion
+// past maxExpansion bytes.
+func (mf *Makefile) Expand(s string) (string, error) {
 	var b strings.Builder
+	if err := mf.expand(&b, s, nil); err != nil {
+		return "", err
+	}
+	return b.String(), nil
+}
+
+// expand writes s expanded to b; active is the chain of variables being
+// expanded around s.
+func (mf *Makefile) expand(b *strings.Builder, s string, active []string) error {
 	i := 0
 	for i < len(s) {
+		if b.Len() > maxExpansion {
+			return fmt.Errorf("makesim: expansion exceeds %d bytes", maxExpansion)
+		}
 		c := s[i]
 		if c != '$' {
 			b.WriteByte(c)
@@ -149,7 +179,13 @@ func (mf *Makefile) Expand(s string) string {
 				continue
 			}
 			name := s[i+2 : i+2+end]
-			b.WriteString(mf.Expand(mf.Vars[name]))
+			if slices.Contains(active, name) {
+				return fmt.Errorf("makesim: variable %s references itself: %s -> %s",
+					name, strings.Join(active, " -> "), name)
+			}
+			if err := mf.expand(b, mf.Vars[name], append(active, name)); err != nil {
+				return err
+			}
 			i += end + 3
 		default:
 			// Single-char var like $@ handled by the executor; preserve.
@@ -158,7 +194,7 @@ func (mf *Makefile) Expand(s string) string {
 			i += 2
 		}
 	}
-	return b.String()
+	return nil
 }
 
 // Executor runs one expanded recipe command (argv) in the build container.
@@ -190,15 +226,18 @@ func (r *Runner) abs(p string) string {
 
 // findRule locates the rule for target: exact match first, then the best
 // (longest-stem... shortest-stem is GNU's choice; with our simple
-// patterns, first match) pattern rule whose stem resolves.
-func (r *Runner) findRule(target string) (*Rule, string, bool) {
+// patterns, first match) pattern rule whose stem resolves. A pattern rule
+// in inUse, the chain of rules target is being built for, is skipped: as
+// in GNU make, no implicit rule appears twice in one chain, so `%: %.x`
+// cannot make a from a.x from a.x.x and on.
+func (r *Runner) findRule(target string, inUse []*Rule) (*Rule, string, bool) {
 	for _, rule := range r.MF.Rules {
 		if !rule.Pattern && rule.Target == target {
 			return rule, "", true
 		}
 	}
 	for _, rule := range r.MF.Rules {
-		if !rule.Pattern {
+		if !rule.Pattern || slices.Contains(inUse, rule) {
 			continue
 		}
 		pre, post, _ := strings.Cut(rule.Target, "%")
@@ -229,10 +268,12 @@ func (r *Runner) Build(target string) error {
 	if target == "" {
 		return fmt.Errorf("makesim: no targets")
 	}
-	return r.build(target, nil)
+	return r.build(target, nil, nil)
 }
 
-func (r *Runner) build(target string, chain []string) error {
+// build makes target; chain is the targets it is a prerequisite of, and
+// rules the rules they are made by, outermost first.
+func (r *Runner) build(target string, chain []string, rules []*Rule) error {
 	if r.built[target] {
 		return nil
 	}
@@ -242,7 +283,7 @@ func (r *Runner) build(target string, chain []string) error {
 				strings.Join(chain, " -> "), target)
 		}
 	}
-	rule, stem, ok := r.findRule(target)
+	rule, stem, ok := r.findRule(target, rules)
 	if !ok {
 		// No rule: acceptable iff the file already exists (a source).
 		if r.FS.Exists(r.abs(target)) {
@@ -256,12 +297,15 @@ func (r *Runner) build(target string, chain []string) error {
 		prereqs = substStem(rule.Prereqs, stem)
 	}
 	for _, p := range prereqs {
-		if err := r.build(p, append(chain, target)); err != nil {
+		if err := r.build(p, append(chain, target), append(rules, rule)); err != nil {
 			return err
 		}
 	}
 	for _, line := range rule.Recipe {
-		cmdText := r.expandAutomatics(rule, target, prereqs, line)
+		cmdText, err := r.expandAutomatics(target, prereqs, line)
+		if err != nil {
+			return fmt.Errorf("makesim: target %s: %w", target, err)
+		}
 		cmds, err := shell.Parse(cmdText, shell.MapEnv(r.MF.Vars))
 		if err != nil {
 			return fmt.Errorf("makesim: target %s: %w", target, err)
@@ -282,7 +326,7 @@ func (r *Runner) build(target string, chain []string) error {
 }
 
 // expandAutomatics substitutes $@, $<, $^ and then $(VAR) references.
-func (r *Runner) expandAutomatics(rule *Rule, target string, prereqs []string, line string) string {
+func (r *Runner) expandAutomatics(target string, prereqs []string, line string) (string, error) {
 	first := ""
 	if len(prereqs) > 0 {
 		first = prereqs[0]

@@ -68,11 +68,51 @@ func TestParseErrors(t *testing.T) {
 
 func TestExpand(t *testing.T) {
 	mf := &Makefile{Vars: map[string]string{"A": "x", "B": "$(A)y", "C": "${B}z"}}
-	if got := mf.Expand("$(C)"); got != "xyz" {
-		t.Errorf("Expand = %q", got)
+	if got, err := mf.Expand("$(C)"); got != "xyz" || err != nil {
+		t.Errorf("Expand = %q, %v", got, err)
 	}
-	if got := mf.Expand("$$HOME $(MISSING)"); got != "$HOME " {
-		t.Errorf("Expand = %q", got)
+	if got, err := mf.Expand("$$HOME $(MISSING)"); got != "$HOME " || err != nil {
+		t.Errorf("Expand = %q, %v", got, err)
+	}
+}
+
+// A variable that refers to itself, at once or through another, is an
+// error naming it, not an unbounded recursion.
+func TestSelfReferentialVariable(t *testing.T) {
+	for _, tc := range []struct{ text, name string }{
+		{"A = $$(A)\nall:\n\techo $(A)\n", "A"},
+		{"A = $$(B)\nB = $${A}\nall:\n\techo $(B)\n", "B"},
+	} {
+		mf, err := Parse(tc.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = NewRunner(mf, fsim.New(), "/", func([]string) error { return nil }).Build("")
+		if err == nil || !strings.Contains(err.Error(), "variable "+tc.name+" references itself") {
+			t.Errorf("%q: err = %v", tc.text, err)
+		}
+	}
+	if _, err := Parse("A = $$(A)\nB = $(A)\n"); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("Parse: err = %v", err)
+	}
+}
+
+// A pattern rule is used at most once in a chain: `%: %.x` makes a from
+// a.x, and a.x needs a rule of its own or a file.
+func TestPatternRuleOncePerChain(t *testing.T) {
+	mf, err := Parse("all: a\n%: %.x\n\ttouch $@\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(mf, fsim.New(), "/w", func([]string) error { return nil })
+	if err := r.Build(""); err == nil || !strings.Contains(err.Error(), "no rule to make target 'a.x'") {
+		t.Errorf("err = %v", err)
+	}
+	fs := fsim.New()
+	fs.WriteFile("/w/a.x", []byte("x"), 0o644)
+	exec := &recordingExec{fs: fs, cwd: "/w"}
+	if err := NewRunner(mf, fs, "/w", exec.run).Build(""); err != nil || len(exec.cmds) != 1 {
+		t.Errorf("with a.x present: err = %v, cmds = %v", err, exec.cmds)
 	}
 }
 

@@ -33,7 +33,7 @@ ban() {
 
 # Suppressions of a comtainer-vet finding in product code (bench/ has
 # its own four).
-ban allow 5 '//comtainer:allow' bench
+ban allow 2 '//comtainer:allow' bench
 # A daemon serves through daemon.Serve, which holds the one http.Server:
 # header and idle timeouts, a body cut when it stops arriving, a drain
 # on stop. bench/servers.go keeps its own copy until it moves onto Serve.
