@@ -8,8 +8,8 @@ package backend
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-
 	"sort"
 
 	"comtainer/internal/actioncache"
@@ -219,7 +219,8 @@ type RedirectOptions struct {
 // Redirect performs coMtainer-redirect: it creates a fresh container from
 // the Rebase image, installs the (vendor-preferring) runtime packages,
 // extracts the rebuilt artifacts and carried data, and commits the final
-// optimized image.
+// optimized image: the Rebase layers, the dist image's data-only layers
+// as stored, and one diff layer.
 func Redirect(repo *oci.Repository, distTag string, opts RedirectOptions) (oci.Descriptor, error) {
 	if opts.System == nil {
 		return oci.Descriptor{}, fmt.Errorf("backend: redirect needs a system profile")
@@ -252,7 +253,19 @@ func Redirect(repo *oci.Repository, distTag string, opts RedirectOptions) (oci.D
 	if err != nil {
 		return oci.Descriptor{}, err
 	}
+	// The dist image's data-only layers ride along as stored: the image
+	// lists them after the Rebase layers, and the diff layer is taken
+	// against the Rebase tree with them applied. A data file the copy
+	// below takes from such a layer is then the same entry on both sides
+	// of the diff, and its bytes are not encoded again.
+	shared, sharedTrees, err := dataOnlyLayers(rebuiltImg, pl.DataFiles, redirectFS)
+	if err != nil {
+		return oci.Descriptor{}, err
+	}
 	baseState := redirectFS.Clone()
+	for _, tree := range sharedTrees {
+		baseState = fsim.Apply(baseState, tree)
+	}
 
 	// Install the runtime dependencies. Packages the libo adapter marked
 	// come as the system's optimized builds; the rest are reproduced at
@@ -312,9 +325,9 @@ func Redirect(repo *oci.Repository, distTag string, opts RedirectOptions) (oci.D
 		}
 	}
 
-	// Commit: Rebase layers + one diff layer; runtime config carried from
-	// the dist image.
-	var layers []oci.Descriptor
+	// Commit: Rebase layers + the shared data layers + one diff layer;
+	// runtime config carried from the dist image.
+	layers := shared
 	if diff := fsim.Diff(baseState, redirectFS); diff.Len() > 0 {
 		desc, err := oci.PutLayer(repo.Store, diff)
 		if err != nil {
@@ -337,6 +350,67 @@ func Redirect(repo *oci.Repository, distTag string, opts RedirectOptions) (oci.D
 	}
 	repo.Tag(opts.OptimizedTag, desc)
 	return desc, nil
+}
+
+// errNotDataOnly stops the scan of a layer at its first entry that the
+// redirect would not leave as the layer has it.
+var errNotDataOnly = errors.New("backend: not a data-only layer")
+
+// dataOnlyLayers returns the layers of img the redirect can reference
+// instead of copying their files, with the tree each applies. Such a
+// layer is its own uncompressed encoding, neither the cache nor the
+// rebuild layer, and holds at least one file and nothing but files
+// dataFiles lists and directories as the copy leaves them: rebase's
+// entry, or mode 0755 where rebase has none. A whiteout is a regular
+// file that no flattened tree, so no dataFiles, holds, and a symlink is
+// neither kind.
+func dataOnlyLayers(img *oci.Image, dataFiles []string, rebase *fsim.FS) ([]oci.Descriptor, []*fsim.FS, error) {
+	if len(dataFiles) == 0 {
+		return nil, nil, nil
+	}
+	data := make(map[string]bool, len(dataFiles))
+	for _, p := range dataFiles {
+		data[p] = true
+	}
+	var descs []oci.Descriptor
+	var trees []*fsim.FS
+	for i, d := range img.Manifest.Layers {
+		if role := d.Annotations[oci.AnnotationLayerRole]; role == cache.RoleCache || role == cache.RoleRebuild || !img.LayerIsDiffID(i) {
+			continue
+		}
+		tree, files := fsim.New(), 0
+		err := img.WalkLayer(i, func(f *fsim.File) error {
+			switch {
+			case f.Type == fsim.TypeRegular && data[f.Path]:
+				files++
+			case f.Type == fsim.TypeDir:
+				copied := &fsim.File{Type: fsim.TypeDir, Mode: 0o755}
+				if r, err := rebase.Stat(f.Path); err == nil {
+					copied = r
+				}
+				if copied.Type != fsim.TypeDir || copied.Mode != f.Mode {
+					return errNotDataOnly
+				}
+			default:
+				return errNotDataOnly
+			}
+			tree.Add(f)
+			return nil
+		})
+		if errors.Is(err, errNotDataOnly) || err == nil && files == 0 {
+			continue
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		blob, err := img.Store.Get(d.Digest)
+		if err != nil {
+			return nil, nil, err
+		}
+		descs = append(descs, oci.Descriptor{MediaType: oci.MediaTypeLayer, Digest: d.Digest, Size: int64(len(blob))})
+		trees = append(trees, tree)
+	}
+	return descs, trees, nil
 }
 
 // carryPackage copies a package's files from the dist image into the

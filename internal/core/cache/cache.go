@@ -269,9 +269,17 @@ func checkVersion(flat *fsim.FS) error {
 }
 
 // Read loads the models and the source tree from an extended image. The
-// returned FS holds the sources at their *original* build-container paths,
-// ready to be materialized into a rebuild container.
+// returned FS holds the declared sources, and nothing else, at their
+// *original* build-container paths, ready to be materialized into a
+// rebuild container. A declared source path that is not clean and
+// absolute, or that the cache layer lacks, fails the read.
 func Read(extImg *oci.Image) (*model.Models, *fsim.FS, error) {
+	return read(extImg, oci.MaxBlobSize)
+}
+
+// read is Read with the models document inflated to at most bound
+// bytes.
+func read(extImg *oci.Image, bound int64) (*model.Models, *fsim.FS, error) {
 	flat, err := extImg.Flatten()
 	if err != nil {
 		return nil, nil, err
@@ -286,7 +294,7 @@ func Read(extImg *oci.Image) (*model.Models, *fsim.FS, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	blob, err := oci.Gunzip(packed, oci.MaxBlobSize)
+	blob, err := oci.Gunzip(packed, bound)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cache: corrupt models document: %w", err)
 	}
@@ -295,20 +303,15 @@ func Read(extImg *oci.Image) (*model.Models, *fsim.FS, error) {
 		return nil, nil, err
 	}
 	srcFS := fsim.New()
-	err = flat.Walk(func(f *fsim.File) error {
-		if f.Type == fsim.TypeRegular && strings.HasPrefix(f.Path, SrcPrefix+"/") {
-			srcFS.Add(&fsim.File{Path: strings.TrimPrefix(f.Path, SrcPrefix), Mode: 0o644, Data: f.Data})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	// Integrity: every declared source must be present.
 	for _, src := range m.SourcePaths {
-		if !srcFS.Exists(src) {
+		if fsim.Clean(src) != src {
+			return nil, nil, fmt.Errorf("cache: declared source %q is not a clean absolute path", src)
+		}
+		f, err := flat.Stat(SrcPrefix + src)
+		if err != nil || f.Type != fsim.TypeRegular {
 			return nil, nil, fmt.Errorf("cache: source %s declared but missing from the cache layer", src)
 		}
+		srcFS.Add(&fsim.File{Path: src, Mode: 0o644, Data: f.Data})
 	}
 	return m, srcFS, nil
 }

@@ -15,10 +15,13 @@ import (
 type ShardGroup struct {
 	name string
 
-	mu       sync.Mutex
+	// replicas is written only by NewShardGroup, so it is read without
+	// mu.
 	replicas []string
-	leader   int
-	misses   int // consecutive failed heartbeats of the current leader
+
+	mu     sync.Mutex
+	leader int
+	misses int // consecutive failed heartbeats of the current leader
 }
 
 // NewShardGroup returns a group named name over the given replicas
@@ -50,8 +53,6 @@ func (g *ShardGroup) Leader() string {
 
 // Replicas returns the replica base URLs in configured order.
 func (g *ShardGroup) Replicas() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return append([]string(nil), g.replicas...)
 }
 

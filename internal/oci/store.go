@@ -35,7 +35,8 @@ type Store struct {
 	// decoded remembers, for a layer blob the store holds, the tree
 	// Image.Layer decoded from it and what that decode was verified
 	// against. An entry lives exactly as long as its blob. The trees are
-	// read-only and never leave the package: of an uncompressed layer
+	// read-only and never leave the package (WalkLayer hands out their
+	// entries, which are immutable anyway): of an uncompressed layer
 	// they alias the blob's own bytes, so an entry costs O(entries) on
 	// top of the blob, which is why there is no bound and no eviction.
 	decoded map[digest.Digest]decodedLayer
@@ -303,6 +304,18 @@ func (img *Image) layer(i int) (*fsim.FS, error) {
 	}
 	s.mu.Unlock()
 	return tree, nil
+}
+
+// WalkLayer visits layer i's entries in path order, as Layer decodes
+// them but without copying the tree: the entries are the store's own,
+// shared and read-only. It stops at the first error fn returns and
+// returns it.
+func (img *Image) WalkLayer(i int, fn func(*fsim.File) error) error {
+	tree, err := img.layer(i)
+	if err != nil {
+		return err
+	}
+	return tree.Walk(fn)
 }
 
 // LayerIsDiffID reports whether layer i's blob is its own uncompressed

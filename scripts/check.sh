@@ -108,7 +108,7 @@ go test -race -count=10 -run 'CloneShar|ApplyAllShared|SchedulerWake|SchedulerEx
     ./internal/fsim ./internal/remoteexec ./internal/distrib ./internal/oci ./internal/actioncache ./internal/core/backend ./internal/registry \
     ./internal/faultinject ./internal/containerfile ./internal/fleet
 
-echo "== fuzz smoke (15 x 10s) =="
+echo "== fuzz smoke (16 x 10s) =="
 # Ten seconds of coverage-guided mutation on each parser that takes
 # bytes from outside the process. tarfs.Unmarshal takes a layer straight
 # from a registry, and a farm session's tree the same way (remoteexec
@@ -155,6 +155,10 @@ echo "== fuzz smoke (15 x 10s) =="
 # in-memory file system never panic, and the build ends, with an error
 # (a variable that refers to itself, a pattern rule met again in its own
 # chain) or with each target's recipe run at most once.
+# The cache layer of a user's +coM image is what a rebuild reads first:
+# cache.Read never panics, and every source it returns lies at a clean
+# absolute path the models declare (a models document that inflates
+# past the bound is refused, not held).
 # The committed seeds under each package's
 # testdata/fuzz run in every plain `go test`; this step looks past them.
 # A failure writes its input beside the seeds. Minimization is off: with
@@ -175,6 +179,7 @@ go test -run '^$' -fuzz '^FuzzParseRender$' -fuzztime 10s -fuzzminimizetime 0 ./
 go test -run '^$' -fuzz '^FuzzBuildReproduces$' -fuzztime 10s -fuzzminimizetime 0 ./internal/containerfile
 go test -run '^$' -fuzz '^FuzzLoadLayout$' -fuzztime 10s -fuzzminimizetime 0 ./internal/oci
 go test -run '^$' -fuzz '^FuzzMakefile$' -fuzztime 10s -fuzzminimizetime 0 ./internal/makesim
+go test -run '^$' -fuzz '^FuzzReadCacheLayer$' -fuzztime 10s -fuzzminimizetime 0 ./internal/core/cache
 
 echo "== go test -race =="
 go test -race ./...
